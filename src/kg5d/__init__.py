@@ -3,7 +3,7 @@
 Subpackages by theme:
 
 * ``numerics``  - quadrature, series summation, root finding, FD stencils
-* ``specfun``   - Laguerre/Whittaker evaluations, asymptotics, erfc
+* ``specfun``   - Laguerre/Whittaker evaluations, asymptotics
 * ``spectrum``  - hydrogenic level formulas and quantization conditions
 * ``canonical`` - level densities and the canonical sum Z_c + Z_d
 * ``geometry``  - foliated metric, Christoffels, operator identities

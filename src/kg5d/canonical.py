@@ -211,11 +211,6 @@ def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0
     return z_c, report
 
 
-def brace_factor(s: float) -> float:
-    """The Z_c bracket e^{s^2} erfc(s) - 1 (exposed for diagnostics)."""
-    return erfcx_minus_one(s)
-
-
 def brace_asymptote(s: float) -> float:
     """Large-n limit of the bracket: -2 s / sqrt(pi)."""
     return -2.0 * s / _SQRT_PI

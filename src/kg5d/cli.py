@@ -387,7 +387,7 @@ def cmd_verify_geometry(cfg: RunConfig) -> int:
         print(write_json(cfg, "verify_geometry.json", {"report": report}))
     if "csv" in cfg.formats:
         rows = [(f"laplacian_h{fmt(h)}", r)
-                for h, r in zip(report["steps"], report["laplacian_residuals"])]
+                for h, r in zip(report["laplacian_steps"], report["laplacian_residuals"])]
         rows += [("laplacian_order", report["laplacian_order"]),
                  ("flat_residual", report["flat_residual"]),
                  ("metric_inverse_defect", report["metric_inverse_defect"])]
@@ -475,8 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     vg = subs.add_parser("verify-geometry", help="metric and operator identities")
     _add_common(vg)
-    vg.add_argument("--grid", type=int, help="coarsest grid points per axis")
-    vg.add_argument("--refine", type=int, help="number of resolutions")
+    vg.add_argument("--grid", type=int,
+                    help="smallest grid points per axis; the contraction checks use "
+                         "sizes grid, grid+4, ... (one per --refine)")
+    vg.add_argument("--refine", type=int,
+                    help="number of sizes; the 5D Laplacian ladder uses only the largest, "
+                         "rounded down to 4k+1, with its half and quarter grids")
 
     vr = subs.add_parser("verify-reduction", help="light-cone evolution suite")
     _add_common(vr)

@@ -16,11 +16,21 @@ Four contractions of the Christoffel symbols collapse to compact identities:
     2 N^mu Gamma^rho_{mu 5}       = -eta^{mu nu} Gamma^rho_{mu nu}
     2 N^mu Gamma^5_{mu 5}         = 0
 
-so in Lorentz gauge the scalar covariant Laplacian reduces to the plain
-contraction h^{AB} d_A d_B, which equals the minimally-coupled wave operator
-produced by the non-holonomic elimination of dy^5.  The harnesses here check
-each statement with finite differences on small patches and report max-norm
-residuals, which fall off at second order in the grid step.
+With Gamma^C_{55} = 0 they sum to h^{AB} Gamma^mu_{AB} = 0 and
+h^{AB} Gamma^5_{AB} = -(d_mu N^mu).  The scalar covariant (Laplace-Beltrami)
+operator h^{AB}(d_A d_B - Gamma^C_{AB} d_C) therefore equals the expansion
+
+    eta^{mu nu} d_mu d_nu + 2 N^mu d_mu d_5 + (1 + N^2) d_5^2 + (d_mu N^mu) d_5,
+
+which in Lorentz gauge is the plain contraction h^{AB} d_A d_B, the
+minimally-coupled wave operator produced by the non-holonomic elimination of
+dy^5.  The harnesses check, with finite differences: the four contractions at
+a point; the two summed ones on a 5D grid, as the first-order defect between
+the two operators (their second-order terms are the same and are not
+evaluated); and, for the d_5 -> i/lambda substitution, that the one term
+2 b (d_mu A^mu) psi separating it from the form with an extra divergence term
+vanishes on the grid.  Max-norm residuals fall off at second order in the
+grid step.
 
 Christoffels are built two ways (from an analytic dA table, and from finite
 differences of the metric) as a guard against transcription errors in the
@@ -146,18 +156,24 @@ class ChristoffelContractions:
 
 
 def _metric_pair(n_cov: np.ndarray):
-    """Closed-form (h, h_inv) at one point from covariant N_mu."""
-    n_up = _ETA_DIAG * n_cov
-    h = np.zeros((5, 5))
-    h_inv = np.zeros((5, 5))
-    h[:4, :4] = _ETA4 + np.outer(n_cov, n_cov)
+    """Closed-form (h, h_inv) from covariant N_mu of shape (4,) + base.
+
+    ``base`` is () at a single point and the 4D grid shape on a grid; the
+    pair then has shape (5, 5) + base.
+    """
+    base = n_cov.shape[1:]
+    eta = _ETA4.reshape((4, 4) + (1,) * len(base))
+    n_up = _ETA_DIAG.reshape((4,) + (1,) * len(base)) * n_cov
+    h = np.zeros((5, 5) + base)
+    h_inv = np.zeros((5, 5) + base)
+    h[:4, :4] = eta + n_cov[:, None] * n_cov[None, :]
     h[:4, 4] = -n_cov
     h[4, :4] = -n_cov
     h[4, 4] = 1.0
-    h_inv[:4, :4] = _ETA4
+    h_inv[:4, :4] = eta
     h_inv[:4, 4] = n_up
     h_inv[4, :4] = n_up
-    h_inv[4, 4] = 1.0 + float(n_cov @ n_up)
+    h_inv[4, 4] = 1.0 + np.vecdot(n_cov, n_up, axis=0)
     return h, h_inv
 
 
@@ -264,52 +280,37 @@ def _grid_coords(field: GridField, naxes: int = 4):
 
 
 def _christoffel_contraction_field(field: GridField, A: Potential, q_over_c2: float):
-    """(h^{AB} Gamma^C_{AB}) on the 4D base grid, Christoffels by FD of h.
+    """h^{AB} Gamma^C_{AB} on the 4D base grid, shape (5,) + base grid.
 
-    Returns (hgamma, n_cov, n_up, n2): hgamma has shape (5,) + base grid, the
-    N arrays shape (4,) + base grid, n2 the base grid.
+    Contracting Gamma^C_{AB} = h^{CD}(d_A h_{DB} + d_B h_{DA} - d_D h_{AB})/2
+    with the symmetric h^{AB} leaves h^{CD} v_D, where
+
+        v_D = h^{AB} d_A h_{DB} - (1/2) h^{AB} d_D h_{AB}.
+
+    The metric gradient is taken by finite differences of the grid metric,
+    one direction rho at a time (d_5 = 0), so only one (5, 5) slice of it is
+    held and the full Christoffel table is never formed.
     """
     coords = _grid_coords(field, 4)
-    n_cov = -q_over_c2 * A.components(coords)
-    n_cov = np.ascontiguousarray(np.broadcast_to(
-        n_cov, (4,) + np.broadcast(*coords).shape))
-    base = n_cov.shape[1:]
-    n_up = _ETA_DIAG.reshape((4,) + (1,) * len(base)) * n_cov
-    n2 = np.sum(n_cov * n_up, axis=0)
-
-    h = np.zeros((5, 5) + base)
-    h_inv = np.zeros((5, 5) + base)
-    for mu in range(4):
-        for nu in range(4):
-            h[mu, nu] = _ETA4[mu, nu] + n_cov[mu] * n_cov[nu]
-        h[mu, 4] = -n_cov[mu]
-        h[4, mu] = -n_cov[mu]
-        h_inv[mu, mu] = _ETA4[mu, mu]
-        h_inv[mu, 4] = n_up[mu]
-        h_inv[4, mu] = n_up[mu]
-    h[4, 4] = 1.0
-    h_inv[4, 4] = 1.0 + n2
-
-    dh = np.zeros((5, 5, 5) + base)  # dh[rho, A, B] = d_rho h_{AB}; d_5 row stays zero
+    base = np.broadcast(*coords).shape
+    h, h_inv = _metric_pair(-q_over_c2 * np.broadcast_to(A.components(coords), (4,) + base))
+    v = np.zeros((5,) + base)
     for rho in range(4):
-        for a in range(5):
-            for b in range(a, 5):
-                if a == 4 and b == 4:
-                    continue  # h_55 is constant
-                d = fd_derivative(h[a, b], rho, 1, field.step[rho])
-                dh[rho, a, b] = d
-                if a != b:
-                    dh[rho, b, a] = d
-
-    brackets = (np.einsum("adb...->dab...", dh) + np.einsum("bda...->dab...", dh) - dh)
-    gamma = 0.5 * np.einsum("cd...,dab...->cab...", h_inv, brackets)
-    hgamma = np.einsum("ab...,cab...->c...", h_inv, gamma)
-    return hgamma, n_cov, n_up, n2
+        dh = fd_derivative(h, 2 + rho, 1, field.step[rho])  # d_rho h_{AB}
+        v += np.einsum("b...,db...->d...", h_inv[rho], dh)
+        v[rho] -= 0.5 * np.einsum("ab...,ab...->...", h_inv, dh)
+    return np.einsum("cd...,d...->c...", h_inv, v)
 
 
 def _laplacian_defect_field(field: GridField, A: Potential, q_over_c2: float,
                             gauge_tol: float = 1e-8) -> np.ndarray:
-    """|LHS - RHS| of the covariant-Laplacian identity at every grid point."""
+    """|-h^{AB} Gamma^C_{AB} d_C f - (d_mu N^mu) d_5 f| at every grid point.
+
+    This is the Laplace-Beltrami operator h^{AB}(d_A d_B - Gamma^C_{AB} d_C) f
+    minus the expanded operator of ``covariant_laplacian_residual``: the
+    second-order parts of the two are the same terms and cancel exactly, so
+    only the first-order parts are evaluated.
+    """
     if field.values.ndim != 5:
         raise DomainError("covariant Laplacian check needs a 5D field")
     if A.gauge != "lorentz":
@@ -320,32 +321,13 @@ def _laplacian_defect_field(field: GridField, A: Potential, q_over_c2: float,
     if float(np.max(np.abs(div))) > gauge_tol * max(amax, 1.0):
         raise GaugeError("potential violates the Lorentz gauge numerically")
 
-    hgamma, n_cov, n_up, n2 = _christoffel_contraction_field(field, A, q_over_c2)
+    coef = _christoffel_contraction_field(field, A, q_over_c2)
+    coef[4] += -q_over_c2 * div  # h^{AB} Gamma^5_{AB} + d_mu N^mu, analytic divergence
     f = field.values
-
-    def up(x):  # broadcast a 4D base array along the x^5 axis
-        return np.asarray(x)[..., None]
-
-    out_dtype = np.result_type(f.dtype, float)
-    lhs = np.zeros(f.shape, dtype=out_dtype)
-    rhs = np.zeros(f.shape, dtype=out_dtype)
-    for mu in range(4):
-        d2 = fd_derivative(f, mu, 2, field.step[mu])
-        lhs += _ETA_DIAG[mu] * d2
-        rhs += _ETA_DIAG[mu] * d2
-        d15 = fd_derivative(fd_derivative(f, mu, 1, field.step[mu]), 4, 1, field.step[4])
-        lhs += 2.0 * up(n_up[mu]) * d15
-        rhs += 2.0 * up(n_up[mu]) * d15
-    d55 = fd_derivative(f, 4, 2, field.step[4])
-    lhs += (1.0 + up(n2)) * d55
-    rhs += (1.0 + up(n2)) * d55
-    dn_div = -q_over_c2 * div  # d_mu N^mu, analytic
+    defect = np.zeros(f.shape, dtype=np.result_type(f.dtype, float))
     for cc in range(5):
-        d1 = fd_derivative(f, cc, 1, field.step[cc])
-        lhs += up(hgamma[cc]) * d1
-        if cc == 4:
-            rhs += up(np.broadcast_to(dn_div, n2.shape)) * d1
-    return np.abs(lhs - rhs)
+        defect -= coef[cc][..., None] * fd_derivative(f, cc, 1, field.step[cc])
+    return np.abs(defect)
 
 
 def covariant_laplacian_residual(
@@ -354,13 +336,16 @@ def covariant_laplacian_residual(
 ) -> float:
     """Max-norm defect between the covariant Laplacian and the expanded operator.
 
-    LHS: h^{AB} d_A d_B f + (h^{AB} Gamma^C_{AB}) d_C f, with the Christoffel
-    contraction built from finite differences of the metric on the grid.
-    RHS: the eliminated-coordinate expansion
-    eta^{mu nu} d_mu d_nu + 2 N^mu d_mu d_5 + (1 + N^2) d_5 d_5 + (d_mu N^mu) d_5
-    with analytic coefficients.  Requires Lorentz gauge (declared and checked
-    numerically).  Interior points only; the pointwise defect decays at
-    second order in the step, driven by the finite-difference Christoffels.
+    The scalar covariant (Laplace-Beltrami) operator
+    h^{AB} d_A d_B f - (h^{AB} Gamma^C_{AB}) d_C f is compared with the
+    eliminated-coordinate expansion
+    eta^{mu nu} d_mu d_nu + 2 N^mu d_mu d_5 + (1 + N^2) d_5 d_5 + (d_mu N^mu) d_5.
+    Their second-order terms coincide, so the statements checked are
+    h^{AB} Gamma^mu_{AB} = 0 and h^{AB} Gamma^5_{AB} = -(d_mu N^mu), with the
+    Christoffel contraction built from finite differences of the metric on
+    the grid and d_mu N^mu from the potential's derivative table.  Requires
+    Lorentz gauge (declared and checked numerically).  Interior points only;
+    the pointwise defect decays at second order in the step.
     """
     defect = _laplacian_defect_field(field, A, q_over_c2, gauge_tol)
     inner = tuple(slice(margin, -margin) for _ in range(5))
@@ -371,41 +356,46 @@ def covariant_laplacian_residual(
 # Fourier-reduced operator (single x^5 mode)
 # ---------------------------------------------------------------------------
 
+def _sampled_potential(psi: GridField, A: Potential, engine: str):
+    """A_mu on the field's grid, shape (4,) + grid, and its divergence d_mu A^mu
+    taken with the field's derivative engine."""
+    coords = _grid_coords(psi, 4)
+    shape = np.broadcast(*coords).shape
+    a = np.ascontiguousarray(np.broadcast_to(A.components(coords), (4,) + shape))
+    div = np.zeros(shape)
+    for mu in range(4):
+        div += _ETA_DIAG[mu] * np.real(field_derivative(psi.with_values(a[mu]), mu, 1, engine))
+    return a, div
+
+
 def kg_operator(
     psi: GridField, A: Potential, q_over_c2: float, inv_lambda: float,
-    *, engine: str = "fd", extra_divergence_term: bool = True,
+    *, engine: str = "fd",
 ) -> np.ndarray:
     """Minimally-coupled wave operator applied to a 4D field.
 
     (d^mu - i b A^mu)(d_mu - i b A_mu) psi - inv_lambda^2 psi
-        [- 2 i b (d_mu A^mu) psi   when ``extra_divergence_term``]
 
-    with b = q_over_c2 * inv_lambda.  The divergence is computed from the
-    sampled potential with the same derivative engine as the field, so the
-    operator is an honest single-grid evaluation.  In Lorentz gauge the extra
-    term vanishes and the operator is multiplicative on plane waves (exactly
-    so with the spectral engine).
+    with b = q_over_c2 * inv_lambda: the d_5 -> i/lambda substitution of the
+    single-mode ansatz into the 5D expanded operator.  The divergence is
+    computed from the sampled potential with the same derivative engine as
+    the field, so the operator is an honest single-grid evaluation.  With a
+    constant potential it is multiplicative on plane waves (exactly so with
+    the spectral engine).
     """
     if psi.values.ndim != 4:
         raise DomainError("kg_operator needs a 4D field")
     b = q_over_c2 * inv_lambda
-    coords = _grid_coords(psi, 4)
-    a = A.components(coords)
+    a, div = _sampled_potential(psi, A, engine)
     f = psi.values
     out = np.zeros(f.shape, dtype=complex)
-    div = np.zeros(np.broadcast(*coords).shape)
     a2 = np.zeros_like(div)
     for mu in range(4):
         d2 = field_derivative(psi, mu, 2, engine)
         d1 = field_derivative(psi, mu, 1, engine)
-        a_mu = np.ascontiguousarray(np.broadcast_to(a[mu], div.shape))
-        out += _ETA_DIAG[mu] * (d2 - 2j * b * a_mu * d1)
-        da = field_derivative(psi.with_values(a_mu), mu, 1, engine)
-        div = div + _ETA_DIAG[mu] * np.real(da)
-        a2 = a2 + _ETA_DIAG[mu] * a_mu**2
+        out += _ETA_DIAG[mu] * (d2 - 2j * b * a[mu] * d1)
+        a2 = a2 + _ETA_DIAG[mu] * a[mu]**2
     out += (-1j * b * div - b * b * a2 - inv_lambda**2) * f
-    if extra_divergence_term:
-        out += -2j * b * div * f
     return out
 
 
@@ -413,19 +403,19 @@ def kg_fourier_residual(
     psi: GridField, A: Potential, q_over_c2: float, inv_lambda: float,
     *, engine: str = "fd", margin: int = 2,
 ) -> float:
-    """Defect between the reduced operator and the d_5 -> i/lambda substitution.
+    """Max-norm of 2 b (d_mu A^mu) psi, with b = q_over_c2 * inv_lambda.
 
-    The substitution of the single-mode ansatz into the 5D expanded operator
-    gives exactly the minimally-coupled form without the extra divergence
-    term; in Lorentz gauge (required) the two agree identically, so the
-    reported max-norm defect is a rounding/discretization diagnostic.
+    This is the term by which the operator carrying an extra divergence term,
+    (d - i b A)^2 psi - 2 i b (d_mu A^mu) psi - inv_lambda^2 psi, differs
+    from the substituted operator ``kg_operator``.  The divergence is that of
+    the sampled potential under the same derivative engine ``kg_operator``
+    uses, so the statement checked is that the Lorentz condition (required)
+    holds on the grid and the two operators agree.
     """
     if A.gauge != "lorentz":
         raise GaugeError(f"Lorentz gauge required, potential declares {A.gauge!r}")
-    full = kg_operator(psi, A, q_over_c2, inv_lambda, engine=engine, extra_divergence_term=True)
-    substituted = kg_operator(psi, A, q_over_c2, inv_lambda, engine=engine,
-                              extra_divergence_term=False)
-    diff = np.abs(full - substituted)
+    _, div = _sampled_potential(psi, A, engine)
+    diff = np.abs(2.0 * q_over_c2 * inv_lambda * div * psi.values)
     if psi.boundary == "periodic" and engine == "spectral":
         return float(np.max(diff))
     inner = tuple(slice(margin, -margin) for _ in range(4))

@@ -286,11 +286,6 @@ def asymptotic_combo(n: int, r: float, *, min_n: int = 50, margin: float = 0.2) 
 # Complementary error function
 # ---------------------------------------------------------------------------
 
-def erfc(x: float) -> float:
-    """Complementary error function (C library implementation, ~1 ulp)."""
-    return math.erfc(x)
-
-
 def erfcx_minus_one(s: float) -> float:
     """e^{s^2} erfc(s) - 1, stable for small s.
 

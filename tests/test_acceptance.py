@@ -25,6 +25,7 @@ import numpy as np
 from kg5d import canonical, geometry, reduction
 from kg5d.cli import main as cli_main
 from kg5d.numerics import Tolerance, fit_convergence_order, integrate
+from kg5d.specfun import erfcx_minus_one
 from kg5d.spectrum import (
     LevelIndex,
     ScaleSet,
@@ -101,7 +102,7 @@ def test_criterion_05_zc_structure():
     assert zc == ideal and rep.value == 0.0
 
     s0 = 0.01 * math.sqrt(0.5)  # (lambda*/Lambda) sqrt(eta0/2) at eta0 = 1
-    ratios = [canonical.brace_factor(s0 / n) / canonical.brace_asymptote(s0 / n)
+    ratios = [erfcx_minus_one(s0 / n) / canonical.brace_asymptote(s0 / n)
               for n in (1, 10, 100, 1000)]
     for a, b in zip(ratios, ratios[1:]):
         assert abs(b - 1.0) < abs(a - 1.0)

@@ -15,7 +15,6 @@ from kg5d import canonical
 from kg5d.canonical import (
     DensityCurve,
     brace_asymptote,
-    brace_factor,
     dn_density,
     dn_scaled,
     dn_scaled_asymptotic,
@@ -29,6 +28,7 @@ from kg5d.canonical import (
 )
 from kg5d.errors import DomainError
 from kg5d.numerics import Tolerance, integrate
+from kg5d.specfun import erfcx_minus_one
 from kg5d.spectrum import ScaleSet
 
 mp.mp.dps = 40
@@ -178,7 +178,7 @@ def test_zc_uncoupled_is_ideal_gas_exactly():
 
 def test_brace_factor_asymptote_ratio():
     s0 = 0.01 * math.sqrt(0.5)
-    ratios = [brace_factor(s0 / n) / brace_asymptote(s0 / n) for n in (1, 10, 100, 1000)]
+    ratios = [erfcx_minus_one(s0 / n) / brace_asymptote(s0 / n) for n in (1, 10, 100, 1000)]
     for a, b in zip(ratios, ratios[1:]):
         assert abs(b - 1.0) < abs(a - 1.0)
     assert abs(ratios[-1] - 1.0) < 1e-2

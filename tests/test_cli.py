@@ -141,12 +141,18 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
 
 def test_verify_geometry_exits_zero(tmp_path):
     rc = main(["verify-geometry", "--grid", "9", "--refine", "3",
-               "--formats", "json", "--output-dir", str(tmp_path)])
+               "--formats", "json,csv", "--output-dir", str(tmp_path)])
     assert rc == 0
     doc = json.loads(_read(tmp_path / "verify_geometry.json"))
     assert doc["report"]["passed"]
     assert doc["report"]["laplacian_order"] >= 1.9
     assert doc["report"]["flat_residual"] <= 1e-12
+    # residual rows are labelled with the Laplacian ladder's own steps
+    rows = _csv_rows(tmp_path / "verify_geometry.csv")
+    labelled = [(r["check"], float(r["value"])) for r in rows
+                if r["check"].startswith("laplacian_h")]
+    assert [float(c[len("laplacian_h"):]) for c, _ in labelled] == doc["report"]["laplacian_steps"]
+    assert [v for _, v in labelled] == doc["report"]["laplacian_residuals"]
 
 
 def test_verify_reduction_exits_zero(tmp_path):

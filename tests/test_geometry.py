@@ -6,7 +6,9 @@ dual-path Christoffels (analytic vs finite-difference), and convergence-order
 fits on nested grids.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +29,11 @@ from kg5d.geometry import (
     zero_potential,
     _test_field_5d,
 )
-from kg5d.geometry import _laplacian_defect_field, _lightcone_defect_field
+from kg5d.geometry import (
+    _christoffel_contraction_field,
+    _laplacian_defect_field,
+    _lightcone_defect_field,
+)
 from kg5d.numerics import fit_convergence_order
 from kg5d.reduction import GridField
 
@@ -243,6 +249,58 @@ def test_laplacian_pure_gauge_small_residual():
         assert fit_convergence_order(hs, rs) >= 1.9
 
 
+def _base_grid(size, extent=1.0, origin=-0.4):
+    """4D base grid (the contraction field never reads the values)."""
+    h = extent / (size - 1)
+    return GridField(values=np.zeros((size,) * 4), step=(h,) * 4,
+                     origin=(origin,) * 4, boundary="absorbing")
+
+
+@pytest.mark.parametrize("potential", [smooth_lorentz_potential(),
+                                       _random_polynomial_potential(4)],
+                         ids=["lorentz", "gauge_none"])
+def test_contraction_field_matches_point_christoffels(potential):
+    # contracted formula h^{CD} v_D against the full FD Christoffel table
+    grid = _base_grid(9)
+    field = _christoffel_contraction_field(grid, potential, Q_C2)
+    h = grid.step[0]
+    for idx in itertools.product((1, 4, 7), repeat=4):
+        point = [grid.coords(ax)[i] for ax, i in enumerate(idx)]
+        patch = build_metric(potential, Q_C2, point, mode="fd", fd_step=h)
+        want = np.einsum("ab,cab->c", patch.h_inv, patch.gamma)
+        assert np.max(np.abs(field[(slice(None),) + idx] - want)) <= 1e-12
+
+
+def test_contraction_field_gamma5_is_minus_divergence():
+    # off Lorentz gauge h^{AB} Gamma^5_{AB} -> -(d_mu N^mu): pins the sign
+    A = _random_polynomial_potential(4)
+    hs, errs = [], []
+    for size in NESTED_SIZES:
+        grid = _base_grid(size)
+        coords = np.meshgrid(*[grid.coords(ax) for ax in range(4)], indexing="ij", sparse=True)
+        div_n = -Q_C2 * A.divergence(coords)
+        stride = (size - 1) // (NESTED_SIZES[0] - 1)
+        probe = (slice(stride, 5 * stride + 1, stride),) * 4
+        gamma5 = _christoffel_contraction_field(grid, A, Q_C2)[4]
+        hs.append(grid.step[0])
+        errs.append(float(np.max(np.abs(gamma5 + div_n)[probe])))
+    assert np.max(np.abs(div_n)) > 0.1
+    assert fit_convergence_order(hs, errs) >= 1.9
+
+
+def test_laplacian_defect_peak_memory():
+    # no (5, 5, 5) Christoffel table is held over the base grid
+    field = _test_field_5d(13)
+    A = smooth_lorentz_potential()
+    tracemalloc.start()
+    try:
+        _laplacian_defect_field(field, A, Q_C2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * 8 * 13**4
+
+
 def test_laplacian_residual_linearity():
     A = smooth_lorentz_potential()
     f = _test_field_5d(9)
@@ -327,6 +385,25 @@ def test_kg_fourier_residual_coulomb():
     psi = GridField(values=np.exp(-(x[1] + x[2] + x[3])) * np.cos(x[0]) + 0j,
                     step=(h,) * 4, boundary="absorbing")
     assert kg_fourier_residual(psi, A, Q_C2, inv_lambda=1.0) < 1e-10
+
+
+def test_kg_fourier_residual_is_divergence_term():
+    # A_0 = 0.5 x0 declared Lorentz: the FD divergence is exactly -0.5, so the
+    # residual is 2 b * 0.5 * max|psi| over the interior
+    def f(x0, x1, x2, x3):
+        z = np.zeros(np.broadcast(x0, x1, x2, x3).shape)
+        return 0.5 * x0 + z, z, z, z
+
+    A = Potential(func=f, gauge="lorentz")
+    n, inv_lambda = 9, 1.3
+    h = 1.0 / (n - 1)
+    axes = [h * np.arange(n) for _ in range(4)]
+    x = np.meshgrid(*axes, indexing="ij", sparse=True)
+    psi = GridField(values=np.cos(x[0]) * np.exp(x[1] - x[2]) * (1.0 + x[3]) + 0j,
+                    step=(h,) * 4, boundary="absorbing")
+    inner = np.abs(psi.values[(slice(2, -2),) * 4])
+    expect = 2.0 * Q_C2 * inv_lambda * 0.5 * float(np.max(inner))
+    assert kg_fourier_residual(psi, A, Q_C2, inv_lambda) == pytest.approx(expect, rel=1e-12)
 
 
 def test_kg_fourier_requires_lorentz():
