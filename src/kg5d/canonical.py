@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .numerics import SeriesReport, Tolerance, integrate, sum_series
+from .numerics import SeriesReport, Tolerance, integrate_batch, sum_series
 from .specfun import _combo_arrays, asymptotic_combo, erfcx_minus_one
 from .spectrum import ScaleSet, stat_energy
 
@@ -128,22 +128,31 @@ def dn_density(n: int, r: float, rho: float) -> float:
     return 4.0 * r * r / (n**3 * rho**3) * combo
 
 
-def _density_rhat(n: int, rhat: np.ndarray) -> np.ndarray:
-    """Density in the cavity variable r_hat = 2r/rho: (r_hat^2 / 2n^3) combo(r_hat/n)."""
+def _density_rhat(n, rhat: np.ndarray) -> np.ndarray:
+    """Density in the cavity variable r_hat = 2r/rho: (r_hat^2 / 2n^3) combo(r_hat/n).
+
+    ``n`` is one level or one level per point.
+    """
     return rhat * rhat / (2.0 * n**3) * _combo_arrays(n, rhat / n)
 
 
-def trapped_degeneracy(n: int, rhat_max: float, tol: Tolerance) -> float:
-    """Portion of level n's degeneracy inside r_hat <= rhat_max (full value n^2).
+def trapped_degeneracies(ns, rhat_max: float, tol: Tolerance) -> np.ndarray:
+    """Portion of each level's degeneracy inside r_hat <= rhat_max (full value n^2).
 
     The integrand decays like e^{-r_hat/n} beyond its support at ~4 n^2, so
-    the domain is cut at a Whittaker argument of 20n + 40 when the cavity is
-    larger than that.
+    each domain is cut at a Whittaker argument of 20n + 40 when the cavity is
+    larger than that.  All levels are integrated together, each exactly as
+    it would be alone (see :func:`integrate_batch`).
     """
-    cut = min(rhat_max, n * (20.0 * n + 40.0))
-    if cut <= 0.0:
-        return 0.0
-    return integrate(lambda rh: _density_rhat(n, rh), 0.0, cut, tol)
+    ns = np.asarray(ns, dtype=np.int64)
+    cut = np.maximum(np.minimum(rhat_max, ns * (20.0 * ns + 40.0)), 0.0)
+    return integrate_batch(lambda rh, owner: _density_rhat(ns[owner], rh),
+                           np.zeros(len(ns)), cut, tol)
+
+
+def trapped_degeneracy(n: int, rhat_max: float, tol: Tolerance) -> float:
+    """One-level case of :func:`trapped_degeneracies`."""
+    return float(trapped_degeneracies([n], rhat_max, tol)[0])
 
 
 def figure1_curves(n_list, r_grid) -> list[DensityCurve]:
@@ -160,6 +169,16 @@ def figure1_curves(n_list, r_grid) -> list[DensityCurve]:
 # ---------------------------------------------------------------------------
 # Continuous part Z_c
 # ---------------------------------------------------------------------------
+
+def _exp(v: np.ndarray) -> np.ndarray:
+    """math.exp over an array.
+
+    np.exp's SIMD kernels and the C library's exp disagree in the last bit
+    for a few percent of arguments; the C library's keeps Z_c's terms and
+    tail bounds bit for bit what a term-by-term sum computes.
+    """
+    return np.fromiter(map(math.exp, v.tolist()), dtype=float, count=v.size)
+
 
 def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0)):
     """Continuum contribution Z_c: ideal-gas term minus the erfc-bracket sum.
@@ -189,14 +208,14 @@ def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0
     s0 = eps * math.sqrt(0.5 * eta0)
     amp = eps * math.sqrt(2.0 * eta0 / math.pi)  # bracket asymptote prefactor
 
-    def term(n: int) -> float:
-        return n * n * math.exp(-gamma * n * n) * erfcx_minus_one(s0 / n)
+    def term(ns):
+        return ns * ns * _exp(-gamma * ns * ns) * erfcx_minus_one(s0 / ns)
 
-    def tail(n: int) -> float:
+    def tail(ns):
         # |term(k)| <= amp * k * e^{-gamma k^2}, summed by the integral test
         # (valid once k e^{-gamma k^2} is decreasing, enforced via the start).
-        k = max(n, int(math.ceil(1.0 / math.sqrt(2.0 * gamma))))
-        return amp * math.exp(-gamma * k * k) / (2.0 * gamma)
+        k = np.maximum(ns, int(math.ceil(1.0 / math.sqrt(2.0 * gamma))))
+        return amp * _exp(-gamma * k * k) / (2.0 * gamma)
 
     # Terms are sub-denormal once gamma n^2 > 709, so that is the hard budget;
     # the tail bound terminates the sum far earlier in practice.
@@ -263,8 +282,8 @@ def z_discrete(
 
     def extend_exact(upto: int):
         nonlocal partial, n_exact
-        for n in range(n_exact + 1, upto + 1):
-            gn = trapped_degeneracy(n, rhat, quad_tol)
+        ns = range(n_exact + 1, upto + 1)
+        for n, gn in zip(ns, trapped_degeneracies(ns, rhat, quad_tol).tolist()):
             g.append(gn)
             partial += weight(n) * gn
         n_exact = upto

@@ -30,6 +30,10 @@ class QuadratureError(NonConvergenceError):
     """Adaptive quadrature exceeded its subdivision budget."""
 
 
+class IntegrandError(Kg5dError, ValueError):
+    """A quadrature integrand returned a non-finite value."""
+
+
 class GridSizeError(Kg5dError):
     """A sampled field is too small for the requested stencil."""
 

@@ -4,10 +4,15 @@ All functions here are pure and hold no module state beyond cached quadrature
 nodes, so they are safe to call concurrently.
 
 Quadrature uses an embedded Gauss-Legendre 7/15 pair on adaptively bisected
-panels.  Integrands must be vectorized: ``f(x)`` receives a 1-D ndarray of
-abscissae and must return an ndarray of the same shape.  Panel evaluation is
-batched, so one call to ``integrate`` makes only a handful of calls to ``f``
-even when hundreds of panels are in flight.
+panels.  ``integrate_batch`` runs many integrals through one refinement loop:
+``f(x, owner)`` receives a 1-D ndarray of abscissae together with the index
+of the integral each belongs to, and returns an ndarray of the same shape.
+Every round evaluates the new panels of all integrals still refining in a
+few capped calls, and each integral gets the bits it gets alone.
+``integrate`` is its one-integral case, with a one-argument integrand.
+
+``sum_series`` evaluates terms and tail bounds in blocks of indices and adds
+the terms one at a time in index order.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from .errors import (
     BracketingError,
     GridSizeError,
+    IntegrandError,
     NonConvergenceError,
     QuadratureError,
 )
@@ -67,94 +73,171 @@ _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
 _NODES = np.concatenate([_X15, _X7])  # 22 evaluations per panel
 
+# Most abscissae handed to one integrand call.  Bounds the integrand's
+# temporaries (the Laguerre recurrence keeps several arrays of this length)
+# however many integrals are in flight.
+_MAX_POINTS = 8192
+_PANELS_PER_CALL = _MAX_POINTS // len(_NODES)
 
-def _panel_estimates(f, starts, widths):
-    """Evaluate the GL7/GL15 pair on a batch of panels.
+# Terms per block in sum_series: the first block, and the largest.
+_SERIES_BLOCK = (64, 16384)
 
-    Returns (I15, err) arrays, one entry per panel, with err = |I15 - I7|.
+
+def _panel_estimates(f, starts, widths, owner, bounds):
+    """Evaluate the GL7/GL15 pair on panels grouped by integral.
+
+    ``bounds[j]:bounds[j+1]`` is the run of panels of one integral, whose
+    index is ``owner``.  Returns (I15, err) arrays, one entry per panel, with
+    err = |I15 - I7|.  The weight dot products are taken one run at a time:
+    BLAS rounds a row differently depending on where it sits in the matrix,
+    and each integral must get the bits it gets when integrated alone.
     """
     half = 0.5 * widths
     mid = starts + half
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    if not np.all(np.isfinite(fx)):
-        bad = x.ravel()[~np.isfinite(fx.ravel())][0]
-        raise ValueError(f"integrand not finite at x={bad!r}")
-    i15 = half * (fx[:, :15] @ _W15)
-    i7 = half * (fx[:, 15:] @ _W7)
-    return i15, np.abs(i15 - i7)
+    fx = np.empty((len(starts), len(_NODES)))
+    for lo in range(0, len(starts), _PANELS_PER_CALL):
+        hi = lo + _PANELS_PER_CALL
+        x = (mid[lo:hi, None] + half[lo:hi, None] * _NODES[None, :]).ravel()
+        who = np.repeat(owner[lo:hi], len(_NODES))
+        fx[lo:hi] = np.asarray(f(x, who), dtype=float).reshape(-1, len(_NODES))
+        bad = ~np.isfinite(fx[lo:hi].ravel())
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise IntegrandError(
+                f"integrand not finite at x={float(x[i])!r} in integral {who[i]}")
+    s15 = np.empty(len(starts))
+    s7 = np.empty(len(starts))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        s15[lo:hi] = fx[lo:hi, :15] @ _W15
+        s7[lo:hi] = fx[lo:hi, 15:] @ _W7
+    i15 = half * s15
+    return i15, np.abs(i15 - half * s7)
+
+
+def integrate_batch(f: Callable, a, b, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """Adaptive panel quadrature of many integrals over [a[i], b[i]] at once.
+
+    ``f(x, owner)`` receives a 1-D array of abscissae and, for each, the index
+    i of the integral it belongs to; it returns an array of the same shape.
+    Each integral refines exactly as it would alone: panels whose error
+    exceeds their width-proportional share of the budget are bisected until
+    the integral's summed error estimate passes ``tol``.  All integrals still
+    refining share each round's integrand calls, at most ``_MAX_POINTS``
+    points per call.  An integral needing more than ``tol.max_iter`` panels
+    raises :class:`QuadratureError` carrying its best estimate and error
+    bound; a non-finite integrand value raises :class:`IntegrandError`.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("a and b must be 1-D arrays of one shape")
+    wrong = ~(a <= b)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise ValueError(f"need a <= b, got [{a[i]}, {b[i]}] in integral {i}")
+    out = np.zeros(len(a))
+    span = b - a
+
+    # Panels of the integrals still refining, grouped by integral in
+    # ascending order, each group in the order a lone integration keeps.
+    owner = np.flatnonzero(a < b)
+    starts, widths = a[owner], span[owner]
+    counts = np.ones(len(owner), dtype=np.intp)
+    bounds = np.arange(len(owner) + 1)
+    vals, errs = _panel_estimates(f, starts, widths, owner, bounds)
+    live = owner
+
+    while len(live):
+        runs = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        total = np.array([vals[lo:hi].sum() for lo, hi in runs])
+        total_err = np.array([errs[lo:hi].sum() for lo, hi in runs])
+        threshold = np.maximum(tol.abs, tol.rel * np.abs(total))
+        done = total_err <= threshold
+        out[live[done]] = total[done]
+        # Split every panel holding more than its width-share of the budget;
+        # an integral with no such panel splits its largest-error panels.
+        share = np.repeat(threshold, counts) * (widths / span[owner])
+        split = errs > np.maximum(share, 1e-300)
+        n_split = np.add.reduceat(split.astype(np.intp), bounds[:-1])
+        if (n_split == 0).any():
+            worst = np.maximum.reduceat(errs, bounds[:-1])
+            split |= np.repeat(n_split == 0, counts) & (errs == np.repeat(worst, counts))
+            n_split = np.add.reduceat(split.astype(np.intp), bounds[:-1])
+        over = ~done & (counts + n_split > tol.max_iter)
+        if over.any():
+            j = int(np.argmax(over))
+            raise QuadratureError(
+                f"quadrature did not converge within {tol.max_iter} panels"
+                f" in integral {live[j]}",
+                estimate=float(total[j]),
+                error_bound=float(total_err[j]),
+            )
+
+        going = np.repeat(~done, counts)
+        kept, halved = going & ~split, going & split
+        hw = 0.5 * widths[halved]
+        new_s = np.concatenate([starts[halved], starts[halved] + hw])
+        new_o = np.concatenate([owner[halved], owner[halved]])
+        order = np.argsort(new_o, kind="stable")  # per integral: left halves, right halves
+        new_s, new_w, new_o = new_s[order], np.concatenate([hw, hw])[order], new_o[order]
+        live, n_split = live[~done], n_split[~done]
+        new_bounds = np.concatenate([[0], np.cumsum(2 * n_split)])
+        new_v, new_e = _panel_estimates(f, new_s, new_w, new_o, new_bounds)
+
+        order = np.argsort(np.concatenate([owner[kept], new_o]), kind="stable")
+        starts = np.concatenate([starts[kept], new_s])[order]
+        widths = np.concatenate([widths[kept], new_w])[order]
+        vals = np.concatenate([vals[kept], new_v])[order]
+        errs = np.concatenate([errs[kept], new_e])[order]
+        owner = np.concatenate([owner[kept], new_o])[order]
+        counts = counts[~done] + n_split
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+    return out
 
 
 def integrate(f: Callable, a: float, b: float, tol: Tolerance = Tolerance()) -> float:
-    """Adaptive panel quadrature of a vectorized integrand over [a, b].
+    """Adaptive panel quadrature of a vectorized integrand ``f(x)`` over [a, b].
 
-    Panels whose error exceeds their width-proportional share of the budget
-    are bisected until the summed error estimate passes ``tol``.  Exceeding
-    ``tol.max_iter`` panels raises :class:`QuadratureError` carrying the best
-    estimate and its error bound.
+    The one-integral case of :func:`integrate_batch`.
     """
-    if not (a <= b):
-        raise ValueError(f"need a <= b, got [{a}, {b}]")
-    if a == b:
-        return 0.0
-
-    starts = np.array([a], dtype=float)
-    widths = np.array([b - a], dtype=float)
-    vals, errs = _panel_estimates(f, starts, widths)
-    span = b - a
-
-    while True:
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        if total_err <= tol.threshold(total):
-            return total
-        # Split every panel holding more than its width-share of the budget.
-        share = tol.threshold(total) * (widths / span)
-        split = errs > np.maximum(share, 1e-300)
-        if not split.any():
-            split = errs == errs.max()
-        n_new = len(starts) + split.sum()
-        if n_new > tol.max_iter:
-            raise QuadratureError(
-                f"quadrature did not converge within {tol.max_iter} panels",
-                estimate=total,
-                error_bound=total_err,
-            )
-        keep_s, keep_w = starts[~split], widths[~split]
-        keep_v, keep_e = vals[~split], errs[~split]
-        hw = 0.5 * widths[split]
-        new_s = np.concatenate([starts[split], starts[split] + hw])
-        new_w = np.concatenate([hw, hw])
-        new_v, new_e = _panel_estimates(f, new_s, new_w)
-        starts = np.concatenate([keep_s, new_s])
-        widths = np.concatenate([keep_w, new_w])
-        vals = np.concatenate([keep_v, new_v])
-        errs = np.concatenate([keep_e, new_e])
+    return float(integrate_batch(lambda x, owner: f(x), a, b, tol)[0])
 
 
 def sum_series(
-    term: Callable[[int], float],
-    tail_bound: Callable[[int], float],
+    term: Callable[[np.ndarray], np.ndarray],
+    tail_bound: Callable[[np.ndarray], np.ndarray],
     tol: Tolerance = Tolerance(),
 ) -> SeriesReport:
     """Sum ``term(1) + term(2) + ...`` until the caller's tail bound passes tol.
 
-    ``tail_bound(n)`` must bound ``|sum_{k>n} term(k)|``; the caller owns its
-    validity (integral test, geometric ratio, ...).  The summation stops at the
-    first n whose tail bound is below ``max(tol.abs, tol.rel*|partial|)``.
-    If ``tol.max_iter`` terms do not suffice the report carries the partial
-    sum with ``converged=False`` rather than raising.
+    ``term(ns)`` and ``tail_bound(ns)`` take an integer array of indices and
+    return one value per index.  ``tail_bound(n)`` must bound
+    ``|sum_{k>n} term(k)|``; the caller owns its validity (integral test,
+    geometric ratio, ...).  The summation stops at the first n whose tail
+    bound is below ``max(tol.abs, tol.rel*|partial|)``.  Terms are evaluated
+    in blocks of growing length, but added one at a time in index order, so
+    the result is the running sum's.  If ``tol.max_iter`` terms do not
+    suffice the report carries the partial sum with ``converged=False``
+    rather than raising.
     """
     s = 0.0
     bound = math.inf
     n = 0
-    for n in range(1, tol.max_iter + 1):
-        s += term(n)
-        bound = float(tail_bound(n))
-        if bound < 0 or not math.isfinite(bound):
-            raise ValueError(f"tail_bound({n}) = {bound} is not a finite bound")
-        if bound <= tol.threshold(s):
-            return SeriesReport(value=s, terms_used=n, tail_bound=bound, converged=True)
+    size = _SERIES_BLOCK[0]
+    while n < tol.max_iter:
+        ns = np.arange(n + 1, min(n + size, tol.max_iter) + 1)
+        partial = np.cumsum(np.concatenate([[s], term(ns)]))[1:]
+        bounds = np.asarray(tail_bound(ns), dtype=float)
+        invalid = (bounds < 0) | ~np.isfinite(bounds)
+        stop = invalid | (bounds <= np.maximum(tol.abs, tol.rel * np.abs(partial)))
+        if stop.any():
+            i = int(np.argmax(stop))
+            if invalid[i]:
+                raise ValueError(f"tail_bound({ns[i]}) = {bounds[i]} is not a finite bound")
+            return SeriesReport(value=float(partial[i]), terms_used=int(ns[i]),
+                                tail_bound=float(bounds[i]), converged=True)
+        s, bound, n = float(partial[-1]), float(bounds[-1]), int(ns[-1])
+        size = min(2 * size, _SERIES_BLOCK[1])
     return SeriesReport(value=s, terms_used=n, tail_bound=bound, converged=False)
 
 

@@ -28,8 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConfigurationError, DomainError
 from .numerics import fd_derivative
@@ -126,6 +124,10 @@ def _k_squared(f: GridField) -> np.ndarray:
 
 
 def _periodic_laplacian_1d(n: int, h: float):
+    # scipy.sparse is imported only where Crank-Nicolson needs it: at module
+    # level it would cost more than the rest of the CLI's start-up together.
+    import scipy.sparse
+
     main = -2.0 * np.ones(n)
     off = np.ones(n - 1)
     lap = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
@@ -156,6 +158,8 @@ def _evolve(psi0: GridField, span: float, coeff: complex, steps: int, method: st
     elif method == "cn":
         if psi0.values.ndim != 1:
             raise ConfigurationError("the Crank-Nicolson evolver is one-dimensional")
+        import scipy.sparse.linalg
+
         n = psi0.values.shape[0]
         lap = _periodic_laplacian_1d(n, psi0.step[0])
         eye = scipy.sparse.identity(n, format="csc")

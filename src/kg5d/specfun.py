@@ -106,55 +106,96 @@ def laguerre(n: int, alpha: int, x: float) -> tuple[float, float, float]:
     return v, d1, d2
 
 
-def _scaled_laguerre_pair(n: int, x: np.ndarray):
-    """(L_{n-1}^{(1)}, L_{n-2}^{(1)}) at x, as mantissas with a shared log scale.
+def _scaled_laguerre_pair(n, x: np.ndarray):
+    """(L_{n-1}^{(1)}, L_{n-2}^{(1)}) at x, as mantissas with a per-point log scale.
 
-    Vectorized over x.  Returns (la, lb, log_scale) with
+    Vectorized over x; ``n`` is one degree or an integer array of degrees
+    broadcast against x.  Returns (la, lb, log_scale) with
     L_{n-1}^{(1)}(x) = la * exp(log_scale), elementwise, and the same scale
-    for lb.  n >= 1; lb is 0 for n = 1.
+    for lb.  Degrees are >= 1; lb is 0 where n = 1.
+
+    The recurrence coefficients depend only on k and x, never on the target
+    degree, so one pass up to the largest degree serves every point: with
+    the points ordered by falling degree, step k updates only the prefix
+    whose degree still exceeds k + 1.  Each point sees exactly the
+    operations, in the same order, that a pass at its own degree makes.
     """
     x = np.asarray(x, dtype=float)
-    log_scale = np.zeros_like(x)
-    if n == 1:
-        return np.ones_like(x), np.zeros_like(x), log_scale
-    prev = np.ones_like(x)      # L_0
-    cur = 2.0 - x               # L_1
-    for k in range(1, n - 1):
-        prev, cur = cur, ((2 * k + 2 - x) * cur - (k + 1) * prev) / (k + 1)
+    shape = x.shape
+    xs = x.ravel()
+    deg = np.broadcast_to(np.asarray(n, dtype=np.int64), shape).ravel()
+    order = None
+    if np.ndim(n) != 0:
+        order = np.argsort(-deg, kind="stable")
+        deg, xs = deg[order], xs[order]
+    top = int(deg[0]) if deg.size else 1
+    # Two buffers trade the roles of L_{k-1} and L_k each step, so the update
+    # runs in place: L_k sits in `even` before odd k, in `odd` before even k,
+    # and a point of degree n >= 2 takes n - 2 steps, ending with L_{n-1} in
+    # `odd` iff n is odd.
+    odd = np.ones_like(xs)       # L_0
+    even = 2.0 - xs              # L_1
+    log_scale = np.zeros_like(xs)
+    active = np.searchsorted(-deg, -np.arange(2, top), side="left")
+    m = -1
+    for k in range(1, top - 1):
+        if active[k - 1] != m:
+            m = active[k - 1]
+            prev, cur = (odd[:m], even[:m]) if k & 1 else (even[:m], odd[:m])
+            xk, lk = xs[:m], log_scale[:m]
+        # L_{k+1} = ((2k + 2 - x) L_k - (k + 1) L_{k-1}) / (k + 1), over L_{k-1}
+        t = 2 * k + 2 - xk
+        t *= cur
+        prev *= k + 1
+        np.subtract(t, prev, out=prev)
+        prev /= k + 1
+        prev, cur = cur, prev
         big = np.abs(cur) > _RESCALE_TRIGGER
         if big.any():
-            f = np.where(big, _RESCALE_FACTOR, 1.0)
-            cur = cur * f
-            prev = prev * f
-            log_scale = log_scale + np.where(big, _RESCALE_LOG, 0.0)
-    return cur, prev, log_scale
+            cur[big] *= _RESCALE_FACTOR
+            prev[big] *= _RESCALE_FACTOR
+            lk[big] += _RESCALE_LOG
+    in_odd = (deg & 1) == 1
+    la = np.where(in_odd, odd, even)
+    lb = np.where(in_odd, even, odd)
+    la[deg == 1] = 1.0
+    lb[deg == 1] = 0.0
+    if order is not None:
+        back = np.argsort(order)
+        la, lb, log_scale = la[back], lb[back], log_scale[back]
+    return la.reshape(shape), lb.reshape(shape), log_scale.reshape(shape)
 
 
-def _combo_arrays(n: int, x: np.ndarray) -> np.ndarray:
-    """M'^2 - M M'' for M_{n,1/2}, vectorized, cancellation-safe.
+def _combo_terms(n, x: np.ndarray, la, lb, log_scale):
+    """(w, M'^2 - M M'') from the scaled Laguerre pair, with w = x L'.
 
     Uses x*L' = (n-1) L_{n-1} - n L_{n-2} so no division by x appears; the
-    x -> 0 limit is exactly 1.
+    x -> 0 limit of the combination is exactly 1.
     """
-    x = np.asarray(x, dtype=float)
-    la, lb, log_scale = _scaled_laguerre_pair(n, x)
     w = (n - 1) * la - n * lb
     bracket = (1.0 + (n - 1) * x) * la * la - (x - 2.0) * la * w + w * w
     expo = np.clip(2.0 * log_scale - x, -745.0, 700.0)
-    return bracket * np.exp(expo) / float(n * n)
+    return w, bracket * np.exp(expo) / (n * n)
+
+
+def _combo_arrays(n, x: np.ndarray) -> np.ndarray:
+    """M'^2 - M M'' for M_{n,1/2}, vectorized, cancellation-safe.
+
+    ``n`` is one degree or one degree per point (see _scaled_laguerre_pair).
+    """
+    x = np.asarray(x, dtype=float)
+    return _combo_terms(n, x, *_scaled_laguerre_pair(n, x))[1]
 
 
 def _whittaker_arrays(n: int, x: np.ndarray):
     """(M, M', M'', combo) arrays for M_{n,1/2} at x > 0, overflow-safe."""
     x = np.asarray(x, dtype=float)
     la, lb, log_scale = _scaled_laguerre_pair(n, x)
-    w = (n - 1) * la - n * lb
+    w, combo = _combo_terms(n, x, la, lb, log_scale)
     scale = np.exp(np.clip(log_scale - 0.5 * x, -745.0, 700.0))
     m = (x / n) * la * scale
     m1 = ((1.0 - 0.5 * x) * la + w) * scale / n
     m2 = (0.25 * x - n) * la * scale / n
-    bracket = (1.0 + (n - 1) * x) * la * la - (x - 2.0) * la * w + w * w
-    combo = bracket * np.exp(np.clip(2.0 * log_scale - x, -745.0, 700.0)) / float(n * n)
     return m, m1, m2, combo
 
 
@@ -286,8 +327,8 @@ def asymptotic_combo(n: int, r: float, *, min_n: int = 50, margin: float = 0.2) 
 # Complementary error function
 # ---------------------------------------------------------------------------
 
-def erfcx_minus_one(s: float) -> float:
-    """e^{s^2} erfc(s) - 1, stable for small s.
+def erfcx_minus_one(s):
+    """e^{s^2} erfc(s) - 1, stable for small s; scalar or array.
 
     The direct product loses all significance as s -> 0 (the result is
     ~ -2s/sqrt(pi) against terms of size 1); below |s| = 0.5 the power series
@@ -295,19 +336,30 @@ def erfcx_minus_one(s: float) -> float:
         e^{s^2} erfc(s) - 1 = sum_{k>=1} s^{2k}/k!
                               - (2/sqrt(pi)) sum_{k>=0} 2^k s^{2k+1}/(2k+1)!!
 
-    is summed instead, to full double accuracy.
+    is summed instead, to full double accuracy.  Each element leaves the
+    series at its own first negligible term.  A scalar argument gives a float.
     """
-    if abs(s) >= 0.5:
-        return math.exp(s * s) * math.erfc(s) - 1.0
-    even = 0.0
-    odd_term = 2.0 * s / _SQRT_PI
+    arr = np.asarray(s, dtype=float)
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    small = np.abs(flat) < 0.5
+    out[~small] = [math.exp(v * v) * math.erfc(v) - 1.0 for v in flat[~small].tolist()]
+    idx = np.flatnonzero(small)
+    s2 = flat[idx] * flat[idx]
+    odd_term = 2.0 * flat[idx] / _SQRT_PI
     acc = -odd_term
-    even_term = 1.0
-    s2 = s * s
+    even_term = np.ones_like(acc)
     for k in range(1, 60):
-        even_term *= s2 / k
-        odd_term *= 2.0 * s2 / (2 * k + 1)
-        acc += even_term - odd_term
-        if max(abs(even_term), abs(odd_term)) < 1e-18 * (1.0 + abs(acc)):
-            break
-    return acc
+        even_term = even_term * (s2 / k)
+        odd_term = odd_term * (2.0 * s2 / (2 * k + 1))
+        acc = acc + (even_term - odd_term)
+        done = np.maximum(np.abs(even_term), np.abs(odd_term)) < 1e-18 * (1.0 + np.abs(acc))
+        if done.any():
+            out[idx[done]] = acc[done]
+            rest = ~done
+            idx, s2, even_term, odd_term, acc = (
+                idx[rest], s2[rest], even_term[rest], odd_term[rest], acc[rest])
+            if not idx.size:
+                break
+    out[idx] = acc
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -6,6 +6,7 @@ series summation for Z_c, and quadrature cross-checks for the degeneracies.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -21,6 +22,7 @@ from kg5d.canonical import (
     dn_scaled_grid,
     figure1_curves,
     partition,
+    trapped_degeneracies,
     trapped_degeneracy,
     universal_d,
     z_continuous,
@@ -164,6 +166,15 @@ def test_trapped_degeneracy_tail_formula():
         assert got == pytest.approx(ref, rel=5e-3)
 
 
+def test_trapped_degeneracies_match_single_levels():
+    # The batched levels carry the bits of one-level integrations.
+    tol = Tolerance(rel=1e-11, abs=1e-280)
+    ns = list(range(1, 30)) + [64, 65, 140]
+    got = trapped_degeneracies(ns, 150.0, tol)
+    assert got.tolist() == [trapped_degeneracy(n, 150.0, tol) for n in ns]
+    assert trapped_degeneracies([3, 4], 0.0, tol).tolist() == [0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # Z_c
 # ---------------------------------------------------------------------------
@@ -228,6 +239,26 @@ def test_zd_report_and_tail():
     # beyond the r_hat = 100 cavity; that deficit is physical)
     assert levels[0][2] == pytest.approx(1.0, rel=1e-9)
     assert levels[2][2] == pytest.approx(9.0, rel=1e-6)
+
+
+def test_zd_pinned_reference_within_tail_bound():
+    # Independent reference for coupling 0.01, eta0 = 1, r/rho = 50, built
+    # from 1600 exact levels plus a fitted tail.
+    zd, rep, _ = z_discrete(_scales(), tol=Tolerance(rel=1e-10))
+    assert abs(zd - 51.98303420490789) <= rep.tail_bound
+
+
+def test_zd_peak_memory():
+    # Batched levels must not hold more than a capped integrand call's worth
+    # of points: the one-level-at-a-time sum peaked at 2.02 MiB here.
+    s = _scales(r_over_rho=150.0)
+    tracemalloc.start()
+    try:
+        z_discrete(s, tol=Tolerance(rel=1e-10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_zd_weights_use_level_energies():

@@ -3,9 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+from kg5d import canonical
 from kg5d.cli import main
 
 
@@ -171,3 +175,21 @@ def test_console_entry_point_runs(tmp_path):
                            "--n-max", "1"], capture_output=True, env=env)
     assert proc.returncode == 0
     assert (tmp_path / "spectrum.csv").exists()
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # Only the Crank-Nicolson evolver needs scipy.sparse, and importing it
+    # costs more than the rest of the CLI's start-up.
+    code = "import sys, kg5d.cli; print('scipy.sparse' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_non_finite_integrand_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(canonical, "_density_rhat", lambda n, rh: np.full(rh.shape, np.nan))
+    rc = main(["partition", "--r-over-rho", "5", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: integrand not finite at x=") and err.count("\n") == 1

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from kg5d.errors import BracketingError, GridSizeError, QuadratureError
+from kg5d.errors import (
+    BracketingError,
+    GridSizeError,
+    IntegrandError,
+    Kg5dError,
+    QuadratureError,
+)
 from kg5d.numerics import (
     SeriesReport,
     Tolerance,
@@ -18,6 +24,7 @@ from kg5d.numerics import (
     find_root,
     fit_convergence_order,
     integrate,
+    integrate_batch,
     sum_series,
 )
 
@@ -115,6 +122,76 @@ def test_integrate_refinement_consistency():
     assert abs(loose - tight) <= 1e-6 * abs(tight) + 1e-15
 
 
+def _reference_integrate(f, a, b, tol):
+    # One integral refined by itself: its panels kept, then the left and the
+    # right halves of the panels it splits, each round in one integrand call.
+    def estimates(s, w):
+        half = 0.5 * w
+        x = (s + half)[:, None] + half[:, None] * np.concatenate([xs15, xs7])[None, :]
+        fx = f(x.ravel()).reshape(x.shape)
+        i15 = half * (fx[:, :15] @ w15)
+        return i15, np.abs(i15 - half * (fx[:, 15:] @ w7))
+
+    xs7, w7 = np.polynomial.legendre.leggauss(7)
+    xs15, w15 = np.polynomial.legendre.leggauss(15)
+    if a == b:
+        return 0.0
+    starts, widths = np.array([a]), np.array([b - a])
+    vals, errs = estimates(starts, widths)
+    while True:
+        total = float(vals.sum())
+        if float(errs.sum()) <= tol.threshold(total):
+            return total
+        split = errs > np.maximum(tol.threshold(total) * (widths / (b - a)), 1e-300)
+        if not split.any():
+            split = errs == errs.max()
+        hw = 0.5 * widths[split]
+        new_s = np.concatenate([starts[split], starts[split] + hw])
+        new_v, new_e = estimates(new_s, np.concatenate([hw, hw]))
+        starts = np.concatenate([starts[~split], new_s])
+        widths = np.concatenate([widths[~split], hw, hw])
+        vals = np.concatenate([vals[~split], new_v])
+        errs = np.concatenate([errs[~split], new_e])
+
+
+def test_integrate_batch_matches_lone_integrals_bitwise():
+    # Each integral refines exactly as it does alone, whatever else is in
+    # the batch: a zero-width interval, a kink that forces deep bisection,
+    # and smooth integrands that converge after one round.
+    a = np.array([0.0, 0.0, 2.0, -1.0, 0.3, 0.0])
+    b = np.array([4.0, 40.0, 2.0, 3.0, 9.7, 1e-3])
+    freq = np.array([1.0, 0.2, 5.0, 3.0, 7.0, 1.0])
+
+    def f(x, owner):
+        k = freq[owner]
+        return np.sqrt(np.abs(x - 1.3)) * np.cos(k * x) + np.exp(-k * x * x)
+
+    tol = Tolerance(rel=1e-11, max_iter=5000)
+    got = integrate_batch(f, a, b, tol)
+    for i in range(len(a)):
+        alone = lambda x: f(x, np.full(x.shape, i))
+        assert got[i] == integrate(alone, a[i], b[i], tol)
+        assert got[i] == _reference_integrate(alone, a[i], b[i], tol)
+    assert got[2] == 0.0
+
+
+def test_integrate_batch_budget_error():
+    f = lambda x, owner: np.sqrt(np.abs(x - 0.3 * owner))
+    with pytest.raises(QuadratureError) as info:
+        integrate_batch(f, [0.0, 0.0], [1.0, 1.0], Tolerance(rel=0.0, abs=1e-300, max_iter=8))
+    assert info.value.estimate == pytest.approx(2.0 / 3.0, abs=1e-3)
+    assert info.value.error_bound > 0
+
+
+def test_integrate_batch_non_finite_integrand():
+    # A package error (exit code 2 from the CLI) that is still a ValueError;
+    # the message names the abscissa and the integral.
+    f = lambda x, owner: np.where((owner == 1) & (x == 0.5), np.nan, x)
+    with pytest.raises(IntegrandError, match=r"x=0\.5 in integral 1") as info:
+        integrate_batch(f, [0.0, 0.0], [1.0, 1.0])
+    assert isinstance(info.value, Kg5dError) and isinstance(info.value, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # sum_series
 # ---------------------------------------------------------------------------
@@ -130,7 +207,8 @@ def test_sum_series_zeta3():
 
 
 def test_sum_series_zero_terms():
-    rep = sum_series(lambda n: 0.0, lambda n: 0.0, Tolerance(rel=1e-10))
+    rep = sum_series(lambda n: np.zeros(n.shape), lambda n: np.zeros(n.shape),
+                     Tolerance(rel=1e-10))
     assert rep.value == 0.0 and rep.terms_used == 1 and rep.converged
 
 
@@ -143,11 +221,11 @@ def test_sum_series_ratio_bounded():
 
     def tail(n):
         # for k > n: k^2 e^{-k} <= (n+1)^2 e^{-(n+1)} * sum of e-ratio decay
-        t = (n + 1) ** 2 * math.exp(-(n + 1.0))
+        t = (n + 1) ** 2 * np.exp(-(n + 1.0))
         ratio = math.exp(-1.0) * ((n + 2) / (n + 1)) ** 2
         return t / (1.0 - ratio)
 
-    rep = sum_series(lambda n: n * n * math.exp(-float(n)), tail,
+    rep = sum_series(lambda n: n * n * np.exp(-n.astype(float)), tail,
                      Tolerance(rel=0.0, abs=1e-9))
     assert rep.converged
     assert abs(rep.value - closed) < 1e-6
@@ -169,6 +247,33 @@ def test_sum_series_monotone_refinement():
     loose = sum_series(term, tail, Tolerance(rel=0.0, abs=1e-4))
     tight = sum_series(term, tail, Tolerance(rel=0.0, abs=1e-12))
     assert abs(tight.value - loose.value) <= loose.tail_bound
+
+
+@pytest.mark.parametrize("tol", [Tolerance(rel=1e-3), Tolerance(rel=1e-9),
+                                 Tolerance(rel=0.0, abs=1e-10, max_iter=100_000),
+                                 Tolerance(rel=1e-14, max_iter=70)])
+def test_sum_series_is_the_running_sum(tol):
+    # Oracle: the term-by-term loop the stop rule describes.  Block
+    # evaluation must give the same partial sum, bit for bit, and stop at
+    # the same first n.
+    term = lambda n: ((n % 7) - 3.0) / (n * n)
+    tail = lambda n: 3.0 / n.astype(float)
+    s, n, bound = 0.0, 0, math.inf
+    while n < tol.max_iter:
+        n += 1
+        s += ((n % 7) - 3.0) / (n * n)
+        bound = 3.0 / n
+        if bound <= tol.threshold(s):
+            break
+    rep = sum_series(term, tail, tol)
+    assert (rep.value, rep.terms_used, rep.tail_bound) == (s, n, bound)
+    assert rep.converged == (bound <= tol.threshold(s))
+
+
+def test_sum_series_rejects_invalid_bound():
+    tail = lambda n: np.where(n < 100, 1.0 / n.astype(float), np.nan)
+    with pytest.raises(ValueError, match=r"tail_bound\(100\)"):
+        sum_series(lambda n: np.zeros(n.shape), tail, Tolerance(rel=0.0, abs=1e-6))
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,44 @@ def test_scaled_pair_survives_plain_overflow():
     assert ls[0] > 700.0  # the carried exponent holds the growth
 
 
+def _reference_pair(n, x):
+    # The one-degree recurrence as a plain loop, rescaling included: the
+    # arithmetic the in-place, shared pass must reproduce bit for bit.
+    log_scale = np.zeros_like(x)
+    if n == 1:
+        return np.ones_like(x), np.zeros_like(x), log_scale
+    prev, cur = np.ones_like(x), 2.0 - x
+    for k in range(1, n - 1):
+        prev, cur = cur, ((2 * k + 2 - x) * cur - (k + 1) * prev) / (k + 1)
+        big = np.abs(cur) > 1e130
+        if big.any():
+            f = np.where(big, 2.0 ** -466, 1.0)
+            cur, prev = cur * f, prev * f
+            log_scale = log_scale + np.where(big, 466.0 * math.log(2.0), 0.0)
+    return cur, prev, log_scale
+
+
+def test_per_point_degrees_match_per_degree_calls():
+    # One pass over mixed degrees must give every point the bits a pass at
+    # its own degree gives: degrees 1 and 2 (no recurrence step), a spread
+    # up to 300, and arguments large enough to trigger rescaling.
+    rng = np.random.default_rng(13)
+    deg = np.concatenate([[1, 2, 1, 2, 300, 300], rng.integers(1, 301, size=400)])
+    x = rng.uniform(0.0, 6.0, size=deg.size) * deg
+    x[:6] = [0.5, 3.0, 0.0, 1e-9, 2500.0, 1200.0]
+    x[6::37] = 2000.0
+    pair = _scaled_laguerre_pair(deg, x)
+    combo = _combo_arrays(deg, x)
+    assert pair[2].max() > 0.0  # some points were rescaled
+    for n in np.unique(deg):
+        at = deg == n
+        one = _scaled_laguerre_pair(int(n), x[at])
+        for got, alone, ref in zip(pair, one, _reference_pair(int(n), x[at])):
+            np.testing.assert_array_equal(alone, ref)
+            np.testing.assert_array_equal(got[at], ref)
+        np.testing.assert_array_equal(combo[at], _combo_arrays(int(n), x[at]))
+
+
 # ---------------------------------------------------------------------------
 # Whittaker M_{n,1/2}
 # ---------------------------------------------------------------------------
@@ -334,6 +372,29 @@ def test_erfcx_minus_one_small_s():
     for s in (1e-8, 1e-5, 1e-3, 0.05, 0.3, 0.49, 0.7, 2.0):
         ref = float(mp.exp(mp.mpf(s) ** 2) * mp.erfc(mp.mpf(s)) - 1)
         assert erfcx_minus_one(s) == pytest.approx(ref, rel=1e-12)
+
+
+def test_erfcx_minus_one_array_matches_scalar_loop():
+    # Reference: the series as a scalar loop with its per-value early exit.
+    def loop(s):
+        if abs(s) >= 0.5:
+            return math.exp(s * s) * math.erfc(s) - 1.0
+        odd_term = 2.0 * s / math.sqrt(math.pi)
+        acc, even_term, s2 = -odd_term, 1.0, s * s
+        for k in range(1, 60):
+            even_term *= s2 / k
+            odd_term *= 2.0 * s2 / (2 * k + 1)
+            acc += even_term - odd_term
+            if max(abs(even_term), abs(odd_term)) < 1e-18 * (1.0 + abs(acc)):
+                break
+        return acc
+
+    s = np.concatenate([np.geomspace(1e-12, 3.0, 300), -np.geomspace(1e-9, 0.7, 40),
+                        [0.0, 0.5, -0.5]]).reshape(7, 49)
+    got = erfcx_minus_one(s)
+    assert got.shape == s.shape
+    assert got.ravel().tolist() == [loop(v) for v in s.ravel().tolist()]
+    assert type(erfcx_minus_one(0.25)) is float and erfcx_minus_one(0.25) == loop(0.25)
 
 
 def test_erfcx_minus_one_asymptote():
