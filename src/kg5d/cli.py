@@ -31,13 +31,14 @@ import numpy as np
 
 from . import canonical, geometry, reduction
 from .errors import (
+    BracketingError,
     ConfigurationError,
     Kg5dError,
     NonConvergenceError,
     VerificationFailure,
 )
 from .numerics import Tolerance, integrate
-from .spectrum import LevelIndex, ScaleSet, kg_energy, stat_energy, stat_wavelength
+from .spectrum import LevelIndex, ScaleSet, kg_energy, stat_energy, stat_wavelengths
 
 SCHEMA_VERSION = 1
 
@@ -268,18 +269,17 @@ def _series_dict(report) -> dict:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     scales = cfg.scales()
-    rows = []
-    for n in range(1, cfg.settings["n_max"] + 1):
-        for l in range(0, n + 1):
-            idx = LevelIndex(n=n, l=l)
-            e = kg_energy(idx, scales)
-            lam_ratio = scales.mc2 / e  # lambda'/lambda = mc^2/E
-            try:
-                stat_ratio = stat_wavelength(idx, scales) / scales.Lambda
-            except Kg5dError:
-                stat_ratio = float("nan")
-            rows.append((n, l, e / scales.mc2, lam_ratio, stat_ratio,
-                         stat_energy(n, scales) / scales.Mc2))
+    levels = [LevelIndex(n=n, l=l)
+              for n in range(1, cfg.settings["n_max"] + 1) for l in range(0, n + 1)]
+    energies = [kg_energy(idx, scales) for idx in levels]
+    wavelengths, refused = stat_wavelengths([i.n for i in levels], [i.l for i in levels],
+                                            scales)
+    stat_ratios = (wavelengths / scales.Lambda).tolist()
+    rows = [(idx.n, idx.l, e / scales.mc2, scales.mc2 / e,  # lambda'/lambda = mc^2/E
+             stat_ratio, stat_energy(idx.n, scales) / scales.Mc2)
+            for idx, e, stat_ratio in zip(levels, energies, stat_ratios)]
+    if refused:
+        print(_refusal_line(refused, len(rows)), file=sys.stderr)
     written = []
     if "csv" in cfg.formats:
         written.append(write_csv(cfg, "spectrum.csv",
@@ -293,6 +293,16 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     for p in written:
         print(p)
     return 0
+
+
+def _refusal_line(refused: dict, total: int) -> str:
+    """One line: how many rows are NaN, and the first reason of each kind."""
+    first = {}
+    for exc in refused.values():
+        first.setdefault("bracketing" if isinstance(exc, BracketingError) else "domain", exc)
+    reasons = "; ".join(f"{kind}: {exc}" for kind, exc in first.items())
+    return (f"warning: {len(refused)} of {total} rows have no statistical "
+            f"wavelength (NaN); {reasons}")
 
 
 def cmd_partition(cfg: RunConfig) -> int:

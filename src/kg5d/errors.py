@@ -9,6 +9,10 @@ class ConfigurationError(Kg5dError):
     """Invalid run configuration: bad flags, bad config keys, unusable parameters."""
 
 
+class ToleranceError(ConfigurationError, ValueError):
+    """Unusable stopping tolerances: negative, both zero, or no iterations."""
+
+
 class BracketingError(Kg5dError):
     """Root bracket does not contain a sign change."""
 

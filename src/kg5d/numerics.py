@@ -13,6 +13,13 @@ few capped calls, and each integral gets the bits it gets alone.
 
 ``sum_series`` evaluates terms and tail bounds in blocks of indices and adds
 the terms one at a time in index order.
+
+Root finding is bisection with secant steps on sign-changing brackets.
+``find_roots`` solves many brackets in lockstep: ``f(x, owner)`` receives
+the abscissae of all roots still open together with the index of the root
+each belongs to, a root drops out once its bracket is narrow enough, and
+each root takes exactly the steps, and gets the bits, it gets alone.
+``find_root`` is its one-root case, with a scalar function ``f(x)``.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .errors import (
     IntegrandError,
     NonConvergenceError,
     QuadratureError,
+    ToleranceError,
 )
 
 
@@ -48,11 +56,12 @@ class Tolerance:
 
     def __post_init__(self):
         if self.rel < 0 or self.abs < 0:
-            raise ValueError("tolerances must be non-negative")
+            raise ToleranceError(
+                f"tolerances must be non-negative, got rel={self.rel}, abs={self.abs}")
         if self.rel == 0 and self.abs == 0:
-            raise ValueError("at least one of rel, abs must be positive")
+            raise ToleranceError("at least one of rel, abs tolerances must be positive")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ToleranceError(f"max_iter must be >= 1, got {self.max_iter}")
 
     def threshold(self, value: float) -> float:
         return max(self.abs, self.rel * abs(value))
@@ -241,51 +250,94 @@ def sum_series(
     return SeriesReport(value=s, terms_used=n, tail_bound=bound, converged=False)
 
 
+def find_roots(
+    f: Callable,
+    lo,
+    hi,
+    tol: Tolerance = Tolerance(rel=1e-14, abs=0.0),
+) -> np.ndarray:
+    """Bracketed roots of many functions at once: bisection with secant acceleration.
+
+    ``f(x, owner)`` receives a 1-D array of abscissae and, for each, the index
+    i of the root it belongs to; it returns an array of the same shape.  Root
+    i needs f(lo[i]) and f(hi[i]) of opposite signs (``BracketingError``
+    otherwise) and comes back as a point inside its initial bracket once the
+    bracket is narrower than ``max(tol.abs, tol.rel*|mid|)`` or four ulps of
+    the midpoint.  The secant step is taken only when it lands at least a
+    tenth of the width inside the bracket, so the bisection guarantee is never
+    lost.  All roots step in lockstep and each drops out when it is done; each
+    takes exactly the steps, and gets the bits, it gets alone.  A root not
+    localized within ``tol.max_iter`` steps raises ``NonConvergenceError``
+    carrying the midpoint and width of its bracket.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    if lo.shape != hi.shape or lo.ndim != 1:
+        raise ValueError("lo and hi must be 1-D arrays of one shape")
+    wrong = ~(lo < hi)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise ValueError(f"need lo < hi, got [{lo[i]}, {hi[i]}] in root {i}")
+    live = np.arange(len(lo))
+    flo = np.asarray(f(lo, live), dtype=float)
+    fhi = np.asarray(f(hi, live), dtype=float)
+    out = np.where(flo == 0.0, lo, hi)
+    going = (flo != 0.0) & (fhi != 0.0)
+    same = going & (np.signbit(flo) == np.signbit(fhi))
+    if same.any():
+        i = int(np.argmax(same))
+        raise BracketingError(
+            f"no sign change on [{lo[i]}, {hi[i]}]: f={flo[i]}, {fhi[i]} in root {i}")
+    live, lo, hi, flo, fhi = live[going], lo[going], hi[going], flo[going], fhi[going]
+    if not len(live):
+        return out
+
+    for _ in range(tol.max_iter):
+        width = hi - lo
+        mid = 0.5 * (lo + hi)
+        size = np.abs(mid)
+        done = width <= np.maximum(np.maximum(tol.abs, tol.rel * size), 4 * np.spacing(size))
+        if done.any():
+            out[live[done]] = mid[done]
+            go = ~done
+            live, lo, hi, flo, fhi = live[go], lo[go], hi[go], flo[go], fhi[go]
+            width, mid = width[go], mid[go]
+            if not len(live):
+                return out
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sec = hi - fhi * width / (fhi - flo)
+        tenth = 0.1 * width
+        x = np.where((fhi != flo) & (lo + tenth < sec) & (sec < hi - tenth), sec, mid)
+        fx = np.asarray(f(x, live), dtype=float)
+        left = np.signbit(fx) == np.signbit(flo)
+        lo, flo = np.where(left, x, lo), np.where(left, fx, flo)
+        hi, fhi = np.where(left, hi, x), np.where(left, fhi, fx)
+        hit = fx == 0.0
+        if hit.any():
+            out[live[hit]] = x[hit]
+            go = ~hit
+            live, lo, hi, flo, fhi = live[go], lo[go], hi[go], flo[go], fhi[go]
+            if not len(live):
+                return out
+    raise NonConvergenceError(
+        f"root not localized within {tol.max_iter} iterations in root {live[0]}",
+        estimate=float(0.5 * (lo[0] + hi[0])),
+        error_bound=float(hi[0] - lo[0]),
+    )
+
+
 def find_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     tol: Tolerance = Tolerance(rel=1e-14, abs=0.0),
 ) -> float:
-    """Bracketed root of a scalar function: bisection with secant acceleration.
+    """Bracketed root of a scalar function ``f(x)`` on [lo, hi].
 
-    Requires f(lo) and f(hi) to have opposite signs.  Returns a point inside
-    the initial bracket once the bracket width is below tolerance.  The secant
-    step is taken only when it lands safely inside the current bracket, so the
-    bisection convergence guarantee is never lost.
+    The one-root case of :func:`find_roots`; ``f`` is called with floats.
     """
-    if not (lo < hi):
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise BracketingError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-
-    for _ in range(tol.max_iter):
-        width = hi - lo
-        mid = 0.5 * (lo + hi)
-        if width <= tol.threshold(mid) or width <= 4 * math.ulp(mid):
-            return mid
-        x = mid
-        if fhi != flo:
-            sec = hi - fhi * (hi - lo) / (fhi - flo)
-            if lo + 0.1 * width < sec < hi - 0.1 * width:
-                x = sec
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if math.copysign(1.0, fx) == math.copysign(1.0, flo):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-    raise NonConvergenceError(
-        f"root not localized within {tol.max_iter} iterations",
-        estimate=0.5 * (lo + hi),
-        error_bound=hi - lo,
-    )
+    return float(find_roots(lambda x, owner: np.array([f(float(x[0]))], dtype=float),
+                            lo, hi, tol)[0])
 
 
 def fd_derivative(values: np.ndarray, axis: int, order: int, step: float) -> np.ndarray:

@@ -11,7 +11,8 @@ Three equivalent quantizations are implemented:
   where the quantization fixes a thermal wavelength Lambda'_nl > Lambda.  The
   condition is implicit, so it is solved numerically with the
   non-relativistic expansion Lambda*(1 + (lambda*/Lambda)^2 / (2 n^2)) as
-  seed and cross-check.
+  seed and cross-check.  ``stat_wavelengths`` solves the levels of a whole
+  table in one lockstep root solve, each level bit for bit as alone.
 
 Everything is evaluated in dimensionless ratios internally; ``ScaleSet``
 carries the physical scales and converts at the boundary.  All functions
@@ -23,8 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BracketingError, DomainError
-from .numerics import Tolerance, find_root
+from .numerics import Tolerance, find_roots
 
 _REL_TOL = 1e-12
 
@@ -206,14 +209,18 @@ class LevelIndex:
             raise DomainError(f"need 0 <= l <= n, got l={self.l}, n={self.n}")
 
 
+def _critical(n: int, l: int, za2: float) -> DomainError:
+    return DomainError(
+        f"(l+1/2)^2 {'+' if za2 >= 0 else '-'} coupling^2 <= 0 at n={n}, l={l}: "
+        f"critical coupling {(l + 0.5):.6g}"
+    )
+
+
 def _bracket_term(n: int, l: int, za2: float) -> float:
     """n - l - 1/2 + sqrt((l+1/2)^2 + za2); za2 may be negative (stat picture)."""
     s = (l + 0.5) ** 2 + za2
     if s <= 0:
-        raise DomainError(
-            f"(l+1/2)^2 {'+' if za2 >= 0 else '-'} coupling^2 <= 0 at n={n}, l={l}: "
-            f"critical coupling {(l + 0.5):.6g}"
-        )
+        raise _critical(n, l, za2)
     return n - l - 0.5 + math.sqrt(s)
 
 
@@ -263,15 +270,79 @@ def matching_residual(lambda_prime: float, idx: LevelIndex, scales: ScaleSet) ->
     return (t * t - 1.0) * b * b - za * za
 
 
-def _stat_residual(x: float, idx: LevelIndex, eps: float) -> float:
-    """Residual of the statistical quantization in x = Lambda/Lambda'.
+def _stat_residuals(x: np.ndarray, n: np.ndarray, l: np.ndarray, eps: float):
+    """Residual of the statistical quantization in x = Lambda/Lambda', per level.
 
     [(Lambda/Lambda')^2 - 1] * [n - l - 1/2 + sqrt((l+1/2)^2 - (lambda*/Lambda')^2)]^2
         + (lambda*/Lambda')^2,   with lambda*/Lambda' = eps * x.
+
+    Returns the residuals and the mask of levels whose square root is not
+    real, where the residual is meaningless.
     """
     ex = eps * x
-    b = _bracket_term(idx.n, idx.l, -(ex * ex))
-    return (x * x - 1.0) * b * b + ex * ex
+    za2 = -(ex * ex)
+    s = (l + 0.5) ** 2 + za2
+    bad = s <= 0
+    b = n - l - 0.5 + np.sqrt(np.where(bad, 0.0, s))
+    return (x * x - 1.0) * b * b + ex * ex, bad
+
+
+def _critical_at(x: np.ndarray, n: np.ndarray, l: np.ndarray, eps: float, i: int):
+    ex = eps * float(x[i])
+    return _critical(int(n[i]), int(l[i]), -(ex * ex))
+
+
+def stat_wavelengths(
+    ns, ls, scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-15, abs=0.0)
+) -> tuple[np.ndarray, dict]:
+    """Thermal wavelengths Lambda'_nl > Lambda of many levels at once.
+
+    Returns ``(wavelengths, refused)``: one Lambda'_nl per level (n, l), and
+    for each level the one-level solve refuses, its row index mapped to the
+    DomainError or BracketingError it raises; those rows are NaN.  The
+    bracketed roots of all other levels are solved together by
+    :func:`find_roots`, each exactly as alone; a root it cannot localize
+    raises NonConvergenceError for the whole call.  See :func:`stat_wavelength`.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    ls = np.asarray(ls, dtype=np.int64)
+    eps = scales.coupling_stat
+    out = np.full(len(ns), scales.Lambda)
+    refused = {}
+    if eps == 0.0:
+        return out, refused
+    domain = eps >= ls + 0.5
+    for i in np.flatnonzero(domain).tolist():
+        refused[i] = DomainError(
+            f"coupling lambda*/Lambda = {eps:.6g} >= l + 1/2 = {int(ls[i]) + 0.5}: "
+            "statistical quantization leaves the real domain"
+        )
+    rows = np.flatnonzero(~domain)
+    n, l = ns[rows], ls[rows]
+    half, one = np.full(len(rows), 0.5), np.ones(len(rows))
+    f_half, bad_half = _stat_residuals(half, n, l, eps)
+    f_one, bad_one = _stat_residuals(one, n, l, eps)
+    not_real = bad_half | bad_one
+    for j in np.flatnonzero(not_real).tolist():
+        refused[int(rows[j])] = _critical_at(half if bad_half[j] else one, n, l, eps, j)
+    unbracketed = ~not_real & ~((f_half < 0.0) & (0.0 < f_one))
+    for j in np.flatnonzero(unbracketed).tolist():
+        refused[int(rows[j])] = BracketingError(
+            f"statistical quantization not bracketed on [Lambda, 2 Lambda] "
+            f"for n={int(n[j])}, l={int(l[j])}, coupling={eps:.6g}"
+        )
+    solve = ~(not_real | unbracketed)
+    rows, n, l = rows[solve], n[solve], l[solve]
+
+    def residual(x, owner):
+        r, bad = _stat_residuals(x, n[owner], l[owner], eps)
+        if bad.any():
+            raise _critical_at(x, n[owner], l[owner], eps, int(np.argmax(bad)))
+        return r
+
+    out[rows] = scales.Lambda / find_roots(residual, half[solve], one[solve], tol)
+    out[list(refused)] = np.nan
+    return out, dict(sorted(refused.items()))
 
 
 def stat_wavelength(
@@ -283,24 +354,14 @@ def stat_wavelength(
     non-relativistic expansion Lambda*(1 + eps^2/(2 n^2)) seeds nothing but
     serves as the documented small-coupling limit (the solver is bisection
     plus secant, so no seed is needed).  Couplings large enough to push the
-    square root complex raise DomainError identifying the critical ratio.
+    square root complex raise DomainError identifying the critical ratio; a
+    residual without a sign change on the bracket raises BracketingError.
+    The one-level case of :func:`stat_wavelengths`.
     """
-    eps = scales.coupling_stat
-    if eps == 0.0:
-        return scales.Lambda
-    if eps >= idx.l + 0.5:
-        raise DomainError(
-            f"coupling lambda*/Lambda = {eps:.6g} >= l + 1/2 = {idx.l + 0.5}: "
-            "statistical quantization leaves the real domain"
-        )
-    f = lambda x: _stat_residual(x, idx, eps)
-    if not f(0.5) < 0.0 < f(1.0):
-        raise BracketingError(
-            f"statistical quantization not bracketed on [Lambda, 2 Lambda] "
-            f"for n={idx.n}, l={idx.l}, coupling={eps:.6g}"
-        )
-    x = find_root(f, 0.5, 1.0, tol)
-    return scales.Lambda / x
+    wavelengths, refused = stat_wavelengths([idx.n], [idx.l], scales, tol)
+    if refused:
+        raise refused[0]
+    return float(wavelengths[0])
 
 
 def stat_wavelength_expansion(idx: LevelIndex, scales: ScaleSet) -> float:

@@ -193,3 +193,34 @@ def test_non_finite_integrand_exits_2_with_one_line(tmp_path, monkeypatch, capsy
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: integrand not finite at x=") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["partition", "--rel-tol", "0"],
+                                  ["universal-d", "--max-iter", "0"]],
+                         ids=["partition-rel-tol-0", "universal-d-max-iter-0"])
+def test_invalid_tolerance_exits_2_with_one_line(tmp_path, capsys, argv):
+    rc = main(argv + ["--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_spectrum_nan_rows_report_reason(tmp_path, capsys):
+    # coupling 0.7 >= l + 1/2 for every l = 0 level: three NaN rows, one
+    # stderr line naming the count and the domain reason, and no reason text
+    # in the artifacts.
+    rc = main(["spectrum", "--n-max", "3", "--coupling", "0.7",
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    rows = _csv_rows(tmp_path / "spectrum.csv")
+    nan_rows = [(r["n"], r["l"]) for r in rows if math.isnan(float(r["Lambda_prime_over_Lambda"]))]
+    assert nan_rows == [("1", "0"), ("2", "0"), ("3", "0")]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("warning: 3 of 9 rows have no statistical wavelength (NaN); domain: ")
+    assert "bracketing" not in err
+    for name in ("spectrum.csv", "spectrum.json"):
+        assert "quantization" not in (tmp_path / name).read_text()
+    doc = json.loads(_read(tmp_path / "spectrum.json"))
+    assert sum(math.isnan(r["Lambda_prime_over_Lambda"]) for r in doc["levels"]) == 3

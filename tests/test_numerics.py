@@ -9,12 +9,16 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kg5d.errors import (
     BracketingError,
+    ConfigurationError,
     GridSizeError,
     IntegrandError,
     Kg5dError,
+    NonConvergenceError,
     QuadratureError,
 )
 from kg5d.numerics import (
@@ -22,6 +26,7 @@ from kg5d.numerics import (
     Tolerance,
     fd_derivative,
     find_root,
+    find_roots,
     fit_convergence_order,
     integrate,
     integrate_batch,
@@ -40,6 +45,9 @@ def test_tolerance_validation():
         Tolerance(rel=-1e-3)
     with pytest.raises(ValueError):
         Tolerance(max_iter=0)
+    # also a configuration error, so the CLI exits 2 with one line
+    with pytest.raises(ConfigurationError):
+        Tolerance(rel=0.0, abs=0.0)
     assert Tolerance(rel=1e-8).threshold(2.0) == 2e-8
     assert Tolerance(rel=1e-8, abs=1e-3).threshold(2.0) == 1e-3
 
@@ -303,6 +311,139 @@ def test_find_root_stays_in_bracket():
 def test_find_root_no_sign_change():
     with pytest.raises(BracketingError):
         find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def _reference_find_root(f, lo, hi, tol):
+    """The scalar bisection-plus-secant loop find_roots must reproduce per root."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+        raise BracketingError(f"no sign change on [{lo}, {hi}]")
+    for _ in range(tol.max_iter):
+        width = hi - lo
+        mid = 0.5 * (lo + hi)
+        if width <= tol.threshold(mid) or width <= 4 * math.ulp(mid):
+            return mid
+        x = mid
+        if fhi != flo:
+            sec = hi - fhi * (hi - lo) / (fhi - flo)
+            if lo + 0.1 * width < sec < hi - 0.1 * width:
+                x = sec
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if math.copysign(1.0, fx) == math.copysign(1.0, flo):
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+    raise NonConvergenceError("not localized", estimate=0.5 * (lo + hi), error_bound=hi - lo)
+
+
+def _batched(fs):
+    """f(x, owner) from one scalar function per root."""
+    return lambda x, owner: np.array([fs[o](float(xi)) for xi, o in zip(x, owner)])
+
+
+# Mixed brackets, one per exit of the loop: f(lo) == 0, f(hi) == 0, a secant
+# step landing exactly on the root (f(x) == 0), increasing and decreasing
+# functions, a negative bracket, and roots near zero where the ulp stop or
+# the absolute tolerance decides.
+_MIXED = [
+    (lambda x: x, 0.0, 1.0),
+    (lambda x: x - 1.0, 0.0, 1.0),
+    (lambda x: x - 2.0, 0.0, 5.0),
+    (lambda x: math.tanh(x - 0.3), -2.0, 3.0),
+    (lambda x: -math.tanh(3.0 * (x + 1.7)), -4.0, 0.5),
+    (lambda x: x * x * x - 2.0, 1.0, 2.0),
+    (lambda x: math.tanh(x - 1e-9), -1.0, 1.0),
+    (lambda x: x * x * x + x - 1e-200, -1.0, 1.0),
+    (lambda x: math.exp(x) - 10.0, 0.0, 50.0),
+]
+
+
+@pytest.mark.parametrize("tol", [Tolerance(rel=1e-14), Tolerance(rel=1e-300),
+                                 Tolerance(rel=0.0, abs=1e-6), Tolerance(rel=1e-4)],
+                         ids=["default", "ulp-stop", "abs", "coarse"])
+def test_find_roots_matches_lone_scalar_loop_bitwise(tol):
+    fs = [f for f, _, _ in _MIXED]
+    lo = [a for _, a, _ in _MIXED]
+    hi = [b for _, _, b in _MIXED]
+    got = find_roots(_batched(fs), lo, hi, tol)
+    for i, (f, a, b) in enumerate(_MIXED):
+        want = _reference_find_root(f, a, b, tol)
+        assert got[i] == want
+        assert find_root(f, a, b, tol) == want
+    assert got[0] == 0.0 and got[1] == 1.0 and got[2] == 2.0
+
+
+def test_find_roots_ulp_stop_at_tiny_tolerance():
+    # rel=1e-300 cannot be met, so only the four-ulp stop ends the loop: the
+    # root of x - 1/3 comes back within four ulps of the double nearest 1/3.
+    root = find_roots(lambda x, owner: x - 1.0 / 3.0, [0.0], [1.0], Tolerance(rel=1e-300))[0]
+    assert abs(root - 1.0 / 3.0) <= 4 * math.ulp(1.0 / 3.0)
+    assert root == _reference_find_root(lambda x: x - 1.0 / 3.0, 0.0, 1.0, Tolerance(rel=1e-300))
+
+
+def test_find_roots_non_convergence_names_first_open_root():
+    # Root 0 exits at once (f(lo) == 0); root 1 is the first still open after
+    # three steps, and its error carries the lone loop's estimate and width.
+    fs = [lambda x: x, lambda x: math.tanh(x - 0.3), lambda x: x * x * x - 2.0]
+    tol = Tolerance(rel=1e-14, max_iter=3)
+    with pytest.raises(NonConvergenceError, match=r"in root 1") as info:
+        find_roots(_batched(fs), [0.0, -2.0, 1.0], [1.0, 3.0, 2.0], tol)
+    with pytest.raises(NonConvergenceError) as lone:
+        _reference_find_root(fs[1], -2.0, 3.0, tol)
+    assert info.value.estimate == lone.value.estimate
+    assert info.value.error_bound == lone.value.error_bound
+
+
+def test_find_roots_refuses_bad_brackets():
+    with pytest.raises(BracketingError, match=r"in root 1"):
+        find_roots(lambda x, owner: x * x - owner, [0.0, 2.0], [2.0, 3.0])
+    with pytest.raises(ValueError, match=r"in root 1"):
+        find_roots(lambda x, owner: x, [0.0, 1.0], [1.0, 1.0])
+
+
+# Property tests: random brackets around the roots of monotone functions whose
+# floating-point evaluation is itself monotone (shifted tanh, shifted cubics
+# with a positive linear term), increasing or decreasing.
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_root_case = st.tuples(
+    st.sampled_from(["tanh", "cubic"]),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(-5.0, 5.0, **_finite),          # root c
+    st.floats(1e-6, 4.0, **_finite),          # bracket reach below c
+    st.floats(1e-6, 4.0, **_finite),          # bracket reach above c
+    st.floats(0.0, 3.0, **_finite),           # cubic linear coefficient
+)
+
+
+def _monotone(kind, sign, c, k):
+    if kind == "tanh":
+        return lambda x: sign * math.tanh(x - c)
+    return lambda x: sign * ((x - c) * (x - c) * (x - c) + k * (x - c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases=st.lists(_root_case, min_size=1, max_size=8),
+       tol=st.sampled_from([Tolerance(rel=1e-14), Tolerance(rel=1e-300),
+                            Tolerance(rel=1e-6, abs=1e-9)]))
+def test_find_roots_bracket_invariants(cases, tol):
+    fs = [_monotone(kind, sign, c, k) for kind, sign, c, _, _, k in cases]
+    lo = [c - below for _, _, c, below, _, _ in cases]
+    hi = [c + above for _, _, c, _, above, _ in cases]
+    roots = find_roots(_batched(fs), lo, hi, tol)
+    for f, a, b, root in zip(fs, lo, hi, roots.tolist()):
+        assert a <= root <= b
+        # The final bracket was at most the stop width wide and held the root.
+        w = max(tol.threshold(root), 4 * math.ulp(root))
+        left, right = f(max(root - w, a)), f(min(root + w, b))
+        assert left == 0.0 or right == 0.0 or math.copysign(1.0, left) != math.copysign(1.0, right)
+        assert root == find_root(f, a, b, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from kg5d.errors import DomainError
+from kg5d.errors import BracketingError, DomainError
 from kg5d.numerics import fit_convergence_order
 from kg5d.spectrum import (
     LevelIndex,
@@ -21,6 +21,7 @@ from kg5d.spectrum import (
     stat_energy,
     stat_wavelength,
     stat_wavelength_expansion,
+    stat_wavelengths,
 )
 
 mp.mp.dps = 40
@@ -241,6 +242,88 @@ def test_stat_wavelength_complex_regime_refused():
     s = _scales(coupling=0.7)
     with pytest.raises(DomainError):
         stat_wavelength(LevelIndex(1, 0), s)  # 0.7 >= l + 1/2
+
+
+def _reference_stat_wavelength(n, l, s, rel=1e-15):
+    """The one-level scalar solve: residual in x = Lambda/Lambda' on [1/2, 1],
+    bisection with secant steps, as the spectrum table computed it row by row."""
+    eps = s.coupling_stat
+    if eps >= l + 0.5:
+        raise DomainError("coupling >= l + 1/2")
+
+    def f(x):
+        ex = eps * x
+        root = (l + 0.5) ** 2 + -(ex * ex)
+        if root <= 0:
+            raise DomainError("square root not real")
+        b = n - l - 0.5 + math.sqrt(root)
+        return (x * x - 1.0) * b * b + ex * ex
+
+    if not f(0.5) < 0.0 < f(1.0):
+        raise BracketingError("not bracketed")
+    lo, hi, flo, fhi = 0.5, 1.0, f(0.5), f(1.0)
+    while True:
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        if width <= rel * abs(mid) or width <= 4 * math.ulp(mid):
+            return s.Lambda / mid
+        x = mid
+        if fhi != flo:
+            sec = hi - fhi * (hi - lo) / (fhi - flo)
+            if lo + 0.1 * width < sec < hi - 0.1 * width:
+                x = sec
+        fx = f(x)
+        if fx == 0.0:
+            return s.Lambda / x
+        if math.copysign(1.0, fx) == math.copysign(1.0, flo):
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+
+
+@pytest.mark.parametrize("coupling", [0.01, 0.3, 0.7])
+def test_stat_wavelengths_match_per_level_bitwise(coupling):
+    # All levels n <= 40 in one lockstep solve: each wavelength equals the
+    # one-level call and the scalar row-by-row solve bit for bit, and the
+    # refused levels (l = 0 at 0.7) are NaN with the one-level error.
+    s = _scales(coupling=coupling)
+    levels = [(n, l) for n in range(1, 41) for l in range(n + 1)]
+    got, refused = stat_wavelengths([n for n, _ in levels], [l for _, l in levels], s)
+    assert got.shape == (len(levels),)
+    for i, (n, l) in enumerate(levels):
+        try:
+            want = stat_wavelength(LevelIndex(n, l), s)
+        except (DomainError, BracketingError) as exc:
+            assert math.isnan(got[i]) and type(refused[i]) is type(exc)
+            assert str(refused[i]) == str(exc)
+            with pytest.raises(type(exc)):
+                _reference_stat_wavelength(n, l, s)
+            continue
+        assert i not in refused
+        assert got[i] == want == _reference_stat_wavelength(n, l, s)
+    assert len(refused) == (40 if coupling == 0.7 else 0)
+
+
+def test_stat_wavelengths_refusal_reasons():
+    # At coupling 1.45 the l = 0 levels leave the real domain and (1, 1) is
+    # not bracketed on [Lambda, 2 Lambda]; each refusal is the one-level error.
+    s = _scales(coupling=1.45)
+    levels = [(n, l) for n in range(1, 4) for l in range(n + 1)]
+    got, refused = stat_wavelengths([n for n, _ in levels], [l for _, l in levels], s)
+    kinds = {levels[i]: type(exc) for i, exc in refused.items()}
+    assert kinds == {(1, 0): DomainError, (2, 0): DomainError, (3, 0): DomainError,
+                     (1, 1): BracketingError}
+    assert list(refused) == sorted(refused)
+    assert np.isnan(got).sum() == 4
+    with pytest.raises(BracketingError, match=r"n=1, l=1"):
+        stat_wavelength(LevelIndex(1, 1), s)
+
+
+def test_stat_wavelengths_uncoupled_and_empty():
+    s = ScaleSet.build(Z=0, alpha=0.0, R_over_Lambda=10.0)
+    got, refused = stat_wavelengths([1, 2, 3], [0, 2, 1], s)
+    assert got.tolist() == [s.Lambda] * 3 and refused == {}
+    got, refused = stat_wavelengths([], [], _scales(coupling=0.3))
+    assert got.shape == (0,) and refused == {}
 
 
 def test_stat_energy_limits():
