@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -102,11 +103,14 @@ def _coerce(key: str, value):
     try:
         if want is int:
             return int(value)
-        if want is float:
-            return float(value)
-        return str(value)
+        if want is not float:
+            return str(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigurationError(f"bad value for {key}: {value!r} is not finite")
+    return number
 
 
 @dataclass

@@ -18,14 +18,19 @@ the light-cone coordinate map, semigroup composition, and the weak-field
 Schroedinger residual with a Coulomb potential.
 
 Evolutions are sequential in the evolution parameter; trajectories and grid
-fields are immutable once produced.
+fields are immutable once produced.  The evolvers return whole trajectories;
+the verification harness instead consumes the snapshots as a stream, one at a
+time (three for the continuity difference), so its memory is O(points)
+whatever the number of steps.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -136,8 +141,14 @@ def _periodic_laplacian_1d(n: int, h: float):
     return scipy.sparse.csc_matrix(lap / h**2)
 
 
-def _evolve(psi0: GridField, span: float, coeff: complex, steps: int, method: str) -> Trajectory:
-    """Shared core: d/dt psi = coeff * lap psi, periodic, exact or CN stepping."""
+def _evolve(psi0: GridField, span: float, coeff: complex, steps: int,
+            method: str) -> Iterator[GridField]:
+    """Shared core: d/dt psi = coeff * lap psi, periodic, exact or CN stepping.
+
+    Checks the arguments at call time and returns a generator of the
+    ``steps + 1`` snapshots, psi0 first, each produced only when asked for, so
+    a consumer that keeps none of them needs O(points) memory.
+    """
     if psi0.boundary != "periodic":
         raise ConfigurationError("evolution needs periodic boundaries")
     if steps < 1:
@@ -145,16 +156,12 @@ def _evolve(psi0: GridField, span: float, coeff: complex, steps: int, method: st
     if not span >= 0:
         raise ConfigurationError("evolution span must be non-negative")
     dt = span / steps
-    times = np.linspace(0.0, span, steps + 1)
-    snaps = [psi0]
 
     if method == "spectral":
         # each mode evolves as exp(coeff * (-k^2) * dt)
         mult = np.exp(-coeff * _k_squared(psi0) * dt)
-        cur = np.fft.fftn(np.asarray(psi0.values, dtype=complex))
-        for _ in range(steps):
-            cur = cur * mult
-            snaps.append(psi0.with_values(np.fft.ifftn(cur)))
+        state = np.fft.fftn(np.asarray(psi0.values, dtype=complex))
+        advance, values = (lambda cur: cur * mult), np.fft.ifftn
     elif method == "cn":
         if psi0.values.ndim != 1:
             raise ConfigurationError("the Crank-Nicolson evolver is one-dimensional")
@@ -165,13 +172,23 @@ def _evolve(psi0: GridField, span: float, coeff: complex, steps: int, method: st
         eye = scipy.sparse.identity(n, format="csc")
         lhs = scipy.sparse.linalg.splu((eye - 0.5 * dt * coeff * lap).tocsc())
         rhs = (eye + 0.5 * dt * coeff * lap).tocsc()
-        cur = np.asarray(psi0.values, dtype=complex)
-        for _ in range(steps):
-            cur = lhs.solve(rhs @ cur)
-            snaps.append(psi0.with_values(cur))
+        state = np.asarray(psi0.values, dtype=complex)
+        advance, values = (lambda cur: lhs.solve(rhs @ cur)), (lambda cur: cur)
     else:
         raise ConfigurationError(f"unknown method {method!r}")
-    return Trajectory(times=times, snapshots=snaps)
+    return _stepping(psi0, state, advance, values, steps)
+
+
+def _stepping(psi0: GridField, state, advance, values, steps: int) -> Iterator[GridField]:
+    """The one stepping loop: psi0, then the field of each advanced state."""
+    yield psi0
+    for _ in range(steps):
+        state = advance(state)
+        yield psi0.with_values(values(state))
+
+
+def _schrodinger_coeff(lambda_hat: float, c: float) -> complex:
+    return 1j * c * lambda_hat / 2.0  # d/dtau psi = coeff * lap psi
 
 
 def evolve_schrodinger(
@@ -184,8 +201,8 @@ def evolve_schrodinger(
     (plane-wave dispersion omega = c lhat k^2 / 2 to rounding); 'cn' is the
     Cayley-unitary Crank-Nicolson scheme on a 1-D periodic grid.
     """
-    coeff = 1j * c * lambda_hat / 2.0  # d/dtau psi = coeff * lap psi
-    return _evolve(psi0, tau_span, coeff, steps, method)
+    snaps = _evolve(psi0, tau_span, _schrodinger_coeff(lambda_hat, c), steps, method)
+    return Trajectory(times=np.linspace(0.0, tau_span, steps + 1), snapshots=list(snaps))
 
 
 def evolve_fokker_planck(
@@ -203,10 +220,9 @@ def evolve_fokker_planck(
         raise ConfigurationError("Fokker-Planck initial data must be real")
     if v.min() < 0:
         raise ConfigurationError("Fokker-Planck initial data must be non-negative")
-    coeff = c * Lambda / 2.0
-    traj = _evolve(psi0, u_span, coeff, steps, method)
-    real_snaps = [s.with_values(np.real(s.values)) for s in traj.snapshots]
-    return Trajectory(times=traj.times, snapshots=real_snaps)
+    snaps = _evolve(psi0, u_span, c * Lambda / 2.0, steps, method)
+    return Trajectory(times=np.linspace(0.0, u_span, steps + 1),
+                      snapshots=[s.with_values(np.real(s.values)) for s in snaps])
 
 
 def current_and_continuity(
@@ -219,27 +235,41 @@ def current_and_continuity(
     the scheme order under simultaneous refinement.
     Returns (list of CurrentField, residual).
     """
-    snaps = traj.snapshots
-    if len(snaps) < 3:
+    if len(traj.snapshots) < 3:
         raise ConfigurationError("need at least three snapshots for the continuity check")
-    a = c * lambda_hat
-    currents = []
-    divs = []
-    for s in snaps:
-        psi = s.values
-        jk = [a * np.imag(np.conj(psi) * field_derivative(s, ax, 1, engine))
-              for ax in range(psi.ndim)]
-        currents.append(CurrentField(j_tau=np.abs(psi) ** 2, j_k=jk))
-        div = np.zeros(psi.shape)
-        for ax, j in enumerate(jk):
-            div = div + np.real(field_derivative(s.with_values(j), ax, 1, engine))
-        divs.append(div)
-    dt = float(traj.times[1] - traj.times[0])
+    fields = [_current_and_divergence(s, c * lambda_hat, engine) for s in traj.snapshots]
+    residual = _continuity_residual(fields, float(traj.times[1] - traj.times[0]))
+    return [current for current, _ in fields], residual
+
+
+def _current_and_divergence(s: GridField, a: float, engine: str):
+    """(CurrentField, div j) of one snapshot, with j_k = a Im(psi* d_k psi)."""
+    psi = s.values
+    jk = [a * np.imag(np.conj(psi) * field_derivative(s, ax, 1, engine))
+          for ax in range(psi.ndim)]
+    div = np.zeros(psi.shape)
+    for ax, j in enumerate(jk):
+        div = div + np.real(field_derivative(s.with_values(j), ax, 1, engine))
+    return CurrentField(j_tau=np.abs(psi) ** 2, j_k=jk), div
+
+
+def _continuity_residual(fields: Iterable, dt: float) -> float:
+    """max|d j_tau/dtau + div j| over the interior of a (current, div) sequence.
+
+    Reads the sequence through a three-entry window, so a generator of
+    snapshots is checked in O(points) memory.
+    """
+    window = collections.deque(maxlen=3)
     residual = 0.0
-    for i in range(1, len(snaps) - 1):
-        djdt = (currents[i + 1].j_tau - currents[i - 1].j_tau) / (2.0 * dt)
-        residual = max(residual, float(np.max(np.abs(djdt + divs[i]))))
-    return currents, residual
+    for entry in fields:
+        window.append(entry)
+        if len(window) == 3:
+            (before, _), (_, div), (after, _) = window
+            djdt = (after.j_tau - before.j_tau) / (2.0 * dt)
+            residual = max(residual, float(np.max(np.abs(djdt + div))))
+    if len(window) < 3:
+        raise ConfigurationError("need at least three snapshots for the continuity check")
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +392,8 @@ def schrodinger_evolver(lambda_hat: float, *, c: float = 1.0, steps: int = 1,
 
 def gaussian_packet(n: int, box: float, sigma: float, k0: float = 0.0) -> GridField:
     """Normalized 1-D Gaussian packet centred in a periodic box."""
+    if n < 1:
+        raise ConfigurationError(f"points must be >= 1, got {n}")
     h = box / n
     x = -0.5 * box + h * np.arange(n)
     psi = (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(-x * x / (4.0 * sigma**2))
@@ -392,17 +424,23 @@ def verify_reduction(
     refinement, diffusion variance growth against sigma0^2 + c Lambda u,
     5D null-dispersion and light-cone-map exactness, and the spectral
     semigroup composition defect.
+
+    The evolutions are read as streams and no snapshot is kept beyond the
+    three the continuity difference needs, so memory is O(points) and
+    independent of ``steps``; only the returned step table, one
+    (step, norm, norm residual) row per snapshot, grows with ``steps``.
     """
     lhat, c = 0.7, 1.3
     box = 40.0
 
     # norm conservation (unitary stepping), recorded per step for the report
     psi0 = gaussian_packet(points, box, 1.0, k0=2.0 * math.pi / box * 5)
-    traj = evolve_schrodinger(psi0, 2.0, lhat, steps, c=c)
-    n0 = traj.snapshots[0].l2_norm()
-    step_table = [(i, s.l2_norm(), abs(s.l2_norm() - n0))
-                  for i, s in enumerate(traj.snapshots)]
-    norm_drift = max(r for _, _, r in step_table[1:]) / steps
+    coeff = _schrodinger_coeff(lhat, c)
+    norms = (s.l2_norm() for s in _evolve(psi0, 2.0, coeff, steps, "spectral"))
+    n0 = next(norms)
+    step_table = [(i, norm, abs(norm - n0))
+                  for i, norm in enumerate(itertools.chain([n0], norms))]
+    norm_drift = max(r for _, _, r in itertools.islice(step_table, 1, None)) / steps
 
     # plane-wave dispersion, one spectral step
     k = 2.0 * math.pi / box * 7
@@ -419,9 +457,9 @@ def verify_reduction(
     resids = []
     dts = []
     for nsteps in (16, 32, 64):
-        t = evolve_schrodinger(psi0, 1.0, lhat, nsteps, c=c)
-        _, r = current_and_continuity(t, lhat, c=c)
-        resids.append(r)
+        snaps = _evolve(psi0, 1.0, coeff, nsteps, "spectral")
+        fields = (_current_and_divergence(s, c * lhat, "spectral") for s in snaps)
+        resids.append(_continuity_residual(fields, 1.0 / nsteps))
         dts.append(1.0 / nsteps)
     from .numerics import fit_convergence_order
     continuity_order = fit_convergence_order(dts, resids)

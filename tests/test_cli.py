@@ -224,3 +224,55 @@ def test_spectrum_nan_rows_report_reason(tmp_path, capsys):
         assert "quantization" not in (tmp_path / name).read_text()
     doc = json.loads(_read(tmp_path / "spectrum.json"))
     assert sum(math.isnan(r["Lambda_prime_over_Lambda"]) for r in doc["levels"]) == 3
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command, key", [("spectrum", "coupling"), ("partition", "eta0"),
+                                          ("partition", "r-over-rho"),
+                                          ("partition", "rel-tol")])
+def test_non_finite_setting_exits_2_with_one_line(tmp_path, capsys, command, key, value,
+                                                  source):
+    out = tmp_path / "out"
+    if source == "flag":
+        argv = [command, f"--{key}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = [command, "--config", str(cfg)]
+    rc = main(argv + ["--output-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--points", "0"), ("--points", "-4"),
+                                         ("--steps", "0")])
+def test_verify_reduction_refuses_empty_grid_or_steps(tmp_path, capsys, flag, value):
+    rc = main(["verify-reduction", flag, value, "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["verify-reduction", "--points", "256", "--steps", "64"],
+     ("verify_reduction.csv", "verify_reduction.json")),
+    (["spectrum", "--n-max", "20"], ("spectrum.csv", "spectrum.json")),
+], ids=["verify-reduction", "spectrum"])
+def test_artifacts_independent_of_thread_count(tmp_path, argv, names):
+    # Acceptance criterion 11 reruns in one process; here each run is a fresh
+    # interpreter with its own BLAS/OpenMP thread count, writing to one path
+    # (the path is part of every artifact's header).
+    out = tmp_path / "out"
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "kg5d.cli", *argv, "--output-dir", str(out)],
+                       env=env, capture_output=True, check=True)
+        runs.append({name: _read(out / name) for name in names})
+    assert runs[0] == runs[1]
