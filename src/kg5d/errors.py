@@ -38,8 +38,24 @@ class IntegrandError(Kg5dError, ValueError):
     """A quadrature integrand returned a non-finite value."""
 
 
+class IntervalError(Kg5dError, ValueError):
+    """Reversed integration interval or root bracket, or ends of unequal shapes."""
+
+
+class SeriesBoundError(Kg5dError, ValueError):
+    """A series tail bound evaluated to a negative or non-finite value."""
+
+
 class GridSizeError(Kg5dError):
     """A sampled field is too small for the requested stencil."""
+
+
+class StencilError(Kg5dError, ValueError):
+    """Finite-difference derivative of an unsupported order or with a non-positive step."""
+
+
+class OrderFitError(Kg5dError, ValueError):
+    """A convergence-order fit was given fewer than two resolutions."""
 
 
 class DomainError(Kg5dError):

@@ -36,6 +36,17 @@ Christoffels are built two ways (from an analytic dA table, and from finite
 differences of the metric) as a guard against transcription errors in the
 closed forms.
 
+The grid checks stream over slabs of three x^0 planes: each slab's defect
+is computed and reduced to the maxima the caller needs before the next one,
+so no full-size 5D defect and no full-grid (5, 5) metric array is formed.
+x^0 is axis 0 of both the 4D base and the 5D field, so a slab cuts every
+phase.  A slab reads one halo plane each side (two for the light cone, where
+d_0 acts on a d_0 term), and slabs at the grid ends widen to five planes, so
+every stencil, one-sided ones at the true ends included, sees what it sees
+on the whole grid: the maxima are bit for bit those of the whole-grid
+evaluation.  Peak memory is the field plus one slab's arrays, which
+``projected_peak_bytes`` gives in closed form before a run.
+
 All evaluations are pure; residual norms do not depend on how grid work is
 partitioned.
 """
@@ -48,7 +59,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, GaugeError
+from .errors import ConfigurationError, DomainError, GaugeError
 from .numerics import fd_derivative, fit_convergence_order
 from .reduction import GridField, field_derivative
 
@@ -268,19 +279,76 @@ def expected_contractions(A: Potential, q_over_c2: float, point) -> ChristoffelC
 # Grid-level operator identities
 # ---------------------------------------------------------------------------
 
-def _grid_coords(field: GridField, naxes: int = 4):
-    """Sparse broadcastable coordinate arrays for the first ``naxes`` axes."""
+def _grid_coords(field: GridField, naxes: int = 4, rows=None):
+    """Sparse broadcastable coordinate arrays for the first ``naxes`` axes,
+    with x^0 cut to the rows [lo, hi) when ``rows`` is given."""
     coords = []
     for ax in range(naxes):
         c = field.coords(ax)
+        if ax == 0 and rows is not None:
+            c = c[rows[0]:rows[1]]
         shape = [1] * min(field.values.ndim, naxes)
         shape[ax] = -1
         coords.append(c.reshape(shape))
     return tuple(coords)
 
 
-def _christoffel_contraction_field(field: GridField, A: Potential, q_over_c2: float):
+# x^0 planes whose defect one slab computes.  x^0 is axis 0 of both the 4D
+# base arrays and the 5D field, so one slab cuts every phase of a check.
+_SLAB_PLANES = 3
+
+
+def _slab_rows(n0: int):
+    """The kept x^0 row ranges [lo, hi) of the slabs covering ``n0`` planes."""
+    return [(lo, min(lo + _SLAB_PLANES, n0)) for lo in range(0, n0, _SLAB_PLANES)]
+
+
+def _haloed(rows, n0: int, halo: int):
+    """The x^0 rows [start, stop) a slab reads to differentiate its kept rows.
+
+    ``halo`` planes are added on each side: one per x^0 derivative applied in
+    sequence.  A range touching a grid end is widened to fd_derivative's
+    5-plane minimum, so the one-sided stencils fall on the true end planes
+    only and every kept row gets the bits of the whole-grid derivative.
+    """
+    lo, hi = rows
+    start, stop = max(lo - halo, 0), min(hi + halo, n0)
+    if stop - start < 5:
+        if start == 0:
+            stop = min(5, n0)
+        else:
+            start = max(stop - 5, 0)
+    return start, stop
+
+
+def _defect_maxima(defect: Callable, n0: int, index_sets) -> list:
+    """Max of a defect field over each index set, one x^0 slab at a time.
+
+    ``defect(rows)`` returns the defect on the x^0 rows [lo, hi) of the grid.
+    Each index set is a tuple of slices over the whole grid, as
+    ``defect_field[index]`` would take it; only one slab's defect is held.
+    """
+    best = [None] * len(index_sets)
+    for lo, hi in _slab_rows(n0):
+        slab = defect((lo, hi))
+        for k, index in enumerate(index_sets):
+            kept = [r - lo for r in range(n0)[index[0]] if lo <= r < hi]
+            part = slab[(kept,) + tuple(index[1:])]
+            if part.size:
+                m = np.max(part)
+                best[k] = m if best[k] is None else np.maximum(best[k], m)
+    if any(b is None for b in best):
+        raise DomainError("an index set selects no grid point")
+    return [float(b) for b in best]
+
+
+def _christoffel_contraction_field(field: GridField, A: Potential, q_over_c2: float,
+                                   rows=None):
     """h^{AB} Gamma^C_{AB} on the 4D base grid, shape (5,) + base grid.
+
+    With ``rows = (lo, hi)`` only the x^0 rows [lo, hi) of the base are
+    returned, and only the metric on those rows and one halo plane each side
+    is built.
 
     Contracting Gamma^C_{AB} = h^{CD}(d_A h_{DB} + d_B h_{DA} - d_D h_{AB})/2
     with the symmetric h^{AB} leaves h^{CD} v_D, where
@@ -291,43 +359,88 @@ def _christoffel_contraction_field(field: GridField, A: Potential, q_over_c2: fl
     one direction rho at a time (d_5 = 0), so only one (5, 5) slice of it is
     held and the full Christoffel table is never formed.
     """
-    coords = _grid_coords(field, 4)
+    n0 = field.values.shape[0]
+    lo, hi = (0, n0) if rows is None else rows
+    start, stop = _haloed((lo, hi), n0, 1)
+    cut = slice(lo - start, hi - start)
+    coords = _grid_coords(field, 4, (start, stop))
     base = np.broadcast(*coords).shape
     h, h_inv = _metric_pair(-q_over_c2 * np.broadcast_to(A.components(coords), (4,) + base))
-    v = np.zeros((5,) + base)
+    h_kept, h_inv = np.ascontiguousarray(h[:, :, cut]), h_inv[:, :, cut]
+    v = np.zeros((5,) + h_inv.shape[2:])
     for rho in range(4):
-        dh = fd_derivative(h, 2 + rho, 1, field.step[rho])  # d_rho h_{AB}
+        if rho == 0:  # d_0 h_{AB}, the one derivative reading the halo planes
+            dh = fd_derivative(h, 2, 1, field.step[0])[:, :, cut]
+        else:
+            dh = fd_derivative(h_kept, 2 + rho, 1, field.step[rho])
         v += np.einsum("b...,db...->d...", h_inv[rho], dh)
         v[rho] -= 0.5 * np.einsum("ab...,ab...->...", h_inv, dh)
     return np.einsum("cd...,d...->c...", h_inv, v)
 
 
-def _laplacian_defect_field(field: GridField, A: Potential, q_over_c2: float,
-                            gauge_tol: float = 1e-8) -> np.ndarray:
-    """|-h^{AB} Gamma^C_{AB} d_C f - (d_mu N^mu) d_5 f| at every grid point.
-
-    This is the Laplace-Beltrami operator h^{AB}(d_A d_B - Gamma^C_{AB} d_C) f
-    minus the expanded operator of ``covariant_laplacian_residual``: the
-    second-order parts of the two are the same terms and cancel exactly, so
-    only the first-order parts are evaluated.
-    """
+def _check_laplacian_inputs(field: GridField, A: Potential) -> None:
     if field.values.ndim != 5:
         raise DomainError("covariant Laplacian check needs a 5D field")
     if A.gauge != "lorentz":
         raise GaugeError(f"Lorentz gauge required, potential declares {A.gauge!r}")
-    coords = _grid_coords(field, 4)
-    div = np.asarray(A.divergence(coords))
-    amax = float(np.max(np.abs(A.components(coords))))
-    if float(np.max(np.abs(div))) > gauge_tol * max(amax, 1.0):
+
+
+def _lorentz_guard(field: GridField, A: Potential, gauge_tol: float) -> None:
+    """Refuse a potential whose divergence is not zero on the field's grid.
+
+    The test is max|d_mu A^mu| <= gauge_tol * max(max|A|, 1) over the whole
+    base grid, with both maxima taken one x^0 slab at a time.
+    """
+    _check_laplacian_inputs(field, A)
+    div_max = a_max = None
+    for rows in _slab_rows(field.values.shape[0]):
+        coords = _grid_coords(field, 4, rows)
+        d = np.max(np.abs(A.divergence(coords)))
+        a = np.max(np.abs(A.components(coords)))
+        div_max = d if div_max is None else np.maximum(div_max, d)
+        a_max = a if a_max is None else np.maximum(a_max, a)
+    if float(div_max) > gauge_tol * max(float(a_max), 1.0):
         raise GaugeError("potential violates the Lorentz gauge numerically")
 
-    coef = _christoffel_contraction_field(field, A, q_over_c2)
-    coef[4] += -q_over_c2 * div  # h^{AB} Gamma^5_{AB} + d_mu N^mu, analytic divergence
+
+def _laplacian_defect_field(field: GridField, A: Potential, q_over_c2: float,
+                            rows=None) -> np.ndarray:
+    """|-h^{AB} Gamma^C_{AB} d_C f - (d_mu N^mu) d_5 f| on the x^0 rows [lo, hi).
+
+    ``rows`` defaults to the whole grid.  This is the Laplace-Beltrami
+    operator h^{AB}(d_A d_B - Gamma^C_{AB} d_C) f minus the expanded operator
+    of ``covariant_laplacian_residual``: the second-order parts of the two are
+    the same terms and cancel exactly, so only the first-order parts are
+    evaluated.  d_0 f is taken on the rows plus one halo plane each side, the
+    other derivatives on the rows alone.  The numerical Lorentz-gauge test
+    needs the whole grid and is left to the callers (``_lorentz_guard``).
+    """
+    _check_laplacian_inputs(field, A)
+    n0 = field.values.shape[0]
+    lo, hi = (0, n0) if rows is None else rows
+    coef = _christoffel_contraction_field(field, A, q_over_c2, (lo, hi))
+    # h^{AB} Gamma^5_{AB} + d_mu N^mu, with the analytic divergence
+    coef[4] += -q_over_c2 * np.asarray(A.divergence(_grid_coords(field, 4, (lo, hi))))
     f = field.values
-    defect = np.zeros(f.shape, dtype=np.result_type(f.dtype, float))
+    start, stop = _haloed((lo, hi), n0, 1)
+    kept = f[lo:hi]
+    defect = np.zeros(kept.shape, dtype=np.result_type(f.dtype, float))
     for cc in range(5):
-        defect -= coef[cc][..., None] * fd_derivative(f, cc, 1, field.step[cc])
-    return np.abs(defect)
+        if cc == 0:
+            d = fd_derivative(f[start:stop], 0, 1, field.step[0])[lo - start:hi - start]
+        else:
+            d = fd_derivative(kept, cc, 1, field.step[cc])
+        d *= coef[cc][..., None]
+        defect -= d
+    return np.abs(defect, out=defect)
+
+
+def _laplacian_defect_maxima(field: GridField, A: Potential, q_over_c2: float,
+                             index_sets, gauge_tol: float = 1e-8) -> list:
+    """Gauge-guarded maxima of the Laplacian defect over each index set."""
+    _lorentz_guard(field, A, gauge_tol)
+    return _defect_maxima(lambda rows: _laplacian_defect_field(field, A, q_over_c2, rows),
+                          field.values.shape[0], index_sets)
 
 
 def covariant_laplacian_residual(
@@ -345,11 +458,11 @@ def covariant_laplacian_residual(
     Christoffel contraction built from finite differences of the metric on
     the grid and d_mu N^mu from the potential's derivative table.  Requires
     Lorentz gauge (declared and checked numerically).  Interior points only;
-    the pointwise defect decays at second order in the step.
+    the pointwise defect decays at second order in the step.  The defect is
+    computed and reduced one x^0 slab at a time.
     """
-    defect = _laplacian_defect_field(field, A, q_over_c2, gauge_tol)
     inner = tuple(slice(margin, -margin) for _ in range(5))
-    return float(np.max(defect[inner]))
+    return _laplacian_defect_maxima(field, A, q_over_c2, [inner], gauge_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,26 +555,39 @@ def lightcone_em_expansion_residual(
 
     The two sides differ by the finite-difference product-rule commutator, so
     the interior max-norm defect decays at second order under refinement.
-    The potential must declare the requested gauge.
+    The potential must declare the requested gauge.  The defect is computed
+    and reduced one x^0 slab at a time.
     """
-    defect = _lightcone_defect_field(field, A, q_over_c2, gauge)
     inner = tuple(slice(margin, -margin) for _ in range(5))
-    return float(np.max(defect[inner]))
+    return _defect_maxima(lambda rows: _lightcone_defect_field(field, A, q_over_c2, gauge, rows),
+                          field.values.shape[0], [inner])[0]
 
 
 def _lightcone_defect_field(field: GridField, A: Potential, q_over_c2: float,
-                            gauge: str = "coulomb") -> np.ndarray:
-    """|composition - expansion| of the light-cone operator at every point."""
+                            gauge: str = "coulomb", rows=None) -> np.ndarray:
+    """|composition - expansion| of the light-cone operator on the x^0 rows [lo, hi).
+
+    ``rows`` defaults to the whole grid.  d_0 is applied to a d_0 term, so
+    the x^0 derivatives are taken on the rows plus two halo planes each side;
+    every other derivative runs on the rows alone.  Each distinct
+    finite-difference pass is taken once and reused.
+    """
     if field.values.ndim != 5:
         raise DomainError("light-cone expansion check needs a 5D field")
     if A.gauge != gauge:
         raise GaugeError(f"potential declares gauge {A.gauge!r}, expected {gauge!r}")
-    coords = _grid_coords(field, 4)
+    n0 = field.values.shape[0]
+    lo, hi = (0, n0) if rows is None else rows
+    start, stop = _haloed((lo, hi), n0, 2)
+    cut = slice(lo - start, hi - start)
+    coords = _grid_coords(field, 4, (start, stop))
     base = np.broadcast(*coords).shape
-    a = np.ascontiguousarray(np.broadcast_to(
+    a_halo = np.ascontiguousarray(np.broadcast_to(
         q_over_c2 * A.components(coords), (4,) + base))
+    a = a_halo[:, cut]
 
-    f = field.values
+    f_halo = field.values[start:stop]
+    f = f_halo[cut]
     h = field.step
 
     def up(x):
@@ -470,24 +596,56 @@ def _lightcone_defect_field(field: GridField, A: Potential, q_over_c2: float,
     def d(values, ax, order=1):
         return fd_derivative(values, ax, order, h[ax])
 
-    # --- composition of the factored operators
-    g0 = d(f, 0) - up(a[0]) * d(f, 4)
-    lhs = -(d(g0, 0) - up(a[0]) * d(g0, 4)) + d(f, 4, 2)
-    for j in range(1, 4):
-        gj = d(f, j) - up(a[j]) * d(f, 4)
-        lhs = lhs + d(gj, j) - up(a[j]) * d(gj, 4)
-
-    # --- expanded form
-    d5 = d(f, 4)
+    d0_halo = d(f_halo, 0)
+    d5_halo = d(f_halo, 4)
+    d0, d5 = d0_halo[cut], d5_halo[cut]
     d55 = d(f, 4, 2)
-    rhs = (d55 - d(f, 0, 2)) + 2.0 * up(a[0]) * d(d(f, 0), 4) - up(a[0] ** 2) * d55
-    div = np.zeros(base)
+
+    # The sums below are accumulated in place, term by term in the order of
+    #   lhs = -(d_0 g_0 - a_0 d_5 g_0) + d_5^2 f + sum_j [d_j g_j - a_j d_5 g_j],
+    #         g_mu = d_mu f - a_mu d_5 f,
+    #   rhs = (d_5^2 f - d_0^2 f) + 2 a_0 d_5 d_0 f - a_0^2 d_5^2 f
+    #         + sum_j [d_j^2 f - 2 a_j d_5 d_j f + a_j^2 d_5^2 f] - (d_mu a^mu) d_5 f,
+    # so each point gets the bits of the plain expression with fewer
+    # temporaries.
+    g0_halo = up(a_halo[0]) * d5_halo
+    np.subtract(d0_halo, g0_halo, out=g0_halo)
+    lhs = d(g0_halo[cut], 4)
+    lhs *= up(a[0])
+    np.subtract(d(g0_halo, 0)[cut], lhs, out=lhs)
+    np.negative(lhs, out=lhs)
+    lhs += d55
+    rhs = d55 - d(f_halo, 0, 2)[cut]
+    term = d(d0, 4)
+    term *= 2.0 * up(a[0])
+    rhs += term
+    np.multiply(up(a[0] ** 2), d55, out=term)
+    rhs -= term
     for j in range(1, 4):
-        rhs = rhs + d(f, j, 2) - 2.0 * up(a[j]) * d(d(f, j), 4) + up(a[j] ** 2) * d55
+        dj = d(f, j)
+        gj = up(a[j]) * d5
+        np.subtract(dj, gj, out=gj)
+        lhs += d(gj, j)
+        term = d(gj, 4)
+        term *= up(a[j])
+        lhs -= term
+        rhs += d(f, j, 2)
+        term = d(dj, 4)
+        term *= 2.0 * up(a[j])
+        rhs -= term
+        np.multiply(up(a[j] ** 2), d55, out=term)
+        rhs += term
+    div = np.zeros(a.shape[1:])
     for mu in range(4):
-        div = div + _ETA_DIAG[mu] * fd_derivative(a[mu], mu, 1, h[mu])
-    rhs = rhs - up(div) * d5
-    return np.abs(lhs - rhs)
+        if mu == 0:
+            d_mu = fd_derivative(a_halo[0], 0, 1, h[0])[cut]
+        else:
+            d_mu = fd_derivative(a[mu], mu, 1, h[mu])
+        div = div + _ETA_DIAG[mu] * d_mu
+    np.multiply(up(div), d5, out=term)
+    rhs -= term
+    np.subtract(lhs, rhs, out=lhs)
+    return np.abs(lhs, out=lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +688,86 @@ def _test_field_5d(size: int, extent: float = 1.0) -> GridField:
     return GridField(values=values, step=(step,) * 5, boundary="absorbing")
 
 
+def _laplacian_sizes(sizes) -> list:
+    """The nested Laplacian ladder: the largest size rounded down to 4k+1,
+    at least 17 so the quarter grid keeps the 5 points a stencil needs, with
+    its half and quarter grids."""
+    top = max(int(sizes[-1]), 17)
+    top = 4 * ((top - 1) // 4) + 1
+    return [(top - 1) // 4 + 1, (top - 1) // 2 + 1, top]
+
+
+def _laplacian_ladder(lap_sizes, extent: float, A: Potential, q_over_c2: float):
+    """Laplacian defects on the nested ladder, then the flat-space residual.
+
+    Returns the steps, the maxima at the coarse grid's interior points, the
+    margin-2 interior maxima, and the zero-potential residual on the finest
+    field.  Each field's defect is streamed in x^0 slabs, so only the field
+    itself is held at full size.
+    """
+    steps, resid, interior = [], [], []
+    coarse_n = lap_sizes[0]
+    inner = tuple(slice(2, -2) for _ in range(5))
+    for size in lap_sizes:
+        steps.append(extent / (size - 1))
+        field = _test_field_5d(size, extent)
+        stride = (size - 1) // (coarse_n - 1)
+        probe = tuple(slice(stride, (coarse_n - 2) * stride + 1, stride) for _ in range(5))
+        at_probe, at_inner = _laplacian_defect_maxima(field, A, q_over_c2, [probe, inner])
+        resid.append(at_probe)
+        interior.append(at_inner)
+    flat = covariant_laplacian_residual(field, zero_potential(), q_over_c2)
+    return steps, resid, interior, flat
+
+
+def projected_peak_bytes(sizes) -> int:
+    """Bytes ``verify_geometry(sizes)`` allocates at its peak, in closed form.
+
+    The Laplacian ladder holds its finest field, 8 n^5 bytes.  While that
+    field is built, its finiteness mask (n^5 bytes) and the half grid's field
+    are live too; while its defect is streamed, one x^0 slab's arrays are:
+    at most 700 base planes of n^3 doubles (the (5, 5) metric arrays on the
+    slab's haloed planes) and 12 planes of n^4 doubles (the 5D derivatives).
+    The Fourier check afterwards holds a few complex and real arrays on the
+    first size's 4D grid, at most 128 bytes a point.  The test suite checks
+    the bound against tracemalloc.
+    """
+    _, half, n = _laplacian_sizes(sizes)
+    ladder = 8 * n**5 + max(n**5 + 8 * half**5, 8 * n**3 * (700 + 12 * n))
+    fourier = 128 * int(sizes[0]) ** 4
+    return max(ladder, fourier)
+
+
+def _proc_bytes(path: str, key: str):
+    """A ``key: N kB`` field of a /proc file in bytes, or None if unreadable."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith(key + ":"):
+                    return 1024.0 * int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def _available_bytes() -> float:
+    """What this process may still allocate: its address-space limit less
+    what it has already mapped, or MemAvailable, whichever is smaller.
+
+    The values are only read; one that cannot be read imposes no limit.
+    """
+    limit = math.inf
+    try:
+        import resource
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limit = soft - (_proc_bytes("/proc/self/status", "VmSize") or 0.0)
+    except ImportError:
+        pass
+    free = _proc_bytes("/proc/meminfo", "MemAvailable")
+    return limit if free is None else min(limit, free)
+
+
 def verify_geometry(
     sizes=(9, 13, 17), extent: float = 1.0, q_over_c2: float = 0.3,
     *, order_floor: float = 1.9, flat_tol: float = 1e-12, identity_tol: float = 1e-8,
@@ -541,8 +779,16 @@ def verify_geometry(
     halving ladder ending at the largest requested size, with the residual
     probed at the physical points shared by all three grids so the order fit
     is free of max-location drift.  The 'passed' flag applies the given
-    thresholds.
+    thresholds.  Before allocating anything, a run whose
+    ``projected_peak_bytes`` exceeds what the process may still allocate
+    (``_available_bytes``) raises ``ConfigurationError``.
     """
+    need, have = projected_peak_bytes(sizes), _available_bytes()
+    if need > have:
+        raise ConfigurationError(
+            f"verify-geometry needs about {need / 2**30:,.1f} GiB at its peak"
+            f" (finest Laplacian grid {_laplacian_sizes(sizes)[-1]}^5),"
+            f" more than the {have / 2**30:,.1f} GiB available")
     A = smooth_lorentz_potential()
     steps = []
     contraction_resid = {"eta_gamma_rho": [], "eta_gamma_5": [],
@@ -572,26 +818,9 @@ def verify_geometry(
     # Nested halving ladder for the 5D operator identity: the finest grid is
     # the largest requested size (rounded so the point sets nest), residuals
     # are compared at the coarse grid's interior points.
-    top = max(int(sizes[-1]), 9)
-    top = 4 * ((top - 1) // 4) + 1
-    lap_sizes = [(top - 1) // 4 + 1, (top - 1) // 2 + 1, top]
-    lap_steps = []
-    lap_resid = []
-    lap_interior = []
-    coarse_n = lap_sizes[0]
-    for size in lap_sizes:
-        hstep = extent / (size - 1)
-        lap_steps.append(hstep)
-        defect = _laplacian_defect_field(_test_field_5d(size, extent), A, q_over_c2)
-        stride = (size - 1) // (coarse_n - 1)
-        probe = tuple(slice(stride, (coarse_n - 2) * stride + 1, stride) for _ in range(5))
-        lap_resid.append(float(np.max(defect[probe])))
-        inner = tuple(slice(2, -2) for _ in range(5))
-        lap_interior.append(float(np.max(defect[inner])))
+    lap_sizes = _laplacian_sizes(sizes)
+    lap_steps, lap_resid, lap_interior, flat = _laplacian_ladder(lap_sizes, extent, A, q_over_c2)
     lap_order = fit_convergence_order(lap_steps, lap_resid)
-
-    flat = covariant_laplacian_residual(
-        _test_field_5d(lap_sizes[-1], extent), zero_potential(), q_over_c2)
 
     # exact checks at a point
     patch = build_metric(A, q_over_c2, point, mode="analytic")

@@ -34,8 +34,12 @@ from .errors import (
     BracketingError,
     GridSizeError,
     IntegrandError,
+    IntervalError,
     NonConvergenceError,
+    OrderFitError,
     QuadratureError,
+    SeriesBoundError,
+    StencilError,
     ToleranceError,
 )
 
@@ -139,11 +143,11 @@ def integrate_batch(f: Callable, a, b, tol: Tolerance = Tolerance()) -> np.ndarr
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("a and b must be 1-D arrays of one shape")
+        raise IntervalError("a and b must be 1-D arrays of one shape")
     wrong = ~(a <= b)
     if wrong.any():
         i = int(np.argmax(wrong))
-        raise ValueError(f"need a <= b, got [{a[i]}, {b[i]}] in integral {i}")
+        raise IntervalError(f"need a <= b, got [{a[i]}, {b[i]}] in integral {i}")
     out = np.zeros(len(a))
     span = b - a
 
@@ -242,7 +246,7 @@ def sum_series(
         if stop.any():
             i = int(np.argmax(stop))
             if invalid[i]:
-                raise ValueError(f"tail_bound({ns[i]}) = {bounds[i]} is not a finite bound")
+                raise SeriesBoundError(f"tail_bound({ns[i]}) = {bounds[i]} is not a finite bound")
             return SeriesReport(value=float(partial[i]), terms_used=int(ns[i]),
                                 tail_bound=float(bounds[i]), converged=True)
         s, bound, n = float(partial[-1]), float(bounds[-1]), int(ns[-1])
@@ -273,11 +277,11 @@ def find_roots(
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.shape != hi.shape or lo.ndim != 1:
-        raise ValueError("lo and hi must be 1-D arrays of one shape")
+        raise IntervalError("lo and hi must be 1-D arrays of one shape")
     wrong = ~(lo < hi)
     if wrong.any():
         i = int(np.argmax(wrong))
-        raise ValueError(f"need lo < hi, got [{lo[i]}, {hi[i]}] in root {i}")
+        raise IntervalError(f"need lo < hi, got [{lo[i]}, {hi[i]}] in root {i}")
     live = np.arange(len(lo))
     flo = np.asarray(f(lo, live), dtype=float)
     fhi = np.asarray(f(hi, live), dtype=float)
@@ -345,28 +349,42 @@ def fd_derivative(values: np.ndarray, axis: int, order: int, step: float) -> np.
 
     Central stencils in the interior, one-sided second-order stencils at the
     two boundary layers.  ``order`` is 1 or 2.  Needs at least 5 samples along
-    ``axis``.
+    ``axis``.  Returns a new C-contiguous array; a non-contiguous input is
+    copied once.
     """
     v = np.asarray(values)
     n = v.shape[axis]
     if n < 5:
         raise GridSizeError(f"need >= 5 points along axis {axis}, got {n}")
     if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if step <= 0:
-        raise ValueError("step must be positive")
+        raise StencilError(f"order must be 1 or 2, got {order!r}")
+    if not step > 0:
+        raise StencilError(f"step must be positive, got {step!r}")
+    axis %= v.ndim
 
-    v = np.moveaxis(v, axis, 0)
-    out = np.empty_like(v, dtype=np.result_type(v.dtype, float))
+    # One pass over the flattened array: along ``axis`` the neighbours of a
+    # point sit ``stride`` elements away, and every point the flat stencil
+    # gets wrong lies on one of the two boundary layers rewritten below.
+    v = np.ascontiguousarray(v)
+    out = np.empty(v.shape, dtype=np.result_type(v.dtype, float))
+    stride = math.prod(v.shape[axis + 1:])
+    flat, inner = v.reshape(-1), out.reshape(-1)[stride:-stride]
     if order == 1:
-        out[1:-1] = (v[2:] - v[:-2]) / (2 * step)
-        out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * step)
-        out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * step)
+        np.subtract(flat[2 * stride:], flat[:-2 * stride], out=inner)
+        inner /= 2 * step
     else:
-        out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / step**2
-        out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / step**2
-        out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / step**2
-    return np.moveaxis(out, 0, axis)
+        np.multiply(flat[stride:-stride], 2, out=inner)
+        np.subtract(flat[2 * stride:], inner, out=inner)
+        inner += flat[:-2 * stride]
+        inner /= step**2
+    v, edge = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    if order == 1:
+        edge[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * step)
+        edge[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * step)
+    else:
+        edge[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / step**2
+        edge[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / step**2
+    return out
 
 
 def fit_convergence_order(steps, residuals) -> float:
@@ -378,6 +396,6 @@ def fit_convergence_order(steps, residuals) -> float:
     h = np.log(np.asarray(steps, dtype=float))
     r = np.log(np.maximum(np.asarray(residuals, dtype=float), 1e-300))
     if len(h) < 2:
-        raise ValueError("need at least two resolutions")
+        raise OrderFitError(f"need at least two resolutions, got {len(h)}")
     slope = np.polyfit(h, r, 1)[0]
     return float(slope)

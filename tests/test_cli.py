@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from kg5d import canonical
+from kg5d.geometry import projected_peak_bytes
 from kg5d.cli import main
 
 
@@ -258,11 +260,37 @@ def test_verify_reduction_refuses_empty_grid_or_steps(tmp_path, capsys, flag, va
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("grid, top, limit", [
+    ("301", 305, 2 * 2**30),
+    # 16 MiB above the projection: refused, because the interpreter's own
+    # mappings count against the limit too
+    ("29", 33, projected_peak_bytes([29, 33]) + 2**24),
+], ids=["301", "29-just-above-projection"])
+def test_verify_geometry_refuses_grid_beyond_memory(tmp_path, grid, top, limit):
+    # the child's own address space is capped, so a guard that let the run
+    # start would fail there fast instead of using the host's memory
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kg5d.cli", "verify-geometry", "--grid", grid, "--refine", "2",
+         "--output-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("configuration error: ") and proc.stderr.count("\n") == 1
+    assert f"{top}^5" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, names", [
     (["verify-reduction", "--points", "256", "--steps", "64"],
      ("verify_reduction.csv", "verify_reduction.json")),
     (["spectrum", "--n-max", "20"], ("spectrum.csv", "spectrum.json")),
-], ids=["verify-reduction", "spectrum"])
+    (["verify-geometry", "--grid", "9", "--refine", "2"],
+     ("verify_geometry.csv", "verify_geometry.json")),
+    (["partition", "--r-over-rho", "50"], ("partition.csv", "partition.json")),
+], ids=["verify-reduction", "spectrum", "verify-geometry", "partition"])
 def test_artifacts_independent_of_thread_count(tmp_path, argv, names):
     # Acceptance criterion 11 reruns in one process; here each run is a fresh
     # interpreter with its own BLAS/OpenMP thread count, writing to one path

@@ -30,11 +30,17 @@ from kg5d.geometry import (
     _test_field_5d,
 )
 from kg5d.geometry import (
+    _ETA_DIAG,
     _christoffel_contraction_field,
+    _defect_maxima,
+    _grid_coords,
     _laplacian_defect_field,
+    _laplacian_defect_maxima,
     _lightcone_defect_field,
+    _metric_pair,
+    projected_peak_bytes,
 )
-from kg5d.numerics import fit_convergence_order
+from kg5d.numerics import fd_derivative, fit_convergence_order
 from kg5d.reduction import GridField
 
 Q_C2 = 0.3
@@ -43,19 +49,20 @@ POINT = (0.45, 0.8, -0.3, 0.55)
 NESTED_SIZES = (7, 13, 25)  # 6, 12, 24 intervals: shared physical points
 
 
-def _nested_probe_max(defect, size):
-    """Max of a defect field over the 7-grid's interior points (margin 1)."""
+def _nested_probe(size):
+    """The 7-grid's interior points (margin 1) as an index set of a size-grid."""
     stride = (size - 1) // (NESTED_SIZES[0] - 1)
-    sl = slice(stride, 5 * stride + 1, stride)
-    return float(np.max(defect[(sl,) * 5]))
+    return (slice(stride, 5 * stride + 1, stride),) * 5
 
 
 def _nested_orders(defect_fn, field_fn):
+    """Steps and probe maxima of ``defect_fn(field, rows)`` on the nested grids,
+    reduced slab by slab."""
     hs, rs = [], []
     for size in NESTED_SIZES:
         f = field_fn(size)
         hs.append(f.step[0])
-        rs.append(_nested_probe_max(defect_fn(f), size))
+        rs.append(_defect_maxima(lambda rows: defect_fn(f, rows), size, [_nested_probe(size)])[0])
     return hs, rs
 
 
@@ -232,7 +239,7 @@ def test_laplacian_flat_residual_zero():
 
 def test_laplacian_residual_converges():
     A = smooth_lorentz_potential()
-    hs, rs = _nested_orders(lambda f: _laplacian_defect_field(f, A, Q_C2),
+    hs, rs = _nested_orders(lambda f, rows: _laplacian_defect_field(f, A, Q_C2, rows),
                             _test_field_5d)
     assert rs[0] > rs[1] > rs[2]
     assert fit_convergence_order(hs, rs) >= 1.9
@@ -242,7 +249,7 @@ def test_laplacian_pure_gauge_small_residual():
     # pure-gauge A keeps space-time flat; the identity residual stays below
     # an O(h^2) envelope (and decays at second order when it is nonzero)
     A = _pure_gauge_potential()
-    hs, rs = _nested_orders(lambda f: _laplacian_defect_field(f, A, Q_C2),
+    hs, rs = _nested_orders(lambda f, rows: _laplacian_defect_field(f, A, Q_C2, rows),
                             _test_field_5d)
     assert all(r <= 10.0 * h * h for r, h in zip(rs, hs))
     if rs[0] > 1e-12:
@@ -429,7 +436,8 @@ def _field_5d(size, extent=1.0):
 def test_lightcone_flat_second_order():
     A = zero_potential()
     object.__setattr__(A, "gauge", "coulomb")  # zero satisfies either gauge
-    hs, rs = _nested_orders(lambda f: _lightcone_defect_field(f, A, Q_C2), _field_5d)
+    hs, rs = _nested_orders(lambda f, rows: _lightcone_defect_field(f, A, Q_C2, rows=rows),
+                            _field_5d)
     assert rs[0] > rs[1] > rs[2]
     assert fit_convergence_order(hs, rs) >= 1.9
 
@@ -440,7 +448,8 @@ def test_lightcone_constant_a0():
         return 0.8 + z, z, z, z
 
     A = Potential(func=f, gauge="coulomb")
-    hs, rs = _nested_orders(lambda fld: _lightcone_defect_field(fld, A, Q_C2), _field_5d)
+    hs, rs = _nested_orders(lambda fld, rows: _lightcone_defect_field(fld, A, Q_C2, rows=rows),
+                            _field_5d)
     assert fit_convergence_order(hs, rs) >= 1.9
 
 
@@ -455,7 +464,8 @@ def test_lightcone_smooth_coulomb_gauge_converges():
         return a0, a1, a2, a3
 
     A = Potential(func=f, gauge="coulomb")
-    hs, rs = _nested_orders(lambda fld: _lightcone_defect_field(fld, A, Q_C2), _field_5d)
+    hs, rs = _nested_orders(lambda fld, rows: _lightcone_defect_field(fld, A, Q_C2, rows=rows),
+                            _field_5d)
     assert fit_convergence_order(hs, rs) >= 1.9
 
 
@@ -466,8 +476,147 @@ def test_lightcone_gauge_flag_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# x^0 slab streaming against the whole-grid evaluation
+# ---------------------------------------------------------------------------
+
+def _whole_grid_contraction(field, A, q_over_c2):
+    """Reference: h^{AB} Gamma^C_{AB} with the metric on the whole base grid."""
+    coords = _grid_coords(field, 4)
+    base = np.broadcast(*coords).shape
+    h, h_inv = _metric_pair(-q_over_c2 * np.broadcast_to(A.components(coords), (4,) + base))
+    v = np.zeros((5,) + base)
+    for rho in range(4):
+        dh = fd_derivative(h, 2 + rho, 1, field.step[rho])
+        v += np.einsum("b...,db...->d...", h_inv[rho], dh)
+        v[rho] -= 0.5 * np.einsum("ab...,ab...->...", h_inv, dh)
+    return np.einsum("cd...,d...->c...", h_inv, v)
+
+
+def _whole_grid_laplacian_defect(field, A, q_over_c2):
+    """Reference: the Laplacian defect with every array on the whole grid."""
+    coef = _whole_grid_contraction(field, A, q_over_c2)
+    coef[4] += -q_over_c2 * np.asarray(A.divergence(_grid_coords(field, 4)))
+    f = field.values
+    defect = np.zeros(f.shape, dtype=np.result_type(f.dtype, float))
+    for cc in range(5):
+        defect -= coef[cc][..., None] * fd_derivative(f, cc, 1, field.step[cc])
+    return np.abs(defect)
+
+
+def _whole_grid_lightcone_defect(field, A, q_over_c2):
+    """Reference: the light-cone defect as the plain expression, every FD
+    pass on the whole grid and repeated where the expression repeats it."""
+    coords = _grid_coords(field, 4)
+    base = np.broadcast(*coords).shape
+    a = np.ascontiguousarray(np.broadcast_to(q_over_c2 * A.components(coords), (4,) + base))
+    f = field.values
+    h = field.step
+
+    def up(x):
+        return np.asarray(x)[..., None]
+
+    def d(values, ax, order=1):
+        return fd_derivative(values, ax, order, h[ax])
+
+    g0 = d(f, 0) - up(a[0]) * d(f, 4)
+    lhs = -(d(g0, 0) - up(a[0]) * d(g0, 4)) + d(f, 4, 2)
+    for j in range(1, 4):
+        gj = d(f, j) - up(a[j]) * d(f, 4)
+        lhs = lhs + d(gj, j) - up(a[j]) * d(gj, 4)
+    d5 = d(f, 4)
+    d55 = d(f, 4, 2)
+    rhs = (d55 - d(f, 0, 2)) + 2.0 * up(a[0]) * d(d(f, 0), 4) - up(a[0] ** 2) * d55
+    div = np.zeros(base)
+    for j in range(1, 4):
+        rhs = rhs + d(f, j, 2) - 2.0 * up(a[j]) * d(d(f, j), 4) + up(a[j] ** 2) * d55
+    for mu in range(4):
+        div = div + _ETA_DIAG[mu] * fd_derivative(a[mu], mu, 1, h[mu])
+    rhs = rhs - up(div) * d5
+    return np.abs(lhs - rhs)
+
+
+_STREAM_POTENTIALS = {
+    "smooth_lorentz": smooth_lorentz_potential,
+    "zero": zero_potential,
+    "pure_gauge": _pure_gauge_potential,
+}
+
+
+def _index_sets(size):
+    """A strided probe crossing slab edges, the margin-2 interior, the full grid."""
+    return [(slice(2, size - 2, 2),) * 5, (slice(2, -2),) * 5, (slice(None),) * 5]
+
+
+@pytest.mark.parametrize("potential", sorted(_STREAM_POTENTIALS))
+@pytest.mark.parametrize("size", [7, 9, 11])
+def test_laplacian_slabs_match_whole_grid(size, potential):
+    # 7, 9 and 11 x^0 planes: slabs of 3 with a short last slab, first and
+    # last slabs widened to 5 haloed planes; the full grid takes in the
+    # one-sided rows
+    A = _STREAM_POTENTIALS[potential]()
+    field = _test_field_5d(size)
+    defect = _whole_grid_laplacian_defect(field, A, Q_C2)
+    sets = _index_sets(size)
+    got = _laplacian_defect_maxima(field, A, Q_C2, sets)
+    assert got == [float(np.max(defect[index])) for index in sets]
+    assert np.array_equal(_laplacian_defect_field(field, A, Q_C2), defect)
+    coef = _whole_grid_contraction(field, A, Q_C2)
+    for lo in range(0, size, 3):
+        hi = min(lo + 3, size)
+        assert np.array_equal(
+            _christoffel_contraction_field(field, A, Q_C2, (lo, hi)), coef[:, lo:hi])
+
+
+@pytest.mark.parametrize("potential", sorted(_STREAM_POTENTIALS))
+@pytest.mark.parametrize("size", [7, 9, 11])
+def test_lightcone_slabs_match_whole_grid(size, potential):
+    A = _STREAM_POTENTIALS[potential]()
+    field = _field_5d(size)
+    defect = _whole_grid_lightcone_defect(field, A, Q_C2)
+    sets = _index_sets(size)
+    got = _defect_maxima(
+        lambda rows: _lightcone_defect_field(field, A, Q_C2, "lorentz", rows), size, sets)
+    assert got == [float(np.max(defect[index])) for index in sets]
+    assert np.array_equal(_lightcone_defect_field(field, A, Q_C2, "lorentz"), defect)
+    assert got[1] == lightcone_em_expansion_residual(field, A, Q_C2, gauge="lorentz")
+
+
+def test_laplacian_residual_streams():
+    # only the field is held at full size: the parent's whole-grid defect
+    # peaked at 6.1x the field's bytes
+    field = _test_field_5d(21)
+    A = smooth_lorentz_potential()
+    tracemalloc.start()
+    try:
+        covariant_laplacian_residual(field, A, Q_C2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * field.values.nbytes
+
+
+def test_defect_maxima_refuses_empty_index_set():
+    field = _test_field_5d(7)
+    with pytest.raises(DomainError):
+        covariant_laplacian_residual(field, zero_potential(), Q_C2, margin=4)
+
+
+# ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sizes", [(9, 13), (17, 21)], ids=["17^5", "21^5"])
+def test_projected_peak_bounds_tracemalloc_peak(sizes):
+    # the closed form that refuses oversized runs must cover the real peak
+    # without refusing runs that would fit by more than a factor of two
+    tracemalloc.start()
+    try:
+        verify_geometry(sizes=sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= projected_peak_bytes(sizes) <= 2 * peak
+
 
 def test_verify_geometry_passes():
     report = verify_geometry(sizes=(9, 13, 17))

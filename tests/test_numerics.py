@@ -17,9 +17,13 @@ from kg5d.errors import (
     ConfigurationError,
     GridSizeError,
     IntegrandError,
+    IntervalError,
     Kg5dError,
     NonConvergenceError,
+    OrderFitError,
     QuadratureError,
+    SeriesBoundError,
+    StencilError,
 )
 from kg5d.numerics import (
     SeriesReport,
@@ -485,3 +489,57 @@ def test_fd_axis_handling_multidim():
 def test_fd_too_small():
     with pytest.raises(GridSizeError):
         fd_derivative(np.zeros(4), 0, 1, 0.1)
+
+
+def _fd_reference(values, axis, order, step):
+    """The stencils as plain slice expressions along the moved axis."""
+    v = np.moveaxis(np.asarray(values), axis, 0)
+    out = np.empty_like(v, dtype=np.result_type(v.dtype, float))
+    if order == 1:
+        out[1:-1] = (v[2:] - v[:-2]) / (2 * step)
+        out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * step)
+        out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * step)
+    else:
+        out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / step**2
+        out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / step**2
+        out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / step**2
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fd_flat_stencil_bitwise(order):
+    # the flattened one-pass stencil gives every point the bits of the
+    # per-axis slice expressions: any axis, negative axes, strided views,
+    # complex values and axes of exactly 5 points
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal((5, 6, 7, 9, 5))
+    cases = [real, real[:, :, 1:6, ::2], real.transpose(3, 0, 2, 1, 4),
+             real + 1j * rng.standard_normal(real.shape), rng.standard_normal(11)]
+    for v in cases:
+        for axis in range(-v.ndim, v.ndim):
+            got = fd_derivative(v, axis, order, 0.13)
+            want = _fd_reference(v, axis, order, 0.13)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_argument_errors_are_package_errors():
+    # each is a ValueError (the library contract) and a Kg5dError (the CLI
+    # exits 2 with one line)
+    one = lambda x, owner: np.ones_like(x)
+    cases = [
+        (StencilError, lambda: fd_derivative(np.zeros(6), 0, 3, 0.1)),
+        (StencilError, lambda: fd_derivative(np.zeros(6), 0, 1, 0.0)),
+        (StencilError, lambda: fd_derivative(np.zeros(6), 0, 1, math.nan)),
+        (OrderFitError, lambda: fit_convergence_order([0.1], [1e-3])),
+        (IntervalError, lambda: integrate_batch(one, [1.0], [0.0])),
+        (IntervalError, lambda: integrate_batch(one, [0.0, 0.0], [1.0])),
+        (IntervalError, lambda: find_roots(lambda x, owner: x, [1.0], [1.0])),
+        (IntervalError, lambda: find_roots(lambda x, owner: x, [0.0], [1.0, 2.0])),
+        (SeriesBoundError, lambda: sum_series(lambda n: np.zeros(n.shape),
+                                              lambda n: np.full(n.shape, np.inf))),
+    ]
+    for kind, call in cases:
+        with pytest.raises(kind) as info:
+            call()
+        assert isinstance(info.value, Kg5dError) and isinstance(info.value, ValueError)
