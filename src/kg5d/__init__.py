@@ -9,9 +9,12 @@ Subpackages by theme:
 * ``geometry``  - foliated metric, Christoffels, operator identities
 * ``reduction`` - light-cone Schroedinger/Fokker-Planck evolution checks
 * ``cli``       - command-line entry point (``kg5d``)
+
+Importing the package loads none of them: ``from kg5d import geometry`` (or
+``import kg5d.geometry``) loads a subpackage and what it needs, so a command
+pays only for the modules it uses.
 """
 
-from . import canonical, geometry, numerics, reduction, specfun, spectrum
 from .errors import Kg5dError
 
 __all__ = [

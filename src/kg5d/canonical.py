@@ -150,11 +150,6 @@ def trapped_degeneracies(ns, rhat_max: float, tol: Tolerance) -> np.ndarray:
                            np.zeros(len(ns)), cut, tol)
 
 
-def trapped_degeneracy(n: int, rhat_max: float, tol: Tolerance) -> float:
-    """One-level case of :func:`trapped_degeneracies`."""
-    return float(trapped_degeneracies([n], rhat_max, tol)[0])
-
-
 def figure1_curves(n_list, r_grid) -> list[DensityCurve]:
     """Rescaled density curves for several n on a common r grid (r in [0, 5])."""
     r = np.asarray(r_grid, dtype=float)
@@ -239,11 +234,7 @@ def brace_asymptote(s: float) -> float:
 # Discrete part Z_d
 # ---------------------------------------------------------------------------
 
-def z_discrete(
-    scales: ScaleSet,
-    n_max_policy: int | None = None,
-    tol: Tolerance = Tolerance(rel=1e-10, abs=0.0),
-):
+def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0)):
     """Discrete contribution Z_d = sum_n exp(-u e_n/hbar) * (trapped degeneracy).
 
     Levels up to an exact-evaluation index N0 get their trapped degeneracy
@@ -253,8 +244,7 @@ def z_discrete(
     the reported tail bound covers both the eventually-omitted remainder and
     a conservative (non-decaying) projection of the model's fit residual.
 
-    ``n_max_policy`` overrides the automatic choice of N0.  Returns
-    (Z_d, report, per-level list of (n, weight, trapped degeneracy)).
+    Returns (Z_d, report, per-level list of (n, weight, trapped degeneracy)).
     """
     if scales.lambda_star <= 0:
         raise DomainError("z_discrete needs a positive coupling (no bound levels otherwise)")
@@ -272,8 +262,7 @@ def z_discrete(
         # exp(-u e_n / hbar) with the non-relativistic level energies
         return math.exp(-scales.u * stat_energy(n, scales) / scales.hbar)
 
-    n0 = n_max_policy if n_max_policy is not None else max(96, int(math.ceil(5.0 * math.sqrt(rhat))))
-    n0 = max(n0, 16)
+    n0 = max(96, int(math.ceil(5.0 * math.sqrt(rhat))))
     n_cap = max(4 * n0, 4000)
 
     g = []          # trapped degeneracies, exact quadrature
@@ -338,11 +327,11 @@ def z_discrete(
     return total, report, per_level
 
 
-def partition(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0),
-              n_max_policy: int | None = None) -> PartitionResult:
+def partition(scales: ScaleSet,
+              tol: Tolerance = Tolerance(rel=1e-10, abs=0.0)) -> PartitionResult:
     """Full canonical sum: assembles Z_c and Z_d into a PartitionResult."""
     zc, rep_c = z_continuous(scales, Tolerance(rel=min(tol.rel, 1e-12), abs=tol.abs,
                                                max_iter=tol.max_iter))
-    zd, rep_d, levels = z_discrete(scales, n_max_policy, tol)
+    zd, rep_d, levels = z_discrete(scales, tol)
     return PartitionResult(z_c=zc, z_d=zd, z_total=zc + zd,
                            terms_c=rep_c, terms_d=rep_d, per_level_d=levels)

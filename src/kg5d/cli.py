@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import canonical, geometry, reduction
+from . import canonical
 from .errors import (
     BracketingError,
     ConfigurationError,
@@ -284,16 +284,14 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             for idx, e, stat_ratio in zip(levels, energies, stat_ratios)]
     if refused:
         print(_refusal_line(refused, len(rows)), file=sys.stderr)
+    columns = ["n", "l", "E_over_mc2", "lambda_prime_over_lambda",
+               "Lambda_prime_over_Lambda", "e_n_over_Mc2"]
     written = []
     if "csv" in cfg.formats:
-        written.append(write_csv(cfg, "spectrum.csv",
-                                 ["n", "l", "E_over_mc2", "lambda_prime_over_lambda",
-                                  "Lambda_prime_over_Lambda", "e_n_over_Mc2"], rows))
+        written.append(write_csv(cfg, "spectrum.csv", columns, rows))
     if "json" in cfg.formats:
         written.append(write_json(cfg, "spectrum.json", {
-            "levels": [dict(zip(["n", "l", "E_over_mc2", "lambda_prime_over_lambda",
-                                 "Lambda_prime_over_Lambda", "e_n_over_Mc2"], r))
-                       for r in rows]}))
+            "levels": [dict(zip(columns, r)) for r in rows]}))
     for p in written:
         print(p)
     return 0
@@ -391,6 +389,8 @@ def cmd_figure1(cfg: RunConfig) -> int:
 
 
 def cmd_verify_geometry(cfg: RunConfig) -> int:
+    from . import geometry
+
     start = cfg.settings["grid"]
     count = cfg.settings["refine"]
     if start < 7 or count < 2:
@@ -416,6 +416,8 @@ def cmd_verify_geometry(cfg: RunConfig) -> int:
 
 
 def cmd_verify_reduction(cfg: RunConfig) -> int:
+    from . import reduction
+
     report = reduction.verify_reduction(points=cfg.settings["points"],
                                         steps=cfg.settings["steps"])
     step_table = report.pop("step_table")

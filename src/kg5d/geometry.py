@@ -279,15 +279,15 @@ def expected_contractions(A: Potential, q_over_c2: float, point) -> ChristoffelC
 # Grid-level operator identities
 # ---------------------------------------------------------------------------
 
-def _grid_coords(field: GridField, naxes: int = 4, rows=None):
-    """Sparse broadcastable coordinate arrays for the first ``naxes`` axes,
-    with x^0 cut to the rows [lo, hi) when ``rows`` is given."""
+def _grid_coords(field: GridField, rows=None):
+    """Sparse broadcastable coordinate arrays for the four base axes, with
+    x^0 cut to the rows [lo, hi) when ``rows`` is given."""
     coords = []
-    for ax in range(naxes):
+    for ax in range(4):
         c = field.coords(ax)
         if ax == 0 and rows is not None:
             c = c[rows[0]:rows[1]]
-        shape = [1] * min(field.values.ndim, naxes)
+        shape = [1] * min(field.values.ndim, 4)
         shape[ax] = -1
         coords.append(c.reshape(shape))
     return tuple(coords)
@@ -363,7 +363,7 @@ def _christoffel_contraction_field(field: GridField, A: Potential, q_over_c2: fl
     lo, hi = (0, n0) if rows is None else rows
     start, stop = _haloed((lo, hi), n0, 1)
     cut = slice(lo - start, hi - start)
-    coords = _grid_coords(field, 4, (start, stop))
+    coords = _grid_coords(field, (start, stop))
     base = np.broadcast(*coords).shape
     h, h_inv = _metric_pair(-q_over_c2 * np.broadcast_to(A.components(coords), (4,) + base))
     h_kept, h_inv = np.ascontiguousarray(h[:, :, cut]), h_inv[:, :, cut]
@@ -385,21 +385,25 @@ def _check_laplacian_inputs(field: GridField, A: Potential) -> None:
         raise GaugeError(f"Lorentz gauge required, potential declares {A.gauge!r}")
 
 
-def _lorentz_guard(field: GridField, A: Potential, gauge_tol: float) -> None:
+# Relative size of max|d_mu A^mu| that the Lorentz-gauge guard accepts.
+_GAUGE_TOL = 1e-8
+
+
+def _lorentz_guard(field: GridField, A: Potential) -> None:
     """Refuse a potential whose divergence is not zero on the field's grid.
 
-    The test is max|d_mu A^mu| <= gauge_tol * max(max|A|, 1) over the whole
+    The test is max|d_mu A^mu| <= _GAUGE_TOL * max(max|A|, 1) over the whole
     base grid, with both maxima taken one x^0 slab at a time.
     """
     _check_laplacian_inputs(field, A)
     div_max = a_max = None
     for rows in _slab_rows(field.values.shape[0]):
-        coords = _grid_coords(field, 4, rows)
+        coords = _grid_coords(field, rows)
         d = np.max(np.abs(A.divergence(coords)))
         a = np.max(np.abs(A.components(coords)))
         div_max = d if div_max is None else np.maximum(div_max, d)
         a_max = a if a_max is None else np.maximum(a_max, a)
-    if float(div_max) > gauge_tol * max(float(a_max), 1.0):
+    if float(div_max) > _GAUGE_TOL * max(float(a_max), 1.0):
         raise GaugeError("potential violates the Lorentz gauge numerically")
 
 
@@ -420,7 +424,7 @@ def _laplacian_defect_field(field: GridField, A: Potential, q_over_c2: float,
     lo, hi = (0, n0) if rows is None else rows
     coef = _christoffel_contraction_field(field, A, q_over_c2, (lo, hi))
     # h^{AB} Gamma^5_{AB} + d_mu N^mu, with the analytic divergence
-    coef[4] += -q_over_c2 * np.asarray(A.divergence(_grid_coords(field, 4, (lo, hi))))
+    coef[4] += -q_over_c2 * np.asarray(A.divergence(_grid_coords(field, (lo, hi))))
     f = field.values
     start, stop = _haloed((lo, hi), n0, 1)
     kept = f[lo:hi]
@@ -436,16 +440,16 @@ def _laplacian_defect_field(field: GridField, A: Potential, q_over_c2: float,
 
 
 def _laplacian_defect_maxima(field: GridField, A: Potential, q_over_c2: float,
-                             index_sets, gauge_tol: float = 1e-8) -> list:
+                             index_sets) -> list:
     """Gauge-guarded maxima of the Laplacian defect over each index set."""
-    _lorentz_guard(field, A, gauge_tol)
+    _lorentz_guard(field, A)
     return _defect_maxima(lambda rows: _laplacian_defect_field(field, A, q_over_c2, rows),
                           field.values.shape[0], index_sets)
 
 
 def covariant_laplacian_residual(
     field: GridField, A: Potential, q_over_c2: float,
-    *, gauge_tol: float = 1e-8, margin: int = 2,
+    *, margin: int = 2,
 ) -> float:
     """Max-norm defect between the covariant Laplacian and the expanded operator.
 
@@ -462,7 +466,7 @@ def covariant_laplacian_residual(
     computed and reduced one x^0 slab at a time.
     """
     inner = tuple(slice(margin, -margin) for _ in range(5))
-    return _laplacian_defect_maxima(field, A, q_over_c2, [inner], gauge_tol)[0]
+    return _laplacian_defect_maxima(field, A, q_over_c2, [inner])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +476,7 @@ def covariant_laplacian_residual(
 def _sampled_potential(psi: GridField, A: Potential, engine: str):
     """A_mu on the field's grid, shape (4,) + grid, and its divergence d_mu A^mu
     taken with the field's derivative engine."""
-    coords = _grid_coords(psi, 4)
+    coords = _grid_coords(psi)
     shape = np.broadcast(*coords).shape
     a = np.ascontiguousarray(np.broadcast_to(A.components(coords), (4,) + shape))
     div = np.zeros(shape)
@@ -580,7 +584,7 @@ def _lightcone_defect_field(field: GridField, A: Potential, q_over_c2: float,
     lo, hi = (0, n0) if rows is None else rows
     start, stop = _haloed((lo, hi), n0, 2)
     cut = slice(lo - start, hi - start)
-    coords = _grid_coords(field, 4, (start, stop))
+    coords = _grid_coords(field, (start, stop))
     base = np.broadcast(*coords).shape
     a_halo = np.ascontiguousarray(np.broadcast_to(
         q_over_c2 * A.components(coords), (4,) + base))
@@ -678,9 +682,18 @@ def smooth_lorentz_potential(amplitude: float = 0.8) -> Potential:
     return Potential(func=f, dfunc=df, gauge="lorentz")
 
 
-def _test_field_5d(size: int, extent: float = 1.0) -> GridField:
-    """Smooth non-separable 5D field for the operator checks."""
-    step = extent / (size - 1)
+# The geometry suite's fixed settings: the side of every grid's coordinate box,
+# the coupling q/c^2, and the pass thresholds.
+_EXTENT = 1.0
+_Q_OVER_C2 = 0.3
+_ORDER_FLOOR = 1.9
+_FLAT_TOL = 1e-12
+_IDENTITY_TOL = 1e-8
+
+
+def _test_field_5d(size: int) -> GridField:
+    """Smooth non-separable 5D field on [0, _EXTENT]^5 for the operator checks."""
+    step = _EXTENT / (size - 1)
     axes = [np.arange(size) * step for _ in range(5)]
     x0, x1, x2, x3, x5 = np.meshgrid(*axes, indexing="ij", sparse=True)
     values = (np.sin(1.3 * x0 + 0.2) * np.cos(0.9 * x1 - 0.4) * np.sin(1.1 * x2)
@@ -697,7 +710,7 @@ def _laplacian_sizes(sizes) -> list:
     return [(top - 1) // 4 + 1, (top - 1) // 2 + 1, top]
 
 
-def _laplacian_ladder(lap_sizes, extent: float, A: Potential, q_over_c2: float):
+def _laplacian_ladder(lap_sizes, A: Potential):
     """Laplacian defects on the nested ladder, then the flat-space residual.
 
     Returns the steps, the maxima at the coarse grid's interior points, the
@@ -709,14 +722,14 @@ def _laplacian_ladder(lap_sizes, extent: float, A: Potential, q_over_c2: float):
     coarse_n = lap_sizes[0]
     inner = tuple(slice(2, -2) for _ in range(5))
     for size in lap_sizes:
-        steps.append(extent / (size - 1))
-        field = _test_field_5d(size, extent)
+        steps.append(_EXTENT / (size - 1))
+        field = _test_field_5d(size)
         stride = (size - 1) // (coarse_n - 1)
         probe = tuple(slice(stride, (coarse_n - 2) * stride + 1, stride) for _ in range(5))
-        at_probe, at_inner = _laplacian_defect_maxima(field, A, q_over_c2, [probe, inner])
+        at_probe, at_inner = _laplacian_defect_maxima(field, A, _Q_OVER_C2, [probe, inner])
         resid.append(at_probe)
         interior.append(at_inner)
-    flat = covariant_laplacian_residual(field, zero_potential(), q_over_c2)
+    flat = covariant_laplacian_residual(field, zero_potential(), _Q_OVER_C2)
     return steps, resid, interior, flat
 
 
@@ -768,17 +781,14 @@ def _available_bytes() -> float:
     return limit if free is None else min(limit, free)
 
 
-def verify_geometry(
-    sizes=(9, 13, 17), extent: float = 1.0, q_over_c2: float = 0.3,
-    *, order_floor: float = 1.9, flat_tol: float = 1e-12, identity_tol: float = 1e-8,
-) -> dict:
+def verify_geometry(sizes=(9, 13, 17)) -> dict:
     """Run the geometry identity suite over a ladder of grid resolutions.
 
     Point-level contraction identities use finite-difference Christoffels at
     the listed steps.  The grid-level Laplacian identity runs on a nested
     halving ladder ending at the largest requested size, with the residual
     probed at the physical points shared by all three grids so the order fit
-    is free of max-location drift.  The 'passed' flag applies the given
+    is free of max-location drift.  The 'passed' flag applies the module's
     thresholds.  Before allocating anything, a run whose
     ``projected_peak_bytes`` exceeds what the process may still allocate
     (``_available_bytes``) raises ``ConfigurationError``.
@@ -796,11 +806,11 @@ def verify_geometry(
     point = (0.35, 0.55, 0.45, 0.65)
 
     for size in sizes:
-        hstep = extent / (size - 1)
+        hstep = _EXTENT / (size - 1)
         steps.append(hstep)
-        patch = build_metric(A, q_over_c2, point, mode="fd", fd_step=hstep)
+        patch = build_metric(A, _Q_OVER_C2, point, mode="fd", fd_step=hstep)
         got = christoffel_contractions(patch)
-        want = expected_contractions(A, q_over_c2, point)
+        want = expected_contractions(A, _Q_OVER_C2, point)
         contraction_resid["eta_gamma_rho"].append(
             float(np.max(np.abs(got.eta_gamma_rho - want.eta_gamma_rho))))
         contraction_resid["eta_gamma_5"].append(abs(got.eta_gamma_5 - want.eta_gamma_5))
@@ -819,29 +829,29 @@ def verify_geometry(
     # the largest requested size (rounded so the point sets nest), residuals
     # are compared at the coarse grid's interior points.
     lap_sizes = _laplacian_sizes(sizes)
-    lap_steps, lap_resid, lap_interior, flat = _laplacian_ladder(lap_sizes, extent, A, q_over_c2)
+    lap_steps, lap_resid, lap_interior, flat = _laplacian_ladder(lap_sizes, A)
     lap_order = fit_convergence_order(lap_steps, lap_resid)
 
     # exact checks at a point
-    patch = build_metric(A, q_over_c2, point, mode="analytic")
+    patch = build_metric(A, _Q_OVER_C2, point, mode="analytic")
     inverse_defect = float(np.max(np.abs(patch.h @ patch.h_inv - np.eye(5))))
     cross5 = abs(christoffel_contractions(patch).cross_gamma_5)
 
     size = sizes[0]
-    hstep = extent / (size - 1)
+    hstep = _EXTENT / (size - 1)
     axes4 = [np.arange(size) * hstep for _ in range(4)]
     x = np.meshgrid(*axes4, indexing="ij", sparse=True)
     psi = GridField(values=np.sin(1.2 * x[0]) * np.cos(0.8 * x[1]) * np.sin(x[2]) * np.cos(x[3])
                     + 0j, step=(hstep,) * 4, boundary="absorbing")
-    kg_defect = kg_fourier_residual(psi, A, q_over_c2, inv_lambda=1.0, engine="fd")
+    kg_defect = kg_fourier_residual(psi, A, _Q_OVER_C2, inv_lambda=1.0, engine="fd")
 
     passed = (
-        all(o >= order_floor for o in orders.values())
-        and lap_order >= order_floor
-        and flat <= flat_tol
+        all(o >= _ORDER_FLOOR for o in orders.values())
+        and lap_order >= _ORDER_FLOOR
+        and flat <= _FLAT_TOL
         and inverse_defect <= 1e-12
         and cross5 <= 1e-10
-        and kg_defect <= identity_tol
+        and kg_defect <= _IDENTITY_TOL
     )
     return {
         "steps": steps,

@@ -18,8 +18,8 @@ Root finding is bisection with secant steps on sign-changing brackets.
 ``find_roots`` solves many brackets in lockstep: ``f(x, owner)`` receives
 the abscissae of all roots still open together with the index of the root
 each belongs to, a root drops out once its bracket is narrow enough, and
-each root takes exactly the steps, and gets the bits, it gets alone.
-``find_root`` is its one-root case, with a scalar function ``f(x)``.
+each root takes exactly the steps, and gets the bits, it gets alone.  One
+root is a batch of one.
 """
 
 from __future__ import annotations
@@ -328,20 +328,6 @@ def find_roots(
         estimate=float(0.5 * (lo[0] + hi[0])),
         error_bound=float(hi[0] - lo[0]),
     )
-
-
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: Tolerance = Tolerance(rel=1e-14, abs=0.0),
-) -> float:
-    """Bracketed root of a scalar function ``f(x)`` on [lo, hi].
-
-    The one-root case of :func:`find_roots`; ``f`` is called with floats.
-    """
-    return float(find_roots(lambda x, owner: np.array([f(float(x[0]))], dtype=float),
-                            lo, hi, tol)[0])
 
 
 def fd_derivative(values: np.ndarray, axis: int, order: int, step: float) -> np.ndarray:

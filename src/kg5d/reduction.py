@@ -17,11 +17,13 @@ continuity residual, and carries the small exact checks: 5D null dispersion,
 the light-cone coordinate map, semigroup composition, and the weak-field
 Schroedinger residual with a Coulomb potential.
 
-Evolutions are sequential in the evolution parameter; trajectories and grid
-fields are immutable once produced.  The evolvers return whole trajectories;
-the verification harness instead consumes the snapshots as a stream, one at a
-time (three for the continuity difference), so its memory is O(points)
-whatever the number of steps.
+Evolutions are sequential in the evolution parameter; grid fields are
+immutable once produced.  The evolvers check their arguments when called and
+return the ``steps + 1`` snapshots as a stream, each produced only when asked
+for.  ``current_and_divergence`` maps one snapshot to its current, and
+``continuity_residual`` reads those through a three-entry window, so a
+consumer that keeps no snapshot, like the verification harness, runs in
+O(points) memory whatever the number of steps.
 """
 
 from __future__ import annotations
@@ -96,12 +98,6 @@ class CurrentField:
 
     j_tau: np.ndarray
     j_k: list
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    snapshots: list  # of GridField
 
 
 def field_derivative(f: GridField, axis: int, order: int = 1, engine: str = "fd") -> np.ndarray:
@@ -187,33 +183,30 @@ def _stepping(psi0: GridField, state, advance, values, steps: int) -> Iterator[G
         yield psi0.with_values(values(state))
 
 
-def _schrodinger_coeff(lambda_hat: float, c: float) -> complex:
-    return 1j * c * lambda_hat / 2.0  # d/dtau psi = coeff * lap psi
-
-
 def evolve_schrodinger(
     psi0: GridField, tau_span: float, lambda_hat: float, steps: int,
     *, c: float = 1.0, method: str = "spectral",
-) -> Trajectory:
+) -> Iterator[GridField]:
     """Unitary free evolution i d/dtau psi = -(c lhat / 2) lap psi.
 
     'spectral' applies the exact Fourier multiplier exp(-i c lhat k^2 dt / 2)
     (plane-wave dispersion omega = c lhat k^2 / 2 to rounding); 'cn' is the
-    Cayley-unitary Crank-Nicolson scheme on a 1-D periodic grid.
+    Cayley-unitary Crank-Nicolson scheme on a 1-D periodic grid.  Returns the
+    stream of ``steps + 1`` snapshots at tau = 0, dt, ..., tau_span.
     """
-    snaps = _evolve(psi0, tau_span, _schrodinger_coeff(lambda_hat, c), steps, method)
-    return Trajectory(times=np.linspace(0.0, tau_span, steps + 1), snapshots=list(snaps))
+    return _evolve(psi0, tau_span, 1j * c * lambda_hat / 2.0, steps, method)
 
 
 def evolve_fokker_planck(
     psi0: GridField, u_span: float, Lambda: float, steps: int,
     *, c: float = 1.0, method: str = "spectral",
-) -> Trajectory:
+) -> Iterator[GridField]:
     """Mass-conserving diffusion d/du psi = (c Lambda / 2) lap psi.
 
     Initial data must be real and non-negative; snapshots stay real.  The
     k = 0 mode is untouched by either scheme, so the total mass is conserved
-    exactly (spectral) or to solver precision (CN).
+    exactly (spectral) or to solver precision (CN).  Returns the stream of
+    ``steps + 1`` real snapshots at u = 0, du, ..., u_span.
     """
     v = np.asarray(psi0.values)
     if np.iscomplexobj(v):
@@ -221,29 +214,17 @@ def evolve_fokker_planck(
     if v.min() < 0:
         raise ConfigurationError("Fokker-Planck initial data must be non-negative")
     snaps = _evolve(psi0, u_span, c * Lambda / 2.0, steps, method)
-    return Trajectory(times=np.linspace(0.0, u_span, steps + 1),
-                      snapshots=[s.with_values(np.real(s.values)) for s in snaps])
+    return (s.with_values(np.real(s.values)) for s in snaps)
 
 
-def current_and_continuity(
-    traj: Trajectory, lambda_hat: float, *, c: float = 1.0, engine: str = "spectral",
-):
-    """Currents j_tau = |psi|^2, j_k = c lhat Im(psi* d_k psi), plus continuity.
-
-    The continuity residual max|d j_tau/dtau + div j| is evaluated with a
-    central difference in tau at the interior snapshots, so it converges at
-    the scheme order under simultaneous refinement.
-    Returns (list of CurrentField, residual).
-    """
-    if len(traj.snapshots) < 3:
-        raise ConfigurationError("need at least three snapshots for the continuity check")
-    fields = [_current_and_divergence(s, c * lambda_hat, engine) for s in traj.snapshots]
-    residual = _continuity_residual(fields, float(traj.times[1] - traj.times[0]))
-    return [current for current, _ in fields], residual
+def _last(snapshots: Iterable[GridField]) -> GridField:
+    """The final snapshot of a stream, holding one snapshot at a time."""
+    return collections.deque(snapshots, maxlen=1)[0]
 
 
-def _current_and_divergence(s: GridField, a: float, engine: str):
-    """(CurrentField, div j) of one snapshot, with j_k = a Im(psi* d_k psi)."""
+def current_and_divergence(s: GridField, a: float, engine: str):
+    """(CurrentField, div j) of one snapshot, with j_tau = |psi|^2 and
+    j_k = a Im(psi* d_k psi); a = c lhat for the Schroedinger stream."""
     psi = s.values
     jk = [a * np.imag(np.conj(psi) * field_derivative(s, ax, 1, engine))
           for ax in range(psi.ndim)]
@@ -253,11 +234,13 @@ def _current_and_divergence(s: GridField, a: float, engine: str):
     return CurrentField(j_tau=np.abs(psi) ** 2, j_k=jk), div
 
 
-def _continuity_residual(fields: Iterable, dt: float) -> float:
+def continuity_residual(fields: Iterable, dt: float) -> float:
     """max|d j_tau/dtau + div j| over the interior of a (current, div) sequence.
 
-    Reads the sequence through a three-entry window, so a generator of
-    snapshots is checked in O(points) memory.
+    d j_tau/dtau is the central difference over snapshots ``dt`` apart, so
+    the residual converges at the scheme order under simultaneous
+    refinement.  Reads the sequence through a three-entry window, so a
+    stream of snapshots is checked in O(points) memory.
     """
     window = collections.deque(maxlen=3)
     residual = 0.0
@@ -382,7 +365,7 @@ def schrodinger_evolver(lambda_hat: float, *, c: float = 1.0, steps: int = 1,
     def run(psi: GridField, tau: float) -> GridField:
         if tau == 0.0:
             return psi.with_values(np.asarray(psi.values, dtype=complex))
-        return evolve_schrodinger(psi, tau, lambda_hat, steps, c=c, method=method).snapshots[-1]
+        return _last(evolve_schrodinger(psi, tau, lambda_hat, steps, c=c, method=method))
     return run
 
 
@@ -411,12 +394,15 @@ def field_variance(f: GridField, *, density: bool = False) -> float:
     return float(np.sum((x - mean) ** 2 * w)) / mass
 
 
-def verify_reduction(
-    *, points: int = 256, steps: int = 64,
-    norm_tol: float = 1e-8, dispersion_tol: float = 1e-10,
-    variance_tol: float = 1e-6, exact_tol: float = 1e-12,
-    continuity_order_floor: float = 1.9,
-) -> dict:
+# Pass thresholds of the reduction suite.
+_NORM_TOL = 1e-8
+_DISPERSION_TOL = 1e-10
+_VARIANCE_TOL = 1e-6
+_EXACT_TOL = 1e-12
+_CONTINUITY_ORDER_FLOOR = 1.9
+
+
+def verify_reduction(*, points: int = 256, steps: int = 64) -> dict:
     """Run the light-cone reduction suite and report residuals plus pass/fail.
 
     Checks: spectral norm drift per step, plane-wave dispersion against
@@ -435,8 +421,7 @@ def verify_reduction(
 
     # norm conservation (unitary stepping), recorded per step for the report
     psi0 = gaussian_packet(points, box, 1.0, k0=2.0 * math.pi / box * 5)
-    coeff = _schrodinger_coeff(lhat, c)
-    norms = (s.l2_norm() for s in _evolve(psi0, 2.0, coeff, steps, "spectral"))
+    norms = (s.l2_norm() for s in evolve_schrodinger(psi0, 2.0, lhat, steps, c=c))
     n0 = next(norms)
     step_table = [(i, norm, abs(norm - n0))
                   for i, norm in enumerate(itertools.chain([n0], norms))]
@@ -448,7 +433,7 @@ def verify_reduction(
     wave = GridField(values=np.exp(1j * k * x), step=psi0.step,
                      origin=psi0.origin, boundary="periodic")
     tau = 0.37
-    evolved = evolve_schrodinger(wave, tau, lhat, 1, c=c).snapshots[-1]
+    evolved = _last(evolve_schrodinger(wave, tau, lhat, 1, c=c))
     expected_phase = -c * lhat * k * k / 2.0 * tau
     measured = np.angle(evolved.values[points // 3] / wave.values[points // 3])
     dispersion_err = abs((measured - expected_phase + math.pi) % (2.0 * math.pi) - math.pi)
@@ -457,9 +442,9 @@ def verify_reduction(
     resids = []
     dts = []
     for nsteps in (16, 32, 64):
-        snaps = _evolve(psi0, 1.0, coeff, nsteps, "spectral")
-        fields = (_current_and_divergence(s, c * lhat, "spectral") for s in snaps)
-        resids.append(_continuity_residual(fields, 1.0 / nsteps))
+        snaps = evolve_schrodinger(psi0, 1.0, lhat, nsteps, c=c)
+        fields = (current_and_divergence(s, c * lhat, "spectral") for s in snaps)
+        resids.append(continuity_residual(fields, 1.0 / nsteps))
         dts.append(1.0 / nsteps)
     from .numerics import fit_convergence_order
     continuity_order = fit_convergence_order(dts, resids)
@@ -468,11 +453,11 @@ def verify_reduction(
     rho0 = gaussian_packet(512, box, 1.0)
     rho0 = rho0.with_values(np.abs(rho0.values) ** 2)
     u_span, Lam = 2.0, 1.0
-    fp = evolve_fokker_planck(rho0, u_span, Lam, 32, c=c)
-    var_err = abs(field_variance(fp.snapshots[-1], density=True)
+    rho1 = _last(evolve_fokker_planck(rho0, u_span, Lam, 32, c=c))
+    var_err = abs(field_variance(rho1, density=True)
                   - (field_variance(rho0, density=True) + c * Lam * u_span))
     mass0 = float(np.sum(rho0.values)) * rho0.cell_volume
-    mass1 = float(np.sum(fp.snapshots[-1].values)) * rho0.cell_volume
+    mass1 = float(np.sum(rho1.values)) * rho0.cell_volume
     mass_err = abs(mass1 - mass0)
 
     # exact small checks
@@ -489,14 +474,14 @@ def verify_reduction(
     semigroup = propagator_composition_check(run, 0.4, 0.9, psi0)
 
     passed = (
-        norm_drift <= norm_tol
-        and dispersion_err <= dispersion_tol
-        and continuity_order >= continuity_order_floor
-        and var_err <= variance_tol
+        norm_drift <= _NORM_TOL
+        and dispersion_err <= _DISPERSION_TOL
+        and continuity_order >= _CONTINUITY_ORDER_FLOOR
+        and var_err <= _VARIANCE_TOL
         and mass_err <= 1e-10
         and null_err == 0.0
-        and roundtrip <= exact_tol
-        and det_err <= exact_tol
+        and roundtrip <= _EXACT_TOL
+        and det_err <= _EXACT_TOL
         and abs(null_grad) == 0.0
         and semigroup <= 1e-12
     )

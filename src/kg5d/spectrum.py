@@ -7,12 +7,13 @@ Three equivalent quantizations are implemented:
 * ``matching_residual`` - the same condition rewritten as a matching between
   the metric length scale lambda* and the two propagation wavelengths
   (lambda, lambda'); its root in lambda' reproduces hbar*c/E_nl,
-* ``stat_wavelength`` / ``stat_energy`` - the statistical-mechanics analogue,
-  where the quantization fixes a thermal wavelength Lambda'_nl > Lambda.  The
-  condition is implicit, so it is solved numerically with the
-  non-relativistic expansion Lambda*(1 + (lambda*/Lambda)^2 / (2 n^2)) as
-  seed and cross-check.  ``stat_wavelengths`` solves the levels of a whole
-  table in one lockstep root solve, each level bit for bit as alone.
+* ``stat_wavelengths`` / ``stat_energy`` - the statistical-mechanics
+  analogue, where the quantization fixes a thermal wavelength
+  Lambda'_nl > Lambda.  The condition is implicit, so it is solved
+  numerically, with the non-relativistic expansion
+  Lambda*(1 + (lambda*/Lambda)^2 / (2 n^2)) as cross-check.  The levels of a
+  whole table go through one lockstep root solve, each level bit for bit as
+  alone; one level is a table of one.
 
 Everything is evaluated in dimensionless ratios internally; ``ScaleSet``
 carries the physical scales and converts at the boundary.  All functions
@@ -141,8 +142,14 @@ class ScaleSet:
         quantum u; the drag coefficient keeps the free-particle relation
         u = 2m/zeta and the temperature follows from Lambda = 2/(beta zeta c).
         The cavity radius comes from R_over_rho (preferred when the coupling
-        is on) or R_over_Lambda.
+        is on) or R_over_Lambda.  Every argument given must be finite.
         """
+        given = dict(Z=Z, alpha=alpha, lambda_star_over_Lambda=lambda_star_over_Lambda,
+                     M_over_m=M_over_m, eta0=eta0, R_over_rho=R_over_rho,
+                     R_over_Lambda=R_over_Lambda, c=c, hbar=hbar, m=m)
+        for name, value in given.items():
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"need a finite {name}, got {value}")
         if Z < 0:
             raise DomainError(f"need Z >= 0, got {Z}")
         if alpha < 0:
@@ -295,14 +302,18 @@ def _critical_at(x: np.ndarray, n: np.ndarray, l: np.ndarray, eps: float, i: int
 def stat_wavelengths(
     ns, ls, scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-15, abs=0.0)
 ) -> tuple[np.ndarray, dict]:
-    """Thermal wavelengths Lambda'_nl > Lambda of many levels at once.
+    """Thermal wavelengths Lambda'_nl > Lambda solving the statistical quantization.
 
+    Each level is a bracketed root in x = Lambda/Lambda' on [1/2, 1]; the
+    non-relativistic expansion Lambda*(1 + eps^2/(2 n^2)) is its documented
+    small-coupling limit, not a seed (the solver is bisection plus secant).
     Returns ``(wavelengths, refused)``: one Lambda'_nl per level (n, l), and
-    for each level the one-level solve refuses, its row index mapped to the
-    DomainError or BracketingError it raises; those rows are NaN.  The
-    bracketed roots of all other levels are solved together by
-    :func:`find_roots`, each exactly as alone; a root it cannot localize
-    raises NonConvergenceError for the whole call.  See :func:`stat_wavelength`.
+    the row index of each level without a root mapped to its reason, a
+    DomainError when the coupling pushes the square root complex (naming the
+    critical ratio) or a BracketingError when the residual has no sign
+    change on the bracket; those rows are NaN.  The roots of all other
+    levels are solved together by :func:`find_roots`, each exactly as alone;
+    a root it cannot localize raises NonConvergenceError for the whole call.
     """
     ns = np.asarray(ns, dtype=np.int64)
     ls = np.asarray(ls, dtype=np.int64)
@@ -343,25 +354,6 @@ def stat_wavelengths(
     out[rows] = scales.Lambda / find_roots(residual, half[solve], one[solve], tol)
     out[list(refused)] = np.nan
     return out, dict(sorted(refused.items()))
-
-
-def stat_wavelength(
-    idx: LevelIndex, scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-15, abs=0.0)
-) -> float:
-    """Thermal wavelength Lambda'_nl > Lambda solving the statistical quantization.
-
-    Solved as a bracketed root in x = Lambda/Lambda' on [1/2, 1); the
-    non-relativistic expansion Lambda*(1 + eps^2/(2 n^2)) seeds nothing but
-    serves as the documented small-coupling limit (the solver is bisection
-    plus secant, so no seed is needed).  Couplings large enough to push the
-    square root complex raise DomainError identifying the critical ratio; a
-    residual without a sign change on the bracket raises BracketingError.
-    The one-level case of :func:`stat_wavelengths`.
-    """
-    wavelengths, refused = stat_wavelengths([idx.n], [idx.l], scales, tol)
-    if refused:
-        raise refused[0]
-    return float(wavelengths[0])
 
 
 def stat_wavelength_expansion(idx: LevelIndex, scales: ScaleSet) -> float:

@@ -23,7 +23,6 @@ from kg5d.canonical import (
     figure1_curves,
     partition,
     trapped_degeneracies,
-    trapped_degeneracy,
     universal_d,
     z_continuous,
     z_discrete,
@@ -144,14 +143,14 @@ def test_universal_limit_supnorm_trend():
 
 def test_trapped_degeneracy_full_mass():
     tol = Tolerance(rel=1e-10)
-    for n in (1, 2, 6):
-        assert trapped_degeneracy(n, math.inf, tol) == pytest.approx(
-            n * n, rel=1e-8)
+    got = trapped_degeneracies([1, 2, 6], math.inf, tol)
+    for n, g in zip((1, 2, 6), got.tolist()):
+        assert g == pytest.approx(n * n, rel=1e-8)
 
 
 def test_trapped_degeneracy_monotone_in_radius():
     tol = Tolerance(rel=1e-10)
-    vals = [trapped_degeneracy(4, rh, tol) for rh in (5.0, 20.0, 64.0, 200.0)]
+    vals = [trapped_degeneracies([4], rh, tol)[0] for rh in (5.0, 20.0, 64.0, 200.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 16.0 + 1e-9 for v in vals)
 
@@ -160,8 +159,7 @@ def test_trapped_degeneracy_tail_formula():
     # n >> sqrt(R): degeneracy -> R^{5/2} / (5 pi n^3)
     rhat = 49.0
     tol = Tolerance(rel=1e-11)
-    for n in (70, 140):
-        got = trapped_degeneracy(n, rhat, tol)
+    for n, got in zip((70, 140), trapped_degeneracies([70, 140], rhat, tol).tolist()):
         ref = rhat**2.5 / (5.0 * math.pi * n**3)
         assert got == pytest.approx(ref, rel=5e-3)
 
@@ -171,7 +169,7 @@ def test_trapped_degeneracies_match_single_levels():
     tol = Tolerance(rel=1e-11, abs=1e-280)
     ns = list(range(1, 30)) + [64, 65, 140]
     got = trapped_degeneracies(ns, 150.0, tol)
-    assert got.tolist() == [trapped_degeneracy(n, 150.0, tol) for n in ns]
+    assert got.tolist() == [trapped_degeneracies([n], 150.0, tol)[0] for n in ns]
     assert trapped_degeneracies([3, 4], 0.0, tol).tolist() == [0.0, 0.0]
 
 
@@ -263,7 +261,7 @@ def test_zd_peak_memory():
 
 def test_zd_weights_use_level_energies():
     s = _scales(eta0=2.0)
-    _, _, levels = z_discrete(s, n_max_policy=24, tol=Tolerance(rel=1e-6))
+    _, _, levels = z_discrete(s, tol=Tolerance(rel=1e-6))
     eps = s.coupling_stat
     for n, w, _ in levels[:5]:
         assert w == pytest.approx(

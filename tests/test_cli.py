@@ -189,6 +189,17 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_geometry_unloaded():
+    # Only verify-geometry needs the geometry module, and verify-geometry and
+    # verify-reduction the reduction module; the CLI imports them there.
+    code = ("import sys, kg5d.cli; "
+            "print(sorted(m for m in ('kg5d.geometry', 'kg5d.reduction') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_non_finite_integrand_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(canonical, "_density_rhat", lambda n, rh: np.full(rh.shape, np.nan))
     rc = main(["partition", "--r-over-rho", "5", "--output-dir", str(tmp_path)])

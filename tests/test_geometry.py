@@ -256,9 +256,9 @@ def test_laplacian_pure_gauge_small_residual():
         assert fit_convergence_order(hs, rs) >= 1.9
 
 
-def _base_grid(size, extent=1.0, origin=-0.4):
-    """4D base grid (the contraction field never reads the values)."""
-    h = extent / (size - 1)
+def _base_grid(size, origin=-0.4):
+    """4D base grid on a unit box (the contraction field never reads the values)."""
+    h = 1.0 / (size - 1)
     return GridField(values=np.zeros((size,) * 4), step=(h,) * 4,
                      origin=(origin,) * 4, boundary="absorbing")
 
@@ -424,8 +424,8 @@ def test_kg_fourier_requires_lorentz():
 # Light-cone expansion
 # ---------------------------------------------------------------------------
 
-def _field_5d(size, extent=1.0):
-    h = extent / (size - 1)
+def _field_5d(size):
+    h = 1.0 / (size - 1)
     axes = [h * np.arange(size) for _ in range(5)]
     x = np.meshgrid(*axes, indexing="ij", sparse=True)
     vals = (np.sin(1.2 * x[0] + 0.1) * np.cos(0.8 * x[1]) * np.sin(x[2] - 0.2)
@@ -481,7 +481,7 @@ def test_lightcone_gauge_flag_mismatch():
 
 def _whole_grid_contraction(field, A, q_over_c2):
     """Reference: h^{AB} Gamma^C_{AB} with the metric on the whole base grid."""
-    coords = _grid_coords(field, 4)
+    coords = _grid_coords(field)
     base = np.broadcast(*coords).shape
     h, h_inv = _metric_pair(-q_over_c2 * np.broadcast_to(A.components(coords), (4,) + base))
     v = np.zeros((5,) + base)
@@ -495,7 +495,7 @@ def _whole_grid_contraction(field, A, q_over_c2):
 def _whole_grid_laplacian_defect(field, A, q_over_c2):
     """Reference: the Laplacian defect with every array on the whole grid."""
     coef = _whole_grid_contraction(field, A, q_over_c2)
-    coef[4] += -q_over_c2 * np.asarray(A.divergence(_grid_coords(field, 4)))
+    coef[4] += -q_over_c2 * np.asarray(A.divergence(_grid_coords(field)))
     f = field.values
     defect = np.zeros(f.shape, dtype=np.result_type(f.dtype, float))
     for cc in range(5):
@@ -506,7 +506,7 @@ def _whole_grid_laplacian_defect(field, A, q_over_c2):
 def _whole_grid_lightcone_defect(field, A, q_over_c2):
     """Reference: the light-cone defect as the plain expression, every FD
     pass on the whole grid and repeated where the expression repeats it."""
-    coords = _grid_coords(field, 4)
+    coords = _grid_coords(field)
     base = np.broadcast(*coords).shape
     a = np.ascontiguousarray(np.broadcast_to(q_over_c2 * A.components(coords), (4,) + base))
     f = field.values

@@ -29,7 +29,6 @@ from kg5d.numerics import (
     SeriesReport,
     Tolerance,
     fd_derivative,
-    find_root,
     find_roots,
     fit_convergence_order,
     integrate,
@@ -289,32 +288,33 @@ def test_sum_series_rejects_invalid_bound():
 
 
 # ---------------------------------------------------------------------------
-# find_root
+# find_roots
 # ---------------------------------------------------------------------------
 
 def test_find_root_linear():
-    assert find_root(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(2.0, abs=1e-12)
+    assert find_roots(lambda x, owner: x - 2.0, [0.0], [5.0])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_find_root_sqrt2():
-    root = find_root(lambda x: x * x - 2.0, 1.0, 2.0)
+    root = find_roots(lambda x, owner: x * x - 2.0, [1.0], [2.0])[0]
     assert abs(root - math.sqrt(2.0)) < 1e-8
 
 
 def test_find_root_stays_in_bracket():
     rng = np.random.default_rng(11)
-    for _ in range(25):
-        a = rng.uniform(-3.0, 0.0)
-        b = rng.uniform(0.5, 4.0)
-        c = rng.uniform(a + 0.1, b - 0.1)
-        root = find_root(lambda x: math.tanh(x - c), a, b)
-        assert a <= root <= b
-        assert abs(root - c) < 1e-10
+    a, b, c = np.empty(25), np.empty(25), np.empty(25)
+    for i in range(25):
+        a[i] = rng.uniform(-3.0, 0.0)
+        b[i] = rng.uniform(0.5, 4.0)
+        c[i] = rng.uniform(a[i] + 0.1, b[i] - 0.1)
+    roots = find_roots(lambda x, owner: np.tanh(x - c[owner]), a, b)
+    assert np.all((a <= roots) & (roots <= b))
+    assert np.max(np.abs(roots - c)) < 1e-10
 
 
 def test_find_root_no_sign_change():
     with pytest.raises(BracketingError):
-        find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        find_roots(lambda x, owner: x * x + 1.0, [-1.0], [1.0])
 
 
 def _reference_find_root(f, lo, hi, tol):
@@ -379,7 +379,7 @@ def test_find_roots_matches_lone_scalar_loop_bitwise(tol):
     for i, (f, a, b) in enumerate(_MIXED):
         want = _reference_find_root(f, a, b, tol)
         assert got[i] == want
-        assert find_root(f, a, b, tol) == want
+        assert find_roots(_batched([f]), [a], [b], tol)[0] == want
     assert got[0] == 0.0 and got[1] == 1.0 and got[2] == 2.0
 
 
@@ -447,7 +447,7 @@ def test_find_roots_bracket_invariants(cases, tol):
         w = max(tol.threshold(root), 4 * math.ulp(root))
         left, right = f(max(root - w, a)), f(min(root + w, b))
         assert left == 0.0 or right == 0.0 or math.copysign(1.0, left) != math.copysign(1.0, right)
-        assert root == find_root(f, a, b, tol)
+        assert root == find_roots(_batched([f]), [a], [b], tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from kg5d.numerics import fit_convergence_order
 from kg5d.reduction import (
     CurrentField,
     GridField,
-    current_and_continuity,
+    continuity_residual,
+    current_and_divergence,
     evolve_fokker_planck,
     evolve_schrodinger,
     field_variance,
@@ -71,16 +72,16 @@ def test_plane_wave_phase_spectral():
     x = -0.5 * box + box / n * np.arange(n)
     psi0 = GridField(values=np.exp(1j * k * x), step=(box / n,), origin=(-0.5 * box,))
     tau = 0.83
-    traj = evolve_schrodinger(psi0, tau, LHAT, 7, c=C)
+    *_, last = evolve_schrodinger(psi0, tau, LHAT, 7, c=C)
     omega = C * LHAT * k * k / 2.0
     expected = psi0.values * np.exp(-1j * omega * tau)
-    assert np.max(np.abs(traj.snapshots[-1].values - expected)) < 1e-12
+    assert np.max(np.abs(last.values - expected)) < 1e-12
 
 
 def test_constant_field_stationary():
     psi0 = GridField(values=np.full(64, 0.7 + 0.1j), step=(0.25,))
-    traj = evolve_schrodinger(psi0, 2.0, LHAT, 10, c=C)
-    assert np.max(np.abs(traj.snapshots[-1].values - psi0.values)) < 1e-13
+    *_, last = evolve_schrodinger(psi0, 2.0, LHAT, 10, c=C)
+    assert np.max(np.abs(last.values - psi0.values)) < 1e-13
 
 
 def test_gaussian_packet_spread_closed_form():
@@ -88,8 +89,8 @@ def test_gaussian_packet_spread_closed_form():
     sigma0, box, n = 1.0, 60.0, 1024
     psi0 = gaussian_packet(n, box, sigma0)
     tau = 2.5
-    traj = evolve_schrodinger(psi0, tau, LHAT, 25, c=C)
-    got = field_variance(traj.snapshots[-1])
+    *_, last = evolve_schrodinger(psi0, tau, LHAT, 25, c=C)
+    got = field_variance(last)
     want = sigma0**2 + (C * LHAT * tau) ** 2 / (4.0 * sigma0**2)
     assert got == pytest.approx(want, abs=1e-6)
 
@@ -97,8 +98,8 @@ def test_gaussian_packet_spread_closed_form():
 def test_norm_conserved_both_schemes():
     psi0 = gaussian_packet(128, 30.0, 1.2, k0=1.0)
     for method in ("spectral", "cn"):
-        traj = evolve_schrodinger(psi0, 1.5, LHAT, 40, c=C, method=method)
-        norms = [s.l2_norm() for s in traj.snapshots]
+        norms = [s.l2_norm() for s in evolve_schrodinger(psi0, 1.5, LHAT, 40, c=C, method=method)]
+        assert len(norms) == 41
         assert max(abs(v - norms[0]) for v in norms) < 1e-10
 
 
@@ -107,11 +108,11 @@ def test_cn_converges_at_second_order_in_time():
     # only the time error is measured
     psi0 = gaussian_packet(128, 30.0, 1.0)
     tau = 0.8
-    ref = evolve_schrodinger(psi0, tau, LHAT, 2560, c=C, method="cn").snapshots[-1].values
+    *_, ref = evolve_schrodinger(psi0, tau, LHAT, 2560, c=C, method="cn")
     errs, dts = [], []
     for steps in (40, 80, 160):
-        got = evolve_schrodinger(psi0, tau, LHAT, steps, c=C, method="cn").snapshots[-1].values
-        errs.append(float(np.max(np.abs(got - ref))))
+        *_, got = evolve_schrodinger(psi0, tau, LHAT, steps, c=C, method="cn")
+        errs.append(float(np.max(np.abs(got.values - ref.values))))
         dts.append(tau / steps)
     assert fit_convergence_order(dts, errs) >= 1.9
 
@@ -137,10 +138,10 @@ def test_evolve_configuration_errors():
 def test_current_real_field_has_no_flux():
     x = np.linspace(-10.0, 10.0, 128, endpoint=False)
     psi0 = GridField(values=np.exp(-x * x) + 0.0j, step=(x[1] - x[0],), origin=(x[0],))
-    traj = evolve_schrodinger(psi0, 1e-9, LHAT, 2, c=C)
-    currents, _ = current_and_continuity(traj, LHAT, c=C)
-    assert isinstance(currents[0], CurrentField)
-    assert np.max(np.abs(currents[0].j_k[0])) < 1e-12
+    first = next(evolve_schrodinger(psi0, 1e-9, LHAT, 2, c=C))
+    current, _ = current_and_divergence(first, C * LHAT, "spectral")
+    assert isinstance(current, CurrentField)
+    assert np.max(np.abs(current.j_k[0])) < 1e-12
 
 
 def test_current_plane_wave_values():
@@ -148,10 +149,12 @@ def test_current_plane_wave_values():
     k = 2.0 * math.pi / box * 3
     x = box / n * np.arange(n)
     psi0 = GridField(values=amp * np.exp(1j * k * x), step=(box / n,))
-    traj = evolve_schrodinger(psi0, 0.1, LHAT, 2, c=C)
-    currents, resid = current_and_continuity(traj, LHAT, c=C)
-    np.testing.assert_allclose(currents[0].j_tau, amp * amp, rtol=1e-12)
-    np.testing.assert_allclose(currents[0].j_k[0], C * LHAT * k * amp * amp, rtol=1e-11)
+    fields = [current_and_divergence(s, C * LHAT, "spectral")
+              for s in evolve_schrodinger(psi0, 0.1, LHAT, 2, c=C)]
+    resid = continuity_residual(fields, 0.1 / 2)
+    current = fields[0][0]
+    np.testing.assert_allclose(current.j_tau, amp * amp, rtol=1e-12)
+    np.testing.assert_allclose(current.j_k[0], C * LHAT * k * amp * amp, rtol=1e-11)
     assert resid < 1e-10  # uniform currents: continuity is exact
 
 
@@ -159,9 +162,9 @@ def test_continuity_residual_converges_in_time():
     psi0 = gaussian_packet(256, 40.0, 1.0, k0=0.8)
     resids, dts = [], []
     for steps in (8, 16, 32):
-        traj = evolve_schrodinger(psi0, 1.0, LHAT, steps, c=C)
-        _, r = current_and_continuity(traj, LHAT, c=C)
-        resids.append(r)
+        fields = (current_and_divergence(s, C * LHAT, "spectral")
+                  for s in evolve_schrodinger(psi0, 1.0, LHAT, steps, c=C))
+        resids.append(continuity_residual(fields, 1.0 / steps))
         dts.append(1.0 / steps)
     assert fit_convergence_order(dts, resids) >= 1.9
 
@@ -173,10 +176,11 @@ def test_continuity_residual_converges_in_time():
 def test_fp_mass_conservation_and_positivity():
     rho0 = gaussian_packet(512, 40.0, 1.0)
     rho0 = rho0.with_values(np.abs(rho0.values) ** 2)
-    traj = evolve_fokker_planck(rho0, 2.0, 1.0, 20, c=C)
-    mass0 = float(np.sum(traj.snapshots[0].values))
-    for snap in traj.snapshots[1:]:
-        assert abs(float(np.sum(snap.values)) - mass0) * traj.snapshots[0].cell_volume < 1e-10
+    first, *rest = evolve_fokker_planck(rho0, 2.0, 1.0, 20, c=C)
+    mass0 = float(np.sum(first.values))
+    assert len(rest) == 20
+    for snap in rest:
+        assert abs(float(np.sum(snap.values)) - mass0) * first.cell_volume < 1e-10
         assert snap.values.min() > -1e-12
 
 
@@ -184,8 +188,8 @@ def test_fp_variance_growth():
     rho0 = gaussian_packet(512, 40.0, 1.0)
     rho0 = rho0.with_values(np.abs(rho0.values) ** 2)
     u, lam = 1.7, 0.9
-    traj = evolve_fokker_planck(rho0, u, lam, 16, c=C)
-    got = field_variance(traj.snapshots[-1], density=True)
+    *_, last = evolve_fokker_planck(rho0, u, lam, 16, c=C)
+    got = field_variance(last, density=True)
     want = field_variance(rho0, density=True) + C * lam * u
     assert got == pytest.approx(want, abs=1e-6)
 
@@ -197,13 +201,13 @@ def test_fp_point_source_matches_heat_kernel():
     vals[n // 2] = 1.0 / h  # discrete delta
     rho0 = GridField(values=vals, step=(h,), origin=(-box / 2,))
     u, lam = 1.2, 1.0
-    traj = evolve_fokker_planck(rho0, u, lam, 8, c=C)
+    *_, last = evolve_fokker_planck(rho0, u, lam, 8, c=C)
     x = rho0.coords(0)
     d = C * lam / 2.0
     kernel = np.exp(-x * x / (4.0 * d * u)) / math.sqrt(4.0 * math.pi * d * u)
     # spectral evolution of the band-limited delta: agreement away from the
     # Nyquist ringing floor
-    assert np.max(np.abs(traj.snapshots[-1].values - kernel)) < 1e-6
+    assert np.max(np.abs(last.values - kernel)) < 1e-6
 
 
 def test_fp_rejects_bad_input():
@@ -375,9 +379,10 @@ def test_verify_reduction_streams_bitwise(points, steps):
     assert report["step_table"] == want_table
     assert report["continuity_residuals"] == want_resids
     assert report["norm_drift_per_step"] == max(r for _, _, r in want_table[1:]) / steps
-    # the list API shares the streamed code path
-    traj = evolve_schrodinger(psi0, 1.0, lhat, 16, c=c)
-    assert current_and_continuity(traj, lhat, c=c)[1] == want_resids[0]
+    # the public stream API is the path the harness takes
+    fields = (current_and_divergence(s, c * lhat, "spectral")
+              for s in evolve_schrodinger(psi0, 1.0, lhat, 16, c=c))
+    assert continuity_residual(fields, 1.0 / 16) == want_resids[0]
 
 
 def test_verify_reduction_memory_flat_in_steps():

@@ -9,6 +9,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kg5d.errors import BracketingError, DomainError
 from kg5d.numerics import fit_convergence_order
@@ -19,7 +21,6 @@ from kg5d.spectrum import (
     kg_energy,
     matching_residual,
     stat_energy,
-    stat_wavelength,
     stat_wavelength_expansion,
     stat_wavelengths,
 )
@@ -65,6 +66,31 @@ def test_scaleset_bad_inputs():
         ScaleSet.build(Z=0, alpha=0.0, lambda_star_over_Lambda=0.01)
     with pytest.raises(DomainError):
         ScaleSet.build(Z=1, lambda_star_over_Lambda=0.05, M_over_m=3.0)
+
+
+_scale = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+_BUILD_FLOATS = ("alpha", "lambda_star_over_Lambda", "M_over_m", "eta0", "R_over_rho",
+                 "R_over_Lambda", "c", "hbar", "m")
+
+
+@settings(max_examples=200, deadline=None)
+@given(Z=st.integers(1, 10), alpha=st.floats(1e-4, 0.1), coupling=st.floats(1e-4, 1.0),
+       eta0=_scale, r=_scale, c=_scale, hbar=_scale, m=_scale)
+def test_scaleset_build_round_trip(Z, alpha, coupling, eta0, r, c, hbar, m):
+    # build on finite inputs gives a set that its own validate() accepts
+    ScaleSet.build(Z=Z, alpha=alpha, lambda_star_over_Lambda=coupling, eta0=eta0,
+                   R_over_rho=r, c=c, hbar=hbar, m=m).validate()
+    ScaleSet.build(Z=Z, alpha=alpha, M_over_m=coupling, eta0=eta0,
+                   R_over_Lambda=r, c=c, hbar=hbar, m=m).validate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(_BUILD_FLOATS), value=st.sampled_from([math.inf, -math.inf, math.nan]))
+def test_scaleset_build_refuses_non_finite(name, value):
+    # inf used to raise a bare ZeroDivisionError, nan to build an invalid set
+    base = {"lambda_star_over_Lambda": 0.01, "R_over_rho": 50.0}
+    with pytest.raises(DomainError, match=f"finite {name}"):
+        ScaleSet.build(**{**base, name: value})
 
 
 def test_level_index_bounds():
@@ -188,12 +214,13 @@ def test_matching_residual_sign_structure():
 
 
 # ---------------------------------------------------------------------------
-# stat_wavelength / stat_energy
+# stat_wavelengths / stat_energy
 # ---------------------------------------------------------------------------
 
 def test_stat_wavelength_uncoupled():
     s = ScaleSet.build(Z=0, alpha=0.0, R_over_Lambda=10.0)
-    assert stat_wavelength(LevelIndex(3, 1), s) == s.Lambda
+    got, refused = stat_wavelengths([3], [1], s)
+    assert got.tolist() == [s.Lambda] and refused == {}
 
 
 def test_stat_wavelength_expansion_small_coupling():
@@ -202,7 +229,7 @@ def test_stat_wavelength_expansion_small_coupling():
     # O(e^4) by construction.
     s = _scales(coupling=0.01)
     idx = LevelIndex(1, 0)
-    ratio = stat_wavelength(idx, s) / s.Lambda
+    ratio = stat_wavelengths([1], [0], s)[0][0] / s.Lambda
 
     def F(x):
         ex = mp.mpf("0.01") * x
@@ -222,26 +249,25 @@ def test_stat_wavelength_quartic_scaling():
     diffs = []
     for eps in eps_list:
         s = _scales(coupling=eps)
-        diffs.append(abs(stat_wavelength(idx, s) - stat_wavelength_expansion(idx, s))
-                     / s.Lambda)
+        root = stat_wavelengths([1], [0], s)[0][0]
+        diffs.append(abs(root - stat_wavelength_expansion(idx, s)) / s.Lambda)
     order = fit_convergence_order(eps_list, diffs)
     assert order == pytest.approx(4.0, abs=0.3)
 
 
 def test_stat_wavelength_root_unique_in_bracket():
     # residual has a single sign change on [Lambda, 2 Lambda]
-    for n in (1, 3, 10):
-        for coupling in (0.01, 0.1):
-            s = _scales(coupling=coupling)
-            idx = LevelIndex(n, 0)
-            lam = stat_wavelength(idx, s)
-            assert s.Lambda < lam < 2.0 * s.Lambda
+    for coupling in (0.01, 0.1):
+        s = _scales(coupling=coupling)
+        lams, refused = stat_wavelengths([1, 3, 10], [0, 0, 0], s)
+        assert refused == {}
+        assert np.all((s.Lambda < lams) & (lams < 2.0 * s.Lambda))
 
 
 def test_stat_wavelength_complex_regime_refused():
     s = _scales(coupling=0.7)
-    with pytest.raises(DomainError):
-        stat_wavelength(LevelIndex(1, 0), s)  # 0.7 >= l + 1/2
+    got, refused = stat_wavelengths([1], [0], s)  # 0.7 >= l + 1/2
+    assert isinstance(refused[0], DomainError) and math.isnan(got[0])
 
 
 def _reference_stat_wavelength(n, l, s, rel=1e-15):
@@ -283,23 +309,23 @@ def _reference_stat_wavelength(n, l, s, rel=1e-15):
 @pytest.mark.parametrize("coupling", [0.01, 0.3, 0.7])
 def test_stat_wavelengths_match_per_level_bitwise(coupling):
     # All levels n <= 40 in one lockstep solve: each wavelength equals the
-    # one-level call and the scalar row-by-row solve bit for bit, and the
-    # refused levels (l = 0 at 0.7) are NaN with the one-level error.
+    # one-row table and the scalar row-by-row solve bit for bit, and the
+    # refused levels (l = 0 at 0.7) are NaN with the one-row table's error.
     s = _scales(coupling=coupling)
     levels = [(n, l) for n in range(1, 41) for l in range(n + 1)]
     got, refused = stat_wavelengths([n for n, _ in levels], [l for _, l in levels], s)
     assert got.shape == (len(levels),)
     for i, (n, l) in enumerate(levels):
-        try:
-            want = stat_wavelength(LevelIndex(n, l), s)
-        except (DomainError, BracketingError) as exc:
+        alone, alone_refused = stat_wavelengths([n], [l], s)
+        if alone_refused:
+            exc = alone_refused[0]
             assert math.isnan(got[i]) and type(refused[i]) is type(exc)
             assert str(refused[i]) == str(exc)
             with pytest.raises(type(exc)):
                 _reference_stat_wavelength(n, l, s)
             continue
         assert i not in refused
-        assert got[i] == want == _reference_stat_wavelength(n, l, s)
+        assert got[i] == alone[0] == _reference_stat_wavelength(n, l, s)
     assert len(refused) == (40 if coupling == 0.7 else 0)
 
 
@@ -314,8 +340,7 @@ def test_stat_wavelengths_refusal_reasons():
                      (1, 1): BracketingError}
     assert list(refused) == sorted(refused)
     assert np.isnan(got).sum() == 4
-    with pytest.raises(BracketingError, match=r"n=1, l=1"):
-        stat_wavelength(LevelIndex(1, 1), s)
+    assert "n=1, l=1" in str(refused[levels.index((1, 1))])
 
 
 def test_stat_wavelengths_uncoupled_and_empty():
@@ -337,7 +362,8 @@ def test_stat_energy_limits():
 def test_stat_energy_consistent_with_wavelength():
     # e_n ~ hbar c / Lambda'_n to O(coupling^4) Mc^2
     s = _scales(coupling=0.01)
-    for n in (1, 2, 5):
+    wavelengths, _ = stat_wavelengths([1, 2, 5], [0, 0, 0], s)
+    for n, wl in zip((1, 2, 5), wavelengths.tolist()):
         e_direct = stat_energy(n, s)
-        e_wl = s.hbar * s.c / stat_wavelength(LevelIndex(n, 0), s)
+        e_wl = s.hbar * s.c / wl
         assert abs(e_direct - e_wl) / s.Mc2 < 2.0 * 0.01**4
