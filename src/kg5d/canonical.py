@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .numerics import SeriesReport, Tolerance, integrate_batch, sum_series
-from .specfun import _combo_arrays, asymptotic_combo, erfcx_minus_one
+from .specfun import (_combo_arrays, asymptotic_combo, bessel_j01, erfcx_minus_one,
+                      hurwitz_zeta)
 from .spectrum import ScaleSet, stat_energy
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -234,23 +235,98 @@ def brace_asymptote(s: float) -> float:
 # Discrete part Z_d
 # ---------------------------------------------------------------------------
 
+# Exact levels in the window the tail model is fitted to, and the model's
+# fitted corrections to B_inf: C/n^2, D/n^4, E/n^6.
+_TAIL_WINDOW = 64
+_TAIL_TERMS = 3
+
+
+def trapped_degeneracy_limit(rhat: float) -> float:
+    """B_inf = lim n^3 g_n of the trapped degeneracies in the cavity r_hat.
+
+    By the Mehler-Heine limit of the Laguerre polynomials (DLMF 18.11(ii)),
+    B_inf = (1/64) int_0^{2 sqrt(r_hat)} s^5 (J0^2 + J1^2)(s) ds.  With
+    (J0^2 + J1^2)' = -2 J1^2 / s and (s J0 J1)' = s (J0^2 - J1^2) the
+    integral is the Lommel-type closed form F(s) / 64, with
+    F(s) = s^2 [3s^4 (J0^2 + J1^2) - 3s^3 J0 J1 + 2s^2 (2J1^2 - J0^2)
+                + 8s J0 J1 - 8J1^2] / 15.
+    """
+    if not rhat >= 0:
+        raise DomainError(f"need r_hat >= 0, got {rhat}")
+    s = 2.0 * math.sqrt(rhat)
+    j0, j1 = bessel_j01(s)
+    f = s * s * (3.0 * s**4 * (j0 * j0 + j1 * j1) - 3.0 * s**3 * j0 * j1
+                 + 2.0 * s * s * (2.0 * j1 * j1 - j0 * j0) + 8.0 * s * j0 * j1
+                 - 8.0 * j1 * j1) / 15.0
+    return f / 64.0
+
+
+def _zd_tail(g: list, b_inf: float, eta0: float, a: float) -> tuple[float, float]:
+    """Tail sum_{n > N} w_n g_n beyond the N = len(g) exact levels, and its bound.
+
+    The model g_n n^3 = B_inf + C/n^2 + D/n^4 + E/n^6 has B_inf fixed and
+    C, D, E fitted to the last ``_TAIL_WINDOW`` levels.  The weights
+    w_n = e^{-eta0} exp(a/n^2) are expanded in a/n^2, so the tail is a short
+    sum of Hurwitz zetas zeta(3 + 2j + 2k, N + 1).  The bound adds:
+
+    * how far the tail moves when E is added to the fit (C, D refitted),
+    * E's own tail contribution,
+    * the truncation of the weight expansion, summed against |model|.
+    """
+    n_top = len(g)
+    ns = np.arange(n_top - _TAIL_WINDOW + 1, n_top + 1, dtype=float)
+    y = np.array(g[-_TAIL_WINDOW:]) * ns**3 - b_inf
+    powers = np.arange(1, _TAIL_TERMS + 1)
+    basis = (n_top / ns)[:, None] ** (2 * powers)  # (N/n)^{2k}: columns of unit scale
+    q = n_top + 1.0
+    w_top = math.exp(-eta0 + a / (q * q))  # the largest weight beyond N
+    # Weight-expansion order: the first omitted factor (a/n^2)^{J+1}/(J+1)!
+    # is below one rounding unit.
+    order = 0
+    while (a / (q * q)) ** (order + 1) / math.factorial(order + 1) > 2.0**-53:
+        order += 1
+    zeta = [hurwitz_zeta(3 + 2 * i, q) for i in range(order + _TAIL_TERMS + 2)]  # s = 3 + 2i
+
+    def model_tail(terms):
+        coef, *_ = np.linalg.lstsq(basis[:, :terms], y, rcond=None)
+        c = [b_inf] + (coef * float(n_top) ** (2 * powers[:terms])).tolist()
+        tail = math.exp(-eta0) * math.fsum(
+            a**j / math.factorial(j) * ck * zeta[j + k]
+            for j in range(order + 1) for k, ck in enumerate(c))
+        return tail, c
+
+    tail, c = model_tail(_TAIL_TERMS)
+    tail_less, _ = model_tail(_TAIL_TERMS - 1)
+    last = w_top * abs(c[-1]) * zeta[_TAIL_TERMS]
+    expansion = w_top * a ** (order + 1) / math.factorial(order + 1) * math.fsum(
+        abs(ck) * zeta[order + 1 + k] for k, ck in enumerate(c))
+    return tail, abs(tail - tail_less) + last + expansion
+
+
 def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0)):
     """Discrete contribution Z_d = sum_n exp(-u e_n/hbar) * (trapped degeneracy).
 
-    Levels up to an exact-evaluation index N0 get their trapped degeneracy
-    from quadrature of the density.  Beyond N0 the terms follow the Dirichlet
-    decay g_n ~ B/n^3; B and the first 1/n^2 correction are fitted to the
-    last exact levels, the fitted model is summed in vectorized blocks, and
-    the reported tail bound covers both the eventually-omitted remainder and
-    a conservative (non-decaying) projection of the model's fit residual.
+    Levels 1..N get their trapped degeneracy g_n from quadrature of the
+    density.  Beyond N the terms follow g_n n^3 = B_inf + C/n^2 + D/n^4 +
+    E/n^6, with B_inf in closed form (:func:`trapped_degeneracy_limit`) and
+    C, D, E fitted to the last 64 exact levels; the model's tail is summed
+    through Hurwitz zetas (:func:`_zd_tail`).  N starts at 64 + 4 sqrt(r_hat),
+    which puts the whole fit window where r_hat/n^2 <= 1/16, and grows only
+    while the tail bound exceeds the tolerance: to the N at which the bound,
+    falling like N^-8, would pass, and by at least 16 levels.
 
-    Returns (Z_d, report, per-level list of (n, weight, trapped degeneracy)).
+    The reported tail bound covers the tail model and the weight expansion;
+    each exact level also carries its quadrature error, below 1e-2 * rel of
+    its value.  Returns (Z_d, report, per-level list of (n, weight, trapped
+    degeneracy)); the report counts the exact levels as the terms used.
     """
     if scales.lambda_star <= 0:
         raise DomainError("z_discrete needs a positive coupling (no bound levels otherwise)")
     if scales.R <= 0:
         raise DomainError("need R > 0")
     eta0 = scales.eta0
+    if eta0 <= 0:
+        raise DomainError("z_discrete needs eta0 > 0")
     eps = scales.coupling_stat
     if eps * eps >= 2.0:
         raise DomainError("lambda*/Lambda too large: ground-level weight ill-defined")
@@ -262,68 +338,27 @@ def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0))
         # exp(-u e_n / hbar) with the non-relativistic level energies
         return math.exp(-scales.u * stat_energy(n, scales) / scales.hbar)
 
-    n0 = max(96, int(math.ceil(5.0 * math.sqrt(rhat))))
-    n_cap = max(4 * n0, 4000)
-
+    b_inf = trapped_degeneracy_limit(rhat)
+    a = 0.5 * eta0 * eps * eps  # w_n = e^{-eta0} exp(a / n^2)
     g = []          # trapped degeneracies, exact quadrature
     partial = 0.0   # running exact sum, fixed order
-    n_exact = 0
-
-    def extend_exact(upto: int):
-        nonlocal partial, n_exact
-        ns = range(n_exact + 1, upto + 1)
+    n_next = int(math.ceil(_TAIL_WINDOW + 4.0 * math.sqrt(rhat)))
+    n_cap = max(4 * n_next, 4000)
+    while True:
+        ns = range(len(g) + 1, n_next + 1)
         for n, gn in zip(ns, trapped_degeneracies(ns, rhat, quad_tol).tolist()):
             g.append(gn)
             partial += weight(n) * gn
-        n_exact = upto
-
-    extend_exact(n0)
-
-    while True:
-        # Fit g_n * n^3 = B + C/n^2 over the trailing exact window.
-        win = min(max(n_exact // 2, 8), 64)
-        ns = np.arange(n_exact - win + 1, n_exact + 1, dtype=float)
-        y = np.array(g[n_exact - win:]) * ns**3
-        A = np.stack([np.ones_like(ns), 1.0 / ns**2], axis=1)
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        fit_resid = float(np.max(np.abs(A @ coef - y)))
-        b_fit, c_fit = float(coef[0]), float(coef[1])
-
-        # Conservative model-error projection: the fit residual is assumed
-        # not to decay beyond the window.
-        w_edge = weight(n_exact + 1)
-        model_bound = w_edge * fit_resid * 0.5 / n_exact**2
-
-        target = tol.threshold(partial)
-        if model_bound <= 0.25 * target or n_exact >= n_cap:
+        tail, bound = _zd_tail(g, b_inf, eta0, a)
+        total = partial + tail
+        target = tol.threshold(total)
+        if bound <= target or len(g) >= n_cap:
             break
-        extend_exact(min(int(math.ceil(1.4 * n_exact)), n_cap))
+        n_next = min(n_cap, max(len(g) + 16, int(math.ceil(len(g) * (bound / target) ** 0.125))))
 
-    # Vectorized analytic continuation of the fitted tail model.
-    total = partial
-    block = 65536
-    n_lo = n_exact + 1
-    remainder = math.inf
-    while True:
-        remainder = w_edge * (abs(b_fit) + abs(c_fit) / n_lo**2) * 0.5 / (n_lo - 1) ** 2
-        if remainder + model_bound <= tol.threshold(total):
-            break
-        if n_lo > 10**9:
-            raise NonConvergenceError(
-                "Z_d tail did not reach tolerance", estimate=total,
-                error_bound=remainder + model_bound,
-            )
-        ns = np.arange(n_lo, n_lo + block, dtype=float)
-        wn = np.exp(-eta0 * (1.0 - 0.5 * eps * eps / (ns * ns)))
-        total += float(np.sum(wn * (b_fit + c_fit / ns**2) / ns**3))
-        n_lo += block
-
-    tail_bound = remainder + model_bound
-    report = SeriesReport(
-        value=total, terms_used=n_lo - 1, tail_bound=tail_bound,
-        converged=tail_bound <= tol.threshold(total),
-    )
-    per_level = [(n, weight(n), g[n - 1]) for n in range(1, n_exact + 1)]
+    report = SeriesReport(value=total, terms_used=len(g), tail_bound=bound,
+                          converged=bound <= target)
+    per_level = [(n, weight(n), g[n - 1]) for n in range(1, len(g) + 1)]
     return total, report, per_level
 
 

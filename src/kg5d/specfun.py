@@ -1,6 +1,7 @@
 """Special functions: generalized Laguerre polynomials, the Whittaker function
-M_{n,1/2} with derivatives, large-degree Laguerre asymptotics, and the
-complementary error function.
+M_{n,1/2} with derivatives, large-degree Laguerre asymptotics, the
+complementary error function, the Bessel functions J0/J1 and the Hurwitz
+zeta function.
 
 The Whittaker evaluation rests on the Kummer reduction for integer first
 index,
@@ -174,8 +175,23 @@ def _combo_terms(n, x: np.ndarray, la, lb, log_scale):
     """
     w = (n - 1) * la - n * lb
     bracket = (1.0 + (n - 1) * x) * la * la - (x - 2.0) * la * w + w * w
-    expo = np.clip(2.0 * log_scale - x, -745.0, 700.0)
-    return w, bracket * np.exp(expo) / (n * n)
+    return w, bracket * np.exp(_scale_exponent(n, x, 2.0 * log_scale - x)) / (n * n)
+
+
+def _scale_exponent(n, x: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    """``expo`` raised to at least -745, checked against overflow.
+
+    exp(-745) is the smallest subnormal, so an underflowing term stays a
+    positive subnormal as it always has.  An exponent above 700 raises
+    :class:`LaguerreOverflowError` at its first point instead of being
+    clamped to a wrong finite value.
+    """
+    over = expo > 700.0
+    if over.any():
+        i = int(np.argmax(over.ravel()))
+        deg = int(np.broadcast_to(n, x.shape).ravel()[i])
+        raise LaguerreOverflowError(deg, float(x.ravel()[i]))
+    return np.maximum(expo, -745.0)
 
 
 def _combo_arrays(n, x: np.ndarray) -> np.ndarray:
@@ -192,7 +208,7 @@ def _whittaker_arrays(n: int, x: np.ndarray):
     x = np.asarray(x, dtype=float)
     la, lb, log_scale = _scaled_laguerre_pair(n, x)
     w, combo = _combo_terms(n, x, la, lb, log_scale)
-    scale = np.exp(np.clip(log_scale - 0.5 * x, -745.0, 700.0))
+    scale = np.exp(_scale_exponent(n, x, log_scale - 0.5 * x))
     m = (x / n) * la * scale
     m1 = ((1.0 - 0.5 * x) * la + w) * scale / n
     m2 = (0.25 * x - n) * la * scale / n
@@ -363,3 +379,52 @@ def erfcx_minus_one(s):
                 break
     out[idx] = acc
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+# ---------------------------------------------------------------------------
+# Bessel functions J0, J1 and the Hurwitz zeta function
+# ---------------------------------------------------------------------------
+
+def bessel_j01(s: float) -> tuple[float, float]:
+    """(J0(s), J1(s)) for s >= 0 from Bessel's integral.
+
+    J_k(s) = (1/pi) int_0^pi cos(k theta - s sin theta) d theta has a smooth
+    periodic integrand, so the midpoint rule with ceil(s) + 64 nodes is exact
+    up to terms of the size of J_{2m}(s) with m nodes, far below rounding.
+    """
+    if not s >= 0:
+        raise DomainError(f"need s >= 0, got {s}")
+    m = math.ceil(s) + 64
+    theta = (np.arange(m) + 0.5) * (math.pi / m)
+    phase = s * np.sin(theta)
+    return float(np.mean(np.cos(phase))), float(np.mean(np.cos(theta - phase)))
+
+
+# B_{2j} / (2j)! for j = 1..8: the Euler-Maclaurin correction coefficients.
+_EULER_MACLAURIN = tuple(
+    num / den / math.factorial(2 * j)
+    for j, (num, den) in enumerate(
+        ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510)),
+        start=1))
+
+
+def hurwitz_zeta(s: float, q: float) -> float:
+    """Hurwitz zeta function sum_{k >= 0} (q + k)^{-s}, for s > 1 and q > 0.
+
+    Euler-Maclaurin summation: the terms below x = q + m are added directly,
+    with m the fewest that make x >= 2 (s + 16), and the rest is the
+    integral, the half end term and eight Bernoulli corrections.  The first
+    omitted correction is below 2^-17 (2 pi)^-18 of the integral term.
+    """
+    if not (s > 1 and q > 0):
+        raise DomainError(f"need s > 1 and q > 0, got s={s}, q={q}")
+    m = max(0, math.ceil(2.0 * (s + 16.0) - q))
+    head = math.fsum((q + k) ** -s for k in range(m))
+    x = q + m
+    total = x ** (1.0 - s) / (s - 1.0) + 0.5 * x**-s
+    rising, power = s, x ** (-s - 1.0)  # s (s+1) ... (s+2j-2) and x^{-s-2j+1}
+    for j, coef in enumerate(_EULER_MACLAURIN, start=1):
+        total += coef * rising * power
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        power /= x * x
+    return head + total

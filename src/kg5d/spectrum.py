@@ -142,7 +142,9 @@ class ScaleSet:
         quantum u; the drag coefficient keeps the free-particle relation
         u = 2m/zeta and the temperature follows from Lambda = 2/(beta zeta c).
         The cavity radius comes from R_over_rho (preferred when the coupling
-        is on) or R_over_Lambda.  Every argument given must be finite.
+        is on) or R_over_Lambda.  Every argument given must be finite, and
+        c, hbar, m, eta0 and the cavity ratios positive, so that the set built
+        passes :meth:`validate`.
         """
         given = dict(Z=Z, alpha=alpha, lambda_star_over_Lambda=lambda_star_over_Lambda,
                      M_over_m=M_over_m, eta0=eta0, R_over_rho=R_over_rho,
@@ -150,6 +152,11 @@ class ScaleSet:
         for name, value in given.items():
             if value is not None and not math.isfinite(value):
                 raise DomainError(f"need a finite {name}, got {value}")
+        positive = dict(c=c, hbar=hbar, m=m, eta0=eta0, R_over_rho=R_over_rho,
+                        R_over_Lambda=R_over_Lambda)
+        for name, value in positive.items():
+            if value is not None and not value > 0:
+                raise DomainError(f"need {name} > 0, got {value}")
         if Z < 0:
             raise DomainError(f"need Z >= 0, got {Z}")
         if alpha < 0:

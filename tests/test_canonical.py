@@ -23,6 +23,7 @@ from kg5d.canonical import (
     figure1_curves,
     partition,
     trapped_degeneracies,
+    trapped_degeneracy_limit,
     universal_d,
     z_continuous,
     z_discrete,
@@ -244,6 +245,49 @@ def test_zd_pinned_reference_within_tail_bound():
     # from 1600 exact levels plus a fitted tail.
     zd, rep, _ = z_discrete(_scales(), tol=Tolerance(rel=1e-10))
     assert abs(zd - 51.98303420490789) <= rep.tail_bound
+
+
+# Independent references for coupling 0.01, eta0 = 1: every level up to 1600
+# or 2000 by exact quadrature, plus a tail fitted as B_inf + C/n^2 + D/n^4 +
+# E/n^6.  The r/rho 1000 value moves by 2e-12 between 1600 and 2400 exact
+# levels.
+@pytest.mark.parametrize("r_over_rho, reference", [
+    (150.0, 270.3674414955647),
+    (1000.0, 4654.744102270005),
+    pytest.param(5000.0, 52043.796250636515, marks=pytest.mark.slow),
+])
+def test_zd_large_cavity_reference_within_tail_bound(r_over_rho, reference):
+    # The free (B, C) tail fit missed r/rho 1000 by 4.3 times its own bound.
+    zd, rep, _ = z_discrete(_scales(r_over_rho=r_over_rho), tol=Tolerance(rel=1e-10))
+    assert rep.converged
+    assert abs(zd - reference) <= rep.tail_bound
+
+
+def test_zd_exact_levels_grow_with_the_cavity():
+    # The exact-level count starts from a smooth function of r_hat and is
+    # extended only while the tail bound misses the tolerance.
+    counts = [len(z_discrete(_scales(r_over_rho=r), tol=Tolerance(rel=1e-10))[2])
+              for r in (50.0, 100.0, 150.0, 155.4, 200.0, 300.0, 1000.0)]
+    assert counts[0] <= 112 and counts[2] <= 160 and counts[-1] <= 360
+    assert counts[1:] == sorted(counts[1:])
+
+
+def test_trapped_degeneracy_limit():
+    # Closed form against the Mehler-Heine integral, and n^3 g_n -> B_inf
+    def integral(rhat):
+        f = lambda s: s**5 * (mp.besselj(0, s) ** 2 + mp.besselj(1, s) ** 2) / 64
+        with mp.workdps(20):
+            top = 2 * mp.sqrt(rhat)
+            return float(mp.quad(f, mp.linspace(0, top, int(top) + 2)))
+
+    for rhat in (0.01, 1.0, 49.0, 1000.0):
+        assert trapped_degeneracy_limit(rhat) == pytest.approx(integral(rhat), rel=1e-12)
+    assert trapped_degeneracy_limit(1e4) == pytest.approx(636640081.12524, rel=1e-13)
+    assert trapped_degeneracy_limit(0.0) == 0.0
+    g = trapped_degeneracies([400], 49.0, Tolerance(rel=1e-12, abs=1e-280))[0]
+    assert 400**3 * g == pytest.approx(trapped_degeneracy_limit(49.0), rel=1e-4)
+    with pytest.raises(DomainError):
+        trapped_degeneracy_limit(-1.0)
 
 
 def test_zd_peak_memory():

@@ -189,6 +189,18 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_partition_leaves_scipy_special_unloaded(tmp_path):
+    # The Z_d tail takes J0/J1 and the Hurwitz zeta from numpy and math:
+    # importing scipy.special would raise the start-up peak RSS by about 23 MB.
+    code = ("import sys, kg5d.cli; "
+            f"rc = kg5d.cli.main(['partition', '--r-over-rho', '50', '--output-dir', {str(tmp_path)!r}]); "
+            "print(rc, 'scipy.special' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_cli_import_leaves_geometry_unloaded():
     # Only verify-geometry needs the geometry module, and verify-geometry and
     # verify-reduction the reduction module; the CLI imports them there.
@@ -206,6 +218,15 @@ def test_non_finite_integrand_exits_2_with_one_line(tmp_path, monkeypatch, capsy
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: integrand not finite at x=") and err.count("\n") == 1
+
+
+def test_non_positive_eta0_exits_2_with_one_line(tmp_path, capsys):
+    # used to die in ScaleSet.build with a ZeroDivisionError traceback, exit 1
+    rc = main(["partition", "--eta0", "0", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: need eta0 > 0, got 0.0\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [["partition", "--rel-tol", "0"],

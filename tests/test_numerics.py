@@ -186,6 +186,34 @@ def test_integrate_batch_matches_lone_integrals_bitwise():
     assert got[2] == 0.0
 
 
+def _upper_gamma_poly(k, x):
+    """int_x^inf t^k e^{-t} dt = k! e^{-x} sum_{j<=k} x^j / j!."""
+    return math.factorial(k) * math.exp(-x) * math.fsum(x**j / math.factorial(j)
+                                                        for j in range(k + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases=st.lists(st.tuples(st.integers(0, 6), st.floats(0.0, 20.0), st.floats(1e-3, 30.0),
+                                st.booleans()), min_size=1, max_size=6))
+def test_integrate_batch_closed_forms(cases):
+    # x^k e^{-x} and sin x over random intervals, all in one batch; each
+    # integral must land within its tolerance of the closed form.
+    k = np.array([c[0] for c in cases])
+    a = np.array([c[1] for c in cases])
+    b = a + np.array([c[2] for c in cases])
+    is_sin = np.array([c[3] for c in cases])
+    tol = Tolerance(rel=1e-10, abs=1e-13)
+
+    def f(x, owner):
+        return np.where(is_sin[owner], np.sin(x), x ** k[owner] * np.exp(-x))
+
+    got = integrate_batch(f, a, b, tol)
+    for i, (ki, ai, bi, si) in enumerate(zip(k.tolist(), a.tolist(), b.tolist(), is_sin)):
+        exact = (math.cos(ai) - math.cos(bi) if si
+                 else _upper_gamma_poly(ki, ai) - _upper_gamma_poly(ki, bi))
+        assert abs(got[i] - exact) <= tol.threshold(exact) + 1e-15 * (bi - ai + abs(exact))
+
+
 def test_integrate_batch_budget_error():
     f = lambda x, owner: np.sqrt(np.abs(x - 0.3 * owner))
     with pytest.raises(QuadratureError) as info:
@@ -279,6 +307,41 @@ def test_sum_series_is_the_running_sum(tol):
     rep = sum_series(term, tail, tol)
     assert (rep.value, rep.terms_used, rep.tail_bound) == (s, n, bound)
     assert rep.converged == (bound <= tol.threshold(s))
+
+
+# (term, tail bound by the integral test, exact sum, tightest rel tried)
+_KNOWN_SERIES = {
+    "1/n^2": (lambda n: 1.0 / n**2, lambda n: 1.0 / n, math.pi**2 / 6, 1e-4),
+    "1/n^4": (lambda n: 1.0 / n**4, lambda n: 1.0 / (3.0 * n**3), math.pi**4 / 90, 1e-10),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_KNOWN_SERIES)), scale=st.floats(0.0, 1.0))
+def test_sum_series_bound_covers_remainder_power_series(name, scale):
+    # The reported bound is at least the true remainder of the reported
+    # partial sum; the oracle sums the same terms exactly rounded.
+    term, tail, exact, tightest = _KNOWN_SERIES[name]
+    rel = tightest ** (1.0 - scale) * 1e-1 ** scale
+    rep = sum_series(term, tail, Tolerance(rel=rel, max_iter=100_000))
+    assert rep.converged
+    n = np.arange(1, rep.terms_used + 1, dtype=float)
+    partial = math.fsum(term(n).tolist())
+    assert abs(rep.value - partial) <= rep.terms_used * 2**-52 * partial
+    assert exact - partial <= rep.tail_bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratio=st.floats(0.01, 0.95), rel=st.floats(1e-14, 1e-2))
+def test_sum_series_bound_covers_remainder_geometric(ratio, rel):
+    rep = sum_series(lambda n: ratio ** n.astype(float),
+                     lambda n: ratio ** (n + 1.0) / (1.0 - ratio),
+                     Tolerance(rel=rel, max_iter=100_000))
+    assert rep.converged
+    # the bound is the remainder itself, so allow the oracle's own rounding
+    exact = ratio / (1.0 - ratio)
+    partial = math.fsum(ratio**k for k in range(1, rep.terms_used + 1))
+    assert exact - partial <= rep.tail_bound + 4 * math.ulp(exact)
 
 
 def test_sum_series_rejects_invalid_bound():

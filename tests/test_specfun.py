@@ -10,6 +10,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from kg5d.errors import DomainError, LaguerreOverflowError, TurningPointError
@@ -18,7 +20,9 @@ from kg5d.specfun import (
     AsymptoticBranch,
     asymptotic_branch,
     asymptotic_combo,
+    bessel_j01,
     erfcx_minus_one,
+    hurwitz_zeta,
     laguerre,
     laguerre_asymptotic,
     varrho,
@@ -26,6 +30,7 @@ from kg5d.specfun import (
     whittaker_m_half,
     _combo_arrays,
     _scaled_laguerre_pair,
+    _whittaker_arrays,
 )
 
 mp.mp.dps = 40
@@ -402,3 +407,47 @@ def test_erfcx_minus_one_asymptote():
     for s in (1e-4, 1e-6, 1e-8):
         assert erfcx_minus_one(s) / (-2.0 * s / math.sqrt(math.pi)) == pytest.approx(
             1.0, abs=2.0 * s)
+
+
+def test_scaled_exponent_overflow_raises_instead_of_clamping():
+    # e^{-x} L^2 at x = -800 is e^{800}: the exponent used to be clipped to
+    # 700, which returned a finite, wrong combination.
+    x = np.array([1.0, -800.0, 2.0])
+    with pytest.raises(LaguerreOverflowError) as info:
+        _combo_arrays(np.array([3, 1, 2]), x)
+    assert (info.value.n, info.value.x) == (1, -800.0)
+    with pytest.raises(LaguerreOverflowError):
+        _whittaker_arrays(2, np.array([-1500.0]))
+    # the underflow side still clips, at e^{-745}, and does not raise
+    assert 0.0 < _combo_arrays(1, np.array([2000.0]))[0] < 1e-320
+
+
+# ---------------------------------------------------------------------------
+# Bessel J0/J1 and the Hurwitz zeta function
+# ---------------------------------------------------------------------------
+
+def test_bessel_j01_against_mpmath():
+    for s in (0.0, 1e-3, 0.5, 2.404825557695773, 7.0, 63.5, 200.0, 1999.0):
+        j0, j1 = bessel_j01(s)
+        assert abs(j0 - float(mp.besselj(0, s))) < 1e-14
+        assert abs(j1 - float(mp.besselj(1, s))) < 1e-14
+    with pytest.raises(DomainError):
+        bessel_j01(-1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=st.sampled_from([3, 5, 7, 9, 11, 13, 15]),
+       q=st.one_of(st.integers(2, 10**6), st.floats(2.0, 1e6)))
+def test_hurwitz_zeta_against_mpmath(s, q):
+    # mpmath sums zeta(s) - sum_{k<q} k^{-s} for integer q, which cancels
+    # to about q^{1-s}: the working precision must cover that.
+    with mp.workdps(30 + int(s * math.log10(q))):
+        ref = mp.zeta(s, mp.mpf(q))
+        assert abs(hurwitz_zeta(s, q) - ref) <= 1e-14 * ref
+
+
+def test_hurwitz_zeta_domain():
+    assert hurwitz_zeta(2, 1) == pytest.approx(math.pi**2 / 6, rel=1e-15)
+    for s, q in ((1.0, 2.0), (3.0, 0.0), (3.0, -1.0)):
+        with pytest.raises(DomainError):
+            hurwitz_zeta(s, q)

@@ -73,15 +73,31 @@ _BUILD_FLOATS = ("alpha", "lambda_star_over_Lambda", "M_over_m", "eta0", "R_over
                  "R_over_Lambda", "c", "hbar", "m")
 
 
-@settings(max_examples=200, deadline=None)
+_non_positive = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, -1e-300))
+
+
+@settings(max_examples=300, deadline=None)
 @given(Z=st.integers(1, 10), alpha=st.floats(1e-4, 0.1), coupling=st.floats(1e-4, 1.0),
-       eta0=_scale, r=_scale, c=_scale, hbar=_scale, m=_scale)
-def test_scaleset_build_round_trip(Z, alpha, coupling, eta0, r, c, hbar, m):
-    # build on finite inputs gives a set that its own validate() accepts
-    ScaleSet.build(Z=Z, alpha=alpha, lambda_star_over_Lambda=coupling, eta0=eta0,
-                   R_over_rho=r, c=c, hbar=hbar, m=m).validate()
-    ScaleSet.build(Z=Z, alpha=alpha, M_over_m=coupling, eta0=eta0,
-                   R_over_Lambda=r, c=c, hbar=hbar, m=m).validate()
+       eta0=_scale, r=_scale, c=_scale, hbar=_scale, m=_scale,
+       bad=st.none() | st.tuples(st.sampled_from(("eta0", "r", "c", "hbar", "m")),
+                                 _non_positive))
+def test_scaleset_build_round_trip(Z, alpha, coupling, eta0, r, c, hbar, m, bad):
+    # build on finite inputs gives a set that its own validate() accepts, or
+    # refuses a non-positive c, hbar, m, eta0 or cavity ratio with DomainError
+    # (c = -1 raised a bare ValueError, hbar = 0 or m = 0 a ZeroDivisionError,
+    # and eta0 = -1 built a set that validate() rejects)
+    values = dict(eta0=eta0, r=r, c=c, hbar=hbar, m=m)
+    if bad is not None:
+        values[bad[0]] = bad[1]
+    common = dict(Z=Z, alpha=alpha, eta0=values["eta0"], c=values["c"],
+                  hbar=values["hbar"], m=values["m"])
+    for kw in (dict(lambda_star_over_Lambda=coupling, R_over_rho=values["r"]),
+               dict(M_over_m=coupling, R_over_Lambda=values["r"])):
+        if bad is None:
+            ScaleSet.build(**common, **kw).validate()
+        else:
+            with pytest.raises(DomainError, match=r"> 0, got"):
+                ScaleSet.build(**common, **kw)
 
 
 @settings(max_examples=100, deadline=None)
