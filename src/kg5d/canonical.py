@@ -30,12 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .numerics import SeriesReport, Tolerance, integrate_batch, sum_series
+from .numerics import SeriesReport, Tolerance, beside, integrate_batch, sum_series
 from .specfun import (_combo_arrays, asymptotic_combo, bessel_j01, erfcx_minus_one,
                       hurwitz_zeta)
 from .spectrum import ScaleSet, stat_energy
 
 _SQRT_PI = math.sqrt(math.pi)
+
+# One-core costs for ``beside``'s estimates (2-core x86-64 host, numpy 2.4):
+# a point-step of the batched Laguerre recurrence, and a term of Z_c's sum.
+_POINT_STEP_S = 1e-8
+_ZC_TERM_S = 4e-7
 
 
 @dataclass(frozen=True)
@@ -88,23 +93,19 @@ def universal_d(r):
     return out
 
 
-def dn_scaled_grid(n: int, r: np.ndarray) -> np.ndarray:
+def dn_scaled_grid(n, r: np.ndarray) -> np.ndarray:
     """Rescaled density D_n(r n^2) on an array of r, in rho/2 = 1 units.
 
     Equals (r^2 n / 2) [M'^2 - M M''](r n); evaluated through the rescaled
-    Laguerre recurrence so any n is fine (no overflow at n ~ 10^3).
+    Laguerre recurrence so any n is fine (no overflow at n ~ 10^3).  ``n`` is
+    one level or one level per point of ``r``.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    if np.any(np.asarray(n) < 1):
+        raise DomainError(f"need n >= 1, got {np.min(n)}")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("need r >= 0")
     return 0.5 * r * r * n * _combo_arrays(n, r * n)
-
-
-def dn_scaled(n: int, r: float) -> float:
-    """Scalar convenience wrapper around :func:`dn_scaled_grid`."""
-    return float(dn_scaled_grid(n, np.array([r]))[0])
 
 
 def dn_scaled_asymptotic(n: int, r: float, **kw) -> float:
@@ -137,29 +138,74 @@ def _density_rhat(n, rhat: np.ndarray) -> np.ndarray:
     return rhat * rhat / (2.0 * n**3) * _combo_arrays(n, rhat / n)
 
 
+def _halves(work: np.ndarray) -> np.ndarray:
+    """Mask of the items a worker takes: about half the total ``work``.
+
+    Items go, largest first, to the side with less work so far.  Item 0
+    stays with the caller, whose half runs first, so an error that every
+    item raises names the first item, as it would without the split.
+    """
+    mask = np.zeros(len(work), dtype=bool)
+    load = [0.0, 0.0]
+    for i in np.argsort(-work, kind="stable").tolist():
+        side = int(load[1] < load[0])
+        mask[i] = side
+        load[side] += float(work[i])
+    return ~mask if mask[:1].any() else mask
+
+
 def trapped_degeneracies(ns, rhat_max: float, tol: Tolerance) -> np.ndarray:
     """Portion of each level's degeneracy inside r_hat <= rhat_max (full value n^2).
 
     The integrand decays like e^{-r_hat/n} beyond its support at ~4 n^2, so
     each domain is cut at a Whittaker argument of 20n + 40 when the cavity is
     larger than that.  All levels are integrated together, each exactly as
-    it would be alone (see :func:`integrate_batch`).
+    it would be alone (see :func:`integrate_batch`); half of the recurrence
+    work goes to a worker beside this process (:func:`beside`).
     """
     ns = np.asarray(ns, dtype=np.int64)
     cut = np.maximum(np.minimum(rhat_max, ns * (20.0 * ns + 40.0)), 0.0)
-    return integrate_batch(lambda rh, owner: _density_rhat(ns[owner], rh),
-                           np.zeros(len(ns)), cut, tol)
+    # Recurrence point-steps per level: its degree times its quadrature
+    # points, about 45 min(n, sqrt(r_hat)) (measured for r_hat 100-10^4).
+    work = 45.0 * ns * np.minimum(ns, np.sqrt(cut))
+
+    def part(mask):
+        # The other half's domains are empty, so errors name a level by its
+        # index in ``ns``.
+        return integrate_batch(lambda rh, owner: _density_rhat(ns[owner], rh),
+                               np.zeros(len(ns)), np.where(mask, cut, 0.0), tol)
+
+    theirs = _halves(work)
+    with beside(part, theirs, seconds=_POINT_STEP_S * work[theirs].sum()) as collect:
+        mine = part(~theirs)
+        return np.where(theirs, collect(), mine)
 
 
 def figure1_curves(n_list, r_grid) -> list[DensityCurve]:
-    """Rescaled density curves for several n on a common r grid (r in [0, 5])."""
+    """Rescaled density curves for several n on a common r grid (r in [0, 5]).
+
+    Each half of the levels, by recurrence work, takes one pass with a
+    degree per point; one half is computed beside this process
+    (:func:`beside`).  A curve gets the same bits as from a pass of its own.
+    """
     r = np.asarray(r_grid, dtype=float)
     if np.any((r < 0) | (r > 5.0)):
         raise DomainError("r grid must lie within [0, 5]")
-    curves = []
-    for n in n_list:
-        curves.append(DensityCurve(n=int(n), r=r, values=dn_scaled_grid(int(n), r)))
-    return curves
+    ns = np.array([int(n) for n in n_list], dtype=np.int64)
+    if np.any(ns < 1):
+        raise DomainError(f"need n >= 1, got {ns[np.argmax(ns < 1)]}")
+
+    def part(mask):
+        own = ns[mask]
+        return dn_scaled_grid(np.repeat(own, r.size), np.tile(r, len(own))).reshape(-1, r.size)
+
+    work = ns * float(r.size)
+    theirs = _halves(work)
+    values = np.empty((len(ns), r.size))
+    with beside(part, theirs, seconds=_POINT_STEP_S * work[theirs].sum()) as collect:
+        values[~theirs] = part(~theirs)
+        values[theirs] = collect()
+    return [DensityCurve(n=n, r=r, values=v) for n, v in zip(ns.tolist(), values)]
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +220,12 @@ def _exp(v: np.ndarray) -> np.ndarray:
     tail bounds bit for bit what a term-by-term sum computes.
     """
     return np.fromiter(map(math.exp, v.tolist()), dtype=float, count=v.size)
+
+
+def _zc_damping(scales: ScaleSet) -> float:
+    """Z_c's Gaussian damping exponent gamma = pi^{4/3} u c Lambda / (2 V^{2/3})."""
+    return math.pi ** (4.0 / 3.0) * scales.u * scales.c * scales.Lambda / (
+        2.0 * scales.V ** (2.0 / 3.0))
 
 
 def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0)):
@@ -198,7 +250,7 @@ def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0
     if eps == 0.0:
         return ideal, SeriesReport(value=0.0, terms_used=1, tail_bound=0.0, converged=True)
 
-    gamma = math.pi ** (4.0 / 3.0) * scales.u * scales.c * Lam / (2.0 * V ** (2.0 / 3.0))
+    gamma = _zc_damping(scales)
     if gamma <= 0:
         raise DomainError("Gaussian damping exponent must be positive")
     s0 = eps * math.sqrt(0.5 * eta0)
@@ -364,9 +416,15 @@ def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0))
 
 def partition(scales: ScaleSet,
               tol: Tolerance = Tolerance(rel=1e-10, abs=0.0)) -> PartitionResult:
-    """Full canonical sum: assembles Z_c and Z_d into a PartitionResult."""
-    zc, rep_c = z_continuous(scales, Tolerance(rel=min(tol.rel, 1e-12), abs=tol.abs,
-                                               max_iter=tol.max_iter))
-    zd, rep_d, levels = z_discrete(scales, tol)
+    """Full canonical sum: assembles Z_c and Z_d into a PartitionResult.
+
+    Z_c is summed beside this process (:func:`beside`) while Z_d runs here.
+    """
+    tol_c = Tolerance(rel=min(tol.rel, 1e-12), abs=tol.abs, max_iter=tol.max_iter)
+    # Z_c's terms stop about where the damping exp(-gamma n^2) reaches rel <= 1e-12.
+    terms = math.sqrt(28.0 / _zc_damping(scales))
+    with beside(z_continuous, scales, tol_c, seconds=_ZC_TERM_S * terms) as collect:
+        zd, rep_d, levels = z_discrete(scales, tol)
+        zc, rep_c = collect()
     return PartitionResult(z_c=zc, z_d=zd, z_total=zc + zd,
                            terms_c=rep_c, terms_d=rep_d, per_level_d=levels)

@@ -11,13 +11,14 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kg5d import canonical
 from kg5d.canonical import (
     DensityCurve,
     brace_asymptote,
     dn_density,
-    dn_scaled,
     dn_scaled_asymptotic,
     dn_scaled_grid,
     figure1_curves,
@@ -55,7 +56,7 @@ def test_d1_closed_form_physical_units():
 def test_dn_zero_at_origin():
     for n in (1, 2, 7, 40):
         assert dn_density(n, 0.0, 2.0) == 0.0
-        assert dn_scaled(n, 0.0) == 0.0
+        assert dn_scaled_grid(n, np.array([0.0]))[0] == 0.0
 
 
 def test_d2_normalization_various_rho():
@@ -78,7 +79,7 @@ def test_scaled_and_physical_densities_agree():
     # rho = 2 makes the cavity variable the physical one
     for (n, rhat) in [(3, 2.0), (8, 33.0), (15, 400.0)]:
         assert dn_density(n, rhat, 2.0) == pytest.approx(
-            dn_scaled(n, rhat / n**2), rel=1e-12)
+            dn_scaled_grid(n, np.array([rhat / n**2]))[0], rel=1e-12)
 
 
 def test_dn_scaled_normalization_sample():
@@ -95,7 +96,7 @@ def test_dn_against_mpmath_high_n():
     f = lambda t: mp.whitm(n, mp.mpf(1) / 2, t)
     combo = mp.diff(f, x, 1) ** 2 - f(x) * mp.diff(f, x, 2)
     ref = float(mp.mpf(r) ** 2 * n / 2 * combo)
-    assert dn_scaled(n, r) == pytest.approx(ref, rel=1e-10)
+    assert dn_scaled_grid(n, np.array([r]))[0] == pytest.approx(ref, rel=1e-10)
 
 
 def test_dn_scaled_asymptotic_path():
@@ -103,9 +104,11 @@ def test_dn_scaled_asymptotic_path():
     # and sits within O(1/n) of the recurrence
     for (n, r) in [(200, 1.0), (500, 2.5)]:
         assert dn_scaled_asymptotic(n, r) == pytest.approx(universal_d(r), rel=1e-12)
-        assert dn_scaled_asymptotic(n, r) == pytest.approx(dn_scaled(n, r), rel=5.0 / n)
+        assert dn_scaled_asymptotic(n, r) == pytest.approx(
+            dn_scaled_grid(n, np.array([r]))[0], rel=5.0 / n)
     # exponential branch: exponentially small, matching the recurrence scale
-    assert dn_scaled_asymptotic(300, 5.0) == pytest.approx(dn_scaled(300, 5.0), rel=5e-2)
+    assert dn_scaled_asymptotic(300, 5.0) == pytest.approx(
+        dn_scaled_grid(300, np.array([5.0]))[0], rel=5e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +175,25 @@ def test_trapped_degeneracies_match_single_levels():
     got = trapped_degeneracies(ns, 150.0, tol)
     assert got.tolist() == [trapped_degeneracies([n], 150.0, tol)[0] for n in ns]
     assert trapped_degeneracies([3, 4], 0.0, tol).tolist() == [0.0, 0.0]
+
+
+def test_split_levels_match_single_levels(always_fork):
+    # Half of the levels are computed in a forked worker; each keeps its bits.
+    tol = Tolerance(rel=1e-11, abs=1e-280)
+    ns = [140, 1, 65, 7, 64, 2]
+    got = trapped_degeneracies(ns, 150.0, tol)
+    assert got.tolist() == [trapped_degeneracies([n], 150.0, tol)[0] for n in ns]
+    r = np.linspace(0.0, 5.0, 301)
+    for curve, n in zip(figure1_curves(ns, r), ns):
+        assert curve.n == n and np.array_equal(curve.values, dn_scaled_grid(n, r))
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(min_value=1, max_value=2000))
+def test_trapped_degeneracy_normalisation_random_level(n):
+    # A cavity far beyond the level's support traps all of it: D_n integrates to n^2.
+    got = trapped_degeneracies([n], 1e12, Tolerance(rel=1e-11, abs=0.0, max_iter=10000))[0]
+    assert got == pytest.approx(n * n, rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +391,5 @@ def test_figure1_nonnegative_and_zero_at_origin():
 def test_figure1_domain_guard():
     with pytest.raises(DomainError):
         figure1_curves([1], np.array([0.0, 5.5]))
+    with pytest.raises(DomainError, match=r"need n >= 1, got 0$"):
+        figure1_curves([3, 0, -1], np.linspace(0.0, 5.0, 11))

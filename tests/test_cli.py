@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from kg5d import canonical
-from kg5d.geometry import projected_peak_bytes
+from kg5d import canonical, numerics
 from kg5d.cli import main
+from kg5d.errors import NonConvergenceError
+from kg5d.geometry import projected_peak_bytes
 
 
 def _read(path):
@@ -336,3 +337,40 @@ def test_artifacts_independent_of_thread_count(tmp_path, argv, names):
                        env=env, capture_output=True, check=True)
         runs.append({name: _read(out / name) for name in names})
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["partition", "--r-over-rho", "150"], ("partition.csv", "partition.json")),
+    (["figure1", "--n", "400,500,600,700", "--r-points", "2001", "--formats", "csv,json,svg"],
+     ("figure1.csv", "figure1.json", "figure1.svg")),
+    (["verify-reduction", "--points", "4096", "--steps", "256"],
+     ("verify_reduction.csv", "verify_reduction.json")),
+], ids=["partition", "figure1", "verify-reduction"])
+def test_artifacts_independent_of_cpu_count(tmp_path, argv, names):
+    # Pinned to one CPU every half runs inline; on two, one half of each of
+    # these runs in a forked worker (sizes above numerics._BESIDE_FLOOR_S).
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    cpus = sorted(os.sched_getaffinity(0))
+    runs = []
+    for allowed in (cpus[:1], cpus[:2]):
+        proc = subprocess.run([sys.executable, "-m", "kg5d.cli", *argv, "--output-dir", str(out)],
+                              env=env, capture_output=True, check=True,
+                              preexec_fn=lambda: os.sched_setaffinity(0, allowed))
+        runs.append((proc.stdout, {name: _read(out / name) for name in names}))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("floor", [0.0, math.inf], ids=["forked", "inline"])
+def test_worker_error_exits_with_its_code_and_one_line(tmp_path, monkeypatch, capsys, floor):
+    # Z_c runs in the worker's half of partition; its error reaches the CLI
+    # as if raised here.
+    def fail(scales, tol):
+        raise NonConvergenceError("Z_c correction sum did not converge", estimate=1.0)
+
+    monkeypatch.setattr(numerics, "_BESIDE_FLOOR_S", floor)
+    monkeypatch.setattr(canonical, "z_continuous", fail)
+    rc = main(["partition", "--r-over-rho", "50", "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == "non-convergence: Z_c correction sum did not converge\n"
+    assert not list(tmp_path.iterdir())

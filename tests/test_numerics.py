@@ -5,6 +5,9 @@ independent quadrature implementation.
 """
 
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -18,16 +21,19 @@ from kg5d.errors import (
     GridSizeError,
     IntegrandError,
     IntervalError,
+    DomainError,
     Kg5dError,
     NonConvergenceError,
     OrderFitError,
     QuadratureError,
     SeriesBoundError,
     StencilError,
+    WorkerError,
 )
 from kg5d.numerics import (
     SeriesReport,
     Tolerance,
+    beside,
     fd_derivative,
     find_roots,
     fit_convergence_order,
@@ -606,3 +612,89 @@ def test_argument_errors_are_package_errors():
         with pytest.raises(kind) as info:
             call()
         assert isinstance(info.value, Kg5dError) and isinstance(info.value, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# Work beside the caller
+# ---------------------------------------------------------------------------
+
+_TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+
+
+@pytest.mark.skipif(not _TWO_CPUS, reason="a worker is forked only with two CPUs")
+def test_beside_runs_in_another_process():
+    with beside(os.getpid, seconds=1.0) as collect:
+        here = os.getpid()
+        there = collect()
+    assert there != here
+
+
+def test_beside_runs_inline_below_the_floor_and_inside_a_worker():
+    with beside(os.getpid, seconds=0.0) as collect:
+        assert collect() == os.getpid()
+
+    def nested():
+        with beside(os.getpid, seconds=1.0) as inner:
+            return os.getpid(), inner()
+
+    with beside(nested, seconds=1.0) as collect:
+        outer, inner = collect()
+    assert outer == inner
+
+
+@pytest.mark.parametrize("seconds", [0.0, 1.0], ids=["inline", "forked"])
+def test_beside_returns_bits_and_raises_the_workers_exception(seconds):
+    values = np.random.default_rng(5).standard_normal(100_000)  # beyond one pipe buffer
+    with beside(np.cumsum, values, seconds=seconds) as collect:
+        assert np.array_equal(collect(), np.cumsum(values))
+
+    def fail():
+        raise NonConvergenceError("worker half", estimate=1.5, error_bound=0.25)
+
+    with pytest.raises(NonConvergenceError) as info:
+        with beside(fail, seconds=seconds) as collect:
+            collect()
+    assert str(info.value) == "worker half"
+    assert (info.value.estimate, info.value.error_bound) == (1.5, 0.25)
+
+
+@pytest.mark.parametrize("exc", [DomainError("this half"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_beside_kills_the_worker_when_this_half_fails(exc):
+    # The worker would sleep for a minute; leaving the block kills and reaps
+    # it at once (the autouse fixture checks that no child is left).
+    start = time.perf_counter()
+    with pytest.raises(type(exc)):
+        with beside(time.sleep, 60.0, seconds=1.0):
+            raise exc
+    assert time.perf_counter() - start < 10.0
+
+
+def test_beside_kills_the_worker_on_an_interrupt_while_collecting():
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(KeyboardInterrupt):
+            with beside(time.sleep, 60.0, seconds=1.0) as collect:
+                collect()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.skipif(not _TWO_CPUS, reason="a worker is forked only with two CPUs")
+def test_beside_reports_a_worker_that_dies():
+    caller = os.getpid()
+
+    def die():
+        if os.getpid() != caller:
+            os._exit(7)
+
+    with pytest.raises(WorkerError, match=r"without a result \(exit code 7\)"):
+        with beside(die, seconds=1.0) as collect:
+            collect()
