@@ -37,10 +37,12 @@ from .spectrum import ScaleSet, stat_energy
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# One-core costs for ``beside``'s estimates (2-core x86-64 host, numpy 2.4):
-# a point-step of the batched Laguerre recurrence, and a term of Z_c's sum.
+# One-core costs for ``beside``'s estimates (x86-64, numpy 2.4): a
+# point-step of the batched Laguerre recurrence (figure1 and Z_d's levels
+# took 0.7-2.2x this at r/rho 50-1000), and a term of Z_c's hard budget
+# (its sum took 70-85 ns per budgeted term at r/rho 50-5000).
 _POINT_STEP_S = 1e-8
-_ZC_TERM_S = 4e-7
+_ZC_BUDGET_TERM_S = 8e-8
 
 
 @dataclass(frozen=True)
@@ -228,6 +230,19 @@ def _zc_damping(scales: ScaleSet) -> float:
         2.0 * scales.V ** (2.0 / 3.0))
 
 
+def _zc_budget(scales: ScaleSet) -> int:
+    """Hard term budget of Z_c's sum: terms are sub-denormal once gamma n^2 > 709.
+
+    The tail bound stops the sum near sqrt(ln(1/rel) / gamma) terms, a fixed
+    share of the budget (1/5 at rel 1e-12).  With the coupling off there is
+    no sum, and without damping :func:`z_continuous` raises: 0 for both.
+    """
+    gamma = _zc_damping(scales)
+    if scales.coupling_stat == 0.0 or not gamma > 0:
+        return 0
+    return int(math.ceil(math.sqrt(709.0 / gamma))) + 16
+
+
 def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0)):
     """Continuum contribution Z_c: ideal-gas term minus the erfc-bracket sum.
 
@@ -265,9 +280,7 @@ def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0
         k = np.maximum(ns, int(math.ceil(1.0 / math.sqrt(2.0 * gamma))))
         return amp * _exp(-gamma * k * k) / (2.0 * gamma)
 
-    # Terms are sub-denormal once gamma n^2 > 709, so that is the hard budget;
-    # the tail bound terminates the sum far earlier in practice.
-    budget = max(tol.max_iter, int(math.ceil(math.sqrt(709.0 / gamma))) + 16)
+    budget = max(tol.max_iter, _zc_budget(scales))
     report = sum_series(term, tail, Tolerance(rel=tol.rel, abs=tol.abs, max_iter=budget))
     if not report.converged:
         raise NonConvergenceError(
@@ -421,9 +434,8 @@ def partition(scales: ScaleSet,
     Z_c is summed beside this process (:func:`beside`) while Z_d runs here.
     """
     tol_c = Tolerance(rel=min(tol.rel, 1e-12), abs=tol.abs, max_iter=tol.max_iter)
-    # Z_c's terms stop about where the damping exp(-gamma n^2) reaches rel <= 1e-12.
-    terms = math.sqrt(28.0 / _zc_damping(scales))
-    with beside(z_continuous, scales, tol_c, seconds=_ZC_TERM_S * terms) as collect:
+    with beside(z_continuous, scales, tol_c,
+                seconds=_ZC_BUDGET_TERM_S * _zc_budget(scales)) as collect:
         zd, rep_d, levels = z_discrete(scales, tol)
         zc, rep_c = collect()
     return PartitionResult(z_c=zc, z_d=zd, z_total=zc + zd,

@@ -356,9 +356,10 @@ def beside(fn: Callable, *args, seconds: float):
     fn's result, or raises the exception fn raised, with its type, message
     and attributes.  ``seconds`` is the caller's estimate of fn's time on
     one core.  fn runs inline, inside ``collect``, when that estimate is
-    below ``_BESIDE_FLOOR_S``, when fewer than two CPUs are available, or
-    when the caller is itself a worker; so the block's own exceptions come
-    first either way, and a result is the same bits either way.
+    below ``_BESIDE_FLOOR_S``, when fewer than two CPUs are available, when
+    the caller is itself a worker, or when the system refuses a pipe or a
+    process; so the block's own exceptions come first either way, and a
+    result is the same bits either way.
 
     The worker shares nothing with the caller after the fork, so fn must be
     a pure function; fork copies only the calling thread, and the package
@@ -366,14 +367,13 @@ def beside(fn: Callable, *args, seconds: float):
     atexit handlers, no stdio flush).  Leaving the block without collecting,
     by an exception or an interrupt, kills the worker; it is always reaped.
     """
-    if not seconds >= _BESIDE_FLOOR_S or _in_worker or len(os.sched_getaffinity(0)) < 2:
+    worker = None
+    if seconds >= _BESIDE_FLOOR_S and not _in_worker and len(os.sched_getaffinity(0)) >= 2:
+        worker = _fork(fn, args)
+    if worker is None:
         yield lambda: fn(*args)
         return
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        _work(read_fd, write_fd, fn, args)
-    os.close(write_fd)
+    pid, read_fd = worker
     reaped = False
 
     def collect():
@@ -406,6 +406,25 @@ def beside(fn: Callable, *args, seconds: float):
         os.close(read_fd)
 
 
+def _fork(fn: Callable, args: tuple):
+    """Fork a worker computing ``fn(*args)``: its pid and the read end of its
+    pipe, or None when the system refuses the pipe or the process."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        _work(read_fd, write_fd, fn, args)
+    os.close(write_fd)
+    return pid, read_fd
+
+
 def _work(read_fd: int, write_fd: int, fn: Callable, args: tuple):
     """Body of a forked worker: run fn, pickle the outcome into the pipe, exit."""
     global _in_worker
@@ -417,11 +436,26 @@ def _work(read_fd: int, write_fd: int, fn: Callable, args: tuple):
             outcome = True, fn(*args)
         except BaseException as exc:  # the caller re-raises it from collect()
             outcome = False, exc
+        data = _pickled(outcome)
         with open(write_fd, "wb") as pipe:
-            pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            pipe.write(data)
         status = 0
     finally:
         os._exit(status)
+
+
+def _pickled(outcome: tuple) -> bytes:
+    """A worker's outcome as a pickle; one that does not survive the round
+    trip is replaced by a WorkerError that names it."""
+    ok, value = outcome
+    try:
+        data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+        if not ok:
+            pickle.loads(data)  # an exception must also rebuild in the caller
+        return data
+    except Exception as exc:
+        what = "its result" if ok else f"{type(value).__name__}: {value}"
+        return pickle.dumps((False, WorkerError(f"worker could not send back {what} ({exc})")))
 
 
 def fd_derivative(values: np.ndarray, axis: int, order: int, step: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import math
 import os
 
 import pytest
@@ -22,3 +23,9 @@ def no_child_left():
 def always_fork(monkeypatch):
     """Make ``numerics.beside`` fork for any amount of work (given two CPUs)."""
     monkeypatch.setattr(numerics, "_BESIDE_FLOOR_S", 0.0)
+
+
+@pytest.fixture
+def never_fork(monkeypatch):
+    """Make ``numerics.beside`` run all work inline, where tracemalloc sees it."""
+    monkeypatch.setattr(numerics, "_BESIDE_FLOOR_S", math.inf)

@@ -312,9 +312,10 @@ def test_trapped_degeneracy_limit():
         trapped_degeneracy_limit(-1.0)
 
 
-def test_zd_peak_memory():
+def test_zd_peak_memory(never_fork):
     # Batched levels must not hold more than a capped integrand call's worth
-    # of points: the one-level-at-a-time sum peaked at 2.02 MiB here.
+    # of points: the one-level-at-a-time sum peaked at 2.02 MiB here.  Inline,
+    # so the traced process integrates every level.
     s = _scales(r_over_rho=150.0)
     tracemalloc.start()
     try:

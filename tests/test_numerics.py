@@ -698,3 +698,40 @@ def test_beside_reports_a_worker_that_dies():
     with pytest.raises(WorkerError, match=r"without a result \(exit code 7\)"):
         with beside(die, seconds=1.0) as collect:
             collect()
+
+
+@pytest.mark.skipif(not _TWO_CPUS, reason="a worker is forked only with two CPUs")
+@pytest.mark.parametrize("refused", ["pipe", "fork"])
+def test_beside_runs_inline_when_the_system_refuses_a_worker(monkeypatch, refused):
+    def refuse(*args):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, refused, refuse)
+    with beside(os.getpid, seconds=1.0) as collect:
+        assert collect() == os.getpid()
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+class _NeedsTwoArgs(Exception):
+    """Pickles by its args, so it cannot be rebuilt from them."""
+
+    def __init__(self, message, code):
+        super().__init__(f"{message} [{code}]")
+
+
+@pytest.mark.skipif(not _TWO_CPUS, reason="a worker is forked only with two CPUs")
+def test_beside_names_an_outcome_that_cannot_be_sent_back():
+    def generator():
+        return (k for k in range(3))
+
+    def odd_error():
+        raise _NeedsTwoArgs("lost half", 4)
+
+    with pytest.raises(WorkerError, match=r"^worker could not send back its result \("):
+        with beside(generator, seconds=1.0) as collect:
+            collect()
+    with pytest.raises(WorkerError,
+                       match=r"^worker could not send back _NeedsTwoArgs: lost half \[4\] \("):
+        with beside(odd_error, seconds=1.0) as collect:
+            collect()

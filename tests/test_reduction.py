@@ -403,6 +403,12 @@ def test_verify_reduction_memory_flat_in_steps():
     assert max(peaks) <= 24 * 16 * points, peaks
 
 
+def test_verify_reduction_memory_flat_in_steps_inline(never_fork):
+    # With two CPUs the norm stream runs in a forked worker, out of the
+    # test above's sight; inline, the same bounds cover it.
+    test_verify_reduction_memory_flat_in_steps()
+
+
 def test_evolve_stream_validates_at_call():
     psi0 = gaussian_packet(64, 20.0, 1.0)
     with pytest.raises(ConfigurationError):
