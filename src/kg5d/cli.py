@@ -336,8 +336,16 @@ def cmd_partition(cfg: RunConfig) -> int:
     return 0
 
 
+def _r_grid(cfg: RunConfig, r_max: float) -> np.ndarray:
+    """The r_points-point sample grid on [0, r_max]; refuses an empty one."""
+    points = cfg.settings["r_points"]
+    if points < 1:
+        raise ConfigurationError(f"r_points must be >= 1, got {points}")
+    return np.linspace(0.0, r_max, points)
+
+
 def cmd_universal_d(cfg: RunConfig) -> int:
-    r = np.linspace(0.0, 4.0, cfg.settings["r_points"])
+    r = _r_grid(cfg, 4.0)
     values = canonical.universal_d(r)
     norm = integrate(canonical.universal_d, 0.0, 4.0,
                      Tolerance(rel=0.0, abs=1e-12, max_iter=cfg.settings["max_iter"]))
@@ -365,7 +373,7 @@ def cmd_figure1(cfg: RunConfig) -> int:
         raise ConfigurationError(f"bad n_list {cfg.settings['n_list']!r}") from exc
     if not n_list:
         raise ConfigurationError("n_list is empty")
-    r = np.linspace(0.0, cfg.settings["r_max"], cfg.settings["r_points"])
+    r = _r_grid(cfg, cfg.settings["r_max"])
     curves = canonical.figure1_curves(n_list, r)
     rows = []
     for curve in curves:
@@ -442,13 +450,6 @@ _COMMANDS = {
     "verify-geometry": cmd_verify_geometry,
     "verify-reduction": cmd_verify_reduction,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute a resolved configuration; returns the process exit status."""
-    if config.command not in _COMMANDS:
-        raise ConfigurationError(f"unknown command {config.command!r}")
-    return _COMMANDS[config.command](config)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

@@ -10,8 +10,9 @@ a Laplace transform along tau gives the diffusion (Fokker-Planck) equation
 
     d/du psi = (c*Lambda/2) lap psi.
 
-This module evolves both on periodic grids (exact Fourier-multiplier stepping
-as the reference scheme, Crank-Nicolson as the finite-difference companion
+This module evolves both on periodic grids of any dimension, one Fourier
+multiplier per step (the exact propagator as the reference scheme,
+Crank-Nicolson on the three-point Laplacian as the finite-difference companion
 for convergence-order tests), builds the associated current density and its
 continuity residual, and carries the small exact checks: 5D null dispersion,
 the light-cone coordinate map, semigroup composition, and the weak-field
@@ -115,32 +116,29 @@ def field_derivative(f: GridField, axis: int, order: int = 1, engine: str = "fd"
     raise ConfigurationError(f"unknown derivative engine {engine!r}")
 
 
-def _k_squared(f: GridField) -> np.ndarray:
+def _k_squared(f: GridField, *, three_point: bool = False) -> np.ndarray:
+    """Symbol of -lap on the FFT grid of ``f``: the sum over axes of k^2, or
+    with ``three_point`` of (2 sin(k h/2) / h)^2, the exact eigenvalues of the
+    periodic (circulant) three-point Laplacian."""
     total = np.zeros(f.values.shape)
     for ax in range(f.values.ndim):
         shape = [1] * f.values.ndim
         shape[ax] = -1
-        total = total + f.wavenumbers(ax).reshape(shape) ** 2
+        k = f.wavenumbers(ax)
+        if three_point:
+            h = f.step[ax]
+            k = 2.0 * np.sin(0.5 * k * h) / h
+        total = total + k.reshape(shape) ** 2
     return total
-
-
-def _periodic_laplacian_1d(n: int, h: float):
-    # scipy.sparse is imported only where Crank-Nicolson needs it: at module
-    # level it would cost more than the rest of the CLI's start-up together.
-    import scipy.sparse
-
-    main = -2.0 * np.ones(n)
-    off = np.ones(n - 1)
-    lap = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
-    lap[0, -1] = 1.0
-    lap[-1, 0] = 1.0
-    return scipy.sparse.csc_matrix(lap / h**2)
 
 
 def _evolve(psi0: GridField, span: float, coeff: complex, steps: int,
             method: str) -> Iterator[GridField]:
-    """Shared core: d/dt psi = coeff * lap psi, periodic, exact or CN stepping.
+    """Shared core: d/dt psi = coeff * lap psi, periodic, any dimension.
 
+    Each step multiplies every Fourier mode by one factor: exp(-coeff k^2 dt)
+    for 'spectral', and for 'cn' the Crank-Nicolson factor (1 - a)/(1 + a),
+    a = coeff K^2 dt / 2 with K^2 the three-point symbol of ``_k_squared``.
     Checks the arguments at call time and returns a generator of the
     ``steps + 1`` snapshots, psi0 first, each produced only when asked for, so
     a consumer that keeps none of them needs O(points) memory.
@@ -154,33 +152,21 @@ def _evolve(psi0: GridField, span: float, coeff: complex, steps: int,
     dt = span / steps
 
     if method == "spectral":
-        # each mode evolves as exp(coeff * (-k^2) * dt)
         mult = np.exp(-coeff * _k_squared(psi0) * dt)
-        state = np.fft.fftn(np.asarray(psi0.values, dtype=complex))
-        advance, values = (lambda cur: cur * mult), np.fft.ifftn
     elif method == "cn":
-        if psi0.values.ndim != 1:
-            raise ConfigurationError("the Crank-Nicolson evolver is one-dimensional")
-        import scipy.sparse.linalg
-
-        n = psi0.values.shape[0]
-        lap = _periodic_laplacian_1d(n, psi0.step[0])
-        eye = scipy.sparse.identity(n, format="csc")
-        lhs = scipy.sparse.linalg.splu((eye - 0.5 * dt * coeff * lap).tocsc())
-        rhs = (eye + 0.5 * dt * coeff * lap).tocsc()
-        state = np.asarray(psi0.values, dtype=complex)
-        advance, values = (lambda cur: lhs.solve(rhs @ cur)), (lambda cur: cur)
+        a = 0.5 * dt * coeff * _k_squared(psi0, three_point=True)
+        mult = (1.0 - a) / (1.0 + a)
     else:
         raise ConfigurationError(f"unknown method {method!r}")
-    return _stepping(psi0, state, advance, values, steps)
+    return _stepping(psi0, np.fft.fftn(np.asarray(psi0.values, dtype=complex)), mult, steps)
 
 
-def _stepping(psi0: GridField, state, advance, values, steps: int) -> Iterator[GridField]:
-    """The one stepping loop: psi0, then the field of each advanced state."""
+def _stepping(psi0: GridField, state, mult, steps: int) -> Iterator[GridField]:
+    """The one stepping loop: psi0, then the field of each advanced FFT state."""
     yield psi0
     for _ in range(steps):
-        state = advance(state)
-        yield psi0.with_values(values(state))
+        state = state * mult
+        yield psi0.with_values(np.fft.ifftn(state))
 
 
 def evolve_schrodinger(
@@ -191,8 +177,9 @@ def evolve_schrodinger(
 
     'spectral' applies the exact Fourier multiplier exp(-i c lhat k^2 dt / 2)
     (plane-wave dispersion omega = c lhat k^2 / 2 to rounding); 'cn' is the
-    Cayley-unitary Crank-Nicolson scheme on a 1-D periodic grid.  Returns the
-    stream of ``steps + 1`` snapshots at tau = 0, dt, ..., tau_span.
+    Cayley-unitary Crank-Nicolson scheme on the three-point Laplacian, in any
+    dimension.  Returns the stream of ``steps + 1`` snapshots at
+    tau = 0, dt, ..., tau_span.
     """
     return _evolve(psi0, tau_span, 1j * c * lambda_hat / 2.0, steps, method)
 
@@ -204,9 +191,9 @@ def evolve_fokker_planck(
     """Mass-conserving diffusion d/du psi = (c Lambda / 2) lap psi.
 
     Initial data must be real and non-negative; snapshots stay real.  The
-    k = 0 mode is untouched by either scheme, so the total mass is conserved
-    exactly (spectral) or to solver precision (CN).  Returns the stream of
-    ``steps + 1`` real snapshots at u = 0, du, ..., u_span.
+    k = 0 mode is multiplied by exactly 1 in either scheme, so both conserve
+    the total mass to rounding.  Returns the stream of ``steps + 1`` real
+    snapshots at u = 0, du, ..., u_span.
     """
     v = np.asarray(psi0.values)
     if np.iscomplexobj(v):

@@ -171,9 +171,8 @@ def test_verify_reduction_exits_zero(tmp_path):
 
 
 def test_console_entry_point_runs(tmp_path):
-    import subprocess
-    import sys
-    env = dict(os.environ, KG5D_OUTPUT_DIR=str(tmp_path))
+    env = dict(os.environ, KG5D_OUTPUT_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-m", "kg5d.cli", "spectrum",
                            "--n-max", "1"], capture_output=True, env=env)
     assert proc.returncode == 0
@@ -181,13 +180,20 @@ def test_console_entry_point_runs(tmp_path):
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # Only the Crank-Nicolson evolver needs scipy.sparse, and importing it
-    # costs more than the rest of the CLI's start-up.
-    code = "import sys, kg5d.cli; print('scipy.sparse' in sys.modules)"
+    # The runtime needs numpy only: neither the CLI nor either evolver, in
+    # either scheme, imports scipy.
+    code = ("import sys, numpy as np, kg5d.cli\n"
+            "from kg5d.reduction import evolve_fokker_planck, evolve_schrodinger, gaussian_packet\n"
+            "psi0 = gaussian_packet(64, 20.0, 1.0)\n"
+            "for method in ('spectral', 'cn'):\n"
+            "    list(evolve_schrodinger(psi0, 1.0, 0.7, 4, method=method))\n"
+            "    list(evolve_fokker_planck(psi0.with_values(np.abs(psi0.values) ** 2),"
+            " 1.0, 1.0, 4, method=method))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_partition_leaves_scipy_special_unloaded(tmp_path):
@@ -287,6 +293,20 @@ def test_non_finite_setting_exits_2_with_one_line(tmp_path, capsys, command, key
                                          ("--steps", "0")])
 def test_verify_reduction_refuses_empty_grid_or_steps(tmp_path, capsys, flag, value):
     rc = main(["verify-reduction", flag, value, "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["universal-d", "--r-points", "-3"],
+    ["universal-d", "--r-points", "0", "--formats", "svg"],
+    ["figure1", "--r-points", "0"],
+])
+def test_empty_r_grid_exits_2_with_one_line(tmp_path, capsys, argv):
+    # used to die in np.linspace or write_svg with a ValueError traceback, exit 1
+    rc = main([*argv, "--output-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1

@@ -3,7 +3,7 @@ weak-field residuals, and the exact coordinate/dispersion checks.
 
 Oracles: closed-form free-packet evolution, heat kernels, and plane-wave
 dispersion; the spectral evolver itself is validated against those, and the
-Crank-Nicolson companion against the spectral one.
+Crank-Nicolson companion against a sparse-LU solve of the same scheme.
 """
 
 import math
@@ -126,9 +126,41 @@ def test_evolve_configuration_errors():
     bad = GridField(values=psi0.values, step=psi0.step, boundary="absorbing")
     with pytest.raises(ConfigurationError):
         evolve_schrodinger(bad, 1.0, LHAT, 4)
-    two_d = GridField(values=np.zeros((16, 16)) + 0.1, step=(0.1, 0.1))
-    with pytest.raises(ConfigurationError):
-        evolve_schrodinger(two_d, 1.0, LHAT, 4, method="cn")
+    # Crank-Nicolson is not limited to one axis: Cayley-unitary on 64^2 too
+    x = np.linspace(-5.0, 5.0, 64, endpoint=False)
+    two_d = GridField(values=np.exp(-x[:, None] ** 2 - 0.5 * x[None, :] ** 2 + 1j * x[:, None]),
+                      step=(x[1] - x[0],) * 2, origin=(x[0],) * 2)
+    norms = [s.l2_norm() for s in evolve_schrodinger(two_d, 1.0, LHAT, 16, c=C, method="cn")]
+    assert max(abs(v - norms[0]) for v in norms) < 1e-12
+
+
+def _sparse_lu_cn(psi0, span, coeff, steps):
+    """Reference: Crank-Nicolson on the 1-D periodic three-point Laplacian,
+    each step a sparse LU solve (scipy.sparse)."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    n, h = psi0.values.size, psi0.step[0]
+    lap = scipy.sparse.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                             [-1, 0, 1], format="lil")
+    lap[0, -1] = lap[-1, 0] = 1.0
+    lap = scipy.sparse.csc_matrix(lap / h**2)
+    eye = scipy.sparse.identity(n, format="csc")
+    half = 0.5 * (span / steps) * coeff
+    lhs = scipy.sparse.linalg.splu((eye - half * lap).tocsc())
+    rhs = (eye + half * lap).tocsc()
+    cur = np.asarray(psi0.values, dtype=complex)
+    for _ in range(steps):
+        cur = lhs.solve(rhs @ cur)
+    return cur
+
+
+@pytest.mark.parametrize("points, steps", [(128, 40), (4096, 256)])
+def test_cn_matches_sparse_lu_reference(points, steps):
+    psi0 = gaussian_packet(points, 30.0, 1.0, k0=1.0)
+    *_, got = evolve_schrodinger(psi0, 0.8, LHAT, steps, c=C, method="cn")
+    want = _sparse_lu_cn(psi0, 0.8, 1j * C * LHAT / 2.0, steps)
+    assert np.max(np.abs(got.values - want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +224,19 @@ def test_fp_variance_growth():
     got = field_variance(last, density=True)
     want = field_variance(rho0, density=True) + C * lam * u
     assert got == pytest.approx(want, abs=1e-6)
+
+
+def test_fp_cn_conserves_mass_and_grows_variance():
+    # the diffusion setup of verify_reduction, at its thresholds, by CN
+    rho0 = gaussian_packet(512, 40.0, 1.0)
+    rho0 = rho0.with_values(np.abs(rho0.values) ** 2)
+    *_, last = evolve_fokker_planck(rho0, 2.0, 1.0, 32, c=C, method="cn")
+    assert np.isrealobj(last.values)
+    mass_err = abs(float(np.sum(last.values)) - float(np.sum(rho0.values))) * rho0.cell_volume
+    assert mass_err <= 1e-10
+    var_err = abs(field_variance(last, density=True)
+                  - (field_variance(rho0, density=True) + C * 1.0 * 2.0))
+    assert var_err <= reduction._VARIANCE_TOL
 
 
 def test_fp_point_source_matches_heat_kernel():
