@@ -53,9 +53,6 @@ class DensityCurve:
     r: np.ndarray
     values: np.ndarray
 
-    def rows(self):
-        return list(zip(self.r.tolist(), self.values.tolist()))
-
 
 @dataclass(frozen=True)
 class PartitionResult:

@@ -39,7 +39,7 @@ from .errors import (
     VerificationFailure,
 )
 from .numerics import Tolerance, integrate
-from .spectrum import LevelIndex, ScaleSet, kg_energy, stat_energy, stat_wavelengths
+from .spectrum import ScaleSet, kg_energies, stat_energy, stat_wavelengths
 
 SCHEMA_VERSION = 1
 
@@ -182,31 +182,122 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 # Emitters
 # ---------------------------------------------------------------------------
+#
+# Tables are held as columns and written with one row template per table,
+# a chunk of rows at a time, so no per-row objects are built and no whole
+# document text is held.  The output is byte for byte what a per-cell
+# ``fmt`` loop and ``json.dump(doc, fh, indent=2, allow_nan=True)`` write.
 
-def write_csv(cfg: RunConfig, name: str, columns: list, rows) -> str:
+_CHUNK_ROWS = 2048
+
+
+@dataclass(frozen=True)
+class Table:
+    """Named equal-length columns: the rows of a CSV file or a JSON list of
+    row objects.  A column is a numpy array or a sequence of cells."""
+
+    names: tuple
+    columns: tuple
+
+    @classmethod
+    def from_rows(cls, names, rows) -> "Table":
+        return cls(tuple(names), tuple(zip(*rows)) or ((),) * len(names))
+
+
+def _chunks(columns):
+    """The columns in slices of at most _CHUNK_ROWS rows."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        yield [c[start:start + _CHUNK_ROWS] for c in columns]
+
+
+def _csv_column(column):
+    """printf conversion and cells of one CSV column; floats get 17 digits."""
+    if isinstance(column, np.ndarray):
+        return ("%.17g" if column.dtype.kind == "f" else "%s"), column
+    return "%s", [fmt(c) if isinstance(c, float) else c for c in column]
+
+
+def write_csv(cfg: RunConfig, name: str, table: Table) -> str:
+    """The configuration header, the column names, then one line per row."""
     path = os.path.join(cfg.output_dir, name)
+    convs, columns = zip(*map(_csv_column, table.columns))
+    line = ",".join(convs) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in cfg.header_lines():
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = [fmt(c) if isinstance(c, float) else str(c) for c in row]
-            fh.write(",".join(cells) + "\n")
+        fh.write("\n".join(cfg.header_lines()) + "\n")
+        fh.write(",".join(table.names) + "\n")
+        for chunk in _chunks(columns):
+            cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+            fh.write("".join(map(line.__mod__, zip(*cells))))
     return path
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(column) -> list:
+    """The JSON text of each cell, as json.dumps writes it."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        text = list(map(float.__repr__, column.tolist()))
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            text[i] = _JSON_NON_FINITE[text[i]]
+        return text
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return list(map(int.__repr__, column.tolist()))
+    return list(map(json.dumps, column))
+
+
+def _write_json_array(fh, indent: str, item: str, columns) -> None:
+    """A JSON array whose k-th item is ``item`` filled with row k's cells."""
+    if not len(columns[0]):
+        fh.write("[]")
+        return
+    sep = "[\n"
+    for chunk in _chunks(columns):
+        fh.write(sep + ",\n".join(map(item.__mod__, zip(*map(_json_cells, chunk)))))
+        sep = ",\n"
+    fh.write("\n" + indent + "]")
+
+
+# Stands in for each deferred value in the small document, in order; it is
+# how json.dumps writes the string "\0".  No setting can hold a NUL: argv
+# cannot, and a config value with one is refused or fails os.makedirs before
+# anything is written.
+_DEFERRED = '"\\u0000"'
 
 
 def write_json(cfg: RunConfig, name: str, payload: dict) -> str:
-    path = os.path.join(cfg.output_dir, name)
+    """The envelope plus ``payload``, as ``json.dump(indent=2)`` writes it.
+
+    A ``Table`` in the payload is written as a list of row objects and a
+    float array as a list of numbers, a chunk of rows at a time; everything
+    else goes through ``json.dumps``.
+    """
+    deferred = []
+
+    def defer(value):
+        if not (isinstance(value, Table)
+                or isinstance(value, np.ndarray) and value.dtype.kind == "f"):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        deferred.append(value)
+        return "\0"
+
     doc = cfg.json_envelope()
     doc.update(payload)
+    parts = json.dumps(doc, indent=2, allow_nan=True, default=defer).split(_DEFERRED)
+    path = os.path.join(cfg.output_dir, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=True)
-        fh.write("\n")
+        for text, value in zip(parts, deferred):
+            fh.write(text)
+            line = text[text.rfind("\n") + 1:]
+            indent = line[:len(line) - len(line.lstrip(" "))]
+            inner = indent + "  "
+            if isinstance(value, Table):
+                fields = ",\n".join(f"{inner}  {json.dumps(k)}: %s" for k in value.names)
+                _write_json_array(fh, indent, f"{inner}{{\n{fields}\n{inner}}}", value.columns)
+            else:
+                _write_json_array(fh, indent, inner + "%s", (value,))
+        fh.write(parts[-1] + "\n")
     return path
-
-
-def _svg_path(points) -> str:
-    return " ".join(f"{x:.6f},{y:.6f}" for x, y in points)
 
 
 _SVG_COLORS = ["#1b6ca8", "#c0392b", "#1e8449", "#7d3c98", "#b7950b", "#2c3e50"]
@@ -225,10 +316,11 @@ def write_svg(cfg: RunConfig, name: str, curves, xlabel: str, ylabel: str) -> st
         y_hi = y_lo + 1.0
 
     def sx(x):
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+        return margin + (np.asarray(x, dtype=float) - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
 
     def sy(y):
-        return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+        return height - margin - (np.asarray(y, dtype=float) - y_lo) / (y_hi - y_lo) * (
+            height - 2 * margin)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -247,7 +339,7 @@ def write_svg(cfg: RunConfig, name: str, curves, xlabel: str, ylabel: str) -> st
                  f'transform="rotate(-90 14 {height // 2})">{ylabel}</text>')
     for i, (label, x, y) in enumerate(curves):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        pts = _svg_path(zip((sx(v) for v in x), (sy(v) for v in y)))
+        pts = " ".join(map("%.6f,%.6f".__mod__, zip(sx(x).tolist(), sy(y).tolist())))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"/>')
         parts.append(f'<text x="{width - margin + 4}" y="{margin + 16 * i + 10}" '
                      f'font-size="12" fill="{color}">{label}</text>')
@@ -272,26 +364,27 @@ def _series_dict(report) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(cfg: RunConfig) -> int:
+    n_max = cfg.settings["n_max"]
+    if n_max < 1:
+        raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
     scales = cfg.scales()
-    levels = [LevelIndex(n=n, l=l)
-              for n in range(1, cfg.settings["n_max"] + 1) for l in range(0, n + 1)]
-    energies = [kg_energy(idx, scales) for idx in levels]
-    wavelengths, refused = stat_wavelengths([i.n for i in levels], [i.l for i in levels],
-                                            scales)
-    stat_ratios = (wavelengths / scales.Lambda).tolist()
-    rows = [(idx.n, idx.l, e / scales.mc2, scales.mc2 / e,  # lambda'/lambda = mc^2/E
-             stat_ratio, stat_energy(idx.n, scales) / scales.Mc2)
-            for idx, e, stat_ratio in zip(levels, energies, stat_ratios)]
+    # levels (n, l) for n = 1..n_max and l = 0..n, in that order
+    per_n = np.arange(2, n_max + 2)
+    n = np.repeat(np.arange(1, n_max + 1), per_n)
+    l = np.arange(len(n)) - np.repeat(np.cumsum(per_n) - per_n, per_n)
+    energies = kg_energies(n, l, scales)
+    wavelengths, refused = stat_wavelengths(n, l, scales)
     if refused:
-        print(_refusal_line(refused, len(rows)), file=sys.stderr)
-    columns = ["n", "l", "E_over_mc2", "lambda_prime_over_lambda",
-               "Lambda_prime_over_Lambda", "e_n_over_Mc2"]
+        print(_refusal_line(refused, len(n)), file=sys.stderr)
+    table = Table(("n", "l", "E_over_mc2", "lambda_prime_over_lambda",
+                   "Lambda_prime_over_Lambda", "e_n_over_Mc2"),
+                  (n, l, energies / scales.mc2, scales.mc2 / energies,  # lambda'/lambda = mc^2/E
+                   wavelengths / scales.Lambda, stat_energy(n, scales) / scales.Mc2))
     written = []
     if "csv" in cfg.formats:
-        written.append(write_csv(cfg, "spectrum.csv", columns, rows))
+        written.append(write_csv(cfg, "spectrum.csv", table))
     if "json" in cfg.formats:
-        written.append(write_json(cfg, "spectrum.json", {
-            "levels": [dict(zip(columns, r)) for r in rows]}))
+        written.append(write_json(cfg, "spectrum.json", {"levels": table}))
     for p in written:
         print(p)
     return 0
@@ -310,24 +403,20 @@ def _refusal_line(refused: dict, total: int) -> str:
 def cmd_partition(cfg: RunConfig) -> int:
     scales = cfg.scales()
     result = canonical.partition(scales, cfg.tolerance())
+    levels = Table.from_rows(("n", "weight", "trapped_degeneracy"), result.per_level_d)
     payload = {
         "z_c": result.z_c,
         "z_d": result.z_d,
         "z_total": result.z_total,
         "terms_c": _series_dict(result.terms_c),
         "terms_d": _series_dict(result.terms_d),
-        "per_level_d": [
-            {"n": n, "weight": w, "trapped_degeneracy": g}
-            for n, w, g in result.per_level_d
-        ],
+        "per_level_d": levels,
     }
     written = []
     if "json" in cfg.formats:
         written.append(write_json(cfg, "partition.json", payload))
     if "csv" in cfg.formats:
-        written.append(write_csv(cfg, "partition.csv",
-                                 ["n", "weight", "trapped_degeneracy"],
-                                 result.per_level_d))
+        written.append(write_csv(cfg, "partition.csv", levels))
     for p in written:
         print(p)
     if not (result.terms_c.converged and result.terms_d.converged):
@@ -349,10 +438,9 @@ def cmd_universal_d(cfg: RunConfig) -> int:
     values = canonical.universal_d(r)
     norm = integrate(canonical.universal_d, 0.0, 4.0,
                      Tolerance(rel=0.0, abs=1e-12, max_iter=cfg.settings["max_iter"]))
-    rows = [(float(ri), float(vi)) for ri, vi in zip(r, values)]
     written = []
     if "csv" in cfg.formats:
-        written.append(write_csv(cfg, "universal_d.csv", ["r", "value"], rows))
+        written.append(write_csv(cfg, "universal_d.csv", Table(("r", "value"), (r, values))))
     if "json" in cfg.formats:
         written.append(write_json(cfg, "universal_d.json", {
             "value_at_2": canonical.universal_d(2.0),
@@ -375,17 +463,15 @@ def cmd_figure1(cfg: RunConfig) -> int:
         raise ConfigurationError("n_list is empty")
     r = _r_grid(cfg, cfg.settings["r_max"])
     curves = canonical.figure1_curves(n_list, r)
-    rows = []
-    for curve in curves:
-        for ri, vi in curve.rows():
-            rows.append((curve.n, float(ri), float(vi)))
     written = []
     if "csv" in cfg.formats:
-        written.append(write_csv(cfg, "figure1.csv", ["n", "r", "value"], rows))
+        written.append(write_csv(cfg, "figure1.csv", Table(("n", "r", "value"), (
+            np.repeat([c.n for c in curves], r.size),
+            np.concatenate([c.r for c in curves]),
+            np.concatenate([c.values for c in curves])))))
     if "json" in cfg.formats:
         written.append(write_json(cfg, "figure1.json", {
-            "curves": [{"n": c.n, "r": list(map(float, c.r)),
-                        "value": list(map(float, c.values))} for c in curves]}))
+            "curves": [{"n": c.n, "r": c.r, "value": c.values} for c in curves]}))
     if "svg" in cfg.formats:
         written.append(write_svg(
             cfg, "figure1.svg",
@@ -413,7 +499,7 @@ def cmd_verify_geometry(cfg: RunConfig) -> int:
         rows += [("laplacian_order", report["laplacian_order"]),
                  ("flat_residual", report["flat_residual"]),
                  ("metric_inverse_defect", report["metric_inverse_defect"])]
-        print(write_csv(cfg, "verify_geometry.csv", ["check", "value"], rows))
+        print(write_csv(cfg, "verify_geometry.csv", Table.from_rows(("check", "value"), rows)))
     for key, order in report["contraction_orders"].items():
         print(f"{key}: order {order if order != float('inf') else 'exact'}")
     print(f"laplacian: order {fmt(report['laplacian_order'])}")
@@ -433,7 +519,7 @@ def cmd_verify_reduction(cfg: RunConfig) -> int:
         print(write_json(cfg, "verify_reduction.json", {"report": report}))
     if "csv" in cfg.formats:
         print(write_csv(cfg, "verify_reduction.csv",
-                        ["step", "norm", "residual"], step_table))
+                        Table.from_rows(("step", "norm", "residual"), step_table)))
     for key in ("norm_drift_per_step", "dispersion_error", "continuity_order",
                 "fp_variance_error", "semigroup_defect"):
         print(f"{key}: {fmt(report[key])}")

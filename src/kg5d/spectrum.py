@@ -2,8 +2,8 @@
 
 Three equivalent quantizations are implemented:
 
-* ``kg_energy`` - the closed-form relativistic bound-state energies E_nl of a
-  spinless charge in a Coulomb field,
+* ``kg_energies`` - the closed-form relativistic bound-state energies E_nl
+  of a spinless charge in a Coulomb field, for a whole table of levels,
 * ``matching_residual`` - the same condition rewritten as a matching between
   the metric length scale lambda* and the two propagation wavelengths
   (lambda, lambda'); its root in lambda' reproduces hbar*c/E_nl,
@@ -238,19 +238,30 @@ def _bracket_term(n: int, l: int, za2: float) -> float:
     return n - l - 0.5 + math.sqrt(s)
 
 
-def kg_energy(idx: LevelIndex, scales: ScaleSet) -> float:
-    """Relativistic bound-state energy E_nl of the hydrogenic KG problem.
+def kg_energies(ns, ls, scales: ScaleSet) -> np.ndarray:
+    """Relativistic bound-state energies E_nl of the hydrogenic KG problem.
 
     E_nl = mc^2 (1 + (Z a)^2 / [n - l - 1/2 + sqrt((l+1/2)^2 - (Z a)^2)]^2)^(-1/2)
 
-    The minus sign under the inner root is the standard spinless-Coulomb
-    result: it gives the physical level ordering (E grows with l at fixed n)
-    and the well-known critical coupling Z a = l + 1/2, past which the
-    problem leaves the real domain and DomainError is raised.
+    for each level (n, l) of the 1-D sequences ``ns`` and ``ls``; a level
+    gets the same bits as the formula evaluated for it alone.  The minus
+    sign under the inner root is the standard spinless-Coulomb result: it
+    gives the physical level ordering (E grows with l at fixed n) and the
+    well-known critical coupling Z a = l + 1/2, past which the problem
+    leaves the real domain and DomainError is raised, naming the first such
+    level.
     """
+    n = np.asarray(ns, dtype=np.int64)
+    l = np.asarray(ls, dtype=np.int64)
     za = scales.coupling_qm
-    b = _bracket_term(idx.n, idx.l, -(za * za))
-    return scales.mc2 / math.sqrt(1.0 + (za / b) ** 2)
+    za2 = -(za * za)
+    s = (l + 0.5) ** 2 + za2
+    critical = s <= 0
+    if critical.any():
+        i = int(np.argmax(critical))
+        raise _critical(int(n[i]), int(l[i]), za2)
+    b = n - l - 0.5 + np.sqrt(s)
+    return scales.mc2 / np.sqrt(1.0 + (za / b) ** 2)
 
 
 def kg_binding_energy(idx: LevelIndex, scales: ScaleSet) -> float:
@@ -274,7 +285,7 @@ def matching_residual(lambda_prime: float, idx: LevelIndex, scales: ScaleSet) ->
 
     Quantization as a matching between the metric scale lambda* and the two
     propagation wavelengths; zero exactly when lambda' = hbar c / E_nl (the
-    bracket carries the same corrected sign as kg_energy).
+    bracket carries the same corrected sign as kg_energies).
     """
     if lambda_prime <= 0:
         raise DomainError(f"need lambda' > 0, got {lambda_prime}")
@@ -369,13 +380,16 @@ def stat_wavelength_expansion(idx: LevelIndex, scales: ScaleSet) -> float:
     return scales.Lambda * (1.0 + 0.5 * eps * eps / idx.n**2)
 
 
-def stat_energy(n: int, scales: ScaleSet) -> float:
+def stat_energy(n, scales: ScaleSet):
     """Non-relativistic statistical level energy, independent of l.
 
     e_n = M c^2 * (1 - (lambda*/Lambda)^2 / (2 n^2)); the coupling ratio
     equals (Z e) q M / (hbar c), reproducing the familiar 1/n^2 ladder.
+    ``n`` is an int or an int array (one energy per entry, each with the
+    bits of its int).
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    below = np.asarray(n) < 1
+    if below.any():
+        raise DomainError(f"need n >= 1, got {np.asarray(n)[below][0]}")
     eps = scales.coupling_stat
     return scales.Mc2 * (1.0 - 0.5 * eps * eps / (n * n))

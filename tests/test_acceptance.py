@@ -30,7 +30,7 @@ from kg5d.spectrum import (
     LevelIndex,
     ScaleSet,
     kg_binding_energy,
-    kg_energy,
+    kg_energies,
     matching_residual,
     stat_wavelength_expansion,
     stat_wavelengths,
@@ -133,7 +133,7 @@ def test_criterion_07_spectrum_consistency():
     for n in range(1, 6):
         for l in range(0, n + 1):
             idx = LevelIndex(n, l)
-            lam = s.hbar * s.c / kg_energy(idx, s)
+            lam = s.hbar * s.c / float(kg_energies([n], [l], s)[0])
             worst = max(worst, abs(matching_residual(lam, idx, s)))
     assert worst < 1e-10
 

@@ -267,6 +267,24 @@ def test_spectrum_nan_rows_report_reason(tmp_path, capsys):
     assert sum(math.isnan(r["Lambda_prime_over_Lambda"]) for r in doc["levels"]) == 3
 
 
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_empty_spectrum_exits_2_with_one_line(tmp_path, capsys, n_max):
+    # used to write empty spectrum.csv/.json and exit 0
+    rc = main(["spectrum", "--n-max", n_max, "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"configuration error: n_max must be >= 1, got {n_max}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_spectrum_past_critical_coupling_exits_2_with_one_line(tmp_path, capsys):
+    # Z alpha = 1.46 > 1/2: the first level of the table, (1, 0), is named
+    rc = main(["spectrum", "--n-max", "3", "--Z", "200", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: (l+1/2)^2 - coupling^2 <= 0 at n=1, l=0: "
+                                       "critical coupling 0.5\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("command, key", [("spectrum", "coupling"), ("partition", "eta0"),

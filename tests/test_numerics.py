@@ -1,7 +1,7 @@
 """Numerical kernel tests: quadrature, series, roots, stencils.
 
-Oracles: closed forms, brute-force summation, and scipy.integrate.quad as an
-independent quadrature implementation.
+Oracles: closed forms, brute-force summation, mpmath's incomplete gamma, and
+scipy.integrate.quad as an independent quadrature implementation.
 """
 
 import math
@@ -9,10 +9,11 @@ import os
 import signal
 import time
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kg5d.errors import (
@@ -192,18 +193,21 @@ def test_integrate_batch_matches_lone_integrals_bitwise():
     assert got[2] == 0.0
 
 
-def _upper_gamma_poly(k, x):
-    """int_x^inf t^k e^{-t} dt = k! e^{-x} sum_{j<=k} x^j / j!."""
-    return math.factorial(k) * math.exp(-x) * math.fsum(x**j / math.factorial(j)
-                                                        for j in range(k + 1))
+def _gamma_integral(k, a, b):
+    """int_a^b t^k e^{-t} dt at 50 digits: no cancellation on short intervals."""
+    with mpmath.workdps(50):
+        return float(mpmath.gammainc(k + 1, a, b))
 
 
 @settings(max_examples=60, deadline=None)
 @given(cases=st.lists(st.tuples(st.integers(0, 6), st.floats(0.0, 20.0), st.floats(1e-3, 30.0),
                                 st.booleans()), min_size=1, max_size=6))
+@example(cases=[(6, 0.0, 0.00390625, False)])
 def test_integrate_batch_closed_forms(cases):
     # x^k e^{-x} and sin x over random intervals, all in one batch; each
-    # integral must land within its tolerance of the closed form.
+    # integral must land within its tolerance of the closed form.  The
+    # example is an integral of 2e-18 over [0, 1/256]: a difference of two
+    # upper incomplete gammas would cancel to an error of 1e-13 there.
     k = np.array([c[0] for c in cases])
     a = np.array([c[1] for c in cases])
     b = a + np.array([c[2] for c in cases])
@@ -216,7 +220,7 @@ def test_integrate_batch_closed_forms(cases):
     got = integrate_batch(f, a, b, tol)
     for i, (ki, ai, bi, si) in enumerate(zip(k.tolist(), a.tolist(), b.tolist(), is_sin)):
         exact = (math.cos(ai) - math.cos(bi) if si
-                 else _upper_gamma_poly(ki, ai) - _upper_gamma_poly(ki, bi))
+                 else _gamma_integral(ki, ai, bi))
         assert abs(got[i] - exact) <= tol.threshold(exact) + 1e-15 * (bi - ai + abs(exact))
 
 

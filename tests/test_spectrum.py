@@ -18,7 +18,7 @@ from kg5d.spectrum import (
     LevelIndex,
     ScaleSet,
     kg_binding_energy,
-    kg_energy,
+    kg_energies,
     matching_residual,
     stat_energy,
     stat_wavelength_expansion,
@@ -28,6 +28,11 @@ from kg5d.spectrum import (
 mp.mp.dps = 40
 
 ALPHA_CODATA = 0.0072973525693
+
+
+def _energy(n, l, scales):
+    """E_nl of one level: kg_energies on a batch of one."""
+    return float(kg_energies([n], [l], scales)[0])
 
 
 def _scales(Z=1, alpha=ALPHA_CODATA, coupling=None, **kw):
@@ -118,14 +123,14 @@ def test_level_index_bounds():
 
 
 # ---------------------------------------------------------------------------
-# kg_energy
+# kg_energies
 # ---------------------------------------------------------------------------
 
 def test_kg_energy_uncoupled_is_rest_energy():
     s = ScaleSet.build(Z=0, alpha=0.0, R_over_Lambda=10.0)
     for n in range(1, 4):
         for l in range(0, n + 1):
-            assert kg_energy(LevelIndex(n, l), s) == s.mc2
+            assert _energy(n, l, s) == s.mc2
 
 
 def test_kg_energy_against_mpmath():
@@ -134,15 +139,41 @@ def test_kg_energy_against_mpmath():
     for (n, l) in [(1, 0), (2, 0), (2, 1), (5, 3)]:
         b = n - l - mp.mpf(1) / 2 + mp.sqrt((l + mp.mpf(1) / 2) ** 2 - za**2)
         ref = float(1 / mp.sqrt(1 + (za / b) ** 2))
-        assert kg_energy(LevelIndex(n, l), s) / s.mc2 == pytest.approx(ref, rel=1e-14)
+        assert _energy(n, l, s) / s.mc2 == pytest.approx(ref, rel=1e-14)
 
 
 def test_kg_energy_critical_coupling():
     # the l = 0 channel leaves the real domain at Z*alpha = 1/2
     s = _scales(alpha=0.51)
     with pytest.raises(DomainError):
-        kg_energy(LevelIndex(1, 0), s)
-    assert kg_energy(LevelIndex(2, 1), s) > 0  # higher l still fine
+        _energy(1, 0, s)
+    assert _energy(2, 1, s) > 0  # higher l still fine
+
+
+def _kg_energy_formula(n, l, s):
+    """E_nl of one level from the closed form, in Python floats."""
+    za = s.coupling_qm
+    b = n - l - 0.5 + math.sqrt((l + 0.5) ** 2 - za * za)
+    return s.mc2 / math.sqrt(1.0 + (za / b) ** 2)
+
+
+@pytest.mark.parametrize("alpha", [ALPHA_CODATA, 1e-4, 0.0123, 0.2, 0.4])
+def test_kg_energies_bitwise_per_level_formula(alpha):
+    # every (n, l) row of a spectrum table up to n = 300, in one batch
+    s = _scales(alpha=alpha)
+    n = np.repeat(np.arange(1, 301), np.arange(2, 302))
+    l = np.concatenate([np.arange(m + 1) for m in range(1, 301)])
+    got = kg_energies(n, l, s)
+    want = np.array([_kg_energy_formula(a, b, s) for a, b in zip(n.tolist(), l.tolist())])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_kg_energies_critical_coupling_names_first_level():
+    s = _scales(alpha=0.51)
+    with pytest.raises(DomainError) as info:
+        kg_energies([2, 3, 1], [1, 0, 0], s)
+    assert str(info.value) == ("(l+1/2)^2 - coupling^2 <= 0 at n=3, l=0: "
+                               "critical coupling 0.5")
 
 
 def test_kg_energy_ground_state_binding_scale():
@@ -168,10 +199,10 @@ def test_kg_energy_alpha_scaling_of_nonrel_limit():
 def test_kg_energy_monotonicity():
     s = _scales(alpha=0.2)  # strong but still Z*alpha < 1/2
     for l in range(0, 3):
-        energies = [kg_energy(LevelIndex(n, l), s) for n in range(max(l, 1), 7)]
+        energies = [_energy(n, l, s) for n in range(max(l, 1), 7)]
         assert all(a < b for a, b in zip(energies, energies[1:]))
     for n in range(3, 7):
-        energies = [kg_energy(LevelIndex(n, l), s) for l in range(0, n + 1)]
+        energies = [_energy(n, l, s) for l in range(0, n + 1)]
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
 
@@ -182,7 +213,7 @@ def test_kg_energy_range_property():
         s = _scales(alpha=alpha)
         n = int(rng.integers(1, 9))
         l = int(rng.integers(0, n + 1))
-        e = kg_energy(LevelIndex(n, l), s)
+        e = _energy(n, l, s)
         assert 0.0 < e < s.mc2
 
 
@@ -190,7 +221,7 @@ def test_binding_energy_matches_direct_difference():
     s = _scales(alpha=0.05)
     idx = LevelIndex(3, 1)
     assert kg_binding_energy(idx, s) == pytest.approx(
-        s.mc2 - kg_energy(idx, s), rel=1e-9)
+        s.mc2 - _energy(idx.n, idx.l, s), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +239,7 @@ def test_matching_residual_zero_at_energy_wavelength():
     for n in range(1, 6):
         for l in range(0, n + 1):
             idx = LevelIndex(n, l)
-            lam_prime = s.hbar * s.c / kg_energy(idx, s)
+            lam_prime = s.hbar * s.c / _energy(idx.n, idx.l, s)
             assert abs(matching_residual(lam_prime, idx, s)) < 1e-10
 
 
@@ -224,7 +255,7 @@ def test_matching_residual_sign_structure():
     # residual is monotone in lambda' around the root
     s = _scales()
     idx = LevelIndex(2, 1)
-    lam_root = s.hbar * s.c / kg_energy(idx, s)
+    lam_root = s.hbar * s.c / _energy(idx.n, idx.l, s)
     assert matching_residual(0.99 * lam_root, idx, s) < 0
     assert matching_residual(1.01 * lam_root, idx, s) > 0
 
@@ -373,6 +404,17 @@ def test_stat_energy_limits():
     b1 = s.Mc2 - stat_energy(1, s)
     b2 = s.Mc2 - stat_energy(2, s)
     assert b1 / b2 == pytest.approx(4.0, rel=1e-12)
+
+
+def test_stat_energy_on_int_array():
+    # one energy per entry, each with the bits of its int
+    s = _scales(coupling=0.05)
+    ns = np.array([1, 2, 7, 300])
+    assert stat_energy(ns, s).tolist() == [stat_energy(n, s) for n in ns.tolist()]
+    with pytest.raises(DomainError, match="need n >= 1, got 0"):
+        stat_energy(np.array([3, 0, -1]), s)
+    with pytest.raises(DomainError, match="need n >= 1, got 0"):
+        stat_energy(0, s)
 
 
 def test_stat_energy_consistent_with_wavelength():
