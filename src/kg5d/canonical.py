@@ -118,15 +118,17 @@ def dn_scaled_asymptotic(n: int, r: float, **kw) -> float:
     return 0.5 * r * r * n * asymptotic_combo(n, r, **kw)
 
 
-def dn_density(n: int, r: float, rho: float) -> float:
-    """Physical-units level density D_n(r) for Bohr-like radius rho."""
-    if rho <= 0:
+def dn_density(n, r, rho: float):
+    """Physical-units level density D_n(r) for Bohr-like radius rho, at a point r
+    or an array of them: (2/rho) times the density in r_hat = 2r/rho."""
+    if np.any(np.asarray(n) < 1):
+        raise DomainError(f"need n >= 1, got {np.min(n)}")
+    if not rho > 0:
         raise DomainError(f"need rho > 0, got {rho}")
-    if r < 0:
-        raise DomainError(f"need r >= 0, got {r}")
-    x = 2.0 * r / (n * rho)
-    combo = float(_combo_arrays(n, np.array([x]))[0])
-    return 4.0 * r * r / (n**3 * rho**3) * combo
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise DomainError(f"need r >= 0, got {np.min(r)}")
+    return 2.0 / rho * _density_rhat(n, 2.0 * r / rho)
 
 
 def _density_rhat(n, rhat: np.ndarray) -> np.ndarray:
@@ -396,21 +398,20 @@ def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0))
 
     quad_tol = Tolerance(rel=min(tol.rel * 1e-2, 1e-11), abs=1e-280, max_iter=tol.max_iter)
 
-    def weight(n) -> float:
-        # exp(-u e_n / hbar) with the non-relativistic level energies
-        return math.exp(-scales.u * stat_energy(n, scales) / scales.hbar)
-
     b_inf = trapped_degeneracy_limit(rhat)
     a = 0.5 * eta0 * eps * eps  # w_n = e^{-eta0} exp(a / n^2)
     g = []          # trapped degeneracies, exact quadrature
+    per_level = []  # (n, weight exp(-u e_n / hbar) from stat_energy, g_n)
     partial = 0.0   # running exact sum, fixed order
     n_next = int(math.ceil(_TAIL_WINDOW + 4.0 * math.sqrt(rhat)))
     n_cap = max(4 * n_next, 4000)
     while True:
         ns = range(len(g) + 1, n_next + 1)
         for n, gn in zip(ns, trapped_degeneracies(ns, rhat, quad_tol).tolist()):
+            w = math.exp(-scales.u * stat_energy(n, scales) / scales.hbar)
+            per_level.append((n, w, gn))
             g.append(gn)
-            partial += weight(n) * gn
+            partial += w * gn
         tail, bound = _zd_tail(g, b_inf, eta0, a)
         total = partial + tail
         target = tol.threshold(total)
@@ -420,7 +421,6 @@ def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0))
 
     report = SeriesReport(value=total, terms_used=len(g), tail_bound=bound,
                           converged=bound <= target)
-    per_level = [(n, weight(n), g[n - 1]) for n in range(1, len(g) + 1)]
     return total, report, per_level
 
 

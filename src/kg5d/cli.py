@@ -15,8 +15,8 @@ resolved configuration, floats are printed with 17 significant digits, and
 all sums run in fixed order, so identical configurations produce
 byte-identical artifacts.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical non-convergence.
+Exit codes: 0 success, 1 verification failure, 2 configuration error (or
+another package error, or memory exhausted), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -138,12 +138,13 @@ class RunConfig:
 
     def scales(self) -> ScaleSet:
         s = self.settings
-        coupling = s["coupling"]
-        if s["z"] * s["alpha"] <= 0 or coupling <= 0:
+        if s["z"] * s["alpha"] <= 0:
             return ScaleSet.build(Z=s["z"], alpha=s["alpha"], eta0=s["eta0"],
                                   R_over_Lambda=s["r_over_rho"])
+        if not s["coupling"] > 0:
+            raise ConfigurationError(f"coupling must be > 0 when Z*alpha > 0, got {s['coupling']}")
         return ScaleSet.build(Z=s["z"], alpha=s["alpha"],
-                              lambda_star_over_Lambda=coupling, eta0=s["eta0"],
+                              lambda_star_over_Lambda=s["coupling"], eta0=s["eta0"],
                               R_over_rho=s["r_over_rho"])
 
     def header_lines(self) -> list:
@@ -173,6 +174,10 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
     if settings["output_dir"] is None:
         settings["output_dir"] = os.environ.get("KG5D_OUTPUT_DIR", ".")
     cfg = RunConfig(command=command, settings=settings)
+    writes = {"csv", "json", "svg"} if command in ("universal-d", "figure1") else {"csv", "json"}
+    if not cfg.formats & writes:
+        raise ConfigurationError(f"formats {settings['formats']!r} select none of what "
+                                 f"{command} writes ({','.join(sorted(writes))})")
     os.makedirs(cfg.output_dir, exist_ok=True)
     if not os.access(cfg.output_dir, os.W_OK):
         raise ConfigurationError(f"output dir not writable: {cfg.output_dir}")
@@ -609,6 +614,9 @@ def main(argv=None) -> int:
         return 3
     except Kg5dError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation refused'}", file=sys.stderr)
         return 2
 
 

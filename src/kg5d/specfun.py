@@ -54,16 +54,6 @@ _RESCALE_LOG = 466.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
-class WhittakerEval:
-    """M_{n,1/2} at one point: value, two derivatives, and M'^2 - M M''."""
-
-    m: float
-    m1: float
-    m2: float
-    wronskian_combo: float
-
-
-@dataclass(frozen=True)
 class AsymptoticBranch:
     """Branch classification for the large-degree Laguerre expansion.
 
@@ -203,34 +193,31 @@ def _combo_arrays(n, x: np.ndarray) -> np.ndarray:
     return _combo_terms(n, x, *_scaled_laguerre_pair(n, x))[1]
 
 
-def _whittaker_arrays(n: int, x: np.ndarray):
-    """(M, M', M'', combo) arrays for M_{n,1/2} at x > 0, overflow-safe."""
+def whittaker_m_half(n, x):
+    """(M, M', M'', M'^2 - M M'') of M_{n,1/2} at points x > 0, arrays of x's shape.
+
+    ``n`` is one degree >= 1 or one per point.  Assembled from the rescaled
+    Laguerre recurrence; usable far beyond the plain-recurrence overflow
+    point (n and x in the thousands).
+    """
+    if np.any(np.asarray(n) < 1):
+        raise DomainError(f"need integer n >= 1, got {np.min(n)}")
     x = np.asarray(x, dtype=float)
+    bad = ~(x > 0)
+    if bad.any():
+        raise DomainError(f"need x > 0, got {x[bad][0]}")
     la, lb, log_scale = _scaled_laguerre_pair(n, x)
     w, combo = _combo_terms(n, x, la, lb, log_scale)
     scale = np.exp(_scale_exponent(n, x, log_scale - 0.5 * x))
     m = (x / n) * la * scale
     m1 = ((1.0 - 0.5 * x) * la + w) * scale / n
     m2 = (0.25 * x - n) * la * scale / n
+    bad = ~(np.isfinite(m) & np.isfinite(m1) & np.isfinite(m2) & np.isfinite(combo))
+    if bad.any():
+        i = int(np.argmax(bad.ravel()))
+        deg, xi = int(np.broadcast_to(n, x.shape).ravel()[i]), float(x.ravel()[i])
+        raise LaguerreOverflowError(deg, xi, f"Whittaker assembly not finite at n={deg}, x={xi}")
     return m, m1, m2, combo
-
-
-def whittaker_m_half(n: int, x: float) -> WhittakerEval:
-    """M_{n,1/2}(x) with first and second derivative and M'^2 - M M''.
-
-    Assembled from the rescaled Laguerre recurrence; usable far beyond the
-    plain-recurrence overflow point (n and x in the thousands).
-    """
-    if n < 1:
-        raise DomainError(f"need integer n >= 1, got {n}")
-    if not x > 0:
-        raise DomainError(f"need x > 0, got {x}")
-    arr = np.array([x], dtype=float)
-    m, m1, m2, combo = _whittaker_arrays(n, arr)
-    out = WhittakerEval(float(m[0]), float(m1[0]), float(m2[0]), float(combo[0]))
-    if not all(map(math.isfinite, (out.m, out.m1, out.m2, out.wronskian_combo))):
-        raise LaguerreOverflowError(n, x, f"Whittaker assembly not finite at n={n}, x={x}")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,19 @@
 Three equivalent quantizations are implemented:
 
 * ``kg_energies`` - the closed-form relativistic bound-state energies E_nl
-  of a spinless charge in a Coulomb field, for a whole table of levels,
-* ``matching_residual`` - the same condition rewritten as a matching between
+  of a spinless charge in a Coulomb field (``kg_binding_energies``: mc^2 - E_nl),
+* ``matching_residuals`` - the same condition rewritten as a matching between
   the metric length scale lambda* and the two propagation wavelengths
   (lambda, lambda'); its root in lambda' reproduces hbar*c/E_nl,
 * ``stat_wavelengths`` / ``stat_energy`` - the statistical-mechanics
   analogue, where the quantization fixes a thermal wavelength
   Lambda'_nl > Lambda.  The condition is implicit, so it is solved
   numerically, with the non-relativistic expansion
-  Lambda*(1 + (lambda*/Lambda)^2 / (2 n^2)) as cross-check.  The levels of a
-  whole table go through one lockstep root solve, each level bit for bit as
-  alone; one level is a table of one.
+  ``stat_wavelength_expansions`` as cross-check.  The levels of a whole
+  table go through one lockstep root solve, each level bit for bit as alone.
+
+Every level kernel takes a table of levels, 1-D integer arrays ``ns`` and
+``ls`` (n >= 1, 0 <= l <= n, checked on entry); one level is a table of one.
 
 Everything is evaluated in dimensionless ratios internally; ``ScaleSet``
 carries the physical scales and converts at the boundary.  All functions
@@ -209,33 +211,46 @@ class ScaleSet:
             raise DomainError("V inconsistent with R")
 
 
-@dataclass(frozen=True)
-class LevelIndex:
-    """Principal and angular quantum numbers, n >= 1 and 0 <= l <= n."""
-
-    n: int
-    l: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"need n >= 1, got {self.n}")
-        if not 0 <= self.l <= self.n:
-            raise DomainError(f"need 0 <= l <= n, got l={self.l}, n={self.n}")
-
-
-def _critical(n: int, l: int, za2: float) -> DomainError:
-    return DomainError(
-        f"(l+1/2)^2 {'+' if za2 >= 0 else '-'} coupling^2 <= 0 at n={n}, l={l}: "
-        f"critical coupling {(l + 0.5):.6g}"
-    )
+def _levels(ns, ls) -> tuple[np.ndarray, np.ndarray]:
+    """The level table as int64 arrays: 1-D integer arrays of one shape (an
+    empty one of any dtype) with n >= 1 and 0 <= l <= n, or DomainError
+    naming the first bad level."""
+    n, l = np.asarray(ns), np.asarray(ls)
+    if n.ndim != 1 or n.shape != l.shape or n.size and {n.dtype.kind, l.dtype.kind} - set("iu"):
+        raise DomainError("need 1-D integer level arrays of one shape, got "
+                          f"{n.dtype} {n.shape} and {l.dtype} {l.shape}")
+    n, l = n.astype(np.int64, copy=False), l.astype(np.int64, copy=False)
+    bad = (n < 1) | (l < 0) | (l > n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"need n >= 1, got {n[i]}" if n[i] < 1
+                          else f"need 0 <= l <= n, got l={l[i]}, n={n[i]}")
+    return n, l
 
 
-def _bracket_term(n: int, l: int, za2: float) -> float:
-    """n - l - 1/2 + sqrt((l+1/2)^2 + za2); za2 may be negative (stat picture)."""
+def _brackets(n: np.ndarray, l: np.ndarray, za2):
+    """n - l - 1/2 + sqrt((l+1/2)^2 + za2) per level, with za2 minus a squared
+    coupling, and the mask of levels whose square root is not real."""
     s = (l + 0.5) ** 2 + za2
-    if s <= 0:
-        raise _critical(n, l, za2)
-    return n - l - 0.5 + math.sqrt(s)
+    critical = s <= 0
+    s[critical] = 0.0
+    return n - l - 0.5 + np.sqrt(s, out=s), critical
+
+
+def _critical(n: int, l: int) -> DomainError:
+    return DomainError(f"(l+1/2)^2 - coupling^2 <= 0 at n={n}, l={l}: "
+                       f"critical coupling {(l + 0.5):.6g}")
+
+
+def _qm_brackets(n: np.ndarray, l: np.ndarray, scales: ScaleSet):
+    """The brackets at Z alpha, and Z alpha; DomainError names the first level
+    past its critical coupling Z alpha = l + 1/2."""
+    za = scales.coupling_qm
+    b, critical = _brackets(n, l, -(za * za))
+    if critical.any():
+        i = int(np.argmax(critical))
+        raise _critical(int(n[i]), int(l[i]))
+    return b, za
 
 
 def kg_energies(ns, ls, scales: ScaleSet) -> np.ndarray:
@@ -251,34 +266,25 @@ def kg_energies(ns, ls, scales: ScaleSet) -> np.ndarray:
     leaves the real domain and DomainError is raised, naming the first such
     level.
     """
-    n = np.asarray(ns, dtype=np.int64)
-    l = np.asarray(ls, dtype=np.int64)
-    za = scales.coupling_qm
-    za2 = -(za * za)
-    s = (l + 0.5) ** 2 + za2
-    critical = s <= 0
-    if critical.any():
-        i = int(np.argmax(critical))
-        raise _critical(int(n[i]), int(l[i]), za2)
-    b = n - l - 0.5 + np.sqrt(s)
+    n, l = _levels(ns, ls)
+    b, za = _qm_brackets(n, l, scales)
     return scales.mc2 / np.sqrt(1.0 + (za / b) ** 2)
 
 
-def kg_binding_energy(idx: LevelIndex, scales: ScaleSet) -> float:
-    """mc^2 - E_nl, evaluated without cancellation.
+def kg_binding_energies(ns, ls, scales: ScaleSet) -> np.ndarray:
+    """mc^2 - E_nl for each level of the table, evaluated without cancellation.
 
     Uses expm1/log1p so the O(alpha^2) binding stays fully resolved even at
     couplings where the direct difference would lose every significant digit
     (mc^2 - E ~ 1e-9 mc^2 at alpha = 1e-4).
     """
-    za = scales.coupling_qm
-    b = _bracket_term(idx.n, idx.l, -(za * za))
-    y = (za / b) ** 2
-    return -scales.mc2 * math.expm1(-0.5 * math.log1p(y))
+    n, l = _levels(ns, ls)
+    b, za = _qm_brackets(n, l, scales)
+    return -scales.mc2 * np.expm1(-0.5 * np.log1p((za / b) ** 2))
 
 
-def matching_residual(lambda_prime: float, idx: LevelIndex, scales: ScaleSet) -> float:
-    """LHS - RHS of the wavelength matching condition.
+def matching_residuals(lambda_primes, ns, ls, scales: ScaleSet) -> np.ndarray:
+    """LHS - RHS of the wavelength matching condition, for each level of the table.
 
     [(lambda'/lambda)^2 - 1] * [n - l - 1/2 + sqrt((l+1/2)^2 - (lambda*/lambda)^2)]^2
         = (lambda*/lambda)^2
@@ -286,12 +292,15 @@ def matching_residual(lambda_prime: float, idx: LevelIndex, scales: ScaleSet) ->
     Quantization as a matching between the metric scale lambda* and the two
     propagation wavelengths; zero exactly when lambda' = hbar c / E_nl (the
     bracket carries the same corrected sign as kg_energies).
+    ``lambda_primes`` holds one lambda' > 0 per level, or one for all.
     """
-    if lambda_prime <= 0:
-        raise DomainError(f"need lambda' > 0, got {lambda_prime}")
-    za = scales.coupling_qm
-    t = lambda_prime / scales.lambda_c
-    b = _bracket_term(idx.n, idx.l, -(za * za))
+    n, l = _levels(ns, ls)
+    lam = np.asarray(lambda_primes, dtype=float)
+    bad = ~(lam > 0)
+    if bad.any():
+        raise DomainError(f"need lambda' > 0, got {lam[bad][0]}")
+    b, za = _qm_brackets(n, l, scales)
+    t = lam / scales.lambda_c
     return (t * t - 1.0) * b * b - za * za
 
 
@@ -305,16 +314,8 @@ def _stat_residuals(x: np.ndarray, n: np.ndarray, l: np.ndarray, eps: float):
     real, where the residual is meaningless.
     """
     ex = eps * x
-    za2 = -(ex * ex)
-    s = (l + 0.5) ** 2 + za2
-    bad = s <= 0
-    b = n - l - 0.5 + np.sqrt(np.where(bad, 0.0, s))
+    b, bad = _brackets(n, l, -(ex * ex))
     return (x * x - 1.0) * b * b + ex * ex, bad
-
-
-def _critical_at(x: np.ndarray, n: np.ndarray, l: np.ndarray, eps: float, i: int):
-    ex = eps * float(x[i])
-    return _critical(int(n[i]), int(l[i]), -(ex * ex))
 
 
 def stat_wavelengths(
@@ -333,8 +334,7 @@ def stat_wavelengths(
     levels are solved together by :func:`find_roots`, each exactly as alone;
     a root it cannot localize raises NonConvergenceError for the whole call.
     """
-    ns = np.asarray(ns, dtype=np.int64)
-    ls = np.asarray(ls, dtype=np.int64)
+    ns, ls = _levels(ns, ls)
     eps = scales.coupling_stat
     out = np.full(len(ns), scales.Lambda)
     refused = {}
@@ -353,7 +353,7 @@ def stat_wavelengths(
     f_one, bad_one = _stat_residuals(one, n, l, eps)
     not_real = bad_half | bad_one
     for j in np.flatnonzero(not_real).tolist():
-        refused[int(rows[j])] = _critical_at(half if bad_half[j] else one, n, l, eps, j)
+        refused[int(rows[j])] = _critical(int(n[j]), int(l[j]))
     unbracketed = ~not_real & ~((f_half < 0.0) & (0.0 < f_one))
     for j in np.flatnonzero(unbracketed).tolist():
         refused[int(rows[j])] = BracketingError(
@@ -364,20 +364,20 @@ def stat_wavelengths(
     rows, n, l = rows[solve], n[solve], l[solve]
 
     def residual(x, owner):
-        r, bad = _stat_residuals(x, n[owner], l[owner], eps)
-        if bad.any():
-            raise _critical_at(x, n[owner], l[owner], eps, int(np.argmax(bad)))
-        return r
+        # (l+1/2)^2 - (eps x)^2 falls with x, also in rounded arithmetic, so
+        # a square root real at x = 1 is real on the whole bracket.
+        return _stat_residuals(x, n[owner], l[owner], eps)[0]
 
     out[rows] = scales.Lambda / find_roots(residual, half[solve], one[solve], tol)
     out[list(refused)] = np.nan
     return out, dict(sorted(refused.items()))
 
 
-def stat_wavelength_expansion(idx: LevelIndex, scales: ScaleSet) -> float:
-    """Non-relativistic expansion Lambda*(1 + (lambda*/Lambda)^2/(2 n^2))."""
+def stat_wavelength_expansions(ns, ls, scales: ScaleSet) -> np.ndarray:
+    """Non-relativistic expansion Lambda*(1 + (lambda*/Lambda)^2/(2 n^2)) per level."""
+    n, _ = _levels(ns, ls)
     eps = scales.coupling_stat
-    return scales.Lambda * (1.0 + 0.5 * eps * eps / idx.n**2)
+    return scales.Lambda * (1.0 + 0.5 * eps * eps / n**2)
 
 
 def stat_energy(n, scales: ScaleSet):

@@ -27,12 +27,11 @@ from kg5d.cli import main as cli_main
 from kg5d.numerics import Tolerance, fit_convergence_order, integrate
 from kg5d.specfun import erfcx_minus_one
 from kg5d.spectrum import (
-    LevelIndex,
     ScaleSet,
-    kg_binding_energy,
+    kg_binding_energies,
     kg_energies,
-    matching_residual,
-    stat_wavelength_expansion,
+    matching_residuals,
+    stat_wavelength_expansions,
     stat_wavelengths,
 )
 
@@ -132,17 +131,15 @@ def test_criterion_07_spectrum_consistency():
     worst = 0.0
     for n in range(1, 6):
         for l in range(0, n + 1):
-            idx = LevelIndex(n, l)
             lam = s.hbar * s.c / float(kg_energies([n], [l], s)[0])
-            worst = max(worst, abs(matching_residual(lam, idx, s)))
+            worst = max(worst, abs(float(matching_residuals([lam], [n], [l], s)[0])))
     assert worst < 1e-10
 
     devs = []
     for alpha in (1e-3, 1e-4):
         sa = ScaleSet.build(Z=1, alpha=alpha, M_over_m=1.0, R_over_Lambda=25.0)
-        idx = LevelIndex(2, 1)
-        ratio = kg_binding_energy(idx, sa) / (
-            sa.mc2 * (sa.Z * alpha) ** 2 / (2.0 * idx.n**2))
+        ratio = float(kg_binding_energies([2], [1], sa)[0]) / (
+            sa.mc2 * (sa.Z * alpha) ** 2 / (2.0 * 2**2))
         devs.append(abs(ratio - 1.0))
     assert 30.0 < devs[0] / devs[1] < 300.0  # error falls as alpha^2
     assert devs[1] < 1e-7
@@ -151,13 +148,12 @@ def test_criterion_07_spectrum_consistency():
 
 
 def test_criterion_08_stat_root_quartic():
-    idx = LevelIndex(1, 0)
     eps_list = (0.03, 0.01, 0.003)
     diffs = []
     for eps in eps_list:
         s = ScaleSet.build(Z=1, lambda_star_over_Lambda=eps, R_over_rho=25.0)
-        root = stat_wavelengths([idx.n], [idx.l], s)[0][0]
-        diffs.append(abs(root - stat_wavelength_expansion(idx, s)) / s.Lambda)
+        root = stat_wavelengths([1], [0], s)[0][0]
+        diffs.append(abs(root - float(stat_wavelength_expansions([1], [0], s)[0])) / s.Lambda)
     order = fit_convergence_order(eps_list, diffs)
     assert abs(order - 4.0) < 0.3
     _report(8, f"|root - expansion| fits exponent {order:.3f} (4 +- 0.3)")

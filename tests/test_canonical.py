@@ -61,9 +61,24 @@ def test_dn_zero_at_origin():
 
 def test_d2_normalization_various_rho():
     for rho in (0.7, 1.0, 2.0):
-        val = integrate(lambda r: np.array([dn_density(2, float(x), rho) for x in r]),
-                        0.0, 90.0 * rho, Tolerance(rel=1e-10))
+        val = integrate(lambda r: dn_density(2, r, rho), 0.0, 90.0 * rho, Tolerance(rel=1e-10))
         assert val == pytest.approx(4.0, rel=1e-8)
+
+
+def test_dn_density_on_arrays():
+    # one call over many radii, with one level or one level per radius, gives
+    # each radius the bits of a call at that radius alone
+    r = np.array([0.0, 0.4, 3.0, 17.0, 250.0])
+    for n in (3, np.array([1, 2, 5, 9, 40])):
+        got = dn_density(n, r, 1.7)
+        assert got.shape == r.shape
+        for i, ri in enumerate(r.tolist()):
+            ni = n if np.ndim(n) == 0 else int(n[i])
+            assert got[i].tobytes() == np.asarray(dn_density(ni, ri, 1.7)).tobytes()
+    for args, message in (((0, r, 1.0), "need n >= 1"), ((2, r, 0.0), "need rho > 0"),
+                          ((2, -r - 1.0, 1.0), "need r >= 0")):
+        with pytest.raises(DomainError, match=message):
+            dn_density(*args)
 
 
 def test_d1_scaled_closed_form():

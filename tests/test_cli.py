@@ -412,3 +412,67 @@ def test_worker_error_exits_with_its_code_and_one_line(tmp_path, monkeypatch, ca
     assert rc == 3
     assert capsys.readouterr().err == "non-convergence: Z_c correction sum did not converge\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("coupling", ["0", "-0.5"])
+@pytest.mark.parametrize("command", ["partition", "spectrum"])
+def test_non_positive_coupling_exits_2_with_one_line(tmp_path, capsys, command, coupling):
+    # used to fall back to the uncoupled scale set (M = m, so lambda*/Lambda =
+    # Z alpha, and R in units of Lambda) and exit 0, while the artifact header
+    # recorded the coupling asked for
+    rc = main([command, "--coupling", coupling, "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("configuration error: coupling must be > 0 when "
+                                       f"Z*alpha > 0, got {float(coupling)}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_uncoupled_run_ignores_coupling(tmp_path):
+    # with Z alpha = 0 there is no coupling to set: --coupling 0 is not refused
+    rc = main(["spectrum", "--Z", "0", "--coupling", "0", "--n-max", "2",
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    assert all(float(r["E_over_mc2"]) == 1.0 for r in _csv_rows(tmp_path / "spectrum.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n-max", "100000"],
+    ["figure1", "--r-points", "2000000000"],
+    ["universal-d", "--r-points", "2000000000"],
+    ["verify-reduction", "--points", "2000000000", "--steps", "1"],
+], ids=["spectrum", "figure1", "universal-d", "verify-reduction"])
+def test_memory_exhaustion_exits_2_with_one_line(tmp_path, argv):
+    # each died with a MemoryError traceback and exit 1, the code of a
+    # verification failure; the child's address space is capped at 1 GiB, so
+    # the allocation fails there at once
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "kg5d.cli", *argv, "--output-dir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, preexec_fn=cap_address_space,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--formats", "svg"],
+                                  ["partition", "--formats", ","],
+                                  ["verify-geometry", "--formats", "svg"]],
+                         ids=["spectrum-svg", "partition-empty", "verify-geometry-svg"])
+def test_formats_writing_nothing_exit_2_with_one_line(tmp_path, capsys, argv):
+    # each used to run, exit 0 and write no file
+    out = tmp_path / "out"
+    rc = main(argv + ["--output-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: formats ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_formats_naming_one_artifact_of_the_command_still_run(tmp_path):
+    rc = main(["universal-d", "--r-points", "9", "--formats", "svg",
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["universal_d.svg"]

@@ -30,7 +30,6 @@ from kg5d.specfun import (
     whittaker_m_half,
     _combo_arrays,
     _scaled_laguerre_pair,
-    _whittaker_arrays,
 )
 
 mp.mp.dps = 40
@@ -164,32 +163,47 @@ def test_per_point_degrees_match_per_degree_calls():
 def test_whittaker_n1_closed_form():
     # M_{1,1/2}(x) = x e^{-x/2}; derivatives and combo in closed form.
     for x in np.geomspace(0.01, 40.0, 25):
-        w = whittaker_m_half(1, float(x))
+        m, m1, m2, combo = whittaker_m_half(1, float(x))
         e = math.exp(-x / 2.0)
-        assert w.m == pytest.approx(x * e, rel=1e-12)
-        assert w.m1 == pytest.approx(e * (1.0 - x / 2.0), rel=1e-12, abs=1e-300)
-        assert w.m2 == pytest.approx(e * (x / 4.0 - 1.0), rel=1e-12)
-        assert w.wronskian_combo == pytest.approx(math.exp(-x), rel=1e-12)
+        assert m == pytest.approx(x * e, rel=1e-12)
+        assert m1 == pytest.approx(e * (1.0 - x / 2.0), rel=1e-12, abs=1e-300)
+        assert m2 == pytest.approx(e * (x / 4.0 - 1.0), rel=1e-12)
+        assert combo == pytest.approx(math.exp(-x), rel=1e-12)
 
 
 def test_whittaker_small_argument_limit():
-    assert whittaker_m_half(3, 1e-12).m == pytest.approx(0.0, abs=1e-11)
+    assert whittaker_m_half(3, 1e-12)[0] == pytest.approx(0.0, abs=1e-11)
+
+
+def test_whittaker_arrays_match_single_points_bitwise():
+    # one call over many points, with one degree or one degree per point,
+    # gives each point the bits of a call at that point alone
+    x = np.array([0.01, 0.7, 3.0, 27.0, 110.0, 2500.0])
+    degrees = np.array([1, 2, 5, 9, 30, 1000])
+    for n in (7, degrees):
+        got = whittaker_m_half(n, x)
+        assert all(part.shape == x.shape for part in got)
+        for i, xi in enumerate(x.tolist()):
+            ni = n if np.ndim(n) == 0 else int(n[i])
+            alone = whittaker_m_half(ni, xi)
+            for part, one in zip(got, alone):
+                assert part[i].tobytes() == one.tobytes()
 
 
 def test_whittaker_against_mpmath():
     cases = [(2, 3.1), (5, 3.0), (5, 27.0), (9, 0.4), (17, 60.0), (30, 110.0)]
     for n, x in cases:
-        w = whittaker_m_half(n, x)
+        m, m1, m2, combo = whittaker_m_half(n, x)
         f = lambda t: mp.whitm(n, mp.mpf(1) / 2, t)
         m_ref = float(f(mp.mpf(x)))
         m1_ref = float(mp.diff(f, mp.mpf(x), 1))
         m2_ref = float(mp.diff(f, mp.mpf(x), 2))
         combo_ref = float(mp.diff(f, mp.mpf(x), 1) ** 2
                           - f(mp.mpf(x)) * mp.diff(f, mp.mpf(x), 2))
-        assert w.m == pytest.approx(m_ref, rel=1e-11, abs=1e-280)
-        assert w.m1 == pytest.approx(m1_ref, rel=1e-10, abs=1e-280)
-        assert w.m2 == pytest.approx(m2_ref, rel=1e-10, abs=1e-280)
-        assert w.wronskian_combo == pytest.approx(combo_ref, rel=1e-9, abs=1e-280)
+        assert m == pytest.approx(m_ref, rel=1e-11, abs=1e-280)
+        assert m1 == pytest.approx(m1_ref, rel=1e-10, abs=1e-280)
+        assert m2 == pytest.approx(m2_ref, rel=1e-10, abs=1e-280)
+        assert combo == pytest.approx(combo_ref, rel=1e-9, abs=1e-280)
 
 
 def test_whittaker_identity_and_stencil_consistency():
@@ -198,17 +212,17 @@ def test_whittaker_identity_and_stencil_consistency():
     rng = np.random.default_rng(9)
     for n in (1, 2, 5, 11, 23, 30):
         x = float(rng.uniform(0.05, 7.9 * n))
-        w = whittaker_m_half(n, x)
+        m, m1, m2, _ = whittaker_m_half(n, x)
         direct = (x / n) * math.exp(-x / 2.0) * eval_genlaguerre(n - 1, 1, x)
-        assert w.m == pytest.approx(direct, rel=1e-10, abs=1e-250)
+        assert m == pytest.approx(direct, rel=1e-10, abs=1e-250)
         h = 1e-3  # truncation ~ h^2/6, roundoff ~ 1e-15/h: both << tolerances
         xs = x + h * np.arange(-2, 3)
-        vals = np.array([whittaker_m_half(n, xx).m for xx in xs])
-        scale = max(abs(w.m), abs(w.m1), 1e-30)
+        vals = whittaker_m_half(n, xs)[0]
+        scale = max(abs(m), abs(m1), 1e-30)
         assert fd_derivative(vals, 0, 1, h)[2] == pytest.approx(
-            w.m1, rel=2e-6, abs=1e-6 * scale)
+            m1, rel=2e-6, abs=1e-6 * scale)
         assert fd_derivative(vals, 0, 2, h)[2] == pytest.approx(
-            w.m2, rel=1e-4, abs=1e-4 * scale)
+            m2, rel=1e-4, abs=1e-4 * scale)
 
 
 def test_wronskian_combo_positive():
@@ -221,7 +235,7 @@ def test_wronskian_combo_positive():
 
 def test_whittaker_combo_n5_positive_and_normalized():
     # combo(5, 3) > 0, and the degeneracy built from it integrates to 25.
-    assert whittaker_m_half(5, 3.0).wronskian_combo > 0.0
+    assert whittaker_m_half(5, 3.0)[3] > 0.0
     val = integrate(lambda x: 0.5 * x * x * _combo_arrays(5, x), 0.0, 140.0,
                     Tolerance(rel=1e-11))
     assert val == pytest.approx(25.0, rel=1e-8)
@@ -232,6 +246,11 @@ def test_whittaker_domain():
         whittaker_m_half(0, 1.0)
     with pytest.raises(DomainError):
         whittaker_m_half(2, 0.0)
+    # on arrays, the first bad degree or point is named
+    with pytest.raises(DomainError, match="need integer n >= 1, got -1"):
+        whittaker_m_half(np.array([3, -1, 0]), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(DomainError, match="need x > 0, got nan"):
+        whittaker_m_half(2, np.array([1.0, np.nan, -1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +436,7 @@ def test_scaled_exponent_overflow_raises_instead_of_clamping():
         _combo_arrays(np.array([3, 1, 2]), x)
     assert (info.value.n, info.value.x) == (1, -800.0)
     with pytest.raises(LaguerreOverflowError):
-        _whittaker_arrays(2, np.array([-1500.0]))
+        _combo_arrays(2, np.array([-1500.0]))
     # the underflow side still clips, at e^{-745}, and does not raise
     assert 0.0 < _combo_arrays(1, np.array([2000.0]))[0] < 1e-320
 

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 from kg5d.errors import BracketingError, DomainError
 from kg5d.numerics import fit_convergence_order
 from kg5d.spectrum import (
-    LevelIndex,
     ScaleSet,
-    kg_binding_energy,
+    kg_binding_energies,
     kg_energies,
-    matching_residual,
+    matching_residuals,
     stat_energy,
-    stat_wavelength_expansion,
+    stat_wavelength_expansions,
     stat_wavelengths,
 )
 
@@ -33,6 +32,18 @@ ALPHA_CODATA = 0.0072973525693
 def _energy(n, l, scales):
     """E_nl of one level: kg_energies on a batch of one."""
     return float(kg_energies([n], [l], scales)[0])
+
+
+def _binding(n, l, scales):
+    return float(kg_binding_energies([n], [l], scales)[0])
+
+
+def _residual(lam_prime, n, l, scales):
+    return float(matching_residuals([lam_prime], [n], [l], scales)[0])
+
+
+def _expansion(n, l, scales):
+    return float(stat_wavelength_expansions([n], [l], scales)[0])
 
 
 def _scales(Z=1, alpha=ALPHA_CODATA, coupling=None, **kw):
@@ -114,12 +125,75 @@ def test_scaleset_build_refuses_non_finite(name, value):
         ScaleSet.build(**{**base, name: value})
 
 
+_LEVEL_KERNELS = {
+    "kg_energies": kg_energies,
+    "kg_binding_energies": kg_binding_energies,
+    # lambda' from the row's own level, so a row alone gets the same one
+    "matching_residuals": lambda ns, ls, s: matching_residuals(
+        s.lambda_c * (1.0 + 0.01 * (np.asarray(ns) + 2.0 * np.asarray(ls)) ** 2), ns, ls, s),
+    "stat_wavelengths": lambda ns, ls, s: stat_wavelengths(ns, ls, s)[0],
+    "stat_wavelength_expansions": stat_wavelength_expansions,
+}
+
+
 def test_level_index_bounds():
-    LevelIndex(3, 3)  # l = n allowed as written
-    with pytest.raises(DomainError):
-        LevelIndex(0, 0)
-    with pytest.raises(DomainError):
-        LevelIndex(2, 3)
+    # l = n is allowed as written; the first bad level of a table is named.
+    # kg_energies and stat_wavelengths checked no level: on the last two
+    # tables they returned three energies and a wavelength.
+    s = _scales(coupling=0.01)
+    for ns, ls, message in (([3], [3], None),
+                            ([0], [0], "need n >= 1, got 0"),
+                            ([2], [3], "need 0 <= l <= n, got l=3, n=2"),
+                            ([0, 1, -3], [0, 5, 0], "need n >= 1, got 0"),
+                            ([1], [5], "need 0 <= l <= n, got l=5, n=1")):
+        for kernel in _LEVEL_KERNELS.values():
+            if message is None:
+                kernel(ns, ls, s)
+                continue
+            with pytest.raises(DomainError) as info:
+                kernel(ns, ls, s)
+            assert str(info.value) == message
+
+
+def test_level_tables_must_be_1d_integer_arrays_of_one_shape():
+    s = _scales(coupling=0.01)
+    for ns, ls in (([1, 2], [0]), ([[1]], [[0]]), (1, 0), ([1.0], [0.0]), ([True], [False])):
+        for kernel in _LEVEL_KERNELS.values():
+            with pytest.raises(DomainError, match="need 1-D integer level arrays of one shape"):
+                kernel(ns, ls, s)
+
+
+_level = st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+_bad_level = st.one_of(
+    st.tuples(st.integers(-5, 0), st.integers(0, 3)).map(
+        lambda nl: (nl, f"need n >= 1, got {nl[0]}")),
+    st.tuples(st.integers(1, 60), st.integers(-5, -1)).map(
+        lambda nl: (nl, f"need 0 <= l <= n, got l={nl[1]}, n={nl[0]}")),
+    st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, n + 5))).map(
+        lambda nl: (nl, f"need 0 <= l <= n, got l={nl[1]}, n={nl[0]}")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_LEVEL_KERNELS)), levels=st.lists(_level, max_size=8),
+       bad=_bad_level, at=st.integers(0, 8), alpha=st.floats(1e-4, 0.3),
+       coupling=st.floats(1e-3, 1.0))
+def test_level_kernels_refuse_bad_levels_and_keep_row_bits(name, levels, bad, at, alpha,
+                                                           coupling):
+    # Every level kernel refuses a table holding a level with n < 1, l < 0 or
+    # l > n, naming it; on the table without it each row has the bits of the
+    # kernel run on that row alone (stat_wavelengths: NaN where refused).
+    kernel = _LEVEL_KERNELS[name]
+    s = ScaleSet.build(Z=1, alpha=alpha, lambda_star_over_Lambda=coupling, R_over_rho=50.0)
+    (n_bad, l_bad), message = bad
+    table = levels[:at] + [(n_bad, l_bad)] + levels[at:]
+    with pytest.raises(DomainError) as info:
+        kernel([n for n, _ in table], [l for _, l in table], s)
+    assert str(info.value) == message
+    got = kernel([n for n, _ in levels], [l for _, l in levels], s)
+    assert got.shape == (len(levels),)
+    alone = [kernel([n], [l], s)[0] for n, l in levels]
+    assert got.view(np.int64).tolist() == np.array(alone, dtype=float).view(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +253,7 @@ def test_kg_energies_critical_coupling_names_first_level():
 def test_kg_energy_ground_state_binding_scale():
     # binding ~ (Z alpha)^2 mc^2 / 2: the 13.6 eV scale for mc^2 = 511 keV
     s = _scales(alpha=1.0 / 137.035999)
-    binding = kg_binding_energy(LevelIndex(1, 0), s)
+    binding = _binding(1, 0, s)
     assert binding / s.mc2 == pytest.approx(s.alpha**2 / 2.0, rel=5e-4)
     ev = binding / s.mc2 * 510_998.95
     assert ev == pytest.approx(13.606, rel=1e-3)
@@ -189,8 +263,7 @@ def test_kg_energy_alpha_scaling_of_nonrel_limit():
     devs = []
     for alpha in (1e-3, 1e-4):
         s = _scales(alpha=alpha)
-        idx = LevelIndex(2, 1)
-        ratio = kg_binding_energy(idx, s) / (s.mc2 * (s.Z * alpha) ** 2 / (2.0 * idx.n**2))
+        ratio = _binding(2, 1, s) / (s.mc2 * (s.Z * alpha) ** 2 / (2.0 * 2**2))
         devs.append(abs(ratio - 1.0))
     assert devs[0] / devs[1] == pytest.approx(100.0, rel=0.05)  # O(alpha^2)
     assert devs[1] < 1e-8
@@ -219,45 +292,47 @@ def test_kg_energy_range_property():
 
 def test_binding_energy_matches_direct_difference():
     s = _scales(alpha=0.05)
-    idx = LevelIndex(3, 1)
-    assert kg_binding_energy(idx, s) == pytest.approx(
-        s.mc2 - _energy(idx.n, idx.l, s), rel=1e-9)
+    assert _binding(3, 1, s) == pytest.approx(s.mc2 - _energy(3, 1, s), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# matching_residual
+# matching_residuals
 # ---------------------------------------------------------------------------
 
 def test_matching_residual_uncoupled_at_compton():
     s = ScaleSet.build(Z=0, alpha=0.0, R_over_Lambda=10.0)
     for n in (1, 2, 4):
-        assert matching_residual(s.lambda_c, LevelIndex(n, 0), s) == 0.0
+        assert _residual(s.lambda_c, n, 0, s) == 0.0
 
 
 def test_matching_residual_zero_at_energy_wavelength():
     s = _scales()
     for n in range(1, 6):
         for l in range(0, n + 1):
-            idx = LevelIndex(n, l)
-            lam_prime = s.hbar * s.c / _energy(idx.n, idx.l, s)
-            assert abs(matching_residual(lam_prime, idx, s)) < 1e-10
+            lam_prime = s.hbar * s.c / _energy(n, l, s)
+            assert abs(_residual(lam_prime, n, l, s)) < 1e-10
 
 
 def test_matching_residual_half_compton():
     # lambda' = lambda/2 with the coupling off: ((1/2)^2 - 1) n^2 = -(3/4) n^2.
     s = ScaleSet.build(Z=0, alpha=0.0, R_over_Lambda=10.0)
     for n in (1, 2, 3):
-        got = matching_residual(s.lambda_c / 2.0, LevelIndex(n, 0), s)
+        got = _residual(s.lambda_c / 2.0, n, 0, s)
         assert got == pytest.approx(-0.75 * n * n, rel=1e-14)
 
 
 def test_matching_residual_sign_structure():
     # residual is monotone in lambda' around the root
     s = _scales()
-    idx = LevelIndex(2, 1)
-    lam_root = s.hbar * s.c / _energy(idx.n, idx.l, s)
-    assert matching_residual(0.99 * lam_root, idx, s) < 0
-    assert matching_residual(1.01 * lam_root, idx, s) > 0
+    lam_root = s.hbar * s.c / _energy(2, 1, s)
+    assert _residual(0.99 * lam_root, 2, 1, s) < 0
+    assert _residual(1.01 * lam_root, 2, 1, s) > 0
+
+
+def test_matching_residuals_refuse_non_positive_wavelength():
+    s = _scales()
+    with pytest.raises(DomainError, match="need lambda' > 0, got 0.0"):
+        matching_residuals([1.0, 0.0], [1, 2], [0, 1], s)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +350,6 @@ def test_stat_wavelength_expansion_small_coupling():
     # against mpmath findroot.  The stated quadratic expansion is matched to
     # O(e^4) by construction.
     s = _scales(coupling=0.01)
-    idx = LevelIndex(1, 0)
     ratio = stat_wavelengths([1], [0], s)[0][0] / s.Lambda
 
     def F(x):
@@ -286,18 +360,17 @@ def test_stat_wavelength_expansion_small_coupling():
     ref = float(1 / mp.findroot(F, mp.mpf(1) - mp.mpf("0.01") ** 2 / 2))
     assert ratio == pytest.approx(ref, rel=1e-13)
     assert ratio == pytest.approx(1.00005, abs=1e-8)
-    quartic = ratio - float(stat_wavelength_expansion(idx, s) / s.Lambda)
+    quartic = ratio - _expansion(1, 0, s) / s.Lambda
     assert quartic == pytest.approx(0.875e-8, rel=1e-3)
 
 
 def test_stat_wavelength_quartic_scaling():
-    idx = LevelIndex(1, 0)
     eps_list = (0.03, 0.01, 0.003)
     diffs = []
     for eps in eps_list:
         s = _scales(coupling=eps)
         root = stat_wavelengths([1], [0], s)[0][0]
-        diffs.append(abs(root - stat_wavelength_expansion(idx, s)) / s.Lambda)
+        diffs.append(abs(root - _expansion(1, 0, s)) / s.Lambda)
     order = fit_convergence_order(eps_list, diffs)
     assert order == pytest.approx(4.0, abs=0.3)
 
