@@ -55,12 +55,25 @@ class DensityCurve:
 
 
 @dataclass(frozen=True)
+class ExactLevels:
+    """Z_d's exactly integrated levels 1..N as columns: n, the Boltzmann
+    weight exp(-u e_n / hbar), and the trapped degeneracy g_n."""
+
+    n: np.ndarray
+    weight: np.ndarray
+    trapped_degeneracy: np.ndarray
+
+    def __len__(self) -> int:
+        return self.n.size
+
+
+@dataclass(frozen=True)
 class PartitionResult:
     """Both spectral parts of the canonical sum plus per-level diagnostics.
 
-    ``per_level_d`` lists (n, Boltzmann weight, trapped degeneracy) for every
-    level whose degeneracy integral was evaluated by quadrature (the analytic
-    1/n^3 tail beyond them is folded into ``z_d`` and its report).
+    ``per_level_d`` holds every level whose degeneracy integral was evaluated
+    by quadrature (the analytic 1/n^3 tail beyond them is folded into ``z_d``
+    and its report).
     """
 
     z_c: float
@@ -68,7 +81,7 @@ class PartitionResult:
     z_total: float
     terms_c: SeriesReport
     terms_d: SeriesReport
-    per_level_d: list
+    per_level_d: ExactLevels
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +338,7 @@ def trapped_degeneracy_limit(rhat: float) -> float:
     return f / 64.0
 
 
-def _zd_tail(g: list, b_inf: float, eta0: float, a: float) -> tuple[float, float]:
+def _zd_tail(g: np.ndarray, b_inf: float, eta0: float, a: float) -> tuple[float, float]:
     """Tail sum_{n > N} w_n g_n beyond the N = len(g) exact levels, and its bound.
 
     The model g_n n^3 = B_inf + C/n^2 + D/n^4 + E/n^6 has B_inf fixed and
@@ -339,7 +352,7 @@ def _zd_tail(g: list, b_inf: float, eta0: float, a: float) -> tuple[float, float
     """
     n_top = len(g)
     ns = np.arange(n_top - _TAIL_WINDOW + 1, n_top + 1, dtype=float)
-    y = np.array(g[-_TAIL_WINDOW:]) * ns**3 - b_inf
+    y = g[-_TAIL_WINDOW:] * ns**3 - b_inf
     powers = np.arange(1, _TAIL_TERMS + 1)
     basis = (n_top / ns)[:, None] ** (2 * powers)  # (N/n)^{2k}: columns of unit scale
     q = n_top + 1.0
@@ -381,8 +394,8 @@ def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0))
 
     The reported tail bound covers the tail model and the weight expansion;
     each exact level also carries its quadrature error, below 1e-2 * rel of
-    its value.  Returns (Z_d, report, per-level list of (n, weight, trapped
-    degeneracy)); the report counts the exact levels as the terms used.
+    its value.  Returns (Z_d, report, :class:`ExactLevels`); the report
+    counts the exact levels as the terms used.
     """
     if scales.lambda_star <= 0:
         raise DomainError("z_discrete needs a positive coupling (no bound levels otherwise)")
@@ -400,18 +413,14 @@ def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0))
 
     b_inf = trapped_degeneracy_limit(rhat)
     a = 0.5 * eta0 * eps * eps  # w_n = e^{-eta0} exp(a / n^2)
-    g = []          # trapped degeneracies, exact quadrature
-    per_level = []  # (n, weight exp(-u e_n / hbar) from stat_energy, g_n)
-    partial = 0.0   # running exact sum, fixed order
+    g = np.empty(0)  # trapped degeneracies, exact quadrature
     n_next = int(math.ceil(_TAIL_WINDOW + 4.0 * math.sqrt(rhat)))
     n_cap = max(4 * n_next, 4000)
     while True:
-        ns = range(len(g) + 1, n_next + 1)
-        for n, gn in zip(ns, trapped_degeneracies(ns, rhat, quad_tol).tolist()):
-            w = math.exp(-scales.u * stat_energy(n, scales) / scales.hbar)
-            per_level.append((n, w, gn))
-            g.append(gn)
-            partial += w * gn
+        ns = np.arange(1, n_next + 1)
+        g = np.concatenate([g, trapped_degeneracies(ns[g.size:], rhat, quad_tol)])
+        w = _exp(-scales.u * stat_energy(ns, scales) / scales.hbar)
+        partial = float(np.cumsum(w * g)[-1])  # the running sum, in level order
         tail, bound = _zd_tail(g, b_inf, eta0, a)
         total = partial + tail
         target = tol.threshold(total)
@@ -421,7 +430,7 @@ def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0))
 
     report = SeriesReport(value=total, terms_used=len(g), tail_bound=bound,
                           converged=bound <= target)
-    return total, report, per_level
+    return total, report, ExactLevels(n=ns, weight=w, trapped_degeneracy=g)
 
 
 def partition(scales: ScaleSet,

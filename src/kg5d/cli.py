@@ -65,8 +65,17 @@ _DEFAULTS = {
 }
 
 _TYPES = {k: type(v) if v is not None else str for k, v in _DEFAULTS.items()}
-_TYPES.update({"rel_tol": float, "abs_tol": float, "eta0": float, "alpha": float,
-               "coupling": float, "r_over_rho": float, "r_max": float})
+
+# The files each command writes, <command>.<format> with '_' for '-', in the
+# order it writes them and prints their paths; --formats selects among them.
+_ARTIFACTS = {
+    "spectrum": ("csv", "json"),
+    "partition": ("json", "csv"),
+    "universal-d": ("csv", "json", "svg"),
+    "figure1": ("csv", "json", "svg"),
+    "verify-geometry": ("json", "csv"),
+    "verify-reduction": ("json", "csv"),
+}
 
 
 def fmt(x) -> str:
@@ -174,12 +183,17 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
     if settings["output_dir"] is None:
         settings["output_dir"] = os.environ.get("KG5D_OUTPUT_DIR", ".")
     cfg = RunConfig(command=command, settings=settings)
-    writes = {"csv", "json", "svg"} if command in ("universal-d", "figure1") else {"csv", "json"}
-    if not cfg.formats & writes:
+    writes = _ARTIFACTS[command]
+    if not cfg.formats & set(writes):
         raise ConfigurationError(f"formats {settings['formats']!r} select none of what "
                                  f"{command} writes ({','.join(sorted(writes))})")
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    if not os.access(cfg.output_dir, os.W_OK):
+    # The directory is made at the first write (_emit), so a refused run
+    # leaves none; until then its nearest existing ancestor must be a
+    # writable directory.
+    existing = os.path.abspath(cfg.output_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK)):
         raise ConfigurationError(f"output dir not writable: {cfg.output_dir}")
     return cfg
 
@@ -188,25 +202,23 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
 # Emitters
 # ---------------------------------------------------------------------------
 #
-# Tables are held as columns and written with one row template per table,
-# a chunk of rows at a time, so no per-row objects are built and no whole
-# document text is held.  The output is byte for byte what a per-cell
+# Kernels hand tables over as numpy columns; each is written with one row
+# template, a chunk of rows at a time, so no per-row objects are built and no
+# whole document text is held.  The output is byte for byte what a per-cell
 # ``fmt`` loop and ``json.dump(doc, fh, indent=2, allow_nan=True)`` write.
+# ``_emit`` writes a command's files in the order ``_ARTIFACTS`` declares.
 
 _CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
 class Table:
-    """Named equal-length columns: the rows of a CSV file or a JSON list of
-    row objects.  A column is a numpy array or a sequence of cells."""
+    """Named equal-length numpy columns: the rows of a CSV file or a JSON
+    list of row objects.  Float columns get 17 digits; a label column is a
+    str array, and cells of no fixed width (big ints) sit in object arrays."""
 
     names: tuple
     columns: tuple
-
-    @classmethod
-    def from_rows(cls, names, rows) -> "Table":
-        return cls(tuple(names), tuple(zip(*rows)) or ((),) * len(names))
 
 
 def _chunks(columns):
@@ -215,40 +227,30 @@ def _chunks(columns):
         yield [c[start:start + _CHUNK_ROWS] for c in columns]
 
 
-def _csv_column(column):
-    """printf conversion and cells of one CSV column; floats get 17 digits."""
-    if isinstance(column, np.ndarray):
-        return ("%.17g" if column.dtype.kind == "f" else "%s"), column
-    return "%s", [fmt(c) if isinstance(c, float) else c for c in column]
-
-
 def write_csv(cfg: RunConfig, name: str, table: Table) -> str:
     """The configuration header, the column names, then one line per row."""
     path = os.path.join(cfg.output_dir, name)
-    convs, columns = zip(*map(_csv_column, table.columns))
-    line = ",".join(convs) + "\n"
+    line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in table.columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(cfg.header_lines()) + "\n")
         fh.write(",".join(table.names) + "\n")
-        for chunk in _chunks(columns):
-            cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
-            fh.write("".join(map(line.__mod__, zip(*cells))))
+        for chunk in _chunks(table.columns):
+            fh.write("".join(map(line.__mod__, zip(*(c.tolist() for c in chunk)))))
     return path
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_cells(column) -> list:
+def _json_cells(column: np.ndarray) -> list:
     """The JSON text of each cell, as json.dumps writes it."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        text = list(map(float.__repr__, column.tolist()))
+    cells = column.tolist()
+    if column.dtype.kind == "f":
+        text = list(map(float.__repr__, cells))
         for i in np.flatnonzero(~np.isfinite(column)).tolist():
             text[i] = _JSON_NON_FINITE[text[i]]
         return text
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        return list(map(int.__repr__, column.tolist()))
-    return list(map(json.dumps, column))
+    return list(map(int.__repr__ if column.dtype.kind in "iu" else json.dumps, cells))
 
 
 def _write_json_array(fh, indent: str, item: str, columns) -> None:
@@ -355,6 +357,18 @@ def write_svg(cfg: RunConfig, name: str, curves, xlabel: str, ylabel: str) -> st
     return path
 
 
+def _emit(cfg: RunConfig, **contents) -> None:
+    """Write the files of ``cfg.command`` that ``--formats`` selects, in the
+    order ``_ARTIFACTS`` declares, and print each path.  ``contents`` maps a
+    format to its writer's arguments after the file name."""
+    writers = {"csv": write_csv, "json": write_json, "svg": write_svg}
+    stem = cfg.command.replace("-", "_")
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    for kind in _ARTIFACTS[cfg.command]:
+        if kind in cfg.formats:
+            print(writers[kind](cfg, f"{stem}.{kind}", *contents[kind]))
+
+
 def _series_dict(report) -> dict:
     return {
         "value": report.value,
@@ -385,13 +399,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                    "Lambda_prime_over_Lambda", "e_n_over_Mc2"),
                   (n, l, energies / scales.mc2, scales.mc2 / energies,  # lambda'/lambda = mc^2/E
                    wavelengths / scales.Lambda, stat_energy(n, scales) / scales.Mc2))
-    written = []
-    if "csv" in cfg.formats:
-        written.append(write_csv(cfg, "spectrum.csv", table))
-    if "json" in cfg.formats:
-        written.append(write_json(cfg, "spectrum.json", {"levels": table}))
-    for p in written:
-        print(p)
+    _emit(cfg, csv=(table,), json=({"levels": table},))
     return 0
 
 
@@ -408,7 +416,9 @@ def _refusal_line(refused: dict, total: int) -> str:
 def cmd_partition(cfg: RunConfig) -> int:
     scales = cfg.scales()
     result = canonical.partition(scales, cfg.tolerance())
-    levels = Table.from_rows(("n", "weight", "trapped_degeneracy"), result.per_level_d)
+    exact = result.per_level_d
+    levels = Table(("n", "weight", "trapped_degeneracy"),
+                   (exact.n, exact.weight, exact.trapped_degeneracy))
     payload = {
         "z_c": result.z_c,
         "z_d": result.z_d,
@@ -417,13 +427,7 @@ def cmd_partition(cfg: RunConfig) -> int:
         "terms_d": _series_dict(result.terms_d),
         "per_level_d": levels,
     }
-    written = []
-    if "json" in cfg.formats:
-        written.append(write_json(cfg, "partition.json", payload))
-    if "csv" in cfg.formats:
-        written.append(write_csv(cfg, "partition.csv", levels))
-    for p in written:
-        print(p)
+    _emit(cfg, json=(payload,), csv=(levels,))
     if not (result.terms_c.converged and result.terms_d.converged):
         raise NonConvergenceError("partition series did not converge",
                                   estimate=result.z_total)
@@ -443,19 +447,9 @@ def cmd_universal_d(cfg: RunConfig) -> int:
     values = canonical.universal_d(r)
     norm = integrate(canonical.universal_d, 0.0, 4.0,
                      Tolerance(rel=0.0, abs=1e-12, max_iter=cfg.settings["max_iter"]))
-    written = []
-    if "csv" in cfg.formats:
-        written.append(write_csv(cfg, "universal_d.csv", Table(("r", "value"), (r, values))))
-    if "json" in cfg.formats:
-        written.append(write_json(cfg, "universal_d.json", {
-            "value_at_2": canonical.universal_d(2.0),
-            "norm_integral": norm,
-        }))
-    if "svg" in cfg.formats:
-        written.append(write_svg(cfg, "universal_d.svg",
-                                 [("limit", r, values)], "r", "D(r)"))
-    for p in written:
-        print(p)
+    _emit(cfg, csv=(Table(("r", "value"), (r, values)),),
+          json=({"value_at_2": canonical.universal_d(2.0), "norm_integral": norm},),
+          svg=([("limit", r, values)], "r", "D(r)"))
     return 0
 
 
@@ -468,22 +462,13 @@ def cmd_figure1(cfg: RunConfig) -> int:
         raise ConfigurationError("n_list is empty")
     r = _r_grid(cfg, cfg.settings["r_max"])
     curves = canonical.figure1_curves(n_list, r)
-    written = []
-    if "csv" in cfg.formats:
-        written.append(write_csv(cfg, "figure1.csv", Table(("n", "r", "value"), (
-            np.repeat([c.n for c in curves], r.size),
-            np.concatenate([c.r for c in curves]),
-            np.concatenate([c.values for c in curves])))))
-    if "json" in cfg.formats:
-        written.append(write_json(cfg, "figure1.json", {
-            "curves": [{"n": c.n, "r": c.r, "value": c.values} for c in curves]}))
-    if "svg" in cfg.formats:
-        written.append(write_svg(
-            cfg, "figure1.svg",
-            [(f"n={c.n}", c.r, c.values) for c in curves],
-            "r (units of rho/2, stretched by n^2)", "D_n"))
-    for p in written:
-        print(p)
+    table = Table(("n", "r", "value"), (np.repeat([c.n for c in curves], r.size),
+                                        np.concatenate([c.r for c in curves]),
+                                        np.concatenate([c.values for c in curves])))
+    _emit(cfg, csv=(table,),
+          json=({"curves": [{"n": c.n, "r": c.r, "value": c.values} for c in curves]},),
+          svg=([(f"n={c.n}", c.r, c.values) for c in curves],
+               "r (units of rho/2, stretched by n^2)", "D_n"))
     return 0
 
 
@@ -496,15 +481,11 @@ def cmd_verify_geometry(cfg: RunConfig) -> int:
         raise ConfigurationError("need grid >= 7 and refine >= 2")
     sizes = [start + 4 * i for i in range(count)]
     report = geometry.verify_geometry(sizes=sizes)
-    if "json" in cfg.formats:
-        print(write_json(cfg, "verify_geometry.json", {"report": report}))
-    if "csv" in cfg.formats:
-        rows = [(f"laplacian_h{fmt(h)}", r)
-                for h, r in zip(report["laplacian_steps"], report["laplacian_residuals"])]
-        rows += [("laplacian_order", report["laplacian_order"]),
-                 ("flat_residual", report["flat_residual"]),
-                 ("metric_inverse_defect", report["metric_inverse_defect"])]
-        print(write_csv(cfg, "verify_geometry.csv", Table.from_rows(("check", "value"), rows)))
+    summary = ("laplacian_order", "flat_residual", "metric_inverse_defect")
+    checks = Table(("check", "value"), (
+        np.array([f"laplacian_h{fmt(h)}" for h in report["laplacian_steps"]] + list(summary)),
+        np.array([*report["laplacian_residuals"], *(report[key] for key in summary)])))
+    _emit(cfg, json=({"report": report},), csv=(checks,))
     for key, order in report["contraction_orders"].items():
         print(f"{key}: order {order if order != float('inf') else 'exact'}")
     print(f"laplacian: order {fmt(report['laplacian_order'])}")
@@ -519,12 +500,8 @@ def cmd_verify_reduction(cfg: RunConfig) -> int:
 
     report = reduction.verify_reduction(points=cfg.settings["points"],
                                         steps=cfg.settings["steps"])
-    step_table = report.pop("step_table")
-    if "json" in cfg.formats:
-        print(write_json(cfg, "verify_reduction.json", {"report": report}))
-    if "csv" in cfg.formats:
-        print(write_csv(cfg, "verify_reduction.csv",
-                        Table.from_rows(("step", "norm", "residual"), step_table)))
+    steps = Table(("step", "norm", "residual"), report.pop("step_table"))
+    _emit(cfg, json=({"report": report},), csv=(steps,))
     for key in ("norm_drift_per_step", "dispersion_error", "continuity_order",
                 "fp_variance_error", "semigroup_defect"):
         print(f"{key}: {fmt(report[key])}")

@@ -54,7 +54,7 @@ partitioned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -801,8 +801,7 @@ def verify_geometry(sizes=(9, 13, 17)) -> dict:
             f" more than the {have / 2**30:,.1f} GiB available")
     A = smooth_lorentz_potential()
     steps = []
-    contraction_resid = {"eta_gamma_rho": [], "eta_gamma_5": [],
-                         "cross_gamma_rho": [], "cross_gamma_5": []}
+    contraction_resid = {f.name: [] for f in fields(ChristoffelContractions)}
     point = (0.35, 0.55, 0.45, 0.65)
 
     for size in sizes:
@@ -811,12 +810,8 @@ def verify_geometry(sizes=(9, 13, 17)) -> dict:
         patch = build_metric(A, _Q_OVER_C2, point, mode="fd", fd_step=hstep)
         got = christoffel_contractions(patch)
         want = expected_contractions(A, _Q_OVER_C2, point)
-        contraction_resid["eta_gamma_rho"].append(
-            float(np.max(np.abs(got.eta_gamma_rho - want.eta_gamma_rho))))
-        contraction_resid["eta_gamma_5"].append(abs(got.eta_gamma_5 - want.eta_gamma_5))
-        contraction_resid["cross_gamma_rho"].append(
-            float(np.max(np.abs(got.cross_gamma_rho - want.cross_gamma_rho))))
-        contraction_resid["cross_gamma_5"].append(abs(got.cross_gamma_5 - want.cross_gamma_5))
+        for name, resid in contraction_resid.items():
+            resid.append(float(np.max(np.abs(getattr(got, name) - getattr(want, name)))))
 
     orders = {}
     for key, resid in contraction_resid.items():

@@ -30,7 +30,6 @@ O(points) memory whatever the number of steps.
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -404,32 +403,32 @@ def verify_reduction(*, points: int = 256, steps: int = 64) -> dict:
 
     The evolutions are read as streams and no snapshot is kept beyond the
     three the continuity difference needs, so memory is O(points) and
-    independent of ``steps``; only the returned step table, one
-    (step, norm, norm residual) row per snapshot, grows with ``steps``.
-    The ``steps``-long norm stream runs in a worker beside the other checks
-    (:func:`kg5d.numerics.beside`).
+    independent of ``steps``; only the returned step table grows with
+    ``steps``: the columns step, norm and |norm - norm_0|, one entry per
+    snapshot.  The ``steps``-long norm stream runs in a worker beside the
+    other checks (:func:`kg5d.numerics.beside`).
     """
     lhat, c = 0.7, 1.3
     box = 40.0
     psi0 = gaussian_packet(points, box, 1.0, k0=2.0 * math.pi / box * 5)
-    with beside(_norm_table, psi0, lhat, c, steps,
+    with beside(_norms, psi0, lhat, c, steps,
                 seconds=_STREAM_POINT_STEP_S * points * steps) as collect:
         checks, passed = _short_checks(psi0, lhat, c, box)
-        step_table = collect()
-    norm_drift = max(r for _, _, r in itertools.islice(step_table, 1, None)) / steps
+        norms = collect()
+    residuals = np.abs(norms - norms[0])
+    norm_drift = float(np.max(residuals[1:])) / steps
     return {
         "norm_drift_per_step": norm_drift,
         **checks,
-        "step_table": step_table,  # (step, norm, norm residual) per snapshot
+        "step_table": (np.arange(norms.size), norms, residuals),
         "passed": bool(norm_drift <= _NORM_TOL and passed),
     }
 
 
-def _norm_table(psi0: GridField, lhat: float, c: float, steps: int) -> list:
-    """(step, norm, |norm - norm_0|) per snapshot of the spectral evolution."""
-    norms = (s.l2_norm() for s in evolve_schrodinger(psi0, 2.0, lhat, steps, c=c))
-    n0 = next(norms)
-    return [(i, norm, abs(norm - n0)) for i, norm in enumerate(itertools.chain([n0], norms))]
+def _norms(psi0: GridField, lhat: float, c: float, steps: int) -> np.ndarray:
+    """The norm of each snapshot of the spectral evolution."""
+    return np.fromiter((s.l2_norm() for s in evolve_schrodinger(psi0, 2.0, lhat, steps, c=c)),
+                       dtype=float)
 
 
 def _short_checks(psi0: GridField, lhat: float, c: float, box: float) -> tuple[dict, bool]:

@@ -259,6 +259,19 @@ def asymptotic_branch(r: float) -> AsymptoticBranch:
     return AsymptoticBranch("exponential", None, varsigma(r / 4.0))
 
 
+def _check_asymptotic_args(n: int, r: float, min_n: int, margin: float) -> None:
+    """The asymptotic kernels' refusals: a degree below ``min_n``, r <= 0,
+    and r within ``margin`` of the turning point r = 4."""
+    if n < min_n:
+        raise DomainError(f"asymptotic form needs n >= {min_n}, got {n}")
+    if not r > 0:
+        raise DomainError(f"need r > 0, got {r}")
+    if abs(r - 4.0) <= margin:
+        raise TurningPointError(
+            f"r={r} is within the excluded band |r-4| <= {margin} around the turning point"
+        )
+
+
 def laguerre_asymptotic(
     n: int, r: float, *, min_n: int = 50, margin: float = 0.2
 ) -> float:
@@ -271,14 +284,7 @@ def laguerre_asymptotic(
     is O(1/n) away from the turning point.  Values beyond double range raise
     LaguerreOverflowError; use the rescaled recurrence path instead.
     """
-    if n < min_n:
-        raise DomainError(f"asymptotic form needs n >= {min_n}, got {n}")
-    if not r > 0:
-        raise DomainError(f"need r > 0, got {r}")
-    if abs(r - 4.0) <= margin:
-        raise TurningPointError(
-            f"r={r} is within the excluded band |r-4| <= {margin} around the turning point"
-        )
+    _check_asymptotic_args(n, r, min_n, margin)
     w = r / 4.0
     x = r * n
     if r < 4.0:
@@ -306,14 +312,7 @@ def asymptotic_combo(n: int, r: float, *, min_n: int = 50, margin: float = 0.2) 
     envelope); on the exponential branch the leading terms cancel and the
     first surviving amplitude-derivative term is returned.
     """
-    if n < min_n:
-        raise DomainError(f"asymptotic form needs n >= {min_n}, got {n}")
-    if not r > 0:
-        raise DomainError(f"need r > 0, got {r}")
-    if abs(r - 4.0) <= margin:
-        raise TurningPointError(
-            f"r={r} is within the excluded band |r-4| <= {margin} around the turning point"
-        )
+    _check_asymptotic_args(n, r, min_n, margin)
     w = r / 4.0
     if r < 4.0:
         return _varrho_prime(w) / (math.pi * n)

@@ -118,8 +118,9 @@ def test_criterion_06_zd_convergence():
 
     rhat = 2.0 * s.R / s.rho
     lo = int(math.ceil(2.0 * math.sqrt(rhat)))
-    ns = np.array([n for n, _, _ in levels if n >= lo], dtype=float)
-    terms = np.array([w * g for n, w, g in levels if n >= lo])
+    keep = levels.n >= lo
+    ns = levels.n[keep].astype(float)
+    terms = levels.weight[keep] * levels.trapped_degeneracy[keep]
     slope = float(np.polyfit(np.log(ns), np.log(terms), 1)[0])
     assert abs(slope + 3.0) < 0.1
     _report(6, f"tail bound / Z_d = {rep.tail_bound / zd:.2e} < 1e-10; "

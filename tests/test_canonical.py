@@ -32,7 +32,7 @@ from kg5d.canonical import (
 from kg5d.errors import DomainError
 from kg5d.numerics import Tolerance, integrate
 from kg5d.specfun import erfcx_minus_one
-from kg5d.spectrum import ScaleSet
+from kg5d.spectrum import ScaleSet, stat_energy
 
 mp.mp.dps = 40
 
@@ -268,13 +268,14 @@ def test_zd_report_and_tail():
     assert rep.tail_bound < 1e-10 * zd
     assert zd > 0
     # per-level degeneracies live in [0, n^2]
-    for n, w, g in levels:
-        assert 0.0 <= g <= n * n * (1.0 + 1e-9)
-        assert 0.0 < w < 1.0
+    g = levels.trapped_degeneracy
+    assert levels.n.tolist() == list(range(1, len(levels) + 1))
+    assert np.all((0.0 <= g) & (g <= levels.n**2 * (1.0 + 1e-9)))
+    assert np.all((0.0 < levels.weight) & (levels.weight < 1.0))
     # small-n levels fit almost entirely (n=3 keeps ~2e-7 of its mass
     # beyond the r_hat = 100 cavity; that deficit is physical)
-    assert levels[0][2] == pytest.approx(1.0, rel=1e-9)
-    assert levels[2][2] == pytest.approx(9.0, rel=1e-6)
+    assert g[0] == pytest.approx(1.0, rel=1e-9)
+    assert g[2] == pytest.approx(9.0, rel=1e-6)
 
 
 def test_zd_pinned_reference_within_tail_bound():
@@ -345,9 +346,12 @@ def test_zd_weights_use_level_energies():
     s = _scales(eta0=2.0)
     _, _, levels = z_discrete(s, tol=Tolerance(rel=1e-6))
     eps = s.coupling_stat
-    for n, w, _ in levels[:5]:
+    for n, w in zip(levels.n[:5].tolist(), levels.weight[:5].tolist()):
         assert w == pytest.approx(
             math.exp(-s.eta0 * (1.0 - 0.5 * eps * eps / (n * n))), rel=1e-12)
+    # each weight has the bits of the scalar expression on its level
+    assert levels.weight.tolist() == [math.exp(-s.u * stat_energy(n, s) / s.hbar)
+                                      for n in levels.n.tolist()]
 
 
 def test_zd_monotone_in_radius():
@@ -365,8 +369,9 @@ def test_zd_term_decay_exponent():
     rhat = 2.0 * s.R / s.rho
     _, _, levels = z_discrete(s, tol=Tolerance(rel=1e-10))
     lo = int(math.ceil(2.0 * math.sqrt(rhat)))
-    ns = np.array([n for n, _, _ in levels if n >= lo], dtype=float)
-    terms = np.array([w * g for n, w, g in levels if n >= lo])
+    keep = levels.n >= lo
+    ns = levels.n[keep].astype(float)
+    terms = levels.weight[keep] * levels.trapped_degeneracy[keep]
     slope = np.polyfit(np.log(ns), np.log(terms), 1)[0]
     assert slope == pytest.approx(-3.0, abs=0.1)
 

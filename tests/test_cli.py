@@ -269,11 +269,13 @@ def test_spectrum_nan_rows_report_reason(tmp_path, capsys):
 
 @pytest.mark.parametrize("n_max", ["0", "-2"])
 def test_empty_spectrum_exits_2_with_one_line(tmp_path, capsys, n_max):
-    # used to write empty spectrum.csv/.json and exit 0
-    rc = main(["spectrum", "--n-max", n_max, "--output-dir", str(tmp_path)])
+    # used to write empty spectrum.csv/.json and exit 0; then, to leave an
+    # empty output directory behind
+    out = tmp_path / "out"
+    rc = main(["spectrum", "--n-max", n_max, "--output-dir", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == f"configuration error: n_max must be >= 1, got {n_max}\n"
-    assert not list(tmp_path.iterdir())
+    assert not out.exists()
 
 
 def test_spectrum_past_critical_coupling_exits_2_with_one_line(tmp_path, capsys):
@@ -419,12 +421,14 @@ def test_worker_error_exits_with_its_code_and_one_line(tmp_path, monkeypatch, ca
 def test_non_positive_coupling_exits_2_with_one_line(tmp_path, capsys, command, coupling):
     # used to fall back to the uncoupled scale set (M = m, so lambda*/Lambda =
     # Z alpha, and R in units of Lambda) and exit 0, while the artifact header
-    # recorded the coupling asked for
-    rc = main([command, "--coupling", coupling, "--output-dir", str(tmp_path)])
+    # recorded the coupling asked for; then, to leave an empty output
+    # directory behind
+    out = tmp_path / "out"
+    rc = main([command, "--coupling", coupling, "--output-dir", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == ("configuration error: coupling must be > 0 when "
                                        f"Z*alpha > 0, got {float(coupling)}\n")
-    assert not list(tmp_path.iterdir())
+    assert not out.exists()
 
 
 def test_uncoupled_run_ignores_coupling(tmp_path):
@@ -476,3 +480,56 @@ def test_formats_naming_one_artifact_of_the_command_still_run(tmp_path):
                "--output-dir", str(tmp_path)])
     assert rc == 0
     assert [p.name for p in tmp_path.iterdir()] == ["universal_d.svg"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["spectrum", "--n-max", "2"], ("spectrum.csv", "spectrum.json")),
+    (["partition", "--r-over-rho", "10"], ("partition.json", "partition.csv")),
+    (["universal-d", "--r-points", "9"],
+     ("universal_d.csv", "universal_d.json", "universal_d.svg")),
+    (["figure1", "--n", "1,3", "--r-points", "7"],
+     ("figure1.csv", "figure1.json", "figure1.svg")),
+    (["verify-geometry", "--grid", "7", "--refine", "2"],
+     ("verify_geometry.json", "verify_geometry.csv")),
+    (["verify-reduction", "--points", "64", "--steps", "8"],
+     ("verify_reduction.json", "verify_reduction.csv")),
+], ids=["spectrum", "partition", "universal-d", "figure1", "verify-geometry", "verify-reduction"])
+def test_each_command_writes_its_declared_files_in_order(tmp_path, capsys, argv, names):
+    # Every format asked for: each command writes exactly its own files, into
+    # a directory made at the first write, and prints their paths in the
+    # order it writes them, before any other line.
+    out = tmp_path / "new" / "out"
+    rc = main(argv + ["--formats", "csv,json,svg", "--output-dir", str(out)])
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:len(names)] == [str(out / name) for name in names]
+    assert not any(line.startswith(str(out)) for line in printed[len(names):])
+
+
+def test_unwritable_output_dir_refused_before_running(tmp_path, monkeypatch, capsys):
+    # A target that does not exist yet is judged by its nearest existing
+    # ancestor.  (os.access is replaced: a superuser may write anywhere.)
+    asked = []
+
+    def access(path, mode):
+        asked.append((path, mode))
+        return False
+
+    out = tmp_path / "a" / "b"
+    monkeypatch.setattr(os, "access", access)
+    assert main(["spectrum", "--output-dir", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"configuration error: output dir not writable: {out}\n")
+    assert asked == [(str(tmp_path), os.W_OK)]
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+def test_output_dir_on_a_file_exits_2_with_one_line(tmp_path, capsys, below):
+    # used to die with a FileExistsError or NotADirectoryError traceback and
+    # exit 1, the code of a verification failure
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = os.path.join(blocker, below) if below else str(blocker)
+    assert main(["spectrum", "--n-max", "1", "--output-dir", out]) == 2
+    assert capsys.readouterr() == ("", f"configuration error: output dir not writable: {out}\n")
