@@ -8,12 +8,15 @@ fits on nested grids.
 
 import itertools
 import math
+import os
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from kg5d.errors import DomainError, GaugeError
+from kg5d import geometry, numerics
+from kg5d.errors import ConfigurationError, DomainError, GaugeError
 from kg5d.geometry import (
     Potential,
     build_metric,
@@ -36,6 +39,7 @@ from kg5d.geometry import (
     _grid_coords,
     _laplacian_defect_field,
     _laplacian_defect_maxima,
+    _laplacian_sizes,
     _lightcone_defect_field,
     _metric_pair,
     projected_peak_bytes,
@@ -606,9 +610,10 @@ def test_defect_maxima_refuses_empty_index_set():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("sizes", [(9, 13), (17, 21)], ids=["17^5", "21^5"])
-def test_projected_peak_bounds_tracemalloc_peak(sizes):
+def test_projected_peak_bounds_tracemalloc_peak(sizes, never_fork):
     # the closed form that refuses oversized runs must cover the real peak
-    # without refusing runs that would fit by more than a factor of two
+    # without refusing runs that would fit by more than a factor of two.
+    # Inline, so the traced process runs the flat-space pass too.
     tracemalloc.start()
     try:
         verify_geometry(sizes=sizes)
@@ -616,6 +621,77 @@ def test_projected_peak_bounds_tracemalloc_peak(sizes):
     finally:
         tracemalloc.stop()
     assert peak <= projected_peak_bytes(sizes) <= 2 * peak
+
+
+class _Started(Exception):
+    """Raised in place of the Laplacian ladder: the memory guard let a run start."""
+
+
+def _refused(monkeypatch, sizes, space, free) -> bool:
+    """Whether verify_geometry(sizes) refuses, given ``space`` bytes per
+    process and ``free`` on the host; a run it lets start stops before the
+    ladder allocates anything."""
+    def start(*args):
+        raise _Started
+
+    monkeypatch.setattr(geometry, "_available_bytes", lambda: (space, free))
+    monkeypatch.setattr(geometry, "_laplacian_ladder", start)
+    try:
+        verify_geometry(sizes=sizes)
+    except ConfigurationError as exc:
+        assert f"{_laplacian_sizes(sizes)[-1]}^5" in str(exc)
+        return True
+    except _Started:
+        return False
+    raise AssertionError("verify_geometry returned without running the ladder")
+
+
+_TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+
+
+@pytest.mark.parametrize("floor, forks", [(0.0, _TWO_CPUS), (math.inf, False)],
+                         ids=["forked", "inline"])
+def test_memory_guard_budgets_each_process_and_the_host(monkeypatch, floor, forks):
+    # Each process has its own address-space limit, so the per-process
+    # projection meets it whether or not the flat pass forks.  The host holds
+    # the finest field once (the worker shares it) and one slab per process.
+    monkeypatch.setattr(numerics, "_BESIDE_FLOOR_S", floor)
+    sizes = (29, 33)
+    need, slab = projected_peak_bytes(sizes), geometry._slab_bytes(33)
+    assert _refused(monkeypatch, sizes, space=need - 1, free=math.inf)
+    assert not _refused(monkeypatch, sizes, space=need, free=math.inf)
+    assert _refused(monkeypatch, sizes, space=math.inf, free=need - 1)
+    assert _refused(monkeypatch, sizes, space=math.inf, free=need + slab - 1) == forks
+    assert not _refused(monkeypatch, sizes, space=need, free=need + slab)
+
+
+def _bits(value):
+    """A report with every float replaced by its IEEE 754 bytes."""
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value
+
+
+def test_verify_geometry_same_bits_in_a_worker_and_inline(monkeypatch):
+    reports = []
+    for floor in (0.0, math.inf):  # as the always_fork and never_fork fixtures
+        monkeypatch.setattr(numerics, "_BESIDE_FLOOR_S", floor)
+        reports.append(verify_geometry(sizes=(9, 13)))
+    assert _bits(reports[0]) == _bits(reports[1])
+
+
+def test_flat_pass_error_reaches_the_caller(monkeypatch, always_fork):
+    def fail(field, A, q_over_c2):
+        raise DomainError(f"flat pass failed in process {os.getpid()}")
+
+    monkeypatch.setattr(geometry, "covariant_laplacian_residual", fail)
+    with pytest.raises(DomainError, match=r"^flat pass failed in process \d+$") as info:
+        verify_geometry(sizes=(9, 13))
+    assert (str(info.value) != f"flat pass failed in process {os.getpid()}") == _TWO_CPUS
 
 
 def test_verify_geometry_passes():
