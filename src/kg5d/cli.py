@@ -479,7 +479,7 @@ def cmd_verify_geometry(cfg: RunConfig) -> int:
     count = cfg.settings["refine"]
     if start < 7 or count < 2:
         raise ConfigurationError("need grid >= 7 and refine >= 2")
-    sizes = [start + 4 * i for i in range(count)]
+    sizes = range(start, start + 4 * count, 4)
     report = geometry.verify_geometry(sizes=sizes)
     summary = ("laplacian_order", "flat_residual", "metric_inverse_defect")
     checks = Table(("check", "value"), (

@@ -45,10 +45,7 @@ d_0 acts on a d_0 term), and slabs at the grid ends widen to five planes, so
 every stencil, one-sided ones at the true ends included, sees what it sees
 on the whole grid: the maxima are bit for bit those of the whole-grid
 evaluation.  Peak memory is the field plus one slab's arrays, which
-``projected_peak_bytes`` gives in closed form before a run.  The
-flat-space residual of ``verify_geometry`` runs in a forked worker beside
-the Laplacian ladder; the worker shares the finest field copy-on-write and
-holds one slab of its own.
+``projected_peak_bytes`` gives in closed form before a run.
 
 All evaluations are pure; residual norms do not depend on how grid work is
 partitioned.
@@ -63,7 +60,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GaugeError
-from .numerics import beside, fd_derivative, fit_convergence_order, would_fork
+from .numerics import fd_derivative, fit_convergence_order
 from .reduction import GridField, field_derivative
 
 _ETA4 = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -693,10 +690,6 @@ _ORDER_FLOOR = 1.9
 _FLAT_TOL = 1e-12
 _IDENTITY_TOL = 1e-8
 
-# One-core cost of the zero-potential Laplacian pass per 5D point, for
-# ``beside``'s estimate (x86-64, numpy 2.4: 96-132 ns at 17^5-21^5).
-_FLAT_POINT_S = 1.2e-7
-
 
 def _test_field_5d(size: int) -> GridField:
     """Smooth non-separable 5D field on [0, _EXTENT]^5 for the operator checks."""
@@ -721,55 +714,47 @@ def _laplacian_ladder(lap_sizes, A: Potential):
     """Laplacian defects on the nested ladder, and the flat-space residual.
 
     Returns the steps, the maxima at the coarse grid's interior points, the
-    margin-2 interior maxima, and the zero-potential residual on the finest
-    field.  The finest field is built first; its flat-space pass runs in a
-    worker beside the ladder (:func:`kg5d.numerics.beside`), forked before
-    any slab array exists, and the ladder's top rung reuses the field.  Each
-    field's defect is streamed in x^0 slabs, so only the fields themselves
-    are held at full size.
+    margin-2 interior maxima, and the zero-potential residual on the half
+    grid's field.  With A = 0 the metric is constant, its entries 0 and +-1,
+    so every stencil of that defect returns exactly 0 at any grid size; the
+    half grid costs a 25th of the finest, and the quarter grid's margin-2
+    interior can be a single point.  Each rung builds its field in turn and
+    drops it before the next, and each defect is streamed in x^0 slabs, so
+    only one field is held at full size.
     """
-    finest = _test_field_5d(lap_sizes[-1])
     steps, resid, interior = [], [], []
-    coarse_n = lap_sizes[0]
+    coarse_n, half = lap_sizes[0], lap_sizes[1]
     inner = tuple(slice(2, -2) for _ in range(5))
-    with beside(covariant_laplacian_residual, finest, zero_potential(), _Q_OVER_C2,
-                seconds=_FLAT_POINT_S * finest.values.size) as collect:
-        for size in lap_sizes:
-            steps.append(_EXTENT / (size - 1))
-            field = finest if size == lap_sizes[-1] else _test_field_5d(size)
-            stride = (size - 1) // (coarse_n - 1)
-            probe = tuple(slice(stride, (coarse_n - 2) * stride + 1, stride) for _ in range(5))
-            at_probe, at_inner = _laplacian_defect_maxima(field, A, _Q_OVER_C2, [probe, inner])
-            resid.append(at_probe)
-            interior.append(at_inner)
-        flat = collect()
+    for size in lap_sizes:
+        steps.append(_EXTENT / (size - 1))
+        field = _test_field_5d(size)
+        stride = (size - 1) // (coarse_n - 1)
+        probe = tuple(slice(stride, (coarse_n - 2) * stride + 1, stride) for _ in range(5))
+        at_probe, at_inner = _laplacian_defect_maxima(field, A, _Q_OVER_C2, [probe, inner])
+        resid.append(at_probe)
+        interior.append(at_inner)
+        if size == half:
+            flat = covariant_laplacian_residual(field, zero_potential(), _Q_OVER_C2)
+        del field
     return steps, resid, interior, flat
 
 
-def _slab_bytes(n: int) -> int:
-    """One x^0 slab's arrays on an n^5 grid: at most 700 base planes of n^3
-    doubles (the (5, 5) metric arrays on the slab's haloed planes) and 12
-    planes of n^4 doubles (the 5D derivatives)."""
-    return 8 * n**3 * (700 + 12 * n)
-
-
 def projected_peak_bytes(sizes) -> int:
-    """Bytes one process of ``verify_geometry(sizes)`` allocates at its peak,
-    in closed form.
+    """Bytes ``verify_geometry(sizes)`` allocates at its peak, in closed form.
 
-    The Laplacian ladder builds its finest field first, 8 n^5 bytes, and
-    holds it throughout.  While it is built, its finiteness mask (n^5 bytes)
-    is live too; while the half grid's field and mask are built, the quarter
-    grid's field is; while a field's defect is streamed, that field and one
-    x^0 slab's arrays are (``_slab_bytes``).  The flat-space pass, in the
-    worker or inline after the ladder, holds the finest field and one slab.
+    The Laplacian ladder holds one field at a time, the finest last, 8 n^5
+    bytes on an n^5 grid.  While a field is built, its finiteness mask (one
+    byte a point) is live too; while its defect is streamed (on the half
+    grid, the flat-space residual too), one x^0 slab's arrays are, on the
+    finest grid at most 700 base planes of n^3 doubles (the (5, 5) metric
+    arrays on the slab's haloed planes) and 12 planes of n^4 doubles (the 5D
+    derivatives).
     The Fourier check afterwards holds a few complex and real arrays on the
     first size's 4D grid, at most 128 bytes a point.  The test suite checks
     the bound against tracemalloc.
     """
-    quarter, half, n = _laplacian_sizes(sizes)
-    ladder = 8 * n**5 + max(n**5, 8 * quarter**5 + 9 * half**5,
-                            8 * half**5 + _slab_bytes(half), _slab_bytes(n))
+    n = _laplacian_sizes(sizes)[-1]
+    ladder = 8 * n**5 + max(n**5, 8 * n**3 * (700 + 12 * n))
     fourier = 128 * int(sizes[0]) ** 4
     return max(ladder, fourier)
 
@@ -787,9 +772,9 @@ def _proc_bytes(path: str, key: str):
 
 
 def _available_bytes():
-    """What each process may still map, its address-space limit less what
-    this one has already mapped (a forked worker inherits both), and what
-    the host may still allocate, MemAvailable.
+    """What this process may still map, its address-space limit less what
+    it has already mapped, and what the host may still allocate,
+    MemAvailable.
 
     The values are only read; one that cannot be read is infinite.
     """
@@ -813,21 +798,16 @@ def verify_geometry(sizes=(9, 13, 17)) -> dict:
     halving ladder ending at the largest requested size, with the residual
     probed at the physical points shared by all three grids so the order fit
     is free of max-location drift.  The 'passed' flag applies the module's
-    thresholds.  Before allocating anything, a run raises
-    ``ConfigurationError`` when its ``projected_peak_bytes`` exceeds what a
-    process may still map, or when the host's share exceeds MemAvailable
-    (``_available_bytes``): that share adds the worker's slab when the
-    flat-space pass forks, since the worker shares the finest field.
+    thresholds.  Before allocating anything, a run whose
+    ``projected_peak_bytes`` exceeds either value of ``_available_bytes``
+    raises ``ConfigurationError``.
     """
-    top = _laplacian_sizes(sizes)[-1]
-    need = projected_peak_bytes(sizes)
-    host = need + (_slab_bytes(top) if would_fork(_FLAT_POINT_S * top**5) else 0)
-    for want, have in zip((need, host), _available_bytes()):
-        if want > have:
-            raise ConfigurationError(
-                f"verify-geometry needs about {want / 2**30:,.1f} GiB at its peak"
-                f" (finest Laplacian grid {top}^5),"
-                f" more than the {have / 2**30:,.1f} GiB available")
+    need, have = projected_peak_bytes(sizes), min(_available_bytes())
+    if need > have:
+        raise ConfigurationError(
+            f"verify-geometry needs about {need / 2**30:,.1f} GiB at its peak"
+            f" (finest Laplacian grid {_laplacian_sizes(sizes)[-1]}^5),"
+            f" more than the {have / 2**30:,.1f} GiB available")
     A = smooth_lorentz_potential()
     steps = []
     contraction_resid = {f.name: [] for f in fields(ChristoffelContractions)}

@@ -1,8 +1,7 @@
 """Shared numerical kernels: quadrature, series summation, root finding, stencils.
 
-All functions here but ``beside`` and ``would_fork`` are pure and hold no
-module state beyond cached quadrature nodes, so they are safe to call
-concurrently.
+All functions here but ``beside`` are pure and hold no module state beyond
+cached quadrature nodes, so they are safe to call concurrently.
 
 Quadrature uses an embedded Gauss-Legendre 7/15 pair on adaptively bisected
 panels.  ``integrate_batch`` runs many integrals through one refinement loop:
@@ -349,14 +348,6 @@ _BESIDE_FLOOR_S = 0.01
 _in_worker = False
 
 
-def would_fork(seconds: float) -> bool:
-    """Whether ``beside`` hands work estimated at ``seconds`` to a worker:
-    the estimate reaches ``_BESIDE_FLOOR_S``, the caller is not itself a
-    worker, and two CPUs are available.  The system may still refuse the
-    pipe or the process, and the work then runs inline."""
-    return seconds >= _BESIDE_FLOOR_S and not _in_worker and len(os.sched_getaffinity(0)) >= 2
-
-
 @contextlib.contextmanager
 def beside(fn: Callable, *args, seconds: float):
     """Compute ``fn(*args)`` in a forked worker while the ``with`` block runs here.
@@ -364,11 +355,11 @@ def beside(fn: Callable, *args, seconds: float):
     Yields ``collect``: calling it (once) waits for the worker and returns
     fn's result, or raises the exception fn raised, with its type, message
     and attributes.  ``seconds`` is the caller's estimate of fn's time on
-    one core.  fn runs inline, inside ``collect``, when ``would_fork``
-    declines that estimate (below ``_BESIDE_FLOOR_S``, fewer than two CPUs
-    available, or the caller is itself a worker), or when the system refuses
-    a pipe or a process; so the block's own exceptions come first either
-    way, and a result is the same bits either way.
+    one core.  fn runs inline, inside ``collect``, when that estimate is
+    below ``_BESIDE_FLOOR_S``, when fewer than two CPUs are available, when
+    the caller is itself a worker, or when the system refuses a pipe or a
+    process; so the block's own exceptions come first either way, and a
+    result is the same bits either way.
 
     The worker shares nothing with the caller after the fork, so fn must be
     a pure function; fork copies only the calling thread, and the package
@@ -377,7 +368,7 @@ def beside(fn: Callable, *args, seconds: float):
     by an exception or an interrupt, kills the worker; it is always reaped.
     """
     worker = None
-    if would_fork(seconds):
+    if seconds >= _BESIDE_FLOOR_S and not _in_worker and len(os.sched_getaffinity(0)) >= 2:
         worker = _fork(fn, args)
     if worker is None:
         yield lambda: fn(*args)

@@ -333,13 +333,15 @@ def test_empty_r_grid_exits_2_with_one_line(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("grid, top, limit", [
-    ("301", 305, 2 * 2**30),
+@pytest.mark.parametrize("grid, refine, top, limit", [
+    ("301", "2", 305, 2 * 2**30),
     # 16 MiB above the projection: refused, because the interpreter's own
     # mappings count against the limit too
-    ("29", 33, projected_peak_bytes([29, 33]) + 2**24),
-], ids=["301", "29-just-above-projection"])
-def test_verify_geometry_refuses_grid_beyond_memory(tmp_path, grid, top, limit):
+    ("29", "2", 33, projected_peak_bytes([29, 33]) + 2**24),
+    # a list of 2e8 sizes alone would not fit: refused before any is made
+    ("9", "200000000", 800_000_005, 3 * 2**29),
+], ids=["301", "29-just-above-projection", "refine-200000000"])
+def test_verify_geometry_refuses_grid_beyond_memory(tmp_path, grid, refine, top, limit):
     # the child's own address space is capped, so a guard that let the run
     # start would fail there fast instead of using the host's memory
     def cap_address_space():
@@ -347,7 +349,7 @@ def test_verify_geometry_refuses_grid_beyond_memory(tmp_path, grid, top, limit):
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
-        [sys.executable, "-m", "kg5d.cli", "verify-geometry", "--grid", grid, "--refine", "2",
+        [sys.executable, "-m", "kg5d.cli", "verify-geometry", "--grid", grid, "--refine", refine,
          "--output-dir", str(tmp_path)],
         env=env, capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120)
     assert proc.returncode == 2

@@ -16,7 +16,6 @@ import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kg5d import numerics
 from kg5d.errors import (
     BracketingError,
     ConfigurationError,
@@ -42,7 +41,6 @@ from kg5d.numerics import (
     integrate,
     integrate_batch,
     sum_series,
-    would_fork,
 )
 
 
@@ -635,9 +633,14 @@ def test_beside_runs_in_another_process():
     assert there != here
 
 
-def test_beside_runs_inline_below_the_floor_and_inside_a_worker():
+def test_beside_runs_inline_below_the_floor_and_inside_a_worker(monkeypatch):
     with beside(os.getpid, seconds=0.0) as collect:
         assert collect() == os.getpid()
+
+    with monkeypatch.context() as one_cpu:  # as under taskset -c 0
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with beside(os.getpid, seconds=1.0) as collect:
+            assert collect() == os.getpid()
 
     def nested():
         with beside(os.getpid, seconds=1.0) as inner:
@@ -646,14 +649,6 @@ def test_beside_runs_inline_below_the_floor_and_inside_a_worker():
     with beside(nested, seconds=1.0) as collect:
         outer, inner = collect()
     assert outer == inner
-
-
-def test_would_fork_is_besides_decision(monkeypatch):
-    # callers that budget for a worker ask the same question beside asks
-    assert not would_fork(0.0)
-    assert would_fork(numerics._BESIDE_FLOOR_S) == _TWO_CPUS
-    monkeypatch.setattr(numerics, "_in_worker", True)
-    assert not would_fork(1.0)
 
 
 @pytest.mark.parametrize("seconds", [0.0, 1.0], ids=["inline", "forked"])
