@@ -29,18 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
-from .numerics import SeriesReport, Tolerance, beside, integrate_batch, sum_series
-from .specfun import (_combo_arrays, asymptotic_combo, bessel_j01, erfcx_minus_one,
-                      hurwitz_zeta)
+from .errors import DomainError, IntegrandError, NonConvergenceError, QuadratureError
+from .numerics import _NODES, _W7, _W15, SeriesReport, Tolerance, beside, sum_series
+from .specfun import (_combo_arrays, _combo_terms, _laguerre_ladder, asymptotic_combo,
+                      bessel_j01, erfcx_minus_one, hurwitz_zeta)
 from .spectrum import ScaleSet, stat_energy
 
 _SQRT_PI = math.sqrt(math.pi)
 
 # One-core costs for ``beside``'s estimates (x86-64, numpy 2.4): a
-# point-step of the batched Laguerre recurrence (figure1 and Z_d's levels
-# took 0.7-2.2x this at r/rho 50-1000), and a term of Z_c's hard budget
-# (its sum took 70-85 ns per budgeted term at r/rho 50-5000).
+# point-step of figure1's batched Laguerre recurrence, and a term of Z_c's
+# hard budget (its sum took 70-85 ns per budgeted term at r/rho 50-5000).
 _POINT_STEP_S = 1e-8
 _ZC_BUDGET_TERM_S = 8e-8
 
@@ -168,31 +167,84 @@ def _halves(work: np.ndarray) -> np.ndarray:
     return ~mask if mask[:1].any() else mask
 
 
-def trapped_degeneracies(ns, rhat_max: float, tol: Tolerance) -> np.ndarray:
-    """Portion of each level's degeneracy inside r_hat <= rhat_max (full value n^2).
+def _level_panels(ns: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Edges of the panels that levels ``ns`` share on their domains [0, cut_n].
 
-    The integrand decays like e^{-r_hat/n} beyond its support at ~4 n^2, so
-    each domain is cut at a Whittaker argument of 20n + 40 when the cavity is
-    larger than that.  All levels are integrated together, each exactly as
-    it would be alone (see :func:`integrate_batch`); half of the recurrence
-    work goes to a worker beside this process (:func:`beside`).
+    Every cut_n is an edge, and so is each level's decay point
+    4n + 40 + 24 n^{1/3}: past its turning point 4n, M_{n,1/2} falls like
+    e^{-psi}, and the Airy estimate of psi = 20 lies there (40 is the margin
+    for small n).  Between neighbouring edges the highest level present, m,
+    is fixed, and a panel spans a phase of at most pi/2 (a quarter
+    wavelength) of k = sqrt(max(m/x, 1/4)): sqrt(m/x) bounds the Whittaker
+    wavenumber sqrt(n/x - 1/4) of every level present, and the densities
+    carry a factor e^{-x}.  In u = sqrt(x) the phase rate
+    2 sqrt(max(m, x/4)) is constant below 4m and rises beyond, so an
+    interval is cut into equal steps of u sized by the rate at its right
+    end.  Beyond every level's decay point an interval is one panel.
     """
+    ends = np.minimum(cut, 4.0 * ns + 40.0 + 24.0 * np.cbrt(ns))
+    edges = np.setdiff1d(np.append(cut, ends), [0.0])  # sorted, unique
+    o = np.argsort(cut)  # m for (lo, edge]: the highest level with cut_n >= edge
+    top = np.maximum.accumulate(ns[o][::-1])[::-1][np.searchsorted(cut[o], edges)]
+    lo = np.concatenate([[0.0], edges[:-1]])
+    u_lo, u_hi = np.sqrt(lo), np.sqrt(edges)
+    steps = np.ceil(2.0 * np.sqrt(np.maximum(top, 0.25 * edges)) * (u_hi - u_lo) / (0.5 * math.pi))
+    steps = np.where(edges > ends.max(), 1, np.maximum(steps, 1)).astype(np.int64)
+    interval = np.repeat(np.arange(len(edges)), steps)
+    j = np.arange(interval.size) - np.repeat(np.cumsum(steps) - steps, steps)
+    u = u_lo[interval] + (u_hi - u_lo)[interval] * (j / steps[interval])
+    return np.append(np.where(j == 0, lo[interval], u * u), edges[-1])
+
+
+def _trapped_levels(ns, rhat_max: float, tol: Tolerance):
+    """Trapped degeneracies of levels ``ns`` and their quadrature error estimates.
+
+    g_n = (1/2) int_0^{X_n} x^2 [M'^2 - M M''](x) dx in x = r_hat/n, with
+    X_n = min(rhat_max/n, 20n + 40): beyond its support at ~4n the integrand
+    decays like e^{-x}.  All levels share Gauss-Legendre 15/7 panels ordered
+    by x (:func:`_level_panels`), so each domain is a prefix of them, and the
+    step of one :func:`_laguerre_ladder` pass that reaches degree n - 1 gives
+    level n its panel sums.  A level whose estimate sum |I15 - I7| misses
+    ``tol``, or more than ``tol.max_iter`` panels, raise QuadratureError.
+    """
+    if math.isnan(rhat_max):
+        raise DomainError("need a cavity radius r_hat, got nan")
     ns = np.asarray(ns, dtype=np.int64)
-    cut = np.maximum(np.minimum(rhat_max, ns * (20.0 * ns + 40.0)), 0.0)
-    # Recurrence point-steps per level: its degree times its quadrature
-    # points, about 45 min(n, sqrt(r_hat)) (measured for r_hat 100-10^4).
-    work = 45.0 * ns * np.minimum(ns, np.sqrt(cut))
+    cut = np.maximum(np.minimum(rhat_max / ns, 20.0 * ns + 40.0), 0.0)
+    g, err = np.zeros(len(ns)), np.zeros(len(ns))
+    if not (cut > 0).any():
+        return g, err
+    edges = _level_panels(ns, cut)
+    if len(edges) - 1 > tol.max_iter:
+        raise QuadratureError(f"Z_d's levels need {len(edges) - 1} panels,"
+                              f" over the limit of {tol.max_iter}")
+    half = 0.5 * np.diff(edges)
+    x = ((edges[:-1] + half)[:, None] + half[:, None] * _NODES).ravel()
+    panels = np.searchsorted(edges, cut)
+    need = np.zeros(int(ns[panels > 0].max()) + 1, dtype=np.int64)
+    np.maximum.at(need, ns, panels)
+    live = np.maximum.accumulate(need[:0:-1])[::-1] * len(_NODES)  # for degree >= n
+    for n, la, lb, log_scale in _laguerre_ladder(x, live):
+        for i in np.flatnonzero(ns == n):
+            p, q = panels[i], panels[i] * len(_NODES)
+            fx = 0.5 * x[:q] ** 2 * _combo_terms(n, x[:q], la[:q], lb[:q], log_scale[:q])[1]
+            fx = fx.reshape(p, len(_NODES))
+            i15 = half[:p] * (fx[:, :15] @ _W15)
+            g[i] = i15.sum()
+            err[i] = np.abs(i15 - half[:p] * (fx[:, 15:] @ _W7)).sum()
+            if not np.isfinite(g[i] + err[i]):
+                bad = x[np.argmax(~np.isfinite(fx.ravel()))]
+                raise IntegrandError(f"integrand not finite at x={float(bad)!r} in level {n}")
+            if err[i] > tol.threshold(g[i]):
+                raise QuadratureError(f"level {n}: error estimate {err[i]:.3g} over its"
+                                      f" threshold {tol.threshold(g[i]):.3g}",
+                                      estimate=float(g[i]), error_bound=float(err[i]))
+    return g, err
 
-    def part(mask):
-        # The other half's domains are empty, so errors name a level by its
-        # index in ``ns``.
-        return integrate_batch(lambda rh, owner: _density_rhat(ns[owner], rh),
-                               np.zeros(len(ns)), np.where(mask, cut, 0.0), tol)
 
-    theirs = _halves(work)
-    with beside(part, theirs, seconds=_POINT_STEP_S * work[theirs].sum()) as collect:
-        mine = part(~theirs)
-        return np.where(theirs, collect(), mine)
+def trapped_degeneracies(ns, rhat_max: float, tol: Tolerance) -> np.ndarray:
+    """Portion of each level's degeneracy inside r_hat <= rhat_max (full value n^2)."""
+    return _trapped_levels(ns, rhat_max, tol)[0]
 
 
 def figure1_curves(n_list, r_grid) -> list[DensityCurve]:
@@ -392,10 +444,11 @@ def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0))
     while the tail bound exceeds the tolerance: to the N at which the bound,
     falling like N^-8, would pass, and by at least 16 levels.
 
-    The reported tail bound covers the tail model and the weight expansion;
-    each exact level also carries its quadrature error, below 1e-2 * rel of
-    its value.  Returns (Z_d, report, :class:`ExactLevels`); the report
-    counts the exact levels as the terms used.
+    The reported tail bound covers the tail model, the weight expansion and
+    the exact levels' quadrature: sum_n w_n err_n over their 15/7 error
+    estimates, each checked below 1e-2 * rel of its level's value.  Returns
+    (Z_d, report, :class:`ExactLevels`); the report counts the exact levels
+    as the terms used.
     """
     if scales.lambda_star <= 0:
         raise DomainError("z_discrete needs a positive coupling (no bound levels otherwise)")
@@ -413,15 +466,16 @@ def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0))
 
     b_inf = trapped_degeneracy_limit(rhat)
     a = 0.5 * eta0 * eps * eps  # w_n = e^{-eta0} exp(a / n^2)
-    g = np.empty(0)  # trapped degeneracies, exact quadrature
+    g = err = np.empty(0)  # trapped degeneracies, exact quadrature, and its errors
     n_next = int(math.ceil(_TAIL_WINDOW + 4.0 * math.sqrt(rhat)))
     n_cap = max(4 * n_next, 4000)
     while True:
         ns = np.arange(1, n_next + 1)
-        g = np.concatenate([g, trapped_degeneracies(ns[g.size:], rhat, quad_tol)])
+        g, err = np.hstack([(g, err), _trapped_levels(ns[g.size:], rhat, quad_tol)])
         w = _exp(-scales.u * stat_energy(ns, scales) / scales.hbar)
         partial = float(np.cumsum(w * g)[-1])  # the running sum, in level order
         tail, bound = _zd_tail(g, b_inf, eta0, a)
+        bound += float(w @ err)
         total = partial + tail
         target = tol.threshold(total)
         if bound <= target or len(g) >= n_cap:

@@ -692,7 +692,7 @@ _IDENTITY_TOL = 1e-8
 
 
 def _test_field_5d(size: int) -> GridField:
-    """Smooth non-separable 5D field on [0, _EXTENT]^5 for the operator checks."""
+    """Smooth 5D field on [0, _EXTENT]^5, a product of 1-D factors, for the operator checks."""
     step = _EXTENT / (size - 1)
     axes = [np.arange(size) * step for _ in range(5)]
     x0, x1, x2, x3, x5 = np.meshgrid(*axes, indexing="ij", sparse=True)

@@ -3,16 +3,11 @@
 All functions here but ``beside`` are pure and hold no module state beyond
 cached quadrature nodes, so they are safe to call concurrently.
 
-Quadrature uses an embedded Gauss-Legendre 7/15 pair on adaptively bisected
-panels.  ``integrate_batch`` runs many integrals through one refinement loop:
-``f(x, owner)`` receives a 1-D ndarray of abscissae together with the index
-of the integral each belongs to, and returns an ndarray of the same shape.
-Every round evaluates the new panels of all integrals still refining in a
-few capped calls, and each integral gets the bits it gets alone.
-``integrate`` is its one-integral case, with a one-argument integrand.
+Quadrature (``integrate``) uses an embedded Gauss-Legendre 7/15 pair on
+adaptively bisected panels of one integral.
 
-``sum_series`` evaluates terms and tail bounds in blocks of indices and adds
-the terms one at a time in index order.
+``sum_series`` evaluates terms and tail bounds in blocks of indices, stops
+on the running sum, and reports the exactly rounded sum of the blocks' sums.
 
 Root finding is bisection with secant steps on sign-changing brackets.
 ``find_roots`` solves many brackets in lockstep: ``f(x, owner)`` receives
@@ -59,8 +54,8 @@ class Tolerance:
 
     At least one of ``rel``/``abs`` must be positive; a result is accepted
     once the estimated error drops below ``max(abs, rel * |value|)``.
-    ``max_iter`` bounds the work: quadrature panels, series terms, or root
-    iterations depending on the consumer.
+    ``max_iter`` bounds the work: quadrature panels (also those Z_d's levels
+    share), series terms, or root iterations depending on the consumer.
     """
 
     rel: float = 1e-10
@@ -97,7 +92,7 @@ _NODES = np.concatenate([_X15, _X7])  # 22 evaluations per panel
 
 # Most abscissae handed to one integrand call.  Bounds the integrand's
 # temporaries (the Laguerre recurrence keeps several arrays of this length)
-# however many integrals are in flight.
+# however many panels a refinement round evaluates.
 _MAX_POINTS = 8192
 _PANELS_PER_CALL = _MAX_POINTS // len(_NODES)
 
@@ -105,124 +100,52 @@ _PANELS_PER_CALL = _MAX_POINTS // len(_NODES)
 _SERIES_BLOCK = (64, 16384)
 
 
-def _panel_estimates(f, starts, widths, owner, bounds):
-    """Evaluate the GL7/GL15 pair on panels grouped by integral.
-
-    ``bounds[j]:bounds[j+1]`` is the run of panels of one integral, whose
-    index is ``owner``.  Returns (I15, err) arrays, one entry per panel, with
-    err = |I15 - I7|.  The weight dot products are taken one run at a time:
-    BLAS rounds a row differently depending on where it sits in the matrix,
-    and each integral must get the bits it gets when integrated alone.
-    """
-    half = 0.5 * widths
-    mid = starts + half
-    fx = np.empty((len(starts), len(_NODES)))
-    for lo in range(0, len(starts), _PANELS_PER_CALL):
-        hi = lo + _PANELS_PER_CALL
-        x = (mid[lo:hi, None] + half[lo:hi, None] * _NODES[None, :]).ravel()
-        who = np.repeat(owner[lo:hi], len(_NODES))
-        fx[lo:hi] = np.asarray(f(x, who), dtype=float).reshape(-1, len(_NODES))
-        bad = ~np.isfinite(fx[lo:hi].ravel())
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise IntegrandError(
-                f"integrand not finite at x={float(x[i])!r} in integral {who[i]}")
-    s15 = np.empty(len(starts))
-    s7 = np.empty(len(starts))
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        s15[lo:hi] = fx[lo:hi, :15] @ _W15
-        s7[lo:hi] = fx[lo:hi, 15:] @ _W7
-    i15 = half * s15
-    return i15, np.abs(i15 - half * s7)
-
-
-def integrate_batch(f: Callable, a, b, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Adaptive panel quadrature of many integrals over [a[i], b[i]] at once.
-
-    ``f(x, owner)`` receives a 1-D array of abscissae and, for each, the index
-    i of the integral it belongs to; it returns an array of the same shape.
-    Each integral refines exactly as it would alone: panels whose error
-    exceeds their width-proportional share of the budget are bisected until
-    the integral's summed error estimate passes ``tol``.  All integrals still
-    refining share each round's integrand calls, at most ``_MAX_POINTS``
-    points per call.  An integral needing more than ``tol.max_iter`` panels
-    raises :class:`QuadratureError` carrying its best estimate and error
-    bound; a non-finite integrand value raises :class:`IntegrandError`.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape or a.ndim != 1:
-        raise IntervalError("a and b must be 1-D arrays of one shape")
-    wrong = ~(a <= b)
-    if wrong.any():
-        i = int(np.argmax(wrong))
-        raise IntervalError(f"need a <= b, got [{a[i]}, {b[i]}] in integral {i}")
-    out = np.zeros(len(a))
-    span = b - a
-
-    # Panels of the integrals still refining, grouped by integral in
-    # ascending order, each group in the order a lone integration keeps.
-    owner = np.flatnonzero(a < b)
-    starts, widths = a[owner], span[owner]
-    counts = np.ones(len(owner), dtype=np.intp)
-    bounds = np.arange(len(owner) + 1)
-    vals, errs = _panel_estimates(f, starts, widths, owner, bounds)
-    live = owner
-
-    while len(live):
-        runs = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-        total = np.array([vals[lo:hi].sum() for lo, hi in runs])
-        total_err = np.array([errs[lo:hi].sum() for lo, hi in runs])
-        threshold = np.maximum(tol.abs, tol.rel * np.abs(total))
-        done = total_err <= threshold
-        out[live[done]] = total[done]
-        # Split every panel holding more than its width-share of the budget;
-        # an integral with no such panel splits its largest-error panels.
-        share = np.repeat(threshold, counts) * (widths / span[owner])
-        split = errs > np.maximum(share, 1e-300)
-        n_split = np.add.reduceat(split.astype(np.intp), bounds[:-1])
-        if (n_split == 0).any():
-            worst = np.maximum.reduceat(errs, bounds[:-1])
-            split |= np.repeat(n_split == 0, counts) & (errs == np.repeat(worst, counts))
-            n_split = np.add.reduceat(split.astype(np.intp), bounds[:-1])
-        over = ~done & (counts + n_split > tol.max_iter)
-        if over.any():
-            j = int(np.argmax(over))
-            raise QuadratureError(
-                f"quadrature did not converge within {tol.max_iter} panels"
-                f" in integral {live[j]}",
-                estimate=float(total[j]),
-                error_bound=float(total_err[j]),
-            )
-
-        going = np.repeat(~done, counts)
-        kept, halved = going & ~split, going & split
-        hw = 0.5 * widths[halved]
-        new_s = np.concatenate([starts[halved], starts[halved] + hw])
-        new_o = np.concatenate([owner[halved], owner[halved]])
-        order = np.argsort(new_o, kind="stable")  # per integral: left halves, right halves
-        new_s, new_w, new_o = new_s[order], np.concatenate([hw, hw])[order], new_o[order]
-        live, n_split = live[~done], n_split[~done]
-        new_bounds = np.concatenate([[0], np.cumsum(2 * n_split)])
-        new_v, new_e = _panel_estimates(f, new_s, new_w, new_o, new_bounds)
-
-        order = np.argsort(np.concatenate([owner[kept], new_o]), kind="stable")
-        starts = np.concatenate([starts[kept], new_s])[order]
-        widths = np.concatenate([widths[kept], new_w])[order]
-        vals = np.concatenate([vals[kept], new_v])[order]
-        errs = np.concatenate([errs[kept], new_e])[order]
-        owner = np.concatenate([owner[kept], new_o])[order]
-        counts = counts[~done] + n_split
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-    return out
-
-
 def integrate(f: Callable, a: float, b: float, tol: Tolerance = Tolerance()) -> float:
     """Adaptive panel quadrature of a vectorized integrand ``f(x)`` over [a, b].
 
-    The one-integral case of :func:`integrate_batch`.
+    ``f`` takes a 1-D array of at most ``_MAX_POINTS`` abscissae and returns
+    an array of the same shape.  Panels whose error |I15 - I7| exceeds their
+    width-proportional share of the budget are bisected (the largest-error
+    panels when none does) until the summed error passes ``tol``.  Needing
+    more than ``tol.max_iter`` panels raises :class:`QuadratureError`
+    carrying the best estimate and its error bound; a non-finite integrand
+    value raises :class:`IntegrandError`.
     """
-    return float(integrate_batch(lambda x, owner: f(x), a, b, tol)[0])
+    if not a <= b:
+        raise IntervalError(f"need a <= b, got [{a}, {b}]")
+    if a == b:
+        return 0.0
+    span = b - a
+    panels = np.empty((4, 0))  # start, width, I15, |I15 - I7|; kept ones first
+    new = np.array([[a], [span]], dtype=float)  # start, width of panels to evaluate
+    while True:
+        half = 0.5 * new[1]
+        fx = np.empty((new.shape[1], len(_NODES)))
+        for lo in range(0, new.shape[1], _PANELS_PER_CALL):
+            hi = lo + _PANELS_PER_CALL
+            x = ((new[0, lo:hi] + half[lo:hi])[:, None] + half[lo:hi, None] * _NODES).ravel()
+            fx[lo:hi] = np.asarray(f(x), dtype=float).reshape(-1, len(_NODES))
+            bad = ~np.isfinite(fx[lo:hi].ravel())
+            if bad.any():
+                raise IntegrandError(f"integrand not finite at x={float(x[np.argmax(bad)])!r}")
+        i15 = half * (fx[:, :15] @ _W15)
+        panels = np.hstack([panels, [*new, i15, np.abs(i15 - half * (fx[:, 15:] @ _W7))]])
+        starts, widths, vals, errs = panels
+        total, total_err = vals.sum(), errs.sum()
+        threshold = tol.threshold(total)
+        if total_err <= threshold:
+            return float(total)
+        split = errs > np.maximum(threshold * (widths / span), 1e-300)
+        if not split.any():
+            split = errs == errs.max()
+        if panels.shape[1] + np.count_nonzero(split) > tol.max_iter:
+            raise QuadratureError(
+                f"quadrature did not converge within {tol.max_iter} panels",
+                estimate=float(total), error_bound=float(total_err))
+        hw = 0.5 * widths[split]
+        new = np.array([np.concatenate([starts[split], starts[split] + hw]),
+                        np.concatenate([hw, hw])])
+        panels = panels[:, ~split]
 
 
 def sum_series(
@@ -236,19 +159,23 @@ def sum_series(
     return one value per index.  ``tail_bound(n)`` must bound
     ``|sum_{k>n} term(k)|``; the caller owns its validity (integral test,
     geometric ratio, ...).  The summation stops at the first n whose tail
-    bound is below ``max(tol.abs, tol.rel*|partial|)``.  Terms are evaluated
-    in blocks of growing length, but added one at a time in index order, so
-    the result is the running sum's.  If ``tol.max_iter`` terms do not
-    suffice the report carries the partial sum with ``converged=False``
-    rather than raising.
+    bound is below ``max(tol.abs, tol.rel*|partial|)`` of the running sum,
+    added term by term.  Terms are evaluated in blocks of growing length;
+    the value reported is the ``math.fsum`` of the blocks' sums (the last cut
+    at the stop), as over millions of terms the running sum's rounding can
+    exceed the tail bound.  If ``tol.max_iter`` terms do not suffice the
+    report carries the partial sum with ``converged=False`` rather than
+    raising.
     """
     s = 0.0
     bound = math.inf
     n = 0
     size = _SERIES_BLOCK[0]
+    block_sums = []
     while n < tol.max_iter:
         ns = np.arange(n + 1, min(n + size, tol.max_iter) + 1)
-        partial = np.cumsum(np.concatenate([[s], term(ns)]))[1:]
+        terms = term(ns)
+        partial = np.cumsum(np.concatenate([[s], terms]))[1:]
         bounds = np.asarray(tail_bound(ns), dtype=float)
         invalid = (bounds < 0) | ~np.isfinite(bounds)
         stop = invalid | (bounds <= np.maximum(tol.abs, tol.rel * np.abs(partial)))
@@ -256,11 +183,13 @@ def sum_series(
             i = int(np.argmax(stop))
             if invalid[i]:
                 raise SeriesBoundError(f"tail_bound({ns[i]}) = {bounds[i]} is not a finite bound")
-            return SeriesReport(value=float(partial[i]), terms_used=int(ns[i]),
+            block_sums.append(float(np.sum(terms[:i + 1])))
+            return SeriesReport(value=math.fsum(block_sums), terms_used=int(ns[i]),
                                 tail_bound=float(bounds[i]), converged=True)
+        block_sums.append(float(np.sum(terms)))
         s, bound, n = float(partial[-1]), float(bounds[-1]), int(ns[-1])
         size = min(2 * size, _SERIES_BLOCK[1])
-    return SeriesReport(value=s, terms_used=n, tail_bound=bound, converged=False)
+    return SeriesReport(math.fsum(block_sums), terms_used=n, tail_bound=bound, converged=False)
 
 
 def find_roots(

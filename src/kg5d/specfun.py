@@ -97,43 +97,29 @@ def laguerre(n: int, alpha: int, x: float) -> tuple[float, float, float]:
     return v, d1, d2
 
 
-def _scaled_laguerre_pair(n, x: np.ndarray):
-    """(L_{n-1}^{(1)}, L_{n-2}^{(1)}) at x, as mantissas with a per-point log scale.
+def _laguerre_ladder(x: np.ndarray, live):
+    """The rescaled L_k^{(1)} recurrence over a 1-D array x, one degree at a time.
 
-    Vectorized over x; ``n`` is one degree or an integer array of degrees
-    broadcast against x.  Returns (la, lb, log_scale) with
-    L_{n-1}^{(1)}(x) = la * exp(log_scale), elementwise, and the same scale
-    for lb.  Degrees are >= 1; lb is 0 where n = 1.
-
-    The recurrence coefficients depend only on k and x, never on the target
-    degree, so one pass up to the largest degree serves every point: with
-    the points ordered by falling degree, step k updates only the prefix
-    whose degree still exceeds k + 1.  Each point sees exactly the
-    operations, in the same order, that a pass at its own degree makes.
+    ``live[n-1]``, non-increasing in n, is how many leading points need level
+    n.  Yields (n, la, lb, log_scale) for n = 1, ..., len(live): views of
+    those points, valid until the next step, with L_{n-1}^{(1)} =
+    la * exp(log_scale) and L_{n-2}^{(1)} = lb * exp(log_scale) (L_{-1} = 0).
+    The coefficients depend only on k and x (DLMF 18.9.13), so a point sees
+    exactly the operations, in the same order, of a pass at its own degree.
     """
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    xs = x.ravel()
-    deg = np.broadcast_to(np.asarray(n, dtype=np.int64), shape).ravel()
-    order = None
-    if np.ndim(n) != 0:
-        order = np.argsort(-deg, kind="stable")
-        deg, xs = deg[order], xs[order]
-    top = int(deg[0]) if deg.size else 1
     # Two buffers trade the roles of L_{k-1} and L_k each step, so the update
-    # runs in place: L_k sits in `even` before odd k, in `odd` before even k,
-    # and a point of degree n >= 2 takes n - 2 steps, ending with L_{n-1} in
-    # `odd` iff n is odd.
-    odd = np.ones_like(xs)       # L_0
-    even = 2.0 - xs              # L_1
-    log_scale = np.zeros_like(xs)
-    active = np.searchsorted(-deg, -np.arange(2, top), side="left")
-    m = -1
-    for k in range(1, top - 1):
-        if active[k - 1] != m:
-            m = active[k - 1]
-            prev, cur = (odd[:m], even[:m]) if k & 1 else (even[:m], odd[:m])
-            xk, lk = xs[:m], log_scale[:m]
+    # runs in place: L_k sits in `odd` for odd k (and k = -1), else in `even`.
+    odd = np.zeros_like(x)      # L_{-1}
+    even = np.ones_like(x)      # L_0
+    log_scale = np.zeros_like(x)
+    m = live[0]
+    prev, cur, xk, lk = odd[:m], even[:m], x[:m], log_scale[:m]
+    yield 1, cur, prev, lk
+    for k in range(len(live) - 1):
+        if live[k + 1] != m:
+            m = live[k + 1]
+            prev, cur = (odd[:m], even[:m]) if k & 1 == 0 else (even[:m], odd[:m])
+            xk, lk = x[:m], log_scale[:m]
         # L_{k+1} = ((2k + 2 - x) L_k - (k + 1) L_{k-1}) / (k + 1), over L_{k-1}
         t = 2 * k + 2 - xk
         t *= cur
@@ -146,15 +132,31 @@ def _scaled_laguerre_pair(n, x: np.ndarray):
             cur[big] *= _RESCALE_FACTOR
             prev[big] *= _RESCALE_FACTOR
             lk[big] += _RESCALE_LOG
-    in_odd = (deg & 1) == 1
-    la = np.where(in_odd, odd, even)
-    lb = np.where(in_odd, even, odd)
-    la[deg == 1] = 1.0
-    lb[deg == 1] = 0.0
-    if order is not None:
-        back = np.argsort(order)
-        la, lb, log_scale = la[back], lb[back], log_scale[back]
-    return la.reshape(shape), lb.reshape(shape), log_scale.reshape(shape)
+        yield k + 2, cur, prev, lk
+
+
+def _scaled_laguerre_pair(n, x: np.ndarray):
+    """(L_{n-1}^{(1)}, L_{n-2}^{(1)}) at x, as mantissas with a per-point log scale.
+
+    ``n`` is one degree >= 1 or an integer array of them broadcast against x.
+    Returns (la, lb, log_scale) of x's shape with L_{n-1}^{(1)}(x) =
+    la * exp(log_scale) and the same scale for lb (0 where n = 1).  The
+    points, by falling degree, share one :func:`_laguerre_ladder` pass and
+    are read off at their own degrees.
+    """
+    x = np.asarray(x, dtype=float)
+    deg = np.broadcast_to(np.asarray(n, dtype=np.int64), x.shape).ravel()
+    order = np.argsort(-deg, kind="stable")
+    deg, xs = deg[order], x.ravel()[order]
+    live = np.searchsorted(-deg, -np.arange(1, deg.max(initial=1) + 2), side="right")
+    out = np.empty((3, xs.size))
+    for level, *pair in _laguerre_ladder(xs, live[:-1]):
+        lo, hi = live[level], live[level - 1]
+        if lo < hi:
+            out[:, lo:hi] = [values[lo:hi] for values in pair]
+    back = np.empty_like(out)
+    back[:, order] = out
+    return tuple(back.reshape((3,) + x.shape))
 
 
 def _combo_terms(n, x: np.ndarray, la, lb, log_scale):

@@ -29,7 +29,7 @@ from kg5d.canonical import (
     z_continuous,
     z_discrete,
 )
-from kg5d.errors import DomainError
+from kg5d.errors import DomainError, QuadratureError
 from kg5d.numerics import Tolerance, integrate
 from kg5d.specfun import erfcx_minus_one
 from kg5d.spectrum import ScaleSet, stat_energy
@@ -183,21 +183,51 @@ def test_trapped_degeneracy_tail_formula():
         assert got == pytest.approx(ref, rel=5e-3)
 
 
+def _lone_level(n, rhat, tol):
+    """Level n's trapped degeneracy as one adaptive integral of its density in r_hat."""
+    cut = max(min(rhat, n * (20.0 * n + 40.0)), 0.0)
+    return integrate(lambda rh: canonical._density_rhat(n, rh), 0.0, cut, tol)
+
+
+def _check_against_lone_levels(ns, rhat, picked=slice(None)):
+    # Each level of the shared pass lands within its own error estimate of a
+    # lone adaptive integration (plus rounding), whatever else is in the pass.
+    tol = Tolerance(rel=1e-12, abs=1e-280)
+    got, err = canonical._trapped_levels(ns, rhat, tol)
+    assert got.tolist() == trapped_degeneracies(ns, rhat, tol).tolist()
+    assert np.all(err <= tol.rel * np.abs(got))
+    ns, got, err = np.asarray(ns)[picked], got[picked], err[picked]
+    # rel 1e-10 keeps the lone integrations quick; their 15/7 estimates are
+    # pessimistic, and they land within 3e-15 of the pass here.
+    lone = np.array([_lone_level(n, rhat, Tolerance(rel=1e-10, abs=1e-280))
+                     for n in ns.tolist()])
+    assert np.all(np.abs(got - lone) <= err + 1e-14 * np.abs(lone))
+
+
 def test_trapped_degeneracies_match_single_levels():
-    # The batched levels carry the bits of one-level integrations.
+    _check_against_lone_levels([140, 1, 65, 7, 64, 2], 150.0)
     tol = Tolerance(rel=1e-11, abs=1e-280)
-    ns = list(range(1, 30)) + [64, 65, 140]
-    got = trapped_degeneracies(ns, 150.0, tol)
-    assert got.tolist() == [trapped_degeneracies([n], 150.0, tol)[0] for n in ns]
     assert trapped_degeneracies([3, 4], 0.0, tol).tolist() == [0.0, 0.0]
 
 
+def test_trapped_degeneracies_match_single_levels_large_cavity():
+    # Z_d's 344 exact levels at r/rho 1000 in one pass; every 7th level and
+    # the last are checked (lone integrations of all 344 take 5-6 s).
+    _check_against_lone_levels(list(range(1, 345)), 2000.0, np.r_[0:344:7, 343])
+
+
+def test_trapped_degeneracies_refuse_an_unmet_tolerance():
+    # rel 1e-17 is below what the 15/7 estimate of any level can show.
+    with pytest.raises(QuadratureError, match=r"^level \d+: error estimate") as info:
+        trapped_degeneracies([5, 30], 150.0, Tolerance(rel=1e-17, abs=0.0))
+    assert info.value.error_bound > 1e-17 * abs(info.value.estimate) > 0
+    with pytest.raises(QuadratureError, match="over the limit of 10"):
+        trapped_degeneracies([30], 150.0, Tolerance(rel=1e-12, max_iter=10))
+
+
 def test_split_levels_match_single_levels(always_fork):
-    # Half of the levels are computed in a forked worker; each keeps its bits.
-    tol = Tolerance(rel=1e-11, abs=1e-280)
+    # Half of figure1's curves are computed in a forked worker; each keeps its bits.
     ns = [140, 1, 65, 7, 64, 2]
-    got = trapped_degeneracies(ns, 150.0, tol)
-    assert got.tolist() == [trapped_degeneracies([n], 150.0, tol)[0] for n in ns]
     r = np.linspace(0.0, 5.0, 301)
     for curve, n in zip(figure1_curves(ns, r), ns):
         assert curve.n == n and np.array_equal(curve.values, dn_scaled_grid(n, r))
@@ -249,6 +279,29 @@ def test_zc_against_bruteforce_oracle():
     assert rep.tail_bound < 1e-12 * abs(rep.value)
 
 
+def test_zc_large_cavity_sum_within_its_bound():
+    # At r/rho 5000 the sum takes 2.8 million terms; their running sum drifts
+    # 3.1e-3 from their exact sum, beyond the 1.13e-3 truncation bound.
+    # Reference: Euler-Maclaurin at 40 digits on the same gamma and s0, with
+    # 63 exact terms, int_64^inf f + f(64)/2 and five Bernoulli corrections.
+    s = _scales(r_over_rho=5000.0)
+    _, rep = z_continuous(s, Tolerance(rel=1e-12))
+    gamma = mp.mpf(canonical._zc_damping(s))
+    s0 = mp.mpf(s.coupling_stat * math.sqrt(0.5 * s.eta0))
+
+    def f(n):
+        z = s0 / n
+        return n * n * mp.exp(-gamma * n * n) * (mp.exp(z * z) * mp.erfc(z) - 1)
+
+    head = mp.fsum(f(n) for n in range(1, 64))
+    integral = mp.quad(f, [64, 1e3, 1e4, 1e5, 3e5, 1e6, 3e6, mp.inf])
+    corrections = mp.fsum(mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.diff(f, 64, 2 * j - 1)
+                          for j in range(1, 6))
+    reference = head + integral + f(64) / 2 - corrections
+    assert rep.converged and rep.terms_used == 2_793_272
+    assert abs(rep.value - reference) <= rep.tail_bound
+
+
 def test_zc_requires_positive_scales():
     s = _scales()
     bad = ScaleSet(c=s.c, hbar=s.hbar, m=s.m, M=s.M, q=s.q, Z=s.Z, alpha=s.alpha,
@@ -292,13 +345,37 @@ def test_zd_pinned_reference_within_tail_bound():
 @pytest.mark.parametrize("r_over_rho, reference", [
     (150.0, 270.3674414955647),
     (1000.0, 4654.744102270005),
-    pytest.param(5000.0, 52043.796250636515, marks=pytest.mark.slow),
+    (5000.0, 52043.796250636515),
 ])
 def test_zd_large_cavity_reference_within_tail_bound(r_over_rho, reference):
     # The free (B, C) tail fit missed r/rho 1000 by 4.3 times its own bound.
     zd, rep, _ = z_discrete(_scales(r_over_rho=r_over_rho), tol=Tolerance(rel=1e-10))
     assert rep.converged
     assert abs(zd - reference) <= rep.tail_bound
+
+
+def test_zd_bound_includes_the_quadrature_errors(monkeypatch):
+    # terms_d.tail_bound = the tail model's bound + sum_n w_n err_n over the
+    # exact levels' 15/7 error estimates.
+    levels_pass, errors = canonical._trapped_levels, []
+
+    def recorded(*args):
+        g, err = levels_pass(*args)
+        errors.append(err)
+        return g, err
+
+    monkeypatch.setattr(canonical, "_trapped_levels", recorded)
+    s = _scales(r_over_rho=150.0)
+    _, rep, levels = z_discrete(s, tol=Tolerance(rel=1e-10))
+    err = np.concatenate(errors)
+    rhat = 2.0 * s.R / s.rho
+    eps = s.coupling_stat
+    a = 0.5 * s.eta0 * eps * eps
+    _, model = canonical._zd_tail(levels.trapped_degeneracy, trapped_degeneracy_limit(rhat),
+                                  s.eta0, a)
+    quad = float(levels.weight @ err)
+    assert len(err) == len(levels) and quad > 0
+    assert rep.tail_bound == model + quad
 
 
 def test_zd_exact_levels_grow_with_the_cavity():
@@ -328,10 +405,9 @@ def test_trapped_degeneracy_limit():
         trapped_degeneracy_limit(-1.0)
 
 
-def test_zd_peak_memory(never_fork):
-    # Batched levels must not hold more than a capped integrand call's worth
-    # of points: the one-level-at-a-time sum peaked at 2.02 MiB here.  Inline,
-    # so the traced process integrates every level.
+def test_zd_peak_memory():
+    # The level pass must not hold much more than its shared panels' nodes:
+    # the one-level-at-a-time sum peaked at 2.02 MiB here.
     s = _scales(r_over_rho=150.0)
     tracemalloc.start()
     try:

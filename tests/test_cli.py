@@ -220,11 +220,24 @@ def test_cli_import_leaves_geometry_unloaded():
 
 
 def test_non_finite_integrand_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(canonical, "_density_rhat", lambda n, rh: np.full(rh.shape, np.nan))
+    # Z_d's level pass evaluates its integrand through specfun's _combo_terms.
+    monkeypatch.setattr(canonical, "_combo_terms",
+                        lambda n, x, *pair: (x, np.full(x.shape, np.nan)))
     rc = main(["partition", "--r-over-rho", "5", "--output-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: integrand not finite at x=") and err.count("\n") == 1
+
+
+def test_unmet_quadrature_tolerance_exits_3_with_one_line(tmp_path, capsys):
+    # --rel-tol 1e-15 asks Z_d's levels for rel 1e-17, which no 15/7 error
+    # estimate meets; the pass refuses rather than accept the levels.
+    rc = main(["partition", "--r-over-rho", "50", "--rel-tol", "1e-15",
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: level ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_non_positive_eta0_exits_2_with_one_line(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Numerical kernel tests: quadrature, series, roots, stencils.
 
-Oracles: closed forms, brute-force summation, mpmath's incomplete gamma, and
-scipy.integrate.quad as an independent quadrature implementation.
+Oracles: closed forms, brute-force summation, math.fsum, mpmath's incomplete
+gamma, and scipy.integrate.quad as an independent quadrature implementation.
 """
 
 import math
@@ -16,6 +16,7 @@ import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kg5d import canonical
 from kg5d.errors import (
     BracketingError,
     ConfigurationError,
@@ -39,7 +40,6 @@ from kg5d.numerics import (
     find_roots,
     fit_convergence_order,
     integrate,
-    integrate_batch,
     sum_series,
 )
 
@@ -127,8 +127,11 @@ def test_integrate_empty_and_invalid():
     assert integrate(lambda x: x, 2.0, 2.0) == 0.0
     with pytest.raises(ValueError):
         integrate(lambda x: x, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+    # A package error (exit code 2 from the CLI) that is still a ValueError;
+    # the message names the abscissa.
+    with pytest.raises(IntegrandError, match=r"^integrand not finite at x=0\.5$") as info:
+        integrate(lambda x: np.where(x == 0.5, np.nan, x), 0.0, 1.0)
+    assert isinstance(info.value, Kg5dError) and isinstance(info.value, ValueError)
 
 
 def test_integrate_refinement_consistency():
@@ -172,25 +175,14 @@ def _reference_integrate(f, a, b, tol):
         errs = np.concatenate([errs[~split], new_e])
 
 
-def test_integrate_batch_matches_lone_integrals_bitwise():
-    # Each integral refines exactly as it does alone, whatever else is in
-    # the batch: a zero-width interval, a kink that forces deep bisection,
-    # and smooth integrands that converge after one round.
-    a = np.array([0.0, 0.0, 2.0, -1.0, 0.3, 0.0])
-    b = np.array([4.0, 40.0, 2.0, 3.0, 9.7, 1e-3])
-    freq = np.array([1.0, 0.2, 5.0, 3.0, 7.0, 1.0])
-
-    def f(x, owner):
-        k = freq[owner]
-        return np.sqrt(np.abs(x - 1.3)) * np.cos(k * x) + np.exp(-k * x * x)
-
+def test_integrate_matches_reference_refinement_bitwise():
+    # integrate refines exactly as the reference loop: a kink that forces
+    # deep bisection, and smooth integrands that converge after one round.
     tol = Tolerance(rel=1e-11, max_iter=5000)
-    got = integrate_batch(f, a, b, tol)
-    for i in range(len(a)):
-        alone = lambda x: f(x, np.full(x.shape, i))
-        assert got[i] == integrate(alone, a[i], b[i], tol)
-        assert got[i] == _reference_integrate(alone, a[i], b[i], tol)
-    assert got[2] == 0.0
+    for a, b, k in [(0.0, 4.0, 1.0), (0.0, 40.0, 0.2), (-1.0, 3.0, 3.0), (0.3, 9.7, 7.0),
+                    (0.0, 1e-3, 1.0)]:
+        f = lambda x: np.sqrt(np.abs(x - 1.3)) * np.cos(k * x) + np.exp(-k * x * x)
+        assert integrate(f, a, b, tol) == _reference_integrate(f, a, b, tol)
 
 
 def _gamma_integral(k, a, b):
@@ -203,41 +195,48 @@ def _gamma_integral(k, a, b):
 @given(cases=st.lists(st.tuples(st.integers(0, 6), st.floats(0.0, 20.0), st.floats(1e-3, 30.0),
                                 st.booleans()), min_size=1, max_size=6))
 @example(cases=[(6, 0.0, 0.00390625, False)])
-def test_integrate_batch_closed_forms(cases):
-    # x^k e^{-x} and sin x over random intervals, all in one batch; each
-    # integral must land within its tolerance of the closed form.  The
-    # example is an integral of 2e-18 over [0, 1/256]: a difference of two
-    # upper incomplete gammas would cancel to an error of 1e-13 there.
-    k = np.array([c[0] for c in cases])
-    a = np.array([c[1] for c in cases])
-    b = a + np.array([c[2] for c in cases])
-    is_sin = np.array([c[3] for c in cases])
+def test_integrate_closed_forms(cases):
+    # x^k e^{-x} and sin x over random intervals; each integral must land
+    # within its tolerance of the closed form.  The example is an integral of
+    # 2e-18 over [0, 1/256]: a difference of two upper incomplete gammas
+    # would cancel to an error of 1e-13 there.
     tol = Tolerance(rel=1e-10, abs=1e-13)
+    for k, a, width, is_sin in cases:
+        b = a + width
+        f = np.sin if is_sin else (lambda x: x**k * np.exp(-x))
+        got = integrate(f, a, b, tol)
+        exact = math.cos(a) - math.cos(b) if is_sin else _gamma_integral(k, a, b)
+        assert abs(got - exact) <= tol.threshold(exact) + 1e-15 * (b - a + abs(exact))
 
-    def f(x, owner):
-        return np.where(is_sin[owner], np.sin(x), x ** k[owner] * np.exp(-x))
 
-    got = integrate_batch(f, a, b, tol)
-    for i, (ki, ai, bi, si) in enumerate(zip(k.tolist(), a.tolist(), b.tolist(), is_sin)):
-        exact = (math.cos(ai) - math.cos(bi) if si
-                 else _gamma_integral(ki, ai, bi))
-        assert abs(got[i] - exact) <= tol.threshold(exact) + 1e-15 * (bi - ai + abs(exact))
-
+# Batched integration: Z_d's levels are integrals on one set of shared panels
+# (canonical._trapped_levels), each with its own estimate and refusal.
 
 def test_integrate_batch_budget_error():
-    f = lambda x, owner: np.sqrt(np.abs(x - 0.3 * owner))
-    with pytest.raises(QuadratureError) as info:
-        integrate_batch(f, [0.0, 0.0], [1.0, 1.0], Tolerance(rel=0.0, abs=1e-300, max_iter=8))
-    assert info.value.estimate == pytest.approx(2.0 / 3.0, abs=1e-3)
+    # The refusal carries the failing integral's estimate (level 1: n^2 = 1).
+    with pytest.raises(QuadratureError, match=r"^level 1: error estimate") as info:
+        canonical._trapped_levels([1, 2], 150.0, Tolerance(rel=0.0, abs=1e-300))
+    assert info.value.estimate == pytest.approx(1.0, abs=1e-12)
     assert info.value.error_bound > 0
 
 
-def test_integrate_batch_non_finite_integrand():
+def test_integrate_batch_non_finite_integrand(monkeypatch):
     # A package error (exit code 2 from the CLI) that is still a ValueError;
     # the message names the abscissa and the integral.
-    f = lambda x, owner: np.where((owner == 1) & (x == 0.5), np.nan, x)
-    with pytest.raises(IntegrandError, match=r"x=0\.5 in integral 1") as info:
-        integrate_batch(f, [0.0, 0.0], [1.0, 1.0])
+    bad = {}
+    real = canonical._combo_terms
+
+    def poisoned(n, x, *pair):
+        w, combo = real(n, x, *pair)
+        if n == 2:
+            bad["x"] = float(x[5])
+            combo = np.where(np.arange(x.size) == 5, np.nan, combo)
+        return w, combo
+
+    monkeypatch.setattr(canonical, "_combo_terms", poisoned)
+    with pytest.raises(IntegrandError, match=r" in level 2$") as info:
+        canonical._trapped_levels([1, 2], 150.0, Tolerance(rel=1e-12))
+    assert str(info.value) == f"integrand not finite at x={bad['x']!r} in level 2"
     assert isinstance(info.value, Kg5dError) and isinstance(info.value, ValueError)
 
 
@@ -303,8 +302,9 @@ def test_sum_series_monotone_refinement():
                                  Tolerance(rel=1e-14, max_iter=70)])
 def test_sum_series_is_the_running_sum(tol):
     # Oracle: the term-by-term loop the stop rule describes.  Block
-    # evaluation must give the same partial sum, bit for bit, and stop at
-    # the same first n.
+    # evaluation must stop at the same first n with the same bound, and
+    # report the sum of the accepted terms to 1e-15 (math.fsum), free of the
+    # running sum's rounding.
     term = lambda n: ((n % 7) - 3.0) / (n * n)
     tail = lambda n: 3.0 / n.astype(float)
     s, n, bound = 0.0, 0, math.inf
@@ -315,8 +315,10 @@ def test_sum_series_is_the_running_sum(tol):
         if bound <= tol.threshold(s):
             break
     rep = sum_series(term, tail, tol)
-    assert (rep.value, rep.terms_used, rep.tail_bound) == (s, n, bound)
+    assert (rep.terms_used, rep.tail_bound) == (n, bound)
     assert rep.converged == (bound <= tol.threshold(s))
+    exact = math.fsum(((k % 7) - 3.0) / (k * k) for k in range(1, n + 1))
+    assert abs(rep.value - exact) <= 1e-15 * abs(exact)
 
 
 # (term, tail bound by the integral test, exact sum, tightest rel tried)
@@ -599,14 +601,13 @@ def test_fd_flat_stencil_bitwise(order):
 def test_argument_errors_are_package_errors():
     # each is a ValueError (the library contract) and a Kg5dError (the CLI
     # exits 2 with one line)
-    one = lambda x, owner: np.ones_like(x)
     cases = [
         (StencilError, lambda: fd_derivative(np.zeros(6), 0, 3, 0.1)),
         (StencilError, lambda: fd_derivative(np.zeros(6), 0, 1, 0.0)),
         (StencilError, lambda: fd_derivative(np.zeros(6), 0, 1, math.nan)),
         (OrderFitError, lambda: fit_convergence_order([0.1], [1e-3])),
-        (IntervalError, lambda: integrate_batch(one, [1.0], [0.0])),
-        (IntervalError, lambda: integrate_batch(one, [0.0, 0.0], [1.0])),
+        (IntervalError, lambda: integrate(np.ones_like, 1.0, 0.0)),
+        (IntervalError, lambda: integrate(np.ones_like, 0.0, math.nan)),
         (IntervalError, lambda: find_roots(lambda x, owner: x, [1.0], [1.0])),
         (IntervalError, lambda: find_roots(lambda x, owner: x, [0.0], [1.0, 2.0])),
         (SeriesBoundError, lambda: sum_series(lambda n: np.zeros(n.shape),
