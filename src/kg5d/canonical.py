@@ -30,18 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrandError, NonConvergenceError, QuadratureError
-from .numerics import _NODES, _W7, _W15, SeriesReport, Tolerance, beside, sum_series
-from .specfun import (_combo_arrays, _combo_terms, _laguerre_ladder, asymptotic_combo,
-                      bessel_j01, erfcx_minus_one, hurwitz_zeta)
+from .numerics import _NODES, _W7, _W15, SeriesReport, Tolerance, beside, integrate
+from .specfun import (_EULER_MACLAURIN, _combo_arrays, _combo_terms, _laguerre_ladder,
+                      asymptotic_combo, bessel_j01, erfcx_minus_one, hurwitz_zeta)
 from .spectrum import ScaleSet, stat_energy
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# One-core costs for ``beside``'s estimates (x86-64, numpy 2.4): a
-# point-step of figure1's batched Laguerre recurrence, and a term of Z_c's
-# hard budget (its sum took 70-85 ns per budgeted term at r/rho 50-5000).
+# One-core cost of a point-step of figure1's batched Laguerre recurrence
+# (x86-64, numpy 2.4), for ``beside``'s estimate.
 _POINT_STEP_S = 1e-8
-_ZC_BUDGET_TERM_S = 8e-8
 
 
 @dataclass(frozen=True)
@@ -278,14 +276,10 @@ def figure1_curves(n_list, r_grid) -> list[DensityCurve]:
 # Continuous part Z_c
 # ---------------------------------------------------------------------------
 
-def _exp(v: np.ndarray) -> np.ndarray:
-    """math.exp over an array.
-
-    np.exp's SIMD kernels and the C library's exp disagree in the last bit
-    for a few percent of arguments; the C library's keeps Z_c's terms and
-    tail bounds bit for bit what a term-by-term sum computes.
-    """
-    return np.fromiter(map(math.exp, v.tolist()), dtype=float, count=v.size)
+# Z_c's exact head: the Euler-Maclaurin tail starts at K = max(64, 64 s0),
+# so s0/K <= 1/64, and its derivatives keep 24 terms of erfcx's series.
+_ZC_HEAD = 64
+_ZC_SERIES = 24
 
 
 def _zc_damping(scales: ScaleSet) -> float:
@@ -294,32 +288,63 @@ def _zc_damping(scales: ScaleSet) -> float:
         2.0 * scales.V ** (2.0 / 3.0))
 
 
-def _zc_budget(scales: ScaleSet) -> int:
-    """Hard term budget of Z_c's sum: terms are sub-denormal once gamma n^2 > 709.
+def _zc_odd_derivatives(gamma: float, s0: float, k: int) -> list[float]:
+    """f^(2j-1)(K) of Z_c's summand f, for j = 1, ..., len(_EULER_MACLAURIN).
 
-    The tail bound stops the sum near sqrt(ln(1/rel) / gamma) terms, a fixed
-    share of the budget (1/5 at rel 1e-12).  With the coupling off there is
-    no sum, and without damping :func:`z_continuous` raises: 0 for both.
+    By erfcx's Maclaurin series f(x) = e^{-gamma x^2} P(x), with
+    P(x) = sum_{i>=1} (-s0)^i x^{2-i} / Gamma(i/2 + 1).  In y = x/K a
+    derivative maps P's coefficients by (e^{-beta y^2} P)' =
+    e^{-beta y^2} (P' - 2 beta y P), beta = gamma K^2, and at y = 1 the m-th
+    derivative is e^{-beta} times their sum, over K^m.  With s0/K <= 1/64
+    the first omitted term of P is below 64^-24 of the leading one.
     """
-    gamma = _zc_damping(scales)
-    if scales.coupling_stat == 0.0 or not gamma > 0:
-        return 0
-    return int(math.ceil(math.sqrt(709.0 / gamma))) + 16
+    i = np.arange(1, _ZC_SERIES + 1)
+    coef = k * k * (-s0 / k) ** i / np.array([math.gamma(0.5 * v + 1.0) for v in i.tolist()])
+    powers = 2 - i  # of y, descending
+    beta = gamma * k * k
+    out = []
+    for m in range(1, 2 * len(_EULER_MACLAURIN)):
+        grown = np.zeros(coef.size + 2)
+        grown[2:] = powers * coef  # P': y^e -> e y^(e-1)
+        grown[:-2] -= 2.0 * beta * coef  # -2 beta y P: y^e -> y^(e+1)
+        coef, powers = grown, np.arange(powers[0] + 1, powers[-1] - 2, -1)
+        if m % 2:
+            out.append(math.exp(-beta) * math.fsum(coef.tolist()) / float(k) ** m)
+    return out
 
 
 def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0)):
     """Continuum contribution Z_c: ideal-gas term minus the erfc-bracket sum.
 
-    Z_c = V e^{-eta0} / (Lambda^3 (2 pi eta0)^{3/2})
-          - (e^{-eta0}/2) sum_n n^2 exp(-n^2 gamma) [e^{s^2} erfc(s) - 1],
+    Z_c = V e^{-eta0} / (Lambda^3 (2 pi eta0)^{3/2}) - (e^{-eta0}/2) sum_{n>=1} f(n),
+    f(x) = x^2 exp(-gamma x^2) [e^{s^2} erfc(s) - 1],  s = s0 / x,
     with gamma = pi^{4/3} u c Lambda / (2 V^{2/3}) and
-    s = (lambda*/Lambda) sqrt(eta0/2) / n.
+    s0 = (lambda*/Lambda) sqrt(eta0/2).
 
     With the coupling off the bracket is identically zero and the ideal-gas
-    term is returned exactly.  The bracket magnitude is bounded by its own
-    n -> infinity asymptote (2 s / sqrt(pi)), which combined with the
-    Gaussian damping gives the integral-test tail bound used for truncation.
-    Returns (Z_c, report-for-the-sum).
+    term is returned exactly.  Otherwise the sum is the exact head
+    f(1) + ... + f(K-1), K = max(64, ceil(64 s0)), plus the Euler-Maclaurin
+    tail (DLMF 2.10(i)) with the eight corrections of ``_EULER_MACLAURIN``,
+
+        int_K^b f + f(K)/2 - sum_j B_2j/(2j)! f^(2j-1)(K),
+
+    the integral by :func:`integrate` at half the tolerance up to
+    b = sqrt(K^2 + 40/gamma), where the Gaussian has fallen by e^-40.  The
+    report's tail bound is the sum of
+
+    * the remainder |B_16|/16! int_K^inf |f^(16)|: on the circle
+      |z - x| = x/2, |e^{-gamma z^2}| <= 1 and |z^2 (erfcx(s0/z) - 1)| <= mu x
+      with mu = 3 s0/sqrt(pi) + (32/31) s0^2/K, so by Cauchy's estimate
+      |f^(16)(x)| <= 16! 2^16 mu x^-15;
+    * integrate's threshold;
+    * the cut int_b^inf |f| <= (2 s0/sqrt(pi)) e^{-gamma b^2} / (2 gamma),
+      as |e^{s^2} erfc(s) - 1| <= 2s/sqrt(pi);
+    * 32 rounding units of the parts' summed magnitudes, for each part's own
+      rounding and the one ``math.fsum`` that adds them.
+
+    s0^2 >= 709, where f(1)'s e^{s0^2} overflows, raises DomainError, and a
+    bound over the tolerance NonConvergenceError.  Returns
+    (Z_c, report-for-the-sum); the report counts K as the terms used.
     """
     eta0, Lam, V = scales.eta0, scales.Lambda, scales.V
     if eta0 <= 0 or Lam <= 0 or V <= 0:
@@ -333,26 +358,33 @@ def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0
     if gamma <= 0:
         raise DomainError("Gaussian damping exponent must be positive")
     s0 = eps * math.sqrt(0.5 * eta0)
-    amp = eps * math.sqrt(2.0 * eta0 / math.pi)  # bracket asymptote prefactor
+    if not s0 * s0 < 709.0:  # f(1)'s bracket needs e^{s0^2} finite
+        raise DomainError(f"Z_c's bracket overflows at s0 = {s0:.6g}: need s0^2 < 709")
 
-    def term(ns):
-        return ns * ns * _exp(-gamma * ns * ns) * erfcx_minus_one(s0 / ns)
+    def f(x):
+        return x * x * np.exp(-gamma * x * x) * erfcx_minus_one(s0 / x)
 
-    def tail(ns):
-        # |term(k)| <= amp * k * e^{-gamma k^2}, summed by the integral test
-        # (valid once k e^{-gamma k^2} is decreasing, enforced via the start).
-        k = np.maximum(ns, int(math.ceil(1.0 / math.sqrt(2.0 * gamma))))
-        return amp * _exp(-gamma * k * k) / (2.0 * gamma)
+    k = max(_ZC_HEAD, math.ceil(_ZC_HEAD * s0))
+    b = math.sqrt(k * k + 40.0 / gamma)
+    tol_tail = Tolerance(rel=0.5 * tol.rel, abs=0.5 * tol.abs, max_iter=tol.max_iter)
+    integral = integrate(f, float(k), b, tol_tail)
+    head = f(np.arange(1.0, k + 1.0)).tolist()
+    parts = [*head[:-1], 0.5 * head[-1], integral]
+    parts += [-c * d for c, d in zip(_EULER_MACLAURIN, _zc_odd_derivatives(gamma, s0, k))]
+    value = math.fsum(parts)
 
-    budget = max(tol.max_iter, _zc_budget(scales))
-    report = sum_series(term, tail, Tolerance(rel=tol.rel, abs=tol.abs, max_iter=budget))
-    if not report.converged:
-        raise NonConvergenceError(
-            "Z_c correction sum did not converge", estimate=report.value,
-            error_bound=report.tail_bound,
-        )
-    z_c = ideal - 0.5 * math.exp(-eta0) * report.value
-    return z_c, report
+    p = len(_EULER_MACLAURIN)
+    mu = 3.0 * s0 / _SQRT_PI + 32.0 / 31.0 * s0 * s0 / k
+    remainder = (abs(_EULER_MACLAURIN[-1]) * math.factorial(2 * p) * 2.0 ** (2 * p) * mu
+                 * float(k) ** (2 - 2 * p) / (2 * p - 2))
+    cut = s0 / _SQRT_PI * math.exp(-gamma * b * b) / gamma
+    bound = (remainder + tol_tail.threshold(integral) + cut
+             + 2.0**-48 * math.fsum(abs(v) for v in parts))
+    if bound > tol.threshold(value):
+        raise NonConvergenceError("Z_c correction sum did not converge", estimate=value,
+                                  error_bound=bound)
+    report = SeriesReport(value=value, terms_used=k, tail_bound=bound, converged=True)
+    return ideal - 0.5 * math.exp(-eta0) * value, report
 
 
 def brace_asymptote(s: float) -> float:
@@ -368,6 +400,16 @@ def brace_asymptote(s: float) -> float:
 # fitted corrections to B_inf: C/n^2, D/n^4, E/n^6.
 _TAIL_WINDOW = 64
 _TAIL_TERMS = 3
+
+
+def _exp(v: np.ndarray) -> np.ndarray:
+    """math.exp over an array.
+
+    np.exp's SIMD kernels and the C library's exp disagree in the last bit
+    for a few percent of arguments; the C library's keeps Z_d's Boltzmann
+    weights bit for bit what the per-level formula computes.
+    """
+    return np.fromiter(map(math.exp, v.tolist()), dtype=float, count=v.size)
 
 
 def trapped_degeneracy_limit(rhat: float) -> float:
@@ -491,12 +533,11 @@ def partition(scales: ScaleSet,
               tol: Tolerance = Tolerance(rel=1e-10, abs=0.0)) -> PartitionResult:
     """Full canonical sum: assembles Z_c and Z_d into a PartitionResult.
 
-    Z_c is summed beside this process (:func:`beside`) while Z_d runs here.
+    Both parts run in this process, Z_d first.  Z_c gets at most 1e-12
+    relative tolerance, which costs it nothing measurable.
     """
-    tol_c = Tolerance(rel=min(tol.rel, 1e-12), abs=tol.abs, max_iter=tol.max_iter)
-    with beside(z_continuous, scales, tol_c,
-                seconds=_ZC_BUDGET_TERM_S * _zc_budget(scales)) as collect:
-        zd, rep_d, levels = z_discrete(scales, tol)
-        zc, rep_c = collect()
+    zd, rep_d, levels = z_discrete(scales, tol)
+    zc, rep_c = z_continuous(scales, Tolerance(rel=min(tol.rel, 1e-12), abs=tol.abs,
+                                               max_iter=tol.max_iter))
     return PartitionResult(z_c=zc, z_d=zd, z_total=zc + zd,
                            terms_c=rep_c, terms_d=rep_d, per_level_d=levels)

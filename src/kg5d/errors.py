@@ -56,10 +56,6 @@ class IntervalError(Kg5dError, ValueError):
     """Reversed integration interval or root bracket, or ends of unequal shapes."""
 
 
-class SeriesBoundError(Kg5dError, ValueError):
-    """A series tail bound evaluated to a negative or non-finite value."""
-
-
 class GridSizeError(Kg5dError):
     """A sampled field is too small for the requested stencil."""
 

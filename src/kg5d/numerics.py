@@ -1,13 +1,10 @@
-"""Shared numerical kernels: quadrature, series summation, root finding, stencils.
+"""Shared numerical kernels: quadrature, root finding, stencils, and a forked worker.
 
 All functions here but ``beside`` are pure and hold no module state beyond
 cached quadrature nodes, so they are safe to call concurrently.
 
 Quadrature (``integrate``) uses an embedded Gauss-Legendre 7/15 pair on
 adaptively bisected panels of one integral.
-
-``sum_series`` evaluates terms and tail bounds in blocks of indices, stops
-on the running sum, and reports the exactly rounded sum of the blocks' sums.
 
 Root finding is bisection with secant steps on sign-changing brackets.
 ``find_roots`` solves many brackets in lockstep: ``f(x, owner)`` receives
@@ -41,7 +38,6 @@ from .errors import (
     NonConvergenceError,
     OrderFitError,
     QuadratureError,
-    SeriesBoundError,
     StencilError,
     ToleranceError,
     WorkerError,
@@ -55,7 +51,7 @@ class Tolerance:
     At least one of ``rel``/``abs`` must be positive; a result is accepted
     once the estimated error drops below ``max(abs, rel * |value|)``.
     ``max_iter`` bounds the work: quadrature panels (also those Z_d's levels
-    share), series terms, or root iterations depending on the consumer.
+    share) or root iterations, depending on the consumer.
     """
 
     rel: float = 1e-10
@@ -95,9 +91,6 @@ _NODES = np.concatenate([_X15, _X7])  # 22 evaluations per panel
 # however many panels a refinement round evaluates.
 _MAX_POINTS = 8192
 _PANELS_PER_CALL = _MAX_POINTS // len(_NODES)
-
-# Terms per block in sum_series: the first block, and the largest.
-_SERIES_BLOCK = (64, 16384)
 
 
 def integrate(f: Callable, a: float, b: float, tol: Tolerance = Tolerance()) -> float:
@@ -146,50 +139,6 @@ def integrate(f: Callable, a: float, b: float, tol: Tolerance = Tolerance()) -> 
         new = np.array([np.concatenate([starts[split], starts[split] + hw]),
                         np.concatenate([hw, hw])])
         panels = panels[:, ~split]
-
-
-def sum_series(
-    term: Callable[[np.ndarray], np.ndarray],
-    tail_bound: Callable[[np.ndarray], np.ndarray],
-    tol: Tolerance = Tolerance(),
-) -> SeriesReport:
-    """Sum ``term(1) + term(2) + ...`` until the caller's tail bound passes tol.
-
-    ``term(ns)`` and ``tail_bound(ns)`` take an integer array of indices and
-    return one value per index.  ``tail_bound(n)`` must bound
-    ``|sum_{k>n} term(k)|``; the caller owns its validity (integral test,
-    geometric ratio, ...).  The summation stops at the first n whose tail
-    bound is below ``max(tol.abs, tol.rel*|partial|)`` of the running sum,
-    added term by term.  Terms are evaluated in blocks of growing length;
-    the value reported is the ``math.fsum`` of the blocks' sums (the last cut
-    at the stop), as over millions of terms the running sum's rounding can
-    exceed the tail bound.  If ``tol.max_iter`` terms do not suffice the
-    report carries the partial sum with ``converged=False`` rather than
-    raising.
-    """
-    s = 0.0
-    bound = math.inf
-    n = 0
-    size = _SERIES_BLOCK[0]
-    block_sums = []
-    while n < tol.max_iter:
-        ns = np.arange(n + 1, min(n + size, tol.max_iter) + 1)
-        terms = term(ns)
-        partial = np.cumsum(np.concatenate([[s], terms]))[1:]
-        bounds = np.asarray(tail_bound(ns), dtype=float)
-        invalid = (bounds < 0) | ~np.isfinite(bounds)
-        stop = invalid | (bounds <= np.maximum(tol.abs, tol.rel * np.abs(partial)))
-        if stop.any():
-            i = int(np.argmax(stop))
-            if invalid[i]:
-                raise SeriesBoundError(f"tail_bound({ns[i]}) = {bounds[i]} is not a finite bound")
-            block_sums.append(float(np.sum(terms[:i + 1])))
-            return SeriesReport(value=math.fsum(block_sums), terms_used=int(ns[i]),
-                                tail_bound=float(bounds[i]), converged=True)
-        block_sums.append(float(np.sum(terms)))
-        s, bound, n = float(partial[-1]), float(bounds[-1]), int(ns[-1])
-        size = min(2 * size, _SERIES_BLOCK[1])
-    return SeriesReport(math.fsum(block_sums), terms_used=n, tail_bound=bound, converged=False)
 
 
 def find_roots(

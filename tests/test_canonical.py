@@ -2,10 +2,12 @@
 spectral parts of Z.
 
 Oracles: closed forms at n = 1 and 2, mpmath Whittaker values, brute-force
-series summation for Z_c, and quadrature cross-checks for the degeneracies.
+series summation and 40-digit Euler-Maclaurin references for Z_c, and
+quadrature cross-checks for the degeneracies.
 """
 
 import math
+import os
 import tracemalloc
 
 import mpmath as mp
@@ -279,12 +281,13 @@ def test_zc_against_bruteforce_oracle():
     assert rep.tail_bound < 1e-12 * abs(rep.value)
 
 
-def test_zc_large_cavity_sum_within_its_bound():
-    # At r/rho 5000 the sum takes 2.8 million terms; their running sum drifts
-    # 3.1e-3 from their exact sum, beyond the 1.13e-3 truncation bound.
+@pytest.mark.parametrize("r_over_rho, coupling, eta0", [
+    (50.0, 0.01, 1.0), (1000.0, 0.0099, 1.05), (5000.0, 0.01, 1.0), (50.0, 1.0, 1.0)])
+def test_zc_sum_within_its_bound(r_over_rho, coupling, eta0):
     # Reference: Euler-Maclaurin at 40 digits on the same gamma and s0, with
-    # 63 exact terms, int_64^inf f + f(64)/2 and five Bernoulli corrections.
-    s = _scales(r_over_rho=5000.0)
+    # 63 exact terms, int_64^inf f + f(64)/2 and five Bernoulli corrections
+    # from mpmath's numerical derivatives.
+    s = _scales(coupling, eta0, r_over_rho)
     _, rep = z_continuous(s, Tolerance(rel=1e-12))
     gamma = mp.mpf(canonical._zc_damping(s))
     s0 = mp.mpf(s.coupling_stat * math.sqrt(0.5 * s.eta0))
@@ -293,13 +296,22 @@ def test_zc_large_cavity_sum_within_its_bound():
         z = s0 / n
         return n * n * mp.exp(-gamma * n * n) * (mp.exp(z * z) * mp.erfc(z) - 1)
 
+    width = 1 / mp.sqrt(gamma)  # of the Gaussian
     head = mp.fsum(f(n) for n in range(1, 64))
-    integral = mp.quad(f, [64, 1e3, 1e4, 1e5, 3e5, 1e6, 3e6, mp.inf])
+    integral = mp.quad(f, [64] + [64 + t * width for t in (0.25, 0.5, 1, 2, 3, 4, 6, 8)]
+                       + [mp.inf])
     corrections = mp.fsum(mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.diff(f, 64, 2 * j - 1)
                           for j in range(1, 6))
     reference = head + integral + f(64) / 2 - corrections
-    assert rep.converged and rep.terms_used == 2_793_272
-    assert abs(rep.value - reference) <= rep.tail_bound
+    assert rep.converged and rep.terms_used == 64
+    assert abs(rep.value - reference) <= rep.tail_bound <= 1e-12 * abs(rep.value)
+
+
+def test_zc_refuses_an_overflowing_bracket():
+    # e^{s0^2} in f(1) overflows past s0^2 = 709: refused with one line
+    # before the ceil(64 s0)-term head is formed
+    with pytest.raises(DomainError, match=r"s0 = 31\.6228"):
+        z_continuous(_scales(coupling=1.0, eta0=2000.0))
 
 
 def test_zc_requires_positive_scales():
@@ -464,6 +476,16 @@ def test_partition_assembles_both_parts():
     assert result.z_total == result.z_c + result.z_d
     assert result.terms_c.converged and result.terms_d.converged
     assert result.per_level_d
+
+
+def test_partition_runs_in_one_process(monkeypatch, always_fork):
+    # with beside's floor at 0 (and two CPUs), neither part is forked
+    def fork():
+        pytest.fail("partition called os.fork")
+
+    monkeypatch.setattr(os, "fork", fork)
+    result = partition(_scales(r_over_rho=1000.0))
+    assert result.terms_c.converged and result.terms_d.converged
 
 
 # ---------------------------------------------------------------------------

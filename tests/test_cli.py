@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from kg5d import canonical, numerics
+from kg5d import canonical, numerics, reduction
 from kg5d.cli import main
 from kg5d.errors import NonConvergenceError
 from kg5d.geometry import projected_peak_bytes
@@ -402,8 +402,9 @@ def test_artifacts_independent_of_thread_count(tmp_path, argv, names):
      ("verify_reduction.csv", "verify_reduction.json")),
 ], ids=["partition", "figure1", "verify-reduction"])
 def test_artifacts_independent_of_cpu_count(tmp_path, argv, names):
-    # Pinned to one CPU every half runs inline; on two, one half of each of
-    # these runs in a forked worker (sizes above numerics._BESIDE_FLOOR_S).
+    # Pinned to one CPU every half runs inline; on two, one half of figure1
+    # and of verify-reduction runs in a forked worker (sizes above
+    # numerics._BESIDE_FLOOR_S).  partition runs in one process either way.
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     cpus = sorted(os.sched_getaffinity(0))
@@ -418,16 +419,16 @@ def test_artifacts_independent_of_cpu_count(tmp_path, argv, names):
 
 @pytest.mark.parametrize("floor", [0.0, math.inf], ids=["forked", "inline"])
 def test_worker_error_exits_with_its_code_and_one_line(tmp_path, monkeypatch, capsys, floor):
-    # Z_c runs in the worker's half of partition; its error reaches the CLI
-    # as if raised here.
-    def fail(scales, tol):
-        raise NonConvergenceError("Z_c correction sum did not converge", estimate=1.0)
+    # The norm stream runs in the worker's half of verify-reduction; its
+    # error reaches the CLI as if raised here.
+    def fail(psi0, lhat, c, steps):
+        raise NonConvergenceError("norm stream did not converge", estimate=1.0)
 
     monkeypatch.setattr(numerics, "_BESIDE_FLOOR_S", floor)
-    monkeypatch.setattr(canonical, "z_continuous", fail)
-    rc = main(["partition", "--r-over-rho", "50", "--output-dir", str(tmp_path)])
+    monkeypatch.setattr(reduction, "_norms", fail)
+    rc = main(["verify-reduction", "--output-dir", str(tmp_path)])
     assert rc == 3
-    assert capsys.readouterr().err == "non-convergence: Z_c correction sum did not converge\n"
+    assert capsys.readouterr().err == "non-convergence: norm stream did not converge\n"
     assert not list(tmp_path.iterdir())
 
 

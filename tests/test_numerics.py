@@ -1,7 +1,7 @@
-"""Numerical kernel tests: quadrature, series, roots, stencils.
+"""Numerical kernel tests: quadrature, roots, stencils, the forked worker.
 
-Oracles: closed forms, brute-force summation, math.fsum, mpmath's incomplete
-gamma, and scipy.integrate.quad as an independent quadrature implementation.
+Oracles: closed forms, mpmath's incomplete gamma, and scipy.integrate.quad
+as an independent quadrature implementation.
 """
 
 import math
@@ -28,7 +28,6 @@ from kg5d.errors import (
     NonConvergenceError,
     OrderFitError,
     QuadratureError,
-    SeriesBoundError,
     StencilError,
     WorkerError,
 )
@@ -40,7 +39,6 @@ from kg5d.numerics import (
     find_roots,
     fit_convergence_order,
     integrate,
-    sum_series,
 )
 
 
@@ -238,128 +236,6 @@ def test_integrate_batch_non_finite_integrand(monkeypatch):
         canonical._trapped_levels([1, 2], 150.0, Tolerance(rel=1e-12))
     assert str(info.value) == f"integrand not finite at x={bad['x']!r} in level 2"
     assert isinstance(info.value, Kg5dError) and isinstance(info.value, ValueError)
-
-
-# ---------------------------------------------------------------------------
-# sum_series
-# ---------------------------------------------------------------------------
-
-def test_sum_series_zeta3():
-    # Oracle: brute-force partial sum of 1/n^3 to 1e6 terms (plus its own
-    # integral-test tail bound, ~5e-13).
-    brute = float(np.sum(1.0 / np.arange(1, 1_000_001, dtype=float) ** 3))
-    rep = sum_series(lambda n: 1.0 / n**3, lambda n: 0.5 / n**2,
-                     Tolerance(rel=0.0, abs=1e-9, max_iter=10**6))
-    assert rep.converged
-    assert abs(rep.value - brute) < 1e-6
-
-
-def test_sum_series_zero_terms():
-    rep = sum_series(lambda n: np.zeros(n.shape), lambda n: np.zeros(n.shape),
-                     Tolerance(rel=1e-10))
-    assert rep.value == 0.0 and rep.terms_used == 1 and rep.converged
-
-
-def test_sum_series_ratio_bounded():
-    # term n^2 e^{-n}; oracle by direct summation (equals x(1+x)/(1-x)^3).
-    x = math.exp(-1.0)
-    closed = x * (1.0 + x) / (1.0 - x) ** 3
-    brute = sum(k * k * math.exp(-k) for k in range(1, 400))
-    assert abs(brute - closed) < 1e-12
-
-    def tail(n):
-        # for k > n: k^2 e^{-k} <= (n+1)^2 e^{-(n+1)} * sum of e-ratio decay
-        t = (n + 1) ** 2 * np.exp(-(n + 1.0))
-        ratio = math.exp(-1.0) * ((n + 2) / (n + 1)) ** 2
-        return t / (1.0 - ratio)
-
-    rep = sum_series(lambda n: n * n * np.exp(-n.astype(float)), tail,
-                     Tolerance(rel=0.0, abs=1e-9))
-    assert rep.converged
-    assert abs(rep.value - closed) < 1e-6
-
-
-def test_sum_series_budget_exhaustion():
-    rep = sum_series(lambda n: 1.0 / n**3, lambda n: 0.5 / n**2,
-                     Tolerance(rel=0.0, abs=1e-12, max_iter=50))
-    assert not rep.converged
-    assert rep.terms_used == 50
-    assert rep.tail_bound > 1e-12
-
-
-def test_sum_series_monotone_refinement():
-    # Tightening the tolerance never moves the value by more than the
-    # previously reported tail bound.
-    term = lambda n: 1.0 / n**4
-    tail = lambda n: 1.0 / (3.0 * n**3)
-    loose = sum_series(term, tail, Tolerance(rel=0.0, abs=1e-4))
-    tight = sum_series(term, tail, Tolerance(rel=0.0, abs=1e-12))
-    assert abs(tight.value - loose.value) <= loose.tail_bound
-
-
-@pytest.mark.parametrize("tol", [Tolerance(rel=1e-3), Tolerance(rel=1e-9),
-                                 Tolerance(rel=0.0, abs=1e-10, max_iter=100_000),
-                                 Tolerance(rel=1e-14, max_iter=70)])
-def test_sum_series_is_the_running_sum(tol):
-    # Oracle: the term-by-term loop the stop rule describes.  Block
-    # evaluation must stop at the same first n with the same bound, and
-    # report the sum of the accepted terms to 1e-15 (math.fsum), free of the
-    # running sum's rounding.
-    term = lambda n: ((n % 7) - 3.0) / (n * n)
-    tail = lambda n: 3.0 / n.astype(float)
-    s, n, bound = 0.0, 0, math.inf
-    while n < tol.max_iter:
-        n += 1
-        s += ((n % 7) - 3.0) / (n * n)
-        bound = 3.0 / n
-        if bound <= tol.threshold(s):
-            break
-    rep = sum_series(term, tail, tol)
-    assert (rep.terms_used, rep.tail_bound) == (n, bound)
-    assert rep.converged == (bound <= tol.threshold(s))
-    exact = math.fsum(((k % 7) - 3.0) / (k * k) for k in range(1, n + 1))
-    assert abs(rep.value - exact) <= 1e-15 * abs(exact)
-
-
-# (term, tail bound by the integral test, exact sum, tightest rel tried)
-_KNOWN_SERIES = {
-    "1/n^2": (lambda n: 1.0 / n**2, lambda n: 1.0 / n, math.pi**2 / 6, 1e-4),
-    "1/n^4": (lambda n: 1.0 / n**4, lambda n: 1.0 / (3.0 * n**3), math.pi**4 / 90, 1e-10),
-}
-
-
-@settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(sorted(_KNOWN_SERIES)), scale=st.floats(0.0, 1.0))
-def test_sum_series_bound_covers_remainder_power_series(name, scale):
-    # The reported bound is at least the true remainder of the reported
-    # partial sum; the oracle sums the same terms exactly rounded.
-    term, tail, exact, tightest = _KNOWN_SERIES[name]
-    rel = tightest ** (1.0 - scale) * 1e-1 ** scale
-    rep = sum_series(term, tail, Tolerance(rel=rel, max_iter=100_000))
-    assert rep.converged
-    n = np.arange(1, rep.terms_used + 1, dtype=float)
-    partial = math.fsum(term(n).tolist())
-    assert abs(rep.value - partial) <= rep.terms_used * 2**-52 * partial
-    assert exact - partial <= rep.tail_bound
-
-
-@settings(max_examples=80, deadline=None)
-@given(ratio=st.floats(0.01, 0.95), rel=st.floats(1e-14, 1e-2))
-def test_sum_series_bound_covers_remainder_geometric(ratio, rel):
-    rep = sum_series(lambda n: ratio ** n.astype(float),
-                     lambda n: ratio ** (n + 1.0) / (1.0 - ratio),
-                     Tolerance(rel=rel, max_iter=100_000))
-    assert rep.converged
-    # the bound is the remainder itself, so allow the oracle's own rounding
-    exact = ratio / (1.0 - ratio)
-    partial = math.fsum(ratio**k for k in range(1, rep.terms_used + 1))
-    assert exact - partial <= rep.tail_bound + 4 * math.ulp(exact)
-
-
-def test_sum_series_rejects_invalid_bound():
-    tail = lambda n: np.where(n < 100, 1.0 / n.astype(float), np.nan)
-    with pytest.raises(ValueError, match=r"tail_bound\(100\)"):
-        sum_series(lambda n: np.zeros(n.shape), tail, Tolerance(rel=0.0, abs=1e-6))
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +486,6 @@ def test_argument_errors_are_package_errors():
         (IntervalError, lambda: integrate(np.ones_like, 0.0, math.nan)),
         (IntervalError, lambda: find_roots(lambda x, owner: x, [1.0], [1.0])),
         (IntervalError, lambda: find_roots(lambda x, owner: x, [0.0], [1.0, 2.0])),
-        (SeriesBoundError, lambda: sum_series(lambda n: np.zeros(n.shape),
-                                              lambda n: np.full(n.shape, np.inf))),
     ]
     for kind, call in cases:
         with pytest.raises(kind) as info:
