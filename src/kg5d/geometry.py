@@ -36,16 +36,27 @@ Christoffels are built two ways (from an analytic dA table, and from finite
 differences of the metric) as a guard against transcription errors in the
 closed forms.
 
+The metric never depends on x^5, and the 5D test fields are products
+g(x^0..x^3) p(x^5), so a 5D field is held as a ``SeparatedField``: a short
+sum of 4D base arrays times 1-D x^5 profiles.  A base derivative acts on the
+g's and an x^5 derivative on the p's, so every defect is a sum
+sum_q C_q(x) q(x^5) of a few base coefficient arrays C_q times a few x^5
+profiles q (p and its finite-difference derivatives) -- the paper's own
+single-mode reduction, applied to the harness.  All finite-difference
+passes run on 4D base arrays; no n^5 array of the whole grid is formed.
+
 The grid checks stream over slabs of three x^0 planes: each slab's defect
 is computed and reduced to the maxima the caller needs before the next one,
-so no full-size 5D defect and no full-grid (5, 5) metric array is formed.
-x^0 is axis 0 of both the 4D base and the 5D field, so a slab cuts every
-phase.  A slab reads one halo plane each side (two for the light cone, where
-d_0 acts on a d_0 term), and slabs at the grid ends widen to five planes, so
-every stencil, one-sided ones at the true ends included, sees what it sees
-on the whole grid: the maxima are bit for bit those of the whole-grid
-evaluation.  Peak memory is the field plus one slab's arrays, which
-``projected_peak_bytes`` gives in closed form before a run.
+so the only 5D array is one slab's combination and no full-grid (5, 5)
+metric array is formed.  x^0 is axis 0 of the base arrays and of the 5D
+slab, so a slab cuts every phase.  A slab reads one halo plane each side
+(two for the light cone, where d_0 acts on a d_0 term), and slabs at the
+grid ends widen to five planes, so every stencil, one-sided ones at the true
+ends included, sees what it sees on the whole grid: the maxima are bit for
+bit those of the whole-grid evaluation.  Peak memory is the base arrays of
+the field plus one slab's arrays, the (5, 5) metric arrays of the base
+Christoffel phase being the largest; ``projected_peak_bytes`` gives it in
+closed form before a run.
 
 All evaluations are pure; residual norms do not depend on how grid work is
 partitioned.
@@ -61,7 +72,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, GaugeError
 from .numerics import fd_derivative, fit_convergence_order
-from .reduction import GridField, field_derivative
+from .reduction import GridField, field_derivative, grid_axes
 
 _ETA4 = np.diag([-1.0, 1.0, 1.0, 1.0])
 _ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -279,22 +290,77 @@ def expected_contractions(A: Potential, q_over_c2: float, point) -> ChristoffelC
 # Grid-level operator identities
 # ---------------------------------------------------------------------------
 
-def _grid_coords(field: GridField, rows=None):
-    """Sparse broadcastable coordinate arrays for the four base axes, with
-    x^0 cut to the rows [lo, hi) when ``rows`` is given."""
+@dataclass(frozen=True)
+class SeparatedField:
+    """A 5D field held as sum_k g_k(x^0..x^3) p_k(x^5), never as n^5 values.
+
+    ``bases`` stacks the 4D base arrays g_k, shape (K, n0, n1, n2, n3);
+    ``profiles`` stacks the x^5 profiles p_k, shape (K, n5).  ``step`` and
+    ``origin`` have five entries, x^5 last, and ``boundary`` is as for
+    ``GridField``.  A derivative along x^0..x^3 acts on the g_k alone, one
+    along x^5 on the p_k alone.
+    """
+
+    bases: np.ndarray
+    profiles: np.ndarray
+    step: tuple
+    origin: tuple = ()
+    boundary: str = "absorbing"
+
+    def __post_init__(self):
+        bases, profiles = np.asarray(self.bases), np.asarray(self.profiles)
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "profiles", profiles)
+        if bases.ndim != 5 or profiles.ndim != 2 or len(bases) != len(profiles) or not len(bases):
+            raise ConfigurationError(
+                "a separated field needs bases (K, n0, n1, n2, n3) and profiles (K, n5), K >= 1")
+        step, origin = grid_axes(self.step, self.origin, 5, self.boundary)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "origin", origin)
+        if not (np.all(np.isfinite(bases)) and np.all(np.isfinite(profiles))):
+            raise ConfigurationError("field values must be finite")
+
+    @property
+    def shape(self) -> tuple:
+        """The 5D grid shape (n0, n1, n2, n3, n5)."""
+        return self.bases.shape[1:] + self.profiles.shape[1:]
+
+    def coords(self, axis: int) -> np.ndarray:
+        return self.origin[axis] + self.step[axis] * np.arange(self.shape[axis])
+
+
+def _grid_coords(field, rows=None):
+    """Sparse broadcastable coordinate arrays for the four base axes of a
+    ``GridField`` or ``SeparatedField``, with x^0 cut to the rows [lo, hi)
+    when ``rows`` is given."""
     coords = []
     for ax in range(4):
         c = field.coords(ax)
         if ax == 0 and rows is not None:
             c = c[rows[0]:rows[1]]
-        shape = [1] * min(field.values.ndim, 4)
+        shape = [1] * 4
         shape[ax] = -1
         coords.append(c.reshape(shape))
     return tuple(coords)
 
 
-# x^0 planes whose defect one slab computes.  x^0 is axis 0 of both the 4D
-# base arrays and the 5D field, so one slab cuts every phase of a check.
+def _combined(pairs) -> np.ndarray:
+    """|sum_q C_q (x) q| from (base array, x^5 profile) pairs, x^5 last.
+
+    This is where a slab's 5D defect is formed: one array of the slab's size
+    and one temporary, added pair by pair in the given order.
+    """
+    (c, q), *rest = pairs
+    out = np.multiply(c[..., None], q)
+    tmp = np.empty_like(out)
+    for c, q in rest:
+        np.multiply(c[..., None], q, out=tmp)
+        out += tmp
+    return np.abs(out, out=out)
+
+
+# x^0 planes whose defect one slab computes.  x^0 is axis 0 of the 4D base
+# arrays and of a slab's 5D defect, so one slab cuts every phase of a check.
 _SLAB_PLANES = 3
 
 
@@ -342,13 +408,14 @@ def _defect_maxima(defect: Callable, n0: int, index_sets) -> list:
     return [float(b) for b in best]
 
 
-def _christoffel_contraction_field(field: GridField, A: Potential, q_over_c2: float,
+def _christoffel_contraction_field(field, A: Potential, q_over_c2: float,
                                    rows=None):
     """h^{AB} Gamma^C_{AB} on the 4D base grid, shape (5,) + base grid.
 
-    With ``rows = (lo, hi)`` only the x^0 rows [lo, hi) of the base are
-    returned, and only the metric on those rows and one halo plane each side
-    is built.
+    ``field`` supplies the base grid alone: a ``SeparatedField`` or a 4D
+    ``GridField``.  With ``rows = (lo, hi)`` only the x^0 rows [lo, hi) of
+    the base are returned, and only the metric on those rows and one halo
+    plane each side is built.
 
     Contracting Gamma^C_{AB} = h^{CD}(d_A h_{DB} + d_B h_{DA} - d_D h_{AB})/2
     with the symmetric h^{AB} leaves h^{CD} v_D, where
@@ -359,7 +426,7 @@ def _christoffel_contraction_field(field: GridField, A: Potential, q_over_c2: fl
     one direction rho at a time (d_5 = 0), so only one (5, 5) slice of it is
     held and the full Christoffel table is never formed.
     """
-    n0 = field.values.shape[0]
+    n0 = field.coords(0).size
     lo, hi = (0, n0) if rows is None else rows
     start, stop = _haloed((lo, hi), n0, 1)
     cut = slice(lo - start, hi - start)
@@ -378,9 +445,9 @@ def _christoffel_contraction_field(field: GridField, A: Potential, q_over_c2: fl
     return np.einsum("cd...,d...->c...", h_inv, v)
 
 
-def _check_laplacian_inputs(field: GridField, A: Potential) -> None:
-    if field.values.ndim != 5:
-        raise DomainError("covariant Laplacian check needs a 5D field")
+def _check_laplacian_inputs(field: SeparatedField, A: Potential) -> None:
+    if not isinstance(field, SeparatedField):
+        raise DomainError("covariant Laplacian check needs a 5D SeparatedField")
     if A.gauge != "lorentz":
         raise GaugeError(f"Lorentz gauge required, potential declares {A.gauge!r}")
 
@@ -389,7 +456,7 @@ def _check_laplacian_inputs(field: GridField, A: Potential) -> None:
 _GAUGE_TOL = 1e-8
 
 
-def _lorentz_guard(field: GridField, A: Potential) -> None:
+def _lorentz_guard(field: SeparatedField, A: Potential) -> None:
     """Refuse a potential whose divergence is not zero on the field's grid.
 
     The test is max|d_mu A^mu| <= _GAUGE_TOL * max(max|A|, 1) over the whole
@@ -397,7 +464,7 @@ def _lorentz_guard(field: GridField, A: Potential) -> None:
     """
     _check_laplacian_inputs(field, A)
     div_max = a_max = None
-    for rows in _slab_rows(field.values.shape[0]):
+    for rows in _slab_rows(field.shape[0]):
         coords = _grid_coords(field, rows)
         d = np.max(np.abs(A.divergence(coords)))
         a = np.max(np.abs(A.components(coords)))
@@ -407,7 +474,7 @@ def _lorentz_guard(field: GridField, A: Potential) -> None:
         raise GaugeError("potential violates the Lorentz gauge numerically")
 
 
-def _laplacian_defect_field(field: GridField, A: Potential, q_over_c2: float,
+def _laplacian_defect_field(field: SeparatedField, A: Potential, q_over_c2: float,
                             rows=None) -> np.ndarray:
     """|-h^{AB} Gamma^C_{AB} d_C f - (d_mu N^mu) d_5 f| on the x^0 rows [lo, hi).
 
@@ -415,40 +482,42 @@ def _laplacian_defect_field(field: GridField, A: Potential, q_over_c2: float,
     operator h^{AB}(d_A d_B - Gamma^C_{AB} d_C) f minus the expanded operator
     of ``covariant_laplacian_residual``: the second-order parts of the two are
     the same terms and cancel exactly, so only the first-order parts are
-    evaluated.  d_0 f is taken on the rows plus one halo plane each side, the
+    evaluated.  For each term g p of the field that is
+    (sum_mu c_mu d_mu g) (x) p + (c_5 g) (x) d_5 p, with c the coefficients
+    above: d_0 g is taken on the rows plus one halo plane each side, the
     other derivatives on the rows alone.  The numerical Lorentz-gauge test
     needs the whole grid and is left to the callers (``_lorentz_guard``).
     """
     _check_laplacian_inputs(field, A)
-    n0 = field.values.shape[0]
+    n0 = field.shape[0]
     lo, hi = (0, n0) if rows is None else rows
     coef = _christoffel_contraction_field(field, A, q_over_c2, (lo, hi))
     # h^{AB} Gamma^5_{AB} + d_mu N^mu, with the analytic divergence
     coef[4] += -q_over_c2 * np.asarray(A.divergence(_grid_coords(field, (lo, hi))))
-    f = field.values
     start, stop = _haloed((lo, hi), n0, 1)
-    kept = f[lo:hi]
-    defect = np.zeros(kept.shape, dtype=np.result_type(f.dtype, float))
-    for cc in range(5):
-        if cc == 0:
-            d = fd_derivative(f[start:stop], 0, 1, field.step[0])[lo - start:hi - start]
-        else:
-            d = fd_derivative(kept, cc, 1, field.step[cc])
-        d *= coef[cc][..., None]
-        defect -= d
-    return np.abs(defect, out=defect)
+    h = field.step
+    pairs = []
+    for g, p in zip(field.bases, field.profiles):
+        base = fd_derivative(g[start:stop], 0, 1, h[0])[lo - start:hi - start]
+        base *= coef[0]
+        for mu in range(1, 4):
+            d = fd_derivative(g[lo:hi], mu, 1, h[mu])
+            d *= coef[mu]
+            base += d
+        pairs += [(base, p), (coef[4] * g[lo:hi], fd_derivative(p, 0, 1, h[4]))]
+    return _combined(pairs)
 
 
-def _laplacian_defect_maxima(field: GridField, A: Potential, q_over_c2: float,
+def _laplacian_defect_maxima(field: SeparatedField, A: Potential, q_over_c2: float,
                              index_sets) -> list:
     """Gauge-guarded maxima of the Laplacian defect over each index set."""
     _lorentz_guard(field, A)
     return _defect_maxima(lambda rows: _laplacian_defect_field(field, A, q_over_c2, rows),
-                          field.values.shape[0], index_sets)
+                          field.shape[0], index_sets)
 
 
 def covariant_laplacian_residual(
-    field: GridField, A: Potential, q_over_c2: float,
+    field: SeparatedField, A: Potential, q_over_c2: float,
     *, margin: int = 2,
 ) -> float:
     """Max-norm defect between the covariant Laplacian and the expanded operator.
@@ -544,7 +613,7 @@ def kg_fourier_residual(
 # ---------------------------------------------------------------------------
 
 def lightcone_em_expansion_residual(
-    field: GridField, A: Potential, q_over_c2: float,
+    field: SeparatedField, A: Potential, q_over_c2: float,
     *, gauge: str = "coulomb", margin: int = 2,
 ) -> float:
     """Factored operator versus its light-cone expansion, max-norm defect.
@@ -564,23 +633,32 @@ def lightcone_em_expansion_residual(
     """
     inner = tuple(slice(margin, -margin) for _ in range(5))
     return _defect_maxima(lambda rows: _lightcone_defect_field(field, A, q_over_c2, gauge, rows),
-                          field.values.shape[0], [inner])[0]
+                          field.shape[0], [inner])[0]
 
 
-def _lightcone_defect_field(field: GridField, A: Potential, q_over_c2: float,
+def _lightcone_defect_field(field: SeparatedField, A: Potential, q_over_c2: float,
                             gauge: str = "coulomb", rows=None) -> np.ndarray:
     """|composition - expansion| of the light-cone operator on the x^0 rows [lo, hi).
 
-    ``rows`` defaults to the whole grid.  d_0 is applied to a d_0 term, so
+    ``rows`` defaults to the whole grid.  For a term g p of the field, with
+    D the first-order, D2 the second-order stencil and a2 = eta^{mu nu} a_mu a_nu,
+    the second-order terms of the two sides cancel exactly and the
+    difference is
+
+        [sum_mu eta^{mu mu} (D_mu D_mu g - D2_mu g)] (x) p
+        + [sum_mu eta^{mu mu} (a_mu D_mu g - D_mu(a_mu g)) + (D_mu a^mu) g] (x) D_5 p
+        + (a2 g) (x) (D_5 D_5 p - D2_5 p),
+
+    three product-rule commutators: composed against direct second
+    derivatives, and D a g against a D g.  d_0 is applied to a d_0 term, so
     the x^0 derivatives are taken on the rows plus two halo planes each side;
-    every other derivative runs on the rows alone.  Each distinct
-    finite-difference pass is taken once and reused.
+    every other derivative runs on the rows alone.
     """
-    if field.values.ndim != 5:
-        raise DomainError("light-cone expansion check needs a 5D field")
+    if not isinstance(field, SeparatedField):
+        raise DomainError("light-cone expansion check needs a 5D SeparatedField")
     if A.gauge != gauge:
         raise GaugeError(f"potential declares gauge {A.gauge!r}, expected {gauge!r}")
-    n0 = field.values.shape[0]
+    n0 = field.shape[0]
     lo, hi = (0, n0) if rows is None else rows
     start, stop = _haloed((lo, hi), n0, 2)
     cut = slice(lo - start, hi - start)
@@ -589,67 +667,36 @@ def _lightcone_defect_field(field: GridField, A: Potential, q_over_c2: float,
     a_halo = np.ascontiguousarray(np.broadcast_to(
         q_over_c2 * A.components(coords), (4,) + base))
     a = a_halo[:, cut]
-
-    f_halo = field.values[start:stop]
-    f = f_halo[cut]
     h = field.step
-
-    def up(x):
-        return np.asarray(x)[..., None]
 
     def d(values, ax, order=1):
         return fd_derivative(values, ax, order, h[ax])
 
-    d0_halo = d(f_halo, 0)
-    d5_halo = d(f_halo, 4)
-    d0, d5 = d0_halo[cut], d5_halo[cut]
-    d55 = d(f, 4, 2)
-
-    # The sums below are accumulated in place, term by term in the order of
-    #   lhs = -(d_0 g_0 - a_0 d_5 g_0) + d_5^2 f + sum_j [d_j g_j - a_j d_5 g_j],
-    #         g_mu = d_mu f - a_mu d_5 f,
-    #   rhs = (d_5^2 f - d_0^2 f) + 2 a_0 d_5 d_0 f - a_0^2 d_5^2 f
-    #         + sum_j [d_j^2 f - 2 a_j d_5 d_j f + a_j^2 d_5^2 f] - (d_mu a^mu) d_5 f,
-    # so each point gets the bits of the plain expression with fewer
-    # temporaries.
-    g0_halo = up(a_halo[0]) * d5_halo
-    np.subtract(d0_halo, g0_halo, out=g0_halo)
-    lhs = d(g0_halo[cut], 4)
-    lhs *= up(a[0])
-    np.subtract(d(g0_halo, 0)[cut], lhs, out=lhs)
-    np.negative(lhs, out=lhs)
-    lhs += d55
-    rhs = d55 - d(f_halo, 0, 2)[cut]
-    term = d(d0, 4)
-    term *= 2.0 * up(a[0])
-    rhs += term
-    np.multiply(up(a[0] ** 2), d55, out=term)
-    rhs -= term
+    div = d(a_halo[0], 0)[cut]
+    np.negative(div, out=div)
+    a2 = -a[0] ** 2
     for j in range(1, 4):
-        dj = d(f, j)
-        gj = up(a[j]) * d5
-        np.subtract(dj, gj, out=gj)
-        lhs += d(gj, j)
-        term = d(gj, 4)
-        term *= up(a[j])
-        lhs -= term
-        rhs += d(f, j, 2)
-        term = d(dj, 4)
-        term *= 2.0 * up(a[j])
-        rhs -= term
-        np.multiply(up(a[j] ** 2), d55, out=term)
-        rhs += term
-    div = np.zeros(a.shape[1:])
-    for mu in range(4):
-        if mu == 0:
-            d_mu = fd_derivative(a_halo[0], 0, 1, h[0])[cut]
-        else:
-            d_mu = fd_derivative(a[mu], mu, 1, h[mu])
-        div = div + _ETA_DIAG[mu] * d_mu
-    np.multiply(up(div), d5, out=term)
-    rhs -= term
-    np.subtract(lhs, rhs, out=lhs)
-    return np.abs(lhs, out=lhs)
+        div += d(a[j], j)
+        a2 += a[j] ** 2
+    pairs = []
+    for g_halo, p in zip(field.bases[:, start:stop], field.profiles):
+        g = g_halo[cut]
+        d0_halo = d(g_halo, 0)
+        c_p = d(g_halo, 0, 2)[cut]
+        c_p -= d(d0_halo, 0)[cut]
+        c_1 = d(a_halo[0] * g_halo, 0)[cut]
+        c_1 -= a[0] * d0_halo[cut]
+        c_1 += div * g
+        for j in range(1, 4):
+            dj = d(g, j)
+            c_p += d(dj, j)
+            c_p -= d(g, j, 2)
+            c_1 += a[j] * dj
+            c_1 -= d(a[j] * g, j)
+        p1 = fd_derivative(p, 0, 1, h[4])
+        pairs += [(c_p, p), (c_1, p1),
+                  (a2 * g, fd_derivative(p1, 0, 1, h[4]) - fd_derivative(p, 0, 2, h[4]))]
+    return _combined(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +738,16 @@ _FLAT_TOL = 1e-12
 _IDENTITY_TOL = 1e-8
 
 
-def _test_field_5d(size: int) -> GridField:
-    """Smooth 5D field on [0, _EXTENT]^5, a product of 1-D factors, for the operator checks."""
+def _test_field_5d(size: int) -> SeparatedField:
+    """Smooth 5D field on [0, _EXTENT]^5 for the operator checks: one term,
+    a product of 1-D factors in x^0..x^3 times the x^5 profile."""
     step = _EXTENT / (size - 1)
-    axes = [np.arange(size) * step for _ in range(5)]
-    x0, x1, x2, x3, x5 = np.meshgrid(*axes, indexing="ij", sparse=True)
-    values = (np.sin(1.3 * x0 + 0.2) * np.cos(0.9 * x1 - 0.4) * np.sin(1.1 * x2)
-              * np.cos(0.7 * x3 + 0.1) * (1.0 + 0.5 * np.sin(1.7 * x5)))
-    return GridField(values=values, step=(step,) * 5, boundary="absorbing")
+    x = np.arange(size) * step
+    x0, x1, x2, x3 = np.meshgrid(x, x, x, x, indexing="ij", sparse=True)
+    base = (np.sin(1.3 * x0 + 0.2) * np.cos(0.9 * x1 - 0.4) * np.sin(1.1 * x2)
+            * np.cos(0.7 * x3 + 0.1))
+    profile = 1.0 + 0.5 * np.sin(1.7 * x)
+    return SeparatedField(bases=base[None], profiles=profile[None], step=(step,) * 5)
 
 
 def _laplacian_sizes(sizes) -> list:
@@ -717,10 +766,10 @@ def _laplacian_ladder(lap_sizes, A: Potential):
     margin-2 interior maxima, and the zero-potential residual on the half
     grid's field.  With A = 0 the metric is constant, its entries 0 and +-1,
     so every stencil of that defect returns exactly 0 at any grid size; the
-    half grid costs a 25th of the finest, and the quarter grid's margin-2
-    interior can be a single point.  Each rung builds its field in turn and
-    drops it before the next, and each defect is streamed in x^0 slabs, so
-    only one field is held at full size.
+    half grid costs under a tenth of the finest, and the quarter grid's margin-2
+    interior can be a single point.  Each rung builds its separated field
+    in turn and drops it before the next, and each defect is streamed in
+    x^0 slabs.
     """
     steps, resid, interior = [], [], []
     coarse_n, half = lap_sizes[0], lap_sizes[1]
@@ -742,19 +791,20 @@ def _laplacian_ladder(lap_sizes, A: Potential):
 def projected_peak_bytes(sizes) -> int:
     """Bytes ``verify_geometry(sizes)`` allocates at its peak, in closed form.
 
-    The Laplacian ladder holds one field at a time, the finest last, 8 n^5
-    bytes on an n^5 grid.  While a field is built, its finiteness mask (one
-    byte a point) is live too; while its defect is streamed (on the half
-    grid, the flat-space residual too), one x^0 slab's arrays are, on the
-    finest grid at most 700 base planes of n^3 doubles (the (5, 5) metric
-    arrays on the slab's haloed planes) and 12 planes of n^4 doubles (the 5D
-    derivatives).
-    The Fourier check afterwards holds a few complex and real arrays on the
-    first size's 4D grid, at most 128 bytes a point.  The test suite checks
-    the bound against tracemalloc.
+    The Laplacian ladder holds one field at a time, the finest last: its 4D
+    base array, n^4 doubles on an n^5 grid, and an x^5 profile.  While its
+    defect is streamed (on the half grid, the flat-space residual too), the
+    previous slab's defect and the part of it an index set took, at most
+    6 n^4 doubles, are live beside the next slab's arrays: at most 700 base
+    planes of n^3 doubles in the Christoffel phase (the (5, 5) metric arrays
+    on the slab's haloed planes), or the slab's 5D combination and its
+    temporary, 6 n^4 doubles.  No term grows as n^5.  The Fourier check
+    afterwards holds a few complex and real arrays on the first size's 4D
+    grid, at most 128 bytes a point.  The test suite checks the bound
+    against tracemalloc.
     """
     n = _laplacian_sizes(sizes)[-1]
-    ladder = 8 * n**5 + max(n**5, 8 * n**3 * (700 + 12 * n))
+    ladder = 8 * n**3 * (7 * n + max(700, 6 * n))
     fourier = 128 * int(sizes[0]) ** 4
     return max(ladder, fourier)
 

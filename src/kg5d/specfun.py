@@ -341,13 +341,16 @@ def erfcx_minus_one(s):
                               - (2/sqrt(pi)) sum_{k>=0} 2^k s^{2k+1}/(2k+1)!!
 
     is summed instead, to full double accuracy.  Each element leaves the
-    series at its own first negligible term.  A scalar argument gives a float.
+    series at its own first negligible term.  Past |s| ~ 26.64, where e^{s^2}
+    overflows a double, s > 0 takes the asymptotic series of erfcx and
+    s < 0, whose value overflows too, raises ``DomainError``.  A scalar
+    argument gives a float.
     """
     arr = np.asarray(s, dtype=float)
     flat = arr.ravel()
     out = np.empty_like(flat)
     small = np.abs(flat) < 0.5
-    out[~small] = [math.exp(v * v) * math.erfc(v) - 1.0 for v in flat[~small].tolist()]
+    out[~small] = [_erfcx_minus_one_product(v) for v in flat[~small].tolist()]
     idx = np.flatnonzero(small)
     s2 = flat[idx] * flat[idx]
     odd_term = 2.0 * flat[idx] / _SQRT_PI
@@ -367,6 +370,33 @@ def erfcx_minus_one(s):
                 break
     out[idx] = acc
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _erfcx_minus_one_product(v: float) -> float:
+    """e^{v^2} erfc(v) - 1 from the product of the two factors, or, where
+    e^{v^2} overflows (v^2 > ~709.78), from the asymptotic series
+
+        e^{v^2} erfc(v) = (1 / (v sqrt(pi))) sum_{k>=0} (-1)^k (2k-1)!! / (2v^2)^k,
+
+    summed to its first term below 1e-17 of the sum: there 2v^2 > 1419, so
+    the k-th term is (2k-1)/(2v^2) < 1/100 of the one before it over the
+    eight or so terms that takes."""
+    try:
+        scale = math.exp(v * v)
+    except OverflowError:
+        scale = math.inf
+    if scale != math.inf:
+        return scale * math.erfc(v) - 1.0
+    if v < 0:
+        raise DomainError(f"e^(s^2) erfc(s) overflows a double at s = {v!r} (s < -26.64)")
+    ratio = 0.5 / (v * v)
+    term = acc = 1.0
+    k = 1
+    while abs(term) >= 1e-17 * acc:
+        term *= -(2 * k - 1) * ratio
+        acc += term
+        k += 1
+    return acc / (v * _SQRT_PI) - 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ def test_zc_against_bruteforce_oracle():
     eps = s.coupling_stat
     n = np.arange(1, 200_001, dtype=float)
     sval = eps * math.sqrt(0.5 * s.eta0) / n
-    brace = np.array([canonical.erfcx_minus_one(v) for v in sval[:40_000]])
+    brace = canonical.erfcx_minus_one(sval[:40_000])
     terms = n[:40_000] ** 2 * np.exp(-gamma * n[:40_000] ** 2) * brace
     brute = float(np.sum(terms))
     ideal = s.V * math.exp(-s.eta0) / (s.Lambda**3 * (2.0 * math.pi * s.eta0) ** 1.5)

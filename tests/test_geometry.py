@@ -6,6 +6,7 @@ dual-path Christoffels (analytic vs finite-difference), and convergence-order
 fits on nested grids.
 """
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from kg5d import geometry, numerics
 from kg5d.errors import ConfigurationError, DomainError, GaugeError
 from kg5d.geometry import (
     Potential,
+    SeparatedField,
     build_metric,
     christoffel_contractions,
     coulomb_potential,
@@ -313,13 +315,24 @@ def test_laplacian_defect_peak_memory():
     assert peak <= 200 * 8 * 13**4
 
 
+def _terms(field, *terms):
+    """``field``'s grid with the given (base array, x^5 profile) terms."""
+    bases, profiles = zip(*terms)
+    return dataclasses.replace(field, bases=np.stack(bases), profiles=np.stack(profiles))
+
+
 def test_laplacian_residual_linearity():
+    # g = f rolled by 2 along x^1, plus 0.3: the roll acts on the base, the
+    # constant is a term of its own
     A = smooth_lorentz_potential()
     f = _test_field_5d(9)
-    g = f.with_values(np.roll(f.values, 2, axis=1) + 0.3)
+    base, profile = f.bases[0], f.profiles[0]
+    rolled, ones = np.roll(base, 2, axis=1), np.ones_like(profile)
+    g = _terms(f, (rolled, profile), (np.full_like(base, 0.3), ones))
     ra = covariant_laplacian_residual(f, A, Q_C2)
     rb = covariant_laplacian_residual(g, A, Q_C2)
-    combo = f.with_values(2.0 * f.values + 0.5 * g.values)
+    combo = _terms(f, (2.0 * base, profile), (0.5 * rolled, profile),
+                   (np.full_like(base, 0.15), ones))
     rc = covariant_laplacian_residual(combo, A, Q_C2)
     assert rc <= 2.0 * ra + 0.5 * rb + 1e-12
 
@@ -329,6 +342,19 @@ def test_laplacian_gauge_guard():
     bad = _random_polynomial_potential(2)  # declares gauge='none'
     with pytest.raises(GaugeError):
         covariant_laplacian_residual(f, bad, Q_C2)
+
+
+@pytest.mark.parametrize("bases, profiles, step", [
+    (np.zeros((1, 5, 5, 5)), np.zeros((1, 5)), (0.1,) * 5),
+    (np.zeros((2, 5, 5, 5, 5)), np.zeros((1, 5)), (0.1,) * 5),
+    (np.zeros((0, 5, 5, 5, 5)), np.zeros((0, 5)), (0.1,) * 5),
+    (np.zeros((1, 5, 5, 5, 5)), np.zeros((1, 5)), (0.1,) * 4),
+    (np.zeros((1, 5, 5, 5, 5)), np.zeros((1, 5)), (0.1, 0.1, 0.1, 0.1, 0.0)),
+    (np.zeros((1, 5, 5, 5, 5)), np.full((1, 5), np.nan), (0.1,) * 5),
+], ids=["3d-base", "term-counts-differ", "no-term", "four-steps", "zero-step", "nan"])
+def test_separated_field_refuses_bad_grids(bases, profiles, step):
+    with pytest.raises(ConfigurationError):
+        SeparatedField(bases=bases, profiles=profiles, step=step)
 
 
 def test_laplacian_needs_5d():
@@ -431,11 +457,11 @@ def test_kg_fourier_requires_lorentz():
 
 def _field_5d(size):
     h = 1.0 / (size - 1)
-    axes = [h * np.arange(size) for _ in range(5)]
-    x = np.meshgrid(*axes, indexing="ij", sparse=True)
-    vals = (np.sin(1.2 * x[0] + 0.1) * np.cos(0.8 * x[1]) * np.sin(x[2] - 0.2)
-            * np.cos(0.9 * x[3]) * (1.0 + 0.4 * np.sin(1.3 * x[4])))
-    return GridField(values=vals, step=(h,) * 5, boundary="absorbing")
+    axis = h * np.arange(size)
+    x = np.meshgrid(axis, axis, axis, axis, indexing="ij", sparse=True)
+    base = np.sin(1.2 * x[0] + 0.1) * np.cos(0.8 * x[1]) * np.sin(x[2] - 0.2) * np.cos(0.9 * x[3])
+    return SeparatedField(bases=base[None], profiles=(1.0 + 0.4 * np.sin(1.3 * axis))[None],
+                          step=(h,) * 5)
 
 
 def test_lightcone_flat_second_order():
@@ -497,10 +523,69 @@ def _whole_grid_contraction(field, A, q_over_c2):
     return np.einsum("cd...,d...->c...", h_inv, v)
 
 
-def _whole_grid_laplacian_defect(field, A, q_over_c2):
-    """Reference: the Laplacian defect with every array on the whole grid."""
+def _outer_sum(pairs):
+    """|sum_q C_q (x) q| as the plain expression, x^5 last."""
+    return np.abs(sum(c[..., None] * q for c, q in pairs))
+
+
+def _whole_grid_laplacian_coefficients(field, A, q_over_c2):
+    """Reference: the d_C coefficients of the Laplacian defect on the whole
+    base grid, h^{AB} Gamma^C_{AB} plus d_mu N^mu in the d_5 row."""
     coef = _whole_grid_contraction(field, A, q_over_c2)
     coef[4] += -q_over_c2 * np.asarray(A.divergence(_grid_coords(field)))
+    return coef
+
+
+def _whole_grid_laplacian_defect(field, A, q_over_c2):
+    """Reference: the separated Laplacian defect with every array on the
+    whole grid."""
+    coef = _whole_grid_laplacian_coefficients(field, A, q_over_c2)
+    h = field.step
+    pairs = []
+    for g, p in zip(field.bases, field.profiles):
+        d = [coef[mu] * fd_derivative(g, mu, 1, h[mu]) for mu in range(4)]
+        pairs += [(d[0] + d[1] + d[2] + d[3], p), (coef[4] * g, fd_derivative(p, 0, 1, h[4]))]
+    return _outer_sum(pairs)
+
+
+def _whole_grid_lightcone_defect(field, A, q_over_c2):
+    """Reference: the separated light-cone defect as the plain expression,
+    every FD pass on the whole grid."""
+    coords = _grid_coords(field)
+    base = np.broadcast(*coords).shape
+    a = np.ascontiguousarray(np.broadcast_to(q_over_c2 * A.components(coords), (4,) + base))
+    h = field.step
+
+    def d(values, ax, order=1):
+        return fd_derivative(values, ax, order, h[ax])
+
+    def d5(p, order=1):
+        return fd_derivative(p, 0, order, h[4])
+
+    div = -d(a[0], 0) + d(a[1], 1) + d(a[2], 2) + d(a[3], 3)
+    a2 = -a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2
+    pairs = []
+    for g, p in zip(field.bases, field.profiles):
+        c_p = d(g, 0, 2) - d(d(g, 0), 0)
+        c_1 = d(a[0] * g, 0) - a[0] * d(g, 0) + div * g
+        for j in range(1, 4):
+            c_p = c_p + d(d(g, j), j) - d(g, j, 2)
+            c_1 = c_1 + a[j] * d(g, j) - d(a[j] * g, j)
+        pairs += [(c_p, p), (c_1, d5(p)), (a2 * g, d5(d5(p)) - d5(p, 2))]
+    return _outer_sum(pairs)
+
+
+def _dense(field):
+    """The field's n^5 values as a GridField (test oracles only)."""
+    values = sum(g[..., None] * p for g, p in zip(field.bases, field.profiles))
+    return GridField(values=values, step=field.step, origin=field.origin,
+                     boundary=field.boundary)
+
+
+def _dense_laplacian_defect(field, A, q_over_c2):
+    """Oracle: the Laplacian defect from 5D finite differences of the dense
+    values of ``field``, as a ``GridField``."""
+    coef = _whole_grid_laplacian_coefficients(field, A, q_over_c2)
     f = field.values
     defect = np.zeros(f.shape, dtype=np.result_type(f.dtype, float))
     for cc in range(5):
@@ -508,9 +593,10 @@ def _whole_grid_laplacian_defect(field, A, q_over_c2):
     return np.abs(defect)
 
 
-def _whole_grid_lightcone_defect(field, A, q_over_c2):
-    """Reference: the light-cone defect as the plain expression, every FD
-    pass on the whole grid and repeated where the expression repeats it."""
+def _dense_lightcone_defect(field, A, q_over_c2):
+    """Oracle: the light-cone defect as the composed operator less its
+    expansion, every FD pass on the dense 5D values of ``field``, as a
+    ``GridField``, and repeated where the expression repeats it."""
     coords = _grid_coords(field)
     base = np.broadcast(*coords).shape
     a = np.ascontiguousarray(np.broadcast_to(q_over_c2 * A.components(coords), (4,) + base))
@@ -587,8 +673,9 @@ def test_lightcone_slabs_match_whole_grid(size, potential):
 
 
 def test_laplacian_residual_streams():
-    # only the field is held at full size: the parent's whole-grid defect
-    # peaked at 6.1x the field's bytes
+    # no 5D array of the whole grid is formed: the peak stays within the
+    # bytes of two dense 21^5 fields (a whole-grid defect beside a dense
+    # field took 6.1 dense fields)
     field = _test_field_5d(21)
     A = smooth_lorentz_potential()
     tracemalloc.start()
@@ -597,7 +684,52 @@ def test_laplacian_residual_streams():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * field.values.nbytes
+    assert peak <= 2 * 8 * 21**5
+
+
+def _two_terms(field):
+    """``field`` plus a second smooth term with its own base and x^5 profile."""
+    x = np.meshgrid(*[field.coords(ax) for ax in range(4)], indexing="ij", sparse=True)
+    base = (np.cos(0.6 * x[0] - 0.3) * np.sin(0.8 * x[1] + 0.5) * np.cos(1.2 * x[2])
+            * np.sin(0.5 * x[3] + 0.7))
+    return _terms(field, (field.bases[0], field.profiles[0]),
+                  (base, np.cos(2.1 * field.coords(4) - 0.3)))
+
+
+@pytest.mark.parametrize("terms", [1, 2])
+@pytest.mark.parametrize("potential", sorted(_STREAM_POTENTIALS))
+@pytest.mark.parametrize("size", [7, 9, 11])
+def test_separated_laplacian_matches_dense_5d(size, potential, terms):
+    # the separated defect against 5D finite differences of the dense values
+    A = _STREAM_POTENTIALS[potential]()
+    field = _test_field_5d(size)
+    if terms == 2:
+        field = _two_terms(field)
+    got = _laplacian_defect_field(field, A, Q_C2)
+    want = _dense_laplacian_defect(_dense(field), A, Q_C2)
+    for index in _index_sets(size):
+        assert float(np.max(got[index])) == pytest.approx(
+            float(np.max(want[index])), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("terms", [1, 2])
+@pytest.mark.parametrize("potential", sorted(_STREAM_POTENTIALS))
+@pytest.mark.parametrize("size", [7, 9, 11])
+def test_separated_lightcone_matches_dense_5d(size, potential, terms):
+    # The light-cone defect is the O(h^2) remainder of second-difference
+    # terms of size max|f|/h^2, so both evaluations round at that scale
+    # (the dense one at up to 1e-9 of its interior maxima): the maxima must
+    # agree to 1e-13 of it.
+    A = _STREAM_POTENTIALS[potential]()
+    field = _field_5d(size)
+    if terms == 2:
+        field = _two_terms(field)
+    dense = _dense(field)
+    got = _lightcone_defect_field(field, A, Q_C2, "lorentz")
+    want = _dense_lightcone_defect(dense, A, Q_C2)
+    scale = float(np.max(np.abs(dense.values))) / field.step[0] ** 2
+    for index in _index_sets(size):
+        assert abs(float(np.max(got[index])) - float(np.max(want[index]))) <= 1e-13 * scale
 
 
 def test_defect_maxima_refuses_empty_index_set():

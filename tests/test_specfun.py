@@ -428,6 +428,31 @@ def test_erfcx_minus_one_asymptote():
             1.0, abs=2.0 * s)
 
 
+def test_erfcx_minus_one_large_s_against_mpmath():
+    # past s ~ 26.64 e^{s^2} overflows; the asymptotic series keeps the
+    # value finite (it used to raise a bare OverflowError)
+    s = [27.0, 100.0, 1e4, 1e8]
+    refs = [float(mp.exp(mp.mpf(v) ** 2) * mp.erfc(mp.mpf(v)) - 1) for v in s]
+    for v, ref in zip(s, refs):
+        assert erfcx_minus_one(v) == pytest.approx(ref, rel=1e-15)
+    assert erfcx_minus_one(np.array(s)).tolist() == [erfcx_minus_one(v) for v in s]
+    assert erfcx_minus_one(math.inf) == -1.0
+
+
+def test_erfcx_minus_one_keeps_the_product_below_overflow():
+    # the asymptotic branch takes only arguments whose e^{s^2} overflows
+    for v in (0.5, 3.0, 26.6, 26.64, -3.0, -26.6, -26.64):
+        assert erfcx_minus_one(v) == math.exp(v * v) * math.erfc(v) - 1.0
+
+
+@pytest.mark.parametrize("s", [-26.65, -1e4, np.array([1.0, -27.0])])
+def test_erfcx_minus_one_refuses_overflowing_negative_s(s):
+    # e^{s^2} erfc(s) itself exceeds a double there: one line, not an OverflowError
+    with pytest.raises(DomainError) as info:
+        erfcx_minus_one(s)
+    assert "\n" not in str(info.value) and "overflows" in str(info.value)
+
+
 def test_scaled_exponent_overflow_raises_instead_of_clamping():
     # e^{-x} L^2 at x = -800 is e^{800}: the exponent used to be clipped to
     # 700, which returned a finite, wrong combination.
