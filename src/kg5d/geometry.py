@@ -72,7 +72,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, GaugeError
 from .numerics import fd_derivative, fit_convergence_order
-from .reduction import GridField, field_derivative, grid_axes
+from .reduction import GridField, field_derivative
 
 _ETA4 = np.diag([-1.0, 1.0, 1.0, 1.0])
 _ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -295,17 +295,15 @@ class SeparatedField:
     """A 5D field held as sum_k g_k(x^0..x^3) p_k(x^5), never as n^5 values.
 
     ``bases`` stacks the 4D base arrays g_k, shape (K, n0, n1, n2, n3);
-    ``profiles`` stacks the x^5 profiles p_k, shape (K, n5).  ``step`` and
-    ``origin`` have five entries, x^5 last, and ``boundary`` is as for
-    ``GridField``.  A derivative along x^0..x^3 acts on the g_k alone, one
-    along x^5 on the p_k alone.
+    ``profiles`` stacks the x^5 profiles p_k, shape (K, n5).  ``step`` has
+    five entries, x^5 last; every axis starts at 0.  A derivative along
+    x^0..x^3 acts on the g_k alone, one along x^5 on the p_k alone, with
+    fd_derivative's one-sided stencils at the grid ends.
     """
 
     bases: np.ndarray
     profiles: np.ndarray
     step: tuple
-    origin: tuple = ()
-    boundary: str = "absorbing"
 
     def __post_init__(self):
         bases, profiles = np.asarray(self.bases), np.asarray(self.profiles)
@@ -314,9 +312,10 @@ class SeparatedField:
         if bases.ndim != 5 or profiles.ndim != 2 or len(bases) != len(profiles) or not len(bases):
             raise ConfigurationError(
                 "a separated field needs bases (K, n0, n1, n2, n3) and profiles (K, n5), K >= 1")
-        step, origin = grid_axes(self.step, self.origin, 5, self.boundary)
+        step = tuple(float(h) for h in np.atleast_1d(self.step))
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "origin", origin)
+        if len(step) != 5 or not all(h > 0 for h in step):
+            raise ConfigurationError("a separated field needs five positive steps")
         if not (np.all(np.isfinite(bases)) and np.all(np.isfinite(profiles))):
             raise ConfigurationError("field values must be finite")
 
@@ -326,7 +325,7 @@ class SeparatedField:
         return self.bases.shape[1:] + self.profiles.shape[1:]
 
     def coords(self, axis: int) -> np.ndarray:
-        return self.origin[axis] + self.step[axis] * np.arange(self.shape[axis])
+        return self.step[axis] * np.arange(self.shape[axis])
 
 
 def _grid_coords(field, rows=None):

@@ -41,21 +41,6 @@ from .numerics import beside, fd_derivative, fit_convergence_order
 from .spectrum import ScaleSet
 
 
-def grid_axes(step, origin, ndim: int, boundary: str):
-    """A uniform grid's (step, origin) as float tuples of ``ndim`` entries,
-    an empty origin meaning 0 on every axis; ``ConfigurationError`` if an
-    entry is missing, a step is not positive or ``boundary`` is unknown."""
-    step = tuple(float(s) for s in np.atleast_1d(step))
-    origin = tuple(float(o) for o in np.atleast_1d(origin)) if origin else (0.0,) * ndim
-    if len(step) != ndim or len(origin) != ndim:
-        raise ConfigurationError("step/origin must have one entry per axis")
-    if any(s <= 0 for s in step):
-        raise ConfigurationError("grid steps must be positive")
-    if boundary not in ("periodic", "absorbing"):
-        raise ConfigurationError(f"unknown boundary {boundary!r}")
-    return step, origin
-
-
 @dataclass(frozen=True)
 class GridField:
     """Field sampled on a uniform grid with per-axis step and origin.
@@ -73,9 +58,16 @@ class GridField:
     def __post_init__(self):
         v = np.asarray(self.values)
         object.__setattr__(self, "values", v)
-        step, origin = grid_axes(self.step, self.origin, v.ndim, self.boundary)
+        step = tuple(float(s) for s in np.atleast_1d(self.step))
         object.__setattr__(self, "step", step)
+        origin = tuple(float(o) for o in np.atleast_1d(self.origin)) if self.origin else (0.0,) * v.ndim
         object.__setattr__(self, "origin", origin)
+        if len(step) != v.ndim or len(origin) != v.ndim:
+            raise ConfigurationError("step/origin must have one entry per axis")
+        if any(s <= 0 for s in step):
+            raise ConfigurationError("grid steps must be positive")
+        if self.boundary not in ("periodic", "absorbing"):
+            raise ConfigurationError(f"unknown boundary {self.boundary!r}")
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("field values must be finite")
 

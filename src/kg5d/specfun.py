@@ -341,10 +341,10 @@ def erfcx_minus_one(s):
                               - (2/sqrt(pi)) sum_{k>=0} 2^k s^{2k+1}/(2k+1)!!
 
     is summed instead, to full double accuracy.  Each element leaves the
-    series at its own first negligible term.  Past |s| ~ 26.64, where e^{s^2}
-    overflows a double, s > 0 takes the asymptotic series of erfcx and
-    s < 0, whose value overflows too, raises ``DomainError``.  A scalar
-    argument gives a float.
+    series at its own first negligible term.  Past s ~ 26.64, where e^{s^2}
+    overflows a double, the asymptotic series of erfcx is summed; below
+    s ~ -26.63, where the value ~ 2 e^{s^2} itself overflows, ``DomainError``
+    is raised.  A scalar argument gives a float.
     """
     arr = np.asarray(s, dtype=float)
     flat = arr.ravel()
@@ -374,7 +374,7 @@ def erfcx_minus_one(s):
 
 def _erfcx_minus_one_product(v: float) -> float:
     """e^{v^2} erfc(v) - 1 from the product of the two factors, or, where
-    e^{v^2} overflows (v^2 > ~709.78), from the asymptotic series
+    e^{v^2} overflows (v^2 > ~709.78) and v > 0, from the asymptotic series
 
         e^{v^2} erfc(v) = (1 / (v sqrt(pi))) sum_{k>=0} (-1)^k (2k-1)!! / (2v^2)^k,
 
@@ -386,9 +386,11 @@ def _erfcx_minus_one_product(v: float) -> float:
     except OverflowError:
         scale = math.inf
     if scale != math.inf:
-        return scale * math.erfc(v) - 1.0
+        product = scale * math.erfc(v)
+        if product != math.inf:
+            return product - 1.0
     if v < 0:
-        raise DomainError(f"e^(s^2) erfc(s) overflows a double at s = {v!r} (s < -26.64)")
+        raise DomainError(f"e^(s^2) erfc(s) overflows a double at s = {v!r} (below about -26.63)")
     ratio = 0.5 / (v * v)
     term = acc = 1.0
     k = 1

@@ -578,8 +578,7 @@ def _whole_grid_lightcone_defect(field, A, q_over_c2):
 def _dense(field):
     """The field's n^5 values as a GridField (test oracles only)."""
     values = sum(g[..., None] * p for g, p in zip(field.bases, field.profiles))
-    return GridField(values=values, step=field.step, origin=field.origin,
-                     boundary=field.boundary)
+    return GridField(values=values, step=field.step)
 
 
 def _dense_laplacian_defect(field, A, q_over_c2):
@@ -717,19 +716,19 @@ def test_separated_laplacian_matches_dense_5d(size, potential, terms):
 @pytest.mark.parametrize("size", [7, 9, 11])
 def test_separated_lightcone_matches_dense_5d(size, potential, terms):
     # The light-cone defect is the O(h^2) remainder of second-difference
-    # terms of size max|f|/h^2, so both evaluations round at that scale
-    # (the dense one at up to 1e-9 of its interior maxima): the maxima must
-    # agree to 1e-13 of it.
+    # terms of size max|f|/h^2, about 1e7 times its maxima, so the dense
+    # evaluation rounds at up to 9e-10 of them (the separated one is 10-100x
+    # closer to an 80-bit evaluation); 1e-8 sits just above that noise.
+    # Dropping the div g term alone moves the pure-gauge maxima by 1e-4.
     A = _STREAM_POTENTIALS[potential]()
     field = _field_5d(size)
     if terms == 2:
         field = _two_terms(field)
-    dense = _dense(field)
     got = _lightcone_defect_field(field, A, Q_C2, "lorentz")
-    want = _dense_lightcone_defect(dense, A, Q_C2)
-    scale = float(np.max(np.abs(dense.values))) / field.step[0] ** 2
+    want = _dense_lightcone_defect(_dense(field), A, Q_C2)
     for index in _index_sets(size):
-        assert abs(float(np.max(got[index])) - float(np.max(want[index]))) <= 1e-13 * scale
+        assert float(np.max(got[index])) == pytest.approx(
+            float(np.max(want[index])), rel=1e-8, abs=0.0)
 
 
 def test_defect_maxima_refuses_empty_index_set():
