@@ -30,16 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrandError, NonConvergenceError, QuadratureError
-from .numerics import _NODES, _W7, _W15, SeriesReport, Tolerance, beside, integrate
+from .numerics import _NODES, _W7, _W15, SeriesReport, Tolerance, integrate
 from .specfun import (_EULER_MACLAURIN, _combo_arrays, _combo_terms, _laguerre_ladder,
                       asymptotic_combo, bessel_j01, erfcx_minus_one, hurwitz_zeta)
 from .spectrum import ScaleSet, stat_energy
 
 _SQRT_PI = math.sqrt(math.pi)
-
-# One-core cost of a point-step of figure1's batched Laguerre recurrence
-# (x86-64, numpy 2.4), for ``beside``'s estimate.
-_POINT_STEP_S = 1e-8
 
 
 @dataclass(frozen=True)
@@ -149,22 +145,6 @@ def _density_rhat(n, rhat: np.ndarray) -> np.ndarray:
     return rhat * rhat / (2.0 * n**3) * _combo_arrays(n, rhat / n)
 
 
-def _halves(work: np.ndarray) -> np.ndarray:
-    """Mask of the items a worker takes: about half the total ``work``.
-
-    Items go, largest first, to the side with less work so far.  Item 0
-    stays with the caller, whose half runs first, so an error that every
-    item raises names the first item, as it would without the split.
-    """
-    mask = np.zeros(len(work), dtype=bool)
-    load = [0.0, 0.0]
-    for i in np.argsort(-work, kind="stable").tolist():
-        side = int(load[1] < load[0])
-        mask[i] = side
-        load[side] += float(work[i])
-    return ~mask if mask[:1].any() else mask
-
-
 def _level_panels(ns: np.ndarray, cut: np.ndarray) -> np.ndarray:
     """Edges of the panels that levels ``ns`` share on their domains [0, cut_n].
 
@@ -248,9 +228,8 @@ def trapped_degeneracies(ns, rhat_max: float, tol: Tolerance) -> np.ndarray:
 def figure1_curves(n_list, r_grid) -> list[DensityCurve]:
     """Rescaled density curves for several n on a common r grid (r in [0, 5]).
 
-    Each half of the levels, by recurrence work, takes one pass with a
-    degree per point; one half is computed beside this process
-    (:func:`beside`).  A curve gets the same bits as from a pass of its own.
+    All levels take one pass with a degree per point; a curve gets the same
+    bits as from a pass of its own.
     """
     r = np.asarray(r_grid, dtype=float)
     if np.any((r < 0) | (r > 5.0)):
@@ -258,17 +237,7 @@ def figure1_curves(n_list, r_grid) -> list[DensityCurve]:
     ns = np.array([int(n) for n in n_list], dtype=np.int64)
     if np.any(ns < 1):
         raise DomainError(f"need n >= 1, got {ns[np.argmax(ns < 1)]}")
-
-    def part(mask):
-        own = ns[mask]
-        return dn_scaled_grid(np.repeat(own, r.size), np.tile(r, len(own))).reshape(-1, r.size)
-
-    work = ns * float(r.size)
-    theirs = _halves(work)
-    values = np.empty((len(ns), r.size))
-    with beside(part, theirs, seconds=_POINT_STEP_S * work[theirs].sum()) as collect:
-        values[~theirs] = part(~theirs)
-        values[theirs] = collect()
+    values = dn_scaled_grid(np.repeat(ns, r.size), np.tile(r, len(ns))).reshape(-1, r.size)
     return [DensityCurve(n=n, r=r, values=v) for n, v in zip(ns.tolist(), values)]
 
 
@@ -342,8 +311,8 @@ def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0
     * 32 rounding units of the parts' summed magnitudes, for each part's own
       rounding and the one ``math.fsum`` that adds them.
 
-    s0^2 >= 709, where f(1)'s e^{s0^2} overflows, raises DomainError, and a
-    bound over the tolerance NonConvergenceError.  Returns
+    A head longer than ``tol.max_iter`` terms, or a bound over the
+    tolerance, raises NonConvergenceError.  Returns
     (Z_c, report-for-the-sum); the report counts K as the terms used.
     """
     eta0, Lam, V = scales.eta0, scales.Lambda, scales.V
@@ -358,13 +327,14 @@ def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0
     if gamma <= 0:
         raise DomainError("Gaussian damping exponent must be positive")
     s0 = eps * math.sqrt(0.5 * eta0)
-    if not s0 * s0 < 709.0:  # f(1)'s bracket needs e^{s0^2} finite
-        raise DomainError(f"Z_c's bracket overflows at s0 = {s0:.6g}: need s0^2 < 709")
+    k = max(_ZC_HEAD, math.ceil(_ZC_HEAD * s0))
+    if k > tol.max_iter:
+        raise NonConvergenceError(f"Z_c's exact head needs K = {k} terms,"
+                                  f" over the limit of {tol.max_iter}")
 
     def f(x):
         return x * x * np.exp(-gamma * x * x) * erfcx_minus_one(s0 / x)
 
-    k = max(_ZC_HEAD, math.ceil(_ZC_HEAD * s0))
     b = math.sqrt(k * k + 40.0 / gamma)
     tol_tail = Tolerance(rel=0.5 * tol.rel, abs=0.5 * tol.abs, max_iter=tol.max_iter)
     integral = integrate(f, float(k), b, tol_tail)

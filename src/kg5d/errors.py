@@ -1,22 +1,12 @@
 """Exception types shared across the package."""
 
 
-def _rebuild(cls, args, state):
-    exc = cls.__new__(cls, *args)  # sets exc.args; __init__ is not called
-    exc.__dict__.update(state)
-    return exc
-
-
 class Kg5dError(Exception):
     """Base class for all package errors.
 
-    Pickles by its ``args`` and attributes, never by calling ``__init__``
-    again, so a subclass with its own constructor survives the round trip
-    that carries a forked worker's exception back (``numerics.beside``).
+    Its message is one line: the CLI prints ``str(exc)`` as a command's
+    one-line reason and maps the class to the exit code.
     """
-
-    def __reduce__(self):
-        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class ConfigurationError(Kg5dError):
@@ -87,10 +77,6 @@ class LaguerreOverflowError(Kg5dError):
         self.n = n
         self.x = x
         super().__init__(message or f"Laguerre recurrence overflowed at n={n}, x={x}")
-
-
-class WorkerError(Kg5dError):
-    """A forked worker ended without sending back its result."""
 
 
 class VerificationFailure(Kg5dError):

@@ -391,10 +391,13 @@ def _defect_maxima(defect: Callable, n0: int, index_sets) -> list:
 
     ``defect(rows)`` returns the defect on the x^0 rows [lo, hi) of the grid.
     Each index set is a tuple of slices over the whole grid, as
-    ``defect_field[index]`` would take it; only one slab's defect is held.
+    ``defect_field[index]`` would take it; only one slab's defect is held:
+    the previous slab's defect and its index-set copy are dropped before
+    the next slab is built.
     """
     best = [None] * len(index_sets)
     for lo, hi in _slab_rows(n0):
+        slab = part = None  # the previous slab's arrays go before the next is built
         slab = defect((lo, hi))
         for k, index in enumerate(index_sets):
             kept = [r - lo for r in range(n0)[index[0]] if lo <= r < hi]
@@ -792,12 +795,13 @@ def projected_peak_bytes(sizes) -> int:
 
     The Laplacian ladder holds one field at a time, the finest last: its 4D
     base array, n^4 doubles on an n^5 grid, and an x^5 profile.  While its
-    defect is streamed (on the half grid, the flat-space residual too), the
-    previous slab's defect and the part of it an index set took, at most
-    6 n^4 doubles, are live beside the next slab's arrays: at most 700 base
-    planes of n^3 doubles in the Christoffel phase (the (5, 5) metric arrays
-    on the slab's haloed planes), or the slab's 5D combination and its
-    temporary, 6 n^4 doubles.  No term grows as n^5.  The Fourier check
+    defect is streamed (on the half grid, the flat-space residual too), one
+    slab's arrays are live at a time: at most 700 base planes of n^3 doubles
+    in the Christoffel phase (the (5, 5) metric arrays on the slab's haloed
+    planes), or the slab's 5D combination and its temporary, 6 n^4 doubles.
+    The formula also counts 6 n^4 doubles for the previous slab's defect and
+    the part of it an index set took; both are dropped before the next slab
+    is built, so it is an upper bound.  No term grows as n^5.  The Fourier check
     afterwards holds a few complex and real arrays on the first size's 4D
     grid, at most 128 bytes a point.  The test suite checks the bound
     against tracemalloc.

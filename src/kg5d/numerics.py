@@ -1,7 +1,7 @@
-"""Shared numerical kernels: quadrature, root finding, stencils, and a forked worker.
+"""Shared numerical kernels: quadrature, root finding and stencils.
 
-All functions here but ``beside`` are pure and hold no module state beyond
-cached quadrature nodes, so they are safe to call concurrently.
+All functions here are pure and hold no module state beyond cached
+quadrature nodes, so they are safe to call concurrently.
 
 Quadrature (``integrate``) uses an embedded Gauss-Legendre 7/15 pair on
 adaptively bisected panels of one integral.
@@ -12,19 +12,11 @@ the abscissae of all roots still open together with the index of the root
 each belongs to, a root drops out once its bracket is narrow enough, and
 each root takes exactly the steps, and gets the bits, it gets alone.  One
 root is a batch of one.
-
-``beside`` runs one independent part of a computation in a forked worker
-process while the caller computes the other part, so a command can use a
-second core.  Results come back pickled through a pipe and are the same
-bits either way.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import pickle
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,7 +32,6 @@ from .errors import (
     QuadratureError,
     StencilError,
     ToleranceError,
-    WorkerError,
 )
 
 
@@ -51,7 +42,8 @@ class Tolerance:
     At least one of ``rel``/``abs`` must be positive; a result is accepted
     once the estimated error drops below ``max(abs, rel * |value|)``.
     ``max_iter`` bounds the work: quadrature panels (also those Z_d's levels
-    share) or root iterations, depending on the consumer.
+    share), root iterations or the terms of Z_c's exact head, depending on
+    the consumer.
     """
 
     rel: float = 1e-10
@@ -215,125 +207,6 @@ def find_roots(
         estimate=float(0.5 * (lo[0] + hi[0])),
         error_bound=float(hi[0] - lo[0]),
     )
-
-
-# One fork, pickle, pipe read and reap costs 5-15 ms on a 2-core x86-64 Linux
-# host, and a worker first saved time with a 6-10 ms share beside an equal
-# share run here; a worker whose estimated share is below this runs inline.
-_BESIDE_FLOOR_S = 0.01
-
-# Set only in a process that ``beside`` forked: a worker runs everything inline.
-_in_worker = False
-
-
-@contextlib.contextmanager
-def beside(fn: Callable, *args, seconds: float):
-    """Compute ``fn(*args)`` in a forked worker while the ``with`` block runs here.
-
-    Yields ``collect``: calling it (once) waits for the worker and returns
-    fn's result, or raises the exception fn raised, with its type, message
-    and attributes.  ``seconds`` is the caller's estimate of fn's time on
-    one core.  fn runs inline, inside ``collect``, when that estimate is
-    below ``_BESIDE_FLOOR_S``, when fewer than two CPUs are available, when
-    the caller is itself a worker, or when the system refuses a pipe or a
-    process; so the block's own exceptions come first either way, and a
-    result is the same bits either way.
-
-    The worker shares nothing with the caller after the fork, so fn must be
-    a pure function; fork copies only the calling thread, and the package
-    starts no threads of its own.  The worker ends with ``os._exit`` (no
-    atexit handlers, no stdio flush).  Leaving the block without collecting,
-    by an exception or an interrupt, kills the worker; it is always reaped.
-    """
-    worker = None
-    if seconds >= _BESIDE_FLOOR_S and not _in_worker and len(os.sched_getaffinity(0)) >= 2:
-        worker = _fork(fn, args)
-    if worker is None:
-        yield lambda: fn(*args)
-        return
-    pid, read_fd = worker
-    reaped = False
-
-    def collect():
-        nonlocal reaped
-        with open(read_fd, "rb", closefd=False) as pipe:
-            try:
-                outcome = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                outcome = None
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        if outcome is None:
-            raise WorkerError("worker process ended without a result"
-                              f" (exit code {os.waitstatus_to_exitcode(status)})")
-        ok, value = outcome
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield collect
-    finally:
-        if not reaped:
-            import signal  # only on this path: start-up does not load it
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass  # reaped by collect just before an interrupt landed
-        os.close(read_fd)
-
-
-def _fork(fn: Callable, args: tuple):
-    """Fork a worker computing ``fn(*args)``: its pid and the read end of its
-    pipe, or None when the system refuses the pipe or the process."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        _work(read_fd, write_fd, fn, args)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _work(read_fd: int, write_fd: int, fn: Callable, args: tuple):
-    """Body of a forked worker: run fn, pickle the outcome into the pipe, exit."""
-    global _in_worker
-    status = 1
-    try:
-        _in_worker = True
-        os.close(read_fd)
-        try:
-            outcome = True, fn(*args)
-        except BaseException as exc:  # the caller re-raises it from collect()
-            outcome = False, exc
-        data = _pickled(outcome)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _pickled(outcome: tuple) -> bytes:
-    """A worker's outcome as a pickle; one that does not survive the round
-    trip is replaced by a WorkerError that names it."""
-    ok, value = outcome
-    try:
-        data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        if not ok:
-            pickle.loads(data)  # an exception must also rebuild in the caller
-        return data
-    except Exception as exc:
-        what = "its result" if ok else f"{type(value).__name__}: {value}"
-        return pickle.dumps((False, WorkerError(f"worker could not send back {what} ({exc})")))
 
 
 def fd_derivative(values: np.ndarray, axis: int, order: int, step: float) -> np.ndarray:

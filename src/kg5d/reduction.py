@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .numerics import beside, fd_derivative, fit_convergence_order
+from .numerics import fd_derivative, fit_convergence_order
 from .spectrum import ScaleSet
 
 
@@ -135,12 +135,23 @@ def _evolve(psi0: GridField, span: float, coeff: complex, steps: int,
             method: str) -> Iterator[GridField]:
     """Shared core: d/dt psi = coeff * lap psi, periodic, any dimension.
 
+    Checks the arguments at call time (:func:`_multiplier`) and returns a
+    generator of the ``steps + 1`` snapshots, psi0 first, each produced only
+    when asked for, so a consumer that keeps none of them needs O(points)
+    memory.
+    """
+    mult = _multiplier(psi0, span, coeff, steps, method)
+    return (psi0.with_values(np.fft.ifftn(state)) if i else psi0
+            for i, state in enumerate(_fourier_states(psi0, mult, steps)))
+
+
+def _multiplier(psi0: GridField, span: float, coeff: complex, steps: int,
+                method: str) -> np.ndarray:
+    """The Fourier factor of one step of ``_evolve``, after checking its arguments.
+
     Each step multiplies every Fourier mode by one factor: exp(-coeff k^2 dt)
     for 'spectral', and for 'cn' the Crank-Nicolson factor (1 - a)/(1 + a),
     a = coeff K^2 dt / 2 with K^2 the three-point symbol of ``_k_squared``.
-    Checks the arguments at call time and returns a generator of the
-    ``steps + 1`` snapshots, psi0 first, each produced only when asked for, so
-    a consumer that keeps none of them needs O(points) memory.
     """
     if psi0.boundary != "periodic":
         raise ConfigurationError("evolution needs periodic boundaries")
@@ -149,23 +160,21 @@ def _evolve(psi0: GridField, span: float, coeff: complex, steps: int,
     if not span >= 0:
         raise ConfigurationError("evolution span must be non-negative")
     dt = span / steps
-
     if method == "spectral":
-        mult = np.exp(-coeff * _k_squared(psi0) * dt)
-    elif method == "cn":
+        return np.exp(-coeff * _k_squared(psi0) * dt)
+    if method == "cn":
         a = 0.5 * dt * coeff * _k_squared(psi0, three_point=True)
-        mult = (1.0 - a) / (1.0 + a)
-    else:
-        raise ConfigurationError(f"unknown method {method!r}")
-    return _stepping(psi0, np.fft.fftn(np.asarray(psi0.values, dtype=complex)), mult, steps)
+        return (1.0 - a) / (1.0 + a)
+    raise ConfigurationError(f"unknown method {method!r}")
 
 
-def _stepping(psi0: GridField, state, mult, steps: int) -> Iterator[GridField]:
-    """The one stepping loop: psi0, then the field of each advanced FFT state."""
-    yield psi0
+def _fourier_states(psi0: GridField, mult: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """The one stepping loop: psi0's FFT, then each state advanced by ``mult``."""
+    state = np.fft.fftn(np.asarray(psi0.values, dtype=complex))
+    yield state
     for _ in range(steps):
         state = state * mult
-        yield psi0.with_values(np.fft.ifftn(state))
+        yield state
 
 
 def evolve_schrodinger(
@@ -387,10 +396,6 @@ _VARIANCE_TOL = 1e-6
 _EXACT_TOL = 1e-12
 _CONTINUITY_ORDER_FLOOR = 1.9
 
-# One-core seconds per point-step of the norm stream (x86-64, numpy 2.4 FFT;
-# 16384 points x 1024 steps took 0.8x this).
-_STREAM_POINT_STEP_S = 5e-8
-
 
 def verify_reduction(*, points: int = 256, steps: int = 64) -> dict:
     """Run the light-cone reduction suite and report residuals plus pass/fail.
@@ -405,16 +410,14 @@ def verify_reduction(*, points: int = 256, steps: int = 64) -> dict:
     three the continuity difference needs, so memory is O(points) and
     independent of ``steps``; only the returned step table grows with
     ``steps``: the columns step, norm and |norm - norm_0|, one entry per
-    snapshot.  The ``steps``-long norm stream runs in a worker beside the
-    other checks (:func:`kg5d.numerics.beside`).
+    snapshot.  The norms are read from the Fourier states (:func:`_norms`),
+    so the ``steps``-long stream takes no inverse transform.
     """
     lhat, c = 0.7, 1.3
     box = 40.0
     psi0 = gaussian_packet(points, box, 1.0, k0=2.0 * math.pi / box * 5)
-    with beside(_norms, psi0, lhat, c, steps,
-                seconds=_STREAM_POINT_STEP_S * points * steps) as collect:
-        checks, passed = _short_checks(psi0, lhat, c, box)
-        norms = collect()
+    norms = _norms(psi0, lhat, c, steps)
+    checks, passed = _short_checks(psi0, lhat, c, box)
     residuals = np.abs(norms - norms[0])
     norm_drift = float(np.max(residuals[1:])) / steps
     return {
@@ -426,9 +429,17 @@ def verify_reduction(*, points: int = 256, steps: int = 64) -> dict:
 
 
 def _norms(psi0: GridField, lhat: float, c: float, steps: int) -> np.ndarray:
-    """The norm of each snapshot of the spectral evolution."""
-    return np.fromiter((s.l2_norm() for s in evolve_schrodinger(psi0, 2.0, lhat, steps, c=c)),
-                       dtype=float)
+    """The norm of each snapshot of the spectral evolution over tau = 2.
+
+    By Parseval's identity for the unnormalised FFT of N points,
+    ||psi||^2 = (h / N) sum_k |Psi_k|^2 with h the cell volume, so each
+    norm is read from the Fourier state and no snapshot is transformed back.
+    """
+    mult = _multiplier(psi0, 2.0, 1j * c * lhat / 2.0, steps, "spectral")
+    scale = psi0.cell_volume / psi0.values.size
+    return np.fromiter((np.sqrt(np.sum(np.abs(state) ** 2) * scale)
+                        for state in _fourier_states(psi0, mult, steps)),
+                       dtype=float, count=steps + 1)
 
 
 def _short_checks(psi0: GridField, lhat: float, c: float, box: float) -> tuple[dict, bool]:

@@ -1,11 +1,8 @@
 """Shared fixtures."""
 
-import math
 import os
 
 import pytest
-
-from kg5d import numerics
 
 
 @pytest.fixture(autouse=True)
@@ -20,12 +17,9 @@ def no_child_left():
 
 
 @pytest.fixture
-def always_fork(monkeypatch):
-    """Make ``numerics.beside`` fork for any amount of work (given two CPUs)."""
-    monkeypatch.setattr(numerics, "_BESIDE_FLOOR_S", 0.0)
+def forbid_fork(monkeypatch):
+    """Fail a test whose code calls os.fork."""
+    def fork():
+        pytest.fail("os.fork was called")
 
-
-@pytest.fixture
-def never_fork(monkeypatch):
-    """Make ``numerics.beside`` run all work inline, where tracemalloc sees it."""
-    monkeypatch.setattr(numerics, "_BESIDE_FLOOR_S", math.inf)
+    monkeypatch.setattr(os, "fork", fork)

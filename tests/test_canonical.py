@@ -7,7 +7,6 @@ quadrature cross-checks for the degeneracies.
 """
 
 import math
-import os
 import tracemalloc
 
 import mpmath as mp
@@ -31,7 +30,7 @@ from kg5d.canonical import (
     z_continuous,
     z_discrete,
 )
-from kg5d.errors import DomainError, QuadratureError
+from kg5d.errors import DomainError, NonConvergenceError, QuadratureError
 from kg5d.numerics import Tolerance, integrate
 from kg5d.specfun import erfcx_minus_one
 from kg5d.spectrum import ScaleSet, stat_energy
@@ -227,8 +226,8 @@ def test_trapped_degeneracies_refuse_an_unmet_tolerance():
         trapped_degeneracies([30], 150.0, Tolerance(rel=1e-12, max_iter=10))
 
 
-def test_split_levels_match_single_levels(always_fork):
-    # Half of figure1's curves are computed in a forked worker; each keeps its bits.
+def test_split_levels_match_single_levels():
+    # figure1's curves share one pass; each keeps the bits of a pass of its own.
     ns = [140, 1, 65, 7, 64, 2]
     r = np.linspace(0.0, 5.0, 301)
     for curve, n in zip(figure1_curves(ns, r), ns):
@@ -282,36 +281,42 @@ def test_zc_against_bruteforce_oracle():
 
 
 @pytest.mark.parametrize("r_over_rho, coupling, eta0", [
-    (50.0, 0.01, 1.0), (1000.0, 0.0099, 1.05), (5000.0, 0.01, 1.0), (50.0, 1.0, 1.0)])
+    (50.0, 0.01, 1.0), (1000.0, 0.0099, 1.05), (5000.0, 0.01, 1.0), (50.0, 1.0, 1.0),
+    (50.0, 1.0, 2000.0)])
 def test_zc_sum_within_its_bound(r_over_rho, coupling, eta0):
     # Reference: Euler-Maclaurin at 40 digits on the same gamma and s0, with
-    # 63 exact terms, int_64^inf f + f(64)/2 and five Bernoulli corrections
-    # from mpmath's numerical derivatives.
+    # K - 1 exact terms, int_K^inf f + f(K)/2 and five Bernoulli corrections
+    # from mpmath's numerical derivatives.  At eta0 2000, s0 = 31.6, so
+    # K = ceil(64 s0) = 2024 and f(1)'s e^{s0^2} is far past overflow.
     s = _scales(coupling, eta0, r_over_rho)
     _, rep = z_continuous(s, Tolerance(rel=1e-12))
     gamma = mp.mpf(canonical._zc_damping(s))
     s0 = mp.mpf(s.coupling_stat * math.sqrt(0.5 * s.eta0))
+    k = max(64, math.ceil(64 * s0))
 
     def f(n):
         z = s0 / n
         return n * n * mp.exp(-gamma * n * n) * (mp.exp(z * z) * mp.erfc(z) - 1)
 
     width = 1 / mp.sqrt(gamma)  # of the Gaussian
-    head = mp.fsum(f(n) for n in range(1, 64))
-    integral = mp.quad(f, [64] + [64 + t * width for t in (0.25, 0.5, 1, 2, 3, 4, 6, 8)]
+    head = mp.fsum(f(n) for n in range(1, k))
+    integral = mp.quad(f, [k] + [k + t * width for t in (0.25, 0.5, 1, 2, 3, 4, 6, 8)]
                        + [mp.inf])
-    corrections = mp.fsum(mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.diff(f, 64, 2 * j - 1)
+    corrections = mp.fsum(mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.diff(f, k, 2 * j - 1)
                           for j in range(1, 6))
-    reference = head + integral + f(64) / 2 - corrections
-    assert rep.converged and rep.terms_used == 64
+    reference = head + integral + f(k) / 2 - corrections
+    assert rep.converged and rep.terms_used == k
     assert abs(rep.value - reference) <= rep.tail_bound <= 1e-12 * abs(rep.value)
 
 
-def test_zc_refuses_an_overflowing_bracket():
-    # e^{s0^2} in f(1) overflows past s0^2 = 709: refused with one line
-    # before the ceil(64 s0)-term head is formed
-    with pytest.raises(DomainError, match=r"s0 = 31\.6228"):
-        z_continuous(_scales(coupling=1.0, eta0=2000.0))
+def test_zc_refuses_a_head_over_max_iter():
+    # the exact head f(1), ..., f(K-1) is refused with one line naming K
+    # when K = ceil(64 s0) exceeds the tolerance's work budget
+    s = _scales(coupling=1.0, eta0=2000.0)
+    with pytest.raises(NonConvergenceError,
+                       match=r"^Z_c's exact head needs K = 2024 terms, over the limit of 2000$"):
+        z_continuous(s, Tolerance(rel=1e-12, max_iter=2000))
+    assert z_continuous(s, Tolerance(rel=1e-12, max_iter=2024))[1].terms_used == 2024
 
 
 def test_zc_requires_positive_scales():
@@ -478,12 +483,7 @@ def test_partition_assembles_both_parts():
     assert result.per_level_d
 
 
-def test_partition_runs_in_one_process(monkeypatch, always_fork):
-    # with beside's floor at 0 (and two CPUs), neither part is forked
-    def fork():
-        pytest.fail("partition called os.fork")
-
-    monkeypatch.setattr(os, "fork", fork)
+def test_partition_runs_in_one_process(forbid_fork):
     result = partition(_scales(r_over_rho=1000.0))
     assert result.terms_c.converged and result.terms_d.converged
 

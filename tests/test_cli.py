@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from kg5d import canonical, numerics, reduction
+from kg5d import canonical, reduction
 from kg5d.cli import main
 from kg5d.errors import NonConvergenceError
 from kg5d.geometry import projected_peak_bytes
@@ -402,9 +402,8 @@ def test_artifacts_independent_of_thread_count(tmp_path, argv, names):
      ("verify_reduction.csv", "verify_reduction.json")),
 ], ids=["partition", "figure1", "verify-reduction"])
 def test_artifacts_independent_of_cpu_count(tmp_path, argv, names):
-    # Pinned to one CPU every half runs inline; on two, one half of figure1
-    # and of verify-reduction runs in a forked worker (sizes above
-    # numerics._BESIDE_FLOOR_S).  partition runs in one process either way.
+    # Every command runs in one process; pinned to one CPU or given two, it
+    # writes the same bytes.
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     cpus = sorted(os.sched_getaffinity(0))
@@ -417,19 +416,27 @@ def test_artifacts_independent_of_cpu_count(tmp_path, argv, names):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("floor", [0.0, math.inf], ids=["forked", "inline"])
-def test_worker_error_exits_with_its_code_and_one_line(tmp_path, monkeypatch, capsys, floor):
-    # The norm stream runs in the worker's half of verify-reduction; its
-    # error reaches the CLI as if raised here.
+def test_norm_stream_error_exits_with_its_code_and_one_line(tmp_path, monkeypatch, capsys):
     def fail(psi0, lhat, c, steps):
         raise NonConvergenceError("norm stream did not converge", estimate=1.0)
 
-    monkeypatch.setattr(numerics, "_BESIDE_FLOOR_S", floor)
     monkeypatch.setattr(reduction, "_norms", fail)
     rc = main(["verify-reduction", "--output-dir", str(tmp_path)])
     assert rc == 3
     assert capsys.readouterr().err == "non-convergence: norm stream did not converge\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_every_command_runs_in_one_process(tmp_path, forbid_fork):
+    # figure1 and verify-reduction at these sizes used to fork a worker on
+    # two CPUs; no command forks now.
+    for argv in (["spectrum", "--n-max", "3"],
+                 ["partition", "--r-over-rho", "150"],
+                 ["universal-d", "--r-points", "101"],
+                 ["figure1", "--n", "400,500,600,700", "--r-points", "2001"],
+                 ["verify-geometry", "--grid", "9", "--refine", "2"],
+                 ["verify-reduction", "--points", "4096", "--steps", "256"]):
+        assert main([*argv, "--output-dir", str(tmp_path / argv[0])]) == 0, argv
 
 
 @pytest.mark.parametrize("coupling", ["0", "-0.5"])

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kg5d import geometry, numerics
+from kg5d import geometry
 from kg5d.errors import ConfigurationError, DomainError, GaugeError
 from kg5d.geometry import (
     Potential,
@@ -777,12 +777,9 @@ def _refused(monkeypatch, sizes, space, free) -> bool:
     raise AssertionError("verify_geometry returned without running the ladder")
 
 
-@pytest.mark.parametrize("floor", [0.0, math.inf], ids=["forked", "inline"])
-def test_memory_guard_budgets_each_process_and_the_host(monkeypatch, floor):
+def test_memory_guard_budgets_each_process_and_the_host(monkeypatch):
     # the projection meets both the address space left to the process and
-    # the host's MemAvailable, with one budget whether or not beside would
-    # fork a pass of this size: verify_geometry forks nothing
-    monkeypatch.setattr(numerics, "_BESIDE_FLOOR_S", floor)
+    # the host's MemAvailable
     sizes = (29, 33)
     need = projected_peak_bytes(sizes)
     assert _refused(monkeypatch, sizes, space=need - 1, free=math.inf)
@@ -791,12 +788,7 @@ def test_memory_guard_budgets_each_process_and_the_host(monkeypatch, floor):
     assert not _refused(monkeypatch, sizes, space=need, free=need)
 
 
-def test_verify_geometry_runs_in_one_process(monkeypatch, always_fork):
-    # with beside's floor at 0 (and two CPUs), no part of the suite is forked
-    def fork(fn, args):
-        pytest.fail(f"verify_geometry forked {fn.__name__}")
-
-    monkeypatch.setattr(numerics, "_fork", fork)
+def test_verify_geometry_runs_in_one_process(forbid_fork):
     assert verify_geometry(sizes=(9, 13))["passed"]
 
 

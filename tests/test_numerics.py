@@ -1,13 +1,10 @@
-"""Numerical kernel tests: quadrature, roots, stencils, the forked worker.
+"""Numerical kernel tests: quadrature, roots and stencils.
 
 Oracles: closed forms, mpmath's incomplete gamma, and scipy.integrate.quad
 as an independent quadrature implementation.
 """
 
 import math
-import os
-import signal
-import time
 
 import mpmath
 import numpy as np
@@ -23,18 +20,15 @@ from kg5d.errors import (
     GridSizeError,
     IntegrandError,
     IntervalError,
-    DomainError,
     Kg5dError,
     NonConvergenceError,
     OrderFitError,
     QuadratureError,
     StencilError,
-    WorkerError,
 )
 from kg5d.numerics import (
     SeriesReport,
     Tolerance,
-    beside,
     fd_derivative,
     find_roots,
     fit_convergence_order,
@@ -491,131 +485,3 @@ def test_argument_errors_are_package_errors():
         with pytest.raises(kind) as info:
             call()
         assert isinstance(info.value, Kg5dError) and isinstance(info.value, ValueError)
-
-
-# ---------------------------------------------------------------------------
-# Work beside the caller
-# ---------------------------------------------------------------------------
-
-_TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
-
-
-@pytest.mark.skipif(not _TWO_CPUS, reason="a worker is forked only with two CPUs")
-def test_beside_runs_in_another_process():
-    with beside(os.getpid, seconds=1.0) as collect:
-        here = os.getpid()
-        there = collect()
-    assert there != here
-
-
-def test_beside_runs_inline_below_the_floor_and_inside_a_worker(monkeypatch):
-    with beside(os.getpid, seconds=0.0) as collect:
-        assert collect() == os.getpid()
-
-    with monkeypatch.context() as one_cpu:  # as under taskset -c 0
-        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
-        with beside(os.getpid, seconds=1.0) as collect:
-            assert collect() == os.getpid()
-
-    def nested():
-        with beside(os.getpid, seconds=1.0) as inner:
-            return os.getpid(), inner()
-
-    with beside(nested, seconds=1.0) as collect:
-        outer, inner = collect()
-    assert outer == inner
-
-
-@pytest.mark.parametrize("seconds", [0.0, 1.0], ids=["inline", "forked"])
-def test_beside_returns_bits_and_raises_the_workers_exception(seconds):
-    values = np.random.default_rng(5).standard_normal(100_000)  # beyond one pipe buffer
-    with beside(np.cumsum, values, seconds=seconds) as collect:
-        assert np.array_equal(collect(), np.cumsum(values))
-
-    def fail():
-        raise NonConvergenceError("worker half", estimate=1.5, error_bound=0.25)
-
-    with pytest.raises(NonConvergenceError) as info:
-        with beside(fail, seconds=seconds) as collect:
-            collect()
-    assert str(info.value) == "worker half"
-    assert (info.value.estimate, info.value.error_bound) == (1.5, 0.25)
-
-
-@pytest.mark.parametrize("exc", [DomainError("this half"), KeyboardInterrupt()],
-                         ids=["error", "interrupt"])
-def test_beside_kills_the_worker_when_this_half_fails(exc):
-    # The worker would sleep for a minute; leaving the block kills and reaps
-    # it at once (the autouse fixture checks that no child is left).
-    start = time.perf_counter()
-    with pytest.raises(type(exc)):
-        with beside(time.sleep, 60.0, seconds=1.0):
-            raise exc
-    assert time.perf_counter() - start < 10.0
-
-
-def test_beside_kills_the_worker_on_an_interrupt_while_collecting():
-    def interrupt(signum, frame):
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGALRM, interrupt)
-    start = time.perf_counter()
-    try:
-        signal.setitimer(signal.ITIMER_REAL, 0.2)
-        with pytest.raises(KeyboardInterrupt):
-            with beside(time.sleep, 60.0, seconds=1.0) as collect:
-                collect()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert time.perf_counter() - start < 10.0
-
-
-@pytest.mark.skipif(not _TWO_CPUS, reason="a worker is forked only with two CPUs")
-def test_beside_reports_a_worker_that_dies():
-    caller = os.getpid()
-
-    def die():
-        if os.getpid() != caller:
-            os._exit(7)
-
-    with pytest.raises(WorkerError, match=r"without a result \(exit code 7\)"):
-        with beside(die, seconds=1.0) as collect:
-            collect()
-
-
-@pytest.mark.skipif(not _TWO_CPUS, reason="a worker is forked only with two CPUs")
-@pytest.mark.parametrize("refused", ["pipe", "fork"])
-def test_beside_runs_inline_when_the_system_refuses_a_worker(monkeypatch, refused):
-    def refuse(*args):
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    open_fds = len(os.listdir("/proc/self/fd"))
-    monkeypatch.setattr(os, refused, refuse)
-    with beside(os.getpid, seconds=1.0) as collect:
-        assert collect() == os.getpid()
-    assert len(os.listdir("/proc/self/fd")) == open_fds
-
-
-class _NeedsTwoArgs(Exception):
-    """Pickles by its args, so it cannot be rebuilt from them."""
-
-    def __init__(self, message, code):
-        super().__init__(f"{message} [{code}]")
-
-
-@pytest.mark.skipif(not _TWO_CPUS, reason="a worker is forked only with two CPUs")
-def test_beside_names_an_outcome_that_cannot_be_sent_back():
-    def generator():
-        return (k for k in range(3))
-
-    def odd_error():
-        raise _NeedsTwoArgs("lost half", 4)
-
-    with pytest.raises(WorkerError, match=r"^worker could not send back its result \("):
-        with beside(generator, seconds=1.0) as collect:
-            collect()
-    with pytest.raises(WorkerError,
-                       match=r"^worker could not send back _NeedsTwoArgs: lost half \[4\] \("):
-        with beside(odd_error, seconds=1.0) as collect:
-            collect()

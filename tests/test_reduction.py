@@ -378,16 +378,26 @@ def test_verify_reduction_passes():
 # Streaming harness: same numbers as the materialised trajectory, flat memory
 # ---------------------------------------------------------------------------
 
-def _materialised_snapshots(psi0, span, lambda_hat, steps, c):
-    """Reference: the spectral stepping loop keeping every snapshot."""
+def _materialised_states(psi0, span, lambda_hat, steps, c):
+    """Reference: the spectral stepping loop keeping every Fourier state."""
     coeff = 1j * c * lambda_hat / 2.0
     mult = np.exp(-coeff * reduction._k_squared(psi0) * (span / steps))
-    cur = np.fft.fftn(np.asarray(psi0.values, dtype=complex))
-    snaps = [psi0]
+    states = [np.fft.fftn(np.asarray(psi0.values, dtype=complex))]
     for _ in range(steps):
-        cur = cur * mult
-        snaps.append(psi0.with_values(np.fft.ifftn(cur)))
+        states.append(states[-1] * mult)
+    return states
+
+
+def _materialised_snapshots(psi0, span, lambda_hat, steps, c):
+    """Reference: the snapshots of every materialised Fourier state."""
+    states = _materialised_states(psi0, span, lambda_hat, steps, c)
+    snaps = [psi0] + [psi0.with_values(np.fft.ifftn(state)) for state in states[1:]]
     return np.linspace(0.0, span, steps + 1), snaps
+
+
+def _parseval_norm(state, psi0):
+    """||psi|| = sqrt(h/N sum_k |Psi_k|^2) from the unnormalised FFT of N points."""
+    return float(np.sqrt(np.sum(np.abs(state) ** 2) * (psi0.cell_volume / psi0.values.size)))
 
 
 def _materialised_continuity(times, snaps, lambda_hat, c):
@@ -412,10 +422,9 @@ def _materialised_continuity(times, snaps, lambda_hat, c):
 def test_verify_reduction_streams_bitwise(points, steps):
     lhat, c, box = 0.7, 1.3, 40.0
     psi0 = gaussian_packet(points, box, 1.0, k0=2.0 * math.pi / box * 5)
-    _, snaps = _materialised_snapshots(psi0, 2.0, lhat, steps, c)
-    n0 = snaps[0].l2_norm()
-    want_table = [(i, s.l2_norm(), abs(s.l2_norm() - n0)) for i, s in enumerate(snaps)]
-    del snaps
+    norms = [_parseval_norm(state, psi0)
+             for state in _materialised_states(psi0, 2.0, lhat, steps, c)]
+    want_table = [(i, n, abs(n - norms[0])) for i, n in enumerate(norms)]
     want_resids = [_materialised_continuity(*_materialised_snapshots(psi0, 1.0, lhat, n, c),
                                             lhat, c)
                    for n in (16, 32, 64)]
@@ -441,17 +450,23 @@ def test_verify_reduction_memory_flat_in_steps():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # Measured: 17x and 21x the bytes of one complex snapshot (the step
+    # Measured: 16.2x and 16.4x the bytes of one complex snapshot (the step
     # table's rows make the difference); keeping every snapshot is 460x and
     # 2270x.
     assert max(peaks) <= 1.25 * min(peaks), peaks
     assert max(peaks) <= 24 * 16 * points, peaks
 
 
-def test_verify_reduction_memory_flat_in_steps_inline(never_fork):
-    # With two CPUs the norm stream runs in a forked worker, out of the
-    # test above's sight; inline, the same bounds cover it.
-    test_verify_reduction_memory_flat_in_steps()
+@pytest.mark.parametrize("points, steps", [(256, 64), (16384, 1024)])
+def test_parseval_norms_match_x_space_norms(points, steps):
+    # verify-reduction reads its norms from the Fourier states; each is
+    # within 4 ulp of the snapshot's own l2_norm
+    lhat, c, box = 0.7, 1.3, 40.0
+    psi0 = gaussian_packet(points, box, 1.0, k0=2.0 * math.pi / box * 5)
+    got = reduction._norms(psi0, lhat, c, steps)
+    want = np.array([s.l2_norm() for s in evolve_schrodinger(psi0, 2.0, lhat, steps, c=c)])
+    assert got.shape == want.shape == (steps + 1,)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), np.max(np.abs(got - want))
 
 
 def test_evolve_stream_validates_at_call():
