@@ -47,16 +47,18 @@ passes run on 4D base arrays; no n^5 array of the whole grid is formed.
 
 The grid checks stream over slabs of three x^0 planes: each slab's defect
 is computed and reduced to the maxima the caller needs before the next one,
-so the only 5D array is one slab's combination and no full-grid (5, 5)
-metric array is formed.  x^0 is axis 0 of the base arrays and of the 5D
+so the only 5D array is one slab's combination and no full-grid metric
+array is formed.  x^0 is axis 0 of the base arrays and of the 5D
 slab, so a slab cuts every phase.  A slab reads one halo plane each side
 (two for the light cone, where d_0 acts on a d_0 term), and slabs at the
 grid ends widen to five planes, so every stencil, one-sided ones at the true
 ends included, sees what it sees on the whole grid: the maxima are bit for
 bit those of the whole-grid evaluation.  Peak memory is the base arrays of
-the field plus one slab's arrays, the (5, 5) metric arrays of the base
-Christoffel phase being the largest; ``projected_peak_bytes`` gives it in
-closed form before a run.
+the field plus one slab's arrays.  The base Christoffel phase holds the
+symmetric metric as its 15 entries a <= b, never as (5, 5) arrays; its 261
+planes of n^3 doubles are the largest below n = 40, and above it the slab's
+5D combination (6 n planes beside 26 others) is.  ``projected_peak_bytes``
+gives the peak in closed form before a run.
 
 All evaluations are pure; residual norms do not depend on how grid work is
 partitioned.
@@ -95,14 +97,14 @@ class Potential:
 
     def components(self, coords) -> np.ndarray:
         """A_mu stacked over a broadcast grid: shape (4,) + grid."""
-        return np.stack(np.broadcast_arrays(*self.func(*coords))).astype(float)
+        return np.stack(np.broadcast_arrays(*self.func(*coords))).astype(float, copy=False)
 
     def derivative_table(self, coords, fd_step: float = 1e-5) -> np.ndarray:
         """dA[mu, nu] = d_nu A_mu at the given coordinates (analytic or FD)."""
         if self.dfunc is not None:
             rows = self.dfunc(*coords)
             flat = [entry for row in rows for entry in row]
-            stacked = np.stack(np.broadcast_arrays(*flat)).astype(float)
+            stacked = np.stack(np.broadcast_arrays(*flat)).astype(float, copy=False)
             return stacked.reshape((4, 4) + stacked.shape[1:])
         out = None
         for nu in range(4):
@@ -177,26 +179,41 @@ class ChristoffelContractions:
     cross_gamma_5: float         # 2 N^mu Gamma^5_{mu 5}
 
 
-def _metric_pair(n_cov: np.ndarray):
-    """Closed-form (h, h_inv) from covariant N_mu of shape (4,) + base.
+# The 15 entries a <= b of a symmetric 5x5 array, row-major, and the entry
+# that holds (a, b) in either order.
+_PAIRS = [(a, b) for a in range(5) for b in range(a, 5)]
+_ENTRY = np.array([[_PAIRS.index((min(a, b), max(a, b))) for b in range(5)] for a in range(5)])
 
-    ``base`` is () at a single point and the 4D grid shape on a grid; the
-    pair then has shape (5, 5) + base.
+
+def _metric_entries(n_cov: np.ndarray):
+    """Closed-form h_{ab} and h^{ab}, a <= b, from covariant N_mu of shape
+    (4,) + base: two arrays of shape (15,) + base, entries ordered as
+    ``_PAIRS``.
+
+    ``base`` is () at a single point and the 4D grid shape on a grid.
     """
     base = n_cov.shape[1:]
-    eta = _ETA4.reshape((4, 4) + (1,) * len(base))
     n_up = _ETA_DIAG.reshape((4,) + (1,) * len(base)) * n_cov
-    h = np.zeros((5, 5) + base)
-    h_inv = np.zeros((5, 5) + base)
-    h[:4, :4] = eta + n_cov[:, None] * n_cov[None, :]
-    h[:4, 4] = -n_cov
-    h[4, :4] = -n_cov
-    h[4, 4] = 1.0
-    h_inv[:4, :4] = eta
-    h_inv[:4, 4] = n_up
-    h_inv[4, :4] = n_up
-    h_inv[4, 4] = 1.0 + np.vecdot(n_cov, n_up, axis=0)
+    h = np.empty((15,) + base)
+    h_inv = np.empty((15,) + base)
+    for k, (a, b) in enumerate(_PAIRS):
+        if b < 4:
+            h[k] = _ETA4[a, b] + n_cov[a] * n_cov[b]
+            h_inv[k] = _ETA4[a, b]
+        elif a < 4:
+            h[k] = -n_cov[a]
+            h_inv[k] = n_up[a]
+        else:
+            h[k] = 1.0
+            h_inv[k] = 1.0 + np.vecdot(n_cov, n_up, axis=0)
     return h, h_inv
+
+
+def _metric_pair(n_cov: np.ndarray):
+    """Closed-form (h, h_inv) from covariant N_mu of shape (4,) + base, each
+    of shape (5, 5) + base."""
+    h, h_inv = _metric_entries(n_cov)
+    return h[_ENTRY], h_inv[_ENTRY]
 
 
 def _metric_gradient_from_dn(n_cov: np.ndarray, dn: np.ndarray) -> np.ndarray:
@@ -410,6 +427,15 @@ def _defect_maxima(defect: Callable, n0: int, index_sets) -> list:
     return [float(b) for b in best]
 
 
+def _sum_of_products(x, y, pairs, out, tmp):
+    """out = sum_k x[i_k] y[j_k] over the (i_k, j_k) ``pairs``, added in order."""
+    (i, j), *rest = pairs
+    np.multiply(x[i], y[j], out=out)
+    for i, j in rest:
+        out += np.multiply(x[i], y[j], out=tmp)
+    return out
+
+
 def _christoffel_contraction_field(field, A: Potential, q_over_c2: float,
                                    rows=None):
     """h^{AB} Gamma^C_{AB} on the 4D base grid, shape (5,) + base grid.
@@ -424,9 +450,12 @@ def _christoffel_contraction_field(field, A: Potential, q_over_c2: float,
 
         v_D = h^{AB} d_A h_{DB} - (1/2) h^{AB} d_D h_{AB}.
 
-    The metric gradient is taken by finite differences of the grid metric,
-    one direction rho at a time (d_5 = 0), so only one (5, 5) slice of it is
-    held and the full Christoffel table is never formed.
+    h and h^{-1} are held as their 15 entries a <= b (``_metric_entries``)
+    and the gradient is taken by finite differences of those entries, one
+    direction rho at a time (d_5 = 0), so neither a (5, 5) metric array nor
+    the Christoffel table is formed.  Each sum runs over the full indices in
+    the order of the dense einsums (b in v_D, (a, b) row-major in the trace,
+    D in h^{CD} v_D), so the result is bit for bit the dense contraction.
     """
     n0 = field.coords(0).size
     lo, hi = (0, n0) if rows is None else rows
@@ -434,17 +463,25 @@ def _christoffel_contraction_field(field, A: Potential, q_over_c2: float,
     cut = slice(lo - start, hi - start)
     coords = _grid_coords(field, (start, stop))
     base = np.broadcast(*coords).shape
-    h, h_inv = _metric_pair(-q_over_c2 * np.broadcast_to(A.components(coords), (4,) + base))
-    h_kept, h_inv = np.ascontiguousarray(h[:, :, cut]), h_inv[:, :, cut]
-    v = np.zeros((5,) + h_inv.shape[2:])
+    h, h_inv = _metric_entries(-q_over_c2 * np.broadcast_to(A.components(coords), (4,) + base))
+    h_inv = np.ascontiguousarray(h_inv[:, cut])
+    v = np.zeros((5,) + h_inv.shape[1:])
+    term, tmp = np.empty_like(v[0]), np.empty_like(v[0])
+    trace = [(k, k) for k in _ENTRY.ravel()]
     for rho in range(4):
-        if rho == 0:  # d_0 h_{AB}, the one derivative reading the halo planes
-            dh = fd_derivative(h, 2, 1, field.step[0])[:, :, cut]
+        if rho == 0:  # d_0 h_{ab}, the one derivative reading the halo planes
+            dh = fd_derivative(h, 1, 1, field.step[0])[:, cut]
+            h = np.ascontiguousarray(h[:, cut])  # the kept rows serve d_1..d_3
         else:
-            dh = fd_derivative(h_kept, 2 + rho, 1, field.step[rho])
-        v += np.einsum("b...,db...->d...", h_inv[rho], dh)
-        v[rho] -= 0.5 * np.einsum("ab...,ab...->...", h_inv, dh)
-    return np.einsum("cd...,d...->c...", h_inv, v)
+            dh = fd_derivative(h, 1 + rho, 1, field.step[rho])
+        for d in range(5):
+            v[d] += _sum_of_products(h_inv, dh, [(_ENTRY[rho, b], _ENTRY[d, b]) for b in range(5)],
+                                     term, tmp)
+        v[rho] -= np.multiply(0.5, _sum_of_products(h_inv, dh, trace, term, tmp), out=term)
+    out = np.empty_like(v)
+    for c in range(5):
+        _sum_of_products(h_inv, v, [(_ENTRY[c, d], d) for d in range(5)], out[c], tmp)
+    return out
 
 
 def _check_laplacian_inputs(field: SeparatedField, A: Potential) -> None:
@@ -796,18 +833,20 @@ def projected_peak_bytes(sizes) -> int:
     The Laplacian ladder holds one field at a time, the finest last: its 4D
     base array, n^4 doubles on an n^5 grid, and an x^5 profile.  While its
     defect is streamed (on the half grid, the flat-space residual too), one
-    slab's arrays are live at a time: at most 700 base planes of n^3 doubles
-    in the Christoffel phase (the (5, 5) metric arrays on the slab's haloed
-    planes), or the slab's 5D combination and its temporary, 6 n^4 doubles.
-    The formula also counts 6 n^4 doubles for the previous slab's defect and
-    the part of it an index set took; both are dropped before the next slab
-    is built, so it is an upper bound.  No term grows as n^5.  The Fourier check
-    afterwards holds a few complex and real arrays on the first size's 4D
-    grid, at most 128 bytes a point.  The test suite checks the bound
-    against tracemalloc.
+    slab's arrays are live at a time, counted in base planes of n^3 doubles.
+    The Christoffel phase holds 261: the 15 metric entries and their x^0
+    derivative on the slab's five haloed planes, the entries of h and h^-1 on
+    its three kept rows, and v_D with two work arrays.  The defect phase
+    holds the slab's 5D combination and its temporary, 6 n planes, beside 26
+    of coefficients and derivatives; the maxima then take at most two
+    slab-sized arrays.  The formula rounds the two phases up to 280 and
+    6 n + 32 planes for the small arrays beside them.  No term grows as n^5.
+    The Fourier check afterwards holds a few complex and real arrays on the
+    first size's 4D grid, at most 128 bytes a point.  The test suite checks
+    the bound against tracemalloc.
     """
     n = _laplacian_sizes(sizes)[-1]
-    ladder = 8 * n**3 * (7 * n + max(700, 6 * n))
+    ladder = 8 * n**3 * (n + max(280, 6 * n + 32))
     fourier = 128 * int(sizes[0]) ** 4
     return max(ladder, fourier)
 

@@ -315,6 +315,21 @@ def test_laplacian_defect_peak_memory():
     assert peak <= 200 * 8 * 13**4
 
 
+def test_christoffel_slab_peak_memory():
+    # the metric is held as its 15 entries a <= b: one interior slab's
+    # Christoffel phase takes 261 base planes of n^3 doubles, where the
+    # (5, 5) metric arrays took 548
+    field = _test_field_5d(21)
+    A = smooth_lorentz_potential()
+    tracemalloc.start()
+    try:
+        _christoffel_contraction_field(field, A, Q_C2, (9, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 340 * 8 * 21**3
+
+
 def _terms(field, *terms):
     """``field``'s grid with the given (base array, x^5 profile) terms."""
     bases, profiles = zip(*terms)
