@@ -311,7 +311,8 @@ _SVG_COLORS = ["#1b6ca8", "#c0392b", "#1e8449", "#7d3c98", "#b7950b", "#2c3e50"]
 
 
 def write_svg(cfg: RunConfig, name: str, curves, xlabel: str, ylabel: str) -> str:
-    """Self-contained polyline plot; curves is a list of (label, x, y)."""
+    """Self-contained polyline plot; curves is a list of (label, x, y);
+    each polyline is written a chunk of points at a time."""
     width, height, margin = 640, 440, 56
     xs = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
     ys = np.concatenate([np.asarray(c[2], dtype=float) for c in curves])
@@ -344,16 +345,20 @@ def write_svg(cfg: RunConfig, name: str, curves, xlabel: str, ylabel: str) -> st
                  f'text-anchor="middle">{xlabel}</text>')
     parts.append(f'<text x="14" y="{height // 2}" font-size="13" text-anchor="middle" '
                  f'transform="rotate(-90 14 {height // 2})">{ylabel}</text>')
-    for i, (label, x, y) in enumerate(curves):
-        color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        pts = " ".join(map("%.6f,%.6f".__mod__, zip(sx(x).tolist(), sy(y).tolist())))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"/>')
-        parts.append(f'<text x="{width - margin + 4}" y="{margin + 16 * i + 10}" '
-                     f'font-size="12" fill="{color}">{label}</text>')
-    parts.append("</svg>")
     path = os.path.join(cfg.output_dir, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
+        for i, (label, x, y) in enumerate(curves):
+            color = _SVG_COLORS[i % len(_SVG_COLORS)]
+            fh.write('<polyline points="')
+            sep = ""
+            for cx, cy in _chunks((sx(x), sy(y))):
+                fh.write(sep + " ".join(map("%.6f,%.6f".__mod__, zip(cx.tolist(), cy.tolist()))))
+                sep = " "
+            fh.write(f'" fill="none" stroke="{color}" stroke-width="1.4"/>\n'
+                     f'<text x="{width - margin + 4}" y="{margin + 16 * i + 10}" '
+                     f'font-size="12" fill="{color}">{label}</text>\n')
+        fh.write("</svg>\n")
     return path
 
 

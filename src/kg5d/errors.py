@@ -25,13 +25,16 @@ class NonConvergenceError(Kg5dError):
     """An iterative scheme ran out of budget.
 
     Carries the best estimate produced so far and a bound on its error so
-    callers can decide whether the partial result is still usable.
+    callers can decide whether the partial result is still usable, and, from
+    a call solving many problems at once, the ``index`` of the one that ran
+    out.
     """
 
-    def __init__(self, message, estimate=None, error_bound=None):
+    def __init__(self, message, estimate=None, error_bound=None, index=None):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+        self.index = index
 
 
 class QuadratureError(NonConvergenceError):

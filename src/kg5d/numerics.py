@@ -151,7 +151,7 @@ def find_roots(
     lost.  All roots step in lockstep and each drops out when it is done; each
     takes exactly the steps, and gets the bits, it gets alone.  A root not
     localized within ``tol.max_iter`` steps raises ``NonConvergenceError``
-    carrying the midpoint and width of its bracket.
+    carrying its index and the midpoint and width of its bracket.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -206,6 +206,7 @@ def find_roots(
         f"root not localized within {tol.max_iter} iterations in root {live[0]}",
         estimate=float(0.5 * (lo[0] + hi[0])),
         error_bound=float(hi[0] - lo[0]),
+        index=int(live[0]),
     )
 
 

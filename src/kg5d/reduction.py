@@ -30,6 +30,7 @@ O(points) memory whatever the number of steps.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -75,7 +76,7 @@ class GridField:
         return self.origin[axis] + self.step[axis] * np.arange(self.values.shape[axis])
 
     def wavenumbers(self, axis: int) -> np.ndarray:
-        return 2.0 * math.pi * np.fft.fftfreq(self.values.shape[axis], d=self.step[axis])
+        return _wavenumbers(self.values.shape[axis], self.step[axis])
 
     @property
     def cell_volume(self) -> float:
@@ -102,17 +103,36 @@ class CurrentField:
 
 def field_derivative(f: GridField, axis: int, order: int = 1, engine: str = "fd") -> np.ndarray:
     """Derivative of a sampled field: central FD or exact Fourier multiplier."""
+    return _derivative(f, f.values, axis, order, engine)
+
+
+def _derivative(grid: GridField, values: np.ndarray, axis: int, order: int,
+                engine: str) -> np.ndarray:
+    """:func:`field_derivative` of ``values`` sampled on the grid of ``grid``."""
     if engine == "fd":
-        return fd_derivative(f.values, axis, order, f.step[axis])
+        return fd_derivative(values, axis, order, grid.step[axis])
     if engine == "spectral":
-        if f.boundary != "periodic":
+        if grid.boundary != "periodic":
             raise ConfigurationError("spectral derivatives need a periodic field")
-        k = f.wavenumbers(axis)
-        shape = [1] * f.values.ndim
+        shape = [1] * values.ndim
         shape[axis] = -1
-        mult = (1j * k.reshape(shape)) ** order
-        return np.fft.ifft(mult * np.fft.fft(f.values, axis=axis), axis=axis)
+        mult = _spectral_symbol(values.shape[axis], grid.step[axis], order).reshape(shape)
+        return np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis)
     raise ConfigurationError(f"unknown derivative engine {engine!r}")
+
+
+def _wavenumbers(points: int, step: float) -> np.ndarray:
+    """Angular wavenumbers of the FFT grid of ``points`` samples ``step`` apart."""
+    return 2.0 * math.pi * np.fft.fftfreq(points, d=step)
+
+
+@functools.lru_cache(maxsize=16)
+def _spectral_symbol(points: int, step: float, order: int) -> np.ndarray:
+    """(i k)^order on the FFT grid of ``points`` samples ``step`` apart, built
+    once per grid and order and shared read-only."""
+    mult = (1j * _wavenumbers(points, step)) ** order
+    mult.flags.writeable = False
+    return mult
 
 
 def _k_squared(f: GridField, *, three_point: bool = False) -> np.ndarray:
@@ -221,11 +241,11 @@ def current_and_divergence(s: GridField, a: float, engine: str):
     """(CurrentField, div j) of one snapshot, with j_tau = |psi|^2 and
     j_k = a Im(psi* d_k psi); a = c lhat for the Schroedinger stream."""
     psi = s.values
-    jk = [a * np.imag(np.conj(psi) * field_derivative(s, ax, 1, engine))
+    jk = [a * np.imag(np.conj(psi) * _derivative(s, psi, ax, 1, engine))
           for ax in range(psi.ndim)]
     div = np.zeros(psi.shape)
     for ax, j in enumerate(jk):
-        div = div + np.real(field_derivative(s.with_values(j), ax, 1, engine))
+        div = div + np.real(_derivative(s, j, ax, 1, engine))
     return CurrentField(j_tau=np.abs(psi) ** 2, j_k=jk), div
 
 

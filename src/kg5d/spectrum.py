@@ -11,8 +11,9 @@ Three equivalent quantizations are implemented:
   analogue, where the quantization fixes a thermal wavelength
   Lambda'_nl > Lambda.  The condition is implicit, so it is solved
   numerically, with the non-relativistic expansion
-  ``stat_wavelength_expansions`` as cross-check.  The levels of a whole
-  table go through one lockstep root solve, each level bit for bit as alone.
+  ``stat_wavelength_expansions`` as cross-check.  The levels of a table go
+  through lockstep root solves of one fixed-size block each, each level bit
+  for bit as alone.
 
 Every level kernel takes a table of levels, 1-D integer arrays ``ns`` and
 ``ls`` (n >= 1, 0 <= l <= n, checked on entry); one level is a table of one.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, DomainError
+from .errors import BracketingError, DomainError, NonConvergenceError
 from .numerics import Tolerance, find_roots
 
 _REL_TOL = 1e-12
@@ -318,6 +319,11 @@ def _stat_residuals(x: np.ndarray, n: np.ndarray, l: np.ndarray, eps: float):
     return (x * x - 1.0) * b * b + ex * ex, bad
 
 
+# Levels per block of the statistical root solve: every array of one block
+# stays in cache, and the solve's memory does not grow with the table.
+_BLOCK_LEVELS = 4096
+
+
 def stat_wavelengths(
     ns, ls, scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-15, abs=0.0)
 ) -> tuple[np.ndarray, dict]:
@@ -330,9 +336,12 @@ def stat_wavelengths(
     the row index of each level without a root mapped to its reason, a
     DomainError when the coupling pushes the square root complex (naming the
     critical ratio) or a BracketingError when the residual has no sign
-    change on the bracket; those rows are NaN.  The roots of all other
-    levels are solved together by :func:`find_roots`, each exactly as alone;
-    a root it cannot localize raises NonConvergenceError for the whole call.
+    change on the bracket; those rows are NaN.  The table is solved one
+    block of ``_BLOCK_LEVELS`` rows at a time, so the solve's memory is that
+    of one block; the roots of a block's other levels go through one
+    :func:`find_roots`, each exactly as alone.  A root it cannot localize
+    raises NonConvergenceError for the whole call, naming the table row and
+    its level.
     """
     ns, ls = _levels(ns, ls)
     eps = scales.coupling_stat
@@ -340,35 +349,46 @@ def stat_wavelengths(
     refused = {}
     if eps == 0.0:
         return out, refused
-    domain = eps >= ls + 0.5
-    for i in np.flatnonzero(domain).tolist():
-        refused[i] = DomainError(
-            f"coupling lambda*/Lambda = {eps:.6g} >= l + 1/2 = {int(ls[i]) + 0.5}: "
-            "statistical quantization leaves the real domain"
-        )
-    rows = np.flatnonzero(~domain)
-    n, l = ns[rows], ls[rows]
-    half, one = np.full(len(rows), 0.5), np.ones(len(rows))
-    f_half, bad_half = _stat_residuals(half, n, l, eps)
-    f_one, bad_one = _stat_residuals(one, n, l, eps)
-    not_real = bad_half | bad_one
-    for j in np.flatnonzero(not_real).tolist():
-        refused[int(rows[j])] = _critical(int(n[j]), int(l[j]))
-    unbracketed = ~not_real & ~((f_half < 0.0) & (0.0 < f_one))
-    for j in np.flatnonzero(unbracketed).tolist():
-        refused[int(rows[j])] = BracketingError(
-            f"statistical quantization not bracketed on [Lambda, 2 Lambda] "
-            f"for n={int(n[j])}, l={int(l[j])}, coupling={eps:.6g}"
-        )
-    solve = ~(not_real | unbracketed)
-    rows, n, l = rows[solve], n[solve], l[solve]
+    for start in range(0, len(ns), _BLOCK_LEVELS):
+        domain = eps >= ls[start:start + _BLOCK_LEVELS] + 0.5
+        for i in (start + np.flatnonzero(domain)).tolist():
+            refused[i] = DomainError(
+                f"coupling lambda*/Lambda = {eps:.6g} >= l + 1/2 = {int(ls[i]) + 0.5}: "
+                "statistical quantization leaves the real domain"
+            )
+        rows = start + np.flatnonzero(~domain)
+        n, l = ns[rows], ls[rows]
+        half, one = np.full(len(rows), 0.5), np.ones(len(rows))
+        f_half, bad_half = _stat_residuals(half, n, l, eps)
+        f_one, bad_one = _stat_residuals(one, n, l, eps)
+        not_real = bad_half | bad_one
+        for j in np.flatnonzero(not_real).tolist():
+            refused[int(rows[j])] = _critical(int(n[j]), int(l[j]))
+        unbracketed = ~not_real & ~((f_half < 0.0) & (0.0 < f_one))
+        for j in np.flatnonzero(unbracketed).tolist():
+            refused[int(rows[j])] = BracketingError(
+                f"statistical quantization not bracketed on [Lambda, 2 Lambda] "
+                f"for n={int(n[j])}, l={int(l[j])}, coupling={eps:.6g}"
+            )
+        solve = ~(not_real | unbracketed)
+        rows, n, l = rows[solve], n[solve], l[solve]
 
-    def residual(x, owner):
-        # (l+1/2)^2 - (eps x)^2 falls with x, also in rounded arithmetic, so
-        # a square root real at x = 1 is real on the whole bracket.
-        return _stat_residuals(x, n[owner], l[owner], eps)[0]
+        def residual(x, owner, n=n, l=l):
+            # (l+1/2)^2 - (eps x)^2 falls with x, also in rounded arithmetic, so
+            # a square root real at x = 1 is real on the whole bracket.
+            return _stat_residuals(x, n[owner], l[owner], eps)[0]
 
-    out[rows] = scales.Lambda / find_roots(residual, half[solve], one[solve], tol)
+        try:
+            out[rows] = scales.Lambda / find_roots(residual, half[solve], one[solve], tol)
+        except NonConvergenceError as exc:
+            i, x, w = int(rows[exc.index]), exc.estimate, exc.error_bound
+            raise NonConvergenceError(
+                f"statistical wavelength not localized within {tol.max_iter} iterations "
+                f"at row {i} (n={int(ns[i])}, l={int(ls[i])})", index=i,
+                # the bracket [x - w/2, x + w/2] as wavelengths Lambda/x
+                estimate=scales.Lambda / x,
+                error_bound=scales.Lambda / (x - 0.5 * w) - scales.Lambda / (x + 0.5 * w),
+            ) from exc
     out[list(refused)] = np.nan
     return out, dict(sorted(refused.items()))
 

@@ -480,3 +480,23 @@ def test_evolve_stream_validates_at_call():
         reduction._evolve(absorbing, 1.0, 0.5j, 4, "spectral")
     with pytest.raises(ConfigurationError):
         reduction._evolve(psi0, 1.0, 0.5j, 4, "euler")
+
+
+def test_spectral_derivative_cached_symbol_bitwise():
+    # field_derivative's spectral engine takes (i k)^order from a per-grid
+    # cache; on every axis and order, and on a repeated call, it returns the
+    # bits of the multiplier built afresh for the call.
+    rng = np.random.default_rng(7)
+    f = GridField(values=rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10)),
+                  step=(0.3, 0.7))
+    for axis in (0, 1):
+        shape = [1, 1]
+        shape[axis] = -1
+        k = 2.0 * math.pi * np.fft.fftfreq(f.values.shape[axis], d=f.step[axis])
+        for order in (1, 2):
+            want = np.fft.ifft((1j * k.reshape(shape)) ** order
+                               * np.fft.fft(f.values, axis=axis), axis=axis)
+            for _ in range(2):
+                got = reduction.field_derivative(f, axis, order, "spectral")
+                assert got.tobytes() == want.tobytes()
+    assert not reduction._spectral_symbol(12, 0.3, 1).flags.writeable

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kg5d.errors import BracketingError, DomainError
-from kg5d.numerics import fit_convergence_order
+from kg5d import spectrum
+from kg5d.errors import BracketingError, DomainError, NonConvergenceError
+from kg5d.numerics import Tolerance, fit_convergence_order
 from kg5d.spectrum import (
     ScaleSet,
     kg_binding_energies,
@@ -469,6 +470,43 @@ def test_stat_wavelengths_uncoupled_and_empty():
     assert got.tolist() == [s.Lambda] * 3 and refused == {}
     got, refused = stat_wavelengths([], [], _scales(coupling=0.3))
     assert got.shape == (0,) and refused == {}
+
+
+@pytest.mark.parametrize("coupling", [0.01, 0.7, 1.45])
+def test_stat_wavelengths_blocks_match_one_block(coupling, monkeypatch):
+    # All levels n <= 30 (495 rows, one block by default) solved in blocks of
+    # 7 rows: the same bits, and the same refused rows, types and messages.
+    # Descending n puts (1, 1), the one unbracketed level at 1.45, in the
+    # last block.
+    levels = [(n, l) for n in range(30, 0, -1) for l in range(n + 1)]
+    ns, ls = [n for n, _ in levels], [l for _, l in levels]
+    s = _scales(coupling=coupling)
+    assert spectrum._BLOCK_LEVELS >= len(levels)
+    want, want_refused = stat_wavelengths(ns, ls, s)
+    monkeypatch.setattr(spectrum, "_BLOCK_LEVELS", 7)
+    got, refused = stat_wavelengths(ns, ls, s)
+    assert got.tobytes() == want.tobytes()
+    assert list(refused) == list(want_refused)
+    assert [(type(e), str(e)) for e in refused.values()] == [
+        (type(e), str(e)) for e in want_refused.values()]
+    assert len(refused) == {0.01: 0, 0.7: 30, 1.45: 31}[coupling]
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+def test_stat_wavelengths_non_convergence_names_the_level(block, monkeypatch):
+    # Rows 0-7 are l = 0 levels refused at coupling 0.7, so with blocks of 7
+    # the first level left open after three steps is row 8, (3, 1), in the
+    # second block; the error names its table row and level either way.
+    monkeypatch.setattr(spectrum, "_BLOCK_LEVELS", block)
+    s = _scales(coupling=0.7)
+    ns, ls = list(range(1, 9)) + [3, 4, 20], [0] * 8 + [1, 2, 5]
+    with pytest.raises(NonConvergenceError,
+                       match=r"within 3 iterations at row 8 \(n=3, l=1\)$") as info:
+        stat_wavelengths(ns, ls, s, Tolerance(max_iter=3))
+    exc = info.value
+    assert exc.index == 8
+    root = stat_wavelengths([3], [1], s)[0][0]
+    assert abs(exc.estimate - root) <= exc.error_bound
 
 
 def test_stat_energy_limits():

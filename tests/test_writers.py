@@ -252,3 +252,15 @@ def test_spectrum_written_in_less_memory_than_its_json(tmp_path, monkeypatch):
     assert size > 10 * 2**20
     assert peak < size, f"peak {peak / 2**20:.1f} MiB"
 
+
+def test_spectrum_command_peak_memory(tmp_path):
+    # The whole command at n_max 300 (45,450 levels), the statistical root
+    # solve included, stays within 6 MiB of tracemalloc peak: the solve holds
+    # one block of levels at a time (a whole-table solve peaked at 11.6 MiB).
+    tracemalloc.start()
+    try:
+        assert main(["spectrum", "--n-max", "300", "--output-dir", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
