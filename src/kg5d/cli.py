@@ -397,7 +397,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     n = np.repeat(np.arange(1, n_max + 1), per_n)
     l = np.arange(len(n)) - np.repeat(np.cumsum(per_n) - per_n, per_n)
     energies = kg_energies(n, l, scales)
-    wavelengths, refused = stat_wavelengths(n, l, scales)
+    # always solved to 1e-15 relative; only the step budget is configurable
+    wavelengths, refused = stat_wavelengths(
+        n, l, scales, Tolerance(rel=1e-15, abs=0.0, max_iter=cfg.settings["max_iter"]))
     if refused:
         print(_refusal_line(refused, len(n)), file=sys.stderr)
     table = Table(("n", "l", "E_over_mc2", "lambda_prime_over_lambda",
@@ -546,7 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("spectrum", help="bound-state table")
+    sp = subs.add_parser(
+        "spectrum", help="bound-state table",
+        description="Bound-state table.  The statistical wavelengths are always solved to "
+                    "1e-15 relative, whatever --rel-tol and --abs-tol say; --max-iter bounds "
+                    "the steps of each root, and a root not localized within them exits 3.")
     _add_common(sp)
     sp.add_argument("--n-max", dest="n_max", type=int)
 

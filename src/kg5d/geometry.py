@@ -45,20 +45,24 @@ profiles q (p and its finite-difference derivatives) -- the paper's own
 single-mode reduction, applied to the harness.  All finite-difference
 passes run on 4D base arrays; no n^5 array of the whole grid is formed.
 
-The grid checks stream over slabs of three x^0 planes: each slab's defect
-is computed and reduced to the maxima the caller needs before the next one,
-so the only 5D array is one slab's combination and no full-grid metric
-array is formed.  x^0 is axis 0 of the base arrays and of the 5D
-slab, so a slab cuts every phase.  A slab reads one halo plane each side
-(two for the light cone, where d_0 acts on a d_0 term), and slabs at the
-grid ends widen to five planes, so every stencil, one-sided ones at the true
-ends included, sees what it sees on the whole grid: the maxima are bit for
-bit those of the whole-grid evaluation.  Peak memory is the base arrays of
-the field plus one slab's arrays.  The base Christoffel phase holds the
-symmetric metric as its 15 entries a <= b, never as (5, 5) arrays; its 261
-planes of n^3 doubles are the largest below n = 40, and above it the slab's
-5D combination (6 n planes beside 26 others) is.  ``projected_peak_bytes``
-gives the peak in closed form before a run.
+The grid checks stream over x^0: each piece's defect is computed and
+reduced to the maxima the caller needs before the next one, so the only 5D
+array is one piece's combination and no full-grid metric array is formed.
+x^0 is axis 0 of the base arrays and of the 5D defect, so a cut in x^0 cuts
+every phase.  The Laplacian check walks one x^0 plane at a time: each
+plane's 15 metric entries a <= b are built once, from the potential on that
+plane, into a window of three planes (``_MetricPlanes``); d_0 of h and of
+the field's base arrays is the plane's row of fd_derivative's stencil
+(``fd_plane``); and h^-1 is taken on the kept plane alone.  The light-cone
+check, which applies d_0 to a d_0 term, runs on slabs of three planes that
+read two halo planes each side, widened to five planes at the grid ends.
+Either way every stencil, one-sided ones at the true ends included, sees
+what it sees on the whole grid: the maxima are bit for bit those of the
+whole-grid evaluation.  Peak memory is the base arrays of the field plus
+one plane's arrays: up to n = 19 the Christoffel phase's 87 planes of n^3
+doubles, the window's 45 among them, and above it the plane's 5D
+combination, 2 n planes beside the window and a few others.
+``projected_peak_bytes`` gives the peak in closed form before a run.
 
 All evaluations are pure; residual norms do not depend on how grid work is
 partitioned.
@@ -73,7 +77,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GaugeError
-from .numerics import fd_derivative, fit_convergence_order
+from .numerics import fd_derivative, fd_plane, fit_convergence_order
 from .reduction import GridField, field_derivative
 
 _ETA4 = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -185,35 +189,43 @@ _PAIRS = [(a, b) for a in range(5) for b in range(a, 5)]
 _ENTRY = np.array([[_PAIRS.index((min(a, b), max(a, b))) for b in range(5)] for a in range(5)])
 
 
-def _metric_entries(n_cov: np.ndarray):
-    """Closed-form h_{ab} and h^{ab}, a <= b, from covariant N_mu of shape
-    (4,) + base: two arrays of shape (15,) + base, entries ordered as
-    ``_PAIRS``.
+def _metric_entries(n_cov: np.ndarray) -> np.ndarray:
+    """Closed-form h_{ab}, a <= b, from covariant N_mu of shape (4,) + base:
+    shape (15,) + base, entries ordered as ``_PAIRS``.
 
-    ``base`` is () at a single point and the 4D grid shape on a grid.
+    ``base`` is () at a single point and a grid shape on a grid.
     """
-    base = n_cov.shape[1:]
-    n_up = _ETA_DIAG.reshape((4,) + (1,) * len(base)) * n_cov
-    h = np.empty((15,) + base)
-    h_inv = np.empty((15,) + base)
+    h = np.empty((15,) + n_cov.shape[1:])
     for k, (a, b) in enumerate(_PAIRS):
         if b < 4:
             h[k] = _ETA4[a, b] + n_cov[a] * n_cov[b]
-            h_inv[k] = _ETA4[a, b]
         elif a < 4:
             h[k] = -n_cov[a]
-            h_inv[k] = n_up[a]
         else:
             h[k] = 1.0
+    return h
+
+
+def _inverse_entries(n_cov: np.ndarray) -> np.ndarray:
+    """Closed-form h^{ab}, a <= b, from covariant N_mu, shaped as
+    ``_metric_entries``."""
+    base = n_cov.shape[1:]
+    n_up = _ETA_DIAG.reshape((4,) + (1,) * len(base)) * n_cov
+    h_inv = np.empty((15,) + base)
+    for k, (a, b) in enumerate(_PAIRS):
+        if b < 4:
+            h_inv[k] = _ETA4[a, b]
+        elif a < 4:
+            h_inv[k] = n_up[a]
+        else:
             h_inv[k] = 1.0 + np.vecdot(n_cov, n_up, axis=0)
-    return h, h_inv
+    return h_inv
 
 
 def _metric_pair(n_cov: np.ndarray):
     """Closed-form (h, h_inv) from covariant N_mu of shape (4,) + base, each
     of shape (5, 5) + base."""
-    h, h_inv = _metric_entries(n_cov)
-    return h[_ENTRY], h_inv[_ENTRY]
+    return _metric_entries(n_cov)[_ENTRY], _inverse_entries(n_cov)[_ENTRY]
 
 
 def _metric_gradient_from_dn(n_cov: np.ndarray, dn: np.ndarray) -> np.ndarray:
@@ -363,8 +375,8 @@ def _grid_coords(field, rows=None):
 def _combined(pairs) -> np.ndarray:
     """|sum_q C_q (x) q| from (base array, x^5 profile) pairs, x^5 last.
 
-    This is where a slab's 5D defect is formed: one array of the slab's size
-    and one temporary, added pair by pair in the given order.
+    This is where the 5D defect of one x^0 range is formed: one array of the
+    range's size and one temporary, added pair by pair in the given order.
     """
     (c, q), *rest = pairs
     out = np.multiply(c[..., None], q)
@@ -375,8 +387,10 @@ def _combined(pairs) -> np.ndarray:
     return np.abs(out, out=out)
 
 
-# x^0 planes whose defect one slab computes.  x^0 is axis 0 of the 4D base
-# arrays and of a slab's 5D defect, so one slab cuts every phase of a check.
+# x^0 planes in one slab: the light-cone defect and the Lorentz-gauge
+# guard's maxima are computed one slab at a time (the Laplacian defect one
+# plane at a time, ``_MetricPlanes``).  x^0 is axis 0 of the 4D base arrays
+# and of a slab's 5D defect, so one slab cuts every phase of a check.
 _SLAB_PLANES = 3
 
 
@@ -386,7 +400,8 @@ def _slab_rows(n0: int):
 
 
 def _haloed(rows, n0: int, halo: int):
-    """The x^0 rows [start, stop) a slab reads to differentiate its kept rows.
+    """The x^0 rows [start, stop) a light-cone slab reads to differentiate
+    its kept rows.
 
     ``halo`` planes are added on each side: one per x^0 derivative applied in
     sequence.  A range touching a grid end is widened to fd_derivative's
@@ -403,18 +418,19 @@ def _haloed(rows, n0: int, halo: int):
     return start, stop
 
 
-def _defect_maxima(defect: Callable, n0: int, index_sets) -> list:
-    """Max of a defect field over each index set, one x^0 slab at a time.
+def _defect_maxima(defect: Callable, rows, index_sets) -> list:
+    """Max of a defect field over each index set, one x^0 row range at a time.
 
-    ``defect(rows)`` returns the defect on the x^0 rows [lo, hi) of the grid.
-    Each index set is a tuple of slices over the whole grid, as
-    ``defect_field[index]`` would take it; only one slab's defect is held:
-    the previous slab's defect and its index-set copy are dropped before
-    the next slab is built.
+    ``rows`` lists ranges [lo, hi) that cover the grid's x^0 rows in order,
+    and ``defect((lo, hi))`` returns the defect on one of them.  Each index
+    set is a tuple of slices over the whole grid, as ``defect_field[index]``
+    would take it; only one range's defect is held: the previous range's
+    defect and its index-set copy are dropped before the next is built.
     """
+    n0 = rows[-1][1]
     best = [None] * len(index_sets)
-    for lo, hi in _slab_rows(n0):
-        slab = part = None  # the previous slab's arrays go before the next is built
+    for lo, hi in rows:
+        slab = part = None  # the previous range's arrays go before the next is built
         slab = defect((lo, hi))
         for k, index in enumerate(index_sets):
             kept = [r - lo for r in range(n0)[index[0]] if lo <= r < hi]
@@ -436,51 +452,84 @@ def _sum_of_products(x, y, pairs, out, tmp):
     return out
 
 
+class _MetricPlanes:
+    """h_{ab}, a <= b, on the x^0 planes of a field's base grid: a sequence
+    whose plane i, of shape (15, n1, n2, n3), is built on first use from
+    ``A.components`` on that plane alone.
+
+    Building a plane drops the planes more than two rows from it, so a walk
+    over the rows in order builds each plane once and holds three: the row,
+    its two x^0 neighbours, or the three end planes of a one-sided stencil.
+    """
+
+    def __init__(self, field, A: Potential, q_over_c2: float):
+        self._field, self._A, self._q_over_c2 = field, A, q_over_c2
+        self._planes = {}
+
+    def __len__(self) -> int:
+        return self._field.coords(0).size
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if i not in self._planes:
+            for j in [j for j in self._planes if abs(j - i) > 2]:
+                del self._planes[j]
+            coords = _grid_coords(self._field, (i, i + 1))
+            base = np.broadcast(*coords).shape
+            n_cov = -self._q_over_c2 * np.broadcast_to(self._A.components(coords), (4,) + base)
+            self._planes[i] = _metric_entries(n_cov)[:, 0]
+        return self._planes[i]
+
+
 def _christoffel_contraction_field(field, A: Potential, q_over_c2: float,
-                                   rows=None):
+                                   rows=None, metric=None):
     """h^{AB} Gamma^C_{AB} on the 4D base grid, shape (5,) + base grid.
 
     ``field`` supplies the base grid alone: a ``SeparatedField`` or a 4D
     ``GridField``.  With ``rows = (lo, hi)`` only the x^0 rows [lo, hi) of
-    the base are returned, and only the metric on those rows and one halo
-    plane each side is built.
+    the base are returned.  The rows are computed one x^0 plane at a time
+    from ``metric``, the field's ``_MetricPlanes`` (a new one by default);
+    a caller that walks the grid plane by plane passes the same one to every
+    call, so each plane's metric is built once.
 
     Contracting Gamma^C_{AB} = h^{CD}(d_A h_{DB} + d_B h_{DA} - d_D h_{AB})/2
     with the symmetric h^{AB} leaves h^{CD} v_D, where
 
         v_D = h^{AB} d_A h_{DB} - (1/2) h^{AB} d_D h_{AB}.
 
-    h and h^{-1} are held as their 15 entries a <= b (``_metric_entries``)
-    and the gradient is taken by finite differences of those entries, one
-    direction rho at a time (d_5 = 0), so neither a (5, 5) metric array nor
-    the Christoffel table is formed.  Each sum runs over the full indices in
-    the order of the dense einsums (b in v_D, (a, b) row-major in the trace,
-    D in h^{CD} v_D), so the result is bit for bit the dense contraction.
+    h and h^{-1} are held as their 15 entries a <= b and the gradient is
+    taken by finite differences of those entries, one direction rho at a
+    time (d_5 = 0), so neither a (5, 5) metric array nor the Christoffel
+    table is formed.  d_0 h on a plane is ``fd_plane`` over the metric's
+    planes; h^{-1} is built on the plane alone, from N_mu = -h_{mu 5}.  Each
+    sum runs over the full indices in the order of the dense einsums (b in
+    v_D, (a, b) row-major in the trace, D in h^{CD} v_D), so the result is
+    bit for bit the dense contraction.
     """
     n0 = field.coords(0).size
     lo, hi = (0, n0) if rows is None else rows
-    start, stop = _haloed((lo, hi), n0, 1)
-    cut = slice(lo - start, hi - start)
-    coords = _grid_coords(field, (start, stop))
-    base = np.broadcast(*coords).shape
-    h, h_inv = _metric_entries(-q_over_c2 * np.broadcast_to(A.components(coords), (4,) + base))
-    h_inv = np.ascontiguousarray(h_inv[:, cut])
-    v = np.zeros((5,) + h_inv.shape[1:])
-    term, tmp = np.empty_like(v[0]), np.empty_like(v[0])
+    metric = _MetricPlanes(field, A, q_over_c2) if metric is None else metric
     trace = [(k, k) for k in _ENTRY.ravel()]
-    for rho in range(4):
-        if rho == 0:  # d_0 h_{ab}, the one derivative reading the halo planes
-            dh = fd_derivative(h, 1, 1, field.step[0])[:, cut]
-            h = np.ascontiguousarray(h[:, cut])  # the kept rows serve d_1..d_3
-        else:
-            dh = fd_derivative(h, 1 + rho, 1, field.step[rho])
-        for d in range(5):
-            v[d] += _sum_of_products(h_inv, dh, [(_ENTRY[rho, b], _ENTRY[d, b]) for b in range(5)],
-                                     term, tmp)
-        v[rho] -= np.multiply(0.5, _sum_of_products(h_inv, dh, trace, term, tmp), out=term)
-    out = np.empty_like(v)
-    for c in range(5):
-        _sum_of_products(h_inv, v, [(_ENTRY[c, d], d) for d in range(5)], out[c], tmp)
+    out = None
+    for r in range(lo, hi):
+        # d_0 h first: at an end row its stencil's temporaries are the
+        # largest, and nothing else of the row is live yet
+        dh = fd_plane(metric, r, 1, field.step[0])
+        h = metric[r]
+        h_inv = _inverse_entries(-h[_ENTRY[:4, 4]])
+        v = np.zeros((5,) + h.shape[1:])
+        term, tmp = np.empty_like(v[0]), np.empty_like(v[0])
+        for rho in range(4):
+            if rho:
+                del dh  # the previous direction's goes before the next is built
+                dh = fd_derivative(h, rho, 1, field.step[rho])
+            for d in range(5):
+                v[d] += _sum_of_products(h_inv, dh, [(_ENTRY[rho, b], _ENTRY[d, b])
+                                                     for b in range(5)], term, tmp)
+            v[rho] -= np.multiply(0.5, _sum_of_products(h_inv, dh, trace, term, tmp), out=term)
+        if out is None:
+            out = np.empty((5, hi - lo) + h.shape[1:])
+        for c in range(5):
+            _sum_of_products(h_inv, v, [(_ENTRY[c, d], d) for d in range(5)], out[c, r - lo], tmp)
     return out
 
 
@@ -514,45 +563,51 @@ def _lorentz_guard(field: SeparatedField, A: Potential) -> None:
 
 
 def _laplacian_defect_field(field: SeparatedField, A: Potential, q_over_c2: float,
-                            rows=None) -> np.ndarray:
+                            rows=None, metric=None) -> np.ndarray:
     """|-h^{AB} Gamma^C_{AB} d_C f - (d_mu N^mu) d_5 f| on the x^0 rows [lo, hi).
 
-    ``rows`` defaults to the whole grid.  This is the Laplace-Beltrami
+    ``rows`` defaults to the whole grid, and ``metric`` is passed on to
+    ``_christoffel_contraction_field``.  This is the Laplace-Beltrami
     operator h^{AB}(d_A d_B - Gamma^C_{AB} d_C) f minus the expanded operator
     of ``covariant_laplacian_residual``: the second-order parts of the two are
     the same terms and cancel exactly, so only the first-order parts are
     evaluated.  For each term g p of the field that is
     (sum_mu c_mu d_mu g) (x) p + (c_5 g) (x) d_5 p, with c the coefficients
-    above: d_0 g is taken on the rows plus one halo plane each side, the
-    other derivatives on the rows alone.  The numerical Lorentz-gauge test
-    needs the whole grid and is left to the callers (``_lorentz_guard``).
+    above: d_0 g is taken row by row (``fd_plane``) from the whole base
+    array, the other derivatives on the rows alone.  The numerical
+    Lorentz-gauge test needs the whole grid and is left to the callers
+    (``_lorentz_guard``).
     """
     _check_laplacian_inputs(field, A)
-    n0 = field.shape[0]
-    lo, hi = (0, n0) if rows is None else rows
-    coef = _christoffel_contraction_field(field, A, q_over_c2, (lo, hi))
+    lo, hi = (0, field.shape[0]) if rows is None else rows
+    coef = _christoffel_contraction_field(field, A, q_over_c2, (lo, hi), metric)
     # h^{AB} Gamma^5_{AB} + d_mu N^mu, with the analytic divergence
     coef[4] += -q_over_c2 * np.asarray(A.divergence(_grid_coords(field, (lo, hi))))
-    start, stop = _haloed((lo, hi), n0, 1)
     h = field.step
     pairs = []
     for g, p in zip(field.bases, field.profiles):
-        base = fd_derivative(g[start:stop], 0, 1, h[0])[lo - start:hi - start]
+        base = np.empty_like(coef[0])
+        for r in range(lo, hi):
+            base[r - lo] = fd_plane(g, r, 1, h[0])
         base *= coef[0]
         for mu in range(1, 4):
             d = fd_derivative(g[lo:hi], mu, 1, h[mu])
             d *= coef[mu]
             base += d
         pairs += [(base, p), (coef[4] * g[lo:hi], fd_derivative(p, 0, 1, h[4]))]
+    del coef
     return _combined(pairs)
 
 
 def _laplacian_defect_maxima(field: SeparatedField, A: Potential, q_over_c2: float,
                              index_sets) -> list:
-    """Gauge-guarded maxima of the Laplacian defect over each index set."""
+    """Gauge-guarded maxima of the Laplacian defect over each index set, one
+    x^0 plane at a time, each plane's metric built once."""
     _lorentz_guard(field, A)
-    return _defect_maxima(lambda rows: _laplacian_defect_field(field, A, q_over_c2, rows),
-                          field.shape[0], index_sets)
+    metric = _MetricPlanes(field, A, q_over_c2)
+    return _defect_maxima(
+        lambda rows: _laplacian_defect_field(field, A, q_over_c2, rows, metric),
+        [(r, r + 1) for r in range(field.shape[0])], index_sets)
 
 
 def covariant_laplacian_residual(
@@ -571,7 +626,7 @@ def covariant_laplacian_residual(
     the grid and d_mu N^mu from the potential's derivative table.  Requires
     Lorentz gauge (declared and checked numerically).  Interior points only;
     the pointwise defect decays at second order in the step.  The defect is
-    computed and reduced one x^0 slab at a time.
+    computed and reduced one x^0 plane at a time.
     """
     inner = tuple(slice(margin, -margin) for _ in range(5))
     return _laplacian_defect_maxima(field, A, q_over_c2, [inner])[0]
@@ -672,7 +727,7 @@ def lightcone_em_expansion_residual(
     """
     inner = tuple(slice(margin, -margin) for _ in range(5))
     return _defect_maxima(lambda rows: _lightcone_defect_field(field, A, q_over_c2, gauge, rows),
-                          field.shape[0], [inner])[0]
+                          _slab_rows(field.shape[0]), [inner])[0]
 
 
 def _lightcone_defect_field(field: SeparatedField, A: Potential, q_over_c2: float,
@@ -807,8 +862,8 @@ def _laplacian_ladder(lap_sizes, A: Potential):
     so every stencil of that defect returns exactly 0 at any grid size; the
     half grid costs under a tenth of the finest, and the quarter grid's margin-2
     interior can be a single point.  Each rung builds its separated field
-    in turn and drops it before the next, and each defect is streamed in
-    x^0 slabs.
+    in turn and drops it before the next, and each defect is streamed one
+    x^0 plane at a time.
     """
     steps, resid, interior = [], [], []
     coarse_n, half = lap_sizes[0], lap_sizes[1]
@@ -833,20 +888,21 @@ def projected_peak_bytes(sizes) -> int:
     The Laplacian ladder holds one field at a time, the finest last: its 4D
     base array, n^4 doubles on an n^5 grid, and an x^5 profile.  While its
     defect is streamed (on the half grid, the flat-space residual too), one
-    slab's arrays are live at a time, counted in base planes of n^3 doubles.
-    The Christoffel phase holds 261: the 15 metric entries and their x^0
-    derivative on the slab's five haloed planes, the entries of h and h^-1 on
-    its three kept rows, and v_D with two work arrays.  The defect phase
-    holds the slab's 5D combination and its temporary, 6 n planes, beside 26
-    of coefficients and derivatives; the maxima then take at most two
-    slab-sized arrays.  The formula rounds the two phases up to 280 and
-    6 n + 32 planes for the small arrays beside them.  No term grows as n^5.
-    The Fourier check afterwards holds a few complex and real arrays on the
-    first size's 4D grid, at most 128 bytes a point.  The test suite checks
-    the bound against tracemalloc.
+    x^0 plane's arrays are live at a time, counted in base planes of n^3
+    doubles.  Throughout, the metric window holds three planes' 15 entries
+    of h, 45 planes.  The Christoffel phase adds 42: h^-1 on the kept plane
+    (15), one direction's derivative of h (15), v_D with two work arrays
+    (7) and the plane's coefficients (5); d_0 h at an end row, taken first,
+    adds fewer.  The defect phase adds the plane's 5D combination and its
+    temporary, 2 n planes, beside a few of coefficients and derivatives,
+    and the maxima then take at most two plane-sized arrays.  The formula
+    rounds the two phases up to 96 and 2 n + 56 planes for the small arrays
+    beside them.  No term grows as n^5.  The Fourier check afterwards holds
+    a few complex and real arrays on the first size's 4D grid, at most 128
+    bytes a point.  The test suite checks the bound against tracemalloc.
     """
     n = _laplacian_sizes(sizes)[-1]
-    ladder = 8 * n**3 * (n + max(280, 6 * n + 32))
+    ladder = 8 * n**3 * (n + max(96, 2 * n + 56))
     fourier = 128 * int(sizes[0]) ** 4
     return max(ladder, fourier)
 

@@ -6,6 +6,10 @@ quadrature nodes, so they are safe to call concurrently.
 Quadrature (``integrate``) uses an embedded Gauss-Legendre 7/15 pair on
 adaptively bisected panels of one integral.
 
+Stencils: ``fd_derivative`` differentiates a whole array, and ``fd_plane``
+gives one plane of that result from the planes its stencil reads; both run
+the same stencil code, so a plane has the bits of the whole-array result.
+
 Root finding is bisection with secant steps on sign-changing brackets.
 ``find_roots`` solves many brackets in lockstep: ``f(x, owner)`` receives
 the abscissae of all roots still open together with the index of the root
@@ -210,6 +214,40 @@ def find_roots(
     )
 
 
+def _check_stencil(n: int, axis: int, order: int, step: float) -> None:
+    if n < 5:
+        raise GridSizeError(f"need >= 5 points along axis {axis}, got {n}")
+    if order not in (1, 2):
+        raise StencilError(f"order must be 1 or 2, got {order!r}")
+    if not step > 0:
+        raise StencilError(f"step must be positive, got {step!r}")
+
+
+def _central(below, at, above, order: int, step: float, out: np.ndarray) -> np.ndarray:
+    """The central second-order stencil into ``out``, from the samples one
+    step below, at and one step above each point (``at`` unused for order 1)."""
+    if order == 1:
+        np.subtract(above, below, out=out)
+        out /= 2 * step
+    else:
+        np.multiply(at, 2, out=out)
+        np.subtract(above, out, out=out)
+        out += below
+        out /= step**2
+    return out
+
+
+def _one_sided(v, first: bool, order: int, step: float) -> np.ndarray:
+    """The one-sided second-order stencil at a grid end.  ``v`` holds the end
+    sample and the next ones inward, end sample first; ``first`` is true at
+    the first sample of the axis and false at the last."""
+    if order == 2:
+        return (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / step**2
+    if first:
+        return (-3 * v[0] + 4 * v[1] - v[2]) / (2 * step)
+    return (3 * v[0] - 4 * v[1] + v[2]) / (2 * step)
+
+
 def fd_derivative(values: np.ndarray, axis: int, order: int, step: float) -> np.ndarray:
     """Second-order finite-difference derivative of a uniformly sampled field.
 
@@ -220,12 +258,7 @@ def fd_derivative(values: np.ndarray, axis: int, order: int, step: float) -> np.
     """
     v = np.asarray(values)
     n = v.shape[axis]
-    if n < 5:
-        raise GridSizeError(f"need >= 5 points along axis {axis}, got {n}")
-    if order not in (1, 2):
-        raise StencilError(f"order must be 1 or 2, got {order!r}")
-    if not step > 0:
-        raise StencilError(f"step must be positive, got {step!r}")
+    _check_stencil(n, axis, order, step)
     axis %= v.ndim
 
     # One pass over the flattened array: along ``axis`` the neighbours of a
@@ -234,23 +267,38 @@ def fd_derivative(values: np.ndarray, axis: int, order: int, step: float) -> np.
     v = np.ascontiguousarray(v)
     out = np.empty(v.shape, dtype=np.result_type(v.dtype, float))
     stride = math.prod(v.shape[axis + 1:])
-    flat, inner = v.reshape(-1), out.reshape(-1)[stride:-stride]
-    if order == 1:
-        np.subtract(flat[2 * stride:], flat[:-2 * stride], out=inner)
-        inner /= 2 * step
-    else:
-        np.multiply(flat[stride:-stride], 2, out=inner)
-        np.subtract(flat[2 * stride:], inner, out=inner)
-        inner += flat[:-2 * stride]
-        inner /= step**2
+    flat = v.reshape(-1)
+    _central(flat[:-2 * stride], flat[stride:-stride], flat[2 * stride:], order, step,
+             out.reshape(-1)[stride:-stride])
     v, edge = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
-    if order == 1:
-        edge[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * step)
-        edge[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * step)
-    else:
-        edge[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / step**2
-        edge[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / step**2
+    edge[0] = _one_sided(v[:4], True, order, step)
+    edge[-1] = _one_sided(v[:-5:-1], False, order, step)
     return out
+
+
+def fd_plane(values, row: int, order: int, step: float) -> np.ndarray:
+    """Plane ``row`` of ``fd_derivative(values, 0, order, step)``.
+
+    ``values`` is anything with a length that gives plane i as ``values[i]``:
+    an array, or a sequence that builds its planes on demand.  Only the planes
+    the stencil at ``row`` reads are taken: row - 1 and row + 1 (and row
+    itself for order 2) inside, the three (order 2: four) end planes at a
+    grid end.  The operations are fd_derivative's, so the plane has its
+    bits.
+    """
+    n = len(values)
+    _check_stencil(n, 0, order, step)
+    if not 0 <= row < n:
+        raise StencilError(f"row {row} outside the {n} planes")
+    if row in (0, n - 1):
+        first = row == 0
+        ends = range(order + 2) if first else range(n - 1, n - 3 - order, -1)
+        return _one_sided([values[i] for i in ends], first, order, step)
+    below = values[row - 1]
+    at = values[row] if order == 2 else None
+    above = values[row + 1]
+    out = np.empty(np.shape(above), dtype=np.result_type(above.dtype, float))
+    return _central(below, at, above, order, step, out)
 
 
 def fit_convergence_order(steps, residuals) -> float:

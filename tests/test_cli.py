@@ -250,8 +250,10 @@ def test_non_positive_eta0_exits_2_with_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["partition", "--rel-tol", "0"],
-                                  ["universal-d", "--max-iter", "0"]],
-                         ids=["partition-rel-tol-0", "universal-d-max-iter-0"])
+                                  ["universal-d", "--max-iter", "0"],
+                                  ["spectrum", "--max-iter", "0"]],
+                         ids=["partition-rel-tol-0", "universal-d-max-iter-0",
+                              "spectrum-max-iter-0"])
 def test_invalid_tolerance_exits_2_with_one_line(tmp_path, capsys, argv):
     rc = main(argv + ["--output-dir", str(tmp_path)])
     assert rc == 2
@@ -278,6 +280,18 @@ def test_spectrum_nan_rows_report_reason(tmp_path, capsys):
         assert "quantization" not in (tmp_path / name).read_text()
     doc = json.loads(_read(tmp_path / "spectrum.json"))
     assert sum(math.isnan(r["Lambda_prime_over_Lambda"]) for r in doc["levels"]) == 3
+
+
+def test_spectrum_max_iter_exits_3_with_one_line(tmp_path, capsys):
+    # --max-iter bounds each statistical root's steps: 3 localize no root
+    # (the flag used to be ignored and the table written with exit 0)
+    rc = main(["spectrum", "--n-max", "20", "--coupling", "0.7", "--max-iter", "3",
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == ("non-convergence: statistical wavelength not localized within 3 "
+                   "iterations at row 1 (n=1, l=1)\n")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("n_max", ["0", "-2"])
@@ -349,11 +363,11 @@ def test_empty_r_grid_exits_2_with_one_line(tmp_path, capsys, argv):
 @pytest.mark.parametrize("grid, refine, top, limit", [
     ("301", "2", 305, 2 * 2**30),
     # 16 MiB above the projection: refused, because the interpreter's own
-    # mappings count against the limit too.  The ladder runs up to 45^5 so
-    # that the cap (257 MiB) leaves room for the interpreter to start: at
-    # 33^5 it would be 102 MiB, below the 143 MiB that Python 3.11 with
-    # numpy 2.4 maps before the guard runs.
-    ("29", "5", 45, projected_peak_bytes([29, 33, 37, 41, 45]) + 2**24),
+    # mappings count against the limit too.  The ladder runs up to 53^5 so
+    # that the cap (260 MiB) leaves room for the interpreter to start: at
+    # 45^5 it would be 149 MiB, barely above the 143 MiB that Python 3.11
+    # with numpy 2.4 maps before the guard runs.
+    ("29", "7", 53, projected_peak_bytes([29, 33, 37, 41, 45, 49, 53]) + 2**24),
     # a list of 2e8 sizes alone would not fit: refused before any is made
     ("9", "200000000", 800_000_005, 3 * 2**29),
 ], ids=["301", "29-just-above-projection", "refine-200000000"])

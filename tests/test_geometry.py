@@ -41,7 +41,9 @@ from kg5d.geometry import (
     _laplacian_defect_maxima,
     _laplacian_sizes,
     _lightcone_defect_field,
+    _MetricPlanes,
     _metric_pair,
+    _slab_rows,
     projected_peak_bytes,
 )
 from kg5d.numerics import fd_derivative, fit_convergence_order
@@ -66,7 +68,8 @@ def _nested_orders(defect_fn, field_fn):
     for size in NESTED_SIZES:
         f = field_fn(size)
         hs.append(f.step[0])
-        rs.append(_defect_maxima(lambda rows: defect_fn(f, rows), size, [_nested_probe(size)])[0])
+        rs.append(_defect_maxima(lambda rows: defect_fn(f, rows), _slab_rows(size),
+                                 [_nested_probe(size)])[0])
     return hs, rs
 
 
@@ -316,18 +319,30 @@ def test_laplacian_defect_peak_memory():
 
 
 def test_christoffel_slab_peak_memory():
-    # the metric is held as its 15 entries a <= b: one interior slab's
-    # Christoffel phase takes 261 base planes of n^3 doubles, where the
-    # (5, 5) metric arrays took 548
+    # the Christoffel phase runs one x^0 plane at a time from a window of
+    # three planes' 15 metric entries: 87 base planes of n^3 doubles, where
+    # a 3-plane slab took 261 and one plane of it, widened to a haloed
+    # slab, 202
     field = _test_field_5d(21)
     A = smooth_lorentz_potential()
+    bound = 96 * 8 * 21**3
+    for plane in [(0, 1), (9, 10), (20, 21)]:
+        tracemalloc.start()
+        try:
+            _christoffel_contraction_field(field, A, Q_C2, plane)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, plane
+    metric = _MetricPlanes(field, A, Q_C2)
     tracemalloc.start()
     try:
-        _christoffel_contraction_field(field, A, Q_C2, (9, 12))
+        for r in range(21):
+            _christoffel_contraction_field(field, A, Q_C2, (r, r + 1), metric)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 340 * 8 * 21**3
+    assert peak <= bound
 
 
 def _terms(field, *terms):
@@ -655,9 +670,9 @@ def _index_sets(size):
 @pytest.mark.parametrize("potential", sorted(_STREAM_POTENTIALS))
 @pytest.mark.parametrize("size", [7, 9, 11])
 def test_laplacian_slabs_match_whole_grid(size, potential):
-    # 7, 9 and 11 x^0 planes: slabs of 3 with a short last slab, first and
-    # last slabs widened to 5 haloed planes; the full grid takes in the
-    # one-sided rows
+    # 7, 9 and 11 x^0 planes, walked one plane at a time through one metric
+    # window: the two end planes take the one-sided stencils, and a plane
+    # computed on its own, with a window of its own, gets the same bits
     A = _STREAM_POTENTIALS[potential]()
     field = _test_field_5d(size)
     defect = _whole_grid_laplacian_defect(field, A, Q_C2)
@@ -666,10 +681,33 @@ def test_laplacian_slabs_match_whole_grid(size, potential):
     assert got == [float(np.max(defect[index])) for index in sets]
     assert np.array_equal(_laplacian_defect_field(field, A, Q_C2), defect)
     coef = _whole_grid_contraction(field, A, Q_C2)
-    for lo in range(0, size, 3):
-        hi = min(lo + 3, size)
+    metric = _MetricPlanes(field, A, Q_C2)
+    for r in range(size):
+        plane = (r, r + 1)
         assert np.array_equal(
-            _christoffel_contraction_field(field, A, Q_C2, (lo, hi)), coef[:, lo:hi])
+            _christoffel_contraction_field(field, A, Q_C2, plane, metric), coef[:, r:r + 1])
+        assert np.array_equal(_christoffel_contraction_field(field, A, Q_C2, plane),
+                              coef[:, r:r + 1])
+    metric = _MetricPlanes(field, A, Q_C2)
+    for r in range(size):
+        assert np.array_equal(
+            _laplacian_defect_field(field, A, Q_C2, (r, r + 1), metric), defect[r:r + 1])
+
+
+@pytest.mark.parametrize("size", [7, 11])
+def test_laplacian_builds_each_metric_plane_once(monkeypatch, size):
+    # one Laplacian pass builds the metric on n0 planes, one plane a call:
+    # rebuilding a halo around every kept plane would build about 3 n0
+    planes = []
+    entries = geometry._metric_entries
+
+    def counted(n_cov):
+        planes.append(n_cov.shape[1])
+        return entries(n_cov)
+
+    monkeypatch.setattr(geometry, "_metric_entries", counted)
+    covariant_laplacian_residual(_test_field_5d(size), smooth_lorentz_potential(), Q_C2)
+    assert planes == [1] * size
 
 
 @pytest.mark.parametrize("potential", sorted(_STREAM_POTENTIALS))
@@ -679,8 +717,8 @@ def test_lightcone_slabs_match_whole_grid(size, potential):
     field = _field_5d(size)
     defect = _whole_grid_lightcone_defect(field, A, Q_C2)
     sets = _index_sets(size)
-    got = _defect_maxima(
-        lambda rows: _lightcone_defect_field(field, A, Q_C2, "lorentz", rows), size, sets)
+    got = _defect_maxima(lambda rows: _lightcone_defect_field(field, A, Q_C2, "lorentz", rows),
+                         _slab_rows(size), sets)
     assert got == [float(np.max(defect[index])) for index in sets]
     assert np.array_equal(_lightcone_defect_field(field, A, Q_C2, "lorentz"), defect)
     assert got[1] == lightcone_em_expansion_residual(field, A, Q_C2, gauge="lorentz")
@@ -756,7 +794,7 @@ def test_defect_maxima_refuses_empty_index_set():
 # Harness
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("sizes", [(9, 13), (17, 21)], ids=["17^5", "21^5"])
+@pytest.mark.parametrize("sizes", [(9, 13), (17, 21), (21, 25)], ids=["17^5", "21^5", "25^5"])
 def test_projected_peak_bounds_tracemalloc_peak(sizes):
     # the closed form that refuses oversized runs must cover the real peak
     # without refusing runs that would fit by more than a factor of two

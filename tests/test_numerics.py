@@ -30,6 +30,7 @@ from kg5d.numerics import (
     SeriesReport,
     Tolerance,
     fd_derivative,
+    fd_plane,
     find_roots,
     fit_convergence_order,
     integrate,
@@ -466,6 +467,48 @@ def test_fd_flat_stencil_bitwise(order):
             want = _fd_reference(v, axis, order, 0.13)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+class _Planes:
+    """The planes of an array along axis 0, recording which are read."""
+
+    def __init__(self, values):
+        self.values, self.read = values, []
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return self.values[i]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [5, 9])
+def test_fd_plane_matches_fd_derivative_bitwise(order, n):
+    # every row, the two end rows included, gets fd_derivative's bits, from
+    # an array or from planes read on demand, and reads only its stencil
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal((n, 4, 3))
+    for v in (real, real + 1j * rng.standard_normal(real.shape)):
+        want = fd_derivative(v, 0, order, 0.13)
+        for row in range(n):
+            assert np.array_equal(fd_plane(v, row, order, 0.13), want[row])
+            planes = _Planes(v)
+            assert np.array_equal(fd_plane(planes, row, order, 0.13), want[row])
+            ends = {0: range(order + 2), n - 1: range(n - order - 2, n)}
+            reads = ends.get(row, range(row - 1, row + 2) if order == 2 else (row - 1, row + 1))
+            assert sorted(planes.read) == list(reads)
+
+
+def test_fd_plane_errors():
+    with pytest.raises(GridSizeError):
+        fd_plane(np.zeros((4, 3)), 1, 1, 0.1)
+    for row in (-1, 6):
+        with pytest.raises(StencilError):
+            fd_plane(np.zeros((6, 3)), row, 1, 0.1)
+    with pytest.raises(StencilError):
+        fd_plane(np.zeros((6, 3)), 2, 3, 0.1)
 
 
 def test_argument_errors_are_package_errors():
