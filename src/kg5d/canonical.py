@@ -161,7 +161,8 @@ def _level_panels(ns: np.ndarray, cut: np.ndarray) -> np.ndarray:
     end.  Beyond every level's decay point an interval is one panel.
     """
     ends = np.minimum(cut, 4.0 * ns + 40.0 + 24.0 * np.cbrt(ns))
-    edges = np.setdiff1d(np.append(cut, ends), [0.0])  # sorted, unique
+    edges = np.sort(np.append(cut, ends))
+    edges = edges[(edges != 0.0) & np.append(True, edges[1:] != edges[:-1])]  # unique, no 0
     o = np.argsort(cut)  # m for (lo, edge]: the highest level with cut_n >= edge
     top = np.maximum.accumulate(ns[o][::-1])[::-1][np.searchsorted(cut[o], edges)]
     lo = np.concatenate([[0.0], edges[:-1]])

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import canonical
 from .errors import (
     BracketingError,
     ConfigurationError,
@@ -421,6 +420,8 @@ def _refusal_line(refused: dict, total: int) -> str:
 
 
 def cmd_partition(cfg: RunConfig) -> int:
+    from . import canonical
+
     scales = cfg.scales()
     result = canonical.partition(scales, cfg.tolerance())
     exact = result.per_level_d
@@ -450,6 +451,8 @@ def _r_grid(cfg: RunConfig, r_max: float) -> np.ndarray:
 
 
 def cmd_universal_d(cfg: RunConfig) -> int:
+    from . import canonical
+
     r = _r_grid(cfg, 4.0)
     values = canonical.universal_d(r)
     norm = integrate(canonical.universal_d, 0.0, 4.0,
@@ -461,6 +464,8 @@ def cmd_universal_d(cfg: RunConfig) -> int:
 
 
 def cmd_figure1(cfg: RunConfig) -> int:
+    from . import canonical
+
     try:
         n_list = [int(tok) for tok in str(cfg.settings["n_list"]).split(",") if tok.strip()]
     except ValueError as exc:

@@ -49,20 +49,23 @@ The grid checks stream over x^0: each piece's defect is computed and
 reduced to the maxima the caller needs before the next one, so the only 5D
 array is one piece's combination and no full-grid metric array is formed.
 x^0 is axis 0 of the base arrays and of the 5D defect, so a cut in x^0 cuts
-every phase.  The Laplacian check walks one x^0 plane at a time: each
-plane's 15 metric entries a <= b are built once, from the potential on that
-plane, into a window of three planes (``_MetricPlanes``); d_0 of h and of
-the field's base arrays is the plane's row of fd_derivative's stencil
-(``fd_plane``); and h^-1 is taken on the kept plane alone.  The light-cone
-check, which applies d_0 to a d_0 term, runs on slabs of three planes that
-read two halo planes each side, widened to five planes at the grid ends.
-Either way every stencil, one-sided ones at the true ends included, sees
-what it sees on the whole grid: the maxima are bit for bit those of the
-whole-grid evaluation.  Peak memory is the base arrays of the field plus
-one plane's arrays: up to n = 19 the Christoffel phase's 87 planes of n^3
-doubles, the window's 45 among them, and above it the plane's 5D
-combination, 2 n planes beside the window and a few others.
-``projected_peak_bytes`` gives the peak in closed form before a run.
+every phase.  The Laplacian check walks one x^0 plane at a time from a
+window of three planes of N_mu, each sampled once from the potential on that
+plane (``_PotentialPlanes``); every entry of h and h^-1 is formed from N
+where it is read: d_0 of an entry of h is the plane's row of
+fd_derivative's stencil (``fd_plane``) over that entry formed on the planes
+the stencil reads, and h and h^-1 are built on the kept plane alone.  The
+Lorentz-gauge guard and the finite-difference Fourier check walk one plane
+at a time as well.  The light-cone check, which applies d_0 to a d_0 term,
+runs on slabs of three planes that read two halo planes each side, widened
+to five planes at the grid ends.  Either way every stencil, one-sided ones
+at the true ends included, sees what it sees on the whole grid: the maxima
+are bit for bit those of the whole-grid evaluation.  Peak memory is the
+base arrays of the field plus one plane's arrays: up to n = 29 the
+Christoffel phase's 57 planes of n^3 doubles, the window's 12 among them,
+and above it the plane's 5D combination, n planes, beside a copy of its
+interior for the maxima and a few others.  ``projected_peak_bytes`` gives
+the peak in closed form before a run.
 
 All evaluations are pure; residual norms do not depend on how grid work is
 partitioned.
@@ -189,43 +192,49 @@ _PAIRS = [(a, b) for a in range(5) for b in range(a, 5)]
 _ENTRY = np.array([[_PAIRS.index((min(a, b), max(a, b))) for b in range(5)] for a in range(5)])
 
 
-def _metric_entries(n_cov: np.ndarray) -> np.ndarray:
-    """Closed-form h_{ab}, a <= b, from covariant N_mu of shape (4,) + base:
-    shape (15,) + base, entries ordered as ``_PAIRS``.
+def _metric_entry(n_cov: np.ndarray, k: int) -> np.ndarray:
+    """Closed-form h_{ab}, (a, b) = ``_PAIRS[k]``, from covariant N_mu of
+    shape (4,) + base: an array of shape base.
 
     ``base`` is () at a single point and a grid shape on a grid.
     """
+    a, b = _PAIRS[k]
+    if b < 4:
+        return _ETA4[a, b] + n_cov[a] * n_cov[b]
+    if a < 4:
+        return -n_cov[a]
+    return np.ones(n_cov.shape[1:])
+
+
+def _metric_entries(n_cov: np.ndarray) -> np.ndarray:
+    """The 15 entries of ``_metric_entry`` stacked: shape (15,) + base."""
     h = np.empty((15,) + n_cov.shape[1:])
-    for k, (a, b) in enumerate(_PAIRS):
-        if b < 4:
-            h[k] = _ETA4[a, b] + n_cov[a] * n_cov[b]
-        elif a < 4:
-            h[k] = -n_cov[a]
-        else:
-            h[k] = 1.0
+    for k in range(15):
+        h[k] = _metric_entry(n_cov, k)
     return h
 
 
-def _inverse_entries(n_cov: np.ndarray) -> np.ndarray:
-    """Closed-form h^{ab}, a <= b, from covariant N_mu, shaped as
-    ``_metric_entries``."""
-    base = n_cov.shape[1:]
-    n_up = _ETA_DIAG.reshape((4,) + (1,) * len(base)) * n_cov
-    h_inv = np.empty((15,) + base)
-    for k, (a, b) in enumerate(_PAIRS):
+def _inverse_entries(n_cov: np.ndarray) -> list:
+    """Closed-form h^{ab}, a <= b, from covariant N_mu, ordered as ``_PAIRS``:
+    the ten h^{mu nu} = eta^{mu nu} as floats, h^{mu 5} = N^mu and
+    h^55 = 1 + N_mu N^mu as arrays of shape base."""
+    n_up = _ETA_DIAG.reshape((4,) + (1,) * (n_cov.ndim - 1)) * n_cov
+    h_inv = []
+    for a, b in _PAIRS:
         if b < 4:
-            h_inv[k] = _ETA4[a, b]
+            h_inv.append(float(_ETA4[a, b]))
         elif a < 4:
-            h_inv[k] = n_up[a]
+            h_inv.append(n_up[a])
         else:
-            h_inv[k] = 1.0 + np.vecdot(n_cov, n_up, axis=0)
+            h_inv.append(1.0 + np.vecdot(n_cov, n_up, axis=0))
     return h_inv
 
 
 def _metric_pair(n_cov: np.ndarray):
     """Closed-form (h, h_inv) from covariant N_mu of shape (4,) + base, each
     of shape (5, 5) + base."""
-    return _metric_entries(n_cov)[_ENTRY], _inverse_entries(n_cov)[_ENTRY]
+    h_inv = np.stack(np.broadcast_arrays(*_inverse_entries(n_cov)))
+    return _metric_entries(n_cov)[_ENTRY], h_inv[_ENTRY]
 
 
 def _metric_gradient_from_dn(n_cov: np.ndarray, dn: np.ndarray) -> np.ndarray:
@@ -376,20 +385,22 @@ def _combined(pairs) -> np.ndarray:
     """|sum_q C_q (x) q| from (base array, x^5 profile) pairs, x^5 last.
 
     This is where the 5D defect of one x^0 range is formed: one array of the
-    range's size and one temporary, added pair by pair in the given order.
+    range's size, to which the pairs after the first are added in the given
+    order, one (x^0, x^1) row at a time through a temporary of one row.
     """
     (c, q), *rest = pairs
     out = np.multiply(c[..., None], q)
-    tmp = np.empty_like(out)
+    rows = out.reshape((-1,) + out.shape[2:])
+    tmp = np.empty_like(rows[0])
     for c, q in rest:
-        np.multiply(c[..., None], q, out=tmp)
-        out += tmp
+        for row, c_row in zip(rows, c.reshape((-1,) + c.shape[2:])):
+            row += np.multiply(c_row[..., None], q, out=tmp)
     return np.abs(out, out=out)
 
 
-# x^0 planes in one slab: the light-cone defect and the Lorentz-gauge
-# guard's maxima are computed one slab at a time (the Laplacian defect one
-# plane at a time, ``_MetricPlanes``).  x^0 is axis 0 of the 4D base arrays
+# x^0 planes in one slab: the light-cone defect's maxima are computed one
+# slab at a time (the Laplacian defect, the Lorentz-gauge guard and the
+# Fourier check one plane at a time).  x^0 is axis 0 of the 4D base arrays
 # and of a slab's 5D defect, so one slab cuts every phase of a check.
 _SLAB_PLANES = 3
 
@@ -444,78 +455,109 @@ def _defect_maxima(defect: Callable, rows, index_sets) -> list:
 
 
 def _sum_of_products(x, y, pairs, out, tmp):
-    """out = sum_k x[i_k] y[j_k] over the (i_k, j_k) ``pairs``, added in order."""
-    (i, j), *rest = pairs
+    """out = sum_k x[i_k] y[j_k] over the (i_k, j_k) ``pairs``, added in order.
+
+    A pair whose x[i_k] is the float 0 is skipped: adding its +-0 would leave
+    every non-zero sum's bits alone and could flip only the sign of a zero.
+    """
+    (i, j), *rest = [(i, j) for i, j in pairs if not isinstance(x[i], float) or x[i]]
     np.multiply(x[i], y[j], out=out)
     for i, j in rest:
         out += np.multiply(x[i], y[j], out=tmp)
     return out
 
 
-class _MetricPlanes:
-    """h_{ab}, a <= b, on the x^0 planes of a field's base grid: a sequence
-    whose plane i, of shape (15, n1, n2, n3), is built on first use from
-    ``A.components`` on that plane alone.
+class _PotentialPlanes:
+    """scale * A_mu on the x^0 planes of a field's base grid: a sequence
+    whose plane i, of shape (4, n1, n2, n3), is sampled on first use from
+    ``A.components`` on that plane alone.  With scale -q/c^2 the planes hold
+    N_mu, from which every metric entry is formed where it is read.
 
-    Building a plane drops the planes more than two rows from it, so a walk
-    over the rows in order builds each plane once and holds three: the row,
-    its two x^0 neighbours, or the three end planes of a one-sided stencil.
+    The planes are held in three slots, allocated once: plane i goes into
+    slot i % 3, over the plane three rows from it that the slot held, so a
+    walk over the rows in order samples each plane once and holds three: the
+    row, its two x^0 neighbours, or the three end planes of a one-sided
+    stencil.  A plane returned stays valid until a plane three rows from it
+    is sampled.  A sample that is not finite raises ``ConfigurationError``.
     """
 
-    def __init__(self, field, A: Potential, q_over_c2: float):
-        self._field, self._A, self._q_over_c2 = field, A, q_over_c2
-        self._planes = {}
+    def __init__(self, field, A: Potential, scale: float):
+        self._field, self._A, self._scale = field, A, scale
+        self._slots, self._held = None, [None] * 3
 
     def __len__(self) -> int:
         return self._field.coords(0).size
 
     def __getitem__(self, i: int) -> np.ndarray:
-        if i not in self._planes:
-            for j in [j for j in self._planes if abs(j - i) > 2]:
-                del self._planes[j]
+        slot = i % 3
+        if self._held[slot] != i:
             coords = _grid_coords(self._field, (i, i + 1))
             base = np.broadcast(*coords).shape
-            n_cov = -self._q_over_c2 * np.broadcast_to(self._A.components(coords), (4,) + base)
-            self._planes[i] = _metric_entries(n_cov)[:, 0]
-        return self._planes[i]
+            sample = np.broadcast_to(self._A.components(coords), (4,) + base)[:, 0]
+            if self._slots is None:
+                self._slots = np.empty((3,) + sample.shape)
+            self._held[slot] = None
+            np.multiply(self._scale, sample, out=self._slots[slot])
+            if not np.all(np.isfinite(self._slots[slot])):
+                raise ConfigurationError("potential values must be finite")
+            self._held[slot] = i
+        return self._slots[slot]
+
+
+class _PlaneMap:
+    """The planes of a sequence passed through ``f``: the sequence
+    ``fd_plane`` reads to differentiate one quantity formed from them."""
+
+    def __init__(self, planes, f: Callable):
+        self._planes, self._f = planes, f
+
+    def __len__(self) -> int:
+        return len(self._planes)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self._f(self._planes[i])
 
 
 def _christoffel_contraction_field(field, A: Potential, q_over_c2: float,
-                                   rows=None, metric=None):
+                                   rows=None, n_planes=None):
     """h^{AB} Gamma^C_{AB} on the 4D base grid, shape (5,) + base grid.
 
     ``field`` supplies the base grid alone: a ``SeparatedField`` or a 4D
     ``GridField``.  With ``rows = (lo, hi)`` only the x^0 rows [lo, hi) of
     the base are returned.  The rows are computed one x^0 plane at a time
-    from ``metric``, the field's ``_MetricPlanes`` (a new one by default);
-    a caller that walks the grid plane by plane passes the same one to every
-    call, so each plane's metric is built once.
+    from ``n_planes``, the field's ``_PotentialPlanes`` of N_mu (a new one
+    by default); a caller that walks the grid plane by plane passes the same
+    one to every call, so each plane's potential is sampled once.
 
     Contracting Gamma^C_{AB} = h^{CD}(d_A h_{DB} + d_B h_{DA} - d_D h_{AB})/2
     with the symmetric h^{AB} leaves h^{CD} v_D, where
 
         v_D = h^{AB} d_A h_{DB} - (1/2) h^{AB} d_D h_{AB}.
 
-    h and h^{-1} are held as their 15 entries a <= b and the gradient is
-    taken by finite differences of those entries, one direction rho at a
-    time (d_5 = 0), so neither a (5, 5) metric array nor the Christoffel
-    table is formed.  d_0 h on a plane is ``fd_plane`` over the metric's
-    planes; h^{-1} is built on the plane alone, from N_mu = -h_{mu 5}.  Each
-    sum runs over the full indices in the order of the dense einsums (b in
-    v_D, (a, b) row-major in the trace, D in h^{CD} v_D), so the result is
-    bit for bit the dense contraction.
+    h is held as its 15 entries a <= b, h^{-1} as its five non-constant
+    entries beside the floats eta^{mu nu}, and the gradient is taken by
+    finite differences of the entries of h, one direction rho at a time
+    (d_5 = 0), so neither a (5, 5) metric array nor the Christoffel table is
+    formed.  d_0 h on a plane is ``fd_plane`` entry by entry, each entry
+    formed from the N planes its stencil reads; h on the plane is built once,
+    for d_1..d_3.  Each sum runs over the full indices in the order of the
+    dense einsums (b in v_D, (a, b) row-major in the trace, D in h^{CD} v_D),
+    skipping the zero entries of h^{-1}, so the result is bit for bit the
+    dense contraction up to the sign of a zero.
     """
     n0 = field.coords(0).size
     lo, hi = (0, n0) if rows is None else rows
-    metric = _MetricPlanes(field, A, q_over_c2) if metric is None else metric
+    n_planes = _PotentialPlanes(field, A, -q_over_c2) if n_planes is None else n_planes
     trace = [(k, k) for k in _ENTRY.ravel()]
     out = None
     for r in range(lo, hi):
-        # d_0 h first: at an end row its stencil's temporaries are the
-        # largest, and nothing else of the row is live yet
-        dh = fd_plane(metric, r, 1, field.step[0])
-        h = metric[r]
-        h_inv = _inverse_entries(-h[_ENTRY[:4, 4]])
+        n_cov = n_planes[r]
+        dh = np.empty((15,) + n_cov.shape[1:])
+        for k in range(15):
+            dh[k] = fd_plane(_PlaneMap(n_planes, lambda n, k=k: _metric_entry(n, k)), r, 1,
+                             field.step[0])
+        h = _metric_entries(n_cov)
+        h_inv = _inverse_entries(n_cov)
         v = np.zeros((5,) + h.shape[1:])
         term, tmp = np.empty_like(v[0]), np.empty_like(v[0])
         for rho in range(4):
@@ -526,8 +568,9 @@ def _christoffel_contraction_field(field, A: Potential, q_over_c2: float,
                 v[d] += _sum_of_products(h_inv, dh, [(_ENTRY[rho, b], _ENTRY[d, b])
                                                      for b in range(5)], term, tmp)
             v[rho] -= np.multiply(0.5, _sum_of_products(h_inv, dh, trace, term, tmp), out=term)
+        del dh, h  # before the coefficients are allocated
         if out is None:
-            out = np.empty((5, hi - lo) + h.shape[1:])
+            out = np.empty((5, hi - lo) + v.shape[1:])
         for c in range(5):
             _sum_of_products(h_inv, v, [(_ENTRY[c, d], d) for d in range(5)], out[c, r - lo], tmp)
     return out
@@ -548,12 +591,14 @@ def _lorentz_guard(field: SeparatedField, A: Potential) -> None:
     """Refuse a potential whose divergence is not zero on the field's grid.
 
     The test is max|d_mu A^mu| <= _GAUGE_TOL * max(max|A|, 1) over the whole
-    base grid, with both maxima taken one x^0 slab at a time.
+    base grid, with both maxima taken one x^0 plane at a time: the
+    divergence's derivative table, 16 planes of n^3 doubles, and a few
+    planes beside it.
     """
     _check_laplacian_inputs(field, A)
     div_max = a_max = None
-    for rows in _slab_rows(field.shape[0]):
-        coords = _grid_coords(field, rows)
+    for r in range(field.shape[0]):
+        coords = _grid_coords(field, (r, r + 1))
         d = np.max(np.abs(A.divergence(coords)))
         a = np.max(np.abs(A.components(coords)))
         div_max = d if div_max is None else np.maximum(div_max, d)
@@ -563,10 +608,10 @@ def _lorentz_guard(field: SeparatedField, A: Potential) -> None:
 
 
 def _laplacian_defect_field(field: SeparatedField, A: Potential, q_over_c2: float,
-                            rows=None, metric=None) -> np.ndarray:
+                            rows=None, n_planes=None) -> np.ndarray:
     """|-h^{AB} Gamma^C_{AB} d_C f - (d_mu N^mu) d_5 f| on the x^0 rows [lo, hi).
 
-    ``rows`` defaults to the whole grid, and ``metric`` is passed on to
+    ``rows`` defaults to the whole grid, and ``n_planes`` is passed on to
     ``_christoffel_contraction_field``.  This is the Laplace-Beltrami
     operator h^{AB}(d_A d_B - Gamma^C_{AB} d_C) f minus the expanded operator
     of ``covariant_laplacian_residual``: the second-order parts of the two are
@@ -580,7 +625,7 @@ def _laplacian_defect_field(field: SeparatedField, A: Potential, q_over_c2: floa
     """
     _check_laplacian_inputs(field, A)
     lo, hi = (0, field.shape[0]) if rows is None else rows
-    coef = _christoffel_contraction_field(field, A, q_over_c2, (lo, hi), metric)
+    coef = _christoffel_contraction_field(field, A, q_over_c2, (lo, hi), n_planes)
     # h^{AB} Gamma^5_{AB} + d_mu N^mu, with the analytic divergence
     coef[4] += -q_over_c2 * np.asarray(A.divergence(_grid_coords(field, (lo, hi))))
     h = field.step
@@ -602,11 +647,11 @@ def _laplacian_defect_field(field: SeparatedField, A: Potential, q_over_c2: floa
 def _laplacian_defect_maxima(field: SeparatedField, A: Potential, q_over_c2: float,
                              index_sets) -> list:
     """Gauge-guarded maxima of the Laplacian defect over each index set, one
-    x^0 plane at a time, each plane's metric built once."""
+    x^0 plane at a time, each plane's potential sampled once."""
     _lorentz_guard(field, A)
-    metric = _MetricPlanes(field, A, q_over_c2)
+    n_planes = _PotentialPlanes(field, A, -q_over_c2)
     return _defect_maxima(
-        lambda rows: _laplacian_defect_field(field, A, q_over_c2, rows, metric),
+        lambda rows: _laplacian_defect_field(field, A, q_over_c2, rows, n_planes),
         [(r, r + 1) for r in range(field.shape[0])], index_sets)
 
 
@@ -691,15 +736,34 @@ def kg_fourier_residual(
     the sampled potential under the same derivative engine ``kg_operator``
     uses, so the statement checked is that the Lorentz condition (required)
     holds on the grid and the two operators agree.
+
+    The spectral engine (a periodic field) takes the maximum over the whole
+    grid from whole-grid arrays.  The ``fd`` engine takes it over the points
+    at least ``margin`` from every end, one x^0 plane at a time: A on the
+    plane from a window of three sampled planes (``_PotentialPlanes``), d_0
+    A_0 by ``fd_plane`` over the sampled planes, and the other derivatives
+    on the plane alone, so a few planes of n^3 values are held beside the
+    field and every point gets the bits of the whole-grid evaluation.
     """
     if A.gauge != "lorentz":
         raise GaugeError(f"Lorentz gauge required, potential declares {A.gauge!r}")
-    _, div = _sampled_potential(psi, A, engine)
-    diff = np.abs(2.0 * q_over_c2 * inv_lambda * div * psi.values)
-    if psi.boundary == "periodic" and engine == "spectral":
-        return float(np.max(diff))
+    b2 = 2.0 * q_over_c2 * inv_lambda
+    if engine != "fd":
+        _, div = _sampled_potential(psi, A, engine)
+        return float(np.max(np.abs(b2 * div * psi.values)))
     inner = tuple(slice(margin, -margin) for _ in range(4))
-    return float(np.max(diff[inner]))
+    if not all(len(range(n)[cut]) for n, cut in zip(psi.values.shape, inner)):
+        raise DomainError(f"a margin of {margin} leaves no interior point")
+    a = _PotentialPlanes(psi, A, 1.0)
+    a0 = _PlaneMap(a, lambda plane: plane[0])
+    best = 0.0
+    for r in range(psi.values.shape[0])[inner[0]]:
+        div = np.zeros(psi.values.shape[1:])
+        div += _ETA_DIAG[0] * fd_plane(a0, r, 1, psi.step[0])
+        for mu in range(1, 4):
+            div += _ETA_DIAG[mu] * fd_derivative(a[r][mu], mu - 1, 1, psi.step[mu])
+        best = max(best, float(np.max(np.abs(b2 * div * psi.values[r])[inner[1:]])))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -889,21 +953,24 @@ def projected_peak_bytes(sizes) -> int:
     base array, n^4 doubles on an n^5 grid, and an x^5 profile.  While its
     defect is streamed (on the half grid, the flat-space residual too), one
     x^0 plane's arrays are live at a time, counted in base planes of n^3
-    doubles.  Throughout, the metric window holds three planes' 15 entries
-    of h, 45 planes.  The Christoffel phase adds 42: h^-1 on the kept plane
-    (15), one direction's derivative of h (15), v_D with two work arrays
-    (7) and the plane's coefficients (5); d_0 h at an end row, taken first,
-    adds fewer.  The defect phase adds the plane's 5D combination and its
-    temporary, 2 n planes, beside a few of coefficients and derivatives,
-    and the maxima then take at most two plane-sized arrays.  The formula
-    rounds the two phases up to 96 and 2 n + 56 planes for the small arrays
+    doubles.  Throughout, the potential window holds three planes' N_mu, 12
+    planes.  The Christoffel phase adds 42: the kept plane's 15 entries of h,
+    one direction's derivative of them (15), the five arrays of h^-1 and v_D
+    with two work arrays (7); the plane's five coefficients are allocated
+    after h and its derivative are dropped.  The defect phase holds the
+    plane's 5D combination, n planes, and its maxima copy at most n planes of
+    it, beside a few planes of coefficients and derivatives.  The formula
+    rounds the two phases up to 64 and 2 n + 16 planes for the small arrays
     beside them.  No term grows as n^5.  The Fourier check afterwards holds
-    a few complex and real arrays on the first size's 4D grid, at most 128
-    bytes a point.  The test suite checks the bound against tracemalloc.
+    the first size's 4D field, formed as complex values from a real product,
+    24 bytes a point, and a few planes of that grid: 3 s + 8 planes of s^3
+    doubles on an s^4 grid.  The test suite checks the bound against
+    tracemalloc.
     """
     n = _laplacian_sizes(sizes)[-1]
-    ladder = 8 * n**3 * (n + max(96, 2 * n + 56))
-    fourier = 128 * int(sizes[0]) ** 4
+    ladder = 8 * n**3 * (n + max(64, 2 * n + 16))
+    s = int(sizes[0])
+    fourier = 8 * s**3 * (3 * s + 8)
     return max(ladder, fourier)
 
 

@@ -208,11 +208,26 @@ def test_partition_leaves_scipy_special_unloaded(tmp_path):
     assert out.stdout.split()[-2:] == ["0", "False"]
 
 
-def test_cli_import_leaves_geometry_unloaded():
-    # Only verify-geometry needs the geometry module, and verify-geometry and
-    # verify-reduction the reduction module; the CLI imports them there.
+def test_partition_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy 2.4's np.unique (under np.setdiff1d) imports numpy.ma, 13-19 ms
+    # and about 0.4 MB of a partition process; the panel edges need neither
     code = ("import sys, kg5d.cli; "
-            "print(sorted(m for m in ('kg5d.geometry', 'kg5d.reduction') if m in sys.modules))")
+            f"rc = kg5d.cli.main(['partition', '--r-over-rho', '50', '--output-dir', {str(tmp_path)!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_cli_import_leaves_geometry_unloaded():
+    # Only verify-geometry needs the geometry module, verify-geometry and
+    # verify-reduction the reduction module, and partition, universal-d and
+    # figure1 the canonical module and through it specfun; the CLI imports
+    # them there, so the other commands neither compile nor hold them.
+    code = ("import sys, kg5d.cli; "
+            "print(sorted(m for m in ('kg5d.geometry', 'kg5d.reduction', 'kg5d.canonical',"
+            " 'kg5d.specfun') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
@@ -364,9 +379,9 @@ def test_empty_r_grid_exits_2_with_one_line(tmp_path, capsys, argv):
     ("301", "2", 305, 2 * 2**30),
     # 16 MiB above the projection: refused, because the interpreter's own
     # mappings count against the limit too.  The ladder runs up to 53^5 so
-    # that the cap (260 MiB) leaves room for the interpreter to start: at
-    # 45^5 it would be 149 MiB, barely above the 143 MiB that Python 3.11
-    # with numpy 2.4 maps before the guard runs.
+    # that the cap (215 MiB) leaves room for the interpreter to start: at
+    # 45^5 it would be 121 MiB, below the 143 MiB that Python 3.11 with
+    # numpy 2.4 maps before the guard runs.
     ("29", "7", 53, projected_peak_bytes([29, 33, 37, 41, 45, 49, 53]) + 2**24),
     # a list of 2e8 sizes alone would not fit: refused before any is made
     ("9", "200000000", 800_000_005, 3 * 2**29),

@@ -41,8 +41,8 @@ from kg5d.geometry import (
     _laplacian_defect_maxima,
     _laplacian_sizes,
     _lightcone_defect_field,
-    _MetricPlanes,
     _metric_pair,
+    _PotentialPlanes,
     _slab_rows,
     projected_peak_bytes,
 )
@@ -320,12 +320,13 @@ def test_laplacian_defect_peak_memory():
 
 def test_christoffel_slab_peak_memory():
     # the Christoffel phase runs one x^0 plane at a time from a window of
-    # three planes' 15 metric entries: 87 base planes of n^3 doubles, where
-    # a 3-plane slab took 261 and one plane of it, widened to a haloed
-    # slab, 202
+    # three planes of N_mu: 54 base planes of n^3 doubles and the one-sided
+    # stencils' edge arrays, where a window of three planes' 15 metric
+    # entries took 87, a 3-plane slab 261 and one plane of it, widened to a
+    # haloed slab, 202
     field = _test_field_5d(21)
     A = smooth_lorentz_potential()
-    bound = 96 * 8 * 21**3
+    bound = 60 * 8 * 21**3
     for plane in [(0, 1), (9, 10), (20, 21)]:
         tracemalloc.start()
         try:
@@ -334,7 +335,7 @@ def test_christoffel_slab_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= bound, plane
-    metric = _MetricPlanes(field, A, Q_C2)
+    metric = _PotentialPlanes(field, A, -Q_C2)
     tracemalloc.start()
     try:
         for r in range(21):
@@ -343,6 +344,20 @@ def test_christoffel_slab_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def test_lorentz_guard_peak_memory():
+    # the gauge guard samples one x^0 plane at a time: the divergence's
+    # derivative table (16 planes of n^3 doubles) and a few beside it, where
+    # 3-plane slabs took 75 planes
+    field = _test_field_5d(21)
+    tracemalloc.start()
+    try:
+        geometry._lorentz_guard(field, smooth_lorentz_potential())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 8 * 21**3
 
 
 def _terms(field, *terms):
@@ -681,14 +696,14 @@ def test_laplacian_slabs_match_whole_grid(size, potential):
     assert got == [float(np.max(defect[index])) for index in sets]
     assert np.array_equal(_laplacian_defect_field(field, A, Q_C2), defect)
     coef = _whole_grid_contraction(field, A, Q_C2)
-    metric = _MetricPlanes(field, A, Q_C2)
+    metric = _PotentialPlanes(field, A, -Q_C2)
     for r in range(size):
         plane = (r, r + 1)
         assert np.array_equal(
             _christoffel_contraction_field(field, A, Q_C2, plane, metric), coef[:, r:r + 1])
         assert np.array_equal(_christoffel_contraction_field(field, A, Q_C2, plane),
                               coef[:, r:r + 1])
-    metric = _MetricPlanes(field, A, Q_C2)
+    metric = _PotentialPlanes(field, A, -Q_C2)
     for r in range(size):
         assert np.array_equal(
             _laplacian_defect_field(field, A, Q_C2, (r, r + 1), metric), defect[r:r + 1])
@@ -696,18 +711,91 @@ def test_laplacian_slabs_match_whole_grid(size, potential):
 
 @pytest.mark.parametrize("size", [7, 11])
 def test_laplacian_builds_each_metric_plane_once(monkeypatch, size):
-    # one Laplacian pass builds the metric on n0 planes, one plane a call:
-    # rebuilding a halo around every kept plane would build about 3 n0
+    # each pass over the grid samples the potential on n0 planes, one plane
+    # a call: the gauge guard's pass and the defect's, whose metric entries
+    # are all formed from its planes of N; rebuilding a halo around every
+    # kept plane would sample about 3 n0
     planes = []
-    entries = geometry._metric_entries
+    components = Potential.components
 
-    def counted(n_cov):
-        planes.append(n_cov.shape[1])
-        return entries(n_cov)
+    def counted(self, coords):
+        planes.append(np.shape(coords[0])[0])
+        return components(self, coords)
 
-    monkeypatch.setattr(geometry, "_metric_entries", counted)
-    covariant_laplacian_residual(_test_field_5d(size), smooth_lorentz_potential(), Q_C2)
+    monkeypatch.setattr(Potential, "components", counted)
+    field, A = _test_field_5d(size), smooth_lorentz_potential()
+    geometry._lorentz_guard(field, A)
     assert planes == [1] * size
+    covariant_laplacian_residual(field, A, Q_C2)
+    assert planes == [1] * (3 * size)
+
+
+def _kg_psi(size, origin=0.0):
+    h = 1.0 / (size - 1)
+    x = np.meshgrid(*[origin + h * np.arange(size)] * 4, indexing="ij", sparse=True)
+    return GridField(values=np.sin(1.2 * x[0]) * np.cos(0.8 * x[1]) * np.sin(x[2] + 0.3)
+                     * np.cos(x[3]) + 0.5j * np.cos(x[1] - x[0]), step=(h,) * 4,
+                     origin=(origin,) * 4, boundary="absorbing")
+
+
+def _whole_grid_kg_fourier(psi, A, q_over_c2, inv_lambda, margin):
+    """Reference: the finite-difference Fourier residual with the potential
+    and its divergence on the whole grid."""
+    coords = _grid_coords(psi)
+    shape = np.broadcast(*coords).shape
+    a = np.ascontiguousarray(np.broadcast_to(A.components(coords), (4,) + shape))
+    div = np.zeros(shape)
+    for mu in range(4):
+        div += _ETA_DIAG[mu] * fd_derivative(a[mu], mu, 1, psi.step[mu])
+    diff = np.abs(2.0 * q_over_c2 * inv_lambda * div * psi.values)
+    return float(np.max(diff[(slice(margin, -margin),) * 4]))
+
+
+# the streamed potentials, and one declared Lorentz whose discrete
+# divergence is far from zero, so the maxima compared are O(1)
+_FOURIER_POTENTIALS = dict(
+    _STREAM_POTENTIALS,
+    off_gauge=lambda: dataclasses.replace(_random_polynomial_potential(4), gauge="lorentz"))
+
+
+@pytest.mark.parametrize("margin", [2, 3])
+@pytest.mark.parametrize("potential", sorted(_FOURIER_POTENTIALS))
+@pytest.mark.parametrize("size", [7, 9, 13])
+def test_kg_fourier_planes_match_whole_grid(size, potential, margin):
+    # one x^0 plane at a time, d_0 A_0 from the sampled planes: the same bits
+    A = _FOURIER_POTENTIALS[potential]()
+    for psi in (_kg_psi(size), _kg_psi(size, origin=0.3)):
+        want = _whole_grid_kg_fourier(psi, A, Q_C2, 1.3, margin)
+        assert kg_fourier_residual(psi, A, Q_C2, 1.3, margin=margin) == want
+        assert want > 0.1 or potential != "off_gauge"
+
+
+def test_kg_fourier_residual_peak_memory():
+    # the fd check holds a few planes of n^3 values beside the field, under
+    # 16 bytes a point of the 17^4 grid; whole-grid arrays took about 65
+    psi = _kg_psi(17)
+    tracemalloc.start()
+    try:
+        kg_fourier_residual(psi, smooth_lorentz_potential(), Q_C2, inv_lambda=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 17**4
+
+
+def test_kg_fourier_residual_refuses_non_finite_potential():
+    # a NaN sample on the plane x^1 = 0.5 of a 9^4 grid
+    def f(x0, x1, x2, x3):
+        z = np.zeros(np.broadcast(x0, x1, x2, x3).shape)
+        return np.where(x1 == 0.5, np.nan, 0.0) + z, z, z, z
+
+    with pytest.raises(ConfigurationError):
+        kg_fourier_residual(_kg_psi(9), Potential(func=f, gauge="lorentz"), Q_C2, 1.0)
+
+
+def test_kg_fourier_residual_refuses_empty_interior():
+    with pytest.raises(DomainError):
+        kg_fourier_residual(_kg_psi(7), smooth_lorentz_potential(), Q_C2, 1.0, margin=4)
 
 
 @pytest.mark.parametrize("potential", sorted(_STREAM_POTENTIALS))

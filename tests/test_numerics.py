@@ -4,6 +4,7 @@ Oracles: closed forms, mpmath's incomplete gamma, and scipy.integrate.quad
 as an independent quadrature implementation.
 """
 
+import fractions
 import math
 
 import mpmath
@@ -511,6 +512,36 @@ def test_fd_plane_errors():
         fd_plane(np.zeros((6, 3)), 2, 3, 0.1)
 
 
+@pytest.mark.parametrize("steps, residuals", [
+    ([1 / 8, 1 / 16, 1 / 32], [3.1e-3, 7.9e-4, 1.97e-4]),
+    ([0.1, 0.05], [2e-3, 4.4e-4]),
+    ([0.2, 0.1, 0.05, 0.025], [1e-2, 3e-3, 6e-4, 1.6e-4]),
+])
+def test_fit_convergence_order_runs_no_lapack(monkeypatch, steps, residuals):
+    # the closed-form slope against polyfit's; neither polyfit nor lstsq
+    # (LAPACK, whose first call maps a 32 MB BLAS buffer) may run
+    h = np.log(steps)
+    want = float(np.polyfit(h, np.log(np.maximum(residuals, 1e-300)), 1)[0])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK least squares called")
+
+    monkeypatch.setattr(np, "polyfit", forbidden)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    assert fit_convergence_order(steps, residuals) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_fit_convergence_order_clamps_zero_residual():
+    # a zero residual enters as log(1e-300); against the slope of the same
+    # logarithms in exact rational arithmetic (polyfit is 1.5e-13 off here)
+    steps, residuals = [1 / 12, 1 / 24, 1 / 48], [5e-5, 0.0, 3e-6]
+    h = [fractions.Fraction(float(x)) for x in np.log(steps)]
+    r = [fractions.Fraction(float(x)) for x in np.log(np.maximum(residuals, 1e-300))]
+    hm, rm = sum(h) / len(h), sum(r) / len(r)
+    want = float(sum((a - hm) * (b - rm) for a, b in zip(h, r)) / sum((a - hm) ** 2 for a in h))
+    assert fit_convergence_order(steps, residuals) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_argument_errors_are_package_errors():
     # each is a ValueError (the library contract) and a Kg5dError (the CLI
     # exits 2 with one line)
@@ -519,6 +550,7 @@ def test_argument_errors_are_package_errors():
         (StencilError, lambda: fd_derivative(np.zeros(6), 0, 1, 0.0)),
         (StencilError, lambda: fd_derivative(np.zeros(6), 0, 1, math.nan)),
         (OrderFitError, lambda: fit_convergence_order([0.1], [1e-3])),
+        (OrderFitError, lambda: fit_convergence_order([0.1, 0.1], [1e-3, 2e-3])),
         (IntervalError, lambda: integrate(np.ones_like, 1.0, 0.0)),
         (IntervalError, lambda: integrate(np.ones_like, 0.0, math.nan)),
         (IntervalError, lambda: find_roots(lambda x, owner: x, [1.0], [1.0])),
