@@ -229,17 +229,31 @@ def trapped_degeneracies(ns, rhat_max: float, tol: Tolerance) -> np.ndarray:
 def figure1_curves(n_list, r_grid) -> list[DensityCurve]:
     """Rescaled density curves for several n on a common r grid (r in [0, 5]).
 
-    All levels take one pass with a degree per point; a curve gets the same
-    bits as from a pass of its own.
+    The distinct levels' points x = r n, by falling degree, share one
+    :func:`_laguerre_ladder` pass.  The ladder reaches the lowest degree
+    first, and at the step of degree n level n is the last ``r.size`` points
+    it carries; the curve is read off that slice, as :func:`_trapped_levels`
+    reads its levels, so the working set is the ladder's few arrays of the
+    points and one curve's temporaries.  A curve gets the same bits as from
+    :func:`dn_scaled_grid` on its own; curves of a repeated level share their
+    arrays, as all curves share ``r``.
     """
     r = np.asarray(r_grid, dtype=float)
     if np.any((r < 0) | (r > 5.0)):
         raise DomainError("r grid must lie within [0, 5]")
-    ns = np.array([int(n) for n in n_list], dtype=np.int64)
-    if np.any(ns < 1):
-        raise DomainError(f"need n >= 1, got {ns[np.argmax(ns < 1)]}")
-    values = dn_scaled_grid(np.repeat(ns, r.size), np.tile(r, len(ns))).reshape(-1, r.size)
-    return [DensityCurve(n=n, r=r, values=v) for n, v in zip(ns.tolist(), values)]
+    ns = [int(n) for n in n_list]
+    if not ns:
+        return []
+    if min(ns) < 1:
+        raise DomainError(f"need n >= 1, got {next(n for n in ns if n < 1)}")
+    levels = np.array(sorted(set(ns), reverse=True))  # np.unique would load numpy.ma
+    live = r.size * np.searchsorted(-levels, -np.arange(1, levels[0] + 1), side="right")
+    values = {}
+    for n, la, lb, log_scale in _laguerre_ladder((levels[:, None] * r).ravel(), live):
+        if n == levels[-1 - len(values)]:
+            lo, x = la.size - r.size, r * n
+            values[n] = 0.5 * r * r * n * _combo_terms(n, x, la[lo:], lb[lo:], log_scale[lo:])[1]
+    return [DensityCurve(n=n, r=r, values=values[n]) for n in ns]
 
 
 # ---------------------------------------------------------------------------

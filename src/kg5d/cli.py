@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -201,11 +202,13 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
 # Emitters
 # ---------------------------------------------------------------------------
 #
-# Kernels hand tables over as numpy columns; each is written with one row
-# template, a chunk of rows at a time, so no per-row objects are built and no
-# whole document text is held.  The output is byte for byte what a per-cell
-# ``fmt`` loop and ``json.dump(doc, fh, indent=2, allow_nan=True)`` write.
-# ``_emit`` writes a command's files in the order ``_ARTIFACTS`` declares.
+# Kernels hand tables over as numpy columns, or as a function that gives the
+# columns of any range of rows; each is written with one row template, a
+# chunk of rows at a time, so no per-row objects are built, no whole document
+# text is held, and a derived table holds one chunk of its columns.  The
+# output is byte for byte what a per-cell ``fmt`` loop and
+# ``json.dump(doc, fh, indent=2, allow_nan=True)`` write.  ``_emit`` writes a
+# command's files in the order ``_ARTIFACTS`` declares.
 
 _CHUNK_ROWS = 2048
 
@@ -214,26 +217,40 @@ _CHUNK_ROWS = 2048
 class Table:
     """Named equal-length numpy columns: the rows of a CSV file or a JSON
     list of row objects.  Float columns get 17 digits; a label column is a
-    str array, and cells of no fixed width (big ints) sit in object arrays."""
+    str array, and cells of no fixed width (big ints) sit in object arrays.
+
+    ``columns`` is the tuple of columns, or a function of a row range
+    (start, stop) that returns those rows of each column; then ``rows`` is
+    the number of rows.
+    """
 
     names: tuple
-    columns: tuple
+    columns: tuple | Callable
+    rows: int | None = None
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.rows is None else self.rows
 
 
-def _chunks(columns):
-    """The columns in slices of at most _CHUNK_ROWS rows."""
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        yield [c[start:start + _CHUNK_ROWS] for c in columns]
+def _chunks(columns, rows=None):
+    """The columns in slices of at most _CHUNK_ROWS rows: a sequence of
+    columns is sliced, a function of a row range is called for each of the
+    ``rows`` rows' slices."""
+    if rows is None:
+        rows = len(columns[0])
+    for start in range(0, rows, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, rows)
+        yield columns(start, stop) if callable(columns) else [c[start:stop] for c in columns]
 
 
 def write_csv(cfg: RunConfig, name: str, table: Table) -> str:
     """The configuration header, the column names, then one line per row."""
     path = os.path.join(cfg.output_dir, name)
-    line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in table.columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(cfg.header_lines()) + "\n")
         fh.write(",".join(table.names) + "\n")
-        for chunk in _chunks(table.columns):
+        for chunk in _chunks(table.columns, len(table)):
+            line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in chunk) + "\n"
             fh.write("".join(map(line.__mod__, zip(*(c.tolist() for c in chunk)))))
     return path
 
@@ -252,16 +269,14 @@ def _json_cells(column: np.ndarray) -> list:
     return list(map(int.__repr__ if column.dtype.kind in "iu" else json.dumps, cells))
 
 
-def _write_json_array(fh, indent: str, item: str, columns) -> None:
-    """A JSON array whose k-th item is ``item`` filled with row k's cells."""
-    if not len(columns[0]):
-        fh.write("[]")
-        return
+def _write_json_array(fh, indent: str, item: str, chunks) -> None:
+    """A JSON array whose k-th item is ``item`` filled with row k's cells,
+    the rows coming as ``_chunks`` of columns."""
     sep = "[\n"
-    for chunk in _chunks(columns):
+    for chunk in chunks:
         fh.write(sep + ",\n".join(map(item.__mod__, zip(*map(_json_cells, chunk)))))
         sep = ",\n"
-    fh.write("\n" + indent + "]")
+    fh.write("[]" if sep == "[\n" else "\n" + indent + "]")
 
 
 # Stands in for each deferred value in the small document, in order; it is
@@ -299,11 +314,18 @@ def write_json(cfg: RunConfig, name: str, payload: dict) -> str:
             inner = indent + "  "
             if isinstance(value, Table):
                 fields = ",\n".join(f"{inner}  {json.dumps(k)}: %s" for k in value.names)
-                _write_json_array(fh, indent, f"{inner}{{\n{fields}\n{inner}}}", value.columns)
+                _write_json_array(fh, indent, f"{inner}{{\n{fields}\n{inner}}}",
+                                  _chunks(value.columns, len(value)))
             else:
-                _write_json_array(fh, indent, inner + "%s", (value,))
+                _write_json_array(fh, indent, inner + "%s", _chunks((value,)))
         fh.write(parts[-1] + "\n")
     return path
+
+
+def _extremes(arrays) -> tuple:
+    """(min, max) over several arrays, as over their concatenation."""
+    arrays = [a for a in arrays if a.size]
+    return (float(np.min([a.min() for a in arrays])), float(np.max([a.max() for a in arrays])))
 
 
 _SVG_COLORS = ["#1b6ca8", "#c0392b", "#1e8449", "#7d3c98", "#b7950b", "#2c3e50"]
@@ -313,10 +335,11 @@ def write_svg(cfg: RunConfig, name: str, curves, xlabel: str, ylabel: str) -> st
     """Self-contained polyline plot; curves is a list of (label, x, y);
     each polyline is written a chunk of points at a time."""
     width, height, margin = 640, 440, 56
-    xs = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
-    ys = np.concatenate([np.asarray(c[2], dtype=float) for c in curves])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(min(ys.min(), 0.0)), float(ys.max())
+    curves = [(label, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+              for label, x, y in curves]
+    x_lo, x_hi = _extremes(c[1] for c in curves)
+    y_lo, y_hi = _extremes(c[2] for c in curves)
+    y_lo = float(min(y_lo, 0.0))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -351,8 +374,9 @@ def write_svg(cfg: RunConfig, name: str, curves, xlabel: str, ylabel: str) -> st
             color = _SVG_COLORS[i % len(_SVG_COLORS)]
             fh.write('<polyline points="')
             sep = ""
-            for cx, cy in _chunks((sx(x), sy(y))):
-                fh.write(sep + " ".join(map("%.6f,%.6f".__mod__, zip(cx.tolist(), cy.tolist()))))
+            for cx, cy in _chunks((x, y)):
+                fh.write(sep + " ".join(map("%.6f,%.6f".__mod__,
+                                            zip(sx(cx).tolist(), sy(cy).tolist()))))
                 sep = " "
             fh.write(f'" fill="none" stroke="{color}" stroke-width="1.4"/>\n'
                      f'<text x="{width - margin + 4}" y="{margin + 16 * i + 10}" '
@@ -391,20 +415,33 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
     scales = cfg.scales()
-    # levels (n, l) for n = 1..n_max and l = 0..n, in that order
+    # levels (n, l) for n = 1..n_max and l = 0..n, in that order; level n
+    # starts at row first[n - 1]
     per_n = np.arange(2, n_max + 2)
-    n = np.repeat(np.arange(1, n_max + 1), per_n)
-    l = np.arange(len(n)) - np.repeat(np.cumsum(per_n) - per_n, per_n)
-    energies = kg_energies(n, l, scales)
+    first = np.cumsum(per_n) - per_n
+
+    def levels(start, stop):
+        rows = np.arange(start, stop)
+        n = np.searchsorted(first, rows, side="right")
+        return n, rows - first[n - 1]
+
+    def columns(start, stop):
+        n, l = levels(start, stop)
+        energies = kg_energies(n, l, scales)
+        return (n, l, energies / scales.mc2, scales.mc2 / energies,  # lambda'/lambda = mc^2/E
+                wavelengths[start:stop] / scales.Lambda, stat_energy(n, scales) / scales.Mc2)
+
+    rows = int(first[-1] + per_n[-1])
+    # (1, 0), the first row, is the first level past any critical coupling:
+    # its energy refuses the run before the solve, as the table's would
+    kg_energies(*levels(0, 1), scales)
     # always solved to 1e-15 relative; only the step budget is configurable
     wavelengths, refused = stat_wavelengths(
-        n, l, scales, Tolerance(rel=1e-15, abs=0.0, max_iter=cfg.settings["max_iter"]))
+        *levels(0, rows), scales, Tolerance(rel=1e-15, abs=0.0, max_iter=cfg.settings["max_iter"]))
     if refused:
-        print(_refusal_line(refused, len(n)), file=sys.stderr)
+        print(_refusal_line(refused, rows), file=sys.stderr)
     table = Table(("n", "l", "E_over_mc2", "lambda_prime_over_lambda",
-                   "Lambda_prime_over_Lambda", "e_n_over_Mc2"),
-                  (n, l, energies / scales.mc2, scales.mc2 / energies,  # lambda'/lambda = mc^2/E
-                   wavelengths / scales.Lambda, stat_energy(n, scales) / scales.Mc2))
+                   "Lambda_prime_over_Lambda", "e_n_over_Mc2"), columns, rows)
     _emit(cfg, csv=(table,), json=({"levels": table},))
     return 0
 
@@ -474,9 +511,18 @@ def cmd_figure1(cfg: RunConfig) -> int:
         raise ConfigurationError("n_list is empty")
     r = _r_grid(cfg, cfg.settings["r_max"])
     curves = canonical.figure1_curves(n_list, r)
-    table = Table(("n", "r", "value"), (np.repeat([c.n for c in curves], r.size),
-                                        np.concatenate([c.r for c in curves]),
-                                        np.concatenate([c.values for c in curves])))
+    ns = np.array([c.n for c in curves])
+
+    def columns(start, stop):
+        # the curves' rows one after another: row i is point i % r.size of
+        # curve i // r.size
+        k, j = np.divmod(np.arange(start, stop), r.size)
+        values = np.empty(stop - start)
+        for i in range(k[0], k[-1] + 1):
+            values[k == i] = curves[i].values[j[k == i]]
+        return ns[k], r[j], values
+
+    table = Table(("n", "r", "value"), columns, len(curves) * r.size)
     _emit(cfg, csv=(table,),
           json=({"curves": [{"n": c.n, "r": c.r, "value": c.values} for c in curves]},),
           svg=([(f"n={c.n}", c.r, c.values) for c in curves],

@@ -81,7 +81,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, GaugeError
 from .numerics import fd_derivative, fd_plane, fit_convergence_order
-from .reduction import GridField, field_derivative
+
+# ``reduction`` (GridField and its derivative) is imported in the functions
+# that build or differentiate a grid field, so verify-geometry's Laplacian
+# ladder, which uses none of it, runs before that module is compiled.
 
 _ETA4 = np.diag([-1.0, 1.0, 1.0, 1.0])
 _ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -467,22 +470,38 @@ def _sum_of_products(x, y, pairs, out, tmp):
     return out
 
 
+def _sample_plane(field, A: Potential, scale: float, i: int, components, out) -> np.ndarray:
+    """scale * A_mu for each mu of ``components`` on the x^0 plane i of a
+    field's base grid, sampled from ``A.components`` on that plane alone
+    and written into ``out``, of shape (len(components), n1, n2, n3).  A
+    sample that is not finite raises ``ConfigurationError``."""
+    coords = _grid_coords(field, (i, i + 1))
+    sample = np.broadcast_to(A.components(coords), (4,) + np.broadcast(*coords).shape)[:, 0]
+    for plane, mu in zip(out, components):
+        np.multiply(scale, sample[mu], out=plane)
+    if not np.all(np.isfinite(out)):
+        raise ConfigurationError("potential values must be finite")
+    return out
+
+
 class _PotentialPlanes:
     """scale * A_mu on the x^0 planes of a field's base grid: a sequence
-    whose plane i, of shape (4, n1, n2, n3), is sampled on first use from
-    ``A.components`` on that plane alone.  With scale -q/c^2 the planes hold
-    N_mu, from which every metric entry is formed where it is read.
+    whose plane i, of shape (len(components), n1, n2, n3), holds the
+    ``components`` of A, sampled on first use (:func:`_sample_plane`).  With
+    scale -q/c^2 the planes hold N_mu, from which every metric entry is
+    formed where it is read.
 
     The planes are held in three slots, allocated once: plane i goes into
     slot i % 3, over the plane three rows from it that the slot held, so a
     walk over the rows in order samples each plane once and holds three: the
     row, its two x^0 neighbours, or the three end planes of a one-sided
     stencil.  A plane returned stays valid until a plane three rows from it
-    is sampled.  A sample that is not finite raises ``ConfigurationError``.
+    is sampled.
     """
 
-    def __init__(self, field, A: Potential, scale: float):
+    def __init__(self, field, A: Potential, scale: float, components=(0, 1, 2, 3)):
         self._field, self._A, self._scale = field, A, scale
+        self._components = components
         self._slots, self._held = None, [None] * 3
 
     def __len__(self) -> int:
@@ -491,15 +510,12 @@ class _PotentialPlanes:
     def __getitem__(self, i: int) -> np.ndarray:
         slot = i % 3
         if self._held[slot] != i:
-            coords = _grid_coords(self._field, (i, i + 1))
-            base = np.broadcast(*coords).shape
-            sample = np.broadcast_to(self._A.components(coords), (4,) + base)[:, 0]
             if self._slots is None:
-                self._slots = np.empty((3,) + sample.shape)
+                plane = np.broadcast(*_grid_coords(self._field, (0, 1))).shape[1:]
+                self._slots = np.empty((3, len(self._components)) + plane)
             self._held[slot] = None
-            np.multiply(self._scale, sample, out=self._slots[slot])
-            if not np.all(np.isfinite(self._slots[slot])):
-                raise ConfigurationError("potential values must be finite")
+            _sample_plane(self._field, self._A, self._scale, i, self._components,
+                          self._slots[slot])
             self._held[slot] = i
         return self._slots[slot]
 
@@ -684,6 +700,8 @@ def covariant_laplacian_residual(
 def _sampled_potential(psi: GridField, A: Potential, engine: str):
     """A_mu on the field's grid, shape (4,) + grid, and its divergence d_mu A^mu
     taken with the field's derivative engine."""
+    from .reduction import field_derivative
+
     coords = _grid_coords(psi)
     shape = np.broadcast(*coords).shape
     a = np.ascontiguousarray(np.broadcast_to(A.components(coords), (4,) + shape))
@@ -708,6 +726,8 @@ def kg_operator(
     constant potential it is multiplicative on plane waves (exactly so with
     the spectral engine).
     """
+    from .reduction import field_derivative
+
     if psi.values.ndim != 4:
         raise DomainError("kg_operator needs a 4D field")
     b = q_over_c2 * inv_lambda
@@ -739,9 +759,9 @@ def kg_fourier_residual(
 
     The spectral engine (a periodic field) takes the maximum over the whole
     grid from whole-grid arrays.  The ``fd`` engine takes it over the points
-    at least ``margin`` from every end, one x^0 plane at a time: A on the
-    plane from a window of three sampled planes (``_PotentialPlanes``), d_0
-    A_0 by ``fd_plane`` over the sampled planes, and the other derivatives
+    at least ``margin`` from every end, one x^0 plane at a time: d_0 A_0 by
+    ``fd_plane`` over a window of three sampled planes of A_0
+    (``_PotentialPlanes``), and the other derivatives from A_1..A_3 sampled
     on the plane alone, so a few planes of n^3 values are held beside the
     field and every point gets the bits of the whole-grid evaluation.
     """
@@ -754,14 +774,15 @@ def kg_fourier_residual(
     inner = tuple(slice(margin, -margin) for _ in range(4))
     if not all(len(range(n)[cut]) for n, cut in zip(psi.values.shape, inner)):
         raise DomainError(f"a margin of {margin} leaves no interior point")
-    a = _PotentialPlanes(psi, A, 1.0)
-    a0 = _PlaneMap(a, lambda plane: plane[0])
+    a0 = _PlaneMap(_PotentialPlanes(psi, A, 1.0, components=(0,)), lambda plane: plane[0])
+    a = np.empty((3,) + psi.values.shape[1:])  # A_1, A_2, A_3 on the plane
     best = 0.0
     for r in range(psi.values.shape[0])[inner[0]]:
         div = np.zeros(psi.values.shape[1:])
         div += _ETA_DIAG[0] * fd_plane(a0, r, 1, psi.step[0])
+        _sample_plane(psi, A, 1.0, r, (1, 2, 3), a)
         for mu in range(1, 4):
-            div += _ETA_DIAG[mu] * fd_derivative(a[r][mu], mu - 1, 1, psi.step[mu])
+            div += _ETA_DIAG[mu] * fd_derivative(a[mu - 1], mu - 1, 1, psi.step[mu])
         best = max(best, float(np.max(np.abs(b2 * div * psi.values[r])[inner[1:]])))
     return best
 
@@ -962,15 +983,16 @@ def projected_peak_bytes(sizes) -> int:
     it, beside a few planes of coefficients and derivatives.  The formula
     rounds the two phases up to 64 and 2 n + 16 planes for the small arrays
     beside them.  No term grows as n^5.  The Fourier check afterwards holds
-    the first size's 4D field, formed as complex values from a real product,
-    24 bytes a point, and a few planes of that grid: 3 s + 8 planes of s^3
-    doubles on an s^4 grid.  The test suite checks the bound against
-    tracemalloc.
+    the first size's 4D field, complex values with a real product written
+    into their real parts, 16 bytes a point, and while the field is checked
+    finite a byte a point more; beside it are a few planes of that grid: 17
+    bytes a point and 16 planes of s^3 doubles on an s^4 grid.  The test
+    suite checks the bound against tracemalloc.
     """
     n = _laplacian_sizes(sizes)[-1]
     ladder = 8 * n**3 * (n + max(64, 2 * n + 16))
     s = int(sizes[0])
-    fourier = 8 * s**3 * (3 * s + 8)
+    fourier = s**3 * (17 * s + 8 * 16)
     return max(ladder, fourier)
 
 
@@ -1005,6 +1027,13 @@ def _available_bytes():
     return space, math.inf if free is None else free
 
 
+def _size_text(nbytes: float) -> str:
+    """A byte count in GiB to one decimal, or in MiB below 1 GiB."""
+    if abs(nbytes) < 2**30:
+        return f"{nbytes / 2**20:,.1f} MiB"
+    return f"{nbytes / 2**30:,.1f} GiB"
+
+
 def verify_geometry(sizes=(9, 13, 17)) -> dict:
     """Run the geometry identity suite over a ladder of grid resolutions.
 
@@ -1020,9 +1049,9 @@ def verify_geometry(sizes=(9, 13, 17)) -> dict:
     need, have = projected_peak_bytes(sizes), min(_available_bytes())
     if need > have:
         raise ConfigurationError(
-            f"verify-geometry needs about {need / 2**30:,.1f} GiB at its peak"
+            f"verify-geometry needs about {_size_text(need)} at its peak"
             f" (finest Laplacian grid {_laplacian_sizes(sizes)[-1]}^5),"
-            f" more than the {have / 2**30:,.1f} GiB available")
+            f" more than the {_size_text(have)} available")
     A = smooth_lorentz_potential()
     steps = []
     contraction_resid = {f.name: [] for f in fields(ChristoffelContractions)}
@@ -1056,12 +1085,18 @@ def verify_geometry(sizes=(9, 13, 17)) -> dict:
     inverse_defect = float(np.max(np.abs(patch.h @ patch.h_inv - np.eye(5))))
     cross5 = abs(christoffel_contractions(patch).cross_gamma_5)
 
+    from .reduction import GridField
+
     size = sizes[0]
     hstep = _EXTENT / (size - 1)
     axes4 = [np.arange(size) * hstep for _ in range(4)]
     x = np.meshgrid(*axes4, indexing="ij", sparse=True)
-    psi = GridField(values=np.sin(1.2 * x[0]) * np.cos(0.8 * x[1]) * np.sin(x[2]) * np.cos(x[3])
-                    + 0j, step=(hstep,) * 4, boundary="absorbing")
+    # the real product is written into the complex field's real part, so no
+    # real copy of the field is held beside it
+    values = np.zeros((size,) * 4, dtype=complex)
+    np.multiply(np.sin(1.2 * x[0]) * np.cos(0.8 * x[1]) * np.sin(x[2]), np.cos(x[3]),
+                out=values.real)
+    psi = GridField(values=values, step=(hstep,) * 4, boundary="absorbing")
     kg_defect = kg_fourier_residual(psi, A, _Q_OVER_C2, inv_lambda=1.0, engine="fd")
 
     passed = (

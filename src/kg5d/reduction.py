@@ -21,10 +21,13 @@ Schroedinger residual with a Coulomb potential.
 Evolutions are sequential in the evolution parameter; grid fields are
 immutable once produced.  The evolvers check their arguments when called and
 return the ``steps + 1`` snapshots as a stream, each produced only when asked
-for.  ``current_and_divergence`` maps one snapshot to its current, and
+for; the Fourier state behind the stream is advanced in place.
+``current_and_divergence`` maps one snapshot to its current, and
 ``continuity_residual`` reads those through a three-entry window, so a
-consumer that keeps no snapshot, like the verification harness, runs in
-O(points) memory whatever the number of steps.
+consumer that keeps no snapshot runs in O(points) memory whatever the number
+of steps.  The verification harness keeps less still: its continuity check
+holds j_tau of two snapshots and div j of the one between them, and drops
+each j_k once its term of div j is added.
 """
 
 from __future__ import annotations
@@ -117,7 +120,9 @@ def _derivative(grid: GridField, values: np.ndarray, axis: int, order: int,
         shape = [1] * values.ndim
         shape[axis] = -1
         mult = _spectral_symbol(values.shape[axis], grid.step[axis], order).reshape(shape)
-        return np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis)
+        transform = np.fft.fft(values, axis=axis)
+        np.multiply(mult, transform, out=transform)
+        return np.fft.ifft(transform, axis=axis, out=transform)
     raise ConfigurationError(f"unknown derivative engine {engine!r}")
 
 
@@ -189,11 +194,13 @@ def _multiplier(psi0: GridField, span: float, coeff: complex, steps: int,
 
 
 def _fourier_states(psi0: GridField, mult: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """The one stepping loop: psi0's FFT, then each state advanced by ``mult``."""
+    """The one stepping loop: psi0's FFT, then that state advanced by ``mult``
+    in place, ``steps`` times.  Each yielded state is the one array, valid
+    until the next step."""
     state = np.fft.fftn(np.asarray(psi0.values, dtype=complex))
     yield state
     for _ in range(steps):
-        state = state * mult
+        np.multiply(state, mult, out=state)
         yield state
 
 
@@ -240,13 +247,24 @@ def _last(snapshots: Iterable[GridField]) -> GridField:
 def current_and_divergence(s: GridField, a: float, engine: str):
     """(CurrentField, div j) of one snapshot, with j_tau = |psi|^2 and
     j_k = a Im(psi* d_k psi); a = c lhat for the Schroedinger stream."""
+    jk = [_current_component(s, a, ax, engine) for ax in range(s.values.ndim)]
+    return CurrentField(j_tau=np.abs(s.values) ** 2, j_k=jk), _divergence(s, jk, engine)
+
+
+def _current_component(s: GridField, a: float, axis: int, engine: str) -> np.ndarray:
+    """j_k = a Im(psi* d_k psi) of one snapshot, for k = ``axis``."""
     psi = s.values
-    jk = [a * np.imag(np.conj(psi) * _derivative(s, psi, ax, 1, engine))
-          for ax in range(psi.ndim)]
-    div = np.zeros(psi.shape)
+    d = _derivative(s, psi, axis, 1, engine)
+    return a * np.imag(np.multiply(np.conj(psi), d, out=d))
+
+
+def _divergence(s: GridField, jk: Iterable, engine: str) -> np.ndarray:
+    """div j from the components ``jk`` in axis order; a stream of them is
+    read one at a time, each dropped once its derivative is added."""
+    div = np.zeros(s.values.shape)
     for ax, j in enumerate(jk):
-        div = div + np.real(_derivative(s, j, ax, 1, engine))
-    return CurrentField(j_tau=np.abs(psi) ** 2, j_k=jk), div
+        div += np.real(_derivative(s, j, ax, 1, engine))
+    return div
 
 
 def continuity_residual(fields: Iterable, dt: float) -> float:
@@ -267,6 +285,26 @@ def continuity_residual(fields: Iterable, dt: float) -> float:
             residual = max(residual, float(np.max(np.abs(djdt + div))))
     if len(window) < 3:
         raise ConfigurationError("need at least three snapshots for the continuity check")
+    return residual
+
+
+def _continuity_of_stream(snapshots: Iterable[GridField], a: float, dt: float) -> float:
+    """:func:`continuity_residual` of the spectral currents of a snapshot
+    stream, of at least three snapshots, holding only what the difference
+    reads: j_tau of the middle snapshot's two neighbours and its div j.
+    No j_k outlives its term of div j, and no CurrentField is built."""
+    older = old = div = None
+    residual = 0.0
+    for s in snapshots:
+        new = np.abs(s.values) ** 2
+        if older is not None:
+            djdt = np.subtract(new, older, out=older)  # older is not read again
+            djdt /= 2.0 * dt
+            djdt += div
+            residual = max(residual, float(np.max(np.abs(djdt, out=djdt))))
+        older, old, div = old, new, None  # the middle's div goes before s's is formed
+        jk = (_current_component(s, a, ax, "spectral") for ax in range(s.values.ndim))
+        div = _divergence(s, jk, "spectral")
     return residual
 
 
@@ -426,11 +464,12 @@ def verify_reduction(*, points: int = 256, steps: int = 64) -> dict:
     5D null-dispersion and light-cone-map exactness, and the spectral
     semigroup composition defect.
 
-    The evolutions are read as streams and no snapshot is kept beyond the
-    three the continuity difference needs, so memory is O(points) and
-    independent of ``steps``; only the returned step table grows with
-    ``steps``: the columns step, norm and |norm - norm_0|, one entry per
-    snapshot.  The norms are read from the Fourier states (:func:`_norms`),
+    The evolutions are read as streams and no snapshot is kept: the
+    continuity difference holds j_tau of two snapshots and div j of the
+    one between them (:func:`_continuity_of_stream`), so memory is
+    O(points) and independent of ``steps``; only the returned step table
+    grows with ``steps``: the columns step, norm and |norm - norm_0|, one
+    entry per snapshot.  The norms are read from the Fourier states (:func:`_norms`),
     so the ``steps``-long stream takes no inverse transform.
     """
     lhat, c = 0.7, 1.3
@@ -462,12 +501,9 @@ def _norms(psi0: GridField, lhat: float, c: float, steps: int) -> np.ndarray:
                        dtype=float, count=steps + 1)
 
 
-def _short_checks(psi0: GridField, lhat: float, c: float, box: float) -> tuple[dict, bool]:
-    """Every check of :func:`verify_reduction` but norm conservation: the
-    residuals by name, and whether all of them pass."""
-    points = psi0.values.size
-
-    # plane-wave dispersion, one spectral step
+def _dispersion_error(psi0: GridField, lhat: float, c: float, box: float) -> float:
+    """Phase error of one spectral step of a plane wave on psi0's grid
+    against omega = c lhat k^2 / 2; the wave is dropped on return."""
     k = 2.0 * math.pi / box * 7
     x = psi0.coords(0)
     wave = GridField(values=np.exp(1j * k * x), step=psi0.step,
@@ -475,16 +511,23 @@ def _short_checks(psi0: GridField, lhat: float, c: float, box: float) -> tuple[d
     tau = 0.37
     evolved = _last(evolve_schrodinger(wave, tau, lhat, 1, c=c))
     expected_phase = -c * lhat * k * k / 2.0 * tau
-    measured = np.angle(evolved.values[points // 3] / wave.values[points // 3])
-    dispersion_err = abs((measured - expected_phase + math.pi) % (2.0 * math.pi) - math.pi)
+    i = psi0.values.size // 3
+    measured = np.angle(evolved.values[i] / wave.values[i])
+    return abs((measured - expected_phase + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+def _short_checks(psi0: GridField, lhat: float, c: float, box: float) -> tuple[dict, bool]:
+    """Every check of :func:`verify_reduction` but norm conservation: the
+    residuals by name, and whether all of them pass."""
+    # plane-wave dispersion, one spectral step
+    dispersion_err = _dispersion_error(psi0, lhat, c, box)
 
     # continuity residual: second order in the snapshot spacing
     resids = []
     dts = []
     for nsteps in (16, 32, 64):
         snaps = evolve_schrodinger(psi0, 1.0, lhat, nsteps, c=c)
-        fields = (current_and_divergence(s, c * lhat, "spectral") for s in snaps)
-        resids.append(continuity_residual(fields, 1.0 / nsteps))
+        resids.append(_continuity_of_stream(snaps, c * lhat, 1.0 / nsteps))
         dts.append(1.0 / nsteps)
     continuity_order = fit_convergence_order(dts, resids)
 

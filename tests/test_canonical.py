@@ -507,6 +507,45 @@ def test_figure1_nonnegative_and_zero_at_origin():
         assert curve.values[0] == 0.0
 
 
+def _whole_array_figure1(ns, r):
+    """Reference: every curve's points in one array with a degree per point,
+    one recurrence pass over all of them."""
+    ns = np.array(ns, dtype=np.int64)
+    return dn_scaled_grid(np.repeat(ns, r.size), np.tile(r, len(ns))).reshape(-1, r.size)
+
+
+@pytest.mark.parametrize("ns, points", [
+    ([4964, 37, 1200, 3801, 2500, 2501, 1, 5000, 1, 10], 401),
+    ([1, 10, 100, 1000], 251),
+    ([3, 3, 1, 7, 3], 7),
+    ([1], 1),
+], ids=["benchmark-like", "default", "duplicates", "one-point"])
+def test_figure1_curves_match_whole_array_pass(ns, points):
+    # each curve is read off the ladder at its own degree, with the bits of
+    # the pass with a degree per point
+    r = np.linspace(0.0, 5.0, points)
+    curves = figure1_curves(ns, r)
+    assert [c.n for c in curves] == ns
+    for curve, want in zip(curves, _whole_array_figure1(ns, r)):
+        assert curve.values.tobytes() == want.tobytes()
+
+
+def test_figure1_curves_peak_memory():
+    # 10 levels x 4001 points: the ladder's arrays of the points and one
+    # curve's temporaries, measured at 6.4 arrays of the 40,010 points (a
+    # degree per point, with 3 x N copies in and out of the ladder, took 16)
+    levels = [m for n in (7, 300, 1100, 1900, 2450) for m in (n, 5001 - n)]
+    r = np.linspace(0.0, 5.0, 4001)
+    figure1_curves([1, 2], r)
+    tracemalloc.start()
+    try:
+        figure1_curves(levels, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 8 * len(levels) * r.size, f"{peak / (8 * len(levels) * r.size):.1f}"
+
+
 def test_figure1_domain_guard():
     with pytest.raises(DomainError):
         figure1_curves([1], np.array([0.0, 5.5]))

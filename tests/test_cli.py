@@ -220,6 +220,19 @@ def test_partition_leaves_numpy_ma_unloaded(tmp_path):
     assert out.stdout.split()[-2:] == ["0", "False"]
 
 
+def test_figure1_leaves_numpy_ma_unloaded(tmp_path):
+    # figure1's distinct levels and table rows take no np.unique, which
+    # would load numpy.ma
+    code = ("import sys, kg5d.cli; "
+            f"rc = kg5d.cli.main(['figure1', '--n', '3,1,3,7', '--r-points', '5000', "
+            f"'--output-dir', {str(tmp_path)!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_cli_import_leaves_geometry_unloaded():
     # Only verify-geometry needs the geometry module, verify-geometry and
     # verify-reduction the reduction module, and partition, universal-d and

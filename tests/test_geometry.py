@@ -9,6 +9,9 @@ fits on nested grids.
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -927,6 +930,84 @@ def test_memory_guard_budgets_each_process_and_the_host(monkeypatch):
     assert not _refused(monkeypatch, sizes, space=need, free=math.inf)
     assert _refused(monkeypatch, sizes, space=math.inf, free=need - 1)
     assert not _refused(monkeypatch, sizes, space=need, free=need)
+
+
+@pytest.mark.parametrize("sizes, space, unit", [
+    ((29, 33), projected_peak_bytes((29, 33)) - 2**21, "MiB"),
+    ((9, 101), 1.5 * 2**30, "GiB"),
+], ids=["MiB", "GiB"])
+def test_memory_guard_names_sizes_in_mib_below_one_gib(monkeypatch, sizes, space, unit):
+    # at (29, 33) the refusal used to read "needs about 0.0 GiB ... more
+    # than the 0.0 GiB available"
+    need = projected_peak_bytes(sizes)
+    monkeypatch.setattr(geometry, "_available_bytes", lambda: (space, math.inf))
+    with pytest.raises(ConfigurationError) as info:
+        verify_geometry(sizes=sizes)
+    scale = 2**20 if unit == "MiB" else 2**30
+    assert str(info.value) == (
+        f"verify-geometry needs about {need / scale:,.1f} {unit} at its peak"
+        f" (finest Laplacian grid {_laplacian_sizes(sizes)[-1]}^5),"
+        f" more than the {space / scale:,.1f} {unit} available")
+    assert f" 0.0 {unit}" not in str(info.value)
+
+
+# Imports the geometry module, caps its own address space at what it has
+# mapped plus the projection, with no margin, and runs the suite; a refusal
+# exits 2, and a MemoryError would end it with a traceback.
+_CAPPED_CHILD = """
+import resource, sys
+from kg5d import geometry
+from kg5d.errors import ConfigurationError
+sizes = tuple(int(a) for a in sys.argv[1:])
+cap = int(geometry._proc_bytes("/proc/self/status", "VmSize")
+          + geometry.projected_peak_bytes(sizes))
+resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    geometry.verify_geometry(sizes=sizes)
+except ConfigurationError:
+    sys.exit(2)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmSize")
+@pytest.mark.parametrize("sizes", [(9, 13), (17, 21), (21, 25)], ids=["17^5", "21^5", "25^5"])
+def test_projection_as_address_space_cap_never_runs_out(sizes):
+    # a run the guard lets start fits in what it projects: capped at its
+    # mapped size plus the projection, it finishes or is refused (exit 2),
+    # and never stops with a MemoryError
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *map(str, sizes)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "MemoryError" not in proc.stderr
+
+
+def test_fourier_check_field_takes_16_bytes_a_point():
+    # a first size beyond the Laplacian ladder's top (17 here) sets the peak:
+    # the Fourier check's complex field, its real product written into its
+    # real parts, and a few planes beside it.  Measured at 19.3 bytes a point
+    # of 29^4; a real product with 0j added took 24.3.
+    tracemalloc.start()
+    try:
+        verify_geometry(sizes=(29, 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 29**4, f"{peak / 29**4:.2f} bytes a point"
+
+
+def test_laplacian_ladder_runs_before_the_reduction_module_loads():
+    # verify-geometry's ladder, its peak, uses no grid field: the light-cone
+    # module is compiled only for the Fourier check after it
+    code = ("import sys; from kg5d import geometry; "
+            "geometry._laplacian_ladder(geometry._laplacian_sizes((9, 13)),"
+            " geometry.smooth_lorentz_potential()); "
+            "print('kg5d.reduction' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_verify_geometry_runs_in_one_process(forbid_fork):

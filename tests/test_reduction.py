@@ -457,6 +457,32 @@ def test_verify_reduction_memory_flat_in_steps():
     assert max(peaks) <= 24 * 16 * points, peaks
 
 
+def test_verify_reduction_peak_memory():
+    # the benchmark's size: the continuity check holds j_tau of the middle
+    # snapshot's two neighbours and its div j, and drops each j_k once its
+    # term of div j is added.  Measured at 2.15 MiB; three CurrentFields and
+    # a div per snapshot of the window took 3.65 MiB.
+    verify_reduction(points=16384, steps=4)  # FFT set-up and imports, untraced
+    tracemalloc.start()
+    try:
+        verify_reduction(points=16384, steps=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_fourier_states_advance_in_place():
+    # each yielded state is the one array, valid until the next step
+    psi0 = gaussian_packet(64, 20.0, 1.0, k0=1.0)
+    mult = reduction._multiplier(psi0, 1.0, 0.35j, 3, "spectral")
+    states = reduction._fourier_states(psi0, mult, 3)
+    first = next(states)
+    want = first * mult
+    assert next(states) is first
+    assert first.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("points, steps", [(256, 64), (16384, 1024)])
 def test_parseval_norms_match_x_space_norms(points, steps):
     # verify-reduction reads its norms from the Fourier states; each is
