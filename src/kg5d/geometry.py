@@ -45,27 +45,10 @@ profiles q (p and its finite-difference derivatives) -- the paper's own
 single-mode reduction, applied to the harness.  All finite-difference
 passes run on 4D base arrays; no n^5 array of the whole grid is formed.
 
-The grid checks stream over x^0: each piece's defect is computed and
-reduced to the maxima the caller needs before the next one, so the only 5D
-array is one piece's combination and no full-grid metric array is formed.
-x^0 is axis 0 of the base arrays and of the 5D defect, so a cut in x^0 cuts
-every phase.  The Laplacian check walks one x^0 plane at a time from a
-window of three planes of N_mu, each sampled once from the potential on that
-plane (``_PotentialPlanes``); every entry of h and h^-1 is formed from N
-where it is read: d_0 of an entry of h is the plane's row of
-fd_derivative's stencil (``fd_plane``) over that entry formed on the planes
-the stencil reads, and h and h^-1 are built on the kept plane alone.  The
-Lorentz-gauge guard and the finite-difference Fourier check walk one plane
-at a time as well.  The light-cone check, which applies d_0 to a d_0 term,
-runs on slabs of three planes that read two halo planes each side, widened
-to five planes at the grid ends.  Either way every stencil, one-sided ones
-at the true ends included, sees what it sees on the whole grid: the maxima
-are bit for bit those of the whole-grid evaluation.  Peak memory is the
-base arrays of the field plus one plane's arrays: up to n = 29 the
-Christoffel phase's 57 planes of n^3 doubles, the window's 12 among them,
-and above it the plane's 5D combination, n planes, beside a copy of its
-interior for the maxima and a few others.  ``projected_peak_bytes`` gives
-the peak in closed form before a run.
+Every grid check walks one x^0 plane at a time, reading the potential from a
+window of three sampled planes (``_PotentialPlanes``) and the x^0
+derivatives from ``fd_plane``, so its maxima are bit for bit those of the
+whole-grid evaluation.
 
 All evaluations are pure; residual norms do not depend on how grid work is
 partitioned.
@@ -369,15 +352,15 @@ class SeparatedField:
         return self.step[axis] * np.arange(self.shape[axis])
 
 
-def _grid_coords(field, rows=None):
+def _grid_coords(field, plane=None):
     """Sparse broadcastable coordinate arrays for the four base axes of a
-    ``GridField`` or ``SeparatedField``, with x^0 cut to the rows [lo, hi)
-    when ``rows`` is given."""
+    ``GridField`` or ``SeparatedField``, with x^0 cut to the one ``plane``
+    when it is given."""
     coords = []
     for ax in range(4):
         c = field.coords(ax)
-        if ax == 0 and rows is not None:
-            c = c[rows[0]:rows[1]]
+        if ax == 0 and plane is not None:
+            c = c[plane:plane + 1]
         shape = [1] * 4
         shape[ax] = -1
         coords.append(c.reshape(shape))
@@ -387,71 +370,39 @@ def _grid_coords(field, rows=None):
 def _combined(pairs) -> np.ndarray:
     """|sum_q C_q (x) q| from (base array, x^5 profile) pairs, x^5 last.
 
-    This is where the 5D defect of one x^0 range is formed: one array of the
-    range's size, to which the pairs after the first are added in the given
-    order, one (x^0, x^1) row at a time through a temporary of one row.
+    This is where the 5D defect of one x^0 plane is formed: one array of the
+    plane's size, to which the pairs after the first are added in the given
+    order, one x^1 row at a time through a temporary of one row.
     """
     (c, q), *rest = pairs
     out = np.multiply(c[..., None], q)
-    rows = out.reshape((-1,) + out.shape[2:])
-    tmp = np.empty_like(rows[0])
+    tmp = np.empty_like(out[0])
     for c, q in rest:
-        for row, c_row in zip(rows, c.reshape((-1,) + c.shape[2:])):
+        for row, c_row in zip(out, c):
             row += np.multiply(c_row[..., None], q, out=tmp)
     return np.abs(out, out=out)
 
 
-# x^0 planes in one slab: the light-cone defect's maxima are computed one
-# slab at a time (the Laplacian defect, the Lorentz-gauge guard and the
-# Fourier check one plane at a time).  x^0 is axis 0 of the 4D base arrays
-# and of a slab's 5D defect, so one slab cuts every phase of a check.
-_SLAB_PLANES = 3
+def _defect_maxima(defect: Callable, n0: int, index_sets) -> list:
+    """Max of a defect field over each index set, one x^0 plane at a time.
 
-
-def _slab_rows(n0: int):
-    """The kept x^0 row ranges [lo, hi) of the slabs covering ``n0`` planes."""
-    return [(lo, min(lo + _SLAB_PLANES, n0)) for lo in range(0, n0, _SLAB_PLANES)]
-
-
-def _haloed(rows, n0: int, halo: int):
-    """The x^0 rows [start, stop) a light-cone slab reads to differentiate
-    its kept rows.
-
-    ``halo`` planes are added on each side: one per x^0 derivative applied in
-    sequence.  A range touching a grid end is widened to fd_derivative's
-    5-plane minimum, so the one-sided stencils fall on the true end planes
-    only and every kept row gets the bits of the whole-grid derivative.
+    ``defect(r)`` returns the defect on the x^0 plane r of ``n0``, without
+    its x^0 axis.  Each index set is a tuple of slices over the whole grid,
+    as ``defect_field[index]`` would take it: a plane r is kept when r is in
+    ``range(n0)[index[0]]`` and read through ``index[1:]``, a view.  Only
+    one plane's defect is held: the previous plane and its view are dropped
+    before the next is built.
     """
-    lo, hi = rows
-    start, stop = max(lo - halo, 0), min(hi + halo, n0)
-    if stop - start < 5:
-        if start == 0:
-            stop = min(5, n0)
-        else:
-            start = max(stop - 5, 0)
-    return start, stop
-
-
-def _defect_maxima(defect: Callable, rows, index_sets) -> list:
-    """Max of a defect field over each index set, one x^0 row range at a time.
-
-    ``rows`` lists ranges [lo, hi) that cover the grid's x^0 rows in order,
-    and ``defect((lo, hi))`` returns the defect on one of them.  Each index
-    set is a tuple of slices over the whole grid, as ``defect_field[index]``
-    would take it; only one range's defect is held: the previous range's
-    defect and its index-set copy are dropped before the next is built.
-    """
-    n0 = rows[-1][1]
     best = [None] * len(index_sets)
-    for lo, hi in rows:
-        slab = part = None  # the previous range's arrays go before the next is built
-        slab = defect((lo, hi))
+    for r in range(n0):
+        plane = part = None  # a view keeps its plane alive
+        plane = defect(r)
         for k, index in enumerate(index_sets):
-            kept = [r - lo for r in range(n0)[index[0]] if lo <= r < hi]
-            part = slab[(kept,) + tuple(index[1:])]
-            if part.size:
-                m = np.max(part)
-                best[k] = m if best[k] is None else np.maximum(best[k], m)
+            if r in range(n0)[index[0]]:
+                part = plane[index[1:]]
+                if part.size:
+                    m = np.max(part)
+                    best[k] = m if best[k] is None else np.maximum(best[k], m)
     if any(b is None for b in best):
         raise DomainError("an index set selects no grid point")
     return [float(b) for b in best]
@@ -475,7 +426,7 @@ def _sample_plane(field, A: Potential, scale: float, i: int, components, out) ->
     field's base grid, sampled from ``A.components`` on that plane alone
     and written into ``out``, of shape (len(components), n1, n2, n3).  A
     sample that is not finite raises ``ConfigurationError``."""
-    coords = _grid_coords(field, (i, i + 1))
+    coords = _grid_coords(field, i)
     sample = np.broadcast_to(A.components(coords), (4,) + np.broadcast(*coords).shape)[:, 0]
     for plane, mu in zip(out, components):
         np.multiply(scale, sample[mu], out=plane)
@@ -511,7 +462,7 @@ class _PotentialPlanes:
         slot = i % 3
         if self._held[slot] != i:
             if self._slots is None:
-                plane = np.broadcast(*_grid_coords(self._field, (0, 1))).shape[1:]
+                plane = np.broadcast(*_grid_coords(self._field, 0)).shape[1:]
                 self._slots = np.empty((3, len(self._components)) + plane)
             self._held[slot] = None
             _sample_plane(self._field, self._A, self._scale, i, self._components,
@@ -520,30 +471,29 @@ class _PotentialPlanes:
         return self._slots[slot]
 
 
-class _PlaneMap:
-    """The planes of a sequence passed through ``f``: the sequence
-    ``fd_plane`` reads to differentiate one quantity formed from them."""
+class _Planes:
+    """The sequence of ``n`` planes whose plane i is ``f(i)``, formed when it
+    is read: what ``fd_plane`` differentiates when a quantity is built on
+    the planes its stencil reads."""
 
-    def __init__(self, planes, f: Callable):
-        self._planes, self._f = planes, f
+    def __init__(self, n: int, f: Callable):
+        self._n, self._f = n, f
 
     def __len__(self) -> int:
-        return len(self._planes)
+        return self._n
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return self._f(self._planes[i])
+        return self._f(i)
 
 
-def _christoffel_contraction_field(field, A: Potential, q_over_c2: float,
-                                   rows=None, n_planes=None):
-    """h^{AB} Gamma^C_{AB} on the 4D base grid, shape (5,) + base grid.
+def _christoffel_contraction_field(field, n_planes: _PotentialPlanes, r: int) -> np.ndarray:
+    """h^{AB} Gamma^C_{AB} on the x^0 plane r of the 4D base grid, shape
+    (5, n1, n2, n3).
 
     ``field`` supplies the base grid alone: a ``SeparatedField`` or a 4D
-    ``GridField``.  With ``rows = (lo, hi)`` only the x^0 rows [lo, hi) of
-    the base are returned.  The rows are computed one x^0 plane at a time
-    from ``n_planes``, the field's ``_PotentialPlanes`` of N_mu (a new one
-    by default); a caller that walks the grid plane by plane passes the same
-    one to every call, so each plane's potential is sampled once.
+    ``GridField``.  ``n_planes`` is the field's ``_PotentialPlanes`` of
+    N_mu; a caller walking the grid plane by plane passes the same one to
+    every call, so each plane's potential is sampled once.
 
     Contracting Gamma^C_{AB} = h^{CD}(d_A h_{DB} + d_B h_{DA} - d_D h_{AB})/2
     with the symmetric h^{AB} leaves h^{CD} v_D, where
@@ -554,49 +504,36 @@ def _christoffel_contraction_field(field, A: Potential, q_over_c2: float,
     entries beside the floats eta^{mu nu}, and the gradient is taken by
     finite differences of the entries of h, one direction rho at a time
     (d_5 = 0), so neither a (5, 5) metric array nor the Christoffel table is
-    formed.  d_0 h on a plane is ``fd_plane`` entry by entry, each entry
+    formed.  d_0 h on the plane is ``fd_plane`` entry by entry, each entry
     formed from the N planes its stencil reads; h on the plane is built once,
     for d_1..d_3.  Each sum runs over the full indices in the order of the
     dense einsums (b in v_D, (a, b) row-major in the trace, D in h^{CD} v_D),
     skipping the zero entries of h^{-1}, so the result is bit for bit the
     dense contraction up to the sign of a zero.
     """
-    n0 = field.coords(0).size
-    lo, hi = (0, n0) if rows is None else rows
-    n_planes = _PotentialPlanes(field, A, -q_over_c2) if n_planes is None else n_planes
     trace = [(k, k) for k in _ENTRY.ravel()]
-    out = None
-    for r in range(lo, hi):
-        n_cov = n_planes[r]
-        dh = np.empty((15,) + n_cov.shape[1:])
-        for k in range(15):
-            dh[k] = fd_plane(_PlaneMap(n_planes, lambda n, k=k: _metric_entry(n, k)), r, 1,
-                             field.step[0])
-        h = _metric_entries(n_cov)
-        h_inv = _inverse_entries(n_cov)
-        v = np.zeros((5,) + h.shape[1:])
-        term, tmp = np.empty_like(v[0]), np.empty_like(v[0])
-        for rho in range(4):
-            if rho:
-                del dh  # the previous direction's goes before the next is built
-                dh = fd_derivative(h, rho, 1, field.step[rho])
-            for d in range(5):
-                v[d] += _sum_of_products(h_inv, dh, [(_ENTRY[rho, b], _ENTRY[d, b])
-                                                     for b in range(5)], term, tmp)
-            v[rho] -= np.multiply(0.5, _sum_of_products(h_inv, dh, trace, term, tmp), out=term)
-        del dh, h  # before the coefficients are allocated
-        if out is None:
-            out = np.empty((5, hi - lo) + v.shape[1:])
-        for c in range(5):
-            _sum_of_products(h_inv, v, [(_ENTRY[c, d], d) for d in range(5)], out[c, r - lo], tmp)
+    n_cov = n_planes[r]
+    dh = np.empty((15,) + n_cov.shape[1:])
+    for k in range(15):
+        dh[k] = fd_plane(_Planes(len(n_planes), lambda i, k=k: _metric_entry(n_planes[i], k)),
+                         r, 1, field.step[0])
+    h = _metric_entries(n_cov)
+    h_inv = _inverse_entries(n_cov)
+    v = np.zeros((5,) + h.shape[1:])
+    term, tmp = np.empty_like(v[0]), np.empty_like(v[0])
+    for rho in range(4):
+        if rho:
+            del dh  # the previous direction's goes before the next is built
+            dh = fd_derivative(h, rho, 1, field.step[rho])
+        for d in range(5):
+            v[d] += _sum_of_products(h_inv, dh, [(_ENTRY[rho, b], _ENTRY[d, b])
+                                                 for b in range(5)], term, tmp)
+        v[rho] -= np.multiply(0.5, _sum_of_products(h_inv, dh, trace, term, tmp), out=term)
+    del dh, h  # before the coefficients are allocated
+    out = np.empty_like(v)
+    for c in range(5):
+        _sum_of_products(h_inv, v, [(_ENTRY[c, d], d) for d in range(5)], out[c], tmp)
     return out
-
-
-def _check_laplacian_inputs(field: SeparatedField, A: Potential) -> None:
-    if not isinstance(field, SeparatedField):
-        raise DomainError("covariant Laplacian check needs a 5D SeparatedField")
-    if A.gauge != "lorentz":
-        raise GaugeError(f"Lorentz gauge required, potential declares {A.gauge!r}")
 
 
 # Relative size of max|d_mu A^mu| that the Lorentz-gauge guard accepts.
@@ -604,17 +541,22 @@ _GAUGE_TOL = 1e-8
 
 
 def _lorentz_guard(field: SeparatedField, A: Potential) -> None:
-    """Refuse a potential whose divergence is not zero on the field's grid.
+    """Refuse a field that is not a ``SeparatedField``, and a potential that
+    does not declare Lorentz gauge or whose divergence is not zero on the
+    field's grid.
 
     The test is max|d_mu A^mu| <= _GAUGE_TOL * max(max|A|, 1) over the whole
     base grid, with both maxima taken one x^0 plane at a time: the
     divergence's derivative table, 16 planes of n^3 doubles, and a few
     planes beside it.
     """
-    _check_laplacian_inputs(field, A)
+    if not isinstance(field, SeparatedField):
+        raise DomainError("covariant Laplacian check needs a 5D SeparatedField")
+    if A.gauge != "lorentz":
+        raise GaugeError(f"Lorentz gauge required, potential declares {A.gauge!r}")
     div_max = a_max = None
     for r in range(field.shape[0]):
-        coords = _grid_coords(field, (r, r + 1))
+        coords = _grid_coords(field, r)
         d = np.max(np.abs(A.divergence(coords)))
         a = np.max(np.abs(A.components(coords)))
         div_max = d if div_max is None else np.maximum(div_max, d)
@@ -624,38 +566,34 @@ def _lorentz_guard(field: SeparatedField, A: Potential) -> None:
 
 
 def _laplacian_defect_field(field: SeparatedField, A: Potential, q_over_c2: float,
-                            rows=None, n_planes=None) -> np.ndarray:
-    """|-h^{AB} Gamma^C_{AB} d_C f - (d_mu N^mu) d_5 f| on the x^0 rows [lo, hi).
+                            n_planes: _PotentialPlanes, r: int) -> np.ndarray:
+    """|-h^{AB} Gamma^C_{AB} d_C f - (d_mu N^mu) d_5 f| on the x^0 plane r.
 
-    ``rows`` defaults to the whole grid, and ``n_planes`` is passed on to
-    ``_christoffel_contraction_field``.  This is the Laplace-Beltrami
-    operator h^{AB}(d_A d_B - Gamma^C_{AB} d_C) f minus the expanded operator
-    of ``covariant_laplacian_residual``: the second-order parts of the two are
-    the same terms and cancel exactly, so only the first-order parts are
-    evaluated.  For each term g p of the field that is
-    (sum_mu c_mu d_mu g) (x) p + (c_5 g) (x) d_5 p, with c the coefficients
-    above: d_0 g is taken row by row (``fd_plane``) from the whole base
-    array, the other derivatives on the rows alone.  The numerical
-    Lorentz-gauge test needs the whole grid and is left to the callers
-    (``_lorentz_guard``).
+    ``n_planes`` is passed on to ``_christoffel_contraction_field``.  This
+    is the Laplace-Beltrami operator h^{AB}(d_A d_B - Gamma^C_{AB} d_C) f
+    minus the expanded operator of ``covariant_laplacian_residual``: the
+    second-order parts of the two are the same terms and cancel exactly, so
+    only the first-order parts are evaluated.  For each term g p of the
+    field that is (sum_mu c_mu d_mu g) (x) p + (c_5 g) (x) d_5 p, with c the
+    coefficients above: d_0 g is the plane of ``fd_plane`` over the whole
+    base array, the other derivatives are taken on the plane alone.  The
+    input checks and the numerical Lorentz-gauge test, which needs the
+    whole grid, are left to the callers (``_lorentz_guard``).
     """
-    _check_laplacian_inputs(field, A)
-    lo, hi = (0, field.shape[0]) if rows is None else rows
-    coef = _christoffel_contraction_field(field, A, q_over_c2, (lo, hi), n_planes)
-    # h^{AB} Gamma^5_{AB} + d_mu N^mu, with the analytic divergence
-    coef[4] += -q_over_c2 * np.asarray(A.divergence(_grid_coords(field, (lo, hi))))
+    coef = _christoffel_contraction_field(field, n_planes, r)
+    # h^{AB} Gamma^5_{AB} + d_mu N^mu, with the analytic divergence; the
+    # coordinates keep x^0 as an axis of length 1
+    coef[4, None] += -q_over_c2 * np.asarray(A.divergence(_grid_coords(field, r)))
     h = field.step
     pairs = []
     for g, p in zip(field.bases, field.profiles):
-        base = np.empty_like(coef[0])
-        for r in range(lo, hi):
-            base[r - lo] = fd_plane(g, r, 1, h[0])
+        base = fd_plane(g, r, 1, h[0])
         base *= coef[0]
         for mu in range(1, 4):
-            d = fd_derivative(g[lo:hi], mu, 1, h[mu])
+            d = fd_derivative(g[r], mu - 1, 1, h[mu])
             d *= coef[mu]
             base += d
-        pairs += [(base, p), (coef[4] * g[lo:hi], fd_derivative(p, 0, 1, h[4]))]
+        pairs += [(base, p), (coef[4] * g[r], fd_derivative(p, 0, 1, h[4]))]
     del coef
     return _combined(pairs)
 
@@ -666,9 +604,8 @@ def _laplacian_defect_maxima(field: SeparatedField, A: Potential, q_over_c2: flo
     x^0 plane at a time, each plane's potential sampled once."""
     _lorentz_guard(field, A)
     n_planes = _PotentialPlanes(field, A, -q_over_c2)
-    return _defect_maxima(
-        lambda rows: _laplacian_defect_field(field, A, q_over_c2, rows, n_planes),
-        [(r, r + 1) for r in range(field.shape[0])], index_sets)
+    return _defect_maxima(lambda r: _laplacian_defect_field(field, A, q_over_c2, n_planes, r),
+                          field.shape[0], index_sets)
 
 
 def covariant_laplacian_residual(
@@ -774,7 +711,8 @@ def kg_fourier_residual(
     inner = tuple(slice(margin, -margin) for _ in range(4))
     if not all(len(range(n)[cut]) for n, cut in zip(psi.values.shape, inner)):
         raise DomainError(f"a margin of {margin} leaves no interior point")
-    a0 = _PlaneMap(_PotentialPlanes(psi, A, 1.0, components=(0,)), lambda plane: plane[0])
+    window = _PotentialPlanes(psi, A, 1.0, components=(0,))
+    a0 = _Planes(len(window), lambda i: window[i][0])
     a = np.empty((3,) + psi.values.shape[1:])  # A_1, A_2, A_3 on the plane
     best = 0.0
     for r in range(psi.values.shape[0])[inner[0]]:
@@ -808,73 +746,71 @@ def lightcone_em_expansion_residual(
     The two sides differ by the finite-difference product-rule commutator, so
     the interior max-norm defect decays at second order under refinement.
     The potential must declare the requested gauge.  The defect is computed
-    and reduced one x^0 slab at a time.
+    and reduced one x^0 plane at a time, each plane's a sampled once into a
+    window of three planes.
     """
+    if not isinstance(field, SeparatedField):
+        raise DomainError("light-cone expansion check needs a 5D SeparatedField")
+    if A.gauge != gauge:
+        raise GaugeError(f"potential declares gauge {A.gauge!r}, expected {gauge!r}")
+    a_planes = _PotentialPlanes(field, A, q_over_c2)
     inner = tuple(slice(margin, -margin) for _ in range(5))
-    return _defect_maxima(lambda rows: _lightcone_defect_field(field, A, q_over_c2, gauge, rows),
-                          _slab_rows(field.shape[0]), [inner])[0]
+    return _defect_maxima(lambda r: _lightcone_defect_field(field, a_planes, r),
+                          field.shape[0], [inner])[0]
 
 
-def _lightcone_defect_field(field: SeparatedField, A: Potential, q_over_c2: float,
-                            gauge: str = "coulomb", rows=None) -> np.ndarray:
-    """|composition - expansion| of the light-cone operator on the x^0 rows [lo, hi).
+def _lightcone_defect_field(field: SeparatedField, a_planes: _PotentialPlanes,
+                            r: int) -> np.ndarray:
+    """|composition - expansion| of the light-cone operator on the x^0 plane r.
 
-    ``rows`` defaults to the whole grid.  For a term g p of the field, with
-    D the first-order, D2 the second-order stencil and a2 = eta^{mu nu} a_mu a_nu,
-    the second-order terms of the two sides cancel exactly and the
-    difference is
+    ``a_planes`` is the field's ``_PotentialPlanes`` of a_mu = (q/c^2) A_mu.
+    For a term g p of the field, with D the first-order, D2 the second-order
+    stencil and a2 = eta^{mu nu} a_mu a_nu, the second-order terms of the
+    two sides cancel exactly and the difference is
 
         [sum_mu eta^{mu mu} (D_mu D_mu g - D2_mu g)] (x) p
         + [sum_mu eta^{mu mu} (a_mu D_mu g - D_mu(a_mu g)) + (D_mu a^mu) g] (x) D_5 p
         + (a2 g) (x) (D_5 D_5 p - D2_5 p),
 
     three product-rule commutators: composed against direct second
-    derivatives, and D a g against a D g.  d_0 is applied to a d_0 term, so
-    the x^0 derivatives are taken on the rows plus two halo planes each side;
-    every other derivative runs on the rows alone.
+    derivatives, and D a g against a D g.  Every x^0 derivative is
+    ``fd_plane`` at r over the planes its stencil reads: of a_0, of a_0 g
+    and of g, and for D_0 D_0 g of D_0 g, itself ``fd_plane`` of g on each
+    plane read.  Only order-1 stencils read a, so the window's three planes
+    cover them.  The derivatives along x^1..x^3 run on the plane alone.
     """
-    if not isinstance(field, SeparatedField):
-        raise DomainError("light-cone expansion check needs a 5D SeparatedField")
-    if A.gauge != gauge:
-        raise GaugeError(f"potential declares gauge {A.gauge!r}, expected {gauge!r}")
-    n0 = field.shape[0]
-    lo, hi = (0, n0) if rows is None else rows
-    start, stop = _haloed((lo, hi), n0, 2)
-    cut = slice(lo - start, hi - start)
-    coords = _grid_coords(field, (start, stop))
-    base = np.broadcast(*coords).shape
-    a_halo = np.ascontiguousarray(np.broadcast_to(
-        q_over_c2 * A.components(coords), (4,) + base))
-    a = a_halo[:, cut]
-    h = field.step
+    n0, h = len(a_planes), field.step
+    a = a_planes[r]
 
-    def d(values, ax, order=1):
-        return fd_derivative(values, ax, order, h[ax])
+    def d0(planes, order=1):
+        return fd_plane(planes, r, order, h[0])
 
-    div = d(a_halo[0], 0)[cut]
+    def d(values, ax, order=1):  # along x^ax, 1 <= ax <= 3: axis ax - 1 of a plane
+        return fd_derivative(values, ax - 1, order, h[ax])
+
+    div = d0(_Planes(n0, lambda i: a_planes[i][0]))
     np.negative(div, out=div)
     a2 = -a[0] ** 2
     for j in range(1, 4):
         div += d(a[j], j)
         a2 += a[j] ** 2
     pairs = []
-    for g_halo, p in zip(field.bases[:, start:stop], field.profiles):
-        g = g_halo[cut]
-        d0_halo = d(g_halo, 0)
-        c_p = d(g_halo, 0, 2)[cut]
-        c_p -= d(d0_halo, 0)[cut]
-        c_1 = d(a_halo[0] * g_halo, 0)[cut]
-        c_1 -= a[0] * d0_halo[cut]
-        c_1 += div * g
+    for g, p in zip(field.bases, field.profiles):
+        d0g = d0(g)
+        c_p = d0(g, 2)
+        c_p -= d0(_Planes(n0, lambda i: fd_plane(g, i, 1, h[0])))
+        c_1 = d0(_Planes(n0, lambda i: a_planes[i][0] * g[i]))
+        c_1 -= a[0] * d0g
+        c_1 += div * g[r]
         for j in range(1, 4):
-            dj = d(g, j)
+            dj = d(g[r], j)
             c_p += d(dj, j)
-            c_p -= d(g, j, 2)
+            c_p -= d(g[r], j, 2)
             c_1 += a[j] * dj
-            c_1 -= d(a[j] * g, j)
+            c_1 -= d(a[j] * g[r], j)
         p1 = fd_derivative(p, 0, 1, h[4])
         pairs += [(c_p, p), (c_1, p1),
-                  (a2 * g, fd_derivative(p1, 0, 1, h[4]) - fd_derivative(p, 0, 2, h[4]))]
+                  (a2 * g[r], fd_derivative(p1, 0, 1, h[4]) - fd_derivative(p, 0, 2, h[4]))]
     return _combined(pairs)
 
 
@@ -979,10 +915,11 @@ def projected_peak_bytes(sizes) -> int:
     one direction's derivative of them (15), the five arrays of h^-1 and v_D
     with two work arrays (7); the plane's five coefficients are allocated
     after h and its derivative are dropped.  The defect phase holds the
-    plane's 5D combination, n planes, and its maxima copy at most n planes of
-    it, beside a few planes of coefficients and derivatives.  The formula
-    rounds the two phases up to 64 and 2 n + 16 planes for the small arrays
-    beside them.  No term grows as n^5.  The Fourier check afterwards holds
+    plane's 5D combination, n planes, with a temporary of one plane and the
+    field term's two coefficient planes, n + 15 with the window; the maxima
+    read the combination through a view.  The formula rounds the two phases
+    up to 64 and n + 24 planes for the small arrays beside them.  No term
+    grows as n^5.  The Fourier check afterwards holds
     the first size's 4D field, complex values with a real product written
     into their real parts, 16 bytes a point, and while the field is checked
     finite a byte a point more; beside it are a few planes of that grid: 17
@@ -990,7 +927,7 @@ def projected_peak_bytes(sizes) -> int:
     suite checks the bound against tracemalloc.
     """
     n = _laplacian_sizes(sizes)[-1]
-    ladder = 8 * n**3 * (n + max(64, 2 * n + 16))
+    ladder = 8 * n**3 * (n + max(64, n + 24))
     s = int(sizes[0])
     fourier = s**3 * (17 * s + 8 * 16)
     return max(ladder, fourier)

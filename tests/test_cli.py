@@ -392,8 +392,8 @@ def test_empty_r_grid_exits_2_with_one_line(tmp_path, capsys, argv):
     ("301", "2", 305, 2 * 2**30),
     # 16 MiB above the projection: refused, because the interpreter's own
     # mappings count against the limit too.  The ladder runs up to 53^5 so
-    # that the cap (215 MiB) leaves room for the interpreter to start: at
-    # 45^5 it would be 121 MiB, below the 143 MiB that Python 3.11 with
+    # that the cap (164 MiB) leaves room for the interpreter to start: at
+    # 45^5 it would be 95 MiB, below the 143 MiB that Python 3.11 with
     # numpy 2.4 maps before the guard runs.
     ("29", "7", 53, projected_peak_bytes([29, 33, 37, 41, 45, 49, 53]) + 2**24),
     # a list of 2e8 sizes alone would not fit: refused before any is made

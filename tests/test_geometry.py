@@ -46,7 +46,6 @@ from kg5d.geometry import (
     _lightcone_defect_field,
     _metric_pair,
     _PotentialPlanes,
-    _slab_rows,
     projected_peak_bytes,
 )
 from kg5d.numerics import fd_derivative, fit_convergence_order
@@ -64,16 +63,39 @@ def _nested_probe(size):
     return (slice(stride, 5 * stride + 1, stride),) * 5
 
 
-def _nested_orders(defect_fn, field_fn):
-    """Steps and probe maxima of ``defect_fn(field, rows)`` on the nested grids,
-    reduced slab by slab."""
+def _nested_orders(planes_fn, field_fn):
+    """Steps and probe maxima on the nested grids of the defect whose plane r
+    is ``planes_fn(field)(r)``, reduced plane by plane."""
     hs, rs = [], []
     for size in NESTED_SIZES:
         f = field_fn(size)
         hs.append(f.step[0])
-        rs.append(_defect_maxima(lambda rows: defect_fn(f, rows), _slab_rows(size),
-                                 [_nested_probe(size)])[0])
+        rs.append(_defect_maxima(planes_fn(f), size, [_nested_probe(size)])[0])
     return hs, rs
+
+
+def _stacked(plane, n0, axis=0):
+    """The planes ``plane(0)``..``plane(n0 - 1)`` stacked along ``axis``: the
+    whole grid's array of a plane-walk function."""
+    return np.stack([plane(r) for r in range(n0)], axis=axis)
+
+
+def _contraction_planes(field, A):
+    """r -> h^{AB} Gamma^C_{AB} on the x^0 plane r, one window of N for the walk."""
+    n_planes = _PotentialPlanes(field, A, -Q_C2)
+    return lambda r: _christoffel_contraction_field(field, n_planes, r)
+
+
+def _laplacian_planes(field, A):
+    """r -> the Laplacian defect on the x^0 plane r, one window of N for the walk."""
+    n_planes = _PotentialPlanes(field, A, -Q_C2)
+    return lambda r: _laplacian_defect_field(field, A, Q_C2, n_planes, r)
+
+
+def _lightcone_planes(field, A):
+    """r -> the light-cone defect on the x^0 plane r, one window of a for the walk."""
+    a_planes = _PotentialPlanes(field, A, Q_C2)
+    return lambda r: _lightcone_defect_field(field, a_planes, r)
 
 
 def _random_polynomial_potential(seed=0) -> Potential:
@@ -252,8 +274,7 @@ def test_laplacian_flat_residual_zero(size):
 
 def test_laplacian_residual_converges():
     A = smooth_lorentz_potential()
-    hs, rs = _nested_orders(lambda f, rows: _laplacian_defect_field(f, A, Q_C2, rows),
-                            _test_field_5d)
+    hs, rs = _nested_orders(lambda f: _laplacian_planes(f, A), _test_field_5d)
     assert rs[0] > rs[1] > rs[2]
     assert fit_convergence_order(hs, rs) >= 1.9
 
@@ -262,8 +283,7 @@ def test_laplacian_pure_gauge_small_residual():
     # pure-gauge A keeps space-time flat; the identity residual stays below
     # an O(h^2) envelope (and decays at second order when it is nonzero)
     A = _pure_gauge_potential()
-    hs, rs = _nested_orders(lambda f, rows: _laplacian_defect_field(f, A, Q_C2, rows),
-                            _test_field_5d)
+    hs, rs = _nested_orders(lambda f: _laplacian_planes(f, A), _test_field_5d)
     assert all(r <= 10.0 * h * h for r, h in zip(rs, hs))
     if rs[0] > 1e-12:
         assert fit_convergence_order(hs, rs) >= 1.9
@@ -282,7 +302,7 @@ def _base_grid(size, origin=-0.4):
 def test_contraction_field_matches_point_christoffels(potential):
     # contracted formula h^{CD} v_D against the full FD Christoffel table
     grid = _base_grid(9)
-    field = _christoffel_contraction_field(grid, potential, Q_C2)
+    field = _stacked(_contraction_planes(grid, potential), 9, axis=1)
     h = grid.step[0]
     for idx in itertools.product((1, 4, 7), repeat=4):
         point = [grid.coords(ax)[i] for ax, i in enumerate(idx)]
@@ -301,7 +321,7 @@ def test_contraction_field_gamma5_is_minus_divergence():
         div_n = -Q_C2 * A.divergence(coords)
         stride = (size - 1) // (NESTED_SIZES[0] - 1)
         probe = (slice(stride, 5 * stride + 1, stride),) * 4
-        gamma5 = _christoffel_contraction_field(grid, A, Q_C2)[4]
+        gamma5 = _stacked(_contraction_planes(grid, A), size, axis=1)[4]
         hs.append(grid.step[0])
         errs.append(float(np.max(np.abs(gamma5 + div_n)[probe])))
     assert np.max(np.abs(div_n)) > 0.1
@@ -314,14 +334,14 @@ def test_laplacian_defect_peak_memory():
     A = smooth_lorentz_potential()
     tracemalloc.start()
     try:
-        _laplacian_defect_field(field, A, Q_C2)
+        _stacked(_laplacian_planes(field, A), 13)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 200 * 8 * 13**4
 
 
-def test_christoffel_slab_peak_memory():
+def test_christoffel_plane_peak_memory():
     # the Christoffel phase runs one x^0 plane at a time from a window of
     # three planes of N_mu: 54 base planes of n^3 doubles and the one-sided
     # stencils' edge arrays, where a window of three planes' 15 metric
@@ -330,10 +350,10 @@ def test_christoffel_slab_peak_memory():
     field = _test_field_5d(21)
     A = smooth_lorentz_potential()
     bound = 60 * 8 * 21**3
-    for plane in [(0, 1), (9, 10), (20, 21)]:
+    for plane in [0, 9, 20]:
         tracemalloc.start()
         try:
-            _christoffel_contraction_field(field, A, Q_C2, plane)
+            _christoffel_contraction_field(field, _PotentialPlanes(field, A, -Q_C2), plane)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -342,7 +362,7 @@ def test_christoffel_slab_peak_memory():
     tracemalloc.start()
     try:
         for r in range(21):
-            _christoffel_contraction_field(field, A, Q_C2, (r, r + 1), metric)
+            _christoffel_contraction_field(field, metric, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -515,8 +535,7 @@ def _field_5d(size):
 def test_lightcone_flat_second_order():
     A = zero_potential()
     object.__setattr__(A, "gauge", "coulomb")  # zero satisfies either gauge
-    hs, rs = _nested_orders(lambda f, rows: _lightcone_defect_field(f, A, Q_C2, rows=rows),
-                            _field_5d)
+    hs, rs = _nested_orders(lambda f: _lightcone_planes(f, A), _field_5d)
     assert rs[0] > rs[1] > rs[2]
     assert fit_convergence_order(hs, rs) >= 1.9
 
@@ -527,8 +546,7 @@ def test_lightcone_constant_a0():
         return 0.8 + z, z, z, z
 
     A = Potential(func=f, gauge="coulomb")
-    hs, rs = _nested_orders(lambda fld, rows: _lightcone_defect_field(fld, A, Q_C2, rows=rows),
-                            _field_5d)
+    hs, rs = _nested_orders(lambda f: _lightcone_planes(f, A), _field_5d)
     assert fit_convergence_order(hs, rs) >= 1.9
 
 
@@ -543,8 +561,7 @@ def test_lightcone_smooth_coulomb_gauge_converges():
         return a0, a1, a2, a3
 
     A = Potential(func=f, gauge="coulomb")
-    hs, rs = _nested_orders(lambda fld, rows: _lightcone_defect_field(fld, A, Q_C2, rows=rows),
-                            _field_5d)
+    hs, rs = _nested_orders(lambda f: _lightcone_planes(f, A), _field_5d)
     assert fit_convergence_order(hs, rs) >= 1.9
 
 
@@ -555,7 +572,7 @@ def test_lightcone_gauge_flag_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# x^0 slab streaming against the whole-grid evaluation
+# x^0 plane walks against the whole-grid evaluation
 # ---------------------------------------------------------------------------
 
 def _whole_grid_contraction(field, A, q_over_c2):
@@ -681,7 +698,7 @@ _STREAM_POTENTIALS = {
 
 
 def _index_sets(size):
-    """A strided probe crossing slab edges, the margin-2 interior, the full grid."""
+    """A strided probe skipping planes, the margin-2 interior, the full grid."""
     return [(slice(2, size - 2, 2),) * 5, (slice(2, -2),) * 5, (slice(None),) * 5]
 
 
@@ -697,19 +714,11 @@ def test_laplacian_slabs_match_whole_grid(size, potential):
     sets = _index_sets(size)
     got = _laplacian_defect_maxima(field, A, Q_C2, sets)
     assert got == [float(np.max(defect[index])) for index in sets]
-    assert np.array_equal(_laplacian_defect_field(field, A, Q_C2), defect)
+    assert np.array_equal(_stacked(_laplacian_planes(field, A), size), defect)
     coef = _whole_grid_contraction(field, A, Q_C2)
-    metric = _PotentialPlanes(field, A, -Q_C2)
+    assert np.array_equal(_stacked(_contraction_planes(field, A), size, axis=1), coef)
     for r in range(size):
-        plane = (r, r + 1)
-        assert np.array_equal(
-            _christoffel_contraction_field(field, A, Q_C2, plane, metric), coef[:, r:r + 1])
-        assert np.array_equal(_christoffel_contraction_field(field, A, Q_C2, plane),
-                              coef[:, r:r + 1])
-    metric = _PotentialPlanes(field, A, -Q_C2)
-    for r in range(size):
-        assert np.array_equal(
-            _laplacian_defect_field(field, A, Q_C2, (r, r + 1), metric), defect[r:r + 1])
+        assert np.array_equal(_contraction_planes(field, A)(r), coef[:, r])
 
 
 @pytest.mark.parametrize("size", [7, 11])
@@ -804,14 +813,17 @@ def test_kg_fourier_residual_refuses_empty_interior():
 @pytest.mark.parametrize("potential", sorted(_STREAM_POTENTIALS))
 @pytest.mark.parametrize("size", [7, 9, 11])
 def test_lightcone_slabs_match_whole_grid(size, potential):
+    # one window of a walked in order, and a plane computed on its own with
+    # a window of its own: the bits of the whole-grid evaluation
     A = _STREAM_POTENTIALS[potential]()
     field = _field_5d(size)
     defect = _whole_grid_lightcone_defect(field, A, Q_C2)
     sets = _index_sets(size)
-    got = _defect_maxima(lambda rows: _lightcone_defect_field(field, A, Q_C2, "lorentz", rows),
-                         _slab_rows(size), sets)
+    got = _defect_maxima(_lightcone_planes(field, A), size, sets)
     assert got == [float(np.max(defect[index])) for index in sets]
-    assert np.array_equal(_lightcone_defect_field(field, A, Q_C2, "lorentz"), defect)
+    assert np.array_equal(_stacked(_lightcone_planes(field, A), size), defect)
+    for r in range(size):
+        assert np.array_equal(_lightcone_planes(field, A)(r), defect[r])
     assert got[1] == lightcone_em_expansion_residual(field, A, Q_C2, gauge="lorentz")
 
 
@@ -828,6 +840,34 @@ def test_laplacian_residual_streams():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * 21**5
+
+
+def test_laplacian_maxima_read_each_plane_through_a_view():
+    # from n = 33 the plane's 5D combination sets the ladder's peak: the
+    # maxima read it through a view, 55.6 planes of n^3 doubles beside the
+    # field, where a copy of its interior took 64.9
+    field = _test_field_5d(33)
+    tracemalloc.start()
+    try:
+        covariant_laplacian_residual(field, smooth_lorentz_potential(), Q_C2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * 8 * 33**3, f"{peak / (8 * 33**3):.1f} planes"
+
+
+def test_lightcone_residual_walks_one_plane():
+    # one plane's combination (n planes) beside a window of three planes of
+    # a and a few planes of coefficients: 43.8 planes of n^3 doubles beside
+    # the field, where 3-plane slabs with two halo planes a side took 131
+    field = _test_field_5d(21)
+    tracemalloc.start()
+    try:
+        lightcone_em_expansion_residual(field, smooth_lorentz_potential(), Q_C2, gauge="lorentz")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 8 * 21**3, f"{peak / (8 * 21**3):.1f} planes"
 
 
 def _two_terms(field):
@@ -848,7 +888,7 @@ def test_separated_laplacian_matches_dense_5d(size, potential, terms):
     field = _test_field_5d(size)
     if terms == 2:
         field = _two_terms(field)
-    got = _laplacian_defect_field(field, A, Q_C2)
+    got = _stacked(_laplacian_planes(field, A), size)
     want = _dense_laplacian_defect(_dense(field), A, Q_C2)
     for index in _index_sets(size):
         assert float(np.max(got[index])) == pytest.approx(
@@ -868,7 +908,7 @@ def test_separated_lightcone_matches_dense_5d(size, potential, terms):
     field = _field_5d(size)
     if terms == 2:
         field = _two_terms(field)
-    got = _lightcone_defect_field(field, A, Q_C2, "lorentz")
+    got = _stacked(_lightcone_planes(field, A), size)
     want = _dense_lightcone_defect(_dense(field), A, Q_C2)
     for index in _index_sets(size):
         assert float(np.max(got[index])) == pytest.approx(
@@ -879,6 +919,8 @@ def test_defect_maxima_refuses_empty_index_set():
     field = _test_field_5d(7)
     with pytest.raises(DomainError):
         covariant_laplacian_residual(field, zero_potential(), Q_C2, margin=4)
+    with pytest.raises(DomainError):
+        lightcone_em_expansion_residual(field, zero_potential(), Q_C2, gauge="lorentz", margin=4)
 
 
 # ---------------------------------------------------------------------------
