@@ -45,10 +45,11 @@ profiles q (p and its finite-difference derivatives) -- the paper's own
 single-mode reduction, applied to the harness.  All finite-difference
 passes run on 4D base arrays; no n^5 array of the whole grid is formed.
 
-Every grid check walks one x^0 plane at a time, reading the potential from a
-window of three sampled planes (``_PotentialPlanes``) and the x^0
-derivatives from ``fd_plane``, so its maxima are bit for bit those of the
-whole-grid evaluation.
+Every grid check is reduced by one walk, ``_defect_maxima``, which builds
+one x^0 plane at a time and only the planes whose points it keeps, reading
+the potential from a window of three sampled planes (``_PotentialPlanes``)
+and the x^0 derivatives from ``fd_plane``, so its maxima are bit for bit
+those of the whole-grid evaluation.
 
 All evaluations are pure; residual norms do not depend on how grid work is
 partitioned.
@@ -79,9 +80,10 @@ class Potential:
 
     ``func(x0, x1, x2, x3)`` returns the four covariant components, each
     broadcasting over array inputs.  ``dfunc`` (same call signature) returns
-    the 4x4 nested table dA[mu][nu] = d_nu A_mu; when absent, derivative
-    tables fall back to central differences of ``func``.  ``gauge`` declares
-    which condition the potential satisfies: 'lorentz', 'coulomb', or 'none'.
+    the 4x4 nested table dA[mu][nu] = d_nu A_mu; a potential without it has
+    no derivative table or divergence, and asking for one raises
+    ``DomainError``.  ``gauge`` declares which condition the potential
+    satisfies: 'lorentz', 'coulomb', or 'none'.
     """
 
     func: Callable
@@ -92,28 +94,18 @@ class Potential:
         """A_mu stacked over a broadcast grid: shape (4,) + grid."""
         return np.stack(np.broadcast_arrays(*self.func(*coords))).astype(float, copy=False)
 
-    def derivative_table(self, coords, fd_step: float = 1e-5) -> np.ndarray:
-        """dA[mu, nu] = d_nu A_mu at the given coordinates (analytic or FD)."""
-        if self.dfunc is not None:
-            rows = self.dfunc(*coords)
-            flat = [entry for row in rows for entry in row]
-            stacked = np.stack(np.broadcast_arrays(*flat)).astype(float, copy=False)
-            return stacked.reshape((4, 4) + stacked.shape[1:])
-        out = None
-        for nu in range(4):
-            hi = list(coords)
-            lo = list(coords)
-            hi[nu] = np.asarray(coords[nu]) + fd_step
-            lo[nu] = np.asarray(coords[nu]) - fd_step
-            d = (self.components(tuple(hi)) - self.components(tuple(lo))) / (2.0 * fd_step)
-            if out is None:
-                out = np.zeros((4, 4) + d.shape[1:])
-            out[:, nu] = d
-        return out
+    def derivative_table(self, coords) -> np.ndarray:
+        """dA[mu, nu] = d_nu A_mu at the given coordinates, from ``dfunc``."""
+        if self.dfunc is None:
+            raise DomainError("the potential has no derivative table (dfunc)")
+        rows = self.dfunc(*coords)
+        flat = [entry for row in rows for entry in row]
+        stacked = np.stack(np.broadcast_arrays(*flat)).astype(float, copy=False)
+        return stacked.reshape((4, 4) + stacked.shape[1:])
 
-    def divergence(self, coords, fd_step: float = 1e-5) -> np.ndarray:
+    def divergence(self, coords) -> np.ndarray:
         """Four-divergence d_mu A^mu."""
-        tab = self.derivative_table(coords, fd_step)
+        tab = self.derivative_table(coords)
         return sum(_ETA_DIAG[mu] * tab[mu, mu] for mu in range(4))
 
 
@@ -390,15 +382,18 @@ def _defect_maxima(defect: Callable, n0: int, index_sets) -> list:
     its x^0 axis.  Each index set is a tuple of slices over the whole grid,
     as ``defect_field[index]`` would take it: a plane r is kept when r is in
     ``range(n0)[index[0]]`` and read through ``index[1:]``, a view.  Only
-    one plane's defect is held: the previous plane and its view are dropped
-    before the next is built.
+    the planes some set keeps are built, in increasing order, and only one
+    plane's defect is held: the previous plane and its view are dropped
+    before the next is built.  An index set that selects no grid point
+    raises ``DomainError``; when no set keeps a plane, no plane is built.
     """
+    kept = [range(n0)[index[0]] for index in index_sets]
     best = [None] * len(index_sets)
-    for r in range(n0):
+    for r in sorted(set().union(*kept)):
         plane = part = None  # a view keeps its plane alive
         plane = defect(r)
         for k, index in enumerate(index_sets):
-            if r in range(n0)[index[0]]:
+            if r in kept[k]:
                 part = plane[index[1:]]
                 if part.size:
                     m = np.max(part)
@@ -545,23 +540,22 @@ def _lorentz_guard(field: SeparatedField, A: Potential) -> None:
     does not declare Lorentz gauge or whose divergence is not zero on the
     field's grid.
 
-    The test is max|d_mu A^mu| <= _GAUGE_TOL * max(max|A|, 1) over the whole
-    base grid, with both maxima taken one x^0 plane at a time: the
-    divergence's derivative table, 16 planes of n^3 doubles, and a few
-    planes beside it.
+    The test is max|d_mu A^mu| <= _GAUGE_TOL * max(max|A|, 1) over every
+    plane of the base grid, the edge planes that the defect walks skip
+    included.  Each maximum is a ``_defect_maxima`` walk over the whole
+    grid, one x^0 plane at a time: for the divergence, its derivative table,
+    16 planes of n^3 doubles, and a few planes beside it.
     """
     if not isinstance(field, SeparatedField):
         raise DomainError("covariant Laplacian check needs a 5D SeparatedField")
     if A.gauge != "lorentz":
         raise GaugeError(f"Lorentz gauge required, potential declares {A.gauge!r}")
-    div_max = a_max = None
-    for r in range(field.shape[0]):
-        coords = _grid_coords(field, r)
-        d = np.max(np.abs(A.divergence(coords)))
-        a = np.max(np.abs(A.components(coords)))
-        div_max = d if div_max is None else np.maximum(div_max, d)
-        a_max = a if a_max is None else np.maximum(a_max, a)
-    if float(div_max) > _GAUGE_TOL * max(float(a_max), 1.0):
+    every = [(slice(None),)]
+    [div_max] = _defect_maxima(lambda r: np.abs(A.divergence(_grid_coords(field, r))),
+                               field.shape[0], every)
+    [a_max] = _defect_maxima(lambda r: np.abs(A.components(_grid_coords(field, r))),
+                             field.shape[0], every)
+    if div_max > _GAUGE_TOL * max(a_max, 1.0):
         raise GaugeError("potential violates the Lorentz gauge numerically")
 
 
@@ -683,46 +677,45 @@ def kg_operator(
 
 def kg_fourier_residual(
     psi: GridField, A: Potential, q_over_c2: float, inv_lambda: float,
-    *, engine: str = "fd", margin: int = 2,
+    *, margin: int = 2,
 ) -> float:
     """Max-norm of 2 b (d_mu A^mu) psi, with b = q_over_c2 * inv_lambda.
 
     This is the term by which the operator carrying an extra divergence term,
     (d - i b A)^2 psi - 2 i b (d_mu A^mu) psi - inv_lambda^2 psi, differs
     from the substituted operator ``kg_operator``.  The divergence is that of
-    the sampled potential under the same derivative engine ``kg_operator``
-    uses, so the statement checked is that the Lorentz condition (required)
-    holds on the grid and the two operators agree.
+    the sampled potential under the finite differences ``kg_operator`` uses
+    by default, so the statement checked is that the Lorentz condition
+    (required) holds on the grid and the two operators agree.
 
-    The spectral engine (a periodic field) takes the maximum over the whole
-    grid from whole-grid arrays.  The ``fd`` engine takes it over the points
-    at least ``margin`` from every end, one x^0 plane at a time: d_0 A_0 by
+    The maximum is over the points at least ``margin`` from every end, taken
+    by ``_defect_maxima`` on the x^0 planes that interior keeps: d_0 A_0 by
     ``fd_plane`` over a window of three sampled planes of A_0
     (``_PotentialPlanes``), and the other derivatives from A_1..A_3 sampled
     on the plane alone, so a few planes of n^3 values are held beside the
-    field and every point gets the bits of the whole-grid evaluation.
+    field and every point gets the bits of the whole-grid evaluation.  A
+    field that is not 4D, or a margin that leaves no interior point, raises
+    ``DomainError``.
     """
+    if psi.values.ndim != 4:
+        raise DomainError("kg_fourier_residual needs a 4D field")
     if A.gauge != "lorentz":
         raise GaugeError(f"Lorentz gauge required, potential declares {A.gauge!r}")
     b2 = 2.0 * q_over_c2 * inv_lambda
-    if engine != "fd":
-        _, div = _sampled_potential(psi, A, engine)
-        return float(np.max(np.abs(b2 * div * psi.values)))
-    inner = tuple(slice(margin, -margin) for _ in range(4))
-    if not all(len(range(n)[cut]) for n, cut in zip(psi.values.shape, inner)):
-        raise DomainError(f"a margin of {margin} leaves no interior point")
     window = _PotentialPlanes(psi, A, 1.0, components=(0,))
     a0 = _Planes(len(window), lambda i: window[i][0])
     a = np.empty((3,) + psi.values.shape[1:])  # A_1, A_2, A_3 on the plane
-    best = 0.0
-    for r in range(psi.values.shape[0])[inner[0]]:
+
+    def defect(r):
         div = np.zeros(psi.values.shape[1:])
         div += _ETA_DIAG[0] * fd_plane(a0, r, 1, psi.step[0])
         _sample_plane(psi, A, 1.0, r, (1, 2, 3), a)
         for mu in range(1, 4):
             div += _ETA_DIAG[mu] * fd_derivative(a[mu - 1], mu - 1, 1, psi.step[mu])
-        best = max(best, float(np.max(np.abs(b2 * div * psi.values[r])[inner[1:]])))
-    return best
+        return np.abs(b2 * div * psi.values[r])
+
+    inner = tuple(slice(margin, -margin) for _ in range(4))
+    return _defect_maxima(defect, psi.values.shape[0], [inner])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +877,9 @@ def _laplacian_ladder(lap_sizes, A: Potential):
     half grid costs under a tenth of the finest, and the quarter grid's margin-2
     interior can be a single point.  Each rung builds its separated field
     in turn and drops it before the next, and each defect is streamed one
-    x^0 plane at a time.
+    x^0 plane at a time, built only on the planes the probe or the interior
+    keeps: n - 4 of n, or n - 2 on the coarse grid, whose probe points sit
+    one plane from its ends.
     """
     steps, resid, interior = [], [], []
     coarse_n, half = lap_sizes[0], lap_sizes[1]
@@ -1034,7 +1029,7 @@ def verify_geometry(sizes=(9, 13, 17)) -> dict:
     np.multiply(np.sin(1.2 * x[0]) * np.cos(0.8 * x[1]) * np.sin(x[2]), np.cos(x[3]),
                 out=values.real)
     psi = GridField(values=values, step=(hstep,) * 4, boundary="absorbing")
-    kg_defect = kg_fourier_residual(psi, A, _Q_OVER_C2, inv_lambda=1.0, engine="fd")
+    kg_defect = kg_fourier_residual(psi, A, _Q_OVER_C2, inv_lambda=1.0)
 
     passed = (
         all(o >= _ORDER_FLOOR for o in orders.values())

@@ -425,6 +425,49 @@ def test_separated_field_refuses_bad_grids(bases, profiles, step):
         SeparatedField(bases=bases, profiles=profiles, step=step)
 
 
+def _edge_plane_off_gauge() -> Potential:
+    """smooth_lorentz_potential plus A_0 = 1e-3 max(x0 - 0.95, 0), declared
+    Lorentz: on [0, 1] grids its divergence, -1e-3, is non-zero on the last
+    x^0 plane alone."""
+    base = smooth_lorentz_potential()
+
+    def f(x0, x1, x2, x3):
+        a0, a1, a2, a3 = base.func(x0, x1, x2, x3)
+        return a0 + 1e-3 * np.maximum(x0 - 0.95, 0.0), a1, a2, a3
+
+    def df(x0, x1, x2, x3):
+        rows = base.dfunc(x0, x1, x2, x3)
+        rows[0][0] = rows[0][0] + 1e-3 * (x0 > 0.95)
+        return rows
+
+    return Potential(func=f, dfunc=df, gauge="lorentz")
+
+
+@pytest.mark.parametrize("potential, off_planes", [
+    (lambda: dataclasses.replace(_random_polynomial_potential(4), gauge="lorentz"), range(7)),
+    (_edge_plane_off_gauge, [6]),
+], ids=["off_gauge", "last_plane"])
+def test_laplacian_numerical_gauge_guard(potential, off_planes):
+    # declared Lorentz, divergence above the tolerance: O(1) on every plane,
+    # or only on the plane n - 1 that the margin-2 defect walk never builds
+    A = potential()
+    f = _test_field_5d(7)
+    div = np.broadcast_to(A.divergence(_grid_coords(f)), (7,) * 4)
+    assert [r for r in range(7) if np.max(np.abs(div[r])) > 1e-6] == list(off_planes)
+    with pytest.raises(GaugeError, match="numerically"):
+        covariant_laplacian_residual(f, A, Q_C2)
+
+
+def test_potential_without_dfunc_refuses_derivatives():
+    A = Potential(func=smooth_lorentz_potential().func, gauge="lorentz")
+    coords = (0.1, 0.2, 0.3, 0.4)
+    for call in (A.derivative_table, A.divergence):
+        with pytest.raises(DomainError):
+            call(coords)
+    with pytest.raises(DomainError):
+        covariant_laplacian_residual(_test_field_5d(7), A, Q_C2)
+
+
 def test_laplacian_needs_5d():
     with pytest.raises(DomainError):
         covariant_laplacian_residual(
@@ -510,6 +553,12 @@ def test_kg_fourier_residual_is_divergence_term():
     inner = np.abs(psi.values[(slice(2, -2),) * 4])
     expect = 2.0 * Q_C2 * inv_lambda * 0.5 * float(np.max(inner))
     assert kg_fourier_residual(psi, A, Q_C2, inv_lambda) == pytest.approx(expect, rel=1e-12)
+
+
+def test_kg_fourier_residual_needs_4d():
+    psi = GridField(values=np.zeros((9, 9, 9)) + 0j, step=(0.1,) * 3)
+    with pytest.raises(DomainError):
+        kg_fourier_residual(psi, smooth_lorentz_potential(), Q_C2, inv_lambda=1.0)
 
 
 def test_kg_fourier_requires_lorentz():
@@ -723,10 +772,11 @@ def test_laplacian_slabs_match_whole_grid(size, potential):
 
 @pytest.mark.parametrize("size", [7, 11])
 def test_laplacian_builds_each_metric_plane_once(monkeypatch, size):
-    # each pass over the grid samples the potential on n0 planes, one plane
-    # a call: the gauge guard's pass and the defect's, whose metric entries
-    # are all formed from its planes of N; rebuilding a halo around every
-    # kept plane would sample about 3 n0
+    # the potential is sampled one plane a call: the gauge guard on all n0
+    # planes, the margin-2 defect walk, whose metric entries are all formed
+    # from its planes of N, on the n0 - 2 planes 1..n0 - 2 that the stencils
+    # of its kept planes 2..n0 - 3 read; rebuilding a halo around every kept
+    # plane would sample about 3 n0 in the walk
     planes = []
     components = Potential.components
 
@@ -739,7 +789,7 @@ def test_laplacian_builds_each_metric_plane_once(monkeypatch, size):
     geometry._lorentz_guard(field, A)
     assert planes == [1] * size
     covariant_laplacian_residual(field, A, Q_C2)
-    assert planes == [1] * (3 * size)
+    assert planes == [1] * (3 * size - 2)
 
 
 def _kg_psi(size, origin=0.0):
@@ -913,6 +963,24 @@ def test_separated_lightcone_matches_dense_5d(size, potential, terms):
     for index in _index_sets(size):
         assert float(np.max(got[index])) == pytest.approx(
             float(np.max(want[index])), rel=1e-8, abs=0.0)
+
+
+def test_defect_maxima_builds_only_kept_planes():
+    # a strided set and a narrow one on 11 planes: only the sorted union of
+    # their planes is built, and an empty set refuses before any plane
+    built = []
+
+    def defect(r):
+        built.append(r)
+        return np.full((3, 3), float(r))
+
+    sets = [(slice(2, 9, 3), slice(None)), (slice(4, 6), slice(1, 2))]
+    assert _defect_maxima(defect, 11, sets) == [8.0, 5.0]
+    assert built == [2, 4, 5, 8]
+    built.clear()
+    with pytest.raises(DomainError):
+        _defect_maxima(defect, 11, [(slice(5, 5),)])
+    assert built == []
 
 
 def test_defect_maxima_refuses_empty_index_set():
