@@ -64,7 +64,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GaugeError
-from .numerics import fd_derivative, fd_plane, fit_convergence_order
+from .numerics import check_memory, fd_derivative, fd_plane, fit_convergence_order
 
 # ``reduction`` (GridField and its derivative) is imported in the functions
 # that build or differentiate a grid field, so verify-geometry's Laplacian
@@ -628,9 +628,9 @@ def covariant_laplacian_residual(
 # Fourier-reduced operator (single x^5 mode)
 # ---------------------------------------------------------------------------
 
-def _sampled_potential(psi: GridField, A: Potential, engine: str):
+def _sampled_potential(psi: GridField, A: Potential):
     """A_mu on the field's grid, shape (4,) + grid, and its divergence d_mu A^mu
-    taken with the field's derivative engine."""
+    taken as the field is differentiated (``field_derivative``)."""
     from .reduction import field_derivative
 
     coords = _grid_coords(psi)
@@ -638,37 +638,35 @@ def _sampled_potential(psi: GridField, A: Potential, engine: str):
     a = np.ascontiguousarray(np.broadcast_to(A.components(coords), (4,) + shape))
     div = np.zeros(shape)
     for mu in range(4):
-        div += _ETA_DIAG[mu] * np.real(field_derivative(psi.with_values(a[mu]), mu, 1, engine))
+        div += _ETA_DIAG[mu] * np.real(field_derivative(psi.with_values(a[mu]), mu, 1))
     return a, div
 
 
-def kg_operator(
-    psi: GridField, A: Potential, q_over_c2: float, inv_lambda: float,
-    *, engine: str = "fd",
-) -> np.ndarray:
+def kg_operator(psi: GridField, A: Potential, q_over_c2: float, inv_lambda: float) -> np.ndarray:
     """Minimally-coupled wave operator applied to a 4D field.
 
     (d^mu - i b A^mu)(d_mu - i b A_mu) psi - inv_lambda^2 psi
 
     with b = q_over_c2 * inv_lambda: the d_5 -> i/lambda substitution of the
-    single-mode ansatz into the 5D expanded operator.  The divergence is
-    computed from the sampled potential with the same derivative engine as
-    the field, so the operator is an honest single-grid evaluation.  With a
-    constant potential it is multiplicative on plane waves (exactly so with
-    the spectral engine).
+    single-mode ansatz into the 5D expanded operator.  Every derivative,
+    the divergence of the sampled potential included, follows the field's
+    boundary: spectral on a periodic field, finite differences on an
+    absorbing one, so the operator is an honest single-grid evaluation.
+    With a constant potential it is multiplicative on plane waves (exactly
+    so on a periodic field).
     """
     from .reduction import field_derivative
 
     if psi.values.ndim != 4:
         raise DomainError("kg_operator needs a 4D field")
     b = q_over_c2 * inv_lambda
-    a, div = _sampled_potential(psi, A, engine)
+    a, div = _sampled_potential(psi, A)
     f = psi.values
     out = np.zeros(f.shape, dtype=complex)
     a2 = np.zeros_like(div)
     for mu in range(4):
-        d2 = field_derivative(psi, mu, 2, engine)
-        d1 = field_derivative(psi, mu, 1, engine)
+        d2 = field_derivative(psi, mu, 2)
+        d1 = field_derivative(psi, mu, 1)
         out += _ETA_DIAG[mu] * (d2 - 2j * b * a[mu] * d1)
         a2 = a2 + _ETA_DIAG[mu] * a[mu]**2
     out += (-1j * b * div - b * b * a2 - inv_lambda**2) * f
@@ -684,9 +682,9 @@ def kg_fourier_residual(
     This is the term by which the operator carrying an extra divergence term,
     (d - i b A)^2 psi - 2 i b (d_mu A^mu) psi - inv_lambda^2 psi, differs
     from the substituted operator ``kg_operator``.  The divergence is that of
-    the sampled potential under the finite differences ``kg_operator`` uses
-    by default, so the statement checked is that the Lorentz condition
-    (required) holds on the grid and the two operators agree.
+    the sampled potential under the finite differences ``kg_operator`` takes
+    on an absorbing field, so the statement checked is that the Lorentz
+    condition (required) holds on the grid and the two operators agree.
 
     The maximum is over the points at least ``margin`` from every end, taken
     by ``_defect_maxima`` on the x^0 planes that interior keeps: d_0 A_0 by
@@ -928,44 +926,6 @@ def projected_peak_bytes(sizes) -> int:
     return max(ladder, fourier)
 
 
-def _proc_bytes(path: str, key: str):
-    """A ``key: N kB`` field of a /proc file in bytes, or None if unreadable."""
-    try:
-        with open(path, encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith(key + ":"):
-                    return 1024.0 * int(line.split()[1])
-    except OSError:
-        pass
-    return None
-
-
-def _available_bytes():
-    """What this process may still map, its address-space limit less what
-    it has already mapped, and what the host may still allocate,
-    MemAvailable.
-
-    The values are only read; one that cannot be read is infinite.
-    """
-    space = math.inf
-    try:
-        import resource
-        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-        if soft != resource.RLIM_INFINITY:
-            space = soft - (_proc_bytes("/proc/self/status", "VmSize") or 0.0)
-    except ImportError:
-        pass
-    free = _proc_bytes("/proc/meminfo", "MemAvailable")
-    return space, math.inf if free is None else free
-
-
-def _size_text(nbytes: float) -> str:
-    """A byte count in GiB to one decimal, or in MiB below 1 GiB."""
-    if abs(nbytes) < 2**30:
-        return f"{nbytes / 2**20:,.1f} MiB"
-    return f"{nbytes / 2**30:,.1f} GiB"
-
-
 def verify_geometry(sizes=(9, 13, 17)) -> dict:
     """Run the geometry identity suite over a ladder of grid resolutions.
 
@@ -975,15 +935,11 @@ def verify_geometry(sizes=(9, 13, 17)) -> dict:
     probed at the physical points shared by all three grids so the order fit
     is free of max-location drift.  The 'passed' flag applies the module's
     thresholds.  Before allocating anything, a run whose
-    ``projected_peak_bytes`` exceeds either value of ``_available_bytes``
-    raises ``ConfigurationError``.
+    ``projected_peak_bytes`` exceeds what may still be allocated is refused
+    (``numerics.check_memory``).
     """
-    need, have = projected_peak_bytes(sizes), min(_available_bytes())
-    if need > have:
-        raise ConfigurationError(
-            f"verify-geometry needs about {_size_text(need)} at its peak"
-            f" (finest Laplacian grid {_laplacian_sizes(sizes)[-1]}^5),"
-            f" more than the {_size_text(have)} available")
+    check_memory("verify-geometry", projected_peak_bytes(sizes),
+                 f"finest Laplacian grid {_laplacian_sizes(sizes)[-1]}^5")
     A = smooth_lorentz_potential()
     steps = []
     contraction_resid = {f.name: [] for f in fields(ChristoffelContractions)}

@@ -1,7 +1,7 @@
 """Shared numerical kernels: quadrature, root finding and stencils.
 
-All functions here are pure and hold no module state beyond cached
-quadrature nodes, so they are safe to call concurrently.
+All functions here but the memory guard are pure and hold no module state
+beyond cached quadrature nodes, so they are safe to call concurrently.
 
 Quadrature (``integrate``) uses an embedded Gauss-Legendre 7/15 pair on
 adaptively bisected panels of one integral.
@@ -16,6 +16,10 @@ the abscissae of all roots still open together with the index of the root
 each belongs to, a root drops out once its bracket is narrow enough, and
 each root takes exactly the steps, and gets the bits, it gets alone.  One
 root is a batch of one.
+
+The memory guard (``check_memory``) refuses a run whose projected peak
+exceeds what the process or the host may still allocate; the verification
+commands call it before they allocate anything.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 
 from .errors import (
     BracketingError,
+    ConfigurationError,
     GridSizeError,
     IntegrandError,
     IntervalError,
@@ -317,3 +322,53 @@ def fit_convergence_order(steps, residuals) -> float:
     if not np.any(h):
         raise OrderFitError("need at least two different steps")
     return float(np.sum(h * (r - r.mean())) / np.sum(h * h))
+
+
+def _proc_bytes(path: str, key: str):
+    """A ``key: N kB`` field of a /proc file in bytes, or None if unreadable."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith(key + ":"):
+                    return 1024.0 * int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def _available_bytes():
+    """What this process may still map, its address-space limit less what
+    it has already mapped, and what the host may still allocate,
+    MemAvailable.
+
+    The values are only read; one that cannot be read is infinite.
+    """
+    space = math.inf
+    try:
+        import resource
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            space = soft - (_proc_bytes("/proc/self/status", "VmSize") or 0.0)
+    except ImportError:
+        pass
+    free = _proc_bytes("/proc/meminfo", "MemAvailable")
+    return space, math.inf if free is None else free
+
+
+def _size_text(nbytes: float) -> str:
+    """A byte count in GiB to one decimal, or in MiB below 1 GiB."""
+    if abs(nbytes) < 2**30:
+        return f"{nbytes / 2**20:,.1f} MiB"
+    return f"{nbytes / 2**30:,.1f} GiB"
+
+
+def check_memory(command: str, need: float, detail: str) -> None:
+    """Refuse a run of ``command`` projected to need ``need`` bytes at its
+    peak when that exceeds either value of ``_available_bytes``: raises
+    ``ConfigurationError`` with a one-line reason that names ``detail``,
+    the size that sets the peak."""
+    have = min(_available_bytes())
+    if need > have:
+        raise ConfigurationError(
+            f"{command} needs about {_size_text(need)} at its peak ({detail}),"
+            f" more than the {_size_text(have)} available")

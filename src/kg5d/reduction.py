@@ -10,24 +10,23 @@ a Laplace transform along tau gives the diffusion (Fokker-Planck) equation
 
     d/du psi = (c*Lambda/2) lap psi.
 
-This module evolves both on periodic grids of any dimension, one Fourier
-multiplier per step (the exact propagator as the reference scheme,
-Crank-Nicolson on the three-point Laplacian as the finite-difference companion
-for convergence-order tests), builds the associated current density and its
-continuity residual, and carries the small exact checks: 5D null dispersion,
-the light-cone coordinate map, semigroup composition, and the weak-field
-Schroedinger residual with a Coulomb potential.
+This module evolves both on periodic grids of any dimension with the exact
+Fourier propagator, one multiplier per step, checks the continuity of the
+Schroedinger stream's current density, and carries the small exact checks:
+5D null dispersion, the light-cone coordinate map, semigroup composition,
+and the weak-field Schroedinger residual with a Coulomb potential.  A
+field's boundary fixes how it is differentiated: spectrally when it is
+periodic, by central finite differences with one-sided edges when it is
+absorbing.
 
 Evolutions are sequential in the evolution parameter; grid fields are
 immutable once produced.  The evolvers check their arguments when called and
 return the ``steps + 1`` snapshots as a stream, each produced only when asked
 for; the Fourier state behind the stream is advanced in place.
-``current_and_divergence`` maps one snapshot to its current, and
-``continuity_residual`` reads those through a three-entry window, so a
-consumer that keeps no snapshot runs in O(points) memory whatever the number
-of steps.  The verification harness keeps less still: its continuity check
-holds j_tau of two snapshots and div j of the one between them, and drops
-each j_k once its term of div j is added.
+``continuity_residual`` reads such a stream once, holding j_tau of two
+snapshots and div j of the one between them and dropping each j_k once its
+term of div j is added, so it runs in O(points) memory whatever the number
+of steps.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .numerics import fd_derivative, fit_convergence_order
+from .numerics import check_memory, fd_derivative, fit_convergence_order
 from .spectrum import ScaleSet
 
 
@@ -49,9 +48,10 @@ from .spectrum import ScaleSet
 class GridField:
     """Field sampled on a uniform grid with per-axis step and origin.
 
-    ``boundary`` selects the derivative treatment: 'periodic' admits spectral
-    differentiation and wrap-around evolution; 'absorbing' restricts the
-    consumers to finite differences with one-sided edges.
+    ``boundary`` fixes the derivative: a 'periodic' field is differentiated
+    spectrally and evolves with wrap-around; an 'absorbing' one is
+    differentiated by finite differences with one-sided edges and does not
+    evolve.
     """
 
     values: np.ndarray
@@ -92,38 +92,23 @@ class GridField:
         return replace(self, values=values)
 
 
-@dataclass(frozen=True)
-class CurrentField:
-    """Probability current of one snapshot: j_tau = |psi|^2 >= 0 and j_k.
-
-    (j_tau, j_k) is tied to the light-cone slicing and is not a four-vector;
-    no Lorentz transformation of it is defined here.
-    """
-
-    j_tau: np.ndarray
-    j_k: list
+def field_derivative(f: GridField, axis: int, order: int = 1) -> np.ndarray:
+    """Derivative of a sampled field along ``axis``: the exact Fourier
+    multiplier on a periodic field, central finite differences on an
+    absorbing one."""
+    return _derivative(f, f.values, axis, order)
 
 
-def field_derivative(f: GridField, axis: int, order: int = 1, engine: str = "fd") -> np.ndarray:
-    """Derivative of a sampled field: central FD or exact Fourier multiplier."""
-    return _derivative(f, f.values, axis, order, engine)
-
-
-def _derivative(grid: GridField, values: np.ndarray, axis: int, order: int,
-                engine: str) -> np.ndarray:
+def _derivative(grid: GridField, values: np.ndarray, axis: int, order: int) -> np.ndarray:
     """:func:`field_derivative` of ``values`` sampled on the grid of ``grid``."""
-    if engine == "fd":
+    if grid.boundary == "absorbing":
         return fd_derivative(values, axis, order, grid.step[axis])
-    if engine == "spectral":
-        if grid.boundary != "periodic":
-            raise ConfigurationError("spectral derivatives need a periodic field")
-        shape = [1] * values.ndim
-        shape[axis] = -1
-        mult = _spectral_symbol(values.shape[axis], grid.step[axis], order).reshape(shape)
-        transform = np.fft.fft(values, axis=axis)
-        np.multiply(mult, transform, out=transform)
-        return np.fft.ifft(transform, axis=axis, out=transform)
-    raise ConfigurationError(f"unknown derivative engine {engine!r}")
+    shape = [1] * values.ndim
+    shape[axis] = -1
+    mult = _spectral_symbol(values.shape[axis], grid.step[axis], order).reshape(shape)
+    transform = np.fft.fft(values, axis=axis)
+    np.multiply(mult, transform, out=transform)
+    return np.fft.ifft(transform, axis=axis, out=transform)
 
 
 def _wavenumbers(points: int, step: float) -> np.ndarray:
@@ -140,24 +125,17 @@ def _spectral_symbol(points: int, step: float, order: int) -> np.ndarray:
     return mult
 
 
-def _k_squared(f: GridField, *, three_point: bool = False) -> np.ndarray:
-    """Symbol of -lap on the FFT grid of ``f``: the sum over axes of k^2, or
-    with ``three_point`` of (2 sin(k h/2) / h)^2, the exact eigenvalues of the
-    periodic (circulant) three-point Laplacian."""
+def _k_squared(f: GridField) -> np.ndarray:
+    """Symbol of -lap on the FFT grid of ``f``: the sum over axes of k^2."""
     total = np.zeros(f.values.shape)
     for ax in range(f.values.ndim):
         shape = [1] * f.values.ndim
         shape[ax] = -1
-        k = f.wavenumbers(ax)
-        if three_point:
-            h = f.step[ax]
-            k = 2.0 * np.sin(0.5 * k * h) / h
-        total = total + k.reshape(shape) ** 2
+        total = total + f.wavenumbers(ax).reshape(shape) ** 2
     return total
 
 
-def _evolve(psi0: GridField, span: float, coeff: complex, steps: int,
-            method: str) -> Iterator[GridField]:
+def _evolve(psi0: GridField, span: float, coeff: complex, steps: int) -> Iterator[GridField]:
     """Shared core: d/dt psi = coeff * lap psi, periodic, any dimension.
 
     Checks the arguments at call time (:func:`_multiplier`) and returns a
@@ -165,32 +143,21 @@ def _evolve(psi0: GridField, span: float, coeff: complex, steps: int,
     when asked for, so a consumer that keeps none of them needs O(points)
     memory.
     """
-    mult = _multiplier(psi0, span, coeff, steps, method)
+    mult = _multiplier(psi0, span, coeff, steps)
     return (psi0.with_values(np.fft.ifftn(state)) if i else psi0
             for i, state in enumerate(_fourier_states(psi0, mult, steps)))
 
 
-def _multiplier(psi0: GridField, span: float, coeff: complex, steps: int,
-                method: str) -> np.ndarray:
-    """The Fourier factor of one step of ``_evolve``, after checking its arguments.
-
-    Each step multiplies every Fourier mode by one factor: exp(-coeff k^2 dt)
-    for 'spectral', and for 'cn' the Crank-Nicolson factor (1 - a)/(1 + a),
-    a = coeff K^2 dt / 2 with K^2 the three-point symbol of ``_k_squared``.
-    """
+def _multiplier(psi0: GridField, span: float, coeff: complex, steps: int) -> np.ndarray:
+    """The Fourier factor exp(-coeff k^2 dt) by which one step of ``_evolve``
+    multiplies every mode, after checking the arguments."""
     if psi0.boundary != "periodic":
         raise ConfigurationError("evolution needs periodic boundaries")
     if steps < 1:
         raise ConfigurationError("steps must be >= 1")
     if not span >= 0:
         raise ConfigurationError("evolution span must be non-negative")
-    dt = span / steps
-    if method == "spectral":
-        return np.exp(-coeff * _k_squared(psi0) * dt)
-    if method == "cn":
-        a = 0.5 * dt * coeff * _k_squared(psi0, three_point=True)
-        return (1.0 - a) / (1.0 + a)
-    raise ConfigurationError(f"unknown method {method!r}")
+    return np.exp(-coeff * _k_squared(psi0) * (span / steps))
 
 
 def _fourier_states(psi0: GridField, mult: np.ndarray, steps: int) -> Iterator[np.ndarray]:
@@ -205,37 +172,33 @@ def _fourier_states(psi0: GridField, mult: np.ndarray, steps: int) -> Iterator[n
 
 
 def evolve_schrodinger(
-    psi0: GridField, tau_span: float, lambda_hat: float, steps: int,
-    *, c: float = 1.0, method: str = "spectral",
+    psi0: GridField, tau_span: float, lambda_hat: float, steps: int, *, c: float = 1.0,
 ) -> Iterator[GridField]:
     """Unitary free evolution i d/dtau psi = -(c lhat / 2) lap psi.
 
-    'spectral' applies the exact Fourier multiplier exp(-i c lhat k^2 dt / 2)
-    (plane-wave dispersion omega = c lhat k^2 / 2 to rounding); 'cn' is the
-    Cayley-unitary Crank-Nicolson scheme on the three-point Laplacian, in any
-    dimension.  Returns the stream of ``steps + 1`` snapshots at
-    tau = 0, dt, ..., tau_span.
+    Each step applies the exact Fourier multiplier exp(-i c lhat k^2 dt / 2)
+    (plane-wave dispersion omega = c lhat k^2 / 2 to rounding).  Returns the
+    stream of ``steps + 1`` snapshots at tau = 0, dt, ..., tau_span.
     """
-    return _evolve(psi0, tau_span, 1j * c * lambda_hat / 2.0, steps, method)
+    return _evolve(psi0, tau_span, 1j * c * lambda_hat / 2.0, steps)
 
 
 def evolve_fokker_planck(
-    psi0: GridField, u_span: float, Lambda: float, steps: int,
-    *, c: float = 1.0, method: str = "spectral",
+    psi0: GridField, u_span: float, Lambda: float, steps: int, *, c: float = 1.0,
 ) -> Iterator[GridField]:
     """Mass-conserving diffusion d/du psi = (c Lambda / 2) lap psi.
 
     Initial data must be real and non-negative; snapshots stay real.  The
-    k = 0 mode is multiplied by exactly 1 in either scheme, so both conserve
-    the total mass to rounding.  Returns the stream of ``steps + 1`` real
-    snapshots at u = 0, du, ..., u_span.
+    k = 0 mode is multiplied by exactly 1, so the total mass is conserved to
+    rounding.  Returns the stream of ``steps + 1`` real snapshots at
+    u = 0, du, ..., u_span.
     """
     v = np.asarray(psi0.values)
     if np.iscomplexobj(v):
         raise ConfigurationError("Fokker-Planck initial data must be real")
     if v.min() < 0:
         raise ConfigurationError("Fokker-Planck initial data must be non-negative")
-    snaps = _evolve(psi0, u_span, c * Lambda / 2.0, steps, method)
+    snaps = _evolve(psi0, u_span, c * Lambda / 2.0, steps)
     return (s.with_values(np.real(s.values)) for s in snaps)
 
 
@@ -244,67 +207,44 @@ def _last(snapshots: Iterable[GridField]) -> GridField:
     return collections.deque(snapshots, maxlen=1)[0]
 
 
-def current_and_divergence(s: GridField, a: float, engine: str):
-    """(CurrentField, div j) of one snapshot, with j_tau = |psi|^2 and
-    j_k = a Im(psi* d_k psi); a = c lhat for the Schroedinger stream."""
-    jk = [_current_component(s, a, ax, engine) for ax in range(s.values.ndim)]
-    return CurrentField(j_tau=np.abs(s.values) ** 2, j_k=jk), _divergence(s, jk, engine)
-
-
-def _current_component(s: GridField, a: float, axis: int, engine: str) -> np.ndarray:
+def _current_component(s: GridField, a: float, axis: int) -> np.ndarray:
     """j_k = a Im(psi* d_k psi) of one snapshot, for k = ``axis``."""
     psi = s.values
-    d = _derivative(s, psi, axis, 1, engine)
+    d = _derivative(s, psi, axis, 1)
     return a * np.imag(np.multiply(np.conj(psi), d, out=d))
 
 
-def _divergence(s: GridField, jk: Iterable, engine: str) -> np.ndarray:
-    """div j from the components ``jk`` in axis order; a stream of them is
-    read one at a time, each dropped once its derivative is added."""
-    div = np.zeros(s.values.shape)
-    for ax, j in enumerate(jk):
-        div += np.real(_derivative(s, j, ax, 1, engine))
-    return div
+def continuity_residual(snapshots: Iterable[GridField], a: float, dt: float) -> float:
+    """max|d j_tau/dtau + div j| over the interior of a snapshot stream.
 
+    The current of a snapshot is j_tau = |psi|^2 >= 0 and
+    j_k = a Im(psi* d_k psi), with a = c lhat for the Schroedinger stream.
+    (j_tau, j_k) is tied to the light-cone slicing and is not a four-vector;
+    no Lorentz transformation of it is defined here.  d j_tau/dtau is the
+    central difference over snapshots ``dt`` apart, so the residual
+    converges at the scheme order under simultaneous refinement.
 
-def continuity_residual(fields: Iterable, dt: float) -> float:
-    """max|d j_tau/dtau + div j| over the interior of a (current, div) sequence.
-
-    d j_tau/dtau is the central difference over snapshots ``dt`` apart, so
-    the residual converges at the scheme order under simultaneous
-    refinement.  Reads the sequence through a three-entry window, so a
-    stream of snapshots is checked in O(points) memory.
+    The stream is read once, holding only what the difference reads: j_tau
+    of the middle snapshot's two neighbours and its div j.  No j_k outlives
+    its term of div j.  A stream of fewer than three snapshots raises
+    ``ConfigurationError``.
     """
-    window = collections.deque(maxlen=3)
-    residual = 0.0
-    for entry in fields:
-        window.append(entry)
-        if len(window) == 3:
-            (before, _), (_, div), (after, _) = window
-            djdt = (after.j_tau - before.j_tau) / (2.0 * dt)
-            residual = max(residual, float(np.max(np.abs(djdt + div))))
-    if len(window) < 3:
-        raise ConfigurationError("need at least three snapshots for the continuity check")
-    return residual
-
-
-def _continuity_of_stream(snapshots: Iterable[GridField], a: float, dt: float) -> float:
-    """:func:`continuity_residual` of the spectral currents of a snapshot
-    stream, of at least three snapshots, holding only what the difference
-    reads: j_tau of the middle snapshot's two neighbours and its div j.
-    No j_k outlives its term of div j, and no CurrentField is built."""
     older = old = div = None
     residual = 0.0
-    for s in snapshots:
+    count = 0
+    for count, s in enumerate(snapshots, 1):
         new = np.abs(s.values) ** 2
         if older is not None:
             djdt = np.subtract(new, older, out=older)  # older is not read again
             djdt /= 2.0 * dt
             djdt += div
             residual = max(residual, float(np.max(np.abs(djdt, out=djdt))))
-        older, old, div = old, new, None  # the middle's div goes before s's is formed
-        jk = (_current_component(s, a, ax, "spectral") for ax in range(s.values.ndim))
-        div = _divergence(s, jk, "spectral")
+        older, old = old, new
+        div = np.zeros(s.values.shape)  # the middle's div is not read again
+        for ax in range(s.values.ndim):
+            div += np.real(_derivative(s, _current_component(s, a, ax), ax, 1))
+    if count < 3:
+        raise ConfigurationError("need at least three snapshots for the continuity check")
     return residual
 
 
@@ -314,25 +254,27 @@ def _continuity_of_stream(snapshots: Iterable[GridField], a: float, dt: float) -
 
 def weakfield_schrodinger_residual(
     psi: GridField, a0: np.ndarray, scales: ScaleSet, energy: float,
-    *, engine: str = "fd", excise_steps: int = 2,
+    *, excise_steps: int = 2,
 ) -> float:
     """Residual of the weak-field stationary Schroedinger operator on psi.
 
     Applies  -(hbar^2 / 2m) lap + (q m) a0 - E  and reports the max-norm over
-    the grid, excluding a 2-cell boundary margin (FD edges) and a ball of
-    ``excise_steps`` grid steps around the coordinate origin where a Coulomb
-    a0 is singular.  The attractive sign convention is carried by the caller
-    through a0 (a0 = -Z e / r binds a positive q m).
+    the grid, excluding, on an absorbing field, a 2-cell boundary margin
+    (the one-sided FD edges), and a ball of ``excise_steps`` grid steps
+    around the coordinate origin where a Coulomb a0 is singular.  A grid
+    that these leave no point of raises ``DomainError``.  The attractive
+    sign convention is carried by the caller through a0 (a0 = -Z e / r binds
+    a positive q m).
     """
     v = psi.values
     kin = np.zeros(v.shape, dtype=complex)
     for ax in range(v.ndim):
-        kin = kin + field_derivative(psi, ax, 2, engine)
+        kin = kin + field_derivative(psi, ax, 2)
     ham = -(scales.hbar**2 / (2.0 * scales.m)) * kin + (scales.q * scales.m) * a0 * v
     resid = np.abs(ham - energy * v)
 
     mask = np.ones(v.shape, dtype=bool)
-    if engine == "fd" or psi.boundary != "periodic":
+    if psi.boundary == "absorbing":
         for ax in range(v.ndim):
             sl = [slice(None)] * v.ndim
             sl[ax] = slice(0, 2)
@@ -345,6 +287,8 @@ def weakfield_schrodinger_residual(
         shape[ax] = -1
         r2 = r2 + psi.coords(ax).reshape(shape) ** 2
     mask &= r2 > (excise_steps * max(psi.step)) ** 2
+    if not mask.any():
+        raise DomainError("the edge margin and the excision ball leave no grid point")
     return float(np.max(resid[mask]))
 
 
@@ -412,13 +356,14 @@ def propagator_composition_check(
     return float(np.sqrt(np.sum(np.abs(diff) ** 2) * psi0.cell_volume)) / denom
 
 
-def schrodinger_evolver(lambda_hat: float, *, c: float = 1.0, steps: int = 1,
-                        method: str = "spectral") -> Callable[[GridField, float], GridField]:
-    """Closure mapping (psi, tau) to the evolved field; for composition checks."""
+def schrodinger_evolver(lambda_hat: float, *,
+                        c: float = 1.0) -> Callable[[GridField, float], GridField]:
+    """Closure mapping (psi, tau) to the field evolved by one exact step; for
+    composition checks."""
     def run(psi: GridField, tau: float) -> GridField:
         if tau == 0.0:
             return psi.with_values(np.asarray(psi.values, dtype=complex))
-        return _last(evolve_schrodinger(psi, tau, lambda_hat, steps, c=c, method=method))
+        return _last(evolve_schrodinger(psi, tau, lambda_hat, 1, c=c))
     return run
 
 
@@ -455,6 +400,23 @@ _EXACT_TOL = 1e-12
 _CONTINUITY_ORDER_FLOOR = 1.9
 
 
+def projected_peak_bytes(points: int, steps: int) -> int:
+    """Bytes ``verify_reduction(points=points, steps=steps)`` allocates at
+    its peak, in closed form.
+
+    The peak falls in the continuity check, where beside psi0, the
+    evolver's Fourier state and multiplier and one snapshot, the three
+    real arrays of the difference are held and a j_k is formed from a
+    complex derivative: about 9.5 complex arrays of ``points`` values in a
+    fresh process, where the FFT plans of that size are new too, 8.5 in one
+    that has run before.  The formula takes 10, adds the step table's three
+    columns, 24 bytes a snapshot, and 256 KiB for the fixed-size checks
+    (the 512-point diffusion run among them).  The test suite checks the
+    bound against tracemalloc.
+    """
+    return 16 * 10 * points + 24 * (steps + 1) + 2**18
+
+
 def verify_reduction(*, points: int = 256, steps: int = 64) -> dict:
     """Run the light-cone reduction suite and report residuals plus pass/fail.
 
@@ -466,12 +428,16 @@ def verify_reduction(*, points: int = 256, steps: int = 64) -> dict:
 
     The evolutions are read as streams and no snapshot is kept: the
     continuity difference holds j_tau of two snapshots and div j of the
-    one between them (:func:`_continuity_of_stream`), so memory is
+    one between them (:func:`continuity_residual`), so memory is
     O(points) and independent of ``steps``; only the returned step table
     grows with ``steps``: the columns step, norm and |norm - norm_0|, one
     entry per snapshot.  The norms are read from the Fourier states (:func:`_norms`),
-    so the ``steps``-long stream takes no inverse transform.
+    so the ``steps``-long stream takes no inverse transform.  Before
+    allocating anything, a run whose ``projected_peak_bytes`` exceeds what
+    may still be allocated is refused (``numerics.check_memory``).
     """
+    check_memory("verify-reduction", projected_peak_bytes(points, steps),
+                 f"points {points}, steps {steps}")
     lhat, c = 0.7, 1.3
     box = 40.0
     psi0 = gaussian_packet(points, box, 1.0, k0=2.0 * math.pi / box * 5)
@@ -494,7 +460,7 @@ def _norms(psi0: GridField, lhat: float, c: float, steps: int) -> np.ndarray:
     ||psi||^2 = (h / N) sum_k |Psi_k|^2 with h the cell volume, so each
     norm is read from the Fourier state and no snapshot is transformed back.
     """
-    mult = _multiplier(psi0, 2.0, 1j * c * lhat / 2.0, steps, "spectral")
+    mult = _multiplier(psi0, 2.0, 1j * c * lhat / 2.0, steps)
     scale = psi0.cell_volume / psi0.values.size
     return np.fromiter((np.sqrt(np.sum(np.abs(state) ** 2) * scale)
                         for state in _fourier_states(psi0, mult, steps)),
@@ -527,7 +493,7 @@ def _short_checks(psi0: GridField, lhat: float, c: float, box: float) -> tuple[d
     dts = []
     for nsteps in (16, 32, 64):
         snaps = evolve_schrodinger(psi0, 1.0, lhat, nsteps, c=c)
-        resids.append(_continuity_of_stream(snaps, c * lhat, 1.0 / nsteps))
+        resids.append(continuity_residual(snaps, c * lhat, 1.0 / nsteps))
         dts.append(1.0 / nsteps)
     continuity_order = fit_convergence_order(dts, resids)
 

@@ -180,15 +180,13 @@ def test_console_entry_point_runs(tmp_path):
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # The runtime needs numpy only: neither the CLI nor either evolver, in
-    # either scheme, imports scipy.
+    # The runtime needs numpy only: neither the CLI nor either evolver
+    # imports scipy.
     code = ("import sys, numpy as np, kg5d.cli\n"
             "from kg5d.reduction import evolve_fokker_planck, evolve_schrodinger, gaussian_packet\n"
             "psi0 = gaussian_packet(64, 20.0, 1.0)\n"
-            "for method in ('spectral', 'cn'):\n"
-            "    list(evolve_schrodinger(psi0, 1.0, 0.7, 4, method=method))\n"
-            "    list(evolve_fokker_planck(psi0.with_values(np.abs(psi0.values) ** 2),"
-            " 1.0, 1.0, 4, method=method))\n"
+            "list(evolve_schrodinger(psi0, 1.0, 0.7, 4))\n"
+            "list(evolve_fokker_planck(psi0.with_values(np.abs(psi0.values) ** 2), 1.0, 1.0, 4))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -487,16 +485,23 @@ def test_uncoupled_run_ignores_coupling(tmp_path):
     assert all(float(r["E_over_mc2"]) == 1.0 for r in _csv_rows(tmp_path / "spectrum.csv"))
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--n-max", "100000"],
-    ["figure1", "--r-points", "2000000000"],
-    ["universal-d", "--r-points", "2000000000"],
-    ["verify-reduction", "--points", "2000000000", "--steps", "1"],
-], ids=["spectrum", "figure1", "universal-d", "verify-reduction"])
-def test_memory_exhaustion_exits_2_with_one_line(tmp_path, argv):
+_OUT_OF_MEMORY = "error: out of memory: "
+_REFUSED = "configuration error: verify-reduction needs about "
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["spectrum", "--n-max", "100000"], _OUT_OF_MEMORY),
+    (["figure1", "--r-points", "2000000000"], _OUT_OF_MEMORY),
+    (["universal-d", "--r-points", "2000000000"], _OUT_OF_MEMORY),
+    (["verify-reduction", "--points", "2000000000", "--steps", "1"], _REFUSED),
+    (["verify-reduction", "--points", "256", "--steps", "2000000000"], _REFUSED),
+], ids=["spectrum", "figure1", "universal-d", "verify-reduction", "verify-reduction-steps"])
+def test_memory_exhaustion_exits_2_with_one_line(tmp_path, argv, reason):
     # each died with a MemoryError traceback and exit 1, the code of a
     # verification failure; the child's address space is capped at 1 GiB, so
-    # the allocation fails there at once
+    # the allocation fails there at once.  verify-reduction projects its
+    # peak (298 GiB of arrays, or 45 GiB of step table) and is refused
+    # before it allocates.
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
@@ -505,7 +510,7 @@ def test_memory_exhaustion_exits_2_with_one_line(tmp_path, argv):
                           env=env, capture_output=True, text=True, preexec_fn=cap_address_space,
                           timeout=120)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(reason) and proc.stderr.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kg5d import geometry
+from kg5d import geometry, numerics
 from kg5d.errors import ConfigurationError, DomainError, GaugeError
 from kg5d.geometry import (
     Potential,
@@ -493,7 +493,7 @@ def test_kg_operator_free_plane_wave_dispersion():
     k = 2.0 * math.pi / box
     p = (3.0 * k, 2.0 * k, 2.0 * k, 1.0 * k)  # p0^2 = 9, |p|^2 = 9 -> inv_lambda = 0
     psi = _plane_wave_4d(n, p, h)
-    out = kg_operator(psi, zero_potential(), Q_C2, inv_lambda=0.0, engine="spectral")
+    out = kg_operator(psi, zero_potential(), Q_C2, inv_lambda=0.0)
     assert np.max(np.abs(out)) < 1e-10
 
 
@@ -504,9 +504,32 @@ def test_kg_operator_off_shell_multiplicative():
     p = (2.0 * k, 1.0 * k, 0.0, 0.0)
     inv_lambda = 0.7
     psi = _plane_wave_4d(n, p, h)
-    out = kg_operator(psi, zero_potential(), Q_C2, inv_lambda=inv_lambda, engine="spectral")
+    out = kg_operator(psi, zero_potential(), Q_C2, inv_lambda=inv_lambda)
     expect = abs(-p[0] ** 2 + p[1] ** 2 + inv_lambda**2)
     np.testing.assert_allclose(np.abs(out), expect, rtol=1e-9)
+
+
+def test_kg_operator_absorbing_field_is_fd_bitwise():
+    # on an absorbing field every derivative, the sampled potential's
+    # divergence included, is fd_derivative's: the operator assembled from
+    # them term by term has the same bits
+    A = smooth_lorentz_potential()
+    n, h, inv_lambda = 8, 0.1, 0.7
+    b = Q_C2 * inv_lambda
+    axes = [h * np.arange(n) for _ in range(4)]
+    x = np.meshgrid(*axes, indexing="ij", sparse=True)
+    values = np.sin(1.1 * x[0]) * np.cos(0.9 * x[1]) * np.exp(0.3j * (x[2] - x[3]))
+    psi = GridField(values=values, step=(h,) * 4, boundary="absorbing")
+    a = np.broadcast_to(A.components(_grid_coords(psi)), (4,) + values.shape)
+    div = sum(_ETA_DIAG[mu] * fd_derivative(a[mu], mu, 1, h) for mu in range(4))
+    want = np.zeros(values.shape, dtype=complex)
+    a2 = np.zeros(values.shape)
+    for mu in range(4):
+        d2, d1 = fd_derivative(values, mu, 2, h), fd_derivative(values, mu, 1, h)
+        want += _ETA_DIAG[mu] * (d2 - 2j * b * a[mu] * d1)
+        a2 = a2 + _ETA_DIAG[mu] * a[mu] ** 2
+    want += (-1j * b * div - b * b * a2 - inv_lambda**2) * values
+    assert kg_operator(psi, A, Q_C2, inv_lambda).tobytes() == want.tobytes()
 
 
 def test_kg_fourier_residual_crossed_potential():
@@ -1019,7 +1042,7 @@ def _refused(monkeypatch, sizes, space, free) -> bool:
     def start(*args):
         raise _Started
 
-    monkeypatch.setattr(geometry, "_available_bytes", lambda: (space, free))
+    monkeypatch.setattr(numerics, "_available_bytes", lambda: (space, free))
     monkeypatch.setattr(geometry, "_laplacian_ladder", start)
     try:
         verify_geometry(sizes=sizes)
@@ -1050,7 +1073,7 @@ def test_memory_guard_names_sizes_in_mib_below_one_gib(monkeypatch, sizes, space
     # at (29, 33) the refusal used to read "needs about 0.0 GiB ... more
     # than the 0.0 GiB available"
     need = projected_peak_bytes(sizes)
-    monkeypatch.setattr(geometry, "_available_bytes", lambda: (space, math.inf))
+    monkeypatch.setattr(numerics, "_available_bytes", lambda: (space, math.inf))
     with pytest.raises(ConfigurationError) as info:
         verify_geometry(sizes=sizes)
     scale = 2**20 if unit == "MiB" else 2**30
@@ -1066,10 +1089,10 @@ def test_memory_guard_names_sizes_in_mib_below_one_gib(monkeypatch, sizes, space
 # exits 2, and a MemoryError would end it with a traceback.
 _CAPPED_CHILD = """
 import resource, sys
-from kg5d import geometry
+from kg5d import geometry, numerics
 from kg5d.errors import ConfigurationError
 sizes = tuple(int(a) for a in sys.argv[1:])
-cap = int(geometry._proc_bytes("/proc/self/status", "VmSize")
+cap = int(numerics._proc_bytes("/proc/self/status", "VmSize")
           + geometry.projected_peak_bytes(sizes))
 resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
 try:

@@ -2,8 +2,9 @@
 weak-field residuals, and the exact coordinate/dispersion checks.
 
 Oracles: closed-form free-packet evolution, heat kernels, and plane-wave
-dispersion; the spectral evolver itself is validated against those, and the
-Crank-Nicolson companion against a sparse-LU solve of the same scheme.
+dispersion; the spectral evolver itself is validated against those.  A
+field's derivatives follow its boundary, so an absorbing field is checked
+against the bits of ``fd_derivative``.
 """
 
 import math
@@ -12,14 +13,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kg5d import reduction
-from kg5d.errors import ConfigurationError
-from kg5d.numerics import fit_convergence_order
+from kg5d import numerics, reduction
+from kg5d.errors import ConfigurationError, DomainError
+from kg5d.numerics import fd_derivative, fit_convergence_order
 from kg5d.reduction import (
-    CurrentField,
     GridField,
     continuity_residual,
-    current_and_divergence,
     evolve_fokker_planck,
     evolve_schrodinger,
     field_variance,
@@ -27,6 +26,7 @@ from kg5d.reduction import (
     lightcone_jacobian,
     lightcone_transform,
     null_dispersion_check,
+    projected_peak_bytes,
     propagator_composition_check,
     schrodinger_evolver,
     verify_reduction,
@@ -97,24 +97,9 @@ def test_gaussian_packet_spread_closed_form():
 
 def test_norm_conserved_both_schemes():
     psi0 = gaussian_packet(128, 30.0, 1.2, k0=1.0)
-    for method in ("spectral", "cn"):
-        norms = [s.l2_norm() for s in evolve_schrodinger(psi0, 1.5, LHAT, 40, c=C, method=method)]
-        assert len(norms) == 41
-        assert max(abs(v - norms[0]) for v in norms) < 1e-10
-
-
-def test_cn_converges_at_second_order_in_time():
-    # reference: the same spatial operator driven with a very fine step, so
-    # only the time error is measured
-    psi0 = gaussian_packet(128, 30.0, 1.0)
-    tau = 0.8
-    *_, ref = evolve_schrodinger(psi0, tau, LHAT, 2560, c=C, method="cn")
-    errs, dts = [], []
-    for steps in (40, 80, 160):
-        *_, got = evolve_schrodinger(psi0, tau, LHAT, steps, c=C, method="cn")
-        errs.append(float(np.max(np.abs(got.values - ref.values))))
-        dts.append(tau / steps)
-    assert fit_convergence_order(dts, errs) >= 1.9
+    norms = [s.l2_norm() for s in evolve_schrodinger(psi0, 1.5, LHAT, 40, c=C)]
+    assert len(norms) == 41
+    assert max(abs(v - norms[0]) for v in norms) < 1e-10
 
 
 def test_evolve_configuration_errors():
@@ -126,41 +111,12 @@ def test_evolve_configuration_errors():
     bad = GridField(values=psi0.values, step=psi0.step, boundary="absorbing")
     with pytest.raises(ConfigurationError):
         evolve_schrodinger(bad, 1.0, LHAT, 4)
-    # Crank-Nicolson is not limited to one axis: Cayley-unitary on 64^2 too
+    # evolution is not limited to one axis: unitary on 64^2 too
     x = np.linspace(-5.0, 5.0, 64, endpoint=False)
     two_d = GridField(values=np.exp(-x[:, None] ** 2 - 0.5 * x[None, :] ** 2 + 1j * x[:, None]),
                       step=(x[1] - x[0],) * 2, origin=(x[0],) * 2)
-    norms = [s.l2_norm() for s in evolve_schrodinger(two_d, 1.0, LHAT, 16, c=C, method="cn")]
+    norms = [s.l2_norm() for s in evolve_schrodinger(two_d, 1.0, LHAT, 16, c=C)]
     assert max(abs(v - norms[0]) for v in norms) < 1e-12
-
-
-def _sparse_lu_cn(psi0, span, coeff, steps):
-    """Reference: Crank-Nicolson on the 1-D periodic three-point Laplacian,
-    each step a sparse LU solve (scipy.sparse)."""
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    n, h = psi0.values.size, psi0.step[0]
-    lap = scipy.sparse.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
-                             [-1, 0, 1], format="lil")
-    lap[0, -1] = lap[-1, 0] = 1.0
-    lap = scipy.sparse.csc_matrix(lap / h**2)
-    eye = scipy.sparse.identity(n, format="csc")
-    half = 0.5 * (span / steps) * coeff
-    lhs = scipy.sparse.linalg.splu((eye - half * lap).tocsc())
-    rhs = (eye + half * lap).tocsc()
-    cur = np.asarray(psi0.values, dtype=complex)
-    for _ in range(steps):
-        cur = lhs.solve(rhs @ cur)
-    return cur
-
-
-@pytest.mark.parametrize("points, steps", [(128, 40), (4096, 256)])
-def test_cn_matches_sparse_lu_reference(points, steps):
-    psi0 = gaussian_packet(points, 30.0, 1.0, k0=1.0)
-    *_, got = evolve_schrodinger(psi0, 0.8, LHAT, steps, c=C, method="cn")
-    want = _sparse_lu_cn(psi0, 0.8, 1j * C * LHAT / 2.0, steps)
-    assert np.max(np.abs(got.values - want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +127,7 @@ def test_current_real_field_has_no_flux():
     x = np.linspace(-10.0, 10.0, 128, endpoint=False)
     psi0 = GridField(values=np.exp(-x * x) + 0.0j, step=(x[1] - x[0],), origin=(x[0],))
     first = next(evolve_schrodinger(psi0, 1e-9, LHAT, 2, c=C))
-    current, _ = current_and_divergence(first, C * LHAT, "spectral")
-    assert isinstance(current, CurrentField)
-    assert np.max(np.abs(current.j_k[0])) < 1e-12
+    assert np.max(np.abs(reduction._current_component(first, C * LHAT, 0))) < 1e-12
 
 
 def test_current_plane_wave_values():
@@ -181,12 +135,10 @@ def test_current_plane_wave_values():
     k = 2.0 * math.pi / box * 3
     x = box / n * np.arange(n)
     psi0 = GridField(values=amp * np.exp(1j * k * x), step=(box / n,))
-    fields = [current_and_divergence(s, C * LHAT, "spectral")
-              for s in evolve_schrodinger(psi0, 0.1, LHAT, 2, c=C)]
-    resid = continuity_residual(fields, 0.1 / 2)
-    current = fields[0][0]
-    np.testing.assert_allclose(current.j_tau, amp * amp, rtol=1e-12)
-    np.testing.assert_allclose(current.j_k[0], C * LHAT * k * amp * amp, rtol=1e-11)
+    resid = continuity_residual(evolve_schrodinger(psi0, 0.1, LHAT, 2, c=C), C * LHAT, 0.1 / 2)
+    np.testing.assert_allclose(np.abs(psi0.values) ** 2, amp * amp, rtol=1e-12)
+    np.testing.assert_allclose(reduction._current_component(psi0, C * LHAT, 0),
+                               C * LHAT * k * amp * amp, rtol=1e-11)
     assert resid < 1e-10  # uniform currents: continuity is exact
 
 
@@ -194,11 +146,18 @@ def test_continuity_residual_converges_in_time():
     psi0 = gaussian_packet(256, 40.0, 1.0, k0=0.8)
     resids, dts = [], []
     for steps in (8, 16, 32):
-        fields = (current_and_divergence(s, C * LHAT, "spectral")
-                  for s in evolve_schrodinger(psi0, 1.0, LHAT, steps, c=C))
-        resids.append(continuity_residual(fields, 1.0 / steps))
+        snaps = evolve_schrodinger(psi0, 1.0, LHAT, steps, c=C)
+        resids.append(continuity_residual(snaps, C * LHAT, 1.0 / steps))
         dts.append(1.0 / steps)
     assert fit_convergence_order(dts, resids) >= 1.9
+
+
+def test_continuity_residual_needs_three_snapshots():
+    # the central difference needs a snapshot on each side of the middle
+    psi0 = gaussian_packet(64, 20.0, 1.0, k0=1.0)
+    with pytest.raises(ConfigurationError):
+        continuity_residual(evolve_schrodinger(psi0, 0.1, LHAT, 1, c=C), C * LHAT, 0.1)
+    assert continuity_residual(evolve_schrodinger(psi0, 0.1, LHAT, 2, c=C), C * LHAT, 0.05) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +183,6 @@ def test_fp_variance_growth():
     got = field_variance(last, density=True)
     want = field_variance(rho0, density=True) + C * lam * u
     assert got == pytest.approx(want, abs=1e-6)
-
-
-def test_fp_cn_conserves_mass_and_grows_variance():
-    # the diffusion setup of verify_reduction, at its thresholds, by CN
-    rho0 = gaussian_packet(512, 40.0, 1.0)
-    rho0 = rho0.with_values(np.abs(rho0.values) ** 2)
-    *_, last = evolve_fokker_planck(rho0, 2.0, 1.0, 32, c=C, method="cn")
-    assert np.isrealobj(last.values)
-    mass_err = abs(float(np.sum(last.values)) - float(np.sum(rho0.values))) * rho0.cell_volume
-    assert mass_err <= 1e-10
-    var_err = abs(field_variance(last, density=True)
-                  - (field_variance(rho0, density=True) + C * 1.0 * 2.0))
-    assert var_err <= reduction._VARIANCE_TOL
 
 
 def test_fp_point_source_matches_heat_kernel():
@@ -276,8 +222,7 @@ def test_weakfield_plane_wave_on_shell():
     x = np.meshgrid(*axes, indexing="ij", sparse=True)
     psi = GridField(values=np.exp(1j * k * x[0]), step=(h,) * 3)
     energy = s.hbar**2 * k * k / (2.0 * s.m)
-    resid = weakfield_schrodinger_residual(psi, np.zeros(psi.values.shape), s,
-                                           energy, engine="spectral")
+    resid = weakfield_schrodinger_residual(psi, np.zeros(psi.values.shape), s, energy)
     assert resid < 1e-12
 
 
@@ -305,6 +250,17 @@ def test_weakfield_hydrogen_ground_state():
     scale = abs(energy)  # residual in energy units times |psi| <= 1
     assert resids[1] < 0.05 * scale
     assert resids[1] < resids[0] / 2.0
+
+
+def test_weakfield_refuses_grid_with_no_point_left():
+    # a 5^3 absorbing grid centred on the origin: the 2-cell edge margin
+    # leaves only the centre, and the excision ball takes it
+    s = ScaleSet.build(Z=1, alpha=0.05, M_over_m=1.0, R_over_Lambda=10.0)
+    h = 0.1
+    psi = GridField(values=np.ones((5, 5, 5)) + 0j, step=(h,) * 3, origin=(-2 * h,) * 3,
+                    boundary="absorbing")
+    with pytest.raises(DomainError, match="no grid point"):
+        weakfield_schrodinger_residual(psi, np.zeros(psi.values.shape), s, -1.0)
 
 
 def test_weakfield_dropped_term_ratio():
@@ -356,15 +312,6 @@ def test_semigroup_spectral_exact():
     assert propagator_composition_check(run, 0.0, 0.9, psi0) < 1e-15
 
 
-def test_semigroup_cn_defect_shrinks_with_step():
-    psi0 = gaussian_packet(128, 30.0, 1.0)
-    defects = []
-    for steps in (8, 16, 32):
-        run = schrodinger_evolver(LHAT, c=C, steps=steps, method="cn")
-        defects.append(propagator_composition_check(run, 0.6, 0.6, psi0))
-    assert defects[0] > defects[1] > defects[2]
-
-
 def test_verify_reduction_passes():
     report = verify_reduction()
     assert report["passed"]
@@ -406,10 +353,10 @@ def _materialised_continuity(times, snaps, lambda_hat, c):
     j_tau, divs = [], []
     for s in snaps:
         psi = s.values
-        jk = a * np.imag(np.conj(psi) * reduction.field_derivative(s, 0, 1, "spectral"))
+        jk = a * np.imag(np.conj(psi) * reduction.field_derivative(s, 0, 1))
         j_tau.append(np.abs(psi) ** 2)
         divs.append(np.zeros(psi.shape)
-                    + np.real(reduction.field_derivative(s.with_values(jk), 0, 1, "spectral")))
+                    + np.real(reduction.field_derivative(s.with_values(jk), 0, 1)))
     dt = float(times[1] - times[0])
     residual = 0.0
     for i in range(1, len(snaps) - 1):
@@ -433,10 +380,6 @@ def test_verify_reduction_streams_bitwise(points, steps):
     assert list(zip(*(c.tolist() for c in report["step_table"]))) == want_table
     assert report["continuity_residuals"] == want_resids
     assert report["norm_drift_per_step"] == max(r for _, _, r in want_table[1:]) / steps
-    # the public stream API is the path the harness takes
-    fields = (current_and_divergence(s, c * lhat, "spectral")
-              for s in evolve_schrodinger(psi0, 1.0, lhat, 16, c=c))
-    assert continuity_residual(fields, 1.0 / 16) == want_resids[0]
 
 
 def test_verify_reduction_memory_flat_in_steps():
@@ -460,8 +403,8 @@ def test_verify_reduction_memory_flat_in_steps():
 def test_verify_reduction_peak_memory():
     # the benchmark's size: the continuity check holds j_tau of the middle
     # snapshot's two neighbours and its div j, and drops each j_k once its
-    # term of div j is added.  Measured at 2.15 MiB; three CurrentFields and
-    # a div per snapshot of the window took 3.65 MiB.
+    # term of div j is added.  Measured at 2.15 MiB; a three-snapshot window
+    # of whole currents (j_tau and every j_k) and their divs took 3.65 MiB.
     verify_reduction(points=16384, steps=4)  # FFT set-up and imports, untraced
     tracemalloc.start()
     try:
@@ -475,7 +418,7 @@ def test_verify_reduction_peak_memory():
 def test_fourier_states_advance_in_place():
     # each yielded state is the one array, valid until the next step
     psi0 = gaussian_packet(64, 20.0, 1.0, k0=1.0)
-    mult = reduction._multiplier(psi0, 1.0, 0.35j, 3, "spectral")
+    mult = reduction._multiplier(psi0, 1.0, 0.35j, 3)
     states = reduction._fourier_states(psi0, mult, 3)
     first = next(states)
     want = first * mult
@@ -498,18 +441,16 @@ def test_parseval_norms_match_x_space_norms(points, steps):
 def test_evolve_stream_validates_at_call():
     psi0 = gaussian_packet(64, 20.0, 1.0)
     with pytest.raises(ConfigurationError):
-        reduction._evolve(psi0, 1.0, 0.5j, 0, "spectral")
+        reduction._evolve(psi0, 1.0, 0.5j, 0)
     with pytest.raises(ConfigurationError):
-        reduction._evolve(psi0, -1.0, 0.5j, 4, "spectral")
+        reduction._evolve(psi0, -1.0, 0.5j, 4)
     absorbing = GridField(values=psi0.values, step=psi0.step, boundary="absorbing")
     with pytest.raises(ConfigurationError):
-        reduction._evolve(absorbing, 1.0, 0.5j, 4, "spectral")
-    with pytest.raises(ConfigurationError):
-        reduction._evolve(psi0, 1.0, 0.5j, 4, "euler")
+        reduction._evolve(absorbing, 1.0, 0.5j, 4)
 
 
 def test_spectral_derivative_cached_symbol_bitwise():
-    # field_derivative's spectral engine takes (i k)^order from a per-grid
+    # field_derivative on a periodic field takes (i k)^order from a per-grid
     # cache; on every axis and order, and on a repeated call, it returns the
     # bits of the multiplier built afresh for the call.
     rng = np.random.default_rng(7)
@@ -523,6 +464,61 @@ def test_spectral_derivative_cached_symbol_bitwise():
             want = np.fft.ifft((1j * k.reshape(shape)) ** order
                                * np.fft.fft(f.values, axis=axis), axis=axis)
             for _ in range(2):
-                got = reduction.field_derivative(f, axis, order, "spectral")
+                got = reduction.field_derivative(f, axis, order)
                 assert got.tobytes() == want.tobytes()
     assert not reduction._spectral_symbol(12, 0.3, 1).flags.writeable
+
+
+def test_absorbing_field_derivative_is_fd_bitwise():
+    # an absorbing field is differentiated by finite differences with
+    # one-sided edges: the bits of fd_derivative on every axis and order
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
+    f = GridField(values=values, step=(0.3, 0.7), boundary="absorbing")
+    for axis in (0, 1):
+        for order in (1, 2):
+            got = reduction.field_derivative(f, axis, order)
+            assert got.tobytes() == fd_derivative(values, axis, order, f.step[axis]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Memory guard
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("points, steps", [(4096, 4), (16384, 1024), (65536, 4), (256, 65536)])
+def test_projected_peak_bounds_tracemalloc_peak(points, steps):
+    # the closed form that refuses oversized runs must cover the real peak
+    # without refusing runs that would fit by more than a factor of two
+    tracemalloc.start()
+    try:
+        verify_reduction(points=points, steps=steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= projected_peak_bytes(points, steps) <= 2 * peak
+
+
+class _Started(Exception):
+    """Raised in place of the first allocation: the memory guard let a run start."""
+
+
+def test_memory_guard_refuses_before_allocating(monkeypatch):
+    points, steps = 100_000, 1000
+    need = projected_peak_bytes(points, steps)
+
+    def start(*args, **kwargs):
+        raise _Started
+
+    monkeypatch.setattr(reduction, "gaussian_packet", start)
+    monkeypatch.setattr(numerics, "_available_bytes", lambda: (need - 1, math.inf))
+    with pytest.raises(ConfigurationError) as info:
+        verify_reduction(points=points, steps=steps)
+    assert str(info.value) == (
+        f"verify-reduction needs about {need / 2**20:,.1f} MiB at its peak"
+        f" (points {points}, steps {steps}), more than the {(need - 1) / 2**20:,.1f} MiB available")
+    monkeypatch.setattr(numerics, "_available_bytes", lambda: (math.inf, need - 1))
+    with pytest.raises(ConfigurationError):
+        verify_reduction(points=points, steps=steps)
+    monkeypatch.setattr(numerics, "_available_bytes", lambda: (need, need))
+    with pytest.raises(_Started):
+        verify_reduction(points=points, steps=steps)
