@@ -1,7 +1,7 @@
 """Shared numerical kernels: quadrature, root finding and stencils.
 
 All functions here but the memory guard are pure and hold no module state
-beyond cached quadrature nodes, so they are safe to call concurrently.
+beyond constant quadrature nodes, so they are safe to call concurrently.
 
 Quadrature (``integrate``) uses an embedded Gauss-Legendre 7/15 pair on
 adaptively bisected panels of one integral.
@@ -82,9 +82,26 @@ class SeriesReport:
     converged: bool
 
 
-# Embedded Gauss-Legendre pair.  leggauss is exact, no hand-typed constants.
-_X7, _W7 = np.polynomial.legendre.leggauss(7)
-_X15, _W15 = np.polynomial.legendre.leggauss(15)
+# Embedded Gauss-Legendre pair: the repr of numpy.polynomial.legendre.leggauss(15)
+# and leggauss(7), which tests compare with ==.  As literals they load neither
+# numpy.polynomial nor LAPACK (leggauss solves an eigenproblem), and every
+# platform integrates with the same bits.
+_X15 = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854])
+_W15 = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203])
+_X7 = np.array([
+    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427586])
+_W7 = np.array([
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+    0.3818300505051187, 0.27970539148927687, 0.12948496616886973])
 _NODES = np.concatenate([_X15, _X7])  # 22 evaluations per panel
 
 # Most abscissae handed to one integrand call.  Bounds the integrand's
@@ -312,7 +329,10 @@ def fit_convergence_order(steps, residuals) -> float:
     Used by the verification harnesses to report an observed order of
     accuracy from runs at a few grid resolutions.  The slope is taken in
     closed form, sum (h - mean h)(r - mean r) / sum (h - mean h)^2, so no
-    LAPACK routine runs (its first call maps a 32 MB BLAS buffer).
+    LAPACK routine runs: a process's first LAPACK call adds up to 1 MB of
+    RSS, and the first through OpenBLAS (lstsq, det) also maps its 32 MB
+    buffer of address space.  Of the commands only verify-reduction makes
+    one, a 5 x 5 determinant.
     """
     h = np.log(np.asarray(steps, dtype=float))
     r = np.log(np.maximum(np.asarray(residuals, dtype=float), 1e-300))

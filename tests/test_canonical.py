@@ -395,6 +395,20 @@ def test_zd_bound_includes_the_quadrature_errors(monkeypatch):
     assert rep.tail_bound == model + quad
 
 
+@pytest.mark.parametrize("n_top", [104, 134, 344, 815])
+@pytest.mark.parametrize("terms", [2, 3])
+def test_zd_tail_least_squares_matches_lstsq(n_top, terms):
+    # the tail fit's Householder solve against LAPACK's, on the (N/n)^{2k}
+    # basis over the last 64 levels below N; the data carry an (N/n)^8 term
+    # that no basis column fits
+    ns = np.arange(n_top - canonical._TAIL_WINDOW + 1, n_top + 1, dtype=float)
+    basis = (n_top / ns)[:, None] ** (2 * np.arange(1, canonical._TAIL_TERMS + 1))
+    y = basis @ np.array([-3.1, 0.7, 0.2]) + 1e-3 * (n_top / ns) ** 8
+    want = np.linalg.lstsq(basis[:, :terms], y, rcond=None)[0]
+    got = canonical._least_squares(basis[:, :terms], y)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_zd_exact_levels_grow_with_the_cavity():
     # The exact-level count starts from a smooth function of r_hat and is
     # extended only while the tail bound misses the tolerance.

@@ -391,7 +391,7 @@ def test_empty_r_grid_exits_2_with_one_line(tmp_path, capsys, argv):
     # 16 MiB above the projection: refused, because the interpreter's own
     # mappings count against the limit too.  The ladder runs up to 53^5 so
     # that the cap (164 MiB) leaves room for the interpreter to start: at
-    # 45^5 it would be 95 MiB, below the 143 MiB that Python 3.11 with
+    # 45^5 it would be 95 MiB, below the 141 MiB that Python 3.11 with
     # numpy 2.4 maps before the guard runs.
     ("29", "7", 53, projected_peak_bytes([29, 33, 37, 41, 45, 49, 53]) + 2**24),
     # a list of 2e8 sizes alone would not fit: refused before any is made
@@ -412,6 +412,44 @@ def test_verify_geometry_refuses_grid_beyond_memory(tmp_path, grid, refine, top,
     assert proc.stderr.startswith("configuration error: ") and proc.stderr.count("\n") == 1
     assert f"{top}^5" in proc.stderr
     assert not list(tmp_path.iterdir())
+
+
+_NO_LAPACK_CHILD = """
+import sys
+import numpy.linalg
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a LAPACK routine was called")
+
+for name in ("eigvalsh", "eigh", "eig", "eigvals", "lstsq", "svd", "qr", "solve", "inv",
+             "pinv", "cholesky", "matrix_rank"):
+    setattr(numpy.linalg, name, refuse)
+
+from kg5d.cli import main
+
+out = sys.argv[1]
+for argv in (["partition", "--r-over-rho", "50"],
+             ["spectrum", "--n-max", "20"],
+             ["figure1", "--n", "1,10", "--r-points", "41"],
+             ["universal-d", "--r-points", "41"],
+             ["verify-reduction", "--points", "256", "--steps", "64"],
+             ["verify-geometry", "--grid", "9", "--refine", "2"]):
+    code = main([*argv, "--output-dir", out])
+    assert code == 0, (argv, code)
+    assert "numpy.polynomial" not in sys.modules, argv
+"""
+
+
+def test_commands_call_no_lapack_and_load_no_numpy_polynomial(tmp_path):
+    # numpy.linalg's LAPACK entry points raise in this child, from before
+    # kg5d is imported; numpy.polynomial must never be loaded.  Both cost
+    # memory no command needs: the import 0.6-0.9 MB of RSS, a first LAPACK
+    # call up to 1 MB.  verify-reduction's 5x5 determinant is the one LAPACK
+    # call left, and is not replaced.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _NO_LAPACK_CHILD, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv, names", [

@@ -14,7 +14,7 @@ import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kg5d import canonical
+from kg5d import canonical, numerics
 from kg5d.errors import (
     BracketingError,
     ConfigurationError,
@@ -93,6 +93,22 @@ def test_integrate_high_degree_polynomial_to_rounding():
     exact = np.polynomial.polynomial.polyval(
         1.0, np.concatenate([[0.0], coeffs / np.arange(1, 22)]))
     assert integrate(poly, 0.0, 1.0) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("points, nodes, weights", [
+    (15, numerics._X15, numerics._W15),
+    (7, numerics._X7, numerics._W7),
+], ids=["15", "7"])
+def test_gauss_legendre_literals(points, nodes, weights):
+    # the literal rule is leggauss's output bit for bit, exactly symmetric,
+    # and integrates x^k exactly on [-1, 1] for k < 2 * points
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(points)
+    assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    for k in range(2 * points):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(float(weights @ nodes**k) - exact) <= 1e-15
+    assert np.array_equal(numerics._NODES, np.concatenate([numerics._X15, numerics._X7]))
 
 
 def test_integrate_against_scipy_oracle():

@@ -160,6 +160,32 @@ def test_continuity_residual_needs_three_snapshots():
     assert continuity_residual(evolve_schrodinger(psi0, 0.1, LHAT, 2, c=C), C * LHAT, 0.05) >= 0
 
 
+@pytest.mark.parametrize("shape", [(64,), (16, 12)], ids=["1d", "2d"])
+def test_continuity_residual_forms_no_first_divergence(monkeypatch, shape):
+    # S + 1 snapshots: the first one's div j would be overwritten unread, so
+    # only the other S form their currents, one per axis; the residual has
+    # the bits of every central difference taken over the whole stream
+    steps, dt = 6, 0.05
+    x = [np.linspace(-6.0, 6.0, n, endpoint=False) for n in shape]
+    grid = np.meshgrid(*x, indexing="ij")
+    psi0 = GridField(values=np.exp(-sum(g * g for g in grid) + 0.7j * grid[0]),
+                     step=tuple(v[1] - v[0] for v in x), origin=tuple(v[0] for v in x))
+    snaps = list(evolve_schrodinger(psi0, steps * dt, LHAT, steps, c=C))
+    j = [np.abs(s.values) ** 2 for s in snaps]
+    div = [sum(np.real(reduction._derivative(s, reduction._current_component(s, C * LHAT, ax),
+                                             ax, 1)) for ax in range(len(shape)))
+           for s in snaps]
+    want = max(float(np.max(np.abs((j[k + 1] - j[k - 1]) / (2.0 * dt) + div[k])))
+               for k in range(1, steps))
+
+    calls = []
+    current = reduction._current_component
+    monkeypatch.setattr(reduction, "_current_component",
+                        lambda s, a, axis: calls.append(axis) or current(s, a, axis))
+    assert continuity_residual(iter(snaps), C * LHAT, dt) == want
+    assert len(calls) == len(shape) * steps
+
+
 # ---------------------------------------------------------------------------
 # Fokker-Planck evolution
 # ---------------------------------------------------------------------------
