@@ -38,12 +38,15 @@ closed forms.
 
 The metric never depends on x^5, and the 5D test fields are products
 g(x^0..x^3) p(x^5), so a 5D field is held as a ``SeparatedField``: a short
-sum of 4D base arrays times 1-D x^5 profiles.  A base derivative acts on the
+sum of 4D bases times 1-D x^5 profiles.  A base derivative acts on the
 g's and an x^5 derivative on the p's, so every defect is a sum
 sum_q C_q(x) q(x^5) of a few base coefficient arrays C_q times a few x^5
 profiles q (p and its finite-difference derivatives) -- the paper's own
 single-mode reduction, applied to the harness.  All finite-difference
-passes run on 4D base arrays; no n^5 array of the whole grid is formed.
+passes run on planes of the 4D base; no n^5 array of the whole grid is
+formed.  The test field's base is a product of 1-D factors
+(``ProductBase``) whose x^0 planes are formed as they are read, so no n^4
+array of it is held either.
 
 Every grid check is reduced by one walk, ``_defect_maxima``, which builds
 one x^0 plane at a time and only the planes whose points it keeps, reading
@@ -184,14 +187,6 @@ def _metric_entry(n_cov: np.ndarray, k: int) -> np.ndarray:
     return np.ones(n_cov.shape[1:])
 
 
-def _metric_entries(n_cov: np.ndarray) -> np.ndarray:
-    """The 15 entries of ``_metric_entry`` stacked: shape (15,) + base."""
-    h = np.empty((15,) + n_cov.shape[1:])
-    for k in range(15):
-        h[k] = _metric_entry(n_cov, k)
-    return h
-
-
 def _inverse_entries(n_cov: np.ndarray) -> list:
     """Closed-form h^{ab}, a <= b, from covariant N_mu, ordered as ``_PAIRS``:
     the ten h^{mu nu} = eta^{mu nu} as floats, h^{mu 5} = N^mu and
@@ -211,8 +206,9 @@ def _inverse_entries(n_cov: np.ndarray) -> list:
 def _metric_pair(n_cov: np.ndarray):
     """Closed-form (h, h_inv) from covariant N_mu of shape (4,) + base, each
     of shape (5, 5) + base."""
+    h = np.stack([_metric_entry(n_cov, k) for k in range(15)])
     h_inv = np.stack(np.broadcast_arrays(*_inverse_entries(n_cov)))
-    return _metric_entries(n_cov)[_ENTRY], h_inv[_ENTRY]
+    return h[_ENTRY], h_inv[_ENTRY]
 
 
 def _metric_gradient_from_dn(n_cov: np.ndarray, dn: np.ndarray) -> np.ndarray:
@@ -306,39 +302,70 @@ def expected_contractions(A: Potential, q_over_c2: float, point) -> ChristoffelC
 # Grid-level operator identities
 # ---------------------------------------------------------------------------
 
+class ProductBase:
+    """A 4D base f0(x^0) f1(x^1) f2(x^2) f3(x^3) held as its four 1-D
+    factors: a sequence of shape (n0, n1, n2, n3) whose x^0 plane i is
+    formed when it is read, as ((f0[i] f1) f2) f3, the product of a sparse
+    meshgrid broadcast in its order, so every plane has the bits of that
+    n^4 array.  A plane that is not finite raises ``ConfigurationError``."""
+
+    def __init__(self, f0, f1, f2, f3):
+        f0, f1, f2, f3 = (np.asarray(f, dtype=float) for f in (f0, f1, f2, f3))
+        self._factors = (f0, f1[:, None, None], f2[:, None], f3)
+        self.shape = (f0.size, f1.size, f2.size, f3.size)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        f0, f1, f2, f3 = self._factors
+        plane = f0[i] * f1 * f2 * f3
+        if not np.all(np.isfinite(plane)):
+            raise ConfigurationError("field values must be finite")
+        return plane
+
+
 @dataclass(frozen=True)
 class SeparatedField:
     """A 5D field held as sum_k g_k(x^0..x^3) p_k(x^5), never as n^5 values.
 
-    ``bases`` stacks the 4D base arrays g_k, shape (K, n0, n1, n2, n3);
-    ``profiles`` stacks the x^5 profiles p_k, shape (K, n5).  ``step`` has
-    five entries, x^5 last; every axis starts at 0.  A derivative along
-    x^0..x^3 acts on the g_k alone, one along x^5 on the p_k alone, with
-    fd_derivative's one-sided stencils at the grid ends.
+    ``bases`` holds the 4D bases g_k: an array of shape (K, n0, n1, n2, n3),
+    or a tuple of K ``ProductBase``s of shape (n0, n1, n2, n3), whose x^0
+    planes are formed when they are read, so no n^4 array is held.  Either
+    way ``bases[k][i]`` is the x^0 plane i of g_k.  ``profiles`` stacks the
+    x^5 profiles p_k, shape (K, n5).  ``step`` has five entries, x^5 last;
+    every axis starts at 0.  A derivative along x^0..x^3 acts on the g_k
+    alone, one along x^5 on the p_k alone, with fd_derivative's one-sided
+    stencils at the grid ends.
     """
 
-    bases: np.ndarray
+    bases: object
     profiles: np.ndarray
     step: tuple
 
     def __post_init__(self):
-        bases, profiles = np.asarray(self.bases), np.asarray(self.profiles)
+        bases, profiles = self.bases, np.asarray(self.profiles)
+        lazy = isinstance(bases, tuple) and all(isinstance(g, ProductBase) for g in bases)
+        if not lazy:
+            bases = np.asarray(bases)
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "profiles", profiles)
-        if bases.ndim != 5 or profiles.ndim != 2 or len(bases) != len(profiles) or not len(bases):
+        shapes = {np.shape(g) for g in bases}
+        if [len(s) for s in shapes] != [4] or profiles.ndim != 2 or len(bases) != len(profiles):
             raise ConfigurationError(
                 "a separated field needs bases (K, n0, n1, n2, n3) and profiles (K, n5), K >= 1")
         step = tuple(float(h) for h in np.atleast_1d(self.step))
         object.__setattr__(self, "step", step)
         if len(step) != 5 or not all(h > 0 for h in step):
             raise ConfigurationError("a separated field needs five positive steps")
-        if not (np.all(np.isfinite(bases)) and np.all(np.isfinite(profiles))):
+        # a ProductBase checks each plane as it is formed
+        if not ((lazy or np.all(np.isfinite(bases))) and np.all(np.isfinite(profiles))):
             raise ConfigurationError("field values must be finite")
 
     @property
     def shape(self) -> tuple:
         """The 5D grid shape (n0, n1, n2, n3, n5)."""
-        return self.bases.shape[1:] + self.profiles.shape[1:]
+        return tuple(np.shape(self.bases[0])) + self.profiles.shape[1:]
 
     def coords(self, axis: int) -> np.ndarray:
         return self.step[axis] * np.arange(self.shape[axis])
@@ -403,13 +430,19 @@ def _defect_maxima(defect: Callable, n0: int, index_sets) -> list:
     return [float(b) for b in best]
 
 
+def _nonzero_pairs(x, pairs) -> list:
+    """The (i, j) ``pairs`` whose x[i] is not the float 0."""
+    return [(i, j) for i, j in pairs if not isinstance(x[i], float) or x[i]]
+
+
 def _sum_of_products(x, y, pairs, out, tmp):
     """out = sum_k x[i_k] y[j_k] over the (i_k, j_k) ``pairs``, added in order.
 
-    A pair whose x[i_k] is the float 0 is skipped: adding its +-0 would leave
-    every non-zero sum's bits alone and could flip only the sign of a zero.
+    A pair whose x[i_k] is the float 0 is skipped, and its y[j_k] is not
+    read: adding its +-0 would leave every non-zero sum's bits alone and
+    could flip only the sign of a zero.
     """
-    (i, j), *rest = [(i, j) for i, j in pairs if not isinstance(x[i], float) or x[i]]
+    (i, j), *rest = _nonzero_pairs(x, pairs)
     np.multiply(x[i], y[j], out=out)
     for i, j in rest:
         out += np.multiply(x[i], y[j], out=tmp)
@@ -481,6 +514,23 @@ class _Planes:
         return self._f(i)
 
 
+# The (h^-1 entry, d_rho h entry) pairs of the sums of
+# ``_christoffel_contraction_field``, in the order of the dense einsums: by
+# direction rho and index D those of v_D's sum over b, and the trace's.  Of
+# d_rho h, each direction reads only the entries paired with an entry of h^-1
+# other than the float 0 (``_sum_of_products``).  Which entries are the float
+# 0 does not depend on N, so the h^-1 of an N of zeros finds them.  The last
+# entry, h_55 = 1, is read by every direction but not differentiated: its
+# derivative is +0 under every stencil (1 - 1, -3 + 4 - 1 and 3 - 4 + 1 are
+# exact), so it is written once.
+_V_PAIRS = [[[(int(_ENTRY[rho, b]), int(_ENTRY[d, b])) for b in range(5)] for d in range(5)]
+            for rho in range(4)]
+_TRACE = [(int(k), int(k)) for k in _ENTRY.ravel()]
+_READ = [sorted({j for pairs in _V_PAIRS[rho] + [_TRACE]
+                 for _, j in _nonzero_pairs(_inverse_entries(np.zeros((4, 1))), pairs)} - {14})
+         for rho in range(4)]
+
+
 def _christoffel_contraction_field(field, n_planes: _PotentialPlanes, r: int) -> np.ndarray:
     """h^{AB} Gamma^C_{AB} on the x^0 plane r of the 4D base grid, shape
     (5, n1, n2, n3).
@@ -495,36 +545,37 @@ def _christoffel_contraction_field(field, n_planes: _PotentialPlanes, r: int) ->
 
         v_D = h^{AB} d_A h_{DB} - (1/2) h^{AB} d_D h_{AB}.
 
-    h is held as its 15 entries a <= b, h^{-1} as its five non-constant
-    entries beside the floats eta^{mu nu}, and the gradient is taken by
-    finite differences of the entries of h, one direction rho at a time
-    (d_5 = 0), so neither a (5, 5) metric array nor the Christoffel table is
-    formed.  d_0 h on the plane is ``fd_plane`` entry by entry, each entry
-    formed from the N planes its stencil reads; h on the plane is built once,
-    for d_1..d_3.  Each sum runs over the full indices in the order of the
-    dense einsums (b in v_D, (a, b) row-major in the trace, D in h^{CD} v_D),
+    h^{-1} is held as its five non-constant entries beside the floats
+    eta^{mu nu}, and the gradient is taken one direction rho at a time
+    (d_5 = 0) into one buffer of the 15 entries a <= b of d_rho h, so
+    neither a (5, 5) metric array nor the Christoffel table is formed, and h
+    is not held either: each entry of h is formed by ``_metric_entry`` where
+    its derivative is taken, d_0 by ``fd_plane`` from the N planes its
+    stencil reads, d_1..d_3 by ``fd_derivative`` on the plane, and only the
+    11 non-constant entries a direction's sums read are differentiated
+    (d h_55 = +0 is written once).  The stencils are elementwise, so each
+    entry gets the bits of a derivative of all 15 stacked.  Each sum runs over the full indices in the order of the dense
+    einsums (b in v_D, (a, b) row-major in the trace, D in h^{CD} v_D),
     skipping the zero entries of h^{-1}, so the result is bit for bit the
     dense contraction up to the sign of a zero.
     """
-    trace = [(k, k) for k in _ENTRY.ravel()]
     n_cov = n_planes[r]
+    h_inv = _inverse_entries(n_cov)
     dh = np.empty((15,) + n_cov.shape[1:])
-    for k in range(15):
+    dh[14] = 0.0
+    for k in _READ[0]:
         dh[k] = fd_plane(_Planes(len(n_planes), lambda i, k=k: _metric_entry(n_planes[i], k)),
                          r, 1, field.step[0])
-    h = _metric_entries(n_cov)
-    h_inv = _inverse_entries(n_cov)
-    v = np.zeros((5,) + h.shape[1:])
+    v = np.zeros((5,) + n_cov.shape[1:])
     term, tmp = np.empty_like(v[0]), np.empty_like(v[0])
     for rho in range(4):
-        if rho:
-            del dh  # the previous direction's goes before the next is built
-            dh = fd_derivative(h, rho, 1, field.step[rho])
+        if rho:  # over the previous direction's
+            for k in _READ[rho]:
+                dh[k] = fd_derivative(_metric_entry(n_cov, k), rho - 1, 1, field.step[rho])
         for d in range(5):
-            v[d] += _sum_of_products(h_inv, dh, [(_ENTRY[rho, b], _ENTRY[d, b])
-                                                 for b in range(5)], term, tmp)
-        v[rho] -= np.multiply(0.5, _sum_of_products(h_inv, dh, trace, term, tmp), out=term)
-    del dh, h  # before the coefficients are allocated
+            v[d] += _sum_of_products(h_inv, dh, _V_PAIRS[rho][d], term, tmp)
+        v[rho] -= np.multiply(0.5, _sum_of_products(h_inv, dh, _TRACE, term, tmp), out=term)
+    del dh  # before the coefficients are allocated
     out = np.empty_like(v)
     for c in range(5):
         _sum_of_products(h_inv, v, [(_ENTRY[c, d], d) for d in range(5)], out[c], tmp)
@@ -569,8 +620,8 @@ def _laplacian_defect_field(field: SeparatedField, A: Potential, q_over_c2: floa
     second-order parts of the two are the same terms and cancel exactly, so
     only the first-order parts are evaluated.  For each term g p of the
     field that is (sum_mu c_mu d_mu g) (x) p + (c_5 g) (x) d_5 p, with c the
-    coefficients above: d_0 g is the plane of ``fd_plane`` over the whole
-    base array, the other derivatives are taken on the plane alone.  The
+    coefficients above: d_0 g is the plane of ``fd_plane`` over the base's
+    planes, the other derivatives are taken on the plane g[r], read once.  The
     input checks and the numerical Lorentz-gauge test, which needs the
     whole grid, are left to the callers (``_lorentz_guard``).
     """
@@ -583,12 +634,13 @@ def _laplacian_defect_field(field: SeparatedField, A: Potential, q_over_c2: floa
     for g, p in zip(field.bases, field.profiles):
         base = fd_plane(g, r, 1, h[0])
         base *= coef[0]
+        g_r = g[r]
         for mu in range(1, 4):
-            d = fd_derivative(g[r], mu - 1, 1, h[mu])
+            d = fd_derivative(g_r, mu - 1, 1, h[mu])
             d *= coef[mu]
             base += d
-        pairs += [(base, p), (coef[4] * g[r], fd_derivative(p, 0, 1, h[4]))]
-    del coef
+        pairs += [(base, p), (coef[4] * g_r, fd_derivative(p, 0, 1, h[4]))]
+    del coef, g_r
     return _combined(pairs)
 
 
@@ -787,21 +839,22 @@ def _lightcone_defect_field(field: SeparatedField, a_planes: _PotentialPlanes,
         a2 += a[j] ** 2
     pairs = []
     for g, p in zip(field.bases, field.profiles):
+        g_r = g[r]
         d0g = d0(g)
         c_p = d0(g, 2)
         c_p -= d0(_Planes(n0, lambda i: fd_plane(g, i, 1, h[0])))
         c_1 = d0(_Planes(n0, lambda i: a_planes[i][0] * g[i]))
         c_1 -= a[0] * d0g
-        c_1 += div * g[r]
+        c_1 += div * g_r
         for j in range(1, 4):
-            dj = d(g[r], j)
+            dj = d(g_r, j)
             c_p += d(dj, j)
-            c_p -= d(g[r], j, 2)
+            c_p -= d(g_r, j, 2)
             c_1 += a[j] * dj
-            c_1 -= d(a[j] * g[r], j)
+            c_1 -= d(a[j] * g_r, j)
         p1 = fd_derivative(p, 0, 1, h[4])
         pairs += [(c_p, p), (c_1, p1),
-                  (a2 * g[r], fd_derivative(p1, 0, 1, h[4]) - fd_derivative(p, 0, 2, h[4]))]
+                  (a2 * g_r, fd_derivative(p1, 0, 1, h[4]) - fd_derivative(p, 0, 2, h[4]))]
     return _combined(pairs)
 
 
@@ -846,14 +899,15 @@ _IDENTITY_TOL = 1e-8
 
 def _test_field_5d(size: int) -> SeparatedField:
     """Smooth 5D field on [0, _EXTENT]^5 for the operator checks: one term,
-    a product of 1-D factors in x^0..x^3 times the x^5 profile."""
+    a product of 1-D factors in x^0..x^3 times the x^5 profile.  The base is
+    a ``ProductBase`` of the four factors, so its x^0 planes are formed as
+    the walks read them and no n^4 array of it is held."""
     step = _EXTENT / (size - 1)
     x = np.arange(size) * step
-    x0, x1, x2, x3 = np.meshgrid(x, x, x, x, indexing="ij", sparse=True)
-    base = (np.sin(1.3 * x0 + 0.2) * np.cos(0.9 * x1 - 0.4) * np.sin(1.1 * x2)
-            * np.cos(0.7 * x3 + 0.1))
+    base = ProductBase(np.sin(1.3 * x + 0.2), np.cos(0.9 * x - 0.4), np.sin(1.1 * x),
+                       np.cos(0.7 * x + 0.1))
     profile = 1.0 + 0.5 * np.sin(1.7 * x)
-    return SeparatedField(bases=base[None], profiles=profile[None], step=(step,) * 5)
+    return SeparatedField(bases=(base,), profiles=profile[None], step=(step,) * 5)
 
 
 def _laplacian_sizes(sizes) -> list:
@@ -899,19 +953,21 @@ def _laplacian_ladder(lap_sizes, A: Potential):
 def projected_peak_bytes(sizes) -> int:
     """Bytes ``verify_geometry(sizes)`` allocates at its peak, in closed form.
 
-    The Laplacian ladder holds one field at a time, the finest last: its 4D
-    base array, n^4 doubles on an n^5 grid, and an x^5 profile.  While its
-    defect is streamed (on the half grid, the flat-space residual too), one
-    x^0 plane's arrays are live at a time, counted in base planes of n^3
-    doubles.  Throughout, the potential window holds three planes' N_mu, 12
-    planes.  The Christoffel phase adds 42: the kept plane's 15 entries of h,
-    one direction's derivative of them (15), the five arrays of h^-1 and v_D
-    with two work arrays (7); the plane's five coefficients are allocated
-    after h and its derivative are dropped.  The defect phase holds the
-    plane's 5D combination, n planes, with a temporary of one plane and the
-    field term's two coefficient planes, n + 15 with the window; the maxima
-    read the combination through a view.  The formula rounds the two phases
-    up to 64 and n + 24 planes for the small arrays beside them.  No term
+    The Laplacian ladder holds one field at a time, the finest last: its
+    1-D factors and x^5 profile, whose base planes are formed as they are
+    read, so it holds no n^4 array.  While its defect is streamed (on the
+    half grid, the flat-space residual too), one x^0 plane's arrays are live
+    at a time, counted in base planes of n^3 doubles.  Throughout, the
+    potential window holds three planes' N_mu, 12 planes.  The Christoffel
+    phase adds 29: one direction's derivative of the 15 entries of h (15),
+    the five arrays of h^-1 and v_D with two work arrays (12), and the one
+    entry of h being differentiated with its derivative (2); the plane's
+    five coefficients are allocated after the derivatives are dropped.  The
+    defect phase holds the plane's 5D combination, n planes, with a
+    temporary of one plane and the field term's two coefficient planes,
+    n + 15 with the window; the maxima read the combination through a view.
+    The formula rounds the two phases, 41 and n + 15 planes, up to 64 and
+    n + 24 for the small arrays beside them.  No term
     grows as n^5.  The Fourier check afterwards holds
     the first size's 4D field, complex values with a real product written
     into their real parts, 16 bytes a point, and while the field is checked
@@ -920,7 +976,7 @@ def projected_peak_bytes(sizes) -> int:
     suite checks the bound against tracemalloc.
     """
     n = _laplacian_sizes(sizes)[-1]
-    ladder = 8 * n**3 * (n + max(64, n + 24))
+    ladder = 8 * n**3 * max(64, n + 24)
     s = int(sizes[0])
     fourier = s**3 * (17 * s + 8 * 16)
     return max(ladder, fourier)

@@ -331,8 +331,7 @@ def fit_convergence_order(steps, residuals) -> float:
     closed form, sum (h - mean h)(r - mean r) / sum (h - mean h)^2, so no
     LAPACK routine runs: a process's first LAPACK call adds up to 1 MB of
     RSS, and the first through OpenBLAS (lstsq, det) also maps its 32 MB
-    buffer of address space.  Of the commands only verify-reduction makes
-    one, a 5 x 5 determinant.
+    buffer of address space.  No command makes one.
     """
     h = np.log(np.asarray(steps, dtype=float))
     r = np.log(np.maximum(np.asarray(residuals, dtype=float), 1e-300))

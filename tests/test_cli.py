@@ -389,11 +389,11 @@ def test_empty_r_grid_exits_2_with_one_line(tmp_path, capsys, argv):
 @pytest.mark.parametrize("grid, refine, top, limit", [
     ("301", "2", 305, 2 * 2**30),
     # 16 MiB above the projection: refused, because the interpreter's own
-    # mappings count against the limit too.  The ladder runs up to 53^5 so
-    # that the cap (164 MiB) leaves room for the interpreter to start: at
-    # 45^5 it would be 95 MiB, below the 141 MiB that Python 3.11 with
+    # mappings count against the limit too.  The ladder runs up to 61^5 so
+    # that the cap (163 MiB) leaves room for the interpreter to start: at
+    # 53^5 it would be 104 MiB, below the 141 MiB that Python 3.11 with
     # numpy 2.4 maps before the guard runs.
-    ("29", "7", 53, projected_peak_bytes([29, 33, 37, 41, 45, 49, 53]) + 2**24),
+    ("29", "9", 61, projected_peak_bytes([29, 33, 37, 41, 45, 49, 53, 57, 61]) + 2**24),
     # a list of 2e8 sizes alone would not fit: refused before any is made
     ("9", "200000000", 800_000_005, 3 * 2**29),
 ], ids=["301", "29-just-above-projection", "refine-200000000"])
@@ -422,7 +422,7 @@ def refuse(*args, **kwargs):
     raise AssertionError("a LAPACK routine was called")
 
 for name in ("eigvalsh", "eigh", "eig", "eigvals", "lstsq", "svd", "qr", "solve", "inv",
-             "pinv", "cholesky", "matrix_rank"):
+             "pinv", "cholesky", "matrix_rank", "det", "slogdet"):
     setattr(numpy.linalg, name, refuse)
 
 from kg5d.cli import main
@@ -444,8 +444,7 @@ def test_commands_call_no_lapack_and_load_no_numpy_polynomial(tmp_path):
     # numpy.linalg's LAPACK entry points raise in this child, from before
     # kg5d is imported; numpy.polynomial must never be loaded.  Both cost
     # memory no command needs: the import 0.6-0.9 MB of RSS, a first LAPACK
-    # call up to 1 MB.  verify-reduction's 5x5 determinant is the one LAPACK
-    # call left, and is not replaced.
+    # call up to 1 MB.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", _NO_LAPACK_CHILD, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)

@@ -74,6 +74,11 @@ def _nested_orders(planes_fn, field_fn):
     return hs, rs
 
 
+def _base_array(g):
+    """A 4D base's x^0 planes stacked: its whole n^4 array."""
+    return np.stack([g[i] for i in range(len(g))])
+
+
 def _stacked(plane, n0, axis=0):
     """The planes ``plane(0)``..``plane(n0 - 1)`` stacked along ``axis``: the
     whole grid's array of a plane-walk function."""
@@ -311,6 +316,44 @@ def test_contraction_field_matches_point_christoffels(potential):
         assert np.max(np.abs(field[(slice(None),) + idx] - want)) <= 1e-12
 
 
+def _contraction_plane_stacked(field, n_planes, r):
+    """The Christoffel plane with the 15 entries of h stacked and each
+    direction's derivative of all of them taken by one stencil call, the
+    sums as in ``_christoffel_contraction_field`` (test reference)."""
+    h_of = [np.stack([geometry._metric_entry(n_planes[i], k) for k in range(15)])
+            for i in range(len(n_planes))]
+    h_inv = geometry._inverse_entries(n_planes[r])
+    entry = geometry._ENTRY
+    v = np.zeros((5,) + h_of[r].shape[1:])
+    term, tmp = np.empty_like(v[0]), np.empty_like(v[0])
+    for rho in range(4):
+        dh = (numerics.fd_plane(h_of, r, 1, field.step[0]) if rho == 0
+              else fd_derivative(h_of[r], rho, 1, field.step[rho]))
+        for d in range(5):
+            v[d] += geometry._sum_of_products(
+                h_inv, dh, [(entry[rho, b], entry[d, b]) for b in range(5)], term, tmp)
+        v[rho] -= 0.5 * geometry._sum_of_products(
+            h_inv, dh, [(k, k) for k in entry.ravel()], term, tmp)
+    out = np.empty_like(v)
+    for c in range(5):
+        geometry._sum_of_products(h_inv, v, [(entry[c, d], d) for d in range(5)], out[c], tmp)
+    return out
+
+
+@pytest.mark.parametrize("potential", [smooth_lorentz_potential(),
+                                       _random_polynomial_potential(4)],
+                         ids=["lorentz", "gauge_none"])
+def test_contraction_field_is_the_stacked_derivative_bitwise(potential):
+    # each entry of h formed where its derivative is taken, the unread
+    # entries and the constant h_55 not differentiated: every plane, the two
+    # ends included, has the bits of the stacked derivative's contraction
+    grid = _base_grid(9)
+    n_planes = _PotentialPlanes(grid, potential, -Q_C2)
+    for r in range(9):
+        got = _christoffel_contraction_field(grid, n_planes, r)
+        assert np.array_equal(got, _contraction_plane_stacked(grid, n_planes, r))
+
+
 def test_contraction_field_gamma5_is_minus_divergence():
     # off Lorentz gauge h^{AB} Gamma^5_{AB} -> -(d_mu N^mu): pins the sign
     A = _random_polynomial_potential(4)
@@ -343,13 +386,14 @@ def test_laplacian_defect_peak_memory():
 
 def test_christoffel_plane_peak_memory():
     # the Christoffel phase runs one x^0 plane at a time from a window of
-    # three planes of N_mu: 54 base planes of n^3 doubles and the one-sided
-    # stencils' edge arrays, where a window of three planes' 15 metric
-    # entries took 87, a 3-plane slab 261 and one plane of it, widened to a
-    # haloed slab, 202
+    # three planes of N_mu, each entry of h formed where its derivative is
+    # taken: 41.3 base planes of n^3 doubles and the one-sided stencils' edge
+    # arrays, where the plane's 15 entries of h held beside their derivative
+    # took 56, a window of three planes' 15 metric entries 87, a 3-plane slab
+    # 261 and one plane of it, widened to a haloed slab, 202
     field = _test_field_5d(21)
     A = smooth_lorentz_potential()
-    bound = 60 * 8 * 21**3
+    bound = 48 * 8 * 21**3
     for plane in [0, 9, 20]:
         tracemalloc.start()
         try:
@@ -367,6 +411,50 @@ def test_christoffel_plane_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def test_laplacian_ladder_holds_no_base_array():
+    # the 21^5 ladder, its fields' base planes formed as they are read and
+    # each entry of h where its derivative is taken: 42.2 planes of n^3
+    # doubles at its peak, where the field's n^4 base and the plane's 15
+    # entries of h took it to 78
+    tracemalloc.start()
+    try:
+        geometry._laplacian_ladder(_laplacian_sizes((17, 21)), smooth_lorentz_potential())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 8 * 21**3, f"{peak / (8 * 21**3):.1f} planes"
+
+
+@pytest.mark.parametrize("size", [5, 9, 21])
+def test_field_base_planes_are_the_meshgrid_product(size):
+    # plane i of the test field's base, formed from its four factors, has
+    # the bits of plane i of the sparse-meshgrid product
+    field = _test_field_5d(size)
+    x = field.coords(0)
+    x0, x1, x2, x3 = np.meshgrid(x, x, x, x, indexing="ij", sparse=True)
+    want = (np.sin(1.3 * x0 + 0.2) * np.cos(0.9 * x1 - 0.4) * np.sin(1.1 * x2)
+            * np.cos(0.7 * x3 + 0.1))
+    (g,) = field.bases
+    assert field.shape == (size,) * 5 and np.shape(g) == (size,) * 4
+    for i in range(size):
+        assert np.array_equal(g[i], want[i])
+
+
+def test_product_base_refuses_a_plane_that_is_not_finite():
+    # each plane is checked where it is formed: plane 2, whose x^0 factor is
+    # NaN, refuses, and its neighbours are formed
+    f0 = np.ones(7)
+    f0[2] = np.nan
+    g = geometry.ProductBase(f0, np.full(7, 3.0), np.ones(7), np.ones(7))
+    field = SeparatedField(bases=(g,), profiles=np.ones((1, 7)), step=(0.1,) * 5)
+    assert field.shape == (7,) * 5
+    assert np.all(g[1] == 3.0) and np.all(g[3] == 3.0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        g[2]
+    with pytest.raises(ConfigurationError):
+        covariant_laplacian_residual(field, zero_potential(), Q_C2)
 
 
 def test_lorentz_guard_peak_memory():
@@ -394,7 +482,7 @@ def test_laplacian_residual_linearity():
     # constant is a term of its own
     A = smooth_lorentz_potential()
     f = _test_field_5d(9)
-    base, profile = f.bases[0], f.profiles[0]
+    base, profile = _base_array(f.bases[0]), f.profiles[0]
     rolled, ones = np.roll(base, 2, axis=1), np.ones_like(profile)
     g = _terms(f, (rolled, profile), (np.full_like(base, 0.3), ones))
     ra = covariant_laplacian_residual(f, A, Q_C2)
@@ -419,7 +507,10 @@ def test_laplacian_gauge_guard():
     (np.zeros((1, 5, 5, 5, 5)), np.zeros((1, 5)), (0.1,) * 4),
     (np.zeros((1, 5, 5, 5, 5)), np.zeros((1, 5)), (0.1, 0.1, 0.1, 0.1, 0.0)),
     (np.zeros((1, 5, 5, 5, 5)), np.full((1, 5), np.nan), (0.1,) * 5),
-], ids=["3d-base", "term-counts-differ", "no-term", "four-steps", "zero-step", "nan"])
+    ((geometry.ProductBase(*[np.ones(5)] * 4),), np.zeros((2, 5)), (0.1,) * 5),
+    ((), np.zeros((0, 5)), (0.1,) * 5),
+], ids=["3d-base", "term-counts-differ", "no-term", "four-steps", "zero-step", "nan",
+        "product-base-term-counts-differ", "no-product-base"])
 def test_separated_field_refuses_bad_grids(bases, profiles, step):
     with pytest.raises(ConfigurationError):
         SeparatedField(bases=bases, profiles=profiles, step=step)
@@ -679,7 +770,7 @@ def _whole_grid_laplacian_defect(field, A, q_over_c2):
     coef = _whole_grid_laplacian_coefficients(field, A, q_over_c2)
     h = field.step
     pairs = []
-    for g, p in zip(field.bases, field.profiles):
+    for g, p in zip(map(_base_array, field.bases), field.profiles):
         d = [coef[mu] * fd_derivative(g, mu, 1, h[mu]) for mu in range(4)]
         pairs += [(d[0] + d[1] + d[2] + d[3], p), (coef[4] * g, fd_derivative(p, 0, 1, h[4]))]
     return _outer_sum(pairs)
@@ -714,7 +805,7 @@ def _whole_grid_lightcone_defect(field, A, q_over_c2):
 
 def _dense(field):
     """The field's n^5 values as a GridField (test oracles only)."""
-    values = sum(g[..., None] * p for g, p in zip(field.bases, field.profiles))
+    values = sum(_base_array(g)[..., None] * p for g, p in zip(field.bases, field.profiles))
     return GridField(values=values, step=field.step)
 
 
@@ -948,7 +1039,7 @@ def _two_terms(field):
     x = np.meshgrid(*[field.coords(ax) for ax in range(4)], indexing="ij", sparse=True)
     base = (np.cos(0.6 * x[0] - 0.3) * np.sin(0.8 * x[1] + 0.5) * np.cos(1.2 * x[2])
             * np.sin(0.5 * x[3] + 0.7))
-    return _terms(field, (field.bases[0], field.profiles[0]),
+    return _terms(field, (_base_array(field.bases[0]), field.profiles[0]),
                   (base, np.cos(2.1 * field.coords(4) - 0.3)))
 
 
@@ -1067,7 +1158,7 @@ def test_memory_guard_budgets_each_process_and_the_host(monkeypatch):
 
 @pytest.mark.parametrize("sizes, space, unit", [
     ((29, 33), projected_peak_bytes((29, 33)) - 2**21, "MiB"),
-    ((9, 101), 1.5 * 2**30, "GiB"),
+    ((9, 121), 1.5 * 2**30, "GiB"),
 ], ids=["MiB", "GiB"])
 def test_memory_guard_names_sizes_in_mib_below_one_gib(monkeypatch, sizes, space, unit):
     # at (29, 33) the refusal used to read "needs about 0.0 GiB ... more
