@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, IntegrandError, NonConvergenceError, QuadratureError
 from .numerics import _NODES, _W7, _W15, SeriesReport, Tolerance, integrate
 from .specfun import (_EULER_MACLAURIN, _combo_arrays, _combo_terms, _laguerre_ladder,
-                      asymptotic_combo, bessel_j01, erfcx_minus_one, hurwitz_zeta)
+                      bessel_j01, erfcx_minus_one, hurwitz_zeta)
 from .spectrum import ScaleSet, stat_energy
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -113,17 +113,6 @@ def dn_scaled_grid(n, r: np.ndarray) -> np.ndarray:
     return 0.5 * r * r * n * _combo_arrays(n, r * n)
 
 
-def dn_scaled_asymptotic(n: int, r: float, **kw) -> float:
-    """Rescaled density from the two-branch large-n Laguerre asymptotics.
-
-    Leading order only: on the oscillatory branch this is exactly the
-    universal profile, on the exponential branch the surviving
-    amplitude-derivative term.  Kept as a cross-check path; the recurrence
-    is the reference evaluation at every n.
-    """
-    return 0.5 * r * r * n * asymptotic_combo(n, r, **kw)
-
-
 def dn_density(n, r, rho: float):
     """Physical-units level density D_n(r) for Bohr-like radius rho, at a point r
     or an array of them: (2/rho) times the density in r_hat = 2r/rho."""
@@ -134,15 +123,8 @@ def dn_density(n, r, rho: float):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError(f"need r >= 0, got {np.min(r)}")
-    return 2.0 / rho * _density_rhat(n, 2.0 * r / rho)
-
-
-def _density_rhat(n, rhat: np.ndarray) -> np.ndarray:
-    """Density in the cavity variable r_hat = 2r/rho: (r_hat^2 / 2n^3) combo(r_hat/n).
-
-    ``n`` is one level or one level per point.
-    """
-    return rhat * rhat / (2.0 * n**3) * _combo_arrays(n, rhat / n)
+    rhat = 2.0 * r / rho  # the density in r_hat is (r_hat^2 / 2n^3) combo(r_hat/n)
+    return 2.0 / rho * (rhat * rhat / (2.0 * n**3) * _combo_arrays(n, rhat / n))
 
 
 def _level_panels(ns: np.ndarray, cut: np.ndarray) -> np.ndarray:
@@ -219,11 +201,6 @@ def _trapped_levels(ns, rhat_max: float, tol: Tolerance):
                                       f" threshold {tol.threshold(g[i]):.3g}",
                                       estimate=float(g[i]), error_bound=float(err[i]))
     return g, err
-
-
-def trapped_degeneracies(ns, rhat_max: float, tol: Tolerance) -> np.ndarray:
-    """Portion of each level's degeneracy inside r_hat <= rhat_max (full value n^2)."""
-    return _trapped_levels(ns, rhat_max, tol)[0]
 
 
 def figure1_curves(n_list, r_grid) -> list[DensityCurve]:

@@ -69,10 +69,6 @@ class GaugeError(Kg5dError):
     """Electromagnetic potential does not satisfy the required gauge condition."""
 
 
-class TurningPointError(DomainError):
-    """Asymptotic evaluation requested inside the excluded turning-point band."""
-
-
 class LaguerreOverflowError(Kg5dError):
     """Laguerre recurrence left the representable floating-point range."""
 

@@ -69,9 +69,9 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, GaugeError
 from .numerics import check_memory, fd_derivative, fd_plane, fit_convergence_order
 
-# ``reduction`` (GridField and its derivative) is imported in the functions
-# that build or differentiate a grid field, so verify-geometry's Laplacian
-# ladder, which uses none of it, runs before that module is compiled.
+# ``reduction`` (GridField) is imported where verify-geometry builds its 4D
+# grid field, so the Laplacian ladder, which uses none of it, runs before
+# that module is compiled.
 
 _ETA4 = np.diag([-1.0, 1.0, 1.0, 1.0])
 _ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -329,43 +329,39 @@ class ProductBase:
 class SeparatedField:
     """A 5D field held as sum_k g_k(x^0..x^3) p_k(x^5), never as n^5 values.
 
-    ``bases`` holds the 4D bases g_k: an array of shape (K, n0, n1, n2, n3),
-    or a tuple of K ``ProductBase``s of shape (n0, n1, n2, n3), whose x^0
-    planes are formed when they are read, so no n^4 array is held.  Either
-    way ``bases[k][i]`` is the x^0 plane i of g_k.  ``profiles`` stacks the
-    x^5 profiles p_k, shape (K, n5).  ``step`` has five entries, x^5 last;
-    every axis starts at 0.  A derivative along x^0..x^3 acts on the g_k
-    alone, one along x^5 on the p_k alone, with fd_derivative's one-sided
-    stencils at the grid ends.
+    ``bases`` is a tuple of K ``ProductBase``s g_k of shape (n0, n1, n2, n3),
+    whose x^0 planes are formed when they are read, so no n^4 array is held:
+    ``bases[k][i]`` is the x^0 plane i of g_k.  ``profiles`` stacks the x^5
+    profiles p_k, shape (K, n5).  ``step`` has five entries, x^5 last; every
+    axis starts at 0.  A derivative along x^0..x^3 acts on the g_k alone,
+    one along x^5 on the p_k alone, with fd_derivative's one-sided stencils
+    at the grid ends.
     """
 
-    bases: object
+    bases: tuple
     profiles: np.ndarray
     step: tuple
 
     def __post_init__(self):
         bases, profiles = self.bases, np.asarray(self.profiles)
-        lazy = isinstance(bases, tuple) and all(isinstance(g, ProductBase) for g in bases)
-        if not lazy:
-            bases = np.asarray(bases)
-        object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "profiles", profiles)
-        shapes = {np.shape(g) for g in bases}
-        if [len(s) for s in shapes] != [4] or profiles.ndim != 2 or len(bases) != len(profiles):
-            raise ConfigurationError(
-                "a separated field needs bases (K, n0, n1, n2, n3) and profiles (K, n5), K >= 1")
+        if (not isinstance(bases, tuple) or not all(isinstance(g, ProductBase) for g in bases)
+                or len({g.shape for g in bases}) != 1 or profiles.ndim != 2
+                or len(bases) != len(profiles)):
+            raise ConfigurationError("a separated field needs a tuple of K >= 1 ProductBase"
+                                     " bases of one shape and profiles (K, n5)")
         step = tuple(float(h) for h in np.atleast_1d(self.step))
         object.__setattr__(self, "step", step)
         if len(step) != 5 or not all(h > 0 for h in step):
             raise ConfigurationError("a separated field needs five positive steps")
         # a ProductBase checks each plane as it is formed
-        if not ((lazy or np.all(np.isfinite(bases))) and np.all(np.isfinite(profiles))):
+        if not np.all(np.isfinite(profiles)):
             raise ConfigurationError("field values must be finite")
 
     @property
     def shape(self) -> tuple:
         """The 5D grid shape (n0, n1, n2, n3, n5)."""
-        return tuple(np.shape(self.bases[0])) + self.profiles.shape[1:]
+        return self.bases[0].shape + self.profiles.shape[1:]
 
     def coords(self, axis: int) -> np.ndarray:
         return self.step[axis] * np.arange(self.shape[axis])
@@ -680,63 +676,21 @@ def covariant_laplacian_residual(
 # Fourier-reduced operator (single x^5 mode)
 # ---------------------------------------------------------------------------
 
-def _sampled_potential(psi: GridField, A: Potential):
-    """A_mu on the field's grid, shape (4,) + grid, and its divergence d_mu A^mu
-    taken as the field is differentiated (``field_derivative``)."""
-    from .reduction import field_derivative
-
-    coords = _grid_coords(psi)
-    shape = np.broadcast(*coords).shape
-    a = np.ascontiguousarray(np.broadcast_to(A.components(coords), (4,) + shape))
-    div = np.zeros(shape)
-    for mu in range(4):
-        div += _ETA_DIAG[mu] * np.real(field_derivative(psi.with_values(a[mu]), mu, 1))
-    return a, div
-
-
-def kg_operator(psi: GridField, A: Potential, q_over_c2: float, inv_lambda: float) -> np.ndarray:
-    """Minimally-coupled wave operator applied to a 4D field.
-
-    (d^mu - i b A^mu)(d_mu - i b A_mu) psi - inv_lambda^2 psi
-
-    with b = q_over_c2 * inv_lambda: the d_5 -> i/lambda substitution of the
-    single-mode ansatz into the 5D expanded operator.  Every derivative,
-    the divergence of the sampled potential included, follows the field's
-    boundary: spectral on a periodic field, finite differences on an
-    absorbing one, so the operator is an honest single-grid evaluation.
-    With a constant potential it is multiplicative on plane waves (exactly
-    so on a periodic field).
-    """
-    from .reduction import field_derivative
-
-    if psi.values.ndim != 4:
-        raise DomainError("kg_operator needs a 4D field")
-    b = q_over_c2 * inv_lambda
-    a, div = _sampled_potential(psi, A)
-    f = psi.values
-    out = np.zeros(f.shape, dtype=complex)
-    a2 = np.zeros_like(div)
-    for mu in range(4):
-        d2 = field_derivative(psi, mu, 2)
-        d1 = field_derivative(psi, mu, 1)
-        out += _ETA_DIAG[mu] * (d2 - 2j * b * a[mu] * d1)
-        a2 = a2 + _ETA_DIAG[mu] * a[mu]**2
-    out += (-1j * b * div - b * b * a2 - inv_lambda**2) * f
-    return out
-
-
 def kg_fourier_residual(
     psi: GridField, A: Potential, q_over_c2: float, inv_lambda: float,
     *, margin: int = 2,
 ) -> float:
     """Max-norm of 2 b (d_mu A^mu) psi, with b = q_over_c2 * inv_lambda.
 
-    This is the term by which the operator carrying an extra divergence term,
+    The d_5 -> i/lambda substitution of the single-mode ansatz turns the 5D
+    expanded operator into the minimally coupled wave operator
+    (d^mu - i b A^mu)(d_mu - i b A_mu) psi - inv_lambda^2 psi.  This is the
+    term by which the operator carrying an extra divergence term,
     (d - i b A)^2 psi - 2 i b (d_mu A^mu) psi - inv_lambda^2 psi, differs
-    from the substituted operator ``kg_operator``.  The divergence is that of
-    the sampled potential under the finite differences ``kg_operator`` takes
-    on an absorbing field, so the statement checked is that the Lorentz
-    condition (required) holds on the grid and the two operators agree.
+    from it.  The divergence is that of the sampled potential under the
+    central finite differences of an absorbing field, so the statement
+    checked is that the Lorentz condition (required) holds on the grid and
+    the two operators agree.
 
     The maximum is over the points at least ``margin`` from every end, taken
     by ``_defect_maxima`` on the x^0 planes that interior keeps: d_0 A_0 by

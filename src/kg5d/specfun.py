@@ -1,26 +1,22 @@
-"""Special functions: generalized Laguerre polynomials, the Whittaker function
-M_{n,1/2} with derivatives, large-degree Laguerre asymptotics, the
-complementary error function, the Bessel functions J0/J1 and the Hurwitz
-zeta function.
+"""Special functions: the Whittaker-function combination M'^2 - M M'' of
+M_{n,1/2} from a rescaled Laguerre recurrence, the complementary error
+function, the Bessel functions J0/J1 and the Hurwitz zeta function.
 
 The Whittaker evaluation rests on the Kummer reduction for integer first
 index,
 
     M_{n,1/2}(x) = (x/n) e^{-x/2} L_{n-1}^{(1)}(x),
 
-so everything reduces to the three-term Laguerre recurrence.  Two evaluation
-paths are provided:
-
-* ``laguerre`` - the plain recurrence in ordinary doubles.  It overflows once
-  e^{x/2}-sized values appear (x/2 > ~709, i.e. x > ~1418 in the oscillatory
-  range, earlier for x >> 4n where |L| ~ x^n/n!), and raises
-  :class:`LaguerreOverflowError` when that happens.
-* an internal rescaled recurrence that carries a shared log-scale exponent
-  alongside the mantissas, valid for any n and x that the callers here need
-  (degrees in the thousands, arguments in the thousands).
+so everything reduces to the three-term Laguerre recurrence.  One evaluation
+path serves every command: the recurrence over arrays of points
+(``_laguerre_ladder``), carrying a per-point log-scale exponent alongside the
+mantissas.  Plain doubles would overflow once e^{x/2}-sized values appear
+(x > ~1418 in the oscillatory range, earlier for x >> 4n where
+|L| ~ x^n/n!); the rescaled values stay finite for any n and x the callers
+here need (degrees in the thousands, arguments in the thousands).
 
 The Wronskian-like combination M'^2 - M M'' that the level densities need is
-never formed from the assembled M, M', M'': those terms cancel almost
+never formed from an assembled M, M', M'': those terms cancel almost
 completely at large n*x.  Instead the Laguerre ODE eliminates L'' and the
 combination collapses to
 
@@ -35,12 +31,10 @@ All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, LaguerreOverflowError, TurningPointError
+from .errors import DomainError, LaguerreOverflowError
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -51,50 +45,6 @@ _SQRT_PI = math.sqrt(math.pi)
 _RESCALE_TRIGGER = 1e130
 _RESCALE_FACTOR = 2.0 ** -466
 _RESCALE_LOG = 466.0 * math.log(2.0)
-
-
-@dataclass(frozen=True)
-class AsymptoticBranch:
-    """Branch classification for the large-degree Laguerre expansion.
-
-    ``varrho`` is the oscillatory phase function (defined for argument in
-    [0, 1]); ``varsigma`` the exponential one (argument >= 1).  Whichever does
-    not apply to the region is None.
-    """
-
-    region: str  # "oscillatory" (r < 4) or "exponential" (r >= 4)
-    varrho: Optional[float]
-    varsigma: Optional[float]
-
-
-def _laguerre_value(n: int, alpha: int, x: float) -> float:
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, alpha + 1.0 - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + alpha + 1 - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
-
-
-def laguerre(n: int, alpha: int, x: float) -> tuple[float, float, float]:
-    """L_n^(alpha)(x) with first and second derivatives in x.
-
-    Derivatives come from the exact ladder relations
-    d/dx L_n^(a) = -L_{n-1}^(a+1) and d2/dx2 L_n^(a) = L_{n-2}^(a+2), which
-    stay valid at x = 0 where the ODE-based route degenerates.
-
-    Plain double-precision recurrence: raises LaguerreOverflowError once any
-    of the three values leaves the representable range (see module docstring
-    for where that happens).
-    """
-    if n < 0 or alpha < 0:
-        raise DomainError(f"need n >= 0 and alpha >= 0, got n={n}, alpha={alpha}")
-    v = _laguerre_value(n, alpha, x)
-    d1 = -_laguerre_value(n - 1, alpha + 1, x) if n >= 1 else 0.0
-    d2 = _laguerre_value(n - 2, alpha + 2, x) if n >= 2 else 0.0
-    if not (math.isfinite(v) and math.isfinite(d1) and math.isfinite(d2)):
-        raise LaguerreOverflowError(n, x)
-    return v, d1, d2
 
 
 def _laguerre_ladder(x: np.ndarray, live):
@@ -193,138 +143,6 @@ def _combo_arrays(n, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     return _combo_terms(n, x, *_scaled_laguerre_pair(n, x))[1]
-
-
-def whittaker_m_half(n, x):
-    """(M, M', M'', M'^2 - M M'') of M_{n,1/2} at points x > 0, arrays of x's shape.
-
-    ``n`` is one degree >= 1 or one per point.  Assembled from the rescaled
-    Laguerre recurrence; usable far beyond the plain-recurrence overflow
-    point (n and x in the thousands).
-    """
-    if np.any(np.asarray(n) < 1):
-        raise DomainError(f"need integer n >= 1, got {np.min(n)}")
-    x = np.asarray(x, dtype=float)
-    bad = ~(x > 0)
-    if bad.any():
-        raise DomainError(f"need x > 0, got {x[bad][0]}")
-    la, lb, log_scale = _scaled_laguerre_pair(n, x)
-    w, combo = _combo_terms(n, x, la, lb, log_scale)
-    scale = np.exp(_scale_exponent(n, x, log_scale - 0.5 * x))
-    m = (x / n) * la * scale
-    m1 = ((1.0 - 0.5 * x) * la + w) * scale / n
-    m2 = (0.25 * x - n) * la * scale / n
-    bad = ~(np.isfinite(m) & np.isfinite(m1) & np.isfinite(m2) & np.isfinite(combo))
-    if bad.any():
-        i = int(np.argmax(bad.ravel()))
-        deg, xi = int(np.broadcast_to(n, x.shape).ravel()[i]), float(x.ravel()[i])
-        raise LaguerreOverflowError(deg, xi, f"Whittaker assembly not finite at n={deg}, x={xi}")
-    return m, m1, m2, combo
-
-
-# ---------------------------------------------------------------------------
-# Large-degree asymptotics (two branches; the turning point r = 4 is excluded)
-# ---------------------------------------------------------------------------
-
-def varrho(t: float) -> float:
-    """Oscillatory phase function (sqrt(t - t^2) + asin(sqrt(t)))/2 on [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"varrho needs argument in [0, 1], got {t}")
-    return 0.5 * (math.sqrt(t - t * t) + math.asin(math.sqrt(t)))
-
-
-def varsigma(t: float) -> float:
-    """Exponential phase function (sqrt(t^2 - t) - acosh(sqrt(t)))/2 for t >= 1."""
-    if t < 1.0:
-        raise DomainError(f"varsigma needs argument >= 1, got {t}")
-    return 0.5 * (math.sqrt(t * t - t) - math.acosh(math.sqrt(t)))
-
-
-def _varrho_prime(t: float) -> float:
-    return 0.5 * math.sqrt((1.0 - t) / t)
-
-
-def _varsigma_prime(t: float) -> float:
-    return 0.5 * math.sqrt((t - 1.0) / t)
-
-
-def _varsigma_second(t: float) -> float:
-    return 1.0 / (4.0 * t ** 1.5 * math.sqrt(t - 1.0))
-
-
-def asymptotic_branch(r: float) -> AsymptoticBranch:
-    """Classify r and evaluate the applicable phase function at r/4."""
-    if r < 0:
-        raise DomainError(f"need r >= 0, got {r}")
-    if r < 4.0:
-        return AsymptoticBranch("oscillatory", varrho(r / 4.0), None)
-    return AsymptoticBranch("exponential", None, varsigma(r / 4.0))
-
-
-def _check_asymptotic_args(n: int, r: float, min_n: int, margin: float) -> None:
-    """The asymptotic kernels' refusals: a degree below ``min_n``, r <= 0,
-    and r within ``margin`` of the turning point r = 4."""
-    if n < min_n:
-        raise DomainError(f"asymptotic form needs n >= {min_n}, got {n}")
-    if not r > 0:
-        raise DomainError(f"need r > 0, got {r}")
-    if abs(r - 4.0) <= margin:
-        raise TurningPointError(
-            f"r={r} is within the excluded band |r-4| <= {margin} around the turning point"
-        )
-
-
-def laguerre_asymptotic(
-    n: int, r: float, *, min_n: int = 50, margin: float = 0.2
-) -> float:
-    """Large-degree two-branch approximation of L_{n-1}^{(1)}(r*n).
-
-    Oscillatory for r < 4, single-signed (-1)^(n-1) exponential branch for
-    r > 4; the band |r - 4| <= margin around the turning point is refused
-    (the Airy-regime matching is out of scope) and so are degrees below
-    ``min_n`` where the leading order is not trustworthy.  Relative accuracy
-    is O(1/n) away from the turning point.  Values beyond double range raise
-    LaguerreOverflowError; use the rescaled recurrence path instead.
-    """
-    _check_asymptotic_args(n, r, min_n, margin)
-    w = r / 4.0
-    x = r * n
-    if r < 4.0:
-        p = _varrho_prime(w)
-        log_amp = 0.5 * x - math.log(r * math.sqrt(math.pi * n * p))
-        osc = math.cos(4.0 * n * varrho(w) - 0.75 * math.pi)
-        if log_amp > 709.0:
-            raise LaguerreOverflowError(n, x, f"asymptotic amplitude e^{log_amp:.1f} overflows")
-        return math.exp(log_amp) * osc
-    # Single-saddle region: half the oscillatory-envelope amplitude (the
-    # factor 1/2 is confirmed against the recurrence, ratio -> 2 without it).
-    s = _varsigma_prime(w)
-    log_amp = 0.5 * x - 4.0 * n * varsigma(w) - math.log(2.0 * r * math.sqrt(math.pi * n * s))
-    if log_amp > 709.0:
-        raise LaguerreOverflowError(n, x, f"asymptotic amplitude e^{log_amp:.1f} overflows")
-    sign = 1.0 if (n - 1) % 2 == 0 else -1.0
-    return sign * math.exp(log_amp)
-
-
-def asymptotic_combo(n: int, r: float, *, min_n: int = 50, margin: float = 0.2) -> float:
-    """Leading-order M'^2 - M M'' for M_{n,1/2} at argument r*n.
-
-    The e^{x/2} amplitudes cancel analytically, so this never overflows.  On
-    the oscillatory branch the leading order is smooth (the sin^2 + cos^2
-    envelope); on the exponential branch the leading terms cancel and the
-    first surviving amplitude-derivative term is returned.
-    """
-    _check_asymptotic_args(n, r, min_n, margin)
-    w = r / 4.0
-    if r < 4.0:
-        return _varrho_prime(w) / (math.pi * n)
-    s1 = _varsigma_prime(w)
-    s2 = _varsigma_second(w)
-    expo = -8.0 * n * varsigma(w)
-    if expo < -745.0:
-        return 0.0
-    # (d^2S/dr^2 / n) * M^2 with the halved single-saddle amplitude squared
-    return (s2 / (4.0 * n)) * 0.25 * math.exp(expo) / (math.pi * n * s1)
 
 
 # ---------------------------------------------------------------------------

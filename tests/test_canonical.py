@@ -2,8 +2,9 @@
 spectral parts of Z.
 
 Oracles: closed forms at n = 1 and 2, mpmath Whittaker values, brute-force
-series summation and 40-digit Euler-Maclaurin references for Z_c, and
-quadrature cross-checks for the degeneracies.
+series summation and 40-digit Euler-Maclaurin references for Z_c,
+quadrature cross-checks for the degeneracies, and the degeneracies in exact
+rational arithmetic (``oracles.trapped_degeneracy_exact``).
 """
 
 import math
@@ -19,12 +20,11 @@ from kg5d import canonical
 from kg5d.canonical import (
     DensityCurve,
     brace_asymptote,
+    _trapped_levels,
     dn_density,
-    dn_scaled_asymptotic,
     dn_scaled_grid,
     figure1_curves,
     partition,
-    trapped_degeneracies,
     trapped_degeneracy_limit,
     universal_d,
     z_continuous,
@@ -34,6 +34,7 @@ from kg5d.errors import DomainError, NonConvergenceError, QuadratureError
 from kg5d.numerics import Tolerance, integrate
 from kg5d.specfun import erfcx_minus_one
 from kg5d.spectrum import ScaleSet, stat_energy
+from oracles import dn_scaled_asymptotic, trapped_degeneracy_exact
 
 mp.mp.dps = 40
 
@@ -163,14 +164,14 @@ def test_universal_limit_supnorm_trend():
 
 def test_trapped_degeneracy_full_mass():
     tol = Tolerance(rel=1e-10)
-    got = trapped_degeneracies([1, 2, 6], math.inf, tol)
+    got = _trapped_levels([1, 2, 6], math.inf, tol)[0]
     for n, g in zip((1, 2, 6), got.tolist()):
         assert g == pytest.approx(n * n, rel=1e-8)
 
 
 def test_trapped_degeneracy_monotone_in_radius():
     tol = Tolerance(rel=1e-10)
-    vals = [trapped_degeneracies([4], rh, tol)[0] for rh in (5.0, 20.0, 64.0, 200.0)]
+    vals = [_trapped_levels([4], rh, tol)[0][0] for rh in (5.0, 20.0, 64.0, 200.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 16.0 + 1e-9 for v in vals)
 
@@ -179,7 +180,7 @@ def test_trapped_degeneracy_tail_formula():
     # n >> sqrt(R): degeneracy -> R^{5/2} / (5 pi n^3)
     rhat = 49.0
     tol = Tolerance(rel=1e-11)
-    for n, got in zip((70, 140), trapped_degeneracies([70, 140], rhat, tol).tolist()):
+    for n, got in zip((70, 140), _trapped_levels([70, 140], rhat, tol)[0].tolist()):
         ref = rhat**2.5 / (5.0 * math.pi * n**3)
         assert got == pytest.approx(ref, rel=5e-3)
 
@@ -187,15 +188,14 @@ def test_trapped_degeneracy_tail_formula():
 def _lone_level(n, rhat, tol):
     """Level n's trapped degeneracy as one adaptive integral of its density in r_hat."""
     cut = max(min(rhat, n * (20.0 * n + 40.0)), 0.0)
-    return integrate(lambda rh: canonical._density_rhat(n, rh), 0.0, cut, tol)
+    return integrate(lambda rh: dn_density(n, rh, 2.0), 0.0, cut, tol)
 
 
 def _check_against_lone_levels(ns, rhat, picked=slice(None)):
     # Each level of the shared pass lands within its own error estimate of a
     # lone adaptive integration (plus rounding), whatever else is in the pass.
     tol = Tolerance(rel=1e-12, abs=1e-280)
-    got, err = canonical._trapped_levels(ns, rhat, tol)
-    assert got.tolist() == trapped_degeneracies(ns, rhat, tol).tolist()
+    got, err = _trapped_levels(ns, rhat, tol)
     assert np.all(err <= tol.rel * np.abs(got))
     ns, got, err = np.asarray(ns)[picked], got[picked], err[picked]
     # rel 1e-10 keeps the lone integrations quick; their 15/7 estimates are
@@ -208,7 +208,7 @@ def _check_against_lone_levels(ns, rhat, picked=slice(None)):
 def test_trapped_degeneracies_match_single_levels():
     _check_against_lone_levels([140, 1, 65, 7, 64, 2], 150.0)
     tol = Tolerance(rel=1e-11, abs=1e-280)
-    assert trapped_degeneracies([3, 4], 0.0, tol).tolist() == [0.0, 0.0]
+    assert _trapped_levels([3, 4], 0.0, tol)[0].tolist() == [0.0, 0.0]
 
 
 def test_trapped_degeneracies_match_single_levels_large_cavity():
@@ -220,10 +220,10 @@ def test_trapped_degeneracies_match_single_levels_large_cavity():
 def test_trapped_degeneracies_refuse_an_unmet_tolerance():
     # rel 1e-17 is below what the 15/7 estimate of any level can show.
     with pytest.raises(QuadratureError, match=r"^level \d+: error estimate") as info:
-        trapped_degeneracies([5, 30], 150.0, Tolerance(rel=1e-17, abs=0.0))
+        _trapped_levels([5, 30], 150.0, Tolerance(rel=1e-17, abs=0.0))
     assert info.value.error_bound > 1e-17 * abs(info.value.estimate) > 0
     with pytest.raises(QuadratureError, match="over the limit of 10"):
-        trapped_degeneracies([30], 150.0, Tolerance(rel=1e-12, max_iter=10))
+        _trapped_levels([30], 150.0, Tolerance(rel=1e-12, max_iter=10))
 
 
 def test_split_levels_match_single_levels():
@@ -238,8 +238,24 @@ def test_split_levels_match_single_levels():
 @given(st.integers(min_value=1, max_value=2000))
 def test_trapped_degeneracy_normalisation_random_level(n):
     # A cavity far beyond the level's support traps all of it: D_n integrates to n^2.
-    got = trapped_degeneracies([n], 1e12, Tolerance(rel=1e-11, abs=0.0, max_iter=10000))[0]
+    got = _trapped_levels([n], 1e12, Tolerance(rel=1e-11, abs=0.0, max_iter=10000))[0][0]
     assert got == pytest.approx(n * n, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("rhat", [100.0, 300.0, 2000.0])
+def test_trapped_levels_match_exact_oracle(rhat):
+    # Exact rational parts with e^{-X} at 40 + 4n digits, at the pass's own
+    # cut X = min(r_hat/n, 20n + 40): the full mass A is n^2 exactly, and
+    # each level lands within its 15/7 estimate plus 4 ulp of the exact
+    # value (the estimate does not cover rounding: at n = 1 the level is
+    # off by more than its estimate, by 1 ulp).
+    ns = [1, 2, 3, 5, 10, 20, 40, 60]
+    got, err = _trapped_levels(ns, rhat, Tolerance(rel=1e-12, abs=1e-280))
+    for n, g, e in zip(ns, got.tolist(), err.tolist()):
+        cut = min(rhat / n, 20.0 * n + 40.0)
+        full, exact = trapped_degeneracy_exact(n, cut)
+        assert full == n * n
+        assert abs(g - exact) <= e + 4.0 * math.ulp(g), n
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +446,7 @@ def test_trapped_degeneracy_limit():
         assert trapped_degeneracy_limit(rhat) == pytest.approx(integral(rhat), rel=1e-12)
     assert trapped_degeneracy_limit(1e4) == pytest.approx(636640081.12524, rel=1e-13)
     assert trapped_degeneracy_limit(0.0) == 0.0
-    g = trapped_degeneracies([400], 49.0, Tolerance(rel=1e-12, abs=1e-280))[0]
+    g = _trapped_levels([400], 49.0, Tolerance(rel=1e-12, abs=1e-280))[0][0]
     assert 400**3 * g == pytest.approx(trapped_degeneracy_limit(49.0), rel=1e-4)
     with pytest.raises(DomainError):
         trapped_degeneracy_limit(-1.0)

@@ -28,7 +28,6 @@ from kg5d.geometry import (
     covariant_laplacian_residual,
     expected_contractions,
     kg_fourier_residual,
-    kg_operator,
     lightcone_em_expansion_residual,
     smooth_lorentz_potential,
     verify_geometry,
@@ -50,6 +49,7 @@ from kg5d.geometry import (
 )
 from kg5d.numerics import fd_derivative, fit_convergence_order
 from kg5d.reduction import GridField
+from oracles import kg_operator
 
 Q_C2 = 0.3
 POINT = (0.45, 0.8, -0.3, 0.55)
@@ -472,23 +472,34 @@ def test_lorentz_guard_peak_memory():
 
 
 def _terms(field, *terms):
-    """``field``'s grid with the given (base array, x^5 profile) terms."""
+    """``field``'s grid with the given (``ProductBase``, x^5 profile) terms."""
     bases, profiles = zip(*terms)
-    return dataclasses.replace(field, bases=np.stack(bases), profiles=np.stack(profiles))
+    return dataclasses.replace(field, bases=bases, profiles=np.stack(profiles))
+
+
+def _factors(g):
+    """The four 1-D factors of a ``ProductBase``."""
+    return [np.ravel(f) for f in g._factors]
 
 
 def test_laplacian_residual_linearity():
-    # g = f rolled by 2 along x^1, plus 0.3: the roll acts on the base, the
-    # constant is a term of its own
+    # g = f rolled by 2 along x^1, plus 0.3: the roll acts on the base's x^1
+    # factor, the constant is a term of its own, a product of constants
     A = smooth_lorentz_potential()
     f = _test_field_5d(9)
-    base, profile = _base_array(f.bases[0]), f.profiles[0]
-    rolled, ones = np.roll(base, 2, axis=1), np.ones_like(profile)
-    g = _terms(f, (rolled, profile), (np.full_like(base, 0.3), ones))
+    (f0, f1, f2, f3), profile = _factors(f.bases[0]), f.profiles[0]
+    ones = np.ones_like(profile)
+
+    def constant(c):
+        return geometry.ProductBase(np.full_like(f0, c), ones, ones, ones)
+
+    rolled = geometry.ProductBase(f0, np.roll(f1, 2), f2, f3)
+    g = _terms(f, (rolled, profile), (constant(0.3), ones))
     ra = covariant_laplacian_residual(f, A, Q_C2)
     rb = covariant_laplacian_residual(g, A, Q_C2)
-    combo = _terms(f, (2.0 * base, profile), (0.5 * rolled, profile),
-                   (np.full_like(base, 0.15), ones))
+    combo = _terms(f, (geometry.ProductBase(2.0 * f0, f1, f2, f3), profile),
+                   (geometry.ProductBase(0.5 * f0, np.roll(f1, 2), f2, f3), profile),
+                   (constant(0.15), ones))
     rc = covariant_laplacian_residual(combo, A, Q_C2)
     assert rc <= 2.0 * ra + 0.5 * rb + 1e-12
 
@@ -500,17 +511,22 @@ def test_laplacian_gauge_guard():
         covariant_laplacian_residual(f, bad, Q_C2)
 
 
+_ONES = geometry.ProductBase(*[np.ones(5)] * 4)
+
+
 @pytest.mark.parametrize("bases, profiles, step", [
     (np.zeros((1, 5, 5, 5)), np.zeros((1, 5)), (0.1,) * 5),
-    (np.zeros((2, 5, 5, 5, 5)), np.zeros((1, 5)), (0.1,) * 5),
-    (np.zeros((0, 5, 5, 5, 5)), np.zeros((0, 5)), (0.1,) * 5),
-    (np.zeros((1, 5, 5, 5, 5)), np.zeros((1, 5)), (0.1,) * 4),
-    (np.zeros((1, 5, 5, 5, 5)), np.zeros((1, 5)), (0.1, 0.1, 0.1, 0.1, 0.0)),
-    (np.zeros((1, 5, 5, 5, 5)), np.full((1, 5), np.nan), (0.1,) * 5),
-    ((geometry.ProductBase(*[np.ones(5)] * 4),), np.zeros((2, 5)), (0.1,) * 5),
+    ((_ONES, _ONES), np.zeros((1, 5)), (0.1,) * 5),
     ((), np.zeros((0, 5)), (0.1,) * 5),
+    ((_ONES,), np.zeros((1, 5)), (0.1,) * 4),
+    ((_ONES,), np.zeros((1, 5)), (0.1, 0.1, 0.1, 0.1, 0.0)),
+    ((_ONES,), np.full((1, 5), np.nan), (0.1,) * 5),
+    ((_ONES,), np.zeros((2, 5)), (0.1,) * 5),
+    ((np.zeros((5, 5, 5, 5)),), np.zeros((1, 5)), (0.1,) * 5),
+    (np.zeros((1, 5, 5, 5, 5)), np.zeros((1, 5)), (0.1,) * 5),
+    ((_ONES, geometry.ProductBase(*[np.ones(6)] * 4)), np.zeros((2, 5)), (0.1,) * 5),
 ], ids=["3d-base", "term-counts-differ", "no-term", "four-steps", "zero-step", "nan",
-        "product-base-term-counts-differ", "no-product-base"])
+        "product-base-term-counts-differ", "no-product-base", "array-base", "shapes-differ"])
 def test_separated_field_refuses_bad_grids(bases, profiles, step):
     with pytest.raises(ConfigurationError):
         SeparatedField(bases=bases, profiles=profiles, step=step)
@@ -689,9 +705,9 @@ def test_kg_fourier_requires_lorentz():
 def _field_5d(size):
     h = 1.0 / (size - 1)
     axis = h * np.arange(size)
-    x = np.meshgrid(axis, axis, axis, axis, indexing="ij", sparse=True)
-    base = np.sin(1.2 * x[0] + 0.1) * np.cos(0.8 * x[1]) * np.sin(x[2] - 0.2) * np.cos(0.9 * x[3])
-    return SeparatedField(bases=base[None], profiles=(1.0 + 0.4 * np.sin(1.3 * axis))[None],
+    base = geometry.ProductBase(np.sin(1.2 * axis + 0.1), np.cos(0.8 * axis),
+                                np.sin(axis - 0.2), np.cos(0.9 * axis))
+    return SeparatedField(bases=(base,), profiles=(1.0 + 0.4 * np.sin(1.3 * axis))[None],
                           step=(h,) * 5)
 
 
@@ -793,7 +809,7 @@ def _whole_grid_lightcone_defect(field, A, q_over_c2):
     div = -d(a[0], 0) + d(a[1], 1) + d(a[2], 2) + d(a[3], 3)
     a2 = -a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2
     pairs = []
-    for g, p in zip(field.bases, field.profiles):
+    for g, p in zip(map(_base_array, field.bases), field.profiles):
         c_p = d(g, 0, 2) - d(d(g, 0), 0)
         c_1 = d(a[0] * g, 0) - a[0] * d(g, 0) + div * g
         for j in range(1, 4):
@@ -1036,10 +1052,10 @@ def test_lightcone_residual_walks_one_plane():
 
 def _two_terms(field):
     """``field`` plus a second smooth term with its own base and x^5 profile."""
-    x = np.meshgrid(*[field.coords(ax) for ax in range(4)], indexing="ij", sparse=True)
-    base = (np.cos(0.6 * x[0] - 0.3) * np.sin(0.8 * x[1] + 0.5) * np.cos(1.2 * x[2])
-            * np.sin(0.5 * x[3] + 0.7))
-    return _terms(field, (_base_array(field.bases[0]), field.profiles[0]),
+    x = [field.coords(ax) for ax in range(4)]
+    base = geometry.ProductBase(np.cos(0.6 * x[0] - 0.3), np.sin(0.8 * x[1] + 0.5),
+                                np.cos(1.2 * x[2]), np.sin(0.5 * x[3] + 0.7))
+    return _terms(field, (field.bases[0], field.profiles[0]),
                   (base, np.cos(2.1 * field.coords(4) - 0.3)))
 
 

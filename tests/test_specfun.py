@@ -1,8 +1,9 @@
 """Special-function tests.
 
-Oracles: scipy.special.eval_genlaguerre for the recurrences, mpmath.whitm at
-40 digits for the Whittaker assembly, and a three-regime erfc oracle (power
-series / self-quadrature / asymptotic series) independent of the C library.
+Oracles: scipy.special.eval_genlaguerre for the recurrence, mpmath.whitm at
+40 digits for the Whittaker combination, the two-branch large-degree
+asymptotics (``oracles``), and a three-regime erfc oracle (power series /
+self-quadrature / asymptotic series) independent of the C library.
 """
 
 import math
@@ -14,22 +15,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from kg5d.errors import DomainError, LaguerreOverflowError, TurningPointError
+from kg5d.errors import DomainError, LaguerreOverflowError
 from kg5d.numerics import Tolerance, fd_derivative, integrate
 from kg5d.specfun import (
-    AsymptoticBranch,
-    asymptotic_branch,
-    asymptotic_combo,
     bessel_j01,
     erfcx_minus_one,
     hurwitz_zeta,
-    laguerre,
+    _combo_arrays,
+    _combo_terms,
+    _scaled_laguerre_pair,
+)
+from oracles import (
+    AsymptoticBranch,
+    TurningPointError,
+    _varrho_prime,
+    asymptotic_branch,
+    asymptotic_combo,
     laguerre_asymptotic,
     varrho,
     varsigma,
-    whittaker_m_half,
-    _combo_arrays,
-    _scaled_laguerre_pair,
 )
 
 mp.mp.dps = 40
@@ -40,65 +44,49 @@ mp.mp.dps = 40
 # ---------------------------------------------------------------------------
 
 def test_laguerre_base_cases():
-    for x in (0.0, 0.3, 2.0, 17.5):
-        v, d1, d2 = laguerre(0, 1, x)
-        assert (v, d1, d2) == (1.0, 0.0, 0.0)
+    # L_{-1} = 0, L_0 = 1 and L_1^{(1)} = 2 - x exactly, with no rescaling
+    x = np.array([0.0, 0.3, 2.0, 17.5])
+    la, lb, ls = _scaled_laguerre_pair(1, x)
+    assert la.tolist() == [1.0] * 4 and lb.tolist() == [0.0] * 4 and ls.tolist() == [0.0] * 4
+    la, lb, ls = _scaled_laguerre_pair(2, x)
+    assert la.tolist() == (2.0 - x).tolist() and lb.tolist() == [1.0] * 4
+    assert ls.tolist() == [0.0] * 4
 
 
 def test_laguerre_quadratic_value():
-    # L_2^{(1)}(x) = 3 - 3x + x^2/2, so L_2^{(1)}(2) = -1.
-    v, d1, d2 = laguerre(2, 1, 2.0)
-    assert v == pytest.approx(-1.0, abs=1e-14)
-    assert d1 == pytest.approx(-3.0 + 2.0, abs=1e-14)
-    assert d2 == pytest.approx(1.0, abs=1e-14)
+    # L_2^{(1)}(x) = 3 - 3x + x^2/2, so L_2^{(1)}(2) = -1, L_1^{(1)}(2) = 0
+    # and x L_2^{(1)}'(2) = 2 (x - 3) = -2.
+    x = np.array([2.0])
+    la, lb, ls = _scaled_laguerre_pair(3, x)
+    assert la[0] * math.exp(ls[0]) == pytest.approx(-1.0, abs=1e-14)
+    assert lb[0] * math.exp(ls[0]) == pytest.approx(0.0, abs=1e-14)
+    w = _combo_terms(3, x, la, lb, ls)[0]
+    assert w[0] * math.exp(ls[0]) == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_laguerre_against_scipy():
+    # both values of the pair, out to x = 8n, past the turning point 4n
     rng = np.random.default_rng(3)
     for _ in range(60):
-        n = int(rng.integers(0, 60))
-        alpha = int(rng.integers(0, 4))
-        x = float(rng.uniform(0.0, 8.0 * max(n, 1)))
-        v, d1, d2 = laguerre(n, alpha, x)
-        assert v == pytest.approx(float(eval_genlaguerre(n, alpha, x)),
-                                  rel=1e-9, abs=1e-9)
-        if n >= 1:
-            assert d1 == pytest.approx(-float(eval_genlaguerre(n - 1, alpha + 1, x)),
-                                       rel=1e-9, abs=1e-9)
+        n = int(rng.integers(1, 61))
+        x = rng.uniform(0.0, 8.0 * n, size=3)
+        la, lb, ls = _scaled_laguerre_pair(n, x)
+        for values, degree in ((la, n - 1), (lb, n - 2)):
+            ref = eval_genlaguerre(degree, 1, x) if degree >= 0 else np.zeros_like(x)
+            np.testing.assert_allclose(values * np.exp(ls), ref, rtol=1e-9, atol=1e-9)
 
 
 def test_laguerre_derivative_vs_stencil():
+    # w = x L' = (n-1) L_{n-1} - n L_{n-2}, the form the combination uses,
+    # against differencing L_{n-1}^{(1)} itself
     h = 1e-3
-    for (n, alpha, x) in [(7, 1, 2.6), (12, 2, 9.1), (20, 1, 30.0)]:
+    for (n, x) in [(8, 2.6), (13, 9.1), (21, 30.0)]:
         xs = x + h * np.arange(-2, 3)
-        vals = np.array([laguerre(n, alpha, xx)[0] for xx in xs])
+        la, lb, ls = _scaled_laguerre_pair(n, xs)
+        vals = la * np.exp(ls)
+        w = _combo_terms(n, xs, la, lb, ls)[0] * np.exp(ls)
         d1_fd = fd_derivative(vals, 0, 1, h)[2]
-        d2_fd = fd_derivative(vals, 0, 2, h)[2]
-        v, d1, d2 = laguerre(n, alpha, x)
-        assert d1 == pytest.approx(d1_fd, rel=1e-5, abs=1e-6 * abs(v))
-        assert d2 == pytest.approx(d2_fd, rel=1e-4, abs=1e-4 * abs(v))
-
-
-def test_laguerre_ode_consistency():
-    # x y'' + (alpha + 1 - x) y' + n y = 0
-    for (n, alpha, x) in [(5, 1, 3.0), (15, 2, 22.0), (40, 1, 100.0)]:
-        v, d1, d2 = laguerre(n, alpha, x)
-        resid = x * d2 + (alpha + 1 - x) * d1 + n * v
-        assert abs(resid) < 1e-9 * max(abs(v), abs(x * d2))
-
-
-def test_laguerre_overflow_raises():
-    # oscillatory range carries e^{x/2}: past x ~ 1419 plain doubles overflow
-    with pytest.raises(LaguerreOverflowError) as info:
-        laguerre(400, 1, 1500.0)
-    assert info.value.n == 400 and info.value.x == 1500.0
-
-
-def test_laguerre_domain():
-    with pytest.raises(DomainError):
-        laguerre(-1, 1, 0.5)
-    with pytest.raises(DomainError):
-        laguerre(3, -1, 0.5)
+        assert w[2] / x == pytest.approx(d1_fd, rel=1e-5, abs=1e-6 * abs(vals[2]))
 
 
 def test_scaled_pair_matches_plain():
@@ -161,18 +149,14 @@ def test_per_point_degrees_match_per_degree_calls():
 # ---------------------------------------------------------------------------
 
 def test_whittaker_n1_closed_form():
-    # M_{1,1/2}(x) = x e^{-x/2}; derivatives and combo in closed form.
-    for x in np.geomspace(0.01, 40.0, 25):
-        m, m1, m2, combo = whittaker_m_half(1, float(x))
-        e = math.exp(-x / 2.0)
-        assert m == pytest.approx(x * e, rel=1e-12)
-        assert m1 == pytest.approx(e * (1.0 - x / 2.0), rel=1e-12, abs=1e-300)
-        assert m2 == pytest.approx(e * (x / 4.0 - 1.0), rel=1e-12)
-        assert combo == pytest.approx(math.exp(-x), rel=1e-12)
+    # M_{1,1/2}(x) = x e^{-x/2}, so M'^2 - M M'' = e^{-x}.
+    x = np.geomspace(0.01, 40.0, 25)
+    np.testing.assert_allclose(_combo_arrays(1, x), np.exp(-x), rtol=1e-12)
 
 
 def test_whittaker_small_argument_limit():
-    assert whittaker_m_half(3, 1e-12)[0] == pytest.approx(0.0, abs=1e-11)
+    # M'^2 - M M'' -> 1 as x -> 0, at every degree
+    assert _combo_arrays(3, np.array([1e-12]))[0] == pytest.approx(1.0, abs=1e-11)
 
 
 def test_whittaker_arrays_match_single_points_bitwise():
@@ -181,48 +165,22 @@ def test_whittaker_arrays_match_single_points_bitwise():
     x = np.array([0.01, 0.7, 3.0, 27.0, 110.0, 2500.0])
     degrees = np.array([1, 2, 5, 9, 30, 1000])
     for n in (7, degrees):
-        got = whittaker_m_half(n, x)
-        assert all(part.shape == x.shape for part in got)
+        got = _combo_arrays(n, x)
+        assert got.shape == x.shape
         for i, xi in enumerate(x.tolist()):
             ni = n if np.ndim(n) == 0 else int(n[i])
-            alone = whittaker_m_half(ni, xi)
-            for part, one in zip(got, alone):
-                assert part[i].tobytes() == one.tobytes()
+            assert got[i].tobytes() == _combo_arrays(ni, np.array([xi]))[0].tobytes()
 
 
 def test_whittaker_against_mpmath():
+    # M'^2 - M M'' is the density that Z_d and figure1 integrate
     cases = [(2, 3.1), (5, 3.0), (5, 27.0), (9, 0.4), (17, 60.0), (30, 110.0)]
     for n, x in cases:
-        m, m1, m2, combo = whittaker_m_half(n, x)
+        combo = _combo_arrays(n, np.array([x]))[0]
         f = lambda t: mp.whitm(n, mp.mpf(1) / 2, t)
-        m_ref = float(f(mp.mpf(x)))
-        m1_ref = float(mp.diff(f, mp.mpf(x), 1))
-        m2_ref = float(mp.diff(f, mp.mpf(x), 2))
         combo_ref = float(mp.diff(f, mp.mpf(x), 1) ** 2
                           - f(mp.mpf(x)) * mp.diff(f, mp.mpf(x), 2))
-        assert m == pytest.approx(m_ref, rel=1e-11, abs=1e-280)
-        assert m1 == pytest.approx(m1_ref, rel=1e-10, abs=1e-280)
-        assert m2 == pytest.approx(m2_ref, rel=1e-10, abs=1e-280)
         assert combo == pytest.approx(combo_ref, rel=1e-9, abs=1e-280)
-
-
-def test_whittaker_identity_and_stencil_consistency():
-    # Assembly must match (x/n) e^{-x/2} L_{n-1}^{(1)}(x) by construction and
-    # the derivative fields must agree with differencing the value field.
-    rng = np.random.default_rng(9)
-    for n in (1, 2, 5, 11, 23, 30):
-        x = float(rng.uniform(0.05, 7.9 * n))
-        m, m1, m2, _ = whittaker_m_half(n, x)
-        direct = (x / n) * math.exp(-x / 2.0) * eval_genlaguerre(n - 1, 1, x)
-        assert m == pytest.approx(direct, rel=1e-10, abs=1e-250)
-        h = 1e-3  # truncation ~ h^2/6, roundoff ~ 1e-15/h: both << tolerances
-        xs = x + h * np.arange(-2, 3)
-        vals = whittaker_m_half(n, xs)[0]
-        scale = max(abs(m), abs(m1), 1e-30)
-        assert fd_derivative(vals, 0, 1, h)[2] == pytest.approx(
-            m1, rel=2e-6, abs=1e-6 * scale)
-        assert fd_derivative(vals, 0, 2, h)[2] == pytest.approx(
-            m2, rel=1e-4, abs=1e-4 * scale)
 
 
 def test_wronskian_combo_positive():
@@ -235,22 +193,10 @@ def test_wronskian_combo_positive():
 
 def test_whittaker_combo_n5_positive_and_normalized():
     # combo(5, 3) > 0, and the degeneracy built from it integrates to 25.
-    assert whittaker_m_half(5, 3.0)[3] > 0.0
+    assert _combo_arrays(5, np.array([3.0]))[0] > 0.0
     val = integrate(lambda x: 0.5 * x * x * _combo_arrays(5, x), 0.0, 140.0,
                     Tolerance(rel=1e-11))
     assert val == pytest.approx(25.0, rel=1e-8)
-
-
-def test_whittaker_domain():
-    with pytest.raises(DomainError):
-        whittaker_m_half(0, 1.0)
-    with pytest.raises(DomainError):
-        whittaker_m_half(2, 0.0)
-    # on arrays, the first bad degree or point is named
-    with pytest.raises(DomainError, match="need integer n >= 1, got -1"):
-        whittaker_m_half(np.array([3, -1, 0]), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(DomainError, match="need x > 0, got nan"):
-        whittaker_m_half(2, np.array([1.0, np.nan, -1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +230,6 @@ def test_asymptotic_vs_recurrence_oscillatory():
     # The documented relative accuracy holds pointwise away from the cosine
     # zeros; near them the honest statement is agreement within an O(1/n)
     # fraction of the oscillation envelope.
-    from kg5d.specfun import _varrho_prime
-
     assert abs(laguerre_asymptotic(200, 1.0) / _exact_product(200, 200.0) - 1.0) < 1e-2
     for (n, r) in [(200, 1.0), (100, 2.0), (150, 3.0), (400, 0.5)]:
         exact = _exact_product(n, r * n)
