@@ -36,6 +36,7 @@ from .specfun import (_EULER_MACLAURIN, _combo_arrays, _combo_terms, _laguerre_l
 from .spectrum import ScaleSet, stat_energy
 
 _SQRT_PI = math.sqrt(math.pi)
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,14 @@ def _trapped_levels(ns, rhat_max: float, tol: Tolerance):
     step of one :func:`_laguerre_ladder` pass that reaches degree n - 1 gives
     level n its panel sums.  A level whose estimate sum |I15 - I7| misses
     ``tol``, or more than ``tol.max_iter`` panels, raise QuadratureError.
+
+    A level's error is that estimate plus an a-priori bound on the rounding
+    of its sum over P panels, gamma_m sum |terms| with
+    gamma_m = m u / (1 - m u), u = 2^-53 and m = P + 17: 15 roundings in a
+    panel's weighted sum, one in its half-width, P - 1 in the sum over
+    panels in any order, and two for the computed sum of magnitudes and
+    this product.  The Gauss-Legendre weights are positive, so
+    sum |terms| is the 15-point rule applied to |f|.
     """
     if math.isnan(rhat_max):
         raise DomainError("need a cavity radius r_hat, got nan")
@@ -200,6 +209,8 @@ def _trapped_levels(ns, rhat_max: float, tol: Tolerance):
                 raise QuadratureError(f"level {n}: error estimate {err[i]:.3g} over its"
                                       f" threshold {tol.threshold(g[i]):.3g}",
                                       estimate=float(g[i]), error_bound=float(err[i]))
+            mu = (p + 17) * _UNIT_ROUNDOFF
+            err[i] += mu / (1.0 - mu) * (half[:p] * (np.abs(fx[:, :15]) @ _W15)).sum()
     return g, err
 
 

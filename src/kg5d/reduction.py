@@ -23,16 +23,15 @@ Evolutions are sequential in the evolution parameter; grid fields are
 immutable once produced.  The evolvers check their arguments when called and
 return the ``steps + 1`` snapshots as a stream, each produced only when asked
 for; the Fourier state behind the stream is advanced in place.
-``continuity_residual`` reads such a stream once, holding j_tau of two
-snapshots and div j of the one between them and dropping each j_k once its
-term of div j is added, so it runs in O(points) memory whatever the number
-of steps.
+``continuity_residual`` reads those Fourier states directly: j_tau = |psi|^2
+and div j = a Im(psi* lap psi) of a snapshot cost two inverse transforms
+between them, and it holds j_tau of two snapshots and div j of the one
+between them, so it runs in O(points) memory whatever the number of steps.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
@@ -100,9 +99,9 @@ def _derivative(grid: GridField, values: np.ndarray, axis: int, order: int) -> n
         return fd_derivative(values, axis, order, grid.step[axis])
     shape = [1] * values.ndim
     shape[axis] = -1
-    mult = _spectral_symbol(values.shape[axis], grid.step[axis], order).reshape(shape)
+    mult = (1j * _wavenumbers(values.shape[axis], grid.step[axis])) ** order
     transform = np.fft.fft(values, axis=axis)
-    np.multiply(mult, transform, out=transform)
+    np.multiply(mult.reshape(shape), transform, out=transform)
     return np.fft.ifft(transform, axis=axis, out=transform)
 
 
@@ -111,17 +110,11 @@ def _wavenumbers(points: int, step: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.fftfreq(points, d=step)
 
 
-@functools.lru_cache(maxsize=16)
-def _spectral_symbol(points: int, step: float, order: int) -> np.ndarray:
-    """(i k)^order on the FFT grid of ``points`` samples ``step`` apart, built
-    once per grid and order and shared read-only."""
-    mult = (1j * _wavenumbers(points, step)) ** order
-    mult.flags.writeable = False
-    return mult
-
-
 def _k_squared(f: GridField) -> np.ndarray:
-    """Symbol of -lap on the FFT grid of ``f``: the sum over axes of k^2."""
+    """Symbol of -lap on the FFT grid of ``f``: the sum over axes of k^2.
+    A field that is not periodic raises ``ConfigurationError``."""
+    if f.boundary != "periodic":
+        raise ConfigurationError("evolution needs periodic boundaries")
     total = np.zeros(f.values.shape)
     for ax in range(f.values.ndim):
         shape = [1] * f.values.ndim
@@ -133,26 +126,24 @@ def _k_squared(f: GridField) -> np.ndarray:
 def _evolve(psi0: GridField, span: float, coeff: complex, steps: int) -> Iterator[GridField]:
     """Shared core: d/dt psi = coeff * lap psi, periodic, any dimension.
 
-    Checks the arguments at call time (:func:`_multiplier`) and returns a
-    generator of the ``steps + 1`` snapshots, psi0 first, each produced only
-    when asked for, so a consumer that keeps none of them needs O(points)
-    memory.
+    Checks the arguments at call time (:func:`_k_squared`,
+    :func:`_multiplier`) and returns a generator of the ``steps + 1``
+    snapshots, psi0 first, each produced only when asked for, so a consumer
+    that keeps none of them needs O(points) memory.
     """
-    mult = _multiplier(psi0, span, coeff, steps)
+    mult = _multiplier(_k_squared(psi0), span, coeff, steps)
     return (psi0.with_values(np.fft.ifftn(state)) if i else psi0
             for i, state in enumerate(_fourier_states(psi0, mult, steps)))
 
 
-def _multiplier(psi0: GridField, span: float, coeff: complex, steps: int) -> np.ndarray:
+def _multiplier(k_squared: np.ndarray, span: float, coeff: complex, steps: int) -> np.ndarray:
     """The Fourier factor exp(-coeff k^2 dt) by which one step of ``_evolve``
     multiplies every mode, after checking the arguments."""
-    if psi0.boundary != "periodic":
-        raise ConfigurationError("evolution needs periodic boundaries")
     if steps < 1:
         raise ConfigurationError("steps must be >= 1")
     if not span >= 0:
         raise ConfigurationError("evolution span must be non-negative")
-    return np.exp(-coeff * _k_squared(psi0) * (span / steps))
+    return np.exp(-coeff * k_squared * (span / steps))
 
 
 def _fourier_states(psi0: GridField, mult: np.ndarray, steps: int) -> Iterator[np.ndarray]:
@@ -202,48 +193,49 @@ def _last(snapshots: Iterable[GridField]) -> GridField:
     return collections.deque(snapshots, maxlen=1)[0]
 
 
-def _current_component(s: GridField, a: float, axis: int) -> np.ndarray:
-    """j_k = a Im(psi* d_k psi) of one snapshot, for k = ``axis``."""
-    psi = s.values
-    d = _derivative(s, psi, axis, 1)
-    return a * np.imag(np.multiply(np.conj(psi), d, out=d))
-
-
-def continuity_residual(snapshots: Iterable[GridField], a: float, dt: float) -> float:
-    """max|d j_tau/dtau + div j| over the interior of a snapshot stream.
+def continuity_residual(
+    psi0: GridField, lambda_hat: float, span: float, steps: int, *, c: float = 1.0,
+) -> float:
+    """max|d j_tau/dtau + div j| over the interior of the Schroedinger
+    evolution of psi0 over ``span`` in ``steps`` steps.
 
     The current of a snapshot is j_tau = |psi|^2 >= 0 and
-    j_k = a Im(psi* d_k psi), with a = c lhat for the Schroedinger stream.
-    (j_tau, j_k) is tied to the light-cone slicing and is not a four-vector;
-    no Lorentz transformation of it is defined here.  d j_tau/dtau is the
-    central difference over snapshots ``dt`` apart, so the residual
-    converges at the scheme order under simultaneous refinement.
+    j_k = a Im(psi* d_k psi), with a = c lhat.  (j_tau, j_k) is tied to the
+    light-cone slicing and is not a four-vector; no Lorentz transformation
+    of it is defined here.  Since |grad psi|^2 is real, div j is
+    a Im(psi* lap psi) for any psi, so no j_k is formed: each snapshot's psi
+    and lap psi are inverse transforms of the evolver's Fourier state and of
+    -k^2 times it.  d j_tau/dtau is the central difference over snapshots
+    span/steps apart.  The spectral flow keeps d|psi|^2/dtau + div j = 0 at
+    every tau, so the residual is that difference's O(dt^2) error.
 
-    The stream is read once, holding only what the difference reads: j_tau
-    of the middle snapshot's two neighbours and its div j.  No j_k outlives
-    its term of div j.  The first snapshot's div j would not be read and is
-    not formed.  The last one's is formed and not read: knowing a snapshot
-    is the last takes a look-ahead that holds one more complex snapshot,
-    which would raise the peak memory of verify-reduction.  A stream of
-    fewer than three snapshots raises ``ConfigurationError``.
+    The states are read once, holding only what the difference reads: j_tau
+    of the middle snapshot's two neighbours and its div j.  The first
+    snapshot's psi is psi0 itself, and neither the first nor the last one's
+    div j is read or formed: S steps take one forward and 2S - 1 inverse
+    transforms.  Fewer than two steps raise ``ConfigurationError``.
     """
+    if steps < 2:
+        raise ConfigurationError("the continuity check needs steps >= 2 (three snapshots)")
+    k_squared = _k_squared(psi0)
+    mult = _multiplier(k_squared, span, 1j * c * lambda_hat / 2.0, steps)
+    dt = span / steps
     older = old = div = None
     residual = 0.0
-    count = 0
-    for count, s in enumerate(snapshots, 1):
-        new = np.abs(s.values) ** 2
+    for i, state in enumerate(_fourier_states(psi0, mult, steps)):
+        psi = np.fft.ifftn(state) if i else psi0.values
+        new = np.abs(psi) ** 2
         if older is not None:
             djdt = np.subtract(new, older, out=older)  # older is not read again
             djdt /= 2.0 * dt
             djdt += div
             residual = max(residual, float(np.max(np.abs(djdt, out=djdt))))
-        if old is not None:  # no difference is centred on the first snapshot
-            div = np.zeros(s.values.shape)  # the middle's div is not read again
-            for ax in range(s.values.ndim):
-                div += np.real(_derivative(s, _current_component(s, a, ax), ax, 1))
+        if 0 < i < steps:  # a middle snapshot: div j = -a Im(psi* ifft(k^2 state))
+            lap = np.multiply(state, k_squared)
+            np.fft.ifftn(lap, out=lap)  # -lap psi
+            div = (-c * lambda_hat) * np.imag(np.multiply(np.conj(psi, out=psi), lap, out=lap))
+            del lap  # before the next snapshot's psi is allocated
         older, old = old, new
-    if count < 3:
-        raise ConfigurationError("need at least three snapshots for the continuity check")
     return residual
 
 
@@ -397,15 +389,17 @@ def projected_peak_bytes(points: int, steps: int) -> int:
     """Bytes ``verify_reduction(points=points, steps=steps)`` allocates at
     its peak, in closed form.
 
-    The peak falls in the continuity check, where beside psi0, the
-    evolver's Fourier state and multiplier and one snapshot, the three
-    real arrays of the difference are held and a j_k is formed from a
-    complex derivative: about 9.5 complex arrays of ``points`` values in a
-    fresh process, where the FFT plans of that size are new too, 8.5 in one
-    that has run before.  The formula takes 10, adds the step table's three
+    The peak falls in the continuity check, at a middle snapshot's div j:
+    psi0, the evolver's Fourier state and multiplier, the snapshot's psi
+    and its -lap psi are five complex arrays of ``points`` values, and k^2,
+    the difference's three real arrays and the div j being replaced six
+    real ones, about 8 complex arrays in all (measured: 8.0 to 8.1 from
+    65536 points on, 8.6 at 16384 in a fresh process, where the FFT plans
+    of that size are new too).  The formula takes 10, adds the step table's three
     columns, 24 bytes a snapshot, and 256 KiB for the fixed-size checks
-    (the 512-point diffusion run among them).  The test suite checks the
-    bound against tracemalloc.
+    (the 512-point diffusion run among them).  The margin is kept because
+    the process grows by more than numpy allocates.  The test suite checks
+    the bound against tracemalloc.
     """
     return 16 * 10 * points + 24 * (steps + 1) + 2**18
 
@@ -453,7 +447,7 @@ def _norms(psi0: GridField, lhat: float, c: float, steps: int) -> np.ndarray:
     ||psi||^2 = (h / N) sum_k |Psi_k|^2 with h the cell volume, so each
     norm is read from the Fourier state and no snapshot is transformed back.
     """
-    mult = _multiplier(psi0, 2.0, 1j * c * lhat / 2.0, steps)
+    mult = _multiplier(_k_squared(psi0), 2.0, 1j * c * lhat / 2.0, steps)
     scale = psi0.cell_volume / psi0.values.size
     return np.fromiter((np.sqrt(np.sum(np.abs(state) ** 2) * scale)
                         for state in _fourier_states(psi0, mult, steps)),
@@ -485,8 +479,7 @@ def _short_checks(psi0: GridField, lhat: float, c: float, box: float) -> tuple[d
     resids = []
     dts = []
     for nsteps in (16, 32, 64):
-        snaps = evolve_schrodinger(psi0, 1.0, lhat, nsteps, c=c)
-        resids.append(continuity_residual(snaps, c * lhat, 1.0 / nsteps))
+        resids.append(continuity_residual(psi0, lhat, 1.0, nsteps, c=c))
         dts.append(1.0 / nsteps)
     continuity_order = fit_convergence_order(dts, resids)
 

@@ -8,7 +8,9 @@ the package computes another way:
 * the substituted Klein-Gordon operator on a 4D grid field, against whose
   form ``geometry.kg_fourier_residual`` checks the divergence term;
 * the trapped degeneracies in exact rational arithmetic, against
-  ``canonical._trapped_levels``' quadrature.
+  ``canonical._trapped_levels``' quadrature;
+* the continuity residual from the currents j_k themselves, against
+  ``reduction.continuity_residual``'s closed form div j = a Im(psi* lap psi).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from kg5d.errors import DomainError, LaguerreOverflowError
 from kg5d.geometry import _ETA_DIAG, Potential, _grid_coords
-from kg5d.reduction import GridField, _derivative
+from kg5d.reduction import GridField, _derivative, evolve_schrodinger
 
 
 class TurningPointError(DomainError):
@@ -204,6 +206,29 @@ def kg_operator(psi: GridField, A: Potential, q_over_c2: float, inv_lambda: floa
         a2 = a2 + _ETA_DIAG[mu] * a[mu]**2
     out += (-1j * b * div - b * b * a2 - inv_lambda**2) * f
     return out
+
+
+# ---------------------------------------------------------------------------
+# Continuity from the currents
+# ---------------------------------------------------------------------------
+
+def continuity_residual_from_currents(
+    psi0: GridField, lambda_hat: float, span: float, steps: int, *, c: float = 1.0,
+) -> float:
+    """max|d j_tau/dtau + div j| over the interior of the Schroedinger
+    stream, every snapshot kept: j_k = a Im(psi* d_k psi) by a spectral
+    derivative of psi, and div j by a second spectral derivative of each
+    j_k (a = c lhat), all currents formed before the first difference."""
+    a = c * lambda_hat
+    snaps = list(evolve_schrodinger(psi0, span, lambda_hat, steps, c=c))
+    j_tau = [np.abs(s.values) ** 2 for s in snaps]
+    div = [sum(np.real(_derivative(s, a * np.imag(np.conj(s.values)
+                                                  * _derivative(s, s.values, ax, 1)), ax, 1))
+               for ax in range(s.values.ndim))
+           for s in snaps]
+    dt = span / steps
+    return max(float(np.max(np.abs((j_tau[i + 1] - j_tau[i - 1]) / (2.0 * dt) + div[i])))
+               for i in range(1, steps))
 
 
 # ---------------------------------------------------------------------------
