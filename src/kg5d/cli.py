@@ -210,7 +210,12 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
 # ``json.dump(doc, fh, indent=2, allow_nan=True)`` write.  ``_emit`` writes a
 # command's files in the order ``_ARTIFACTS`` declares.
 
-_CHUNK_ROWS = 2048
+# Rows a chunk holds.  On a 2-core x86-64 with Python 3.11 and numpy 2.4,
+# spectrum --n-max 300 (45,450 rows) as a process peaked at 33.2, 31.5 and
+# 31.6 MB of RSS with chunks of 2048, 512 and 256 rows, its writers at 1.85,
+# 0.49 and 0.27 MiB of tracemalloc, and n_max 1000 took 3.26, 3.31 and
+# 3.59 s: below 512 rows the per-chunk overhead costs time and saves no RSS.
+_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,8 @@ Evolutions are sequential in the evolution parameter; grid fields are
 immutable once produced.  The evolvers check their arguments when called and
 return the ``steps + 1`` snapshots as a stream, each produced only when asked
 for; the Fourier state behind the stream is advanced in place.
-``continuity_residual`` reads those Fourier states directly: j_tau = |psi|^2
-and div j = a Im(psi* lap psi) of a snapshot cost two inverse transforms
-between them, and it holds j_tau of two snapshots and div j of the one
-between them, so it runs in O(points) memory whatever the number of steps.
+``continuity_residual`` reads those Fourier states directly, into buffers
+allocated once, so it runs in O(points) memory whatever the number of steps.
 """
 
 from __future__ import annotations
@@ -119,7 +117,7 @@ def _k_squared(f: GridField) -> np.ndarray:
     for ax in range(f.values.ndim):
         shape = [1] * f.values.ndim
         shape[ax] = -1
-        total = total + f.wavenumbers(ax).reshape(shape) ** 2
+        total += f.wavenumbers(ax).reshape(shape) ** 2
     return total
 
 
@@ -138,12 +136,15 @@ def _evolve(psi0: GridField, span: float, coeff: complex, steps: int) -> Iterato
 
 def _multiplier(k_squared: np.ndarray, span: float, coeff: complex, steps: int) -> np.ndarray:
     """The Fourier factor exp(-coeff k^2 dt) by which one step of ``_evolve``
-    multiplies every mode, after checking the arguments."""
+    multiplies every mode, formed in place (real for a real ``coeff``),
+    after checking the arguments."""
     if steps < 1:
         raise ConfigurationError("steps must be >= 1")
     if not span >= 0:
         raise ConfigurationError("evolution span must be non-negative")
-    return np.exp(-coeff * k_squared * (span / steps))
+    mult = np.multiply(-coeff, k_squared)
+    mult *= span / steps
+    return np.exp(mult, out=mult)
 
 
 def _fourier_states(psi0: GridField, mult: np.ndarray, steps: int) -> Iterator[np.ndarray]:
@@ -209,10 +210,11 @@ def continuity_residual(
     span/steps apart.  The spectral flow keeps d|psi|^2/dtau + div j = 0 at
     every tau, so the residual is that difference's O(dt^2) error.
 
-    The states are read once, holding only what the difference reads: j_tau
-    of the middle snapshot's two neighbours and its div j.  The first
-    snapshot's psi is psi0 itself, and neither the first nor the last one's
-    div j is read or formed: S steps take one forward and 2S - 1 inverse
+    The states are read once, through buffers allocated before the first
+    (psi, lap psi, div j and three j_tau arrays that take turns), by the
+    ufuncs of an allocating loop in its order; the difference reads div j
+    before the next is formed.  psi0 is the first psi, and neither end
+    snapshot's div j is formed: S steps take one forward and 2S - 1 inverse
     transforms.  Fewer than two steps raise ``ConfigurationError``.
     """
     if steps < 2:
@@ -220,22 +222,23 @@ def continuity_residual(
     k_squared = _k_squared(psi0)
     mult = _multiplier(k_squared, span, 1j * c * lambda_hat / 2.0, steps)
     dt = span / steps
-    older = old = div = None
+    psi, lap = np.empty_like(mult), np.empty_like(mult)
+    older, old, new, div = (np.empty_like(k_squared) for _ in range(4))
     residual = 0.0
     for i, state in enumerate(_fourier_states(psi0, mult, steps)):
-        psi = np.fft.ifftn(state) if i else psi0.values
-        new = np.abs(psi) ** 2
-        if older is not None:
-            djdt = np.subtract(new, older, out=older)  # older is not read again
+        src = np.fft.ifftn(state, out=psi) if i else psi0.values
+        np.square(np.abs(src, out=new), out=new)
+        if i >= 2:  # the middle snapshot i - 1: older is not read again
+            djdt = np.subtract(new, older, out=older)
             djdt /= 2.0 * dt
             djdt += div
             residual = max(residual, float(np.max(np.abs(djdt, out=djdt))))
         if 0 < i < steps:  # a middle snapshot: div j = -a Im(psi* ifft(k^2 state))
-            lap = np.multiply(state, k_squared)
+            np.multiply(state, k_squared, out=lap)
             np.fft.ifftn(lap, out=lap)  # -lap psi
-            div = (-c * lambda_hat) * np.imag(np.multiply(np.conj(psi, out=psi), lap, out=lap))
-            del lap  # before the next snapshot's psi is allocated
-        older, old = old, new
+            np.multiply(np.conj(psi, out=psi), lap, out=lap)
+            np.multiply(-c * lambda_hat, lap.imag, out=div)
+        older, old, new = old, new, older
     return residual
 
 
@@ -357,14 +360,23 @@ def propagator_composition_check(
 # ---------------------------------------------------------------------------
 
 def gaussian_packet(n: int, box: float, sigma: float, k0: float = 0.0) -> GridField:
-    """Normalized 1-D Gaussian packet centred in a periodic box."""
+    """Normalized 1-D Gaussian packet centred in a periodic box, each array
+    formed in place by the operations of
+    c exp(-x^2 / (4 sigma^2)) exp(i k0 x), x = -box/2 + h k."""
     if n < 1:
         raise ConfigurationError(f"points must be >= 1, got {n}")
     h = box / n
-    x = -0.5 * box + h * np.arange(n)
-    psi = (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(-x * x / (4.0 * sigma**2))
+    x = np.arange(n, dtype=float)
+    x *= h
+    x += -0.5 * box
+    psi = np.negative(x)
+    psi *= x
+    psi /= 4.0 * sigma**2
+    np.exp(psi, out=psi)
+    psi *= (2.0 * math.pi * sigma**2) ** -0.25
     if k0:
-        psi = psi * np.exp(1j * k0 * x)
+        phase = np.multiply(1j * k0, x)
+        psi = np.multiply(psi, np.exp(phase, out=phase), out=phase)
     return GridField(values=psi, step=(h,), origin=(-0.5 * box,), boundary="periodic")
 
 
@@ -389,17 +401,16 @@ def projected_peak_bytes(points: int, steps: int) -> int:
     """Bytes ``verify_reduction(points=points, steps=steps)`` allocates at
     its peak, in closed form.
 
-    The peak falls in the continuity check, at a middle snapshot's div j:
-    psi0, the evolver's Fourier state and multiplier, the snapshot's psi
-    and its -lap psi are five complex arrays of ``points`` values, and k^2,
-    the difference's three real arrays and the div j being replaced six
-    real ones, about 8 complex arrays in all (measured: 8.0 to 8.1 from
-    65536 points on, 8.6 at 16384 in a fresh process, where the FFT plans
-    of that size are new too).  The formula takes 10, adds the step table's three
-    columns, 24 bytes a snapshot, and 256 KiB for the fixed-size checks
-    (the 512-point diffusion run among them).  The margin is kept because
-    the process grows by more than numpy allocates.  The test suite checks
-    the bound against tracemalloc.
+    The peak falls in the continuity check's loop: psi0, the Fourier state,
+    the multiplier and the psi and lap psi buffers are five complex arrays
+    of ``points`` values, k^2, the three j_tau buffers and div j five real
+    ones, and numpy casts k^2 to complex for the lap product through a
+    buffer of at most 8192 values: 7.5 complex arrays and that buffer
+    (measured: 7.63 at 65536 points, 7.95 at 16384).  The formula takes 10,
+    adds the step table's three columns, 24 bytes a snapshot, and 256 KiB
+    for the fixed-size checks (the 512-point diffusion run among them).  The
+    margin is kept because the process grows by more than numpy allocates.
+    The test suite checks the bound against tracemalloc.
     """
     return 16 * 10 * points + 24 * (steps + 1) + 2**18
 
@@ -414,15 +425,17 @@ def verify_reduction(*, points: int = 256, steps: int = 64) -> dict:
     semigroup composition defect.
 
     The evolutions are read as streams and no snapshot is kept: the
-    continuity difference holds j_tau of two snapshots and div j of the
-    one between them (:func:`continuity_residual`), so memory is
-    O(points) and independent of ``steps``; only the returned step table
-    grows with ``steps``: the columns step, norm and |norm - norm_0|, one
-    entry per snapshot.  The norms are read from the Fourier states (:func:`_norms`),
-    so the ``steps``-long stream takes no inverse transform.  Before
-    allocating anything, a run whose ``projected_peak_bytes`` exceeds what
-    may still be allocated is refused (``numerics.check_memory``).
+    continuity check reads them into buffers allocated once
+    (:func:`continuity_residual`), so memory is O(points) and independent
+    of ``steps``; only the returned step table grows with ``steps``: the
+    columns step, norm and |norm - norm_0|, one entry per snapshot.  The
+    norms are read from the Fourier states (:func:`_norms`), so the
+    ``steps``-long stream takes no inverse transform.  With numpy.fft
+    loaded and nothing yet allocated, a run whose ``projected_peak_bytes``
+    exceeds what may still be allocated is refused
+    (``numerics.check_memory``).
     """
+    import numpy.fft  # noqa: F401  not at the top: verify-geometry imports this module
     check_memory("verify-reduction", projected_peak_bytes(points, steps),
                  f"points {points}, steps {steps}")
     lhat, c = 0.7, 1.3
@@ -445,11 +458,13 @@ def _norms(psi0: GridField, lhat: float, c: float, steps: int) -> np.ndarray:
 
     By Parseval's identity for the unnormalised FFT of N points,
     ||psi||^2 = (h / N) sum_k |Psi_k|^2 with h the cell volume, so each
-    norm is read from the Fourier state and no snapshot is transformed back.
+    norm is read from the Fourier state, its |Psi_k|^2 formed in one buffer,
+    and no snapshot is transformed back.
     """
     mult = _multiplier(_k_squared(psi0), 2.0, 1j * c * lhat / 2.0, steps)
     scale = psi0.cell_volume / psi0.values.size
-    return np.fromiter((np.sqrt(np.sum(np.abs(state) ** 2) * scale)
+    power = np.empty(psi0.values.shape)
+    return np.fromiter((np.sqrt(np.sum(np.square(np.abs(state, out=power), out=power)) * scale)
                         for state in _fourier_states(psi0, mult, steps)),
                        dtype=float, count=steps + 1)
 

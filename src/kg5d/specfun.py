@@ -77,8 +77,8 @@ def _laguerre_ladder(x: np.ndarray, live):
         np.subtract(t, prev, out=prev)
         prev /= k + 1
         prev, cur = cur, prev
-        big = np.abs(cur) > _RESCALE_TRIGGER
-        if big.any():
+        big = np.flatnonzero(np.abs(cur) > _RESCALE_TRIGGER)
+        if big.size:
             cur[big] *= _RESCALE_FACTOR
             prev[big] *= _RESCALE_FACTOR
             lk[big] += _RESCALE_LOG
@@ -113,27 +113,34 @@ def _combo_terms(n, x: np.ndarray, la, lb, log_scale):
     """(w, M'^2 - M M'') from the scaled Laguerre pair, with w = x L'.
 
     Uses x*L' = (n-1) L_{n-1} - n L_{n-2} so no division by x appears; the
-    x -> 0 limit of the combination is exactly 1.
+    x -> 0 limit of the combination is exactly 1.  Where the exponent
+    2 log_scale - x is below -745, e^expo underflows to 0 while the bracket
+    can be as large as 1e263: there log|bracket / n^2| is folded into the
+    exponent, so the value underflows only where it is itself below the
+    doubles.
     """
     w = (n - 1) * la - n * lb
     bracket = (1.0 + (n - 1) * x) * la * la - (x - 2.0) * la * w + w * w
-    return w, bracket * np.exp(_scale_exponent(n, x, 2.0 * log_scale - x)) / (n * n)
+    expo = _checked_exponent(n, x, 2.0 * log_scale - x)
+    combo = bracket * np.exp(expo) / (n * n)
+    low = expo < -745.0
+    if low.any():
+        combo, b = np.asarray(combo), bracket[low]
+        nn = np.broadcast_to(n * n, low.shape)[low]
+        combo[low] = np.copysign(np.exp(expo[low] + np.log(np.abs(b) / nn)), b)
+    return w, combo
 
 
-def _scale_exponent(n, x: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    """``expo`` raised to at least -745, checked against overflow.
-
-    exp(-745) is the smallest subnormal, so an underflowing term stays a
-    positive subnormal as it always has.  An exponent above 700 raises
+def _checked_exponent(n, x: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    """``expo``, checked against overflow: an exponent above 700 raises
     :class:`LaguerreOverflowError` at its first point instead of being
-    clamped to a wrong finite value.
-    """
+    clamped to a wrong finite value."""
     over = expo > 700.0
     if over.any():
         i = int(np.argmax(over.ravel()))
         deg = int(np.broadcast_to(n, x.shape).ravel()[i])
         raise LaguerreOverflowError(deg, float(x.ravel()[i]))
-    return np.maximum(expo, -745.0)
+    return expo
 
 
 def _combo_arrays(n, x: np.ndarray) -> np.ndarray:

@@ -450,6 +450,42 @@ def test_verify_reduction_peak_memory():
     assert peak <= 3.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("coeff", [0.65, 0.455j])
+def test_multiplier_formed_in_place(coeff):
+    # one array of the result's size: the bits and dtype of the allocating
+    # expression (real for Fokker-Planck's real coefficient), at a tracemalloc
+    # peak of 1.0x the result where that expression's was 2.0x.  numpy casts
+    # k^2 to complex through a fixed buffer of 8192 values (128 KiB), 1/16
+    # of the result at 2^17 points.
+    psi0 = gaussian_packet(2**17, 40.0, 1.0)
+    k_squared = reduction._k_squared(psi0)
+    want = np.exp(-coeff * k_squared * (1.0 / 64))
+    tracemalloc.start()
+    try:
+        got = reduction._multiplier(k_squared, 1.0, coeff, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == want.dtype == (complex if isinstance(coeff, complex) else float)
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 1.1 * got.nbytes, peak / got.nbytes
+
+
+def test_in_place_packet_and_k_squared_keep_their_bits():
+    # the allocating expressions they replaced, on a 2-D grid for k^2
+    n, box, sigma, k0 = 1000, 40.0, 1.3, 0.9
+    h = box / n
+    x = -0.5 * box + h * np.arange(n)
+    real = (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(-x * x / (4.0 * sigma**2))
+    assert gaussian_packet(n, box, sigma).values.tobytes() == real.tobytes()
+    assert (gaussian_packet(n, box, sigma, k0).values.tobytes()
+            == (real * np.exp(1j * k0 * x)).tobytes())
+    f = GridField(values=np.zeros((12, 10)), step=(0.3, 0.7))
+    kx, ky = (2.0 * math.pi * np.fft.fftfreq(m, d=d) for m, d in ((12, 0.3), (10, 0.7)))
+    want = np.zeros((12, 10)) + kx.reshape(-1, 1) ** 2 + ky.reshape(1, -1) ** 2
+    assert reduction._k_squared(f).tobytes() == want.tobytes()
+
+
 def test_fourier_states_advance_in_place():
     # each yielded state is the one array, valid until the next step
     psi0 = gaussian_packet(64, 20.0, 1.0, k0=1.0)

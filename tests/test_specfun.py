@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
+from kg5d.canonical import dn_scaled_grid, figure1_curves
 from kg5d.errors import DomainError, LaguerreOverflowError
 from kg5d.numerics import Tolerance, fd_derivative, integrate
 from kg5d.specfun import (
@@ -407,8 +408,33 @@ def test_scaled_exponent_overflow_raises_instead_of_clamping():
     assert (info.value.n, info.value.x) == (1, -800.0)
     with pytest.raises(LaguerreOverflowError):
         _combo_arrays(2, np.array([-1500.0]))
-    # the underflow side still clips, at e^{-745}, and does not raise
-    assert 0.0 < _combo_arrays(1, np.array([2000.0]))[0] < 1e-320
+    # the underflow side neither raises nor clips: e^{-2000} is 0 in doubles
+    # (it used to be raised to e^{-745}, the smallest subnormal)
+    assert _combo_arrays(1, np.array([2000.0]))[0] == 0.0
+
+
+# Tolerance, fixed before the points were run: the recurrence keeps about
+# 1e-12 relative on normal doubles, so 1e-10 is allowed; a combination below
+# the normal range is rounded to a multiple of the smallest subnormal
+# 2^-1074, so D_n may further miss by half of that times its factor r^2 n / 2.
+UNDERFLOW_RTOL = 1e-10
+
+
+@pytest.mark.parametrize("n, r", [(2332, 5.0), (1200, 5.0), (1000, 4.62125)])
+def test_densities_past_the_exponent_floor_against_mpmath(n, r):
+    # e^{2 log_scale - x} is below e^{-745} at these points while the
+    # bracket is up to 1e263: clipping the exponent to -745 returned
+    # 4.4e-68, 2.0e-128 and 1.8e-71 here
+    x = mp.mpf(r) * n
+    la, lb = mp.laguerre(n - 1, 1, x), mp.laguerre(n - 2, 1, x)
+    w = (n - 1) * la - n * lb
+    bracket = (1 + (n - 1) * x) * la * la - (x - 2) * la * w + w * w
+    want = float(r * r * n / 2 * mp.exp(-x) * bracket / (n * n))
+    slack = UNDERFLOW_RTOL * want + r * r * n / 4 * 2.0**-1074
+    got = dn_scaled_grid(n, np.array([r]))[0]
+    assert abs(got - want) <= slack, (got, want)
+    assert figure1_curves([n], np.array([r]))[0].values[0] == got
+    assert dn_scaled_grid(np.array([3, n]), np.array([1.0, r]))[1] == got  # a degree per point
 
 
 # ---------------------------------------------------------------------------
