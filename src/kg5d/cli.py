@@ -10,7 +10,9 @@ verify-geometry  metric/Christoffel/operator identity suite
 verify-reduction light-cone evolution suite
 
 Configuration comes from an optional flat key=value file plus flags (flags
-win).  Unknown config keys are rejected.  Every emitted file embeds the full
+win).  A config file may set any key, since one file may serve several
+commands; a command line takes only the flags of the settings its command
+reads.  Unknown config keys are rejected.  Every emitted file embeds the full
 resolved configuration, floats are printed with 17 significant digits, and
 all sums run in fixed order, so identical configurations produce
 byte-identical artifacts.
@@ -43,29 +45,6 @@ from .spectrum import ScaleSet, kg_energies, stat_energy, stat_wavelengths
 
 SCHEMA_VERSION = 1
 
-_DEFAULTS = {
-    "output_dir": None,     # resolved via env or cwd
-    "formats": "csv,json",
-    "rel_tol": 1e-10,
-    "abs_tol": 0.0,
-    "max_iter": 10000,
-    "z": 1,
-    "alpha": 0.0072973525693,
-    "coupling": 0.01,       # lambda*/Lambda
-    "eta0": 1.0,
-    "r_over_rho": 50.0,
-    "n_max": 5,
-    "n_list": "1,10,100,1000",
-    "r_max": 5.0,
-    "r_points": 251,
-    "grid": 9,
-    "refine": 3,
-    "points": 256,
-    "steps": 64,
-}
-
-_TYPES = {k: type(v) if v is not None else str for k, v in _DEFAULTS.items()}
-
 # The files each command writes, <command>.<format> with '_' for '-', in the
 # order it writes them and prints their paths; --formats selects among them.
 _ARTIFACTS = {
@@ -76,6 +55,42 @@ _ARTIFACTS = {
     "verify-geometry": ("json", "csv"),
     "verify-reduction": ("json", "csv"),
 }
+
+# Every setting: its default, its flag, the commands that read it and its
+# help.  A command's parser takes the flags of the settings it reads, so no
+# flag is accepted and then ignored; a config file may set any key, and every
+# artifact records them all.
+_EVERY = tuple(_ARTIFACTS)
+_SETTINGS = {
+    "output_dir": (None, "--output-dir", _EVERY,  # resolved via env or cwd
+                   "artifact directory (default $KG5D_OUTPUT_DIR or cwd)"),
+    "formats": ("csv,json", "--formats", _EVERY, "comma subset of csv,json,svg"),
+    "rel_tol": (1e-10, "--rel-tol", ("partition",), "relative tolerance"),
+    "abs_tol": (0.0, "--abs-tol", ("partition",), "absolute tolerance"),
+    "max_iter": (10000, "--max-iter", ("spectrum", "partition", "universal-d"),
+                 "step, panel or term budget"),
+    "z": (1, "--Z", ("spectrum", "partition"), "nuclear charge number"),
+    "alpha": (0.0072973525693, "--alpha", ("spectrum", "partition"), "fine-structure constant"),
+    "coupling": (0.01, "--coupling", ("spectrum", "partition"), "lambda*/Lambda ratio"),
+    "eta0": (1.0, "--eta0", ("partition",), "u M c^2 / hbar"),
+    "r_over_rho": (50.0, "--r-over-rho", ("partition",),
+                   "cavity radius in units of rho (or Lambda when uncoupled)"),
+    "n_max": (5, "--n-max", ("spectrum",), "largest principal quantum number"),
+    "n_list": ("1,10,100,1000", "--n", ("figure1",), "comma list of level indices"),
+    "r_max": (5.0, "--r-max", ("figure1",), "end of the r grid"),
+    "r_points": (251, "--r-points", ("universal-d", "figure1"), "points of the r grid"),
+    "grid": (9, "--grid", ("verify-geometry",),
+             "smallest grid points per axis; the contraction checks use "
+             "sizes grid, grid+4, ... (one per --refine)"),
+    "refine": (3, "--refine", ("verify-geometry",),
+               "number of sizes; the 5D Laplacian ladder uses only the largest, "
+               "rounded down to 4k+1, with its half and quarter grids"),
+    "points": (256, "--points", ("verify-reduction",), "grid points of the wave packet"),
+    "steps": (64, "--steps", ("verify-reduction",), "steps of the norm evolution"),
+}
+
+_DEFAULTS = {key: default for key, (default, *_) in _SETTINGS.items()}
+_TYPES = {key: str if default is None else type(default) for key, default in _DEFAULTS.items()}
 
 
 def fmt(x) -> str:
@@ -573,80 +588,49 @@ def cmd_verify_reduction(cfg: RunConfig) -> int:
     return 0
 
 
+# Each command: its function, its line in the command list and the
+# description its own --help prints.
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "partition": cmd_partition,
-    "universal-d": cmd_universal_d,
-    "figure1": cmd_figure1,
-    "verify-geometry": cmd_verify_geometry,
-    "verify-reduction": cmd_verify_reduction,
+    "spectrum": (cmd_spectrum, "bound-state table",
+                 "Bound-state table.  The statistical wavelengths are always solved to 1e-15 "
+                 "relative; --max-iter bounds the steps of each root, and a root not localized "
+                 "within them exits 3."),
+    "partition": (cmd_partition, "canonical sum", None),
+    "universal-d": (cmd_universal_d, "universal density profile", None),
+    "figure1": (cmd_figure1, "rescaled density curves", None),
+    "verify-geometry": (cmd_verify_geometry, "metric and operator identities", None),
+    "verify-reduction": (cmd_verify_reduction, "light-cone evolution suite", None),
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--output-dir", dest="output_dir",
-                     help="artifact directory (default $KG5D_OUTPUT_DIR or cwd)")
-    sub.add_argument("--formats", help="comma subset of csv,json,svg")
-    sub.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sub.add_argument("--abs-tol", dest="abs_tol", type=float)
-    sub.add_argument("--max-iter", dest="max_iter", type=int)
-    sub.add_argument("--Z", dest="z", type=int, help="nuclear charge number")
-    sub.add_argument("--alpha", type=float, help="fine-structure constant")
-    sub.add_argument("--coupling", type=float, help="lambda*/Lambda ratio")
-    sub.add_argument("--eta0", type=float, help="u M c^2 / hbar")
-    sub.add_argument("--r-over-rho", dest="r_over_rho", type=float,
-                     help="cavity radius in units of rho (or Lambda when uncoupled)")
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are configuration errors: one line and
+    exit 2 through ``main``, with nothing written.  Subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kg5d", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    """One subparser per command, taking --config and the flags of the
+    settings the command reads."""
+    parser = _Parser(prog="kg5d", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser(
-        "spectrum", help="bound-state table",
-        description="Bound-state table.  The statistical wavelengths are always solved to "
-                    "1e-15 relative, whatever --rel-tol and --abs-tol say; --max-iter bounds "
-                    "the steps of each root, and a root not localized within them exits 3.")
-    _add_common(sp)
-    sp.add_argument("--n-max", dest="n_max", type=int)
-
-    pt = subs.add_parser("partition", help="canonical sum")
-    _add_common(pt)
-
-    ud = subs.add_parser("universal-d", help="universal density profile")
-    _add_common(ud)
-    ud.add_argument("--r-points", dest="r_points", type=int)
-
-    fg = subs.add_parser("figure1", help="rescaled density curves")
-    _add_common(fg)
-    fg.add_argument("--n", dest="n_list", help="comma list of level indices")
-    fg.add_argument("--r-max", dest="r_max", type=float)
-    fg.add_argument("--r-points", dest="r_points", type=int)
-
-    vg = subs.add_parser("verify-geometry", help="metric and operator identities")
-    _add_common(vg)
-    vg.add_argument("--grid", type=int,
-                    help="smallest grid points per axis; the contraction checks use "
-                         "sizes grid, grid+4, ... (one per --refine)")
-    vg.add_argument("--refine", type=int,
-                    help="number of sizes; the 5D Laplacian ladder uses only the largest, "
-                         "rounded down to 4k+1, with its half and quarter grids")
-
-    vr = subs.add_parser("verify-reduction", help="light-cone evolution suite")
-    _add_common(vr)
-    vr.add_argument("--points", type=int)
-    vr.add_argument("--steps", type=int)
+    for command, (_, summary, description) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=summary, description=description)
+        sub.add_argument("--config", help="flat key=value config file")
+        for key, (_, flag, readers, text) in _SETTINGS.items():
+            if command in readers:
+                sub.add_argument(flag, dest=key, help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args.command, args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ a Laplace transform along tau gives the diffusion (Fokker-Planck) equation
 
 This module evolves both on periodic grids of any dimension with the exact
 Fourier propagator, one multiplier per step, checks the continuity of the
-Schroedinger stream's current density, and carries the small exact checks:
+Schroedinger evolution's current density, and carries the small exact checks:
 5D null dispersion, the light-cone coordinate map, semigroup composition,
 and the weak-field Schroedinger residual with a Coulomb potential.  A
 field's boundary fixes how it is differentiated: spectrally when it is
@@ -20,19 +20,17 @@ periodic, by central finite differences with one-sided edges when it is
 absorbing.
 
 Evolutions are sequential in the evolution parameter; grid fields are
-immutable once produced.  The evolvers check their arguments when called and
-return the ``steps + 1`` snapshots as a stream, each produced only when asked
-for; the Fourier state behind the stream is advanced in place.
-``continuity_residual`` reads those Fourier states directly, into buffers
-allocated once, so it runs in O(points) memory whatever the number of steps.
+immutable once produced.  The evolvers advance one Fourier state in place and
+return the end state, from one inverse transform.  ``continuity_residual``
+reads every Fourier state of the same loop, into buffers allocated once, so
+it runs in O(points) memory whatever the number of steps.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -121,17 +119,18 @@ def _k_squared(f: GridField) -> np.ndarray:
     return total
 
 
-def _evolve(psi0: GridField, span: float, coeff: complex, steps: int) -> Iterator[GridField]:
+def _evolve(psi0: GridField, span: float, coeff: complex, steps: int) -> GridField:
     """Shared core: d/dt psi = coeff * lap psi, periodic, any dimension.
 
-    Checks the arguments at call time (:func:`_k_squared`,
-    :func:`_multiplier`) and returns a generator of the ``steps + 1``
-    snapshots, psi0 first, each produced only when asked for, so a consumer
-    that keeps none of them needs O(points) memory.
+    Checks the arguments (:func:`_k_squared`, :func:`_multiplier`), advances
+    psi0's Fourier state ``steps`` times in place and returns the state at
+    ``span``, transformed back once: O(points) memory and one forward and
+    one inverse transform whatever ``steps`` is.
     """
     mult = _multiplier(_k_squared(psi0), span, coeff, steps)
-    return (psi0.with_values(np.fft.ifftn(state)) if i else psi0
-            for i, state in enumerate(_fourier_states(psi0, mult, steps)))
+    for state in _fourier_states(psi0, mult, steps):
+        pass
+    return psi0.with_values(np.fft.ifftn(state))
 
 
 def _multiplier(k_squared: np.ndarray, span: float, coeff: complex, steps: int) -> np.ndarray:
@@ -160,38 +159,32 @@ def _fourier_states(psi0: GridField, mult: np.ndarray, steps: int) -> Iterator[n
 
 def evolve_schrodinger(
     psi0: GridField, tau_span: float, lambda_hat: float, steps: int, *, c: float = 1.0,
-) -> Iterator[GridField]:
+) -> GridField:
     """Unitary free evolution i d/dtau psi = -(c lhat / 2) lap psi.
 
     Each step applies the exact Fourier multiplier exp(-i c lhat k^2 dt / 2)
     (plane-wave dispersion omega = c lhat k^2 / 2 to rounding).  Returns the
-    stream of ``steps + 1`` snapshots at tau = 0, dt, ..., tau_span.
+    field at tau = tau_span, after ``steps`` steps.
     """
     return _evolve(psi0, tau_span, 1j * c * lambda_hat / 2.0, steps)
 
 
 def evolve_fokker_planck(
     psi0: GridField, u_span: float, Lambda: float, steps: int, *, c: float = 1.0,
-) -> Iterator[GridField]:
+) -> GridField:
     """Mass-conserving diffusion d/du psi = (c Lambda / 2) lap psi.
 
-    Initial data must be real and non-negative; snapshots stay real.  The
-    k = 0 mode is multiplied by exactly 1, so the total mass is conserved to
-    rounding.  Returns the stream of ``steps + 1`` real snapshots at
-    u = 0, du, ..., u_span.
+    Initial data must be real and non-negative.  The k = 0 mode is
+    multiplied by exactly 1, so the total mass is conserved to rounding.
+    Returns the real field at u = u_span, after ``steps`` steps.
     """
     v = np.asarray(psi0.values)
     if np.iscomplexobj(v):
         raise ConfigurationError("Fokker-Planck initial data must be real")
     if v.min() < 0:
         raise ConfigurationError("Fokker-Planck initial data must be non-negative")
-    snaps = _evolve(psi0, u_span, c * Lambda / 2.0, steps)
-    return (s.with_values(np.real(s.values)) for s in snaps)
-
-
-def _last(snapshots: Iterable[GridField]) -> GridField:
-    """The final snapshot of a stream, holding one snapshot at a time."""
-    return collections.deque(snapshots, maxlen=1)[0]
+    end = _evolve(psi0, u_span, c * Lambda / 2.0, steps)
+    return end.with_values(np.real(end.values))
 
 
 def continuity_residual(
@@ -344,7 +337,7 @@ def propagator_composition_check(
     Schroedinger evolution, each U(t) one exact spectral step of
     :func:`evolve_schrodinger`."""
     def evolve(psi: GridField, tau: float) -> GridField:
-        return _last(evolve_schrodinger(psi, tau, lambda_hat, 1, c=c))
+        return evolve_schrodinger(psi, tau, lambda_hat, 1, c=c)
 
     whole = evolve(psi0, tau1 + tau2)
     parts = evolve(evolve(psi0, tau1), tau2)
@@ -424,13 +417,13 @@ def verify_reduction(*, points: int = 256, steps: int = 64) -> dict:
     5D null-dispersion and light-cone-map exactness, and the spectral
     semigroup composition defect.
 
-    The evolutions are read as streams and no snapshot is kept: the
-    continuity check reads them into buffers allocated once
+    No snapshot is kept: the evolvers return their end states, and the
+    continuity check reads the Fourier states into buffers allocated once
     (:func:`continuity_residual`), so memory is O(points) and independent
     of ``steps``; only the returned step table grows with ``steps``: the
     columns step, norm and |norm - norm_0|, one entry per snapshot.  The
     norms are read from the Fourier states (:func:`_norms`), so the
-    ``steps``-long stream takes no inverse transform.  With numpy.fft
+    ``steps``-long evolution takes no inverse transform.  With numpy.fft
     loaded and nothing yet allocated, a run whose ``projected_peak_bytes``
     exceeds what may still be allocated is refused
     (``numerics.check_memory``).
@@ -477,7 +470,7 @@ def _dispersion_error(psi0: GridField, lhat: float, c: float, box: float) -> flo
     wave = GridField(values=np.exp(1j * k * x), step=psi0.step,
                      origin=psi0.origin, boundary="periodic")
     tau = 0.37
-    evolved = _last(evolve_schrodinger(wave, tau, lhat, 1, c=c))
+    evolved = evolve_schrodinger(wave, tau, lhat, 1, c=c)
     expected_phase = -c * lhat * k * k / 2.0 * tau
     i = psi0.values.size // 3
     measured = np.angle(evolved.values[i] / wave.values[i])
@@ -502,7 +495,7 @@ def _short_checks(psi0: GridField, lhat: float, c: float, box: float) -> tuple[d
     rho0 = gaussian_packet(512, box, 1.0)
     rho0 = rho0.with_values(np.abs(rho0.values) ** 2)
     u_span, Lam = 2.0, 1.0
-    rho1 = _last(evolve_fokker_planck(rho0, u_span, Lam, 32, c=c))
+    rho1 = evolve_fokker_planck(rho0, u_span, Lam, 32, c=c)
     var_err = abs(field_variance(rho1, density=True)
                   - (field_variance(rho0, density=True) + c * Lam * u_span))
     mass0 = float(np.sum(rho0.values)) * rho0.cell_volume

@@ -46,6 +46,9 @@ _RESCALE_TRIGGER = 1e130
 _RESCALE_FACTOR = 2.0 ** -466
 _RESCALE_LOG = 466.0 * math.log(2.0)
 
+# Below this exponent e^expo is subnormal: log of the smallest normal double.
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
 
 def _laguerre_ladder(x: np.ndarray, live):
     """The rescaled L_k^{(1)} recurrence over a 1-D array x, one degree at a time.
@@ -114,16 +117,16 @@ def _combo_terms(n, x: np.ndarray, la, lb, log_scale):
 
     Uses x*L' = (n-1) L_{n-1} - n L_{n-2} so no division by x appears; the
     x -> 0 limit of the combination is exactly 1.  Where the exponent
-    2 log_scale - x is below -745, e^expo underflows to 0 while the bracket
-    can be as large as 1e263: there log|bracket / n^2| is folded into the
-    exponent, so the value underflows only where it is itself below the
-    doubles.
+    2 log_scale - x is below log(tiny) = -708.39..., e^expo is subnormal or
+    0, with few significant bits or none, while the bracket can be as large
+    as 1e263: there log|bracket / n^2| is folded into the exponent, so the
+    value loses precision only where it is itself subnormal.
     """
     w = (n - 1) * la - n * lb
     bracket = (1.0 + (n - 1) * x) * la * la - (x - 2.0) * la * w + w * w
     expo = _checked_exponent(n, x, 2.0 * log_scale - x)
     combo = bracket * np.exp(expo) / (n * n)
-    low = expo < -745.0
+    low = expo < _LOG_TINY
     if low.any():
         combo, b = np.asarray(combo), bracket[low]
         nn = np.broadcast_to(n * n, low.shape)[low]

@@ -25,7 +25,7 @@ import numpy as np
 
 from kg5d.errors import DomainError, LaguerreOverflowError
 from kg5d.geometry import _ETA_DIAG, Potential, _grid_coords
-from kg5d.reduction import GridField, _derivative, evolve_schrodinger
+from kg5d.reduction import GridField, _derivative, _fourier_states, _k_squared, _multiplier
 
 
 class TurningPointError(DomainError):
@@ -212,6 +212,16 @@ def kg_operator(psi: GridField, A: Potential, q_over_c2: float, inv_lambda: floa
 # Continuity from the currents
 # ---------------------------------------------------------------------------
 
+def snapshots(psi0: GridField, span: float, coeff: complex, steps: int) -> list:
+    """Every snapshot of the evolution d/dt psi = coeff lap psi over ``span``
+    in ``steps`` steps: psi0, then each of the evolvers' Fourier states
+    transformed back, the last with the bits of the evolvers' end state."""
+    mult = _multiplier(_k_squared(psi0), span, coeff, steps)
+    states = _fourier_states(psi0, mult, steps)
+    next(states)
+    return [psi0] + [psi0.with_values(np.fft.ifftn(state)) for state in states]
+
+
 def continuity_residual_from_currents(
     psi0: GridField, lambda_hat: float, span: float, steps: int, *, c: float = 1.0,
 ) -> float:
@@ -220,7 +230,7 @@ def continuity_residual_from_currents(
     derivative of psi, and div j by a second spectral derivative of each
     j_k (a = c lhat), all currents formed before the first difference."""
     a = c * lambda_hat
-    snaps = list(evolve_schrodinger(psi0, span, lambda_hat, steps, c=c))
+    snaps = snapshots(psi0, span, 1j * c * lambda_hat / 2.0, steps)
     j_tau = [np.abs(s.values) ** 2 for s in snaps]
     div = [sum(np.real(_derivative(s, a * np.imag(np.conj(s.values)
                                                   * _derivative(s, s.values, ax, 1)), ax, 1))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -121,6 +122,104 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert max(int(r["n"]) for r in rows) == 3  # flag beats file
 
 
+# The flags each command's parser takes besides -h, --config, --output-dir
+# and --formats: those of the settings it reads.  With those three, 40 flags
+# across the six commands.
+_FLAGS = {
+    "spectrum": {"--n-max", "--max-iter", "--Z", "--alpha", "--coupling"},
+    "partition": {"--rel-tol", "--abs-tol", "--max-iter", "--Z", "--alpha", "--coupling",
+                  "--eta0", "--r-over-rho"},
+    "universal-d": {"--r-points", "--max-iter"},
+    "figure1": {"--n", "--r-max", "--r-points"},
+    "verify-geometry": {"--grid", "--refine"},
+    "verify-reduction": {"--points", "--steps"},
+}
+
+# Each setting's key and a valid value other than its default, by flag.
+_OTHER_VALUES = {
+    "--rel-tol": ("rel_tol", "1e-8"),
+    "--abs-tol": ("abs_tol", "1e-300"),
+    "--max-iter": ("max_iter", "5000"),
+    "--Z": ("z", "2"),
+    "--alpha": ("alpha", "0.0073"),
+    "--coupling": ("coupling", "0.02"),
+    "--eta0": ("eta0", "2.5"),
+    "--r-over-rho": ("r_over_rho", "60"),
+    "--n-max": ("n_max", "7"),
+    "--n": ("n_list", "2,3"),
+    "--r-max": ("r_max", "4.5"),
+    "--r-points": ("r_points", "31"),
+    "--grid": ("grid", "11"),
+    "--refine": ("refine", "2"),
+    "--points": ("points", "128"),
+    "--steps": ("steps", "32"),
+}
+
+_SMALL_RUNS = {
+    "spectrum": ["--n-max", "3"],
+    "partition": ["--r-over-rho", "20"],
+    "universal-d": ["--r-points", "33"],
+    "figure1": ["--n", "1,10", "--r-points", "41"],
+    "verify-geometry": ["--grid", "7", "--refine", "2"],
+    "verify-reduction": ["--points", "64", "--steps", "8"],
+}
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_each_command_takes_the_flags_of_the_settings_it_reads(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert listed == _FLAGS[command] | {"--help", "--config", "--output-dir", "--formats"}
+
+
+def _without_config(path) -> str:
+    """An artifact's text without the configuration it records."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        head, _, config = text.partition('\n  "config": {\n')
+        return head + config.partition("\n  },\n")[2]
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(("#", "<!--")))
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_settings_a_command_does_not_read_change_no_artifact_byte(tmp_path, command):
+    # A config file may set any key.  Every setting the command takes no
+    # flag for, set to another valid value, changes only the configuration
+    # its artifacts record; a setting the command reads but takes no flag
+    # for would change them here.
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for flag, (key, value) in _OTHER_VALUES.items()
+                           if flag not in _FLAGS[command]))
+    runs = []
+    for name, extra in (("defaults", []), ("other", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert main([command, *_SMALL_RUNS[command], *extra, "--formats", "csv,json,svg",
+                     "--output-dir", str(out)]) == 0
+        runs.append({p.name: (_read(p), _without_config(p)) for p in out.iterdir()})
+    assert runs[0].keys() == runs[1].keys() and len(runs[0]) >= 2
+    for name, (raw, text) in runs[0].items():
+        assert raw != runs[1][name][0], name  # the other settings are recorded
+        assert text == runs[1][name][1], name
+
+
+@pytest.mark.parametrize("argv", [["verify-geometry", "--coupling", "0.1"],
+                                  ["figure1", "--rel-tol", "1e-3"],
+                                  ["spectrum", "--eta0", "9"],
+                                  ["partition", "--r-points", "11"],
+                                  ["verify-reduction", "--bogus", "1"]])
+def test_flag_a_command_does_not_read_exits_2_with_one_line(tmp_path, capsys, argv):
+    # the first four used to run, record the value and change nothing, and
+    # an unknown flag printed argparse's usage over four lines
+    out = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"configuration error: unrecognized arguments: {' '.join(argv[1:])}\n")
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n_mox = 4\n")
@@ -185,8 +284,8 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     code = ("import sys, numpy as np, kg5d.cli\n"
             "from kg5d.reduction import evolve_fokker_planck, evolve_schrodinger, gaussian_packet\n"
             "psi0 = gaussian_packet(64, 20.0, 1.0)\n"
-            "list(evolve_schrodinger(psi0, 1.0, 0.7, 4))\n"
-            "list(evolve_fokker_planck(psi0.with_values(np.abs(psi0.values) ** 2), 1.0, 1.0, 4))\n"
+            "evolve_schrodinger(psi0, 1.0, 0.7, 4)\n"
+            "evolve_fokker_planck(psi0.with_values(np.abs(psi0.values) ** 2), 1.0, 1.0, 4)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

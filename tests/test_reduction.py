@@ -33,7 +33,7 @@ from kg5d.reduction import (
     weakfield_schrodinger_residual,
 )
 from kg5d.spectrum import ScaleSet
-from oracles import continuity_residual_from_currents
+from oracles import continuity_residual_from_currents, snapshots
 
 LHAT, C = 0.7, 1.3
 
@@ -72,7 +72,7 @@ def test_plane_wave_phase_spectral():
     x = -0.5 * box + box / n * np.arange(n)
     psi0 = GridField(values=np.exp(1j * k * x), step=(box / n,), origin=(-0.5 * box,))
     tau = 0.83
-    *_, last = evolve_schrodinger(psi0, tau, LHAT, 7, c=C)
+    last = evolve_schrodinger(psi0, tau, LHAT, 7, c=C)
     omega = C * LHAT * k * k / 2.0
     expected = psi0.values * np.exp(-1j * omega * tau)
     assert np.max(np.abs(last.values - expected)) < 1e-12
@@ -80,7 +80,7 @@ def test_plane_wave_phase_spectral():
 
 def test_constant_field_stationary():
     psi0 = GridField(values=np.full(64, 0.7 + 0.1j), step=(0.25,))
-    *_, last = evolve_schrodinger(psi0, 2.0, LHAT, 10, c=C)
+    last = evolve_schrodinger(psi0, 2.0, LHAT, 10, c=C)
     assert np.max(np.abs(last.values - psi0.values)) < 1e-13
 
 
@@ -89,7 +89,7 @@ def test_gaussian_packet_spread_closed_form():
     sigma0, box, n = 1.0, 60.0, 1024
     psi0 = gaussian_packet(n, box, sigma0)
     tau = 2.5
-    *_, last = evolve_schrodinger(psi0, tau, LHAT, 25, c=C)
+    last = evolve_schrodinger(psi0, tau, LHAT, 25, c=C)
     got = field_variance(last)
     want = sigma0**2 + (C * LHAT * tau) ** 2 / (4.0 * sigma0**2)
     assert got == pytest.approx(want, abs=1e-6)
@@ -97,7 +97,7 @@ def test_gaussian_packet_spread_closed_form():
 
 def test_norm_conserved_both_schemes():
     psi0 = gaussian_packet(128, 30.0, 1.2, k0=1.0)
-    norms = [s.l2_norm() for s in evolve_schrodinger(psi0, 1.5, LHAT, 40, c=C)]
+    norms = [s.l2_norm() for s in snapshots(psi0, 1.5, 0.5j * C * LHAT, 40)]
     assert len(norms) == 41
     assert max(abs(v - norms[0]) for v in norms) < 1e-10
 
@@ -115,7 +115,7 @@ def test_evolve_configuration_errors():
     x = np.linspace(-5.0, 5.0, 64, endpoint=False)
     two_d = GridField(values=np.exp(-x[:, None] ** 2 - 0.5 * x[None, :] ** 2 + 1j * x[:, None]),
                       step=(x[1] - x[0],) * 2, origin=(x[0],) * 2)
-    norms = [s.l2_norm() for s in evolve_schrodinger(two_d, 1.0, LHAT, 16, c=C)]
+    norms = [s.l2_norm() for s in snapshots(two_d, 1.0, 0.5j * C * LHAT, 16)]
     assert max(abs(v - norms[0]) for v in norms) < 1e-12
 
 
@@ -202,11 +202,32 @@ def _counted_transforms(monkeypatch) -> list:
 def test_verify_reduction_transform_count(monkeypatch, points, steps):
     # whatever the size: the norms take one forward transform, the
     # continuity runs of 16, 32 and 64 steps 2S each, the dispersion step 2,
-    # the diffusion run 33 and the semigroup check 6
+    # the diffusion run 2 (its end state alone is transformed back) and the
+    # semigroup check 6
     calls = _counted_transforms(monkeypatch)
     verify_reduction(points=points, steps=steps)
-    assert len(calls) == 266
-    assert sum(name.startswith("i") for name in calls) == 257
+    assert len(calls) == 235
+    assert sum(name.startswith("i") for name in calls) == 226
+
+
+@pytest.mark.parametrize("coeff", [0.5j * C * LHAT, 0.5 * C * 0.9], ids=["schrodinger", "fp"])
+def test_evolvers_return_the_last_snapshot(monkeypatch, coeff):
+    # the end state of the stepping loop, transformed back once: the bits of
+    # the last of every snapshot (real for Fokker-Planck), from one forward
+    # and one inverse transform whatever the number of steps
+    rho0 = gaussian_packet(256, 40.0, 1.0)
+    rho0 = rho0.with_values(np.abs(rho0.values) ** 2)
+    want = snapshots(rho0, 1.7, coeff, 24)[-1].values
+    calls = _counted_transforms(monkeypatch)
+    if isinstance(coeff, complex):
+        got = evolve_schrodinger(rho0, 1.7, LHAT, 24, c=C)
+    else:
+        got = evolve_fokker_planck(rho0, 1.7, 0.9, 24, c=C)
+        want = np.real(want)
+    assert calls == ["fftn", "ifftn"]
+    assert got.values.dtype == want.dtype
+    assert got.values.tobytes() == want.tobytes()
+    assert (got.step, got.origin, got.boundary) == (rho0.step, rho0.origin, rho0.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +237,7 @@ def test_verify_reduction_transform_count(monkeypatch, points, steps):
 def test_fp_mass_conservation_and_positivity():
     rho0 = gaussian_packet(512, 40.0, 1.0)
     rho0 = rho0.with_values(np.abs(rho0.values) ** 2)
-    first, *rest = evolve_fokker_planck(rho0, 2.0, 1.0, 20, c=C)
+    first, *rest = [s.with_values(np.real(s.values)) for s in snapshots(rho0, 2.0, 0.5 * C, 20)]
     mass0 = float(np.sum(first.values))
     assert len(rest) == 20
     for snap in rest:
@@ -228,7 +249,7 @@ def test_fp_variance_growth():
     rho0 = gaussian_packet(512, 40.0, 1.0)
     rho0 = rho0.with_values(np.abs(rho0.values) ** 2)
     u, lam = 1.7, 0.9
-    *_, last = evolve_fokker_planck(rho0, u, lam, 16, c=C)
+    last = evolve_fokker_planck(rho0, u, lam, 16, c=C)
     got = field_variance(last, density=True)
     want = field_variance(rho0, density=True) + C * lam * u
     assert got == pytest.approx(want, abs=1e-6)
@@ -241,7 +262,7 @@ def test_fp_point_source_matches_heat_kernel():
     vals[n // 2] = 1.0 / h  # discrete delta
     rho0 = GridField(values=vals, step=(h,), origin=(-box / 2,))
     u, lam = 1.2, 1.0
-    *_, last = evolve_fokker_planck(rho0, u, lam, 8, c=C)
+    last = evolve_fokker_planck(rho0, u, lam, 8, c=C)
     x = rho0.coords(0)
     d = C * lam / 2.0
     kernel = np.exp(-x * x / (4.0 * d * u)) / math.sqrt(4.0 * math.pi * d * u)
@@ -504,7 +525,7 @@ def test_parseval_norms_match_x_space_norms(points, steps):
     lhat, c, box = 0.7, 1.3, 40.0
     psi0 = gaussian_packet(points, box, 1.0, k0=2.0 * math.pi / box * 5)
     got = reduction._norms(psi0, lhat, c, steps)
-    want = np.array([s.l2_norm() for s in evolve_schrodinger(psi0, 2.0, lhat, steps, c=c)])
+    want = np.array([s.l2_norm() for s in snapshots(psi0, 2.0, 0.5j * c * lhat, steps)])
     assert got.shape == want.shape == (steps + 1,)
     assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), np.max(np.abs(got - want))
 

@@ -420,11 +420,15 @@ def test_scaled_exponent_overflow_raises_instead_of_clamping():
 UNDERFLOW_RTOL = 1e-10
 
 
-@pytest.mark.parametrize("n, r", [(2332, 5.0), (1200, 5.0), (1000, 4.62125)])
+@pytest.mark.parametrize("n, r", [(2332, 5.0), (1200, 5.0), (1000, 4.62125),
+                                  (551, 4.86875), (551, 4.86)])
 def test_densities_past_the_exponent_floor_against_mpmath(n, r):
-    # e^{2 log_scale - x} is below e^{-745} at these points while the
-    # bracket is up to 1e263: clipping the exponent to -745 returned
-    # 4.4e-68, 2.0e-128 and 1.8e-71 here
+    # e^{2 log_scale - x} is below e^{-745} at the first three points while
+    # the bracket is up to 1e263: clipping the exponent to -745 returned
+    # 4.4e-68, 2.0e-128 and 1.8e-71 there.  At (551, 4.86875) and
+    # (551, 4.86) it lies in [-745, -708.4), where e^expo is subnormal:
+    # multiplying the bracket by it returned 1.5206e-64 for 1.2429e-64 and
+    # 9.52137e-64 for 9.56401e-64
     x = mp.mpf(r) * n
     la, lb = mp.laguerre(n - 1, 1, x), mp.laguerre(n - 2, 1, x)
     w = (n - 1) * la - n * lb
