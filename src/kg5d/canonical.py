@@ -18,8 +18,11 @@ R^{5/2} / (5 pi n^3) and the series converges like a Dirichlet series.
 The continuous part is a corrected ideal-gas term: a Gaussian-damped sum over
 n of an erfc bracket that vanishes identically when the coupling is off.
 
-Internally all radial work is done in units of rho/2; ``ScaleSet`` converts
-at the boundary.  Sums run in fixed index order so results are bit-stable.
+Both parts depend only on dimensionless ratios, which the kernels take as
+plain floats: eta0 = u M c^2 / hbar, the coupling eps = lambda*/Lambda, and
+the cavity radius as r_hat = 2R/rho (Z_d, whose radial work is in units of
+rho/2) or R/Lambda (Z_c).  Sums run in fixed index order so results are
+bit-stable.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import DomainError, IntegrandError, NonConvergenceError, Quadrature
 from .numerics import _NODES, _W7, _W15, SeriesReport, Tolerance, integrate
 from .specfun import (_EULER_MACLAURIN, _combo_arrays, _combo_terms, _laguerre_ladder,
                       bessel_j01, erfcx_minus_one, hurwitz_zeta)
-from .spectrum import ScaleSet, stat_energy
+from .spectrum import stat_energy
 
 _SQRT_PI = math.sqrt(math.pi)
 _UNIT_ROUNDOFF = 2.0**-53
@@ -254,10 +257,11 @@ _ZC_HEAD = 64
 _ZC_SERIES = 24
 
 
-def _zc_damping(scales: ScaleSet) -> float:
-    """Z_c's Gaussian damping exponent gamma = pi^{4/3} u c Lambda / (2 V^{2/3})."""
-    return math.pi ** (4.0 / 3.0) * scales.u * scales.c * scales.Lambda / (
-        2.0 * scales.V ** (2.0 / 3.0))
+def _zc_damping(eta0: float, r_over_lambda: float) -> float:
+    """Z_c's Gaussian damping exponent gamma = pi^{4/3} u c Lambda / (2 V^{2/3}),
+    in ratios pi^{4/3} eta0 / (2 (4 pi/3)^{2/3} (R/Lambda)^2)."""
+    return math.pi ** (4.0 / 3.0) * eta0 / (
+        2.0 * (4.0 * math.pi / 3.0) ** (2.0 / 3.0) * r_over_lambda**2)
 
 
 def _zc_odd_derivatives(gamma: float, s0: float, k: int) -> list[float]:
@@ -285,13 +289,16 @@ def _zc_odd_derivatives(gamma: float, s0: float, k: int) -> list[float]:
     return out
 
 
-def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0)):
+def z_continuous(eta0: float, eps: float, r_over_lambda: float,
+                 tol: Tolerance = Tolerance(rel=1e-13, abs=0.0)):
     """Continuum contribution Z_c: ideal-gas term minus the erfc-bracket sum.
 
     Z_c = V e^{-eta0} / (Lambda^3 (2 pi eta0)^{3/2}) - (e^{-eta0}/2) sum_{n>=1} f(n),
     f(x) = x^2 exp(-gamma x^2) [e^{s^2} erfc(s) - 1],  s = s0 / x,
-    with gamma = pi^{4/3} u c Lambda / (2 V^{2/3}) and
-    s0 = (lambda*/Lambda) sqrt(eta0/2).
+    with gamma = pi^{4/3} u c Lambda / (2 V^{2/3}) (:func:`_zc_damping`) and
+    s0 = eps sqrt(eta0/2), at eta0 = u M c^2 / hbar, the coupling
+    ``eps`` = lambda*/Lambda and the cavity radius ``r_over_lambda`` = R/Lambda;
+    V/Lambda^3 = (4 pi/3) (R/Lambda)^3.
 
     With the coupling off the bracket is identically zero and the ideal-gas
     term is returned exactly.  Otherwise the sum is the exact head
@@ -318,15 +325,15 @@ def z_continuous(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-13, abs=0.0
     tolerance, raises NonConvergenceError.  Returns
     (Z_c, report-for-the-sum); the report counts K as the terms used.
     """
-    eta0, Lam, V = scales.eta0, scales.Lambda, scales.V
-    if eta0 <= 0 or Lam <= 0 or V <= 0:
-        raise DomainError("z_continuous needs eta0 > 0, Lambda > 0, V > 0")
-    ideal = V * math.exp(-eta0) / (Lam**3 * (2.0 * math.pi * eta0) ** 1.5)
-    eps = scales.coupling_stat
+    if not (eta0 > 0 and eps >= 0 and r_over_lambda > 0):
+        raise DomainError("z_continuous needs eta0 > 0, eps >= 0 and R/Lambda > 0, got "
+                          f"{eta0}, {eps} and {r_over_lambda}")
+    ideal = (4.0 * math.pi / 3.0 * r_over_lambda**3 * math.exp(-eta0)
+             / (2.0 * math.pi * eta0) ** 1.5)
     if eps == 0.0:
         return ideal, SeriesReport(value=0.0, terms_used=1, tail_bound=0.0, converged=True)
 
-    gamma = _zc_damping(scales)
+    gamma = _zc_damping(eta0, r_over_lambda)
     if gamma <= 0:
         raise DomainError("Gaussian damping exponent must be positive")
     s0 = eps * math.sqrt(0.5 * eta0)
@@ -466,8 +473,11 @@ def _zd_tail(g: np.ndarray, b_inf: float, eta0: float, a: float) -> tuple[float,
     return tail, abs(tail - tail_less) + last + expansion
 
 
-def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0)):
-    """Discrete contribution Z_d = sum_n exp(-u e_n/hbar) * (trapped degeneracy).
+def z_discrete(eta0: float, eps: float, rhat: float,
+               tol: Tolerance = Tolerance(rel=1e-10, abs=0.0)):
+    """Discrete contribution Z_d = sum_n exp(-u e_n/hbar) * (trapped degeneracy)
+    at eta0 = u M c^2 / hbar, the coupling ``eps`` = lambda*/Lambda and the
+    cavity radius ``rhat`` = 2R/rho.
 
     Levels 1..N get their trapped degeneracy g_n from quadrature of the
     density.  Beyond N the terms follow g_n n^3 = B_inf + C/n^2 + D/n^4 +
@@ -484,17 +494,14 @@ def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0))
     (Z_d, report, :class:`ExactLevels`); the report counts the exact levels
     as the terms used.
     """
-    if scales.lambda_star <= 0:
+    if not eps > 0:
         raise DomainError("z_discrete needs a positive coupling (no bound levels otherwise)")
-    if scales.R <= 0:
-        raise DomainError("need R > 0")
-    eta0 = scales.eta0
-    if eta0 <= 0:
+    if not rhat > 0:
+        raise DomainError(f"need r_hat > 0, got {rhat}")
+    if not eta0 > 0:
         raise DomainError("z_discrete needs eta0 > 0")
-    eps = scales.coupling_stat
     if eps * eps >= 2.0:
         raise DomainError("lambda*/Lambda too large: ground-level weight ill-defined")
-    rhat = 2.0 * scales.R / scales.rho
 
     quad_tol = Tolerance(rel=min(tol.rel * 1e-2, 1e-11), abs=1e-280, max_iter=tol.max_iter)
 
@@ -506,7 +513,7 @@ def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0))
     while True:
         ns = np.arange(1, n_next + 1)
         g, err = np.hstack([(g, err), _trapped_levels(ns[g.size:], rhat, quad_tol)])
-        w = _exp(-scales.u * stat_energy(ns, scales) / scales.hbar)
+        w = _exp(-eta0 * stat_energy(ns, eps))
         partial = float(np.cumsum(w * g)[-1])  # the running sum, in level order
         tail, bound = _zd_tail(g, b_inf, eta0, a)
         bound += float(w @ err)
@@ -521,15 +528,19 @@ def z_discrete(scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-10, abs=0.0))
     return total, report, ExactLevels(n=ns, weight=w, trapped_degeneracy=g)
 
 
-def partition(scales: ScaleSet,
+def partition(eta0: float, eps: float, r_over_rho: float,
               tol: Tolerance = Tolerance(rel=1e-10, abs=0.0)) -> PartitionResult:
     """Full canonical sum: assembles Z_c and Z_d into a PartitionResult.
 
-    Both parts run in this process, Z_d first.  Z_c gets at most 1e-12
-    relative tolerance, which costs it nothing measurable.
+    At eta0 = u M c^2 / hbar, the coupling ``eps`` = lambda*/Lambda and the
+    cavity radius ``r_over_rho`` = R/rho: Z_d takes r_hat = 2 R/rho, exact,
+    and Z_c R/Lambda = (R/rho) / eps, as rho = Lambda^2/lambda*.  Both parts
+    run in this process, Z_d first.  Z_c gets at most 1e-12 relative
+    tolerance, which costs it nothing measurable.
     """
-    zd, rep_d, levels = z_discrete(scales, tol)
-    zc, rep_c = z_continuous(scales, Tolerance(rel=min(tol.rel, 1e-12), abs=tol.abs,
-                                               max_iter=tol.max_iter))
+    zd, rep_d, levels = z_discrete(eta0, eps, 2.0 * r_over_rho, tol)
+    zc, rep_c = z_continuous(eta0, eps, r_over_rho / eps,
+                             Tolerance(rel=min(tol.rel, 1e-12), abs=tol.abs,
+                                       max_iter=tol.max_iter))
     return PartitionResult(z_c=zc, z_d=zd, z_total=zc + zd,
                            terms_c=rep_c, terms_d=rep_d, per_level_d=levels)

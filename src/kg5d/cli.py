@@ -41,7 +41,7 @@ from .errors import (
     VerificationFailure,
 )
 from .numerics import Tolerance, integrate
-from .spectrum import ScaleSet, kg_energies, stat_energy, stat_wavelengths
+from .spectrum import kg_energies, stat_energy, stat_wavelengths
 
 SCHEMA_VERSION = 1
 
@@ -160,16 +160,18 @@ class RunConfig:
         return Tolerance(rel=self.settings["rel_tol"], abs=self.settings["abs_tol"],
                          max_iter=self.settings["max_iter"])
 
-    def scales(self) -> ScaleSet:
+    def check_physics(self) -> None:
+        """Refuse the first physical setting the command reads (``_SETTINGS``)
+        outside what its kernels take, naming it; a setting the command does
+        not read is not looked at.  Every float is finite already."""
         s = self.settings
-        if s["z"] * s["alpha"] <= 0:
-            return ScaleSet.build(Z=s["z"], alpha=s["alpha"], eta0=s["eta0"],
-                                  R_over_Lambda=s["r_over_rho"])
-        if not s["coupling"] > 0:
-            raise ConfigurationError(f"coupling must be > 0 when Z*alpha > 0, got {s['coupling']}")
-        return ScaleSet.build(Z=s["z"], alpha=s["alpha"],
-                              lambda_star_over_Lambda=s["coupling"], eta0=s["eta0"],
-                              R_over_rho=s["r_over_rho"])
+        bounds = {"z": (s["z"] >= 0, ">= 0"), "alpha": (s["alpha"] >= 0, ">= 0"),
+                  "coupling": (s["coupling"] > 0 or s["z"] * s["alpha"] == 0,
+                               "> 0 when Z*alpha > 0"),
+                  "eta0": (s["eta0"] > 0, "> 0"), "r_over_rho": (s["r_over_rho"] > 0, "> 0")}
+        for key, (met, bound) in bounds.items():
+            if not met and self.command in _SETTINGS[key][2]:
+                raise ConfigurationError(f"{key} must be {bound}, got {s[key]}")
 
     def header_lines(self) -> list:
         lines = [f"# kg5d {self.command}", f"# schema_version={SCHEMA_VERSION}"]
@@ -210,6 +212,7 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
         existing = os.path.dirname(existing)
     if not (os.path.isdir(existing) and os.access(existing, os.W_OK)):
         raise ConfigurationError(f"output dir not writable: {cfg.output_dir}")
+    cfg.check_physics()
     return cfg
 
 
@@ -434,7 +437,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     n_max = cfg.settings["n_max"]
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
-    scales = cfg.scales()
+    za = cfg.settings["z"] * cfg.settings["alpha"]
+    # lambda* = Z alpha lambda: with Z alpha = 0 there is no coupling to set
+    eps = cfg.settings["coupling"] if za > 0 else 0.0
     # levels (n, l) for n = 1..n_max and l = 0..n, in that order; level n
     # starts at row first[n - 1]
     per_n = np.arange(2, n_max + 2)
@@ -447,17 +452,17 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
     def columns(start, stop):
         n, l = levels(start, stop)
-        energies = kg_energies(n, l, scales)
-        return (n, l, energies / scales.mc2, scales.mc2 / energies,  # lambda'/lambda = mc^2/E
-                wavelengths[start:stop] / scales.Lambda, stat_energy(n, scales) / scales.Mc2)
+        energies = kg_energies(n, l, za)
+        return (n, l, energies, 1.0 / energies,  # lambda'/lambda = mc^2/E
+                wavelengths[start:stop], stat_energy(n, eps))
 
     rows = int(first[-1] + per_n[-1])
     # (1, 0), the first row, is the first level past any critical coupling:
     # its energy refuses the run before the solve, as the table's would
-    kg_energies(*levels(0, 1), scales)
+    kg_energies(*levels(0, 1), za)
     # always solved to 1e-15 relative; only the step budget is configurable
     wavelengths, refused = stat_wavelengths(
-        *levels(0, rows), scales, Tolerance(rel=1e-15, abs=0.0, max_iter=cfg.settings["max_iter"]))
+        *levels(0, rows), eps, Tolerance(rel=1e-15, abs=0.0, max_iter=cfg.settings["max_iter"]))
     if refused:
         print(_refusal_line(refused, rows), file=sys.stderr)
     table = Table(("n", "l", "E_over_mc2", "lambda_prime_over_lambda",
@@ -479,8 +484,11 @@ def _refusal_line(refused: dict, total: int) -> str:
 def cmd_partition(cfg: RunConfig) -> int:
     from . import canonical
 
-    scales = cfg.scales()
-    result = canonical.partition(scales, cfg.tolerance())
+    s = cfg.settings
+    if not s["z"] * s["alpha"] > 0:
+        raise ConfigurationError(f"partition needs Z*alpha > 0 (no bound levels otherwise), "
+                                 f"got Z={s['z']}, alpha={s['alpha']}")
+    result = canonical.partition(s["eta0"], s["coupling"], s["r_over_rho"], cfg.tolerance())
     exact = result.per_level_d
     levels = Table(("n", "weight", "trapped_degeneracy"),
                    (exact.n, exact.weight, exact.trapped_degeneracy))
@@ -529,7 +537,10 @@ def cmd_figure1(cfg: RunConfig) -> int:
         raise ConfigurationError(f"bad n_list {cfg.settings['n_list']!r}") from exc
     if not n_list:
         raise ConfigurationError("n_list is empty")
-    r = _r_grid(cfg, cfg.settings["r_max"])
+    r_max = cfg.settings["r_max"]
+    if not 0.0 <= r_max <= 5.0:
+        raise ConfigurationError(f"r_max must lie in [0, 5], got {r_max}")
+    r = _r_grid(cfg, r_max)
     curves = canonical.figure1_curves(n_list, r)
     ns = np.array([c.n for c in curves])
 

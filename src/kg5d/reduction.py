@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .numerics import check_memory, fd_derivative, fit_convergence_order
-from .spectrum import ScaleSet
 
 
 @dataclass(frozen=True)
@@ -240,12 +239,13 @@ def continuity_residual(
 # ---------------------------------------------------------------------------
 
 def weakfield_schrodinger_residual(
-    psi: GridField, a0: np.ndarray, scales: ScaleSet, energy: float,
+    psi: GridField, a0: np.ndarray, coupling: float, energy: float,
     *, excise_steps: int = 2,
 ) -> float:
     """Residual of the weak-field stationary Schroedinger operator on psi.
 
-    Applies  -(hbar^2 / 2m) lap + (q m) a0 - E  and reports the max-norm over
+    Applies  -(1/2) lap + (q m) a0 - E  in units hbar = m = c = 1, with
+    ``coupling`` = q m (sqrt(alpha) for e/m), and reports the max-norm over
     the grid, excluding, on an absorbing field, a 2-cell boundary margin
     (the one-sided FD edges), and a ball of ``excise_steps`` grid steps
     around the coordinate origin where a Coulomb a0 is singular.  A grid
@@ -257,7 +257,7 @@ def weakfield_schrodinger_residual(
     kin = np.zeros(v.shape, dtype=complex)
     for ax in range(v.ndim):
         kin = kin + _derivative(psi, v, ax, 2)
-    ham = -(scales.hbar**2 / (2.0 * scales.m)) * kin + (scales.q * scales.m) * a0 * v
+    ham = -0.5 * kin + coupling * a0 * v
     resid = np.abs(ham - energy * v)
 
     mask = np.ones(v.shape, dtype=bool)
@@ -279,14 +279,14 @@ def weakfield_schrodinger_residual(
     return float(np.max(resid[mask]))
 
 
-def weakfield_dropped_term_ratio(a0: np.ndarray, scales: ScaleSet) -> float:
+def weakfield_dropped_term_ratio(a0: np.ndarray, coupling: float) -> float:
     """Size of the dropped quadratic potential term relative to the kept one.
 
-    ((qm)^2 a0^2 / 2mc^2) / ((qm) a0) = |q m a0| / (2 m c^2), reported at its
-    maximum over the grid; small values justify the weak-field truncation.
+    ((qm)^2 a0^2 / 2mc^2) / ((qm) a0) = |q m a0| / (2 m c^2), with
+    ``coupling`` = q m and m = c = 1, reported at its maximum over the grid;
+    small values justify the weak-field truncation.
     """
-    qm = abs(scales.q * scales.m)
-    return float(np.max(np.abs(a0)) * qm / (2.0 * scales.m * scales.c**2))
+    return float(np.max(np.abs(a0)) * abs(coupling) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +389,10 @@ _VARIANCE_TOL = 1e-6
 _EXACT_TOL = 1e-12
 _CONTINUITY_ORDER_FLOOR = 1.9
 
+# The dispersion check's plane wave has this many periods in the box, so a
+# grid of fewer than twice as many points aliases it.
+_DISPERSION_MODE = 7
+
 
 def projected_peak_bytes(points: int, steps: int) -> int:
     """Bytes ``verify_reduction(points=points, steps=steps)`` allocates at
@@ -428,6 +432,10 @@ def verify_reduction(*, points: int = 256, steps: int = 64) -> dict:
     exceeds what may still be allocated is refused
     (``numerics.check_memory``).
     """
+    if points < 2 * _DISPERSION_MODE:
+        raise ConfigurationError(
+            f"points must be >= {2 * _DISPERSION_MODE}, got {points}: the dispersion check's "
+            f"plane wave has {_DISPERSION_MODE} periods, aliased on fewer points")
     import numpy.fft  # noqa: F401  not at the top: verify-geometry imports this module
     check_memory("verify-reduction", projected_peak_bytes(points, steps),
                  f"points {points}, steps {steps}")
@@ -465,7 +473,7 @@ def _norms(psi0: GridField, lhat: float, c: float, steps: int) -> np.ndarray:
 def _dispersion_error(psi0: GridField, lhat: float, c: float, box: float) -> float:
     """Phase error of one spectral step of a plane wave on psi0's grid
     against omega = c lhat k^2 / 2; the wave is dropped on return."""
-    k = 2.0 * math.pi / box * 7
+    k = 2.0 * math.pi / box * _DISPERSION_MODE
     x = psi0.coords(0)
     wave = GridField(values=np.exp(1j * k * x), step=psi0.step,
                      origin=psi0.origin, boundary="periodic")

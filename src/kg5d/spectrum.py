@@ -18,198 +18,20 @@ Three equivalent quantizations are implemented:
 Every level kernel takes a table of levels, 1-D integer arrays ``ns`` and
 ``ls`` (n >= 1, 0 <= l <= n, checked on entry); one level is a table of one.
 
-Everything is evaluated in dimensionless ratios internally; ``ScaleSet``
-carries the physical scales and converts at the boundary.  All functions
-are pure over immutable scale sets and safe to call concurrently.
+The spectra depend only on dimensionless ratios, and each kernel takes the
+one it uses as a plain float: the quantum levels the coupling
+``za`` = Z alpha = lambda*/lambda, the statistical levels
+``eps`` = lambda*/Lambda.  They return ratios too: E/mc^2, lambda'/lambda,
+Lambda'/Lambda and e_n/Mc^2.  All functions are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketingError, DomainError, NonConvergenceError
 from .numerics import Tolerance, find_roots
-
-_REL_TOL = 1e-12
-
-
-def _close(a: float, b: float, rel: float = _REL_TOL) -> bool:
-    return abs(a - b) <= rel * max(abs(a), abs(b), 1e-300)
-
-
-@dataclass(frozen=True)
-class ScaleSet:
-    """Physical scales and couplings for one configuration.
-
-    Stored fields are the independent quantities; everything else (Compton
-    wavelength, statistical wavelength, coupling lengths, cavity volume, ...)
-    is derived through properties so the consistency relations hold by
-    construction.  ``validate`` re-checks the relations for instances built
-    by hand.
-
-    Sign convention: ``lambda_star = q*(Z*e)/c^2`` is kept non-negative (it
-    equals Z times the classical particle radius); the attractive sign of the
-    Coulomb coupling is carried by the formulas that consume it.
-    """
-
-    c: float = 1.0          # speed of light
-    hbar: float = 1.0       # reduced Planck constant
-    m: float = 1.0          # inertial mass (quantum picture)
-    M: float = 1.0          # statistical mass, Lambda = hbar/(M c)
-    q: float = 0.0          # specific charge, q = e/m
-    Z: int = 1              # nuclear charge number
-    alpha: float = 0.0072973525693  # fine-structure constant e^2/(hbar c)
-    beta: float = 1.0       # inverse temperature 1/(k_B T)
-    zeta: float = 1.0       # drag coefficient, Lambda = 2/(beta zeta c)
-    u: float = 1.0          # time quantum (free parameter for hydrogen)
-    R: float = 50.0         # cavity radius
-
-    # -- derived scales -----------------------------------------------------
-
-    @property
-    def mc2(self) -> float:
-        return self.m * self.c**2
-
-    @property
-    def Mc2(self) -> float:
-        return self.M * self.c**2
-
-    @property
-    def e_charge(self) -> float:
-        return math.sqrt(self.alpha * self.hbar * self.c)
-
-    @property
-    def lambda_c(self) -> float:
-        """Compton wavelength hbar/(m c)."""
-        return self.hbar / (self.m * self.c)
-
-    @property
-    def lambda_star(self) -> float:
-        """Metric length scale q (Z e)/c^2  (= Z alpha * lambda_c)."""
-        return self.q * self.Z * self.e_charge / self.c**2
-
-    @property
-    def Lambda(self) -> float:
-        """Statistical wavelength hbar/(M c)."""
-        return self.hbar / (self.M * self.c)
-
-    @property
-    def eta0(self) -> float:
-        """u M c^2 / hbar."""
-        return self.u * self.Mc2 / self.hbar
-
-    @property
-    def rho(self) -> float:
-        """Bohr-like radius Lambda^2/lambda*; infinite when the coupling is off."""
-        ls = self.lambda_star
-        return self.Lambda**2 / ls if ls > 0 else math.inf
-
-    @property
-    def V(self) -> float:
-        """Cavity volume 4 pi R^3 / 3."""
-        return 4.0 * math.pi * self.R**3 / 3.0
-
-    @property
-    def coupling_qm(self) -> float:
-        """lambda*/lambda = Z alpha."""
-        return self.Z * self.alpha
-
-    @property
-    def coupling_stat(self) -> float:
-        """lambda*/Lambda."""
-        return self.lambda_star / self.Lambda
-
-    # -- construction and checks --------------------------------------------
-
-    @classmethod
-    def build(
-        cls,
-        Z: int = 1,
-        alpha: float = 0.0072973525693,
-        lambda_star_over_Lambda: float | None = None,
-        M_over_m: float | None = None,
-        eta0: float = 1.0,
-        R_over_rho: float | None = None,
-        R_over_Lambda: float | None = None,
-        c: float = 1.0,
-        hbar: float = 1.0,
-        m: float = 1.0,
-    ) -> "ScaleSet":
-        """Build a consistent scale set from dimensionless ratios.
-
-        The statistical coupling lambda*/Lambda equals Z*alpha*(M/m); give
-        either that ratio or M/m (default M = m).  ``eta0`` fixes the time
-        quantum u; the drag coefficient keeps the free-particle relation
-        u = 2m/zeta and the temperature follows from Lambda = 2/(beta zeta c).
-        The cavity radius comes from R_over_rho (preferred when the coupling
-        is on) or R_over_Lambda.  Every argument given must be finite, and
-        c, hbar, m, eta0 and the cavity ratios positive, so that the set built
-        passes :meth:`validate`.
-        """
-        given = dict(Z=Z, alpha=alpha, lambda_star_over_Lambda=lambda_star_over_Lambda,
-                     M_over_m=M_over_m, eta0=eta0, R_over_rho=R_over_rho,
-                     R_over_Lambda=R_over_Lambda, c=c, hbar=hbar, m=m)
-        for name, value in given.items():
-            if value is not None and not math.isfinite(value):
-                raise DomainError(f"need a finite {name}, got {value}")
-        positive = dict(c=c, hbar=hbar, m=m, eta0=eta0, R_over_rho=R_over_rho,
-                        R_over_Lambda=R_over_Lambda)
-        for name, value in positive.items():
-            if value is not None and not value > 0:
-                raise DomainError(f"need {name} > 0, got {value}")
-        if Z < 0:
-            raise DomainError(f"need Z >= 0, got {Z}")
-        if alpha < 0:
-            raise DomainError(f"need alpha >= 0, got {alpha}")
-        za = Z * alpha
-        if lambda_star_over_Lambda is not None:
-            if za == 0:
-                raise DomainError("lambda_star_over_Lambda needs Z*alpha > 0")
-            if M_over_m is not None and not _close(lambda_star_over_Lambda, za * M_over_m, 1e-9):
-                raise DomainError("lambda_star_over_Lambda and M_over_m disagree")
-            M_over_m = lambda_star_over_Lambda / za
-        if M_over_m is None:
-            M_over_m = 1.0
-        if M_over_m <= 0:
-            raise DomainError("need M/m > 0")
-
-        M = M_over_m * m
-        Lambda = hbar / (M * c)
-        u = eta0 * hbar / (M * c**2)
-        zeta = 2.0 * m / u
-        beta = 2.0 / (zeta * Lambda * c)
-        e = math.sqrt(alpha * hbar * c)
-        q = (e / m) if alpha > 0 else 0.0
-
-        lam_star = q * Z * e / c**2
-        if R_over_rho is not None:
-            if lam_star <= 0:
-                raise DomainError("R_over_rho needs a positive coupling; use R_over_Lambda")
-            R = R_over_rho * Lambda**2 / lam_star
-        elif R_over_Lambda is not None:
-            R = R_over_Lambda * Lambda
-        else:
-            R = 50.0 * Lambda
-        return cls(c=c, hbar=hbar, m=m, M=M, q=q, Z=Z, alpha=alpha,
-                   beta=beta, zeta=zeta, u=u, R=R)
-
-    def validate(self) -> None:
-        """Check the internal consistency relations (raises DomainError)."""
-        if min(self.c, self.hbar, self.m, self.M, self.u, self.R) <= 0:
-            raise DomainError("c, hbar, m, M, u, R must all be positive")
-        if not _close(self.lambda_star / self.lambda_c, self.Z * self.alpha) and self.alpha > 0:
-            raise DomainError("lambda*/lambda != Z*alpha")
-        if self.lambda_star > 0 and not _close(self.rho * self.lambda_star, self.Lambda**2):
-            raise DomainError("rho * lambda* != Lambda^2")
-        if not _close(self.eta0, self.u * self.Mc2 / self.hbar):
-            raise DomainError("eta0 != u M c^2 / hbar")
-        if not _close(self.Lambda, 2.0 / (self.beta * self.zeta * self.c)):
-            raise DomainError("Lambda != 2/(beta zeta c)")
-        if not _close(self.V, 4.0 * math.pi * self.R**3 / 3.0):
-            raise DomainError("V inconsistent with R")
 
 
 def _levels(ns, ls) -> tuple[np.ndarray, np.ndarray]:
@@ -243,65 +65,63 @@ def _critical(n: int, l: int) -> DomainError:
                        f"critical coupling {(l + 0.5):.6g}")
 
 
-def _qm_brackets(n: np.ndarray, l: np.ndarray, scales: ScaleSet):
-    """The brackets at Z alpha, and Z alpha; DomainError names the first level
+def _qm_brackets(n: np.ndarray, l: np.ndarray, za: float) -> np.ndarray:
+    """The brackets at Z alpha = ``za``; DomainError names the first level
     past its critical coupling Z alpha = l + 1/2."""
-    za = scales.coupling_qm
     b, critical = _brackets(n, l, -(za * za))
     if critical.any():
         i = int(np.argmax(critical))
         raise _critical(int(n[i]), int(l[i]))
-    return b, za
+    return b
 
 
-def kg_energies(ns, ls, scales: ScaleSet) -> np.ndarray:
-    """Relativistic bound-state energies E_nl of the hydrogenic KG problem.
+def kg_energies(ns, ls, za: float) -> np.ndarray:
+    """Relativistic bound-state energies E_nl/mc^2 of the hydrogenic KG problem.
 
-    E_nl = mc^2 (1 + (Z a)^2 / [n - l - 1/2 + sqrt((l+1/2)^2 - (Z a)^2)]^2)^(-1/2)
+    E_nl/mc^2 = (1 + (Z a)^2 / [n - l - 1/2 + sqrt((l+1/2)^2 - (Z a)^2)]^2)^(-1/2)
 
-    for each level (n, l) of the 1-D sequences ``ns`` and ``ls``; a level
-    gets the same bits as the formula evaluated for it alone.  The minus
-    sign under the inner root is the standard spinless-Coulomb result: it
-    gives the physical level ordering (E grows with l at fixed n) and the
-    well-known critical coupling Z a = l + 1/2, past which the problem
-    leaves the real domain and DomainError is raised, naming the first such
-    level.
+    at Z a = ``za``, for each level (n, l) of the 1-D sequences ``ns`` and
+    ``ls``; a level gets the same bits as the formula evaluated for it
+    alone.  The minus sign under the inner root is the standard
+    spinless-Coulomb result: it gives the physical level ordering (E grows
+    with l at fixed n) and the well-known critical coupling Z a = l + 1/2,
+    past which the problem leaves the real domain and DomainError is raised,
+    naming the first such level.
     """
     n, l = _levels(ns, ls)
-    b, za = _qm_brackets(n, l, scales)
-    return scales.mc2 / np.sqrt(1.0 + (za / b) ** 2)
+    b = _qm_brackets(n, l, za)
+    return 1.0 / np.sqrt(1.0 + (za / b) ** 2)
 
 
-def kg_binding_energies(ns, ls, scales: ScaleSet) -> np.ndarray:
-    """mc^2 - E_nl for each level of the table, evaluated without cancellation.
+def kg_binding_energies(ns, ls, za: float) -> np.ndarray:
+    """(mc^2 - E_nl)/mc^2 for each level of the table, evaluated without cancellation.
 
     Uses expm1/log1p so the O(alpha^2) binding stays fully resolved even at
     couplings where the direct difference would lose every significant digit
     (mc^2 - E ~ 1e-9 mc^2 at alpha = 1e-4).
     """
     n, l = _levels(ns, ls)
-    b, za = _qm_brackets(n, l, scales)
-    return -scales.mc2 * np.expm1(-0.5 * np.log1p((za / b) ** 2))
+    b = _qm_brackets(n, l, za)
+    return -np.expm1(-0.5 * np.log1p((za / b) ** 2))
 
 
-def matching_residuals(lambda_primes, ns, ls, scales: ScaleSet) -> np.ndarray:
+def matching_residuals(lambda_primes, ns, ls, za: float) -> np.ndarray:
     """LHS - RHS of the wavelength matching condition, for each level of the table.
 
     [(lambda'/lambda)^2 - 1] * [n - l - 1/2 + sqrt((l+1/2)^2 - (lambda*/lambda)^2)]^2
-        = (lambda*/lambda)^2
+        = (lambda*/lambda)^2,   lambda*/lambda = Z alpha = ``za``.
 
     Quantization as a matching between the metric scale lambda* and the two
-    propagation wavelengths; zero exactly when lambda' = hbar c / E_nl (the
-    bracket carries the same corrected sign as kg_energies).
-    ``lambda_primes`` holds one lambda' > 0 per level, or one for all.
+    propagation wavelengths; zero exactly when lambda'/lambda = mc^2/E_nl
+    (the bracket carries the same corrected sign as kg_energies).
+    ``lambda_primes`` holds one lambda'/lambda > 0 per level, or one for all.
     """
     n, l = _levels(ns, ls)
-    lam = np.asarray(lambda_primes, dtype=float)
-    bad = ~(lam > 0)
+    t = np.asarray(lambda_primes, dtype=float)
+    bad = ~(t > 0)
     if bad.any():
-        raise DomainError(f"need lambda' > 0, got {lam[bad][0]}")
-    b, za = _qm_brackets(n, l, scales)
-    t = lam / scales.lambda_c
+        raise DomainError(f"need lambda' > 0, got {t[bad][0]}")
+    b = _qm_brackets(n, l, za)
     return (t * t - 1.0) * b * b - za * za
 
 
@@ -325,14 +145,15 @@ _BLOCK_LEVELS = 4096
 
 
 def stat_wavelengths(
-    ns, ls, scales: ScaleSet, tol: Tolerance = Tolerance(rel=1e-15, abs=0.0)
+    ns, ls, eps: float, tol: Tolerance = Tolerance(rel=1e-15, abs=0.0)
 ) -> tuple[np.ndarray, dict]:
-    """Thermal wavelengths Lambda'_nl > Lambda solving the statistical quantization.
+    """Thermal wavelengths Lambda'_nl/Lambda > 1 solving the statistical
+    quantization at the coupling ``eps`` = lambda*/Lambda.
 
     Each level is a bracketed root in x = Lambda/Lambda' on [1/2, 1]; the
-    non-relativistic expansion Lambda*(1 + eps^2/(2 n^2)) is its documented
+    non-relativistic expansion 1 + eps^2/(2 n^2) is its documented
     small-coupling limit, not a seed (the solver is bisection plus secant).
-    Returns ``(wavelengths, refused)``: one Lambda'_nl per level (n, l), and
+    Returns ``(wavelengths, refused)``: one Lambda'_nl/Lambda per level (n, l), and
     the row index of each level without a root mapped to its reason, a
     DomainError when the coupling pushes the square root complex (naming the
     critical ratio) or a BracketingError when the residual has no sign
@@ -344,8 +165,7 @@ def stat_wavelengths(
     its level.
     """
     ns, ls = _levels(ns, ls)
-    eps = scales.coupling_stat
-    out = np.full(len(ns), scales.Lambda)
+    out = np.ones(len(ns))
     refused = {}
     if eps == 0.0:
         return out, refused
@@ -379,37 +199,35 @@ def stat_wavelengths(
             return _stat_residuals(x, n[owner], l[owner], eps)[0]
 
         try:
-            out[rows] = scales.Lambda / find_roots(residual, half[solve], one[solve], tol)
+            out[rows] = 1.0 / find_roots(residual, half[solve], one[solve], tol)
         except NonConvergenceError as exc:
             i, x, w = int(rows[exc.index]), exc.estimate, exc.error_bound
             raise NonConvergenceError(
                 f"statistical wavelength not localized within {tol.max_iter} iterations "
                 f"at row {i} (n={int(ns[i])}, l={int(ls[i])})", index=i,
-                # the bracket [x - w/2, x + w/2] as wavelengths Lambda/x
-                estimate=scales.Lambda / x,
-                error_bound=scales.Lambda / (x - 0.5 * w) - scales.Lambda / (x + 0.5 * w),
+                # the bracket [x - w/2, x + w/2] as wavelengths 1/x
+                estimate=1.0 / x, error_bound=1.0 / (x - 0.5 * w) - 1.0 / (x + 0.5 * w),
             ) from exc
     out[list(refused)] = np.nan
     return out, dict(sorted(refused.items()))
 
 
-def stat_wavelength_expansions(ns, ls, scales: ScaleSet) -> np.ndarray:
-    """Non-relativistic expansion Lambda*(1 + (lambda*/Lambda)^2/(2 n^2)) per level."""
+def stat_wavelength_expansions(ns, ls, eps: float) -> np.ndarray:
+    """Non-relativistic expansion Lambda'/Lambda = 1 + eps^2/(2 n^2) per level,
+    at the coupling ``eps`` = lambda*/Lambda."""
     n, _ = _levels(ns, ls)
-    eps = scales.coupling_stat
-    return scales.Lambda * (1.0 + 0.5 * eps * eps / n**2)
+    return 1.0 + 0.5 * eps * eps / n**2
 
 
-def stat_energy(n, scales: ScaleSet):
-    """Non-relativistic statistical level energy, independent of l.
+def stat_energy(n, eps: float):
+    """Non-relativistic statistical level energy e_n/Mc^2, independent of l.
 
-    e_n = M c^2 * (1 - (lambda*/Lambda)^2 / (2 n^2)); the coupling ratio
-    equals (Z e) q M / (hbar c), reproducing the familiar 1/n^2 ladder.
-    ``n`` is an int or an int array (one energy per entry, each with the
-    bits of its int).
+    e_n/Mc^2 = 1 - eps^2 / (2 n^2) at the coupling ``eps`` = lambda*/Lambda,
+    which equals (Z e) q M / (hbar c), reproducing the familiar 1/n^2
+    ladder.  ``n`` is an int or an int array (one energy per entry, each
+    with the bits of its int).
     """
     below = np.asarray(n) < 1
     if below.any():
         raise DomainError(f"need n >= 1, got {np.asarray(n)[below][0]}")
-    eps = scales.coupling_stat
-    return scales.Mc2 * (1.0 - 0.5 * eps * eps / (n * n))
+    return 1.0 - 0.5 * eps * eps / (n * n)

@@ -27,7 +27,6 @@ from kg5d.cli import main as cli_main
 from kg5d.numerics import Tolerance, fit_convergence_order, integrate
 from kg5d.specfun import erfcx_minus_one
 from kg5d.spectrum import (
-    ScaleSet,
     kg_binding_energies,
     kg_energies,
     matching_residuals,
@@ -94,10 +93,8 @@ def test_criterion_04_degeneracy_tail():
 
 
 def test_criterion_05_zc_structure():
-    uncoupled = ScaleSet.build(Z=0, alpha=0.0, R_over_Lambda=25.0)
-    zc, rep = canonical.z_continuous(uncoupled)
-    ideal = uncoupled.V * math.exp(-uncoupled.eta0) / (
-        uncoupled.Lambda**3 * (2.0 * math.pi * uncoupled.eta0) ** 1.5)
+    zc, rep = canonical.z_continuous(1.0, 0.0, 25.0)  # eta0 1, uncoupled, R = 25 Lambda
+    ideal = 4.0 * math.pi / 3.0 * 25.0**3 * math.exp(-1.0) / (2.0 * math.pi) ** 1.5
     assert zc == ideal and rep.value == 0.0
 
     s0 = 0.01 * math.sqrt(0.5)  # (lambda*/Lambda) sqrt(eta0/2) at eta0 = 1
@@ -111,12 +108,11 @@ def test_criterion_05_zc_structure():
 
 
 def test_criterion_06_zd_convergence():
-    s = ScaleSet.build(Z=1, lambda_star_over_Lambda=0.01, eta0=1.0, R_over_rho=50.0)
-    zd, rep, levels = canonical.z_discrete(s, tol=Tolerance(rel=1e-10))
+    rhat = 2.0 * 50.0  # 2 R/rho
+    zd, rep, levels = canonical.z_discrete(1.0, 0.01, rhat, tol=Tolerance(rel=1e-10))
     assert rep.converged
     assert rep.tail_bound < 1e-10 * zd
 
-    rhat = 2.0 * s.R / s.rho
     lo = int(math.ceil(2.0 * math.sqrt(rhat)))
     keep = levels.n >= lo
     ns = levels.n[keep].astype(float)
@@ -128,19 +124,17 @@ def test_criterion_06_zd_convergence():
 
 
 def test_criterion_07_spectrum_consistency():
-    s = ScaleSet.build(Z=1, M_over_m=1.0, R_over_Lambda=25.0)
+    za = 0.0072973525693  # Z = 1
     worst = 0.0
     for n in range(1, 6):
         for l in range(0, n + 1):
-            lam = s.hbar * s.c / float(kg_energies([n], [l], s)[0])
-            worst = max(worst, abs(float(matching_residuals([lam], [n], [l], s)[0])))
+            lam = 1.0 / float(kg_energies([n], [l], za)[0])  # lambda'/lambda = mc^2/E
+            worst = max(worst, abs(float(matching_residuals([lam], [n], [l], za)[0])))
     assert worst < 1e-10
 
     devs = []
     for alpha in (1e-3, 1e-4):
-        sa = ScaleSet.build(Z=1, alpha=alpha, M_over_m=1.0, R_over_Lambda=25.0)
-        ratio = float(kg_binding_energies([2], [1], sa)[0]) / (
-            sa.mc2 * (sa.Z * alpha) ** 2 / (2.0 * 2**2))
+        ratio = float(kg_binding_energies([2], [1], alpha)[0]) / (alpha**2 / (2.0 * 2**2))
         devs.append(abs(ratio - 1.0))
     assert 30.0 < devs[0] / devs[1] < 300.0  # error falls as alpha^2
     assert devs[1] < 1e-7
@@ -152,9 +146,8 @@ def test_criterion_08_stat_root_quartic():
     eps_list = (0.03, 0.01, 0.003)
     diffs = []
     for eps in eps_list:
-        s = ScaleSet.build(Z=1, lambda_star_over_Lambda=eps, R_over_rho=25.0)
-        root = stat_wavelengths([1], [0], s)[0][0]
-        diffs.append(abs(root - float(stat_wavelength_expansions([1], [0], s)[0])) / s.Lambda)
+        root = stat_wavelengths([1], [0], eps)[0][0]
+        diffs.append(abs(root - float(stat_wavelength_expansions([1], [0], eps)[0])))
     order = fit_convergence_order(eps_list, diffs)
     assert abs(order - 4.0) < 0.3
     _report(8, f"|root - expansion| fits exponent {order:.3f} (4 +- 0.3)")

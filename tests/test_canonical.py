@@ -33,15 +33,25 @@ from kg5d.canonical import (
 from kg5d.errors import DomainError, NonConvergenceError, QuadratureError
 from kg5d.numerics import Tolerance, integrate
 from kg5d.specfun import erfcx_minus_one
-from kg5d.spectrum import ScaleSet, stat_energy
+from kg5d.spectrum import stat_energy
 from oracles import dn_scaled_asymptotic, trapped_degeneracy_exact
 
 mp.mp.dps = 40
 
 
-def _scales(coupling=0.01, eta0=1.0, r_over_rho=50.0):
-    return ScaleSet.build(Z=1, lambda_star_over_Lambda=coupling, eta0=eta0,
-                          R_over_rho=r_over_rho)
+def _zd(coupling=0.01, eta0=1.0, r_over_rho=50.0, tol=Tolerance(rel=1e-10)):
+    """z_discrete at the coupling lambda*/Lambda, eta0 and R/rho."""
+    return z_discrete(eta0, coupling, 2.0 * r_over_rho, tol)
+
+
+def _zc_args(coupling=0.01, eta0=1.0, r_over_rho=50.0):
+    """z_continuous's (eta0, eps, R/Lambda) at the coupling, eta0 and R/rho."""
+    return eta0, coupling, r_over_rho / coupling
+
+
+def _ideal_gas(eta0, r_over_lambda):
+    return (4.0 * math.pi / 3.0 * r_over_lambda**3 * math.exp(-eta0)
+            / (2.0 * math.pi * eta0) ** 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +273,8 @@ def test_trapped_levels_match_exact_oracle(rhat):
 # ---------------------------------------------------------------------------
 
 def test_zc_uncoupled_is_ideal_gas_exactly():
-    s = ScaleSet.build(Z=0, alpha=0.0, R_over_Lambda=25.0)
-    zc, rep = z_continuous(s)
-    ideal = s.V * math.exp(-s.eta0) / (s.Lambda**3 * (2.0 * math.pi * s.eta0) ** 1.5)
-    assert zc == ideal  # bitwise: the correction is skipped, not just small
+    zc, rep = z_continuous(1.0, 0.0, 25.0)
+    assert zc == _ideal_gas(1.0, 25.0)  # bitwise: the correction is skipped, not just small
     assert rep.value == 0.0 and rep.converged
 
 
@@ -279,18 +287,18 @@ def test_brace_factor_asymptote_ratio():
 
 
 def test_zc_against_bruteforce_oracle():
-    s = _scales()
-    zc, rep = z_continuous(s, Tolerance(rel=1e-13))
-    # brute-force summation of the displayed series, vectorized to 2e5 terms
-    gamma = math.pi ** (4.0 / 3.0) * s.u * s.c * s.Lambda / (2.0 * s.V ** (2.0 / 3.0))
-    eps = s.coupling_stat
+    eta0, eps, r_over_lambda = _zc_args()
+    zc, rep = z_continuous(eta0, eps, r_over_lambda, Tolerance(rel=1e-13))
+    # brute-force summation of the displayed series, vectorized to 2e5 terms;
+    # gamma = pi^{4/3} u c Lambda / (2 V^{2/3}) with u c Lambda = eta0 Lambda^2
+    gamma = math.pi ** (4.0 / 3.0) * eta0 / (
+        2.0 * (4.0 * math.pi / 3.0 * r_over_lambda**3) ** (2.0 / 3.0))
     n = np.arange(1, 200_001, dtype=float)
-    sval = eps * math.sqrt(0.5 * s.eta0) / n
+    sval = eps * math.sqrt(0.5 * eta0) / n
     brace = canonical.erfcx_minus_one(sval[:40_000])
     terms = n[:40_000] ** 2 * np.exp(-gamma * n[:40_000] ** 2) * brace
     brute = float(np.sum(terms))
-    ideal = s.V * math.exp(-s.eta0) / (s.Lambda**3 * (2.0 * math.pi * s.eta0) ** 1.5)
-    ref = ideal - 0.5 * math.exp(-s.eta0) * brute
+    ref = _ideal_gas(eta0, r_over_lambda) - 0.5 * math.exp(-eta0) * brute
     assert zc == pytest.approx(ref, rel=1e-12)
     assert rep.converged
     assert rep.tail_bound < 1e-12 * abs(rep.value)
@@ -304,10 +312,10 @@ def test_zc_sum_within_its_bound(r_over_rho, coupling, eta0):
     # K - 1 exact terms, int_K^inf f + f(K)/2 and five Bernoulli corrections
     # from mpmath's numerical derivatives.  At eta0 2000, s0 = 31.6, so
     # K = ceil(64 s0) = 2024 and f(1)'s e^{s0^2} is far past overflow.
-    s = _scales(coupling, eta0, r_over_rho)
-    _, rep = z_continuous(s, Tolerance(rel=1e-12))
-    gamma = mp.mpf(canonical._zc_damping(s))
-    s0 = mp.mpf(s.coupling_stat * math.sqrt(0.5 * s.eta0))
+    args = _zc_args(coupling, eta0, r_over_rho)
+    _, rep = z_continuous(*args, Tolerance(rel=1e-12))
+    gamma = mp.mpf(canonical._zc_damping(eta0, args[2]))
+    s0 = mp.mpf(coupling * math.sqrt(0.5 * eta0))
     k = max(64, math.ceil(64 * s0))
 
     def f(n):
@@ -328,19 +336,19 @@ def test_zc_sum_within_its_bound(r_over_rho, coupling, eta0):
 def test_zc_refuses_a_head_over_max_iter():
     # the exact head f(1), ..., f(K-1) is refused with one line naming K
     # when K = ceil(64 s0) exceeds the tolerance's work budget
-    s = _scales(coupling=1.0, eta0=2000.0)
+    args = _zc_args(coupling=1.0, eta0=2000.0)
     with pytest.raises(NonConvergenceError,
                        match=r"^Z_c's exact head needs K = 2024 terms, over the limit of 2000$"):
-        z_continuous(s, Tolerance(rel=1e-12, max_iter=2000))
-    assert z_continuous(s, Tolerance(rel=1e-12, max_iter=2024))[1].terms_used == 2024
+        z_continuous(*args, Tolerance(rel=1e-12, max_iter=2000))
+    assert z_continuous(*args, Tolerance(rel=1e-12, max_iter=2024))[1].terms_used == 2024
 
 
 def test_zc_requires_positive_scales():
-    s = _scales()
-    bad = ScaleSet(c=s.c, hbar=s.hbar, m=s.m, M=s.M, q=s.q, Z=s.Z, alpha=s.alpha,
-                   beta=s.beta, zeta=s.zeta, u=s.u, R=-1.0)
-    with pytest.raises(DomainError):
-        z_continuous(bad)
+    for eta0, eps, r_over_lambda in ((1.0, 0.01, -1.0), (1.0, 0.01, 0.0), (0.0, 0.01, 5000.0),
+                                     (-1.0, 0.01, 5000.0), (1.0, -0.01, 5000.0),
+                                     (math.nan, 0.01, 5000.0), (1.0, 0.01, math.nan)):
+        with pytest.raises(DomainError, match="z_continuous needs eta0 > 0"):
+            z_continuous(eta0, eps, r_over_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +356,7 @@ def test_zc_requires_positive_scales():
 # ---------------------------------------------------------------------------
 
 def test_zd_report_and_tail():
-    s = _scales()
-    zd, rep, levels = z_discrete(s, tol=Tolerance(rel=1e-10))
+    zd, rep, levels = _zd()
     assert rep.converged
     assert rep.tail_bound < 1e-10 * zd
     assert zd > 0
@@ -367,7 +374,7 @@ def test_zd_report_and_tail():
 def test_zd_pinned_reference_within_tail_bound():
     # Independent reference for coupling 0.01, eta0 = 1, r/rho = 50, built
     # from 1600 exact levels plus a fitted tail.
-    zd, rep, _ = z_discrete(_scales(), tol=Tolerance(rel=1e-10))
+    zd, rep, _ = _zd()
     assert abs(zd - 51.98303420490789) <= rep.tail_bound
 
 
@@ -382,7 +389,7 @@ def test_zd_pinned_reference_within_tail_bound():
 ])
 def test_zd_large_cavity_reference_within_tail_bound(r_over_rho, reference):
     # The free (B, C) tail fit missed r/rho 1000 by 4.3 times its own bound.
-    zd, rep, _ = z_discrete(_scales(r_over_rho=r_over_rho), tol=Tolerance(rel=1e-10))
+    zd, rep, _ = _zd(r_over_rho=r_over_rho)
     assert rep.converged
     assert abs(zd - reference) <= rep.tail_bound
 
@@ -398,14 +405,11 @@ def test_zd_bound_includes_the_quadrature_errors(monkeypatch):
         return g, err
 
     monkeypatch.setattr(canonical, "_trapped_levels", recorded)
-    s = _scales(r_over_rho=150.0)
-    _, rep, levels = z_discrete(s, tol=Tolerance(rel=1e-10))
+    _, rep, levels = _zd(r_over_rho=150.0)
     err = np.concatenate(errors)
-    rhat = 2.0 * s.R / s.rho
-    eps = s.coupling_stat
-    a = 0.5 * s.eta0 * eps * eps
-    _, model = canonical._zd_tail(levels.trapped_degeneracy, trapped_degeneracy_limit(rhat),
-                                  s.eta0, a)
+    a = 0.5 * 1.0 * 0.01 * 0.01  # eta0 eps^2 / 2
+    _, model = canonical._zd_tail(levels.trapped_degeneracy, trapped_degeneracy_limit(300.0),
+                                  1.0, a)
     quad = float(levels.weight @ err)
     assert len(err) == len(levels) and quad > 0
     assert rep.tail_bound == model + quad
@@ -428,8 +432,7 @@ def test_zd_tail_least_squares_matches_lstsq(n_top, terms):
 def test_zd_exact_levels_grow_with_the_cavity():
     # The exact-level count starts from a smooth function of r_hat and is
     # extended only while the tail bound misses the tolerance.
-    counts = [len(z_discrete(_scales(r_over_rho=r), tol=Tolerance(rel=1e-10))[2])
-              for r in (50.0, 100.0, 150.0, 155.4, 200.0, 300.0, 1000.0)]
+    counts = [len(_zd(r_over_rho=r)[2]) for r in (50.0, 100.0, 150.0, 155.4, 200.0, 300.0, 1000.0)]
     assert counts[0] <= 112 and counts[2] <= 160 and counts[-1] <= 360
     assert counts[1:] == sorted(counts[1:])
 
@@ -455,10 +458,9 @@ def test_trapped_degeneracy_limit():
 def test_zd_peak_memory():
     # The level pass must not hold much more than its shared panels' nodes:
     # the one-level-at-a-time sum peaked at 2.02 MiB here.
-    s = _scales(r_over_rho=150.0)
     tracemalloc.start()
     try:
-        z_discrete(s, tol=Tolerance(rel=1e-10))
+        _zd(r_over_rho=150.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -466,32 +468,26 @@ def test_zd_peak_memory():
 
 
 def test_zd_weights_use_level_energies():
-    s = _scales(eta0=2.0)
-    _, _, levels = z_discrete(s, tol=Tolerance(rel=1e-6))
-    eps = s.coupling_stat
+    _, _, levels = _zd(eta0=2.0, tol=Tolerance(rel=1e-6))
     for n, w in zip(levels.n[:5].tolist(), levels.weight[:5].tolist()):
-        assert w == pytest.approx(
-            math.exp(-s.eta0 * (1.0 - 0.5 * eps * eps / (n * n))), rel=1e-12)
+        assert w == pytest.approx(math.exp(-2.0 * (1.0 - 0.5 * 0.01**2 / (n * n))), rel=1e-12)
     # each weight has the bits of the scalar expression on its level
-    assert levels.weight.tolist() == [math.exp(-s.u * stat_energy(n, s) / s.hbar)
+    assert levels.weight.tolist() == [math.exp(-2.0 * stat_energy(n, 0.01))
                                       for n in levels.n.tolist()]
 
 
 def test_zd_monotone_in_radius():
     zs = []
     for r_over_rho in (10.0, 25.0, 50.0):
-        s = _scales(r_over_rho=r_over_rho)
-        zd, _, _ = z_discrete(s, tol=Tolerance(rel=1e-8))
+        zd, _, _ = _zd(r_over_rho=r_over_rho, tol=Tolerance(rel=1e-8))
         zs.append(zd)
     assert zs[0] < zs[1] < zs[2]
 
 
 def test_zd_term_decay_exponent():
     # past the geometric cutoff the terms fall off like 1/n^3
-    s = _scales()
-    rhat = 2.0 * s.R / s.rho
-    _, _, levels = z_discrete(s, tol=Tolerance(rel=1e-10))
-    lo = int(math.ceil(2.0 * math.sqrt(rhat)))
+    _, _, levels = _zd()
+    lo = int(math.ceil(2.0 * math.sqrt(100.0)))  # r_hat = 2 R/rho
     keep = levels.n >= lo
     ns = levels.n[keep].astype(float)
     terms = levels.weight[keep] * levels.trapped_degeneracy[keep]
@@ -500,21 +496,28 @@ def test_zd_term_decay_exponent():
 
 
 def test_zd_needs_coupling():
-    s = ScaleSet.build(Z=0, alpha=0.0, R_over_Lambda=10.0)
-    with pytest.raises(DomainError):
-        z_discrete(s)
+    with pytest.raises(DomainError, match="z_discrete needs a positive coupling"):
+        z_discrete(1.0, 0.0, 20.0)
+
+
+@pytest.mark.parametrize("eta0, eps, rhat, message", [
+    (1.0, -0.01, 100.0, "positive coupling"), (1.0, math.nan, 100.0, "positive coupling"),
+    (1.0, 0.01, 0.0, "need r_hat > 0"), (1.0, 0.01, math.nan, "need r_hat > 0"),
+    (0.0, 0.01, 100.0, "eta0 > 0"), (1.0, 1.5, 100.0, "too large")])
+def test_zd_refuses_ratios_outside_its_domain(eta0, eps, rhat, message):
+    with pytest.raises(DomainError, match=message):
+        z_discrete(eta0, eps, rhat)
 
 
 def test_partition_assembles_both_parts():
-    s = _scales(r_over_rho=10.0)
-    result = partition(s, Tolerance(rel=1e-8))
+    result = partition(1.0, 0.01, 10.0, Tolerance(rel=1e-8))
     assert result.z_total == result.z_c + result.z_d
     assert result.terms_c.converged and result.terms_d.converged
     assert result.per_level_d
 
 
 def test_partition_runs_in_one_process(forbid_fork):
-    result = partition(_scales(r_over_rho=1000.0))
+    result = partition(1.0, 0.01, 1000.0)
     assert result.terms_c.converged and result.terms_d.converged
 
 

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from kg5d import canonical, reduction
+from kg5d import canonical, cli, reduction
 from kg5d.cli import main
 from kg5d.errors import NonConvergenceError
 from kg5d.geometry import projected_peak_bytes
@@ -205,6 +205,81 @@ def test_settings_a_command_does_not_read_change_no_artifact_byte(tmp_path, comm
         assert text == runs[1][name][1], name
 
 
+# A value of each setting that every command reading it refuses, by key.
+# output_dir and formats are read by every command.
+_REFUSED_VALUES = {
+    "rel_tol": "0", "abs_tol": "-1", "max_iter": "0", "z": "-1", "alpha": "-1",
+    "coupling": "0", "eta0": "0", "r_over_rho": "-1", "n_max": "0", "n_list": "0",
+    "r_max": "6", "r_points": "0", "grid": "0", "refine": "0", "points": "0", "steps": "0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_REFUSED_VALUES))
+def test_each_reader_refuses_the_refused_value(tmp_path, capsys, key):
+    _, flag, readers, _ = cli._SETTINGS[key]
+    assert readers and set(readers) != set(_FLAGS)
+    for command in readers:
+        out = tmp_path / command
+        # the last flag wins over the small run's own
+        assert main([command, *_SMALL_RUNS[command], f"{flag}={_REFUSED_VALUES[key]}",
+                     "--output-dir", str(out)]) == 2, command
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_settings_a_command_does_not_read_are_not_checked(tmp_path, command):
+    # One config file may serve several commands: every setting the command
+    # does not read, set to a value its readers refuse, leaves the run
+    # alone.  spectrum used to refuse eta0 = 0 and r_over_rho = -1.
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in _REFUSED_VALUES.items()
+                           if command not in cli._SETTINGS[key][2]))
+    assert main([command, *_SMALL_RUNS[command], "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+
+
+def _recording(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's
+    positional arguments and then calls it."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("r_over_rho, rhat", [("150", 300.0), ("1000", 2000.0)])
+def test_partition_kernels_receive_the_recorded_settings(tmp_path, monkeypatch, r_over_rho,
+                                                         rhat):
+    # Through a scale set in physical units r_hat read 300 + 1 ulp and
+    # 2000 + 1 ulp, and eta0 at coupling 0.0095 read 1 - 1 ulp.
+    zd = _recording(monkeypatch, canonical, "z_discrete")
+    zc = _recording(monkeypatch, canonical, "z_continuous")
+    assert main(["partition", "--coupling", "0.0095", "--eta0", "1", "--r-over-rho", r_over_rho,
+                 "--output-dir", str(tmp_path)]) == 0
+    assert [args[:3] for args in zd] == [(1.0, 0.0095, rhat)]
+    assert [args[:3] for args in zc] == [(1.0, 0.0095, float(r_over_rho) / 0.0095)]
+    doc = json.loads(_read(tmp_path / "partition.json"))
+    assert (doc["config"]["eta0"], doc["config"]["coupling"]) == (1.0, 0.0095)
+    assert 2.0 * doc["config"]["r_over_rho"] == rhat
+
+
+def test_spectrum_kernels_receive_the_recorded_settings(tmp_path, monkeypatch):
+    # Through a scale set in physical units coupling 0.3 read 1 ulp low.
+    wavelengths = _recording(monkeypatch, cli, "stat_wavelengths")
+    energies = _recording(monkeypatch, cli, "stat_energy")
+    levels = _recording(monkeypatch, cli, "kg_energies")
+    assert main(["spectrum", "--n-max", "3", "--coupling", "0.3", "--alpha", "0.05",
+                 "--output-dir", str(tmp_path)]) == 0
+    assert [args[2] for args in wavelengths] == [0.3]
+    assert energies and {args[1] for args in energies} == {0.3}
+    assert levels and {args[2] for args in levels} == {0.05}
+
+
 @pytest.mark.parametrize("argv", [["verify-geometry", "--coupling", "0.1"],
                                   ["figure1", "--rel-tol", "1e-3"],
                                   ["spectrum", "--eta0", "9"],
@@ -267,6 +342,61 @@ def test_verify_reduction_exits_zero(tmp_path):
     assert rc == 0
     doc = json.loads(_read(tmp_path / "verify_reduction.json"))
     assert doc["report"]["passed"]
+
+
+@pytest.mark.parametrize("points, code", [("13", 2), ("14", 0)])
+def test_verify_reduction_refuses_points_it_cannot_resolve(tmp_path, capsys, points, code):
+    # The dispersion check's plane wave has 7 periods in the box: on 13
+    # points it is aliased, and the run used to exit 1 as a failed identity.
+    out = tmp_path / "out"
+    assert main(["verify-reduction", "--points", points, "--steps", "8",
+                 "--output-dir", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("configuration error: points must be >= 14, got 13: the dispersion "
+                       "check's plane wave has 7 periods, aliased on fewer points\n")
+        assert not out.exists()
+    else:
+        assert json.loads(_read(out / "verify_reduction.json"))["report"]["passed"]
+
+
+@pytest.mark.parametrize("r_max", ["6", "-1", "5.000000001"])
+def test_figure1_r_max_outside_its_range_exits_2_naming_it(tmp_path, capsys, r_max):
+    # used to be refused by the kernel's bound: "error: r grid must lie within [0, 5]"
+    out = tmp_path / "out"
+    assert main(["figure1", "--r-max", r_max, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: r_max must lie in [0, 5], got {float(r_max)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r_max", ["0", "5"])
+def test_figure1_r_max_at_its_range_ends_runs(tmp_path, r_max):
+    assert main(["figure1", "--n", "1,3", "--r-points", "5", "--r-max", r_max,
+                 "--output-dir", str(tmp_path)]) == 0
+
+
+def test_partition_without_coupling_exits_2_naming_it(tmp_path, capsys):
+    # Z alpha = 0 leaves no bound level; z_discrete used to refuse it with
+    # "error: z_discrete needs a positive coupling"
+    out = tmp_path / "out"
+    assert main(["partition", "--Z", "0", "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == ("configuration error: partition needs Z*alpha > 0 (no "
+                                       "bound levels otherwise), got Z=0, alpha=0.0072973525693\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--Z", "-1"], "z must be >= 0, got -1"),
+    (["spectrum", "--alpha", "-1"], "alpha must be >= 0, got -1.0"),
+    (["partition", "--alpha", "-0.5"], "alpha must be >= 0, got -0.5"),
+    (["partition", "--r-over-rho", "0"], "r_over_rho must be > 0, got 0.0"),
+])
+def test_physical_setting_out_of_range_exits_2_naming_it(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
 
 
 def test_console_entry_point_runs(tmp_path):
@@ -366,11 +496,12 @@ def test_unmet_quadrature_tolerance_exits_3_with_one_line(tmp_path, capsys):
 
 
 def test_non_positive_eta0_exits_2_with_one_line(tmp_path, capsys):
-    # used to die in ScaleSet.build with a ZeroDivisionError traceback, exit 1
+    # used to die in the scale set's construction with a ZeroDivisionError
+    # traceback, exit 1; then to exit 2 with the kernel's "error: need eta0 > 0"
     rc = main(["partition", "--eta0", "0", "--output-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == "error: need eta0 > 0, got 0.0\n"
+    assert err == "configuration error: eta0 must be > 0, got 0.0\n"
     assert not list(tmp_path.iterdir())
 
 

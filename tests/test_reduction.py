@@ -32,7 +32,6 @@ from kg5d.reduction import (
     weakfield_dropped_term_ratio,
     weakfield_schrodinger_residual,
 )
-from kg5d.spectrum import ScaleSet
 from oracles import continuity_residual_from_currents, snapshots
 
 LHAT, C = 0.7, 1.3
@@ -284,24 +283,25 @@ def test_fp_rejects_bad_input():
 # ---------------------------------------------------------------------------
 
 def test_weakfield_plane_wave_on_shell():
-    s = ScaleSet.build(Z=0, alpha=0.0, R_over_Lambda=10.0)
     n, box = 32, 2.0 * math.pi * 4
     h = box / n
     k = 2.0 * math.pi / box * 3
     axes = [h * np.arange(n) for _ in range(3)]
     x = np.meshgrid(*axes, indexing="ij", sparse=True)
     psi = GridField(values=np.exp(1j * k * x[0]), step=(h,) * 3)
-    energy = s.hbar**2 * k * k / (2.0 * s.m)
-    resid = weakfield_schrodinger_residual(psi, np.zeros(psi.values.shape), s, energy)
+    energy = k * k / 2.0  # hbar = m = 1
+    resid = weakfield_schrodinger_residual(psi, np.zeros(psi.values.shape), 0.0, energy)
     assert resid < 1e-12
 
 
 def test_weakfield_hydrogen_ground_state():
     # psi = e^{-r/a} with a the Bohr-like radius and the 1s eigenvalue:
-    # interior residual is pure discretization error, falling ~h^2
-    s = ScaleSet.build(Z=1, alpha=0.05, M_over_m=1.0, R_over_Lambda=10.0)
-    a0 = s.lambda_c / (s.Z * s.alpha)
-    energy = -0.5 * s.mc2 * (s.Z * s.alpha) ** 2
+    # interior residual is pure discretization error, falling ~h^2.  Z = 1,
+    # alpha = 0.05, hbar = m = c = 1: the charge e = sqrt(alpha) = q m.
+    alpha = 0.05
+    a0 = 1.0 / alpha
+    energy = -0.5 * alpha**2
+    e = math.sqrt(alpha)
     resids, hs = [], []
     for n in (48, 96):
         box = 16.0 * a0
@@ -311,10 +311,10 @@ def test_weakfield_hydrogen_ground_state():
         r = np.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
         psi = GridField(values=np.exp(-r / a0) + 0j, step=(h,) * 3,
                         origin=(float(ax[0]),) * 3, boundary="absorbing")
-        a0_field = -s.Z * s.e_charge / r
+        a0_field = -e / r
         # fixed physical excision radius (3 coarse cells) so refinement
         # measures the smooth-region discretization error
-        resids.append(weakfield_schrodinger_residual(psi, a0_field, s, energy,
+        resids.append(weakfield_schrodinger_residual(psi, a0_field, e, energy,
                                                      excise_steps=3 * (n // 48)))
         hs.append(h)
     scale = abs(energy)  # residual in energy units times |psi| <= 1
@@ -325,19 +325,18 @@ def test_weakfield_hydrogen_ground_state():
 def test_weakfield_refuses_grid_with_no_point_left():
     # a 5^3 absorbing grid centred on the origin: the 2-cell edge margin
     # leaves only the centre, and the excision ball takes it
-    s = ScaleSet.build(Z=1, alpha=0.05, M_over_m=1.0, R_over_Lambda=10.0)
     h = 0.1
     psi = GridField(values=np.ones((5, 5, 5)) + 0j, step=(h,) * 3, origin=(-2 * h,) * 3,
                     boundary="absorbing")
     with pytest.raises(DomainError, match="no grid point"):
-        weakfield_schrodinger_residual(psi, np.zeros(psi.values.shape), s, -1.0)
+        weakfield_schrodinger_residual(psi, np.zeros(psi.values.shape), math.sqrt(0.05), -1.0)
 
 
 def test_weakfield_dropped_term_ratio():
-    s = ScaleSet.build(Z=1, alpha=0.01, M_over_m=1.0, R_over_Lambda=10.0)
     a0 = np.array([0.5, 1.0, 2.0])
-    got = weakfield_dropped_term_ratio(a0, s)
-    assert got == pytest.approx(abs(s.q * s.m) * 2.0 / (2.0 * s.m * s.c**2), rel=1e-12)
+    qm = math.sqrt(0.01)  # e/m at alpha = 0.01, hbar = m = c = 1
+    assert weakfield_dropped_term_ratio(a0, qm) == pytest.approx(qm * 2.0 / 2.0, rel=1e-12)
+    assert weakfield_dropped_term_ratio(a0, -qm) == weakfield_dropped_term_ratio(a0, qm)
 
 
 # ---------------------------------------------------------------------------

@@ -236,15 +236,14 @@ def test_nan_row_spectrum_matches_old_writers(tmp_path):
     argv = ["spectrum", "--n-max", "3", "--coupling", "2", "--output-dir", str(tmp_path)]
     assert main(argv) == 0
     cfg = cli.resolve_config("spectrum", cli.build_parser().parse_args(argv))
-    s = cfg.scales()
+    za = cfg.settings["z"] * cfg.settings["alpha"]
     levels = [(n, l) for n in range(1, 4) for l in range(n + 1)]
-    wavelengths, refused = stat_wavelengths(*zip(*levels), s)
+    wavelengths, refused = stat_wavelengths(*zip(*levels), 2.0)
     assert len(refused) == 6
     rows = []
-    for (n, l), wl in zip(levels, (wavelengths / s.Lambda).tolist()):
-        za = s.coupling_qm
-        e = s.mc2 / math.sqrt(1.0 + (za / (n - l - 0.5 + math.sqrt((l + 0.5) ** 2 - za * za))) ** 2)
-        rows.append((n, l, e / s.mc2, s.mc2 / e, wl, stat_energy(n, s) / s.Mc2))
+    for (n, l), wl in zip(levels, wavelengths.tolist()):
+        e = 1.0 / math.sqrt(1.0 + (za / (n - l - 0.5 + math.sqrt((l + 0.5) ** 2 - za * za))) ** 2)
+        rows.append((n, l, e, 1.0 / e, wl, stat_energy(n, 2.0)))
     names = ["n", "l", "E_over_mc2", "lambda_prime_over_lambda",
              "Lambda_prime_over_Lambda", "e_n_over_Mc2"]
     assert (_read(tmp_path / "spectrum.csv")
